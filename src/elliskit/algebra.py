@@ -147,20 +147,21 @@ def _locate_identity(mul):
 
 
 def _locate_inverses(mul, identity):
-    n = len(mul)
-    inverse = [None] * n
-    for a in range(n):
-        for b in range(n):
-            if mul[a][b] == identity and mul[b][a] == identity:
-                inverse[a] = b
-                break
-        if inverse[a] is None:
+    """Two-sided inverses. In a finite monoid a right inverse is two-sided,
+    so the first one in each row is checked against its column."""
+    inverse = []
+    for a, row in enumerate(mul):
+        b = row.index(identity) if identity in row else None
+        if b is None or mul[b][a] != identity:
             raise NoInverse(a)
+        inverse.append(b)
     return tuple(inverse)
 
 
 def small_generating_set(mul, identity) -> tuple[int, ...]:
-    """Greedy generating set; at most log2(order) elements."""
+    """Greedy generating set; at most log2(order) elements. The subgroup
+    generated so far is regrown by a breadth-first walk from the identity,
+    right-multiplying by the chosen generators: |G|·|gens| lookups a step."""
     n = len(mul)
     gens: list[int] = []
     have = {identity}
@@ -168,7 +169,15 @@ def small_generating_set(mul, identity) -> tuple[int, ...]:
         if a in have:
             continue
         gens.append(a)
-        have = _closure_indices(mul, have | {a})
+        have = {identity}
+        frontier = [identity]
+        for x in frontier:
+            row = mul[x]
+            for g in gens:
+                y = row[g]
+                if y not in have:
+                    have.add(y)
+                    frontier.append(y)
         if len(have) == n:
             break
     return tuple(gens)
@@ -211,12 +220,34 @@ def group_from_table(table, caps: Caps = DEFAULT_CAPS) -> FiniteGroup:
 
 def compose_maps(outer, inner):
     """The map x -> outer(inner(x))."""
-    return tuple(outer[i] for i in inner)
+    return tuple(map(outer.__getitem__, inner))
+
+
+def cayley_row(right, tree, i):
+    """Every product i·j, indexed by j, read off a right Cayley graph
+    (Froidure & Pin 1997) instead of composing elements.
+
+    Generator g is element g and right[w][g] is the index of w·g. `tree`
+    lists triples (j, p, g) with j = p·g, parents before children, covering
+    every non-generator, so i·j = (i·p)·g is one lookup.
+    """
+    row = [0] * len(right)
+    row[:len(right[i])] = right[i]
+    for j, p, g in tree:
+        row[j] = right[row[p]][g]
+    return row
+
+
+def cayley_table(right, tree):
+    """The full multiplication table, one `cayley_row` per element."""
+    return tuple(tuple(cayley_row(right, tree, i)) for i in range(len(right)))
 
 
 def group_from_permutations(degree, generators, caps: Caps = DEFAULT_CAPS,
                             name=None) -> FiniteGroup:
-    """Close permutation generators under composition; discovery element order."""
+    """Close permutation generators under composition; discovery element
+    order. The closure keeps its right Cayley graph, which then fills the
+    multiplication table by lookups."""
     perms: list[tuple[int, ...]] = []
     seen: dict[tuple[int, ...], int] = {}
     for i, g in enumerate(generators):
@@ -231,22 +262,22 @@ def group_from_permutations(degree, generators, caps: Caps = DEFAULT_CAPS,
         seen[ident] = 0
         perms.append(ident)
     gen_count = len(perms)
-    cursor = 0
-    while cursor < len(perms):
-        w = perms[cursor]
-        cursor += 1
+    right: list[tuple[int, ...]] = []
+    tree: list[tuple[int, int, int]] = []
+    for w, perm in enumerate(perms):
+        edges = []
         for gi in range(gen_count):
-            cand = compose_maps(w, perms[gi])
-            if cand not in seen:
+            cand = compose_maps(perm, perms[gi])
+            got = seen.get(cand)
+            if got is None:
                 if len(perms) >= caps.group_order_cap:
                     raise GroupTooLarge(len(perms) + 1, caps.group_order_cap)
-                seen[cand] = len(perms)
+                got = seen[cand] = len(perms)
                 perms.append(cand)
-    n = len(perms)
-    mul = tuple(
-        tuple(seen[compose_maps(perms[a], perms[b])] for b in range(n))
-        for a in range(n)
-    )
+                tree.append((got, w, gi))
+            edges.append(got)
+        right.append(tuple(edges))
+    mul = cayley_table(right, tree)
     identity = seen[tuple(range(degree))]
     inverse = _locate_inverses(mul, identity)
     return FiniteGroup(

@@ -18,7 +18,9 @@ class Caps:
     iso_order_cap: int = 2000        # largest orders fed to isomorphism search
     named_group_cap: int = 5000      # largest named group we will build
     closure_cap: int = 50000         # enveloping semigroup element cap
-    mul_table_cap: int = 512         # full multiplication table only below this
+    mul_table_cap: int = 512         # full semigroup table up to this; above
+                                     # it, products on demand from the Cayley
+                                     # graphs, with no memo
     product_points_cap: int = 20000  # product flow point cap
     independence_k_cap: int = 4      # largest independent-family size searched
     lattice_cap: int = 4096          # largest explicit lattice (number of sets)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 
 from . import io as instance_io
 from .caps import DEFAULT_CAPS
@@ -146,11 +147,9 @@ def cmd_orbital(args) -> int:
         rep.structures["orbital"] = bool(verdict)
         rep.structures["kernel_order"] = verdict.kernel.order
         if args.decide_weak:
-            from .caps import Caps
-
             caps = DEFAULT_CAPS
             if args.max_group_order:
-                caps = Caps(subgroup_enum_cap=args.max_group_order)
+                caps = replace(caps, subgroup_enum_cap=args.max_group_order)
             weak = is_weakly_orbital(relation, caps=caps)
             rep.structures["weakly_orbital"] = bool(weak)
             if weak:

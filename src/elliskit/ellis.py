@@ -8,17 +8,32 @@ induced closure operator on an ideal group is the identity, and the
 intersection of closures of neighbourhoods of the identity is a singleton.
 The operations below still evaluate the defining formulas literally and
 raise TheoremViolation if the collapse ever failed to hold.
+
+The closure keeps its right and left Cayley graphs over the generators, and
+bulk products are read off them instead of composing point tuples: Froidure
+& Pin, "Algorithms for computing finite semigroups" (1997); East,
+Egri-Nagy, Mitchell & Péresse, "Computing finite semigroups", J. Symb.
+Comput. 92 (2019).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FiniteGroup, Subgroup, small_generating_set
+from .algebra import (
+    FiniteGroup,
+    Subgroup,
+    _locate_inverses,
+    cayley_row,
+    cayley_table,
+    compose_maps,
+    small_generating_set,
+)
 from .caps import DEFAULT_CAPS, Caps
 from .errors import (
     ClosureCapExceeded,
     IsomorphismViolated,
+    NoInverse,
     NotIdempotent,
     NotInIdeal,
     NotWellDefined,
@@ -27,27 +42,29 @@ from .errors import (
 from .flows import Flow, FlowMorphism, check_morphism
 
 
-def _compose(outer, inner):
-    return tuple(outer[i] for i in inner)
-
-
 class EllisSemigroup:
     """Composition closure of the acting maps, in discovery order.
 
-    Full multiplication tables are only materialized for small closures;
-    above the cap, products are memoized on demand (an explicit table at the
-    default closure cap would not fit in memory).
+    Generator g is element g. right[w][g] and left[w][g] are the indices of
+    w·g and g·w, and `_tree` is a right spanning tree: triples (j, p, g)
+    with j = p·g, parents first. The full multiplication table is only
+    materialized up to mul_table_cap (at the default closure cap it would
+    not fit in memory); above it, `row` reads products off the right graph
+    and `mul` composes on demand, with no memo.
     """
 
-    __slots__ = ("flow", "elements", "index", "generators", "_table", "_memo")
+    __slots__ = ("flow", "elements", "index", "generators", "right", "left",
+                 "_tree", "_table")
 
-    def __init__(self, flow, elements, index, generators, table):
+    def __init__(self, flow, elements, index, right, left, tree, table):
         self.flow = flow
         self.elements = elements
         self.index = index
-        self.generators = generators
+        self.generators = tuple(range(len(right[0])))
+        self.right = right
+        self.left = left
+        self._tree = tree
         self._table = table
-        self._memo = {} if table is None else None
 
     @property
     def size(self) -> int:
@@ -57,30 +74,24 @@ class EllisSemigroup:
         """Index of the map x -> elements[i](elements[j](x))."""
         if self._table is not None:
             return self._table[i][j]
-        got = self._memo.get((i, j))
-        if got is None:
-            got = self.index[_compose(self.elements[i], self.elements[j])]
-            self._memo[(i, j)] = got
-        return got
+        return self.index[compose_maps(self.elements[i], self.elements[j])]
 
-    def is_idempotent(self, i: int) -> bool:
-        return self.mul(i, i) == i
+    def row(self, i: int):
+        """Every product i·j, indexed by j."""
+        if self._table is not None:
+            return self._table[i]
+        return cayley_row(self.right, self._tree, i)
 
     def left_reach(self, s: int) -> set[int]:
         """S·s: everything reachable by left multiplication (words >= 1)."""
-        seen = set()
-        frontier = [self.mul(g, s) for g in self.generators]
-        for y in frontier:
-            seen.add(y)
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in self.generators:
-                    y = self.mul(g, x)
-                    if y not in seen:
-                        seen.add(y)
-                        new.append(y)
-            frontier = new
+        left = self.left
+        seen = set(left[s])
+        frontier = list(seen)
+        for x in frontier:
+            for y in left[x]:
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
         return seen
 
     def __repr__(self):
@@ -116,48 +127,53 @@ def enveloping_semigroup(flow: Flow, caps: Caps = DEFAULT_CAPS) -> EllisSemigrou
     """Breadth-first composition closure of the flow's generator maps.
 
     For a group flow the closure of any generating set of the (finite) group
-    equals the full image of the group, so generators suffice.
+    equals the full image of the group, so generators suffice. Each element
+    is multiplied by every generator on the right and on the left; the
+    indices of those products are the right and left Cayley graphs.
     """
-    gens = flow.generator_maps()
     elements: list[tuple[int, ...]] = []
     index: dict[tuple[int, ...], int] = {}
-    for m in gens:
+    for m in flow.generator_maps():
         m = tuple(m)
         if m not in index:
             index[m] = len(elements)
             elements.append(m)
-    gen_ids = tuple(range(len(elements)))
-    cursor = 0
-    while cursor < len(elements):
-        w = elements[cursor]
-        cursor += 1
-        for gi in gen_ids:
-            cand = _compose(w, elements[gi])
-            if cand not in index:
-                if len(elements) >= caps.closure_cap:
-                    raise ClosureCapExceeded(len(elements), caps.closure_cap)
-                index[cand] = len(elements)
-                elements.append(cand)
-            cand2 = _compose(elements[gi], w)
-            if cand2 not in index:
-                if len(elements) >= caps.closure_cap:
-                    raise ClosureCapExceeded(len(elements), caps.closure_cap)
-                index[cand2] = len(elements)
-                elements.append(cand2)
+    gens = tuple(elements)
+    right: list[tuple[int, ...]] = []
+    left: list[tuple[int, ...]] = []
+    for w in elements:
+        r_edges, l_edges = [], []
+        for g in gens:
+            for cand, edges in ((compose_maps(w, g), r_edges),
+                                (compose_maps(g, w), l_edges)):
+                got = index.get(cand)
+                if got is None:
+                    if len(elements) >= caps.closure_cap:
+                        raise ClosureCapExceeded(len(elements), caps.closure_cap)
+                    got = index[cand] = len(elements)
+                    elements.append(cand)
+                edges.append(got)
+        right.append(tuple(r_edges))
+        left.append(tuple(l_edges))
     n = len(elements)
-    table = None
-    if n <= caps.mul_table_cap:
-        table = tuple(
-            tuple(index[_compose(elements[i], elements[j])] for j in range(n))
-            for i in range(n)
-        )
-    S = EllisSemigroup(flow, tuple(elements), index, gen_ids, table)
-    # one-step stability: the closure is closed and every element reachable
-    for i in gen_ids:
-        for j in range(n):
-            if S.mul(i, j) >= n or S.mul(j, i) >= n:
-                raise TheoremViolation("composition closure not closed", (i, j))
-    return S
+    # one-step stability: the closure is closed under both graphs, and every
+    # element is reached from the generators along right edges
+    if max(map(max, right)) >= n or max(map(max, left)) >= n:
+        raise TheoremViolation("composition closure not closed", n)
+    reached = [True] * len(gens) + [False] * (n - len(gens))
+    order = list(range(len(gens)))
+    tree: list[tuple[int, int, int]] = []
+    for w in order:
+        for g, j in enumerate(right[w]):
+            if not reached[j]:
+                reached[j] = True
+                order.append(j)
+                tree.append((j, w, g))
+    if len(order) != n:
+        raise TheoremViolation("element not reached by right multiplication",
+                               reached.index(False))
+    table = cayley_table(right, tree) if n <= caps.mul_table_cap else None
+    return EllisSemigroup(flow, tuple(elements), index, right, left, tree, table)
 
 
 def _tarjan_sccs(n, successors):
@@ -219,21 +235,12 @@ def minimal_left_ideals(S: EllisSemigroup) -> list[MinimalIdeal]:
     minimality. Every ideal is validated against the structure facts before
     being returned.
     """
-    n = S.size
-    succ_cache = [None] * n
-
-    def successors(v):
-        got = succ_cache[v]
-        if got is None:
-            got = [S.mul(g, v) for g in S.generators]
-            succ_cache[v] = got
-        return got
-
-    comps = _tarjan_sccs(n, successors)
+    left = S.left
+    comps = _tarjan_sccs(S.size, left.__getitem__)
     ideals = []
     for comp in comps:
         cset = set(comp)
-        if any(w not in cset for v in comp for w in successors(v)):
+        if any(w not in cset for v in comp for w in left[v]):
             continue
         members = tuple(sorted(comp))
         idempotents = tuple(s for s in members if S.mul(s, s) == s)
@@ -271,8 +278,9 @@ def _validate_minimal_ideal(M: MinimalIdeal):
 
 
 def ideal_group(M: MinimalIdeal, u: int) -> IdealGroup:
-    """The group u·M with identity u; verified via left identity and left
-    inverses (which force a group), plus closure."""
+    """The group u·M with identity u; verified via closure, left identity
+    and two-sided inverses (which force a group). The table is read off one
+    row of products per member."""
     S = M.parent
     if u not in M.member_set:
         raise NotInIdeal(u)
@@ -280,32 +288,25 @@ def ideal_group(M: MinimalIdeal, u: int) -> IdealGroup:
         raise NotIdempotent(u)
     members = tuple(sorted({S.mul(u, m) for m in M.members}))
     pos = {s: i for i, s in enumerate(members)}
-    k = len(members)
-    for s in members:
-        if S.mul(u, s) != s:
-            raise TheoremViolation("u is not a left identity on u·M", s)
+    mul = []
     for a in members:
-        for b in members:
-            if S.mul(a, b) not in pos:
-                raise TheoremViolation("u·M not closed under composition", (a, b))
-    for s in members:
-        if all(S.mul(t, s) != u for t in members):
-            raise TheoremViolation("missing left inverse in u·M", s)
-    mul = tuple(
-        tuple(pos[S.mul(a, b)] for b in members) for a in members
-    )
-    # composition is associative, so left identity + left inverses make this
-    # a group; locate two-sided inverses directly
-    inverse = [None] * k
+        row = S.row(a)
+        try:
+            mul.append(tuple(map(pos.__getitem__, map(row.__getitem__, members))))
+        except KeyError:
+            b = next(b for b in members if row[b] not in pos)
+            raise TheoremViolation("u·M not closed under composition", (a, b)) from None
+    mul = tuple(mul)
     identity = pos[u]
-    for i, a in enumerate(members):
-        for j, b in enumerate(members):
-            if mul[i][j] == identity and mul[j][i] == identity:
-                inverse[i] = j
-                break
-        if inverse[i] is None:
-            raise TheoremViolation("u·M element without two-sided inverse", a)
-    gview = FiniteGroup(mul, identity, tuple(inverse),
+    for i, s in enumerate(members):
+        if mul[identity][i] != i:
+            raise TheoremViolation("u is not a left identity on u·M", s)
+    try:
+        inverse = _locate_inverses(mul, identity)
+    except NoInverse as exc:
+        raise TheoremViolation("u·M element without two-sided inverse",
+                               members[exc.element]) from None
+    gview = FiniteGroup(mul, identity, inverse,
                         gens=small_generating_set(mul, identity))
     return IdealGroup(M, u, members, gview, pos, members)
 

@@ -20,6 +20,7 @@ from .errors import (
     NotAnAction,
     NotBijective,
     OrbitNotDense,
+    ParseError,
     SizeCapExceeded,
 )
 
@@ -30,9 +31,12 @@ class TransformationGenerators:
     generators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if not self.generators:
+            raise ParseError("<flow>", "a transformation flow needs at least one map")
         for i, g in enumerate(self.generators):
             if len(g) != self.degree or any(not 0 <= x < self.degree for x in g):
-                raise ValueError(f"map {i} is not a self-map of 0..{self.degree - 1}")
+                raise ParseError("<flow>", f"map {i} is not a self-map of "
+                                           f"0..{self.degree - 1}")
 
 
 class Flow:
@@ -145,7 +149,7 @@ def make_flow(acting, points: int, action=None, caps: Caps = DEFAULT_CAPS,
 
 
 def transformation_flow(maps, caps: Caps = DEFAULT_CAPS, name=None) -> Flow:
-    degree = len(maps[0])
+    degree = len(maps[0]) if maps else 0
     gens = TransformationGenerators(degree, tuple(tuple(m) for m in maps))
     return make_flow(gens, degree, caps=caps, name=name)
 

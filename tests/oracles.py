@@ -1,0 +1,150 @@
+"""Literal reference implementations of the closure, ideal and group-table
+code in ``elliskit``. The production paths read products off Cayley graphs;
+these compose every pair of point tuples instead, so they are slow but
+obviously right, and the differential tests compare the two.
+"""
+
+from __future__ import annotations
+
+
+def compose(outer, inner):
+    return tuple(outer[i] for i in inner)
+
+
+def closure(maps):
+    """Discovery-order closure by two-sided BFS: each element times every
+    generator on the right, then on the left. Returns the elements and the
+    generator indices."""
+    elements: list[tuple[int, ...]] = []
+    index: dict[tuple[int, ...], int] = {}
+    for m in maps:
+        m = tuple(m)
+        if m not in index:
+            index[m] = len(elements)
+            elements.append(m)
+    gen_count = len(elements)
+    cursor = 0
+    while cursor < len(elements):
+        w = elements[cursor]
+        cursor += 1
+        for gi in range(gen_count):
+            for cand in (compose(w, elements[gi]), compose(elements[gi], w)):
+                if cand not in index:
+                    index[cand] = len(elements)
+                    elements.append(cand)
+    return tuple(elements), tuple(range(gen_count))
+
+
+def composition_table(elements):
+    """table[i][j] is the index of elements[i]∘elements[j]."""
+    index = {e: i for i, e in enumerate(elements)}
+    return tuple(tuple(index[compose(a, b)] for b in elements) for a in elements)
+
+
+def left_reach(table, generators, s):
+    """S·s by repeated left multiplication with the generators."""
+    seen = set()
+    frontier = [table[g][s] for g in generators]
+    seen.update(frontier)
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in generators:
+                y = table[g][x]
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    return seen
+
+
+def minimal_left_ideals(table, generators):
+    """(members, idempotents) of each minimal set S·s, by comparing all of
+    them; sorted by least member."""
+    reaches = {frozenset(left_reach(table, generators, s)) for s in range(len(table))}
+    minimal = [c for c in reaches if not any(o < c for o in reaches)]
+    out = []
+    for c in minimal:
+        members = tuple(sorted(c))
+        out.append((members, tuple(s for s in members if table[s][s] == s)))
+    return sorted(out)
+
+
+def closure_indices(mul, seed):
+    """Pairwise closure of a subset of a group under multiplication."""
+    members = set(seed)
+    frontier = sorted(members)
+    while frontier:
+        new = []
+        for a in frontier:
+            for b in list(members):
+                for c in (mul[a][b], mul[b][a]):
+                    if c not in members:
+                        members.add(c)
+                        new.append(c)
+        frontier = new
+    return members
+
+
+def small_generating_set(mul, identity):
+    """Greedy generating set, regrowing the subgroup by pairwise closure."""
+    gens = []
+    have = {identity}
+    for a in range(len(mul)):
+        if a in have:
+            continue
+        gens.append(a)
+        have = closure_indices(mul, have | {a})
+        if len(have) == len(mul):
+            break
+    return tuple(gens)
+
+
+def two_sided_inverses(mul, identity):
+    return tuple(
+        next(b for b in range(len(mul))
+             if mul[a][b] == identity and mul[b][a] == identity)
+        for a in range(len(mul))
+    )
+
+
+def ideal_group(table, ideal_members, u):
+    """The group u·M: (members, multiplication table, inverses, generators),
+    every entry by lookup in the full table and every inverse by search."""
+    members = tuple(sorted({table[u][m] for m in ideal_members}))
+    pos = {s: i for i, s in enumerate(members)}
+    for s in members:
+        assert table[u][s] == s, "u is not a left identity on u·M"
+        assert any(table[t][s] == u for t in members), "missing left inverse"
+    mul = tuple(tuple(pos[table[a][b]] for b in members) for a in members)
+    identity = pos[u]
+    return (members, mul, two_sided_inverses(mul, identity),
+            small_generating_set(mul, identity))
+
+
+def permutation_group(degree, generators):
+    """Discovery-order closure of permutations under right multiplication by
+    the generators, with the table filled by composing every pair."""
+    perms: list[tuple[int, ...]] = []
+    seen: dict[tuple[int, ...], int] = {}
+    for g in generators:
+        p = tuple(g)
+        if p not in seen:
+            seen[p] = len(perms)
+            perms.append(p)
+    gen_count = len(perms)
+    cursor = 0
+    while cursor < len(perms):
+        w = perms[cursor]
+        cursor += 1
+        for gi in range(gen_count):
+            cand = compose(w, perms[gi])
+            if cand not in seen:
+                seen[cand] = len(perms)
+                perms.append(cand)
+    n = len(perms)
+    mul = tuple(
+        tuple(seen[compose(perms[a], perms[b])] for b in range(n))
+        for a in range(n)
+    )
+    return tuple(perms), mul, two_sided_inverses(mul, seen[tuple(range(degree))])

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from elliskit.algebra import are_isomorphic, named_group
-from elliskit.caps import Caps
+from elliskit.caps import DEFAULT_CAPS, Caps
 from elliskit.errors import (
     ClosureCapExceeded,
     NotIdempotent,
@@ -113,6 +113,43 @@ def test_lazy_mul_matches_table():
     for i in range(with_table.size):
         for j in range(with_table.size):
             assert with_table.mul(i, j) == lazy.mul(i, j)
+
+
+# ---- large shapes: full table, on-demand products, huge closure ---------------
+
+def first_ideal_group(flow):
+    S = enveloping_semigroup(flow)
+    ideals = minimal_left_ideals(S)
+    return S, ideals, ideal_group(ideals[0], ideals[0].idempotents[0])
+
+
+def test_d100_regular_shape():
+    S, ideals, G = first_ideal_group(regular_flow(named_group("dihedral", n=100)))
+    assert S.size == 200 <= DEFAULT_CAPS.mul_table_cap
+    assert len(ideals) == 1
+    assert G.group_view.order == 200
+
+
+def test_s6_natural_shape_above_table_cap():
+    S, ideals, G = first_ideal_group(natural_flow(named_group("symmetric", n=6)))
+    assert S.size == 720 > DEFAULT_CAPS.mul_table_cap
+    assert len(ideals) == 1
+    assert G.group_view.order == 720
+    assert are_isomorphic(G.group_view, named_group("symmetric", n=6))
+
+
+def test_t6_full_transformation_monoid_shape():
+    n = 6
+    cycle = [(x + 1) % n for x in range(n)]
+    swap = [1, 0] + list(range(2, n))
+    collapse = [0, 0] + list(range(2, n))
+    S, ideals, G = first_ideal_group(transformation_flow([cycle, swap, collapse]))
+    assert S.size == n ** n
+    assert len(ideals) == 1
+    assert {S.elements[c] for c in ideals[0].members} == \
+        {(x,) * n for x in range(n)}
+    assert len(ideals[0].idempotents) == 6
+    assert G.group_view.order == 1
 
 
 # ---- minimal ideals ---------------------------------------------------------------

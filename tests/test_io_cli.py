@@ -1,10 +1,14 @@
 import json
+from dataclasses import replace
 
 import pytest
 
+from elliskit import cli
+from elliskit.caps import DEFAULT_CAPS
 from elliskit.cli import main
 from elliskit.errors import ParseError, ValidationError
 from elliskit.io import parse_instance, parse_obj, serialize_instance
+from elliskit.relations import is_weakly_orbital
 from elliskit.suites import run_suite
 
 
@@ -237,6 +241,35 @@ def test_cli_structured(tmp_path, capsys):
         "lattices": {"G": "discrete", "X": "discrete"},
     })
     assert main(["structured", scenario]) == 0
+
+
+def test_cli_orbital_max_group_order_keeps_cap_overrides(tmp_path, monkeypatch):
+    overridden = replace(DEFAULT_CAPS, partition_points_cap=7)
+    seen = []
+
+    def spy(relation, caps):
+        seen.append(caps)
+        return is_weakly_orbital(relation, caps=caps)
+
+    monkeypatch.setattr(cli, "DEFAULT_CAPS", overridden)
+    monkeypatch.setattr(cli, "is_weakly_orbital", spy)
+    flow = write(tmp_path, "f.json",
+                 {"group": {"kind": "named", "name": "cyclic", "n": 4},
+                  "action": "natural"})
+    rel = write(tmp_path, "r.json", {"points": 4, "classes": [[0, 2], [1, 3]]})
+    assert main(["orbital", flow, "--relation", rel, "--decide-weak",
+                 "--max-group-order", "24", "--format", "json"]) == 0
+    assert seen == [replace(overridden, subgroup_enum_cap=24)]
+
+
+@pytest.mark.parametrize("maps, message", [([], "at least one map"),
+                                           ([[5, 0]], "not a self-map")])
+def test_cli_malformed_transformations_exit_2(tmp_path, capsys, maps, message):
+    path = write(tmp_path, "f.json", {"transformations": maps})
+    with pytest.raises(ValidationError):
+        parse_instance(path)
+    assert main(["ellis", path]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_input_error_exit_2(tmp_path):
