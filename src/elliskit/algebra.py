@@ -33,20 +33,16 @@ class FiniteGroup:
     with `mul`.
     """
 
-    __slots__ = ("order", "mul", "identity", "inverse", "gens", "perms", "labels", "name")
+    __slots__ = ("order", "mul", "identity", "inverse", "gens", "perms", "name")
 
-    def __init__(self, mul, identity, inverse, gens, perms=None, labels=None, name=None):
+    def __init__(self, mul, identity, inverse, gens, perms=None, name=None):
         self.order = len(mul)
         self.mul = mul
         self.identity = identity
         self.inverse = inverse
         self.gens = tuple(gens)
         self.perms = perms
-        self.labels = labels
         self.name = name
-
-    def op(self, a: int, b: int) -> int:
-        return self.mul[a][b]
 
     def inv(self, a: int) -> int:
         return self.inverse[a]
@@ -67,18 +63,6 @@ class FiniteGroup:
 
     def element_order_multiset(self) -> tuple[int, ...]:
         return tuple(sorted(self.element_order(a) for a in self.elements()))
-
-    def is_abelian(self) -> bool:
-        return all(
-            self.mul[a][b] == self.mul[b][a]
-            for a in self.elements()
-            for b in self.elements()
-        )
-
-    def label(self, a: int) -> str:
-        if self.labels is not None:
-            return self.labels[a]
-        return str(a)
 
     def __repr__(self):
         tag = self.name or "group"
@@ -578,17 +562,7 @@ class AffineComponents:
         return self.matrices.index(tuple(tuple(r) for r in M))
 
     def mat_vec(self, M, v):
-        F = self.field
-        out = []
-        for row in M:
-            acc = 0
-            for a, x in zip(row, v):
-                acc = F.add[acc][F.mul[a][x]]
-            out.append(acc)
-        return tuple(out)
-
-    def element_index(self, v, M) -> int:
-        return self.vector_index(v) * len(self.matrices) + self.matrix_index(M)
+        return tuple(_dot(self.field, row, v) for row in M)
 
 
 def affine_components(q: int, dim: int) -> AffineComponents:
@@ -624,22 +598,13 @@ def _affine(q: int, dim: int, caps: Caps) -> FiniteGroup:
     vec_index = {v: i for i, v in enumerate(vectors)}
     mat_index = {m: i for i, m in enumerate(matrices)}
 
-    def mat_vec(M, v):
-        out = []
-        for row in M:
-            acc = 0
-            for a, x in zip(row, v):
-                acc = F.add[acc][F.mul[a][x]]
-            out.append(acc)
-        return tuple(out)
-
     def mat_mat(M, N):
         cols = list(zip(*N))
         return tuple(
             tuple(_dot(F, row, col) for col in cols) for row in M
         )
 
-    matvec = [[vec_index[mat_vec(M, v)] for v in vectors] for M in matrices]
+    matvec = [[vec_index[comp.mat_vec(M, v)] for v in vectors] for M in matrices]
     matmul = [[mat_index[mat_mat(M, N)] for N in matrices] for M in matrices]
     vecadd = [[vec_index[tuple(F.add[a][b] for a, b in zip(v, w))] for w in vectors]
               for v in vectors]
@@ -671,14 +636,9 @@ def _affine(q: int, dim: int, caps: Caps) -> FiniteGroup:
             mj = inv_mat[mi]
             wi = matvec[mj][neg_vec[vi]]
             inverse[vi * nm + mi] = wi * nm + mj
-
-    labels = tuple(
-        f"({','.join(map(str, vectors[i // nm]))};{matrices[i % nm]})"
-        for i in range(order)
-    )
     gens = small_generating_set(mul, identity)
     return FiniteGroup(mul, identity, tuple(inverse), gens=gens,
-                       labels=labels, name=f"affine({q},{dim})")
+                       name=f"affine({q},{dim})")
 
 
 def _dot(F, row, col):
@@ -713,7 +673,6 @@ def named_group(name: str, caps: Caps = DEFAULT_CAPS, **params) -> FiniteGroup:
 def quaternion_group() -> FiniteGroup:
     """Q8 with elements 1, -1, i, -i, j, -j, k, -k (in that order)."""
     # index: 0:1 1:-1 2:i 3:-i 4:j 5:-j 6:k 7:-k
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
     sign = [1, -1, 1, -1, 1, -1, 1, -1]
     base = [0, 0, 1, 1, 2, 2, 3, 3]  # 0:1, 1:i, 2:j, 3:k
     basis_mul = {
@@ -737,5 +696,4 @@ def quaternion_group() -> FiniteGroup:
     mul = tuple(mul)
     identity = 0
     inverse = _locate_inverses(mul, identity)
-    return FiniteGroup(mul, identity, inverse, gens=(2, 4),
-                       labels=tuple(names), name="quaternion")
+    return FiniteGroup(mul, identity, inverse, gens=(2, 4), name="quaternion")

@@ -199,6 +199,16 @@ def cmd_example(args) -> int:
     return 0 if rep.passed else 1
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="elliskit",
@@ -241,10 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a seeded verification suite")
     p.add_argument("--suite", choices=SUITES, required=True)
-    p.add_argument("--instances", type=int, default=100)
+    p.add_argument("--instances", type=_int_at_least(0), default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-points", type=int, default=None)
-    p.add_argument("--max-group-order", type=int, default=None)
+    p.add_argument("--max-points", type=_int_at_least(2), default=None)
+    p.add_argument("--max-group-order", type=_int_at_least(2), default=None)
     p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     add_format(p)
     p.set_defaults(func=cmd_verify)

@@ -2,10 +2,16 @@
 ambits, morphisms, products, unions, towers, and the independent-translates
 search.
 
-A group flow stores one map per acting element only when small; large flows
-(regular actions on big groups) evaluate the action lazily. Transformation
-flows carry explicitly supplied maps, which need not be invertible: they
-stand in for limit elements that finite group actions cannot produce.
+Every flow holds its action as one image table, `maps`: one image tuple per
+group element for a group flow, one per generator for a transformation flow.
+Acting is a lookup, and the constructors hand over tables they already have
+(the regular flow shares the group's multiplication table, the natural flow
+its permutations). A group flow's table has |G|·points entries, bounded by
+`group_order_cap` × `points_cap` like any explicit or coset action. Product
+and union tables share one int object per point, so an entry costs only a
+pointer. Transformation flows carry explicitly supplied maps, which need not
+be invertible: they stand in for limit elements that finite group actions
+cannot produce.
 """
 
 from __future__ import annotations
@@ -41,16 +47,16 @@ class TransformationGenerators:
 
 class Flow:
     """A finite action, either of a group (by all its elements) or of a set
-    of arbitrary transformation generators."""
+    of arbitrary transformation generators, held as one image table:
+    `maps[g]` is the image tuple of group element g, or of the g-th
+    generator of a transformation flow."""
 
-    __slots__ = ("points", "group", "transformations", "_act", "_elem_maps", "name")
+    __slots__ = ("points", "group", "maps", "name")
 
-    def __init__(self, points, group, transformations, act, elem_maps=None, name=None):
+    def __init__(self, points, group, maps, name=None):
         self.points = points
         self.group = group
-        self.transformations = transformations
-        self._act = act
-        self._elem_maps = elem_maps
+        self.maps = maps
         self.name = name
 
     @property
@@ -58,32 +64,25 @@ class Flow:
         return self.group is not None
 
     def act(self, g: int, x: int) -> int:
-        """Apply group element g (group flows only)."""
-        return self._act(g, x)
+        """Image of x under acting map g (a group element for group flows,
+        a generator index for transformation flows)."""
+        return self.maps[g][x]
+
+    # perfbench/tracer.py counts calls to this name
+    gen_act = act
 
     def generator_elements(self) -> tuple[int, ...]:
         """Indices of the acting maps that generate the whole action."""
         if self.group is not None:
             return self.group.gens or (self.group.identity,)
-        return tuple(range(len(self.transformations.generators)))
-
-    def gen_act(self, i: int, x: int) -> int:
-        """Apply the i-th generator (generator index for transformation
-        flows, group element index for group flows)."""
-        if self.group is not None:
-            return self._act(i, x)
-        return self.transformations.generators[i][x]
+        return tuple(range(len(self.maps)))
 
     def map_of(self, g: int) -> tuple[int, ...]:
-        """Full image tuple of group element g."""
-        if self._elem_maps is not None:
-            return self._elem_maps[g]
-        return tuple(self._act(g, x) for x in range(self.points))
+        """Full image tuple of acting map g."""
+        return self.maps[g]
 
     def generator_maps(self) -> list[tuple[int, ...]]:
-        if self.group is not None:
-            return [self.map_of(g) for g in self.generator_elements()]
-        return list(self.transformations.generators)
+        return [self.maps[g] for g in self.generator_elements()]
 
     def __repr__(self):
         kind = "group" if self.is_group_flow else "transformation"
@@ -138,13 +137,11 @@ def make_flow(acting, points: int, action=None, caps: Caps = DEFAULT_CAPS,
             if len(m) != points or any(not 0 <= v < points for v in m):
                 raise NotAnAction(g, g, -1)
         _validate_group_action(acting, points, elem_maps)
-        return Flow(points, acting, None,
-                    act=lambda g, x: elem_maps[g][x],
-                    elem_maps=elem_maps, name=name)
+        return Flow(points, acting, elem_maps, name)
     if isinstance(acting, TransformationGenerators):
         if acting.degree != points:
             raise ValueError("degree disagrees with point count")
-        return Flow(points, None, acting, act=None, name=name)
+        return Flow(points, None, acting.generators, name)
     raise TypeError(f"cannot act by {type(acting).__name__}")
 
 
@@ -157,19 +154,16 @@ def transformation_flow(maps, caps: Caps = DEFAULT_CAPS, name=None) -> Flow:
 def regular_flow(G: FiniteGroup, name=None) -> Flow:
     """G acting on itself by left translation; the action table is the
     multiplication table, so the axioms hold by construction."""
-    return Flow(G.order, G, None, act=lambda g, x: G.mul[g][x],
-                name=name or (f"regular({G.name})" if G.name else "regular"))
+    return Flow(G.order, G, G.mul,
+                name or (f"regular({G.name})" if G.name else "regular"))
 
 
 def natural_flow(G: FiniteGroup, name=None) -> Flow:
     """A permutation-realized group acting on 0..degree-1 by its permutations."""
     if G.perms is None:
         raise ValueError("group carries no permutation realization")
-    degree = len(G.perms[0])
-    perms = G.perms
-    return Flow(degree, G, None, act=lambda g, x: perms[g][x],
-                elem_maps=perms,
-                name=name or (f"natural({G.name})" if G.name else "natural"))
+    return Flow(len(G.perms[0]), G, G.perms,
+                name or (f"natural({G.name})" if G.name else "natural"))
 
 
 def coset_flow(G: FiniteGroup, H: Subgroup, name=None) -> Flow:
@@ -188,8 +182,28 @@ def coset_flow(G: FiniteGroup, H: Subgroup, name=None) -> Flow:
         tuple(coset_of[G.mul[g][reps[c]]] for c in range(points))
         for g in G.elements()
     )
-    return Flow(points, G, None, act=lambda g, x: elem_maps[g][x],
-                elem_maps=elem_maps, name=name or "coset")
+    return Flow(points, G, elem_maps, name or "coset")
+
+
+def transporters(flow: Flow, basepoint: int) -> list[int | None]:
+    """For each point x some group element g with g·basepoint = x, found by
+    a breadth-first walk over the generators; None where the walk does not
+    reach."""
+    G = flow.group
+    gens = flow.generator_elements()
+    out = [None] * flow.points
+    out[basepoint] = G.identity
+    frontier = [basepoint]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = flow.maps[g][x]
+                if out[y] is None:
+                    out[y] = G.mul[g][out[x]]
+                    new.append(y)
+        frontier = new
+    return out
 
 
 def orbit_of(flow: Flow, start: int) -> set[int]:
@@ -223,7 +237,8 @@ def orbits(flow: Flow) -> list[tuple[int, ...]]:
 
 def make_ambit(flow: Flow, basepoint: int) -> Ambit:
     if not 0 <= basepoint < flow.points:
-        raise ValueError("basepoint out of range")
+        raise ParseError("<ambit>", f"basepoint {basepoint} is not one of "
+                                    f"0..{flow.points - 1}")
     reached = orbit_of(flow, basepoint)
     if len(reached) != flow.points:
         raise OrbitNotDense(set(range(flow.points)) - reached)
@@ -245,26 +260,14 @@ def product_flow(flows: list[Flow], caps: Caps = DEFAULT_CAPS) -> Flow:
     for f in flows[1:]:
         group = direct_product(group, f.group, caps=caps)
 
-    sizes = [f.points for f in flows]
-    gsizes = [f.group.order for f in flows]
-
-    def act(g, x):
-        gs, xs = [], []
-        for size in reversed(gsizes):
-            g, r = divmod(g, size)
-            gs.append(r)
-        for size in reversed(sizes):
-            x, r = divmod(x, size)
-            xs.append(r)
-        gs.reverse()
-        xs.reverse()
-        y = 0
-        for f, gi, xi, size in zip(flows, gs, xs, sizes):
-            y = y * size + f.act(gi, xi)
-        return y
-
-    return Flow(points, group, None, act=act,
-                name="x".join(f.name or "?" for f in flows))
+    # row-major in both the group element and the point, one factor at a time
+    pts = list(range(points))
+    maps = flows[0].maps
+    for f in flows[1:]:
+        n = f.points
+        maps = tuple(tuple([pts[y * n + z] for y in a for z in b])
+                     for a in maps for b in f.maps)
+    return Flow(points, group, maps, "x".join(f.name or "?" for f in flows))
 
 
 def disjoint_union_flow(flows: list[Flow], caps: Caps = DEFAULT_CAPS) -> Flow:
@@ -287,25 +290,14 @@ def disjoint_union_flow(flows: list[Flow], caps: Caps = DEFAULT_CAPS) -> Flow:
         for f in flows[1:]:
             if not f.is_group_flow or (f.group is not G and f.group.mul != G.mul):
                 raise GroupMismatch("union requires one shared acting group")
-
-        def act(g, x):
-            for off, f in zip(reversed(offsets), reversed(flows)):
-                if x >= off:
-                    return off + f.act(g, x - off)
-            raise IndexError(x)
-
-        return Flow(points, G, None, act=act, name="disjoint_union")
-    k = len(first.transformations.generators)
-    for f in flows[1:]:
-        if f.is_group_flow or len(f.transformations.generators) != k:
-            raise GroupMismatch("union requires matching generator counts")
-    maps = []
-    for i in range(k):
-        m = []
-        for off, f in zip(offsets, flows):
-            m.extend(off + v for v in f.transformations.generators[i])
-        maps.append(tuple(m))
-    return transformation_flow(maps, caps=caps, name="disjoint_union")
+    else:
+        for f in flows[1:]:
+            if f.is_group_flow or len(f.maps) != len(first.maps):
+                raise GroupMismatch("union requires matching generator counts")
+    pts = list(range(points))
+    maps = tuple(tuple([pts[off + v] for off, m in zip(offsets, row) for v in m])
+                 for row in zip(*(f.maps for f in flows)))
+    return Flow(points, first.group, maps, "disjoint_union")
 
 
 # -- morphisms ----------------------------------------------------------------
@@ -351,7 +343,6 @@ def check_morphism(m: FlowMorphism) -> MorphismReport:
     basepoint_ok = pm[m.source.basepoint] == m.target.basepoint
     if not basepoint_ok and witness is None:
         witness = ("basepoint", pm[m.source.basepoint])
-    equivariant = True
     if m.generator_correspondence is None:
         if not (src.is_group_flow and tgt.is_group_flow):
             return MorphismReport(False, surjective, False, basepoint_ok,
@@ -359,32 +350,23 @@ def check_morphism(m: FlowMorphism) -> MorphismReport:
         if src.group is not tgt.group and src.group.mul != tgt.group.mul:
             return MorphismReport(False, surjective, False, basepoint_ok,
                                   ("acting groups differ",))
-        for g in src.group.elements():
-            for x in range(src.points):
-                if pm[src.act(g, x)] != tgt.act(g, pm[x]):
-                    equivariant = False
-                    if witness is None:
-                        witness = ("equivariance", g, x)
-                    break
-            if not equivariant:
-                break
+        pairs = [(g, g) for g in src.group.elements()]
     else:
         corr = m.generator_correspondence
         gens = src.generator_elements()
         if len(corr) != len(gens):
             return MorphismReport(False, surjective, False, basepoint_ok,
                                   ("correspondence length",))
-        for i, gsrc in enumerate(gens):
-            for x in range(src.points):
-                lhs = pm[src.gen_act(gsrc, x)]
-                rhs = tgt.gen_act(corr[i], pm[x])
-                if lhs != rhs:
-                    equivariant = False
-                    if witness is None:
-                        witness = ("equivariance", gsrc, x)
-                    break
-            if not equivariant:
-                break
+        pairs = zip(gens, corr)
+    equivariant = True
+    for a, b in pairs:
+        ma, mb = src.maps[a], tgt.maps[b]
+        x = next((x for x in range(src.points) if pm[ma[x]] != mb[pm[x]]), None)
+        if x is not None:
+            equivariant = False
+            if witness is None:
+                witness = ("equivariance", a, x)
+            break
     valid = surjective and basepoint_ok and equivariant
     return MorphismReport(valid, surjective, equivariant, basepoint_ok, witness)
 
@@ -467,15 +449,23 @@ class IndependenceResult:
     candidates_tried: int
 
 
+def _cells_inhabited(points: int, sets: list[frozenset[int]]) -> bool:
+    """Every one of the 2^k Boolean cells of k subsets of 0..points-1 is
+    inhabited; stops at the first point that completes the count."""
+    full = 2 ** len(sets)
+    patterns = set()
+    for x in range(points):
+        patterns.add(sum(1 << i for i, t in enumerate(sets) if x in t))
+        if len(patterns) == full:
+            return True
+    return False
+
+
 def family_is_independent(flow: Flow, base: frozenset[int],
                           elements: tuple[int, ...]) -> bool:
     """Every one of the 2^k Boolean cells of the translates is inhabited."""
-    translates = [frozenset(flow.act(g, x) for x in base) for g in elements]
-    k = len(elements)
-    patterns = set()
-    for x in range(flow.points):
-        patterns.add(sum(1 << i for i, t in enumerate(translates) if x in t))
-    return len(patterns) == 2 ** k
+    return _cells_inhabited(
+        flow.points, [frozenset(flow.maps[g][x] for x in base) for g in elements])
 
 
 def independent_translates(flow: Flow, base, k: int,
@@ -502,17 +492,8 @@ def independent_translates(flow: Flow, base, k: int,
         return IndependenceResult(False, None, "pigeonhole", 0)
 
     G = flow.group
-    translate = [frozenset(flow.act(g, x) for x in base) for g in G.elements()]
+    translate = [frozenset(m[x] for x in base) for m in flow.maps]
     tried = 0
-
-    def shatters(chosen):
-        patterns = set()
-        full = 2 ** len(chosen)
-        for x in range(n):
-            patterns.add(sum(1 << i for i, g in enumerate(chosen) if x in translate[g]))
-            if len(patterns) == full:
-                return True
-        return False
 
     def dfs(chosen, start):
         nonlocal tried
@@ -521,7 +502,7 @@ def independent_translates(flow: Flow, base, k: int,
         for g in range(start, G.order):
             chosen.append(g)
             tried += 1
-            if shatters(chosen):
+            if _cells_inhabited(n, [translate[g] for g in chosen]):
                 got = dfs(chosen, g + 1)
                 if got is not None:
                     return got

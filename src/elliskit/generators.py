@@ -18,7 +18,14 @@ from .algebra import (
     quaternion_group,
 )
 from .caps import DEFAULT_CAPS, Caps
-from .flows import Flow, coset_flow, natural_flow, regular_flow, transformation_flow
+from .flows import (
+    Flow,
+    coset_flow,
+    natural_flow,
+    regular_flow,
+    transformation_flow,
+    transporters,
+)
 from .relations import EquivRelation, make_relation
 
 
@@ -80,36 +87,17 @@ def random_ellis_flow(rng: random.Random, max_points: int,
     return random_group_flow(rng, max_points, 24, caps)
 
 
-def coset_block_relation(flow: Flow, K: Subgroup,
-                         transporters: list[int]) -> EquivRelation:
+def _coset_blocks(G: FiniteGroup, K: Subgroup, trans, points) -> list[list[int]]:
     """Points in the same block when their transporters lie in one left
     coset of K; needs K to contain the basepoint stabilizer to be well
     defined (the callers arrange this), and left cosets make the blocks
     invariant under the left action."""
-    G = flow.group
-    classes: dict[int, list[int]] = {}
-    for x in range(flow.points):
-        g = transporters[x]
+    blocks: dict[int, list[int]] = {}
+    for x in points:
+        g = trans[x]
         rep = min(G.mul[g][k] for k in K.sorted_members)
-        classes.setdefault(rep, []).append(x)
-    return make_relation(flow.points, sorted(classes.values()), flow)
-
-
-def transporter_map(flow: Flow, basepoint: int) -> list[int]:
-    G = flow.group
-    out = [None] * flow.points
-    out[basepoint] = G.identity
-    frontier = [basepoint]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in G.gens or (G.identity,):
-                y = flow.act(g, x)
-                if out[y] is None:
-                    out[y] = G.mul[g][out[x]]
-                    new.append(y)
-        frontier = new
-    return out
+        blocks.setdefault(rep, []).append(x)
+    return sorted(blocks.values())
 
 
 def random_invariant_relation(rng: random.Random, flow: Flow,
@@ -123,19 +111,14 @@ def random_invariant_relation(rng: random.Random, flow: Flow,
     for x0 in range(flow.points):
         if seen[x0]:
             continue
-        trans = transporter_map(flow, x0)
+        trans = transporters(flow, x0)
         orbit = [x for x in range(flow.points) if trans[x] is not None]
         for x in orbit:
             seen[x] = True
         stab = frozenset(g for g in G.elements() if flow.act(g, x0) == x0)
         choices = [H for H in subs if stab <= H.members]
         K = rng.choice(choices)
-        blocks: dict[int, list[int]] = {}
-        for x in orbit:
-            g = trans[x]
-            rep = min(G.mul[g][k] for k in K.sorted_members)
-            blocks.setdefault(rep, []).append(x)
-        classes.extend(sorted(blocks.values()))
+        classes.extend(_coset_blocks(G, K, trans, orbit))
     E = make_relation(flow.points, sorted(classes), flow)
     if not E.invariant:
         raise AssertionError("constructed relation must be invariant")
@@ -169,7 +152,6 @@ def random_group_like_setup(rng: random.Random, max_points: int, max_order: int,
         if not candidates:
             continue
         K = rng.choice(candidates)
-        trans = transporter_map(flow, 0)
-        E = coset_block_relation(flow, K, trans)
-        return flow, E
+        blocks = _coset_blocks(G, K, transporters(flow, 0), range(flow.points))
+        return flow, make_relation(flow.points, blocks, flow)
     raise RuntimeError("no group-like setup found")

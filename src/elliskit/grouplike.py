@@ -36,29 +36,15 @@ from .errors import (
     NotWeaklyGroupLike,
     TheoremViolation,
 )
-from .flows import Ambit, FlowMorphism, check_morphism, make_ambit, regular_flow
+from .flows import (
+    Ambit,
+    FlowMorphism,
+    check_morphism,
+    make_ambit,
+    regular_flow,
+    transporters,
+)
 from .relations import EquivRelation, orbit_relation
-
-
-def _transporters(ambit: Ambit) -> tuple[int, ...]:
-    """For each point x some group element g with g·basepoint = x."""
-    flow = ambit.flow
-    G = flow.group
-    transporter = [None] * flow.points
-    transporter[ambit.basepoint] = G.identity
-    frontier = [ambit.basepoint]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in G.gens or (G.identity,):
-                y = flow.act(g, x)
-                if transporter[y] is None:
-                    transporter[y] = G.mul[g][transporter[x]]
-                    new.append(y)
-        frontier = new
-    if any(t is None for t in transporter):
-        raise NotWeaklyGroupLike("action is not transitive")
-    return tuple(transporter)
 
 
 @dataclass(frozen=True)
@@ -85,8 +71,6 @@ def check_group_like(ambit: Ambit, E: EquivRelation) -> GroupLikeVerdict:
     flow = ambit.flow
     if not flow.is_group_flow:
         raise NotEquivalence("group-likeness needs a group flow")
-    if E.points != flow.points:
-        raise NotEquivalence("relation on the wrong point set")
     bound = E if E.flow is flow else E.bind(flow)
     G = flow.group
     x0 = ambit.basepoint
@@ -104,7 +88,9 @@ def check_group_like(ambit: Ambit, E: EquivRelation) -> GroupLikeVerdict:
     if not kernel.is_normal():
         raise TheoremViolation("group-like kernel not normal", sorted(kernel_members))
 
-    transporter = _transporters(ambit)
+    transporter = transporters(flow, x0)
+    if None in transporter:
+        raise NotWeaklyGroupLike("action is not transitive")
     k = len(bound.classes)
     class_transporter = tuple(transporter[cls[0]] for cls in bound.classes)
     table = []

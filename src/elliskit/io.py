@@ -82,6 +82,10 @@ def _flow_from_generator_images(G: algebra.FiniteGroup, points: int, images,
                                    f"({len(gens)} expected)")
     maps = {G.identity: tuple(range(points))}
     images = [tuple(int(v) for v in m) for m in images]
+    for i, m in enumerate(images):
+        if len(m) != points or any(not 0 <= v < points for v in m):
+            raise ParseError("<flow>", f"generator image {i} is not a self-map "
+                                       f"of 0..{points - 1}")
     frontier = [G.identity]
     while frontier:
         new = []
@@ -191,6 +195,10 @@ def parse_obj(data: dict, caps: Caps = DEFAULT_CAPS, origin="<data>") -> Instanc
         value = _BUILDERS[kind](data, caps)
     except ElliskitError as exc:
         raise ValidationError(origin, exc) from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        # a missing field, a value of the wrong type or an impossible value
+        raise ParseError(origin, f"malformed {kind}: {type(exc).__name__}: "
+                                 f"{exc}") from exc
     return InstanceFile(kind, value, _canonical(data))
 
 

@@ -15,6 +15,7 @@ from .caps import DEFAULT_CAPS, Caps
 from .errors import (
     NotAPartition,
     NotAWitness,
+    NotEquivalence,
     NotFree,
     NotInvariant,
     SizeCapExceeded,
@@ -32,6 +33,8 @@ class EquivRelation:
     invariance_witness: tuple | None = field(init=False, compare=False, default=None)
 
     def __post_init__(self):
+        if self.flow is not None and self.flow.points != self.points:
+            raise NotEquivalence("relation on the wrong point set")
         seen = [None] * self.points
         norm = []
         for cls in self.classes:
@@ -83,23 +86,19 @@ class EquivRelation:
 
 
 def _invariance(flow: Flow, class_of):
-    """Check each acting map sends classes into classes; for a group flow
-    every element is checked, for a transformation flow every generator."""
-    if flow.is_group_flow:
-        movers = [(g, None) for g in flow.group.elements()]
-    else:
-        movers = [(i, None) for i in range(len(flow.transformations.generators))]
+    """Check each acting map sends classes into classes: every element of a
+    group flow, every generator of a transformation flow."""
     n = flow.points
-    for g, _ in movers:
+    for g, m in enumerate(flow.maps):
         image_class = [None] * len(set(class_of))
         for x in range(n):
-            y = flow.gen_act(g, x)
+            y = m[x]
             c = class_of[x]
             if image_class[c] is None:
                 image_class[c] = class_of[y]
             elif image_class[c] != class_of[y]:
                 x0 = next(z for z in range(n)
-                          if class_of[z] == c and class_of[flow.gen_act(g, z)] == image_class[c])
+                          if class_of[z] == c and class_of[m[z]] == image_class[c])
                 return False, (g, x0, x)
     return True, None
 

@@ -148,3 +148,28 @@ def permutation_group(degree, generators):
         for a in range(n)
     )
     return tuple(perms), mul, two_sided_inverses(mul, seen[tuple(range(degree))])
+
+
+def product_act(flows, g, x):
+    """The product action decoded coordinatewise: split the row-major group
+    element and point into factor indices, act in each factor, re-encode."""
+    gs, xs = [], []
+    for f in reversed(flows):
+        g, r = divmod(g, f.group.order)
+        gs.append(r)
+        x, r = divmod(x, f.points)
+        xs.append(r)
+    y = 0
+    for f, gi, xi in zip(flows, reversed(gs), reversed(xs)):
+        y = y * f.points + f.act(gi, xi)
+    return y
+
+
+def union_act(flows, g, x):
+    """The union action by offset search: find the block holding x, act in
+    that block and shift the image back by the block's offset."""
+    offsets = [sum(f.points for f in flows[:i]) for i in range(len(flows))]
+    for off, f in zip(reversed(offsets), reversed(flows)):
+        if x >= off:
+            return off + f.act(g, x - off)
+    raise IndexError(x)

@@ -1,6 +1,7 @@
 """Differential tests: the Cayley-graph products of the closure, its ideals,
 its ideal groups and permutation-group tables against the literal
-compose-everything oracles in ``oracles.py``."""
+compose-everything oracles in ``oracles.py``, and the product and union
+action tables against the coordinate decoders there."""
 
 import random
 from dataclasses import replace
@@ -8,11 +9,18 @@ from dataclasses import replace
 import pytest
 
 import oracles
-from elliskit.algebra import named_group, small_generating_set
+from elliskit.algebra import enumerate_subgroups, named_group, small_generating_set
 from elliskit.caps import DEFAULT_CAPS
 from elliskit.ellis import enveloping_semigroup, ideal_group, minimal_left_ideals
-from elliskit.flows import transformation_flow
-from elliskit.generators import random_ellis_flow
+from elliskit.flows import (
+    coset_flow,
+    disjoint_union_flow,
+    natural_flow,
+    product_flow,
+    regular_flow,
+    transformation_flow,
+)
+from elliskit.generators import random_ellis_flow, random_group_flow
 
 ORACLE_SIZE = 300   # the oracle table composes every pair of elements
 
@@ -73,3 +81,43 @@ def test_permutation_group_tables_match_oracle(name, params):
     assert G.inverse == inverse
     assert small_generating_set(G.mul, G.identity) == \
         oracles.small_generating_set(mul, G.identity)
+
+
+def same_group_flow(rng, G):
+    """A regular or coset action of G, to sit beside another flow of G."""
+    H = rng.choice(enumerate_subgroups(G))
+    return coset_flow(G, H) if H.order > 1 else regular_flow(G)
+
+
+def assert_acts_like(flow, oracle_act, factors, acting):
+    for g in acting:
+        for x in range(flow.points):
+            assert flow.act(g, x) == oracle_act(factors, g, x)
+
+
+def test_product_and_union_tables_match_decoders():
+    rng = random.Random(3)
+    for i in range(12):
+        count = 2 + i % 2   # two or three factors or blocks
+        factors = [random_group_flow(rng, 4, 6) for _ in range(count)]
+        prod = product_flow(factors)
+        assert prod.points == len(prod.maps[0])
+        assert_acts_like(prod, oracles.product_act, factors, prod.group.elements())
+
+        first = random_group_flow(rng, 6, 12)
+        blocks = [first] + [same_group_flow(rng, first.group)
+                            for _ in range(count - 1)]
+        union = disjoint_union_flow(blocks)
+        assert_acts_like(union, oracles.union_act, blocks, union.group.elements())
+
+        k = rng.randint(1, 3)
+        blocks = [transformation_flow([tuple(rng.randrange(n) for _ in range(n))
+                                       for _ in range(k)])
+                  for n in (rng.randint(1, 5) for _ in range(count))]
+        union = disjoint_union_flow(blocks)
+        assert_acts_like(union, oracles.union_act, blocks, range(k))
+        assert union.generator_maps() == list(union.maps)
+
+    G = named_group("dihedral", n=5)
+    assert regular_flow(G).maps is G.mul
+    assert natural_flow(G).maps is G.perms

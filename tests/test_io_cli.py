@@ -272,6 +272,52 @@ def test_cli_malformed_transformations_exit_2(tmp_path, capsys, maps, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["orbital", "analyze"])
+@pytest.mark.parametrize("points", [4, 2])
+def test_cli_relation_on_wrong_point_set_exit_2(tmp_path, capsys, command, points):
+    flow = write(tmp_path, "f.json", dict(S3_FLOW, basepoint=0))
+    rel = write(tmp_path, "r.json",
+                {"points": points, "classes": [[x] for x in range(points)]})
+    assert main([command, flow, "--relation", rel]) == 2
+    assert "relation on the wrong point set" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, message", [
+    (dict(S3_FLOW, basepoint=7), "basepoint 7 is not one of 0..2"),
+    (dict(S3_FLOW, basepoint="x"), "ValueError"),
+    ({"group": {"kind": "table", "mul": [[0, 1], [1]]}, "action": "regular"},
+     "square"),
+    ({"group": {"kind": "named", "name": "cyclic"}, "action": "regular"},
+     "KeyError"),
+    ({"transformations": "abc"}, "TypeError"),
+    ({"group": {"kind": "named", "name": "cyclic", "n": 2}, "points": 2,
+      "action": {"generator_images": [[1, 0, 2]]}}, "not a self-map"),
+], ids=["basepoint-out-of-range", "basepoint-not-int", "mul-not-square",
+        "named-without-n", "transformations-not-maps", "image-not-self-map"])
+def test_cli_malformed_instance_exit_2(tmp_path, capsys, data, message):
+    assert main(["ellis", write(tmp_path, "in.json", data)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value", [("--instances", "-3"),
+                                         ("--max-points", "1"),
+                                         ("--max-group-order", "1")])
+def test_cli_verify_rejects_impossible_sizes(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "orbital", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and flag in err
+
+
+@pytest.mark.parametrize("suite", ["ellis", "grouplike", "orbital", "structured"])
+def test_cli_verify_smallest_sizes(suite):
+    assert main(["verify", "--suite", suite, "--instances", "20", "--seed", "7",
+                 "--max-points", "2", "--max-group-order", "2"]) == 0
+
+
 def test_cli_input_error_exit_2(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{")
