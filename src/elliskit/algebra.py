@@ -3,8 +3,9 @@
 Elements are always the indices 0..n-1. The canonical element order of a
 group built from permutation generators is discovery order: a breadth-first
 walk that starts from the deduplicated generators (in input order) and
-right-multiplies by generators. All values are immutable after construction
-and all operations are pure.
+right-multiplies by generators. All values are immutable after construction,
+except that a group fills in its subgroup lattice on first enumeration, and
+all operations are pure.
 """
 
 from __future__ import annotations
@@ -30,10 +31,12 @@ class FiniteGroup:
     `perms`, when present, realizes each element as a permutation of
     0..degree-1 (the group was built from permutation generators and `mul`
     is composition). `gens` is a small generating set, always consistent
-    with `mul`.
+    with `mul`. `subgroups` is the sorted subgroup lattice, filled by the
+    first `enumerate_subgroups` call.
     """
 
-    __slots__ = ("order", "mul", "identity", "inverse", "gens", "perms", "name")
+    __slots__ = ("order", "mul", "identity", "inverse", "gens", "perms", "name",
+                 "subgroups")
 
     def __init__(self, mul, identity, inverse, gens, perms=None, name=None):
         self.order = len(mul)
@@ -43,6 +46,7 @@ class FiniteGroup:
         self.gens = tuple(gens)
         self.perms = perms
         self.name = name
+        self.subgroups = None
 
     def inv(self, a: int) -> int:
         return self.inverse[a]
@@ -144,8 +148,8 @@ def _locate_inverses(mul, identity):
 
 def small_generating_set(mul, identity) -> tuple[int, ...]:
     """Greedy generating set; at most log2(order) elements. The subgroup
-    generated so far is regrown by a breadth-first walk from the identity,
-    right-multiplying by the chosen generators: |G|·|gens| lookups a step."""
+    generated so far is regrown by `_closure_indices` from the identity:
+    |G|·|gens| lookups a step."""
     n = len(mul)
     gens: list[int] = []
     have = {identity}
@@ -153,32 +157,27 @@ def small_generating_set(mul, identity) -> tuple[int, ...]:
         if a in have:
             continue
         gens.append(a)
-        have = {identity}
-        frontier = [identity]
-        for x in frontier:
-            row = mul[x]
-            for g in gens:
-                y = row[g]
-                if y not in have:
-                    have.add(y)
-                    frontier.append(y)
+        have = _closure_indices(mul, (identity,), gens)
         if len(have) == n:
             break
     return tuple(gens)
 
 
-def _closure_indices(mul, seed):
+def _closure_indices(mul, seed, gens):
+    """The subgroup generated by `gens` and the nonempty `seed` (a subset of
+    that subgroup, such as the identity or a subgroup already known), by a
+    breadth-first walk from the seed right-multiplying by generators: in a
+    finite group the products of generators are the whole subgroup.
+    |result|·|gens| lookups."""
     members = set(seed)
-    frontier = sorted(members)
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in list(members):
-                for c in (mul[a][b], mul[b][a]):
-                    if c not in members:
-                        members.add(c)
-                        new.append(c)
-        frontier = new
+    frontier = list(members)
+    for x in frontier:
+        row = mul[x]
+        for g in gens:
+            y = row[g]
+            if y not in members:
+                members.add(y)
+                frontier.append(y)
     return members
 
 
@@ -273,7 +272,7 @@ def group_from_permutations(degree, generators, caps: Caps = DEFAULT_CAPS,
 
 
 def subgroup_generated(G: FiniteGroup, seeds) -> Subgroup:
-    members = _closure_indices(G.mul, set(seeds) | {G.identity})
+    members = _closure_indices(G.mul, (G.identity,), tuple(seeds))
     return Subgroup(G, frozenset(members))
 
 
@@ -281,32 +280,45 @@ def enumerate_subgroups(G: FiniteGroup, max_order_bound: int | None = None,
                         caps: Caps = DEFAULT_CAPS) -> list[Subgroup]:
     """Every subgroup exactly once, sorted by (order, member tuple).
 
-    Breadth-first over one-generator extensions of known subgroups; every
-    subgroup arises because it is reachable by adjoining its own elements
-    one at a time. Extensions whose forced order could not divide |G| are
-    skipped (Lagrange).
+    Neubüser's cyclic-extension method (Numer. Math. 2, 1960): breadth-first
+    over one-generator extensions <H, g> of known subgroups, each closed from
+    H over the generators of H plus g. Every subgroup arises because it is
+    reachable by adjoining its own elements one at a time. One g is tried per
+    right coset Hg, since <H, hg> = <H, g>. A subgroup of more than half of
+    G is G itself and is not extended (Lagrange). The lattice is computed
+    once per group and kept on it; the bound is checked on every call and
+    every call returns a new list.
     """
     bound = max_order_bound if max_order_bound is not None else caps.subgroup_enum_cap
     if G.order > bound:
         raise GroupTooLarge(G.order, bound)
+    if G.subgroups is None:
+        G.subgroups = _subgroup_lattice(G)
+    return list(G.subgroups)
+
+
+def _subgroup_lattice(G: FiniteGroup) -> tuple[Subgroup, ...]:
+    mul = G.mul
     trivial = frozenset({G.identity})
-    found = {trivial}
+    found = {trivial: ()}       # subgroup -> a generating tuple
     queue = [trivial]
     while queue:
         H = queue.pop()
+        if len(H) * 2 > G.order:
+            continue
+        gens = found[H]
+        tried = set(H)
         for g in G.elements():
-            if g in H:
+            if g in tried:
                 continue
-            if (len(H) * 2) > G.order and len(H) != G.order:
-                # any proper extension at least doubles the subgroup
-                continue
-            new = frozenset(_closure_indices(G.mul, set(H) | {g}))
+            tried.update(mul[h][g] for h in H)
+            new = frozenset(_closure_indices(mul, H, gens + (g,)))
             if new not in found:
-                found.add(new)
+                found[new] = gens + (g,)
                 queue.append(new)
     subs = [Subgroup(G, m) for m in found]
     subs.sort(key=lambda s: (s.order, s.sorted_members))
-    return subs
+    return tuple(subs)
 
 
 def normal_core(G: FiniteGroup, H: Subgroup) -> Subgroup:

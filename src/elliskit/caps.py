@@ -10,6 +10,8 @@ import json
 import os
 from dataclasses import dataclass, fields, replace
 
+from .errors import ParseError
+
 
 @dataclass(frozen=True)
 class Caps:
@@ -28,17 +30,31 @@ class Caps:
     points_cap: int = 20000          # largest flow we will construct
 
 
-def _from_env() -> Caps:
+def _from_env() -> tuple[Caps, ParseError | None]:
+    """The caps named in ELLISKIT_CAPS over the defaults, or the defaults and
+    the reason the variable is malformed: not a JSON object, an unknown cap
+    name, or a value that is not a non-negative integer."""
     raw = os.environ.get("ELLISKIT_CAPS")
     caps = Caps()
     if not raw:
-        return caps
-    data = json.loads(raw)
-    known = {f.name for f in fields(Caps)}
-    unknown = set(data) - known
+        return caps, None
+    try:
+        data = json.loads(raw)
+    except ValueError as exc:
+        return caps, ParseError("ELLISKIT_CAPS", f"not valid JSON ({exc})")
+    if not isinstance(data, dict):
+        return caps, ParseError("ELLISKIT_CAPS", "must be a JSON object")
+    unknown = set(data) - {f.name for f in fields(Caps)}
     if unknown:
-        raise ValueError(f"unknown cap names in ELLISKIT_CAPS: {sorted(unknown)}")
-    return replace(caps, **data)
+        return caps, ParseError("ELLISKIT_CAPS",
+                                f"unknown cap names {sorted(unknown)}")
+    bad = sorted(k for k, v in data.items() if type(v) is not int or v < 0)
+    if bad:
+        return caps, ParseError("ELLISKIT_CAPS",
+                                f"caps {bad} must be non-negative integers")
+    return replace(caps, **data), None
 
 
-DEFAULT_CAPS = _from_env()
+# A malformed ELLISKIT_CAPS leaves the defaults in force and is kept in
+# ENV_ERROR; the command line reports it (exit 2) before running anything.
+DEFAULT_CAPS, ENV_ERROR = _from_env()

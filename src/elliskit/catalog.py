@@ -4,6 +4,7 @@ recorded in the returned report; a failed verdict makes the run fail."""
 
 from __future__ import annotations
 
+import operator
 import time
 
 from .algebra import (
@@ -234,11 +235,9 @@ def run_worb_union_f2(caps: Caps = DEFAULT_CAPS) -> Report:
                sorted(sizes_second))
     # freeness: only the identity fixes any point
     G = flow.group
-    free = all(
-        flow.act(g, x) != x
-        for g in G.elements() if g != G.identity
-        for x in range(flow.points)
-    )
+    pts = range(flow.points)
+    free = not any(any(map(operator.eq, m, pts))
+                   for g, m in enumerate(flow.maps) if g != G.identity)
     rep.record("action is free", free)
     # On a free action, a support meeting an orbit in one point forces the
     # witnessing subgroup to carry that point's class exactly, so its order

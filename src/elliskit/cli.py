@@ -14,7 +14,7 @@ import time
 from dataclasses import replace
 
 from . import io as instance_io
-from .caps import DEFAULT_CAPS
+from .caps import DEFAULT_CAPS, ENV_ERROR
 from .catalog import EXAMPLES, run_example
 from .ellis import enveloping_semigroup, ideal_group, minimal_left_ideals
 from .errors import ElliskitError, ParseError, TheoremViolation
@@ -271,6 +271,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if ENV_ERROR is not None:
+            raise ENV_ERROR
         return args.func(args)
     except TheoremViolation as exc:
         print(f"verified violation: {exc}", file=sys.stderr)

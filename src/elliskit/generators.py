@@ -7,6 +7,7 @@ non-normal subgroups."""
 
 from __future__ import annotations
 
+import functools
 import random
 
 from .algebra import (
@@ -30,6 +31,13 @@ from .relations import EquivRelation, make_relation
 
 
 def group_catalog(caps: Caps = DEFAULT_CAPS) -> list[FiniteGroup]:
+    """The 17 catalog groups, in a new list on every call; the groups are
+    built once and shared, so each keeps its subgroup lattice."""
+    return list(_catalog_groups())
+
+
+@functools.cache
+def _catalog_groups() -> tuple[FiniteGroup, ...]:
     base = [named_group("cyclic", n=n) for n in (2, 3, 4, 5, 6, 8, 12)]
     base += [named_group("dihedral", n=n) for n in (3, 4, 5, 6)]
     base += [named_group("symmetric", n=3), named_group("symmetric", n=4),
@@ -38,7 +46,7 @@ def group_catalog(caps: Caps = DEFAULT_CAPS) -> list[FiniteGroup]:
     z3 = named_group("cyclic", n=3)
     base += [direct_product(z2, z2), direct_product(z2, z3),
              direct_product(named_group("symmetric", n=3), z2)]
-    return base
+    return tuple(base)
 
 
 def random_group(rng: random.Random, max_order: int,

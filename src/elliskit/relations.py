@@ -86,21 +86,36 @@ class EquivRelation:
 
 
 def _invariance(flow: Flow, class_of):
-    """Check each acting map sends classes into classes: every element of a
-    group flow, every generator of a transformation flow."""
-    n = flow.points
+    """Check each acting map sends classes into classes. The generators go
+    first: the composite of two maps that send classes into classes does
+    too, so in a finite group invariance under the generators is invariance
+    under every element. Only when a generator fails is every acting map
+    (every element of a group flow, every generator of a transformation
+    flow) scanned in order for the first witness (g, x0, x)."""
+    classes = max(class_of, default=-1) + 1
+    if all(_class_break(m, class_of, classes) is None
+           for m in flow.generator_maps()):
+        return True, None
     for g, m in enumerate(flow.maps):
-        image_class = [None] * len(set(class_of))
-        for x in range(n):
-            y = m[x]
-            c = class_of[x]
-            if image_class[c] is None:
-                image_class[c] = class_of[y]
-            elif image_class[c] != class_of[y]:
-                x0 = next(z for z in range(n)
-                          if class_of[z] == c and class_of[m[z]] == image_class[c])
-                return False, (g, x0, x)
-    return True, None
+        broken = _class_break(m, class_of, classes)
+        if broken is not None:
+            return False, (g,) + broken
+    raise AssertionError("a generator breaks a class but no acting map does")
+
+
+def _class_break(m, class_of, classes):
+    """None if map m sends every class into one class, else (x0, x): the
+    first point x whose image leaves the class of the image of x0, the
+    first point of x's class."""
+    first = [None] * classes
+    for x, y in enumerate(m):
+        c = class_of[x]
+        x0 = first[c]
+        if x0 is None:
+            first[c] = x
+        elif class_of[m[x0]] != class_of[y]:
+            return x0, x
+    return None
 
 
 def make_relation(points: int, classes, flow: Flow | None = None) -> EquivRelation:

@@ -1,7 +1,8 @@
-"""Literal reference implementations of the closure, ideal and group-table
-code in ``elliskit``. The production paths read products off Cayley graphs;
-these compose every pair of point tuples instead, so they are slow but
-obviously right, and the differential tests compare the two.
+"""Literal reference implementations of the closure, ideal, group-table,
+subgroup-lattice and invariance code in ``elliskit``. The production paths
+read products off Cayley graphs and work from generators; these compose,
+multiply or scan everything instead, so they are slow but obviously right,
+and the differential tests compare the two.
 """
 
 from __future__ import annotations
@@ -84,6 +85,47 @@ def closure_indices(mul, seed):
                         new.append(c)
         frontier = new
     return members
+
+
+def enumerate_subgroups(mul, identity):
+    """The member tuple of every subgroup, by pairwise closure of each known
+    subgroup with each element outside it; sorted by (order, members)."""
+    n = len(mul)
+    trivial = frozenset({identity})
+    found = {trivial}
+    queue = [trivial]
+    while queue:
+        H = queue.pop()
+        for g in range(n):
+            if g in H:
+                continue
+            if (len(H) * 2) > n and len(H) != n:
+                # any proper extension at least doubles the subgroup
+                continue
+            new = frozenset(closure_indices(mul, set(H) | {g}))
+            if new not in found:
+                found.add(new)
+                queue.append(new)
+    return sorted((tuple(sorted(m)) for m in found), key=lambda m: (len(m), m))
+
+
+def invariance(flow, class_of):
+    """(invariant, first witness (g, x0, x)) by scanning every acting map:
+    every element of a group flow, every generator of a transformation
+    flow."""
+    n = flow.points
+    for g, m in enumerate(flow.maps):
+        image_class = [None] * len(set(class_of))
+        for x in range(n):
+            y = m[x]
+            c = class_of[x]
+            if image_class[c] is None:
+                image_class[c] = class_of[y]
+            elif image_class[c] != class_of[y]:
+                x0 = next(z for z in range(n)
+                          if class_of[z] == c and class_of[m[z]] == image_class[c])
+                return False, (g, x0, x)
+    return True, None
 
 
 def small_generating_set(mul, identity):

@@ -1,7 +1,9 @@
 """Differential tests: the Cayley-graph products of the closure, its ideals,
 its ideal groups and permutation-group tables against the literal
-compose-everything oracles in ``oracles.py``, and the product and union
-action tables against the coordinate decoders there."""
+compose-everything oracles in ``oracles.py``, the product and union action
+tables against the coordinate decoders there, the cyclic-extension
+subgroup lattice against the pairwise-closure one, and the
+generators-first invariance check against the all-elements scan."""
 
 import random
 from dataclasses import replace
@@ -9,8 +11,14 @@ from dataclasses import replace
 import pytest
 
 import oracles
-from elliskit.algebra import enumerate_subgroups, named_group, small_generating_set
+from elliskit.algebra import (
+    Subgroup,
+    enumerate_subgroups,
+    named_group,
+    small_generating_set,
+)
 from elliskit.caps import DEFAULT_CAPS
+from elliskit.errors import GroupTooLarge
 from elliskit.ellis import enveloping_semigroup, ideal_group, minimal_left_ideals
 from elliskit.flows import (
     coset_flow,
@@ -20,7 +28,13 @@ from elliskit.flows import (
     regular_flow,
     transformation_flow,
 )
-from elliskit.generators import random_ellis_flow, random_group_flow
+from elliskit.generators import (
+    group_catalog,
+    random_ellis_flow,
+    random_group_flow,
+    random_invariant_relation,
+)
+from elliskit.relations import make_relation
 
 ORACLE_SIZE = 300   # the oracle table composes every pair of elements
 
@@ -121,3 +135,65 @@ def test_product_and_union_tables_match_decoders():
     G = named_group("dihedral", n=5)
     assert regular_flow(G).maps is G.mul
     assert natural_flow(G).maps is G.perms
+
+
+def test_subgroup_lattices_match_oracle():
+    for G in group_catalog() + [named_group("affine", q=2, dim=2)]:
+        assert [H.sorted_members for H in enumerate_subgroups(G)] == \
+            oracles.enumerate_subgroups(G.mul, G.identity), G.name
+
+
+def test_s5_subgroup_lattice():
+    G = named_group("symmetric", n=5)
+    subs = enumerate_subgroups(G, max_order_bound=200)
+    assert len(subs) == 156
+    assert len({H.members for H in subs}) == 156
+    for H in subs:
+        assert H == Subgroup(G, H.members)     # closed, with inverses
+    keys = [(H.order, H.sorted_members) for H in subs]
+    assert keys == sorted(keys)
+    assert [H.order for H in subs].count(12) == 15   # 5 A4s, 10 S3 x S2s
+
+
+def test_subgroup_lattice_memo_is_not_shared_with_callers():
+    G = named_group("dihedral", n=6)
+    first = enumerate_subgroups(G)
+    expected = list(first)
+    first.pop()
+    first.reverse()
+    assert enumerate_subgroups(G) == expected
+    assert enumerate_subgroups(G) is not enumerate_subgroups(G)
+
+
+def test_subgroup_bounds_hold_on_a_memoised_group():
+    G = named_group("symmetric", n=4)
+    assert len(enumerate_subgroups(G)) == 30
+    with pytest.raises(GroupTooLarge):
+        enumerate_subgroups(G, max_order_bound=23)
+    with pytest.raises(GroupTooLarge):
+        enumerate_subgroups(G, caps=replace(DEFAULT_CAPS, subgroup_enum_cap=12))
+
+
+def test_group_catalog_shares_its_groups():
+    first, second = group_catalog(), group_catalog()
+    assert first is not second
+    assert len(first) == 17
+    assert all(a is b for a, b in zip(first, second, strict=True))
+
+
+def test_invariance_verdicts_and_witnesses_match_oracle():
+    rng = random.Random(5)
+    verdicts = []
+    regular = [regular_flow(G) for G in group_catalog() for _ in range(3)]
+    for flow in list(random_flows(5, 200)) + regular:
+        n = flow.points
+        labels = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+        relations = [make_relation(n, [[x for x in range(n) if labels[x] == c]
+                                       for c in sorted(set(labels))], flow)]
+        if flow.is_group_flow:
+            relations.append(random_invariant_relation(rng, flow))
+        for E in relations:
+            assert (E.invariant, E.invariance_witness) == \
+                oracles.invariance(flow, E.class_of)
+            verdicts.append(E.invariant)
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100

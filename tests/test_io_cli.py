@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -327,3 +331,23 @@ def test_cli_input_error_exit_2(tmp_path):
 def test_cli_unknown_example():
     with pytest.raises(SystemExit):
         main(["example", "not-a-fixture"])
+
+
+@pytest.mark.parametrize("value, message", [
+    ("{bad", "not valid JSON"),
+    ('{"nope": 1}', "unknown cap names"),
+    ("[1]", "must be a JSON object"),
+    ('{"closure_cap": "1000"}', "must be non-negative integers"),
+])
+def test_cli_malformed_caps_env_exit_2(value, message):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, ELLISKIT_CAPS=value, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-m", "elliskit.cli", "example", "s3-stabilizer"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ELLISKIT_CAPS: ")
+    assert message in done.stderr
+    assert done.stderr.count("\n") == 1
