@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .caps import DEFAULT_CAPS, Caps
 from .errors import (
@@ -206,6 +207,19 @@ def compose_maps(outer, inner):
     return tuple(map(outer.__getitem__, inner))
 
 
+def _composer(inner):
+    """The function outer -> outer∘inner, one C call per product:
+    `itemgetter` over the entries of `inner`. itemgetter takes at least one
+    index and returns a bare item for exactly one, so those lengths get
+    their own functions."""
+    if len(inner) > 1:
+        return itemgetter(*inner)
+    if inner:
+        (i,) = inner
+        return lambda outer: (outer[i],)
+    return lambda outer: ()
+
+
 def cayley_row(right, tree, i):
     """Every product i·j, indexed by j, read off a right Cayley graph
     (Froidure & Pin 1997) instead of composing elements.
@@ -222,15 +236,26 @@ def cayley_row(right, tree, i):
 
 
 def cayley_table(right, tree):
-    """The full multiplication table, one `cayley_row` per element."""
-    return tuple(tuple(cayley_row(right, tree, i)) for i in range(len(right)))
+    """The full multiplication table, one row at a time.
+
+    Only the generator rows are read off the graph with `cayley_row`. By
+    associativity (p·g)·x = p·(g·x), so row(p·g) = row(p)∘row(g): every other
+    row is its tree parent's row composed with a generator row, one
+    `_composer` (C-level) call per row.
+    """
+    rows = [tuple(cayley_row(right, tree, g)) for g in range(len(right[0]))]
+    after = [_composer(row) for row in rows]
+    rows.extend([None] * (len(right) - len(rows)))
+    for j, p, g in tree:
+        rows[j] = after[g](rows[p])
+    return tuple(rows)
 
 
 def group_from_permutations(degree, generators, caps: Caps = DEFAULT_CAPS,
                             name=None) -> FiniteGroup:
     """Close permutation generators under composition; discovery element
     order. The closure keeps its right Cayley graph, which then fills the
-    multiplication table by lookups."""
+    multiplication table by row composition."""
     perms: list[tuple[int, ...]] = []
     seen: dict[tuple[int, ...], int] = {}
     for i, g in enumerate(generators):
@@ -245,12 +270,13 @@ def group_from_permutations(degree, generators, caps: Caps = DEFAULT_CAPS,
         seen[ident] = 0
         perms.append(ident)
     gen_count = len(perms)
+    after = [_composer(g) for g in perms]       # w -> w∘g
     right: list[tuple[int, ...]] = []
     tree: list[tuple[int, int, int]] = []
     for w, perm in enumerate(perms):
         edges = []
-        for gi in range(gen_count):
-            cand = compose_maps(perm, perms[gi])
+        for gi, times_g in enumerate(after):
+            cand = times_g(perm)
             got = seen.get(cand)
             if got is None:
                 if len(perms) >= caps.group_order_cap:

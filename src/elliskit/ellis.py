@@ -13,7 +13,12 @@ The closure keeps its right and left Cayley graphs over the generators, and
 bulk products are read off them instead of composing point tuples: Froidure
 & Pin, "Algorithms for computing finite semigroups" (1997); East,
 Egri-Nagy, Mitchell & Péresse, "Computing finite semigroups", J. Symb.
-Comput. 92 (2019).
+Comput. 92 (2019). The closure itself composes in C: w∘g and g∘w are one
+`operator.itemgetter` call each (`algebra._composer`). The full table is
+built row by row from the generator rows, since associativity gives
+row(p·g) = row(p)∘row(g) along the right spanning tree. Minimal left ideals
+are the sink components of the left graph (Tarjan, SIAM J. Comput. 1,
+1972), each checked in O(|M|·k) to be closed and strongly connected.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from dataclasses import dataclass
 from .algebra import (
     FiniteGroup,
     Subgroup,
+    _composer,
     _locate_inverses,
     cayley_row,
     cayley_table,
@@ -84,15 +90,7 @@ class EllisSemigroup:
 
     def left_reach(self, s: int) -> set[int]:
         """S·s: everything reachable by left multiplication (words >= 1)."""
-        left = self.left
-        seen = set(left[s])
-        frontier = list(seen)
-        for x in frontier:
-            for y in left[x]:
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return seen
+        return _walk(self.left, self.left[s])
 
     def __repr__(self):
         return f"EllisSemigroup(size={self.size}, points={self.flow.points})"
@@ -139,13 +137,15 @@ def enveloping_semigroup(flow: Flow, caps: Caps = DEFAULT_CAPS) -> EllisSemigrou
             index[m] = len(elements)
             elements.append(m)
     gens = tuple(elements)
+    after = [_composer(g) for g in gens]        # w -> w∘g
     right: list[tuple[int, ...]] = []
     left: list[tuple[int, ...]] = []
     for w in elements:
+        before_w = _composer(w)                 # g -> g∘w
         r_edges, l_edges = [], []
-        for g in gens:
-            for cand, edges in ((compose_maps(w, g), r_edges),
-                                (compose_maps(g, w), l_edges)):
+        for g, times_g in zip(gens, after):
+            for cand, edges in ((times_g(w), r_edges),
+                                (before_w(g), l_edges)):
                 got = index.get(cand)
                 if got is None:
                     if len(elements) >= caps.closure_cap:
@@ -176,8 +176,10 @@ def enveloping_semigroup(flow: Flow, caps: Caps = DEFAULT_CAPS) -> EllisSemigrou
     return EllisSemigroup(flow, tuple(elements), index, right, left, tree, table)
 
 
-def _tarjan_sccs(n, successors):
-    """Iterative Tarjan; returns list of components (each a list of nodes)."""
+def _tarjan_sccs(adjacency):
+    """Iterative Tarjan over adjacency lists, one iterator per DFS frame;
+    returns the components (each a list of nodes) in completion order."""
+    n = len(adjacency)
     index_of = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -187,41 +189,38 @@ def _tarjan_sccs(n, successors):
     for root in range(n):
         if index_of[root] != -1:
             continue
-        work = [(root, 0)]
+        index_of[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(adjacency[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index_of[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            succ = successors(v)
-            while pi < len(succ):
-                w = succ[pi]
-                pi += 1
+            v, successors = work[-1]
+            for w in successors:
                 if index_of[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
+                    index_of[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(adjacency[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index_of[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index_of[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+                if on_stack[w] and index_of[w] < low[v]:
+                    low[v] = index_of[w]
+            else:
+                work.pop()
+                if low[v] == index_of[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
     return comps
 
 
@@ -236,7 +235,7 @@ def minimal_left_ideals(S: EllisSemigroup) -> list[MinimalIdeal]:
     being returned.
     """
     left = S.left
-    comps = _tarjan_sccs(S.size, left.__getitem__)
+    comps = _tarjan_sccs(left)
     ideals = []
     for comp in comps:
         cset = set(comp)
@@ -254,10 +253,22 @@ def minimal_left_ideals(S: EllisSemigroup) -> list[MinimalIdeal]:
 def _validate_minimal_ideal(M: MinimalIdeal):
     S = M.parent
     mset = M.member_set
-    # every element generates the ideal: S·s = M
+    # every element generates the ideal, S·s = M: no left edge leaves M, and
+    # one forward and one backward walk from a member cover M, so M is
+    # strongly connected; every member has a successor (k >= 1), so the
+    # nonempty words from any member reach all of M and nothing else
+    left = S.left
+    back: dict[int, list[int]] = {s: [] for s in M.members}
     for s in M.members:
-        if S.left_reach(s) != mset:
-            raise TheoremViolation("minimal ideal not generated by member", s)
+        for t in left[s]:
+            if t not in mset:
+                raise TheoremViolation("minimal ideal not generated by member", s)
+            back[t].append(s)
+    for edges in (left, back):
+        missed = mset - _walk(edges, M.members[:1])
+        if missed:
+            raise TheoremViolation("minimal ideal not generated by member",
+                                   min(missed))
     if not M.idempotents:
         raise TheoremViolation("minimal ideal without idempotents", M.members[:4])
     # M is the disjoint union of the groups u·M over idempotents u
@@ -275,6 +286,18 @@ def _validate_minimal_ideal(M: MinimalIdeal):
         for s in M.members:
             if S.mul(s, u) != s:
                 raise TheoremViolation("s·u != s inside minimal ideal", (s, u))
+
+
+def _walk(edges, starts) -> set[int]:
+    """Everything reachable from `starts` along `edges`, starts included."""
+    seen = set(starts)
+    frontier = list(seen)
+    for x in frontier:
+        for y in edges[x]:
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
 
 
 def ideal_group(M: MinimalIdeal, u: int) -> IdealGroup:

@@ -16,6 +16,7 @@ cannot produce.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .algebra import FiniteGroup, Subgroup, direct_product
@@ -147,7 +148,8 @@ def make_flow(acting, points: int, action=None, caps: Caps = DEFAULT_CAPS,
 
 def transformation_flow(maps, caps: Caps = DEFAULT_CAPS, name=None) -> Flow:
     degree = len(maps[0]) if maps else 0
-    gens = TransformationGenerators(degree, tuple(tuple(m) for m in maps))
+    gens = TransformationGenerators(
+        degree, tuple(tuple(map(operator.index, m)) for m in maps))
     return make_flow(gens, degree, caps=caps, name=name)
 
 

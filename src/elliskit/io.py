@@ -60,6 +60,8 @@ def detect_kind(data: dict) -> str:
 
 
 def build_group(data: dict, caps: Caps = DEFAULT_CAPS) -> algebra.FiniteGroup:
+    if not isinstance(data, dict):
+        raise ParseError("<group>", "a group must be a JSON object")
     kind = data.get("kind")
     if kind == "permutation":
         return algebra.group_from_permutations(int(data["degree"]),

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from .algebra import FiniteGroup, Subgroup, enumerate_subgroups
 from .caps import DEFAULT_CAPS, Caps
 from .errors import (
+    GroupMismatch,
     NotAPartition,
     NotAWitness,
     NotEquivalence,
@@ -132,7 +133,7 @@ def total_relation(points: int, flow: Flow | None = None) -> EquivRelation:
 
 def _require_group_bound(E: EquivRelation) -> tuple[Flow, FiniteGroup]:
     if E.flow is None or not E.flow.is_group_flow:
-        raise ValueError("relation must be bound to a group flow")
+        raise GroupMismatch("relation must be bound to a group flow")
     return E.flow, E.flow.group
 
 
@@ -155,7 +156,7 @@ def orbit_relation(flow: Flow, H: Subgroup) -> EquivRelation:
     """Partition of the points into H-orbits, bound to the flow (so the
     invariance verdict is attached; it holds whenever H is normal)."""
     if not flow.is_group_flow:
-        raise ValueError("orbit relations need a group flow")
+        raise GroupMismatch("orbit relations need a group flow")
     if H.parent is not flow.group:
         raise ValueError("subgroup of a different group")
     seen = [False] * flow.points
@@ -213,21 +214,26 @@ class RRelationResult:
 
 def r_relation(flow: Flow, w: WitnessPair) -> RRelationResult:
     """The smallest invariant relation relating each support point to its
-    subgroup orbit: the set of translates (g·s, g·h·s). One translation
-    round suffices because the translate set is already invariant.
+    subgroup orbit: the set of translates (g·s, g·h·s). It is the closure of
+    the seed pairs (s, h·s) under the generator maps acting on both
+    coordinates: in a finite group every element is a product of
+    generators.
 
     Verdict-valued: the result records whether the relation is reflexive,
     symmetric, and transitive (transitivity can genuinely fail)."""
     if not flow.is_group_flow:
-        raise ValueError("witnessed relations need a group flow")
-    G = flow.group
+        raise GroupMismatch("witnessed relations need a group flow")
     n = flow.points
-    pairs = set()
-    for s in sorted(w.support):
-        for h in w.subgroup.sorted_members:
-            hs = flow.act(h, s)
-            for g in G.elements():
-                pairs.add((flow.act(g, s), flow.act(g, hs)))
+    pairs = {(s, flow.act(h, s))
+             for s in w.support for h in w.subgroup.members}
+    frontier = list(pairs)
+    gens = flow.generator_maps()
+    for a, b in frontier:
+        for m in gens:
+            pair = (m[a], m[b])
+            if pair not in pairs:
+                pairs.add(pair)
+                frontier.append(pair)
     reflexive = all((x, x) in pairs for x in range(n))
     witness = None
     if not reflexive:
@@ -257,7 +263,7 @@ def class_formula(flow: Flow, w: WitnessPair, x0: int) -> frozenset[int]:
     conjugate-orbit translates over group elements carrying x0 into the
     support. Cross-checks the translate-closure computation."""
     if not flow.is_group_flow:
-        raise ValueError("witnessed relations need a group flow")
+        raise GroupMismatch("witnessed relations need a group flow")
     G = flow.group
     out = set()
     for g in G.elements():
@@ -384,7 +390,7 @@ def free_action_correspondence(flow: Flow, caps: Caps = DEFAULT_CAPS) -> Corresp
     enumerating the normal subgroups, checking recovery, and (via complete
     partition enumeration) that every orbital relation arises."""
     if not flow.is_group_flow:
-        raise ValueError("needs a group flow")
+        raise GroupMismatch("needs a group flow")
     G = flow.group
     for g in G.elements():
         if g == G.identity:

@@ -1,11 +1,14 @@
 """Literal reference implementations of the closure, ideal, group-table,
-subgroup-lattice and invariance code in ``elliskit``. The production paths
-read products off Cayley graphs and work from generators; these compose,
-multiply or scan everything instead, so they are slow but obviously right,
-and the differential tests compare the two.
+subgroup-lattice, invariance and witnessed-relation code in ``elliskit``,
+and the index-walking Tarjan it replaced. The production paths read products
+off Cayley graphs and work from generators; these compose, multiply or scan
+everything instead, so they are slow but obviously right, and the
+differential tests compare the two.
 """
 
 from __future__ import annotations
+
+from elliskit.relations import RRelationResult
 
 
 def compose(outer, inner):
@@ -215,3 +218,89 @@ def union_act(flows, g, x):
         if x >= off:
             return off + f.act(g, x - off)
     raise IndexError(x)
+
+
+def tarjan_sccs(n, successors):
+    """Iterative Tarjan with (node, successor position) frames; returns the
+    components (each a list of nodes) in completion order."""
+    index_of = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index_of[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index_of[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            succ = successors(v)
+            while pi < len(succ):
+                w = succ[pi]
+                pi += 1
+                if index_of[w] == -1:
+                    work[-1] = (v, pi)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index_of[w])
+            if advanced:
+                continue
+            work.pop()
+            if low[v] == index_of[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(comp)
+            if work:
+                u, _ = work[-1]
+                low[u] = min(low[u], low[v])
+    return comps
+
+
+def r_relation(flow, w):
+    """The witnessed relation as the set of translates (g·s, g·h·s) over
+    every group element g, with its reflexive, symmetric and transitive
+    verdicts."""
+    G = flow.group
+    n = flow.points
+    pairs = set()
+    for s in sorted(w.support):
+        for h in w.subgroup.sorted_members:
+            hs = flow.act(h, s)
+            for g in G.elements():
+                pairs.add((flow.act(g, s), flow.act(g, hs)))
+    reflexive = all((x, x) in pairs for x in range(n))
+    witness = None
+    if not reflexive:
+        witness = ("irreflexive", next(x for x in range(n) if (x, x) not in pairs))
+    symmetric = all((b, a) in pairs for (a, b) in pairs)
+    if symmetric is False and witness is None:
+        witness = ("asymmetric", next((a, b) for (a, b) in pairs if (b, a) not in pairs))
+    adj: dict[int, set[int]] = {}
+    for a, b in pairs:
+        adj.setdefault(a, set()).add(b)
+    transitive = True
+    for a, outs in adj.items():
+        for b in outs:
+            if not adj.get(b, set()) <= outs:
+                transitive = False
+                if witness is None:
+                    c = next(iter(adj[b] - outs))
+                    witness = ("intransitive", (a, b, c))
+                break
+        if not transitive:
+            break
+    return RRelationResult(frozenset(pairs), reflexive, symmetric, transitive, witness)

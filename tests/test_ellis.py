@@ -9,6 +9,7 @@ from elliskit.errors import (
     ClosureCapExceeded,
     NotIdempotent,
     NotInIdeal,
+    TheoremViolation,
 )
 from elliskit.flows import (
     FlowMorphism,
@@ -19,6 +20,8 @@ from elliskit.flows import (
     transformation_flow,
 )
 from elliskit.ellis import (
+    MinimalIdeal,
+    _validate_minimal_ideal,
     circ,
     enveloping_semigroup,
     h_subgroup,
@@ -450,3 +453,29 @@ def test_product_semigroup_isomorphic_to_product_of_semigroups():
         right = tuple(f[x] % 3 for x in range(3))
         pairs.add((left, right))
     assert len(pairs) == S.size
+
+
+def test_minimal_ideal_validation_rejects_fake_ideals():
+    # two minimal left ideals, (1, 3) and (2, 4); element 0 is in neither
+    # and both of its left products g·0 land in (2, 4)
+    S = enveloping_semigroup(transformation_flow([(0, 0, 2, 1), (1, 1, 2, 2)]))
+    first, second = minimal_left_ideals(S)
+    assert (first.members, second.members) == ((1, 3), (2, 4))
+    assert set(S.left[0]) == {2, 4}
+    idems = first.idempotents + second.idempotents
+    fakes = {
+        # closed, but the walks from 1 never reach (2, 4)
+        "union of two ideals": MinimalIdeal(S, (1, 2, 3, 4), idems),
+        # g·0 lands in (2, 4), outside the set: not closed
+        "ideal plus an element mapping out": MinimalIdeal(S, (0, 1, 3),
+                                                          first.idempotents),
+        # closed, and the forward walk from 0 covers it; only the backward
+        # walk finds that nothing returns to 0
+        "ideal plus an element mapping in": MinimalIdeal(S, (0, 2, 4),
+                                                         second.idempotents),
+    }
+    for fake in fakes.values():
+        with pytest.raises(TheoremViolation, match="not generated by member"):
+            _validate_minimal_ideal(fake)
+    for M in (first, second):
+        _validate_minimal_ideal(M)

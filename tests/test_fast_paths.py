@@ -2,9 +2,12 @@
 its ideal groups and permutation-group tables against the literal
 compose-everything oracles in ``oracles.py``, the product and union action
 tables against the coordinate decoders there, the cyclic-extension
-subgroup lattice against the pairwise-closure one, and the
-generators-first invariance check against the all-elements scan."""
+subgroup lattice against the pairwise-closure one, the generators-first
+invariance check against the all-elements scan, the generator-closed
+witnessed relation against the all-translates one, and the iterator-frame
+Tarjan against the index-frame one."""
 
+import json
 import random
 from dataclasses import replace
 
@@ -13,13 +16,22 @@ import pytest
 import oracles
 from elliskit.algebra import (
     Subgroup,
+    _composer,
     enumerate_subgroups,
+    group_from_permutations,
     named_group,
     small_generating_set,
 )
 from elliskit.caps import DEFAULT_CAPS
+from elliskit.catalog import affine_f2_fixture
+from elliskit.cli import main
 from elliskit.errors import GroupTooLarge
-from elliskit.ellis import enveloping_semigroup, ideal_group, minimal_left_ideals
+from elliskit.ellis import (
+    _tarjan_sccs,
+    enveloping_semigroup,
+    ideal_group,
+    minimal_left_ideals,
+)
 from elliskit.flows import (
     coset_flow,
     disjoint_union_flow,
@@ -34,7 +46,7 @@ from elliskit.generators import (
     random_group_flow,
     random_invariant_relation,
 )
-from elliskit.relations import make_relation
+from elliskit.relations import WitnessPair, make_relation, r_relation
 
 ORACLE_SIZE = 300   # the oracle table composes every pair of elements
 
@@ -197,3 +209,99 @@ def test_invariance_verdicts_and_witnesses_match_oracle():
                 oracles.invariance(flow, E.class_of)
             verdicts.append(E.invariant)
     assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
+
+
+def test_composer_lengths_zero_one_and_more():
+    outer = (7, 8, 9)
+    for inner in [(), (2,), (2, 0), (1, 1, 0)]:
+        assert _composer(inner)(outer) == oracles.compose(outer, inner)
+
+
+@pytest.mark.parametrize("maps", [[[]], [[0]]], ids=["0-point", "1-point"])
+def test_one_element_closures(tmp_path, capsys, maps):
+    flow = transformation_flow(maps)
+    elements, gens = oracles.closure(flow.generator_maps())
+    S = enveloping_semigroup(flow)
+    table = oracles.composition_table(elements)
+    assert S.elements == elements == (tuple(maps[0]),)
+    assert S.generators == gens
+    assert (tuple(S.row(0)),) == table
+    assert [(M.members, M.idempotents) for M in minimal_left_ideals(S)] == \
+        oracles.minimal_left_ideals(table, gens)
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps({"transformations": maps}))
+    assert main(["ellis", str(path), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["timing"]
+    assert report == {
+        "caps": None, "kind": "analysis", "name": "ellis", "passed": True,
+        "seed": None, "verdicts": [],
+        "structures": {"closure_size": 1, "ideal_group_order": 1,
+                       "minimal_ideals": [{"size": 1, "idempotents": 1}]},
+    }
+
+
+def test_trivial_permutation_group_matches_oracle():
+    G = group_from_permutations(1, [[0]])
+    assert (G.perms, G.mul, G.inverse) == oracles.permutation_group(1, [[0]])
+    assert G.gens == (0,)
+
+
+def random_digraphs(seed, count):
+    """Adjacency lists on 1 to 60 nodes, out-degree 1 to 3; self-loops and
+    repeated edges arise on their own."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 60)
+        yield [tuple(rng.randrange(n) for _ in range(rng.randint(1, 3)))
+               for _ in range(n)]
+
+
+def test_tarjan_components_match_oracle():
+    loops = repeats = 0
+    graphs = list(random_digraphs(13, 400))
+    graphs += [enveloping_semigroup(flow).left for flow in random_flows(11, 100)]
+    for adjacency in graphs:
+        assert _tarjan_sccs(adjacency) == \
+            oracles.tarjan_sccs(len(adjacency), adjacency.__getitem__)
+        loops += any(v in out for v, out in enumerate(adjacency))
+        repeats += any(len(set(out)) < len(out) for out in adjacency)
+    assert loops >= 100 and repeats >= 100
+
+
+def assert_same_r_relation(flow, w):
+    """Equal pairs and verdicts; a failure witness of the same kind that
+    really fails (the intransitive triple may differ from the oracle's)."""
+    got, want = r_relation(flow, w), oracles.r_relation(flow, w)
+    assert (got.pairs, got.reflexive, got.symmetric, got.transitive) == \
+        (want.pairs, want.reflexive, want.symmetric, want.transitive)
+    if want.failure_witness is None or want.failure_witness[0] != "intransitive":
+        assert got.failure_witness == want.failure_witness
+    else:
+        kind, (a, b, c) = got.failure_witness
+        assert kind == "intransitive"
+        assert (a, b) in got.pairs and (b, c) in got.pairs
+        assert (a, c) not in got.pairs
+    return got
+
+
+def test_r_relation_matches_oracle():
+    rng = random.Random(29)
+    results = []
+    for i in range(400):
+        flow = random_group_flow(rng, 8, 24)
+        if i % 2:   # intransitive, so a support can miss an orbit
+            flow = disjoint_union_flow([flow, same_group_flow(rng, flow.group)])
+        H = rng.choice(enumerate_subgroups(flow.group))
+        support = rng.sample(range(flow.points), rng.randint(1, flow.points))
+        results.append(assert_same_r_relation(flow, WitnessPair(H, frozenset(support))))
+    assert sum(r.is_equivalence for r in results) >= 200
+    assert sum(not r.reflexive for r in results) >= 40
+    assert sum(r.reflexive and not r.transitive for r in results) >= 20
+
+
+def test_r_relation_matches_oracle_on_affine_f2():
+    flow, w1, w2 = affine_f2_fixture()
+    for w in (w1, w2):
+        got = assert_same_r_relation(flow, w)
+        assert got.is_equivalence and len(got.pairs) == 5376

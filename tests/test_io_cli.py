@@ -6,6 +6,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from elliskit import cli
 from elliskit.caps import DEFAULT_CAPS
@@ -296,13 +298,25 @@ def test_cli_relation_on_wrong_point_set_exit_2(tmp_path, capsys, command, point
     ({"transformations": "abc"}, "TypeError"),
     ({"group": {"kind": "named", "name": "cyclic", "n": 2}, "points": 2,
       "action": {"generator_images": [[1, 0, 2]]}}, "not a self-map"),
+    ({"group": None, "action": "regular"}, "a group must be a JSON object"),
+    ({"group": [3], "action": "natural"}, "a group must be a JSON object"),
+    ({"transformations": [[1, 0.5, 0], [2, 0, 1]]}, "TypeError"),
 ], ids=["basepoint-out-of-range", "basepoint-not-int", "mul-not-square",
-        "named-without-n", "transformations-not-maps", "image-not-self-map"])
+        "named-without-n", "transformations-not-maps", "image-not-self-map",
+        "group-null", "group-not-object", "transformation-entry-not-int"])
 def test_cli_malformed_instance_exit_2(tmp_path, capsys, data, message):
     assert main(["ellis", write(tmp_path, "in.json", data)]) == 2
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--decide-weak"]], ids=["plain", "decide-weak"])
+def test_cli_orbital_on_transformation_flow_exit_2(tmp_path, capsys, extra):
+    flow = write(tmp_path, "f.json", {"transformations": [[0, 1], [1, 1]]})
+    rel = write(tmp_path, "r.json", {"points": 2, "classes": [[0], [1]]})
+    assert main(["orbital", flow, "--relation", rel, *extra]) == 2
+    assert "relation must be bound to a group flow" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value", [("--instances", "-3"),
@@ -351,3 +365,109 @@ def test_cli_malformed_caps_env_exit_2(value, message):
     assert done.stderr.startswith("error: ELLISKIT_CAPS: ")
     assert message in done.stderr
     assert done.stderr.count("\n") == 1
+
+
+# ---- exit-code fuzz -------------------------------------------------------------
+
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 9),
+                 st.floats(-2, 9, allow_nan=False), st.text(max_size=2),
+                 st.lists(st.integers(-1, 5), max_size=3), st.just({}))
+
+
+def self_maps(n, count):
+    return st.lists(st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n),
+                    min_size=count, max_size=count)
+
+
+@st.composite
+def flow_documents(draw):
+    """A well-formed flow or ambit document on n points, and n."""
+    kind = draw(st.sampled_from(["transformations", "permutation", "table", "named"]))
+    if kind == "transformations":
+        n = draw(st.integers(0, 4))
+        doc = {"transformations": draw(self_maps(n, draw(st.integers(1, 3))))}
+    else:
+        if kind == "permutation":
+            n = draw(st.integers(0, 4))
+            group = {"kind": kind, "degree": n, "generators": draw(
+                st.lists(st.permutations(range(n)), min_size=1, max_size=2))}
+        elif kind == "table":
+            n = draw(st.integers(1, 4))
+            group = {"kind": kind,
+                     "mul": [[(a + b) % n for b in range(n)] for a in range(n)]}
+        else:
+            n = draw(st.integers(3, 4))
+            group = {"kind": kind, "n": n, "q": 2, "dim": draw(st.integers(1, 2)),
+                     "name": draw(st.sampled_from(["cyclic", "symmetric",
+                                                   "dihedral", "affine"]))}
+        action = draw(st.one_of(st.sampled_from(["natural", "regular"]),
+                                st.builds(lambda m: {"generator_images": m},
+                                          self_maps(n, 1))))
+        doc = {"group": group, "points": n, "action": action}
+    if draw(st.booleans()):
+        doc["basepoint"] = draw(st.integers(0, max(n - 1, 0)))
+    return doc, n
+
+
+@st.composite
+def relation_documents(draw, n):
+    """A partition of n points (sometimes of another count)."""
+    n = draw(st.sampled_from([n, n, draw(st.integers(0, 5))]))
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=n)) | {n})
+    classes = [order[a:b] for a, b in zip([0] + cuts, cuts) if a < b]
+    return {"points": n, "classes": classes}
+
+
+def json_paths(obj, prefix=()):
+    if prefix:
+        yield prefix
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from json_paths(value, prefix + (key,))
+
+
+@st.composite
+def damaged(draw, doc):
+    """The document with up to two values replaced by junk, dropped, or
+    extended by one entry (ragged rows, out-of-range or wrong-typed)."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(0, 2))):
+        paths = list(json_paths(doc))
+        if not paths:
+            break
+        *where, key = draw(st.sampled_from(paths))
+        parent = doc
+        for step in where:
+            parent = parent[step]
+        how = draw(st.sampled_from(["junk", "drop", "extend"]))
+        if how == "drop":
+            del parent[key]
+        elif how == "extend" and isinstance(parent[key], list):
+            parent[key].append(draw(st.one_of(st.integers(-2, 9), JUNK)))
+        else:
+            parent[key] = draw(JUNK)
+    return doc
+
+
+@st.composite
+def instance_files(draw):
+    flow, n = draw(flow_documents())
+    return draw(damaged(flow)), draw(damaged(draw(relation_documents(n))))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(docs=instance_files(),
+       command=st.sampled_from([["ellis"], ["analyze"], ["analyze", "--relation"],
+                                ["grouplike", "--relation"],
+                                ["orbital", "--relation"],
+                                ["orbital", "--relation", "--decide-weak"]]))
+def test_cli_exit_code_is_0_or_2_on_any_instance(tmp_path, docs, command):
+    flow, relation = docs
+    argv = [command[0], write(tmp_path, "flow.json", flow)]
+    if len(command) > 1:
+        argv += ["--relation", write(tmp_path, "rel.json", relation), *command[2:]]
+    assert main(argv) in (0, 2)
