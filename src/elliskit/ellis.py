@@ -16,9 +16,14 @@ Egri-Nagy, Mitchell & Péresse, "Computing finite semigroups", J. Symb.
 Comput. 92 (2019). The closure itself composes in C: w∘g and g∘w are one
 `operator.itemgetter` call each (`algebra._composer`). The full table is
 built row by row from the generator rows, since associativity gives
-row(p·g) = row(p)∘row(g) along the right spanning tree. Minimal left ideals
-are the sink components of the left graph (Tarjan, SIAM J. Comput. 1,
-1972), each checked in O(|M|·k) to be closed and strongly connected.
+row(p·g) = row(p)∘row(g) along the right spanning tree; ideal-group tables
+are filled the same way inside the group. Minimal left ideals are read from
+the minimal ideal K, the elements of minimum rank: S·e for the first such e,
+and its orbit under right multiplication by the generators, certified
+complete by closing their union under both graphs (the Green's-structure
+route of East et al. 2019). Each is checked in O(|M|·k) to be closed and
+strongly connected. After the closure, only the C-level rank scan touches
+every element.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from .algebra import (
     Subgroup,
     _composer,
     _locate_inverses,
-    cayley_row,
     cayley_table,
     compose_maps,
     small_generating_set,
@@ -38,6 +42,7 @@ from .algebra import (
 from .caps import DEFAULT_CAPS, Caps
 from .errors import (
     ClosureCapExceeded,
+    GroupMismatch,
     IsomorphismViolated,
     NoInverse,
     NotIdempotent,
@@ -52,24 +57,21 @@ class EllisSemigroup:
     """Composition closure of the acting maps, in discovery order.
 
     Generator g is element g. right[w][g] and left[w][g] are the indices of
-    w·g and g·w, and `_tree` is a right spanning tree: triples (j, p, g)
-    with j = p·g, parents first. The full multiplication table is only
-    materialized up to mul_table_cap (at the default closure cap it would
-    not fit in memory); above it, `row` reads products off the right graph
-    and `mul` composes on demand, with no memo.
+    w·g and g·w. The full multiplication table is only materialized up to
+    mul_table_cap (at the default closure cap it would not fit in memory);
+    above it, `mul` composes on demand, with no memo.
     """
 
     __slots__ = ("flow", "elements", "index", "generators", "right", "left",
-                 "_tree", "_table")
+                 "_table")
 
-    def __init__(self, flow, elements, index, right, left, tree, table):
+    def __init__(self, flow, elements, index, right, left, table):
         self.flow = flow
         self.elements = elements
         self.index = index
         self.generators = tuple(range(len(right[0])))
         self.right = right
         self.left = left
-        self._tree = tree
         self._table = table
 
     @property
@@ -81,12 +83,6 @@ class EllisSemigroup:
         if self._table is not None:
             return self._table[i][j]
         return self.index[compose_maps(self.elements[i], self.elements[j])]
-
-    def row(self, i: int):
-        """Every product i·j, indexed by j."""
-        if self._table is not None:
-            return self._table[i]
-        return cayley_row(self.right, self._tree, i)
 
     def left_reach(self, s: int) -> set[int]:
         """S·s: everything reachable by left multiplication (words >= 1)."""
@@ -173,80 +169,43 @@ def enveloping_semigroup(flow: Flow, caps: Caps = DEFAULT_CAPS) -> EllisSemigrou
         raise TheoremViolation("element not reached by right multiplication",
                                reached.index(False))
     table = cayley_table(right, tree) if n <= caps.mul_table_cap else None
-    return EllisSemigroup(flow, tuple(elements), index, right, left, tree, table)
-
-
-def _tarjan_sccs(adjacency):
-    """Iterative Tarjan over adjacency lists, one iterator per DFS frame;
-    returns the components (each a list of nodes) in completion order."""
-    n = len(adjacency)
-    index_of = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index_of[root] != -1:
-            continue
-        index_of[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, iter(adjacency[root]))]
-        while work:
-            v, successors = work[-1]
-            for w in successors:
-                if index_of[w] == -1:
-                    index_of[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(adjacency[w])))
-                    break
-                if on_stack[w] and index_of[w] < low[v]:
-                    low[v] = index_of[w]
-            else:
-                work.pop()
-                if low[v] == index_of[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    comps.append(comp)
-                if work:
-                    u = work[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-    return comps
+    return EllisSemigroup(flow, tuple(elements), index, right, left, table)
 
 
 def minimal_left_ideals(S: EllisSemigroup) -> list[MinimalIdeal]:
-    """All minimal left ideals, as the sink strongly-connected components of
-    the left Cayley graph f -> g·f over the generators.
+    """All minimal left ideals, sorted by least member, read from the
+    minimal ideal K (East, Egri-Nagy, Mitchell & Péresse, J. Symb. Comput.
+    92, 2019).
 
-    Reachability through generator edges is exactly left multiplication by
-    nonempty words, i.e. by arbitrary semigroup elements, so a component
-    with no outgoing edges C satisfies S·f = C for every f in C, which is
-    minimality. Every ideal is validated against the structure facts before
-    being returned.
+    In a finite transformation semigroup K is the set of elements of minimum
+    rank, so for the first such e, L = S·e is a minimal left ideal. Every
+    minimal left ideal is L·s, so L's orbit under right multiplication by
+    the generators lists them all. Certificate: their union is closed under
+    every left and right generator edge, so it is an ideal and contains K.
+    Each ideal is validated against the structure facts, so a failure of
+    the rank argument raises instead of giving a wrong list.
     """
-    left = S.left
-    comps = _tarjan_sccs(left)
+    left, right = S.left, S.right
+    ranks = list(map(len, map(set, S.elements)))
+    e = ranks.index(min(ranks))
+    found = [frozenset(_walk(left, left[e]))]
+    seen = set(found)
+    for L in found:
+        for g in S.generators:
+            Lg = frozenset([right[m][g] for m in L])
+            if Lg not in seen:
+                seen.add(Lg)
+                found.append(Lg)
+    union = frozenset().union(*found)
+    for m in union:
+        if not (union.issuperset(left[m]) and union.issuperset(right[m])):
+            raise TheoremViolation("minimal left ideals miss part of the kernel", m)
     ideals = []
-    for comp in comps:
-        cset = set(comp)
-        if any(w not in cset for v in comp for w in left[v]):
-            continue
-        members = tuple(sorted(comp))
-        idempotents = tuple(s for s in members if S.mul(s, s) == s)
-        ideal = MinimalIdeal(S, members, idempotents)
+    for L in sorted(found, key=min):
+        members = tuple(sorted(L))
+        ideal = MinimalIdeal(S, members, tuple(s for s in members if S.mul(s, s) == s))
         _validate_minimal_ideal(ideal)
         ideals.append(ideal)
-    ideals.sort(key=lambda m: m.members[0])
     return ideals
 
 
@@ -302,8 +261,14 @@ def _walk(edges, starts) -> set[int]:
 
 def ideal_group(M: MinimalIdeal, u: int) -> IdealGroup:
     """The group u·M with identity u; verified via closure, left identity
-    and two-sided inverses (which force a group). The table is read off one
-    row of products per member."""
+    and two-sided inverses (which force a group).
+
+    Only the rows of u and of a greedy generating set (each member not yet
+    reached, in member order) are read off the semigroup and checked to
+    stay in u·M. The rest of the table follows by associativity along a
+    right spanning tree from u: row(a·h) = row(a)∘row(h), one `_composer`
+    call per row, the identity `algebra.cayley_table` uses.
+    """
     S = M.parent
     if u not in M.member_set:
         raise NotInIdeal(u)
@@ -311,16 +276,32 @@ def ideal_group(M: MinimalIdeal, u: int) -> IdealGroup:
         raise NotIdempotent(u)
     members = tuple(sorted({S.mul(u, m) for m in M.members}))
     pos = {s: i for i, s in enumerate(members)}
-    mul = []
-    for a in members:
-        row = S.row(a)
+
+    def literal_row(a):
         try:
-            mul.append(tuple(map(pos.__getitem__, map(row.__getitem__, members))))
+            return tuple([pos[S.mul(a, b)] for b in members])
         except KeyError:
-            b = next(b for b in members if row[b] not in pos)
+            b = next(b for b in members if S.mul(a, b) not in pos)
             raise TheoremViolation("u·M not closed under composition", (a, b)) from None
-    mul = tuple(mul)
+
     identity = pos[u]
+    rows = [None] * len(members)
+    rows[identity] = literal_row(u)
+    order = [identity]
+    gens = []                       # (h, row -> row∘row(h))
+    for h in range(len(members)):
+        if rows[h] is not None:
+            continue
+        rows[h] = literal_row(members[h])
+        order.append(h)
+        gens.append((h, _composer(rows[h])))
+        for a in order:             # grows: closes the reached set under gens
+            for g, times_g in gens:
+                ag = rows[a][g]
+                if rows[ag] is None:
+                    rows[ag] = times_g(rows[a])
+                    order.append(ag)
+    mul = tuple(rows)
     for i, s in enumerate(members):
         if mul[identity][i] != i:
             raise TheoremViolation("u is not a left identity on u·M", s)
@@ -366,7 +347,7 @@ def ideal_group_isomorphism(gu: IdealGroup, gv: IdealGroup) -> tuple[int, ...]:
     """
     S = gu.parent
     if S is not gv.parent:
-        raise ValueError("ideal groups from different semigroups")
+        raise GroupMismatch("ideal groups from different semigroups")
     u, v = gu.idempotent, gv.idempotent
     w = compatible_idempotent(gu, gv.ideal)
     image = tuple(S.mul(v, S.mul(s, w)) for s in gu.members)
@@ -464,7 +445,7 @@ def induced_epimorphism(m: FlowMorphism, source_semigroup=None,
     onto minimal ideals, idempotents to idempotents)."""
     rep = check_morphism(m)
     if not rep:
-        raise ValueError(f"invalid morphism: {rep.witness}")
+        raise GroupMismatch(f"invalid morphism: {rep.witness}")
     src = source_semigroup or enveloping_semigroup(m.source.flow, caps=caps)
     tgt = target_semigroup or enveloping_semigroup(m.target.flow, caps=caps)
     pm = m.point_map

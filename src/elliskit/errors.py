@@ -75,7 +75,7 @@ class SizeCapExceeded(ElliskitError):
 
 
 class GroupMismatch(ElliskitError):
-    pass
+    """Objects that must share a group, semigroup or flow do not."""
 
 
 class IncompatibleTower(ElliskitError):

@@ -15,8 +15,9 @@ Schemas (one object per file):
   scenario  {"flow": <flow>, "relation": <relation>,
              "lattices": {"G": <lattice sets or "discrete">, "X": ..., ...}}
 
-Product-space indices are row-major. parse(serialize(x)) returns an equal
-instance for every kind.
+Product-space indices are row-major. Every number is an integer: a float
+or a boolean (other than "auto_complete") is rejected, never truncated.
+parse(serialize(x)) returns an equal instance for every kind.
 """
 
 from __future__ import annotations
@@ -191,9 +192,24 @@ _BUILDERS = {
 }
 
 
+def _check_integers(data, where):
+    """Raise TypeError at the first float or boolean: the builders' int()
+    would turn 1.9 into 1 and True into 1."""
+    if isinstance(data, (bool, float)):
+        raise TypeError(f"{where[1:]} is {data!r}, not an integer")
+    items = data.items() if isinstance(data, dict) else \
+        enumerate(data) if isinstance(data, list) else ()
+    for key, value in items:
+        if type(value) is int or key == "auto_complete" and isinstance(value, bool):
+            continue
+        step = f".{key}" if isinstance(key, str) else f"[{key}]"
+        _check_integers(value, where + step)
+
+
 def parse_obj(data: dict, caps: Caps = DEFAULT_CAPS, origin="<data>") -> InstanceFile:
     kind = detect_kind(data)
     try:
+        _check_integers(data, "")
         value = _BUILDERS[kind](data, caps)
     except ElliskitError as exc:
         raise ValidationError(origin, exc) from exc

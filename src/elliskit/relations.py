@@ -158,7 +158,7 @@ def orbit_relation(flow: Flow, H: Subgroup) -> EquivRelation:
     if not flow.is_group_flow:
         raise GroupMismatch("orbit relations need a group flow")
     if H.parent is not flow.group:
-        raise ValueError("subgroup of a different group")
+        raise GroupMismatch("subgroup of a different group")
     seen = [False] * flow.points
     classes = []
     for x in range(flow.points):

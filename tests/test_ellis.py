@@ -7,6 +7,7 @@ from elliskit.algebra import are_isomorphic, named_group
 from elliskit.caps import DEFAULT_CAPS, Caps
 from elliskit.errors import (
     ClosureCapExceeded,
+    GroupMismatch,
     NotIdempotent,
     NotInIdeal,
     TheoremViolation,
@@ -241,6 +242,25 @@ def test_ideal_group_isomorphism_same_ideal():
     assert image == (v,)
 
 
+def test_ideal_group_isomorphism_rejects_groups_of_two_semigroups():
+    groups = []
+    for _ in range(2):
+        M = minimal_left_ideals(enveloping_semigroup(swap_const_flow()))[0]
+        groups.append(ideal_group(M, M.idempotents[0]))
+    with pytest.raises(GroupMismatch, match="different semigroups"):
+        ideal_group_isomorphism(*groups)
+
+
+def test_ideal_group_rejects_a_set_not_closed_under_composition():
+    # u = (0, 0, 2) is idempotent and y = u·(2, 0, 1) = (2, 0, 0), but
+    # y·u = (2, 2, 0) is outside {u, y}: the generator row of y leaves the set
+    S = enveloping_semigroup(transformation_flow([(1, 2, 0), (1, 0, 2), (0, 0, 2)]))
+    u, x = S.index[(0, 0, 2)], S.index[(2, 0, 1)]
+    fake = MinimalIdeal(S, tuple(sorted((u, x))), (u,))
+    with pytest.raises(TheoremViolation, match="u·M not closed"):
+        ideal_group(fake, u)
+
+
 def test_ideal_group_isomorphisms_across_ideals():
     S = enveloping_semigroup(two_ideal_flow())
     ideals = minimal_left_ideals(S)
@@ -398,6 +418,12 @@ def test_identity_epimorphism():
     m = FlowMorphism(amb, amb, tuple(range(3)))
     epi = induced_epimorphism(m)
     assert epi.element_map == tuple(range(epi.source.size))
+
+
+def test_induced_epimorphism_rejects_an_invalid_morphism():
+    amb = make_ambit(natural_flow(named_group("symmetric", n=3)), 0)
+    with pytest.raises(GroupMismatch, match="invalid morphism"):
+        induced_epimorphism(FlowMorphism(amb, amb, (0, 0, 0)))
 
 
 def test_regular_to_natural_epimorphism():

@@ -4,8 +4,9 @@ compose-everything oracles in ``oracles.py``, the product and union action
 tables against the coordinate decoders there, the cyclic-extension
 subgroup lattice against the pairwise-closure one, the generators-first
 invariance check against the all-elements scan, the generator-closed
-witnessed relation against the all-translates one, and the iterator-frame
-Tarjan against the index-frame one."""
+witnessed relation against the all-translates one, and the minimal left
+ideals found from the kernel against the sink components of the left
+Cayley graph."""
 
 import json
 import random
@@ -27,7 +28,6 @@ from elliskit.catalog import affine_f2_fixture
 from elliskit.cli import main
 from elliskit.errors import GroupTooLarge
 from elliskit.ellis import (
-    _tarjan_sccs,
     enveloping_semigroup,
     ideal_group,
     minimal_left_ideals,
@@ -64,36 +64,70 @@ def random_flows(seed, count):
             yield random_ellis_flow(rng, 6)
 
 
-@pytest.mark.parametrize("caps", [DEFAULT_CAPS, replace(DEFAULT_CAPS, mul_table_cap=0)],
-                         ids=["full-table", "on-demand"])
+def rank_two_flows(seed, count):
+    """Permutations of 3 to 5 points plus one idempotent of rank r >= 2,
+    kept when every element of the closure has rank >= 2 (the product of
+    the idempotent with the permutations often collapses further). Their
+    closures often have several minimal left ideals."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(3, 5)
+        maps = [rng.sample(range(n), n) for _ in range(rng.randint(1, 2))]
+        image = rng.sample(range(n), rng.randint(2, n - 1))
+        maps.append([x if x in image else rng.choice(image) for x in range(n)])
+        elements, _ = oracles.closure(maps)
+        if min(len(set(w)) for w in elements) >= 2:
+            yield transformation_flow(maps)
+
+
+CAPS = pytest.mark.parametrize(
+    "caps", [DEFAULT_CAPS, replace(DEFAULT_CAPS, mul_table_cap=0)],
+    ids=["full-table", "on-demand"])
+
+
+def assert_ideals_and_groups_match_oracles(flow, caps):
+    """Compare the closure, its products, its minimal left ideals and every
+    ideal group with the oracles; returns the number of ideals."""
+    elements, gens = oracles.closure(flow.generator_maps())
+    table = oracles.composition_table(elements)
+    S = enveloping_semigroup(flow, caps=caps)
+    assert S.elements == elements
+    assert S.generators == gens
+    for i in range(S.size):
+        assert [S.mul(i, j) for j in range(S.size)] == list(table[i])
+        assert S.left_reach(i) == oracles.left_reach(table, gens, i)
+    ideals = minimal_left_ideals(S)
+    assert [(M.members, M.idempotents) for M in ideals] == \
+        oracles.minimal_left_ideals(table, gens)
+    for M in ideals:
+        for u in M.idempotents:
+            G = ideal_group(M, u)
+            members, mul, inverse, group_gens = oracles.ideal_group(
+                table, M.members, u)
+            assert G.members == members
+            assert G.group_view.mul == mul
+            assert G.group_view.inverse == inverse
+            assert G.group_view.gens == group_gens
+    return len(ideals)
+
+
+@CAPS
 def test_closure_ideals_and_groups_match_oracles(caps):
     compared = 0
     for flow in random_flows(11, 300):
-        elements, gens = oracles.closure(flow.generator_maps())
-        if len(elements) > ORACLE_SIZE:
+        if len(oracles.closure(flow.generator_maps())[0]) > ORACLE_SIZE:
             continue
-        table = oracles.composition_table(elements)
         compared += 1
-        S = enveloping_semigroup(flow, caps=caps)
-        assert S.elements == elements
-        assert S.generators == gens
-        for i in range(S.size):
-            assert [S.mul(i, j) for j in range(S.size)] == list(table[i])
-            assert list(S.row(i)) == list(table[i])
-            assert S.left_reach(i) == oracles.left_reach(table, gens, i)
-        ideals = minimal_left_ideals(S)
-        assert [(M.members, M.idempotents) for M in ideals] == \
-            oracles.minimal_left_ideals(table, gens)
-        for M in ideals:
-            for u in M.idempotents:
-                G = ideal_group(M, u)
-                members, mul, inverse, group_gens = oracles.ideal_group(
-                    table, M.members, u)
-                assert G.members == members
-                assert G.group_view.mul == mul
-                assert G.group_view.inverse == inverse
-                assert G.group_view.gens == group_gens
+        assert_ideals_and_groups_match_oracles(flow, caps)
     assert compared >= 250
+
+
+@CAPS
+def test_several_ideals_of_rank_two_match_oracles(caps):
+    counts = [assert_ideals_and_groups_match_oracles(flow, caps)
+              for flow in rank_two_flows(5, 300)]
+    assert len(counts) >= 90
+    assert sum(k > 1 for k in counts) >= 30
 
 
 @pytest.mark.parametrize("name, params", [("symmetric", {"n": 5}),
@@ -225,7 +259,7 @@ def test_one_element_closures(tmp_path, capsys, maps):
     table = oracles.composition_table(elements)
     assert S.elements == elements == (tuple(maps[0]),)
     assert S.generators == gens
-    assert (tuple(S.row(0)),) == table
+    assert ((S.mul(0, 0),),) == table
     assert [(M.members, M.idempotents) for M in minimal_left_ideals(S)] == \
         oracles.minimal_left_ideals(table, gens)
     path = tmp_path / "flow.json"
@@ -247,26 +281,17 @@ def test_trivial_permutation_group_matches_oracle():
     assert G.gens == (0,)
 
 
-def random_digraphs(seed, count):
-    """Adjacency lists on 1 to 60 nodes, out-degree 1 to 3; self-loops and
-    repeated edges arise on their own."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        n = rng.randint(1, 60)
-        yield [tuple(rng.randrange(n) for _ in range(rng.randint(1, 3)))
-               for _ in range(n)]
-
-
-def test_tarjan_components_match_oracle():
-    loops = repeats = 0
-    graphs = list(random_digraphs(13, 400))
-    graphs += [enveloping_semigroup(flow).left for flow in random_flows(11, 100)]
-    for adjacency in graphs:
-        assert _tarjan_sccs(adjacency) == \
-            oracles.tarjan_sccs(len(adjacency), adjacency.__getitem__)
-        loops += any(v in out for v, out in enumerate(adjacency))
-        repeats += any(len(set(out)) < len(out) for out in adjacency)
-    assert loops >= 100 and repeats >= 100
+def test_minimal_ideals_are_the_sink_components():
+    several = 0
+    for flow in [*random_flows(11, 100), *rank_two_flows(5, 300)]:
+        S = enveloping_semigroup(flow)
+        components = map(frozenset, oracles.tarjan_sccs(S.size, S.left.__getitem__))
+        sinks = sorted(sorted(c) for c in components
+                       if all(c.issuperset(S.left[v]) for v in c))
+        ideals = minimal_left_ideals(S)
+        assert [list(M.members) for M in ideals] == sinks
+        several += len(ideals) > 1
+    assert several >= 30
 
 
 def assert_same_r_relation(flow, w):

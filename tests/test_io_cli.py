@@ -301,9 +301,27 @@ def test_cli_relation_on_wrong_point_set_exit_2(tmp_path, capsys, command, point
     ({"group": None, "action": "regular"}, "a group must be a JSON object"),
     ({"group": [3], "action": "natural"}, "a group must be a JSON object"),
     ({"transformations": [[1, 0.5, 0], [2, 0, 1]]}, "TypeError"),
+    (dict(S3_FLOW, group=dict(S3_FLOW["group"], generators=[[1.0, 0, 2]])),
+     "group.generators[0][0] is 1.0, not an integer"),
+    (dict(S3_FLOW, group=dict(S3_FLOW["group"], degree=3.5)),
+     "group.degree is 3.5, not an integer"),
+    (dict(S3_FLOW, points=3.9), "points is 3.9, not an integer"),
+    (dict(S3_FLOW, points=True), "points is True, not an integer"),
+    (dict(S3_FLOW, basepoint=1.9), "basepoint is 1.9, not an integer"),
+    (dict(S3_FLOW, basepoint=True), "basepoint is True, not an integer"),
+    ({"group": {"kind": "named", "name": "cyclic", "n": 2}, "points": 2,
+      "action": {"generator_images": [[1.9, 0]]}},
+     "action.generator_images[0][0] is 1.9, not an integer"),
+    ({"transformations": [[True, 0], [0, 1]]},
+     "transformations[0][0] is True, not an integer"),
+    ({"ground": "X", "size": 2.5, "sets": "discrete"},
+     "size is 2.5, not an integer"),
 ], ids=["basepoint-out-of-range", "basepoint-not-int", "mul-not-square",
         "named-without-n", "transformations-not-maps", "image-not-self-map",
-        "group-null", "group-not-object", "transformation-entry-not-int"])
+        "group-null", "group-not-object", "transformation-entry-not-int",
+        "permutation-entry-float", "degree-float", "points-float", "points-bool",
+        "basepoint-float", "basepoint-bool", "image-float", "transformation-bool",
+        "lattice-size-float"])
 def test_cli_malformed_instance_exit_2(tmp_path, capsys, data, message):
     assert main(["ellis", write(tmp_path, "in.json", data)]) == 2
     err = capsys.readouterr().err
@@ -430,8 +448,9 @@ def json_paths(obj, prefix=()):
 
 @st.composite
 def damaged(draw, doc):
-    """The document with up to two values replaced by junk, dropped, or
-    extended by one entry (ragged rows, out-of-range or wrong-typed)."""
+    """The document with up to two values replaced by junk, dropped,
+    extended by one entry (ragged rows, out-of-range or wrong-typed), or
+    retyped as a float or boolean (1 -> 1.0, 1.5 or True)."""
     doc = json.loads(json.dumps(doc))
     for _ in range(draw(st.integers(0, 2))):
         paths = list(json_paths(doc))
@@ -441,9 +460,13 @@ def damaged(draw, doc):
         parent = doc
         for step in where:
             parent = parent[step]
-        how = draw(st.sampled_from(["junk", "drop", "extend"]))
+        how = draw(st.sampled_from(["junk", "drop", "extend", "retype"]))
         if how == "drop":
             del parent[key]
+        elif how == "retype" and type(parent[key]) is int:
+            value = parent[key]
+            parent[key] = draw(st.sampled_from([float(value), value + 0.5,
+                                                bool(value % 2)]))
         elif how == "extend" and isinstance(parent[key], list):
             parent[key].append(draw(st.one_of(st.integers(-2, 9), JUNK)))
         else:
@@ -468,6 +491,21 @@ def instance_files(draw):
 def test_cli_exit_code_is_0_or_2_on_any_instance(tmp_path, docs, command):
     flow, relation = docs
     argv = [command[0], write(tmp_path, "flow.json", flow)]
+    read = [flow]
     if len(command) > 1:
         argv += ["--relation", write(tmp_path, "rel.json", relation), *command[2:]]
-    assert main(argv) in (0, 2)
+        read.append(relation)
+    code = main(argv)
+    assert code in (0, 2)
+    if holds_non_integer(read):
+        assert code == 2
+
+
+def holds_non_integer(value):
+    """A float or a boolean anywhere in the value (these documents carry no
+    boolean field)."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return any(map(holds_non_integer, value))
+    return isinstance(value, (bool, float))

@@ -11,7 +11,13 @@ from elliskit.algebra import (
     named_group,
     subgroup_generated,
 )
-from elliskit.errors import NotAPartition, NotAWitness, NotFree, NotInvariant
+from elliskit.errors import (
+    GroupMismatch,
+    NotAPartition,
+    NotAWitness,
+    NotFree,
+    NotInvariant,
+)
 from elliskit.flows import coset_flow, natural_flow, regular_flow
 from elliskit.relations import (
     WitnessPair,
@@ -138,6 +144,12 @@ def test_orbit_relation_a3_on_regular():
     E = orbit_relation(f, a3)
     assert sorted(len(c) for c in E.classes) == [3, 3]
     assert E.invariant
+
+
+def test_orbit_relation_rejects_a_subgroup_of_another_group():
+    f = natural_flow(s3())
+    with pytest.raises(GroupMismatch, match="subgroup of a different group"):
+        orbit_relation(f, subgroup_generated(s3(), []))
 
 
 # ---- witnessed relations -----------------------------------------------------------
