@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import index, itemgetter
 
 from .caps import DEFAULT_CAPS, Caps
 from .errors import (
@@ -182,6 +182,15 @@ def _closure_indices(mul, seed, gens):
     return members
 
 
+def _integer(value, what):
+    """value as an int; a float or other non-integer raises, where int()
+    would truncate it."""
+    try:
+        return index(value)
+    except TypeError:
+        raise UnsupportedParameters(f"{what} is {value!r}, not an integer") from None
+
+
 def group_from_table(table, caps: Caps = DEFAULT_CAPS) -> FiniteGroup:
     """Validate a multiplication table exhaustively and wrap it as a group."""
     n = len(table)
@@ -191,7 +200,7 @@ def group_from_table(table, caps: Caps = DEFAULT_CAPS) -> FiniteGroup:
         raise GroupTooLarge(n, caps.group_order_cap)
     mul = []
     for row in table:
-        row = tuple(int(x) for x in row)
+        row = tuple(_integer(x, "table entry") for x in row)
         if len(row) != n or any(not 0 <= x < n for x in row):
             raise ValueError("table must be square over 0..n-1")
         mul.append(row)
@@ -259,7 +268,7 @@ def group_from_permutations(degree, generators, caps: Caps = DEFAULT_CAPS,
     perms: list[tuple[int, ...]] = []
     seen: dict[tuple[int, ...], int] = {}
     for i, g in enumerate(generators):
-        p = tuple(int(x) for x in g)
+        p = tuple(_integer(x, f"generator {i} entry") for x in g)
         if len(p) != degree or sorted(p) != list(range(degree)):
             raise NotBijective(i, p)
         if p not in seen:
@@ -300,6 +309,17 @@ def group_from_permutations(degree, generators, caps: Caps = DEFAULT_CAPS,
 def subgroup_generated(G: FiniteGroup, seeds) -> Subgroup:
     members = _closure_indices(G.mul, (G.identity,), tuple(seeds))
     return Subgroup(G, frozenset(members))
+
+
+def left_cosets(G: FiniteGroup, H: Subgroup) -> list[tuple[int, ...]]:
+    """The left cosets gH as sorted tuples, ordered by least member."""
+    seen: set[int] = set()
+    cosets = []
+    for g in G.elements():
+        if g not in seen:
+            cosets.append(tuple(sorted(G.mul[g][h] for h in H.members)))
+            seen.update(cosets[-1])
+    return cosets
 
 
 def enumerate_subgroups(G: FiniteGroup, max_order_bound: int | None = None,
@@ -689,22 +709,22 @@ def _dot(F, row, col):
 def named_group(name: str, caps: Caps = DEFAULT_CAPS, **params) -> FiniteGroup:
     """cyclic(n) | symmetric(n) | dihedral(n) | affine(q, dim)."""
     if name == "cyclic":
-        n = int(params["n"])
+        n = _integer(params["n"], "n")
         if not 1 <= n <= caps.named_group_cap:
             raise UnsupportedParameters(f"cyclic({n}) outside bounds")
         return _cyclic(n)
     if name == "symmetric":
-        n = int(params["n"])
+        n = _integer(params["n"], "n")
         if not 1 <= n <= 6:
             raise UnsupportedParameters(f"symmetric({n}) outside bounds (n <= 6)")
         return _symmetric(n)
     if name == "dihedral":
-        n = int(params["n"])
+        n = _integer(params["n"], "n")
         if not 3 <= n <= caps.named_group_cap // 2:
             raise UnsupportedParameters(f"dihedral({n}) outside bounds")
         return _dihedral(n)
     if name == "affine":
-        return _affine(int(params["q"]), int(params["dim"]), caps)
+        return _affine(_integer(params["q"], "q"), _integer(params["dim"], "dim"), caps)
     raise UnsupportedParameters(f"unknown group family {name!r}")
 
 

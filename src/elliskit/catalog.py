@@ -12,6 +12,7 @@ from .algebra import (
     affine_components,
     are_isomorphic,
     enumerate_subgroups,
+    left_cosets,
     named_group,
     normal_core,
     subgroup_generated,
@@ -414,16 +415,10 @@ def counterexample_shape(caps: Caps = DEFAULT_CAPS) -> StructuredInstance:
     flow = disjoint_union_flow([regular_flow(G), regular_flow(G)], caps=caps)
     cycle = next(g for g in G.elements() if G.element_order(g) == 3)
     t = next(g for g in G.elements() if G.element_order(g) == 2)
-    classes = []
-    for offset, K in ((0, subgroup_generated(G, [cycle])),
-                      (6, subgroup_generated(G, [t]))):
-        seen = set()
-        for g in G.elements():
-            if g in seen:
-                continue
-            coset = sorted(G.mul[g][h] for h in K.members)
-            seen.update(coset)
-            classes.append(tuple(offset + x for x in coset))
+    classes = [tuple(offset + x for x in coset)
+               for offset, K in ((0, subgroup_generated(G, [cycle])),
+                                 (6, subgroup_generated(G, [t])))
+               for coset in left_cosets(G, K)]
     E = make_relation(12, classes, flow)
     lat_g = discrete_lattice("G", 6)
     lat_x = make_lattice("X", 12, [list(c) for c in classes],
@@ -479,15 +474,7 @@ def structured_catalog(caps: Caps = DEFAULT_CAPS):
     union = disjoint_union_flow([regular_flow(s3), natural_flow(s3)], caps=caps)
     t = next(g for g in s3.elements()
              if s3.perms[g][0] == 0 and g != s3.identity)
-    H = subgroup_generated(s3, [t])
-    cls = []
-    seen = set()
-    for g in s3.elements():
-        if g in seen:
-            continue
-        coset = sorted(s3.mul[g][h] for h in H.members)
-        seen.update(coset)
-        cls.append(tuple(coset))
+    cls = left_cosets(s3, subgroup_generated(s3, [t]))
     cls.extend((6 + x,) for x in range(3))
     E2 = make_relation(9, cls, union)
     out.append((StructuredInstance(
@@ -514,7 +501,6 @@ def orbital_catalog(caps: Caps = DEFAULT_CAPS):
     z6 = named_group("cyclic", n=6)
     d4 = named_group("dihedral", n=4)
     s3 = named_group("symmetric", n=3)
-    klein = None
     from .algebra import direct_product
 
     klein = direct_product(z2, z2)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .algebra import FiniteGroup, Subgroup, direct_product
+from .algebra import FiniteGroup, Subgroup, direct_product, left_cosets
 from .caps import DEFAULT_CAPS, Caps
 from .errors import (
     GroupMismatch,
@@ -170,21 +170,11 @@ def natural_flow(G: FiniteGroup, name=None) -> Flow:
 
 def coset_flow(G: FiniteGroup, H: Subgroup, name=None) -> Flow:
     """G acting on the left cosets of H; cosets ordered by least member."""
-    coset_of = [None] * G.order
-    reps = []
-    for g in G.elements():
-        if coset_of[g] is None:
-            members = sorted(G.mul[g][h] for h in H.members)
-            idx = len(reps)
-            reps.append(members[0])
-            for m in members:
-                coset_of[m] = idx
-    points = len(reps)
-    elem_maps = tuple(
-        tuple(coset_of[G.mul[g][reps[c]]] for c in range(points))
-        for g in G.elements()
-    )
-    return Flow(points, G, elem_maps, name or "coset")
+    cosets = left_cosets(G, H)
+    coset_of = {m: idx for idx, members in enumerate(cosets) for m in members}
+    elem_maps = tuple(tuple(coset_of[G.mul[g][c[0]]] for c in cosets)
+                      for g in G.elements())
+    return Flow(len(cosets), G, elem_maps, name or "coset")
 
 
 def transporters(flow: Flow, basepoint: int) -> list[int | None]:
@@ -238,6 +228,11 @@ def orbits(flow: Flow) -> list[tuple[int, ...]]:
 
 
 def make_ambit(flow: Flow, basepoint: int) -> Ambit:
+    try:
+        basepoint = operator.index(basepoint)
+    except TypeError:
+        raise ParseError("<ambit>",
+                         f"basepoint {basepoint!r} is not an integer") from None
     if not 0 <= basepoint < flow.points:
         raise ParseError("<ambit>", f"basepoint {basepoint} is not one of "
                                     f"0..{flow.points - 1}")

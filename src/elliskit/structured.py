@@ -10,6 +10,12 @@ since product grounds grow to the fourth power of the point count; axiom
 checks then run over union-generating families (singletons), which is
 complete because sections, images, preimages, and products all distribute
 over finite unions.
+
+Inside this module a subset of a ground is an integer bitmask (bit i set
+iff index i is in the subset), so unions, intersections, sections and
+rectangles are big-int operations. `contains` takes a set of indices, and
+`sets`, `members()` and `union_generators()` expand masks to frozensets
+only when asked.
 """
 
 from __future__ import annotations
@@ -43,51 +49,116 @@ GROUNDS = ("G", "X", "GxX", "X2", "X2x2", "XxG")
 
 
 def ground_size(ground: str, group_order: int, points: int) -> int:
-    return {
-        "G": group_order,
-        "X": points,
-        "GxX": group_order * points,
-        "X2": points * points,
-        "X2x2": points ** 4,
-        "XxG": points * group_order,
-    }[ground]
+    return {"G": group_order, "X": points, "GxX": group_order * points,
+            "X2": points ** 2, "X2x2": points ** 4, "XxG": points * group_order}[ground]
 
 
-class PseudoClosedLattice:
-    """Explicit set family or an intensional 'all subsets' lattice."""
+def _mask(indices) -> int:
+    """The bitmask of a set of non-negative indices, built in linear time."""
+    indices = set(indices)
+    digits = bytearray(b"0") * (max(indices, default=-1) + 1)
+    for i in indices:
+        digits[-1 - i] = 49  # ord("1")
+    return int(digits or b"0", 2)
 
-    __slots__ = ("ground", "size", "sets", "discrete", "added", "_member_set")
 
-    def __init__(self, ground, size, sets=None, discrete=False, added=()):
+def _bits(m: int) -> list[int]:
+    """The indices of the set bits of m, ascending."""
+    return [i for i, d in enumerate(format(m, "b")[::-1]) if d == "1"]
+
+
+def _index_set(m: int) -> frozenset[int]:
+    return frozenset(_bits(m))
+
+
+def _spread(a: int, stride: int) -> int:
+    """Bit x of a moved to bit x * stride; times a mask b below 2**stride
+    this is the rectangle a x b of a row-major product ground."""
+    return int(("0" * (stride - 1)).join(format(a, "b")), 2)
+
+
+def _sections(m: int, rows: int, cols: int, by_row: bool):
+    """(index, section) for each non-empty section of a mask over the
+    row-major ground rows x cols, by ascending index: the columns of row r
+    as a mask over cols, or the rows of column c as a mask over rows."""
+    if by_row:
+        full = (1 << cols) - 1
+        secs = [m >> r * cols & full for r in range(rows)]
+    else:
+        # read top row first, so each column slice is its mask's binary
+        bits = format(m, f"0{rows * cols}b")
+        secs = [int(bits[cols - 1 - c::cols], 2) for c in range(cols)]
+    return [(i, sec) for i, sec in enumerate(secs) if sec]
+
+
+def _member_order(masks, size: int) -> list[int]:
+    """Masks sorted as their index sets by (len(s), sorted(s)). For equal
+    popcounts A's indices sort first iff the lowest bit of A ^ B is in A,
+    that is iff the complement of A read from bit 0 up is the smaller
+    string."""
+    full, spec = (1 << size) - 1, f"0{size}b"
+    return sorted(masks, key=lambda m: (m.bit_count(), format(full ^ m, spec)[::-1]))
+
+
+class _Lattice:
+    """The index-set view shared by both lattice kinds."""
+
+    __slots__ = ()
+
+    def contains(self, s) -> bool:
+        return self.contains_mask(_mask(s))
+
+    def union_generators(self):
+        """A family whose finite unions give every member (with the empty
+        union giving the empty set)."""
+        return [_index_set(m) for m in self.generator_masks()]
+
+
+class PseudoClosedLattice(_Lattice):
+    """Explicit set family, held as member masks in (len(s), sorted(s))
+    order, or an intensional 'all subsets' lattice."""
+
+    __slots__ = ("ground", "size", "masks", "discrete", "added", "_mask_set")
+
+    def __init__(self, ground, size, masks=None, discrete=False, added=()):
         self.ground = ground
         self.size = size
         self.discrete = discrete
-        self.sets = None if discrete else tuple(sets)
+        self.masks = None if discrete else tuple(masks)
         self.added = tuple(added)
-        self._member_set = None if discrete else frozenset(self.sets)
+        self._mask_set = None if discrete else frozenset(self.masks)
 
-    def contains(self, s) -> bool:
-        if self.discrete:
-            return True
-        return frozenset(s) in self._member_set
+    @property
+    def sets(self):
+        return None if self.discrete else tuple(map(_index_set, self.masks))
+
+    def contains_mask(self, m: int) -> bool:
+        return self.discrete or m in self._mask_set
 
     def members(self):
         if self.discrete:
             raise SizeCapExceeded(2 ** self.size, 0, "discrete lattice enumeration")
         return self.sets
 
-    def union_generators(self):
-        """A family whose finite unions give every member (with the empty
-        union giving the empty set)."""
+    def generator_masks(self):
+        """The join-irreducible members, in member order: those holding an
+        index no earlier member holds (the least member holding it). The
+        first member failing a check that distributes over unions is one
+        of them, so checks over them report what checks over all would."""
         if self.discrete:
-            return [frozenset({i}) for i in range(self.size)]
-        return list(self.sets)
+            return [1 << i for i in range(self.size)]
+        gens, covered = [], 0
+        for m in self.masks:
+            if m & ~covered:
+                gens.append(m)
+                covered |= m
+        return gens
 
     def member_count(self):
-        return 2 ** self.size if self.discrete else len(self.sets)
+        return 2 ** self.size if self.discrete else len(self.masks)
 
     def __repr__(self):
-        kind = "discrete" if self.discrete else f"{len(self.sets)} sets"
+        kind = "discrete" if self.discrete else f"{len(self.masks)} sets"
         return f"PseudoClosedLattice({self.ground}, size={self.size}, {kind})"
 
 
@@ -95,15 +166,15 @@ def discrete_lattice(ground: str, size: int) -> PseudoClosedLattice:
     return PseudoClosedLattice(ground, size, discrete=True)
 
 
-class SectionProductLattice:
+class SectionProductLattice(_Lattice):
     """Rectangle closure of an explicit lattice with a discrete one, kept
     intensional: it is exactly the family of sets each of whose sections
     along the discrete factor belongs to the explicit factor (finite unions
     of rectangles with singleton discrete side; conversely, any such set is
     the union of its per-section rectangles)."""
 
-    __slots__ = ("ground", "size", "left", "right", "left_discrete",
-                 "discrete", "sets", "added")
+    __slots__ = ("ground", "size", "left", "right", "left_discrete")
+    discrete, sets, added = False, None, ()
 
     def __init__(self, ground, left, right, left_discrete):
         self.ground = ground
@@ -111,36 +182,20 @@ class SectionProductLattice:
         self.left = left
         self.right = right
         self.left_discrete = left_discrete
-        self.discrete = False
-        self.sets = None
-        self.added = ()
 
-    def contains(self, s) -> bool:
+    def contains_mask(self, m: int) -> bool:
+        factor = self.right if self.left_discrete else self.left
+        return all(factor.contains_mask(sec) for _, sec in
+                   _sections(m, self.left.size, self.right.size,
+                             by_row=self.left_discrete))
+
+    def generator_masks(self):
         cols = self.right.size
         if self.left_discrete:
-            sections: dict[int, set[int]] = {}
-            for idx in s:
-                sections.setdefault(idx // cols, set()).add(idx % cols)
-            return all(self.right.contains(frozenset(sec))
-                       for sec in sections.values())
-        sections = {}
-        for idx in s:
-            sections.setdefault(idx % cols, set()).add(idx // cols)
-        return all(self.left.contains(frozenset(sec))
-                   for sec in sections.values())
-
-    def union_generators(self):
-        cols = self.right.size
-        out = []
-        if self.left_discrete:
-            for l in range(self.left.size):
-                for b in self.right.union_generators():
-                    out.append(frozenset(l * cols + r for r in b))
-        else:
-            for a in self.left.union_generators():
-                for r in range(cols):
-                    out.append(frozenset(l * cols + r for l in a))
-        return out
+            return [b << l * cols for l in range(self.left.size)
+                    for b in self.right.generator_masks()]
+        return [_spread(a, cols) << r for a in self.left.generator_masks()
+                for r in range(cols)]
 
     def members(self):
         raise SizeCapExceeded(self.member_count(), 0,
@@ -156,8 +211,8 @@ class SectionProductLattice:
         return f"SectionProductLattice({self.ground}, size={self.size})"
 
 
-def _close_family(sets, cap):
-    family = set(sets)
+def _close_family(masks, cap):
+    family = set(masks)
     frontier = list(family)
     added = []
     while frontier:
@@ -177,24 +232,21 @@ def _close_family(sets, cap):
 
 def make_lattice(ground: str, size: int, sets, auto_complete: bool = False,
                  caps: Caps = DEFAULT_CAPS) -> PseudoClosedLattice:
-    family = {frozenset(s) for s in sets}
-    for s in family:
+    family = {0, (1 << size) - 1}
+    for s in map(frozenset, sets):
         if any(not 0 <= x < size for x in s):
             raise NotALattice(s, s, s)
-    family.add(frozenset())
-    family.add(frozenset(range(size)))
+        family.add(_mask(s))
     if auto_complete:
         closed, added = _close_family(family, caps.lattice_cap)
-        ordered = sorted(closed, key=lambda s: (len(s), sorted(s)))
-        return PseudoClosedLattice(ground, size, ordered,
-                                   added=tuple(sorted(added, key=sorted)))
-    fam = sorted(family, key=lambda s: (len(s), sorted(s)))
+        return PseudoClosedLattice(ground, size, _member_order(closed, size),
+                                   added=sorted(map(_index_set, added), key=sorted))
+    fam = _member_order(family, size)
     for a in fam:
         for b in fam:
-            if (a | b) not in family:
-                raise NotALattice(a, b, a | b)
-            if (a & b) not in family:
-                raise NotALattice(a, b, a & b)
+            for c in (a | b, a & b):
+                if c not in family:
+                    raise NotALattice(_index_set(a), _index_set(b), _index_set(c))
     return PseudoClosedLattice(ground, size, fam)
 
 
@@ -214,15 +266,10 @@ def product_lattice(A: PseudoClosedLattice, B: PseudoClosedLattice,
         return discrete_lattice(ground, size)
     if A.discrete or B.discrete:
         return SectionProductLattice(ground, A, B, A.discrete)
-    rects = set()
-    for a in A.union_generators():
-        for b in B.union_generators():
-            rects.add(frozenset(x * B.size + y for x in a for y in b))
-    rects.add(frozenset())
-    rects.add(frozenset(range(size)))
-    closed, _ = _close_family(rects, caps.lattice_cap)
-    return PseudoClosedLattice(ground, size,
-                               sorted(closed, key=lambda s: (len(s), sorted(s))))
+    rects = {_spread(a, B.size) * b for a in A.generator_masks()
+             for b in B.generator_masks()}
+    closed, _ = _close_family(rects | {0, (1 << size) - 1}, caps.lattice_cap)
+    return PseudoClosedLattice(ground, size, _member_order(closed, size))
 
 
 @dataclass
@@ -250,15 +297,10 @@ def default_lattices(flow: Flow, lat_g: PseudoClosedLattice,
                      caps: Caps = DEFAULT_CAPS) -> dict:
     """Fill in the four product lattices from the base two by rectangles
     plus closure."""
-    lat_x2 = product_lattice(lat_x, lat_x, caps=caps)
-    return {
-        "G": lat_g,
-        "X": lat_x,
-        "GxX": product_lattice(lat_g, lat_x, caps=caps),
-        "X2": lat_x2,
-        "X2x2": product_lattice(lat_x2, lat_x2, caps=caps),
-        "XxG": product_lattice(lat_x, lat_g, caps=caps),
-    }
+    lats = {"G": lat_g, "X": lat_x}
+    for (left, right), ground in _PRODUCT_GROUND.items():
+        lats[ground] = product_lattice(lats[left], lats[right], caps=caps)
+    return lats
 
 
 # -- agreeability ------------------------------------------------------------
@@ -275,98 +317,75 @@ class AgreeabilityReport:
         return tuple(sorted({axiom for axiom, _ in self.failures}))
 
 
-def _sections_ok(inst, failures):
-    """Axiom 1: sections of pseudo-closed sets are pseudo-closed."""
-    n = inst.flow.points
-    gn = inst.flow.group.order
-    lat = inst.lattices
-    specs = [
-        ("GxX", gn, n, "G", "X"),
-        ("X2", n, n, "X", "X"),
-        ("X2x2", n * n, n * n, "X2", "X2"),
-        ("XxG", n, gn, "X", "G"),
-    ]
-    for ground, rows, cols, row_ground, col_ground in specs:
-        src = lat[ground]
+def _sections_ok(flow, lat, failures):
+    """Axiom 1: sections of pseudo-closed sets are pseudo-closed. Within a
+    set the lowest failing row is reported first, then the lowest failing
+    column."""
+    for (row_ground, col_ground), ground in _PRODUCT_GROUND.items():
+        src, rows, cols = lat[ground], lat[row_ground].size, lat[col_ground].size
         if lat[row_ground].discrete and lat[col_ground].discrete:
             continue
         if src.discrete:
             # sections of singletons are singletons: every factor singleton
             # must be pseudo-closed
-            for c in range(cols):
-                if not lat[col_ground].contains(frozenset({c})):
-                    failures.append((1, (ground, "col-singleton", c)))
-                    return
-            for r in range(rows):
-                if not lat[row_ground].contains(frozenset({r})):
-                    failures.append((1, (ground, "row-singleton", r)))
+            for kind, count, target in (("col-singleton", cols, lat[col_ground]),
+                                        ("row-singleton", rows, lat[row_ground])):
+                bad = [i for i in range(count) if not target.contains_mask(1 << i)]
+                if bad:
+                    failures.append((1, (ground, kind, bad[0])))
                     return
             continue
-        for S in src.union_generators():
-            by_row = {}
-            by_col = {}
-            for idx in S:
-                r, c = divmod(idx, cols)
-                by_row.setdefault(r, set()).add(c)
-                by_col.setdefault(c, set()).add(r)
-            for r, sec in by_row.items():
-                if not lat[col_ground].contains(frozenset(sec)):
-                    failures.append((1, (ground, "row", r, tuple(sorted(sec)))))
-                    return
-            for c, sec in by_col.items():
-                if not lat[row_ground].contains(frozenset(sec)):
-                    failures.append((1, (ground, "col", c, tuple(sorted(sec)))))
-                    return
+        directions = [(by_row, kind, target) for by_row, kind, target in
+                      ((True, "row", lat[col_ground]), (False, "col", lat[row_ground]))
+                      if not target.discrete]
+        for S in src.generator_masks():
+            for by_row, kind, target in directions:
+                for i, sec in _sections(S, rows, cols, by_row):
+                    if not target.contains_mask(sec):
+                        failures.append((1, (ground, kind, i, tuple(_bits(sec)))))
+                        return
 
 
-def _products_ok(inst, failures):
+def _products_ok(flow, lat, failures):
     """Axiom 2: products of pseudo-closed sets are pseudo-closed."""
-    lat = inst.lattices
     for left, right in _PRODUCT_GROUND:
         target = lat[_PRODUCT_GROUND[(left, right)]]
         if target.discrete:
             continue
-        B_size = lat[right].size
-        for a in lat[left].union_generators():
-            for b in lat[right].union_generators():
-                rect = frozenset(x * B_size + y for x in a for y in b)
-                if not target.contains(rect):
-                    failures.append((2, (left, right, tuple(sorted(a)),
-                                         tuple(sorted(b)))))
+        right_gens = lat[right].generator_masks()
+        for a in lat[left].generator_masks():
+            spread = _spread(a, lat[right].size)
+            for b in right_gens:
+                if not target.contains_mask(spread * b):
+                    failures.append((2, (left, right, tuple(_bits(a)),
+                                         tuple(_bits(b)))))
                     return
 
 
-def _action_continuous(inst, failures):
+def _action_continuous(flow, lat, failures):
     """Axiom 3: preimages of pseudo-closed sets under (g, x) -> g·x."""
-    flow = inst.flow
-    lat = inst.lattices
     if lat["GxX"].discrete:
         return
     n = flow.points
-    for S in lat["X"].union_generators():
-        pre = frozenset(
-            g * n + x
-            for g in flow.group.elements()
-            for x in range(n)
-            if flow.act(g, x) in S
-        )
-        if not lat["GxX"].contains(pre):
-            failures.append((3, (tuple(sorted(S)),)))
+    for S in lat["X"].generator_masks():
+        pre = _mask(g * n + x for g, row in enumerate(flow.maps)
+                    for x, y in enumerate(row) if S >> y & 1)
+        if not lat["GxX"].contains_mask(pre):
+            failures.append((3, (tuple(_bits(S)),)))
             return
 
 
-def _graph_maps_continuous(inst, failures):
+def _graph_maps_continuous(flow, lat, failures):
     """Axiom 4: preimages under x -> (x, g·x) for each g."""
-    flow = inst.flow
-    lat = inst.lattices
     if lat["X"].discrete:
         return
     n = flow.points
-    for g in flow.group.elements():
-        for S in lat["X2"].union_generators():
-            pre = frozenset(x for x in range(n) if (x * n + flow.act(g, x)) in S)
-            if not lat["X"].contains(pre):
-                failures.append((4, (g, tuple(sorted(S))[:6])))
+    pair_gens = lat["X2"].generator_masks()
+    for g, row in enumerate(flow.maps):
+        for S in pair_gens:
+            pre = _mask(x for x, y in enumerate(row) if S >> x * n + y & 1)
+            if not lat["X"].contains_mask(pre):
+                failures.append((4, (g, tuple(_bits(S))[:6])))
                 return
 
 
@@ -374,70 +393,54 @@ def simultaneous_translation_relation(flow: Flow) -> frozenset[int]:
     """Pairs of pairs related by one simultaneous translation, as indices
     into the fourth power of the point set."""
     n = flow.points
-    n2 = n * n
-    out = set()
-    for g in flow.group.elements():
-        for x1 in range(n):
-            gx1 = flow.act(g, x1)
-            for x2 in range(n):
-                p = x1 * n + x2
-                q = gx1 * n + flow.act(g, x2)
-                out.add(p * n2 + q)
-    return frozenset(out)
+    return frozenset((x1 * n + x2) * n * n + row[x1] * n + row[x2]
+                     for row in flow.maps for x1 in range(n) for x2 in range(n))
 
 
-def _restricted_projection_closed(inst, failures):
+def _restricted_projection_closed(flow, lat, failures):
     """Axiom 5: the projection of the simultaneous-translation relation to
     its first pair coordinate maps relatively pseudo-closed sets to
     pseudo-closed sets."""
-    flow = inst.flow
-    lat = inst.lattices
     if lat["X2"].discrete:
         return
-    n = flow.points
-    n2 = n * n
-    eg = simultaneous_translation_relation(flow)
+    n2 = flow.points ** 2
     if lat["X2x2"].discrete:
         # singleton generators project to pair singletons, and every pair
         # occurs as a first coordinate (the identity translation)
         for p in range(n2):
-            if not lat["X2"].contains(frozenset({p})):
+            if not lat["X2"].contains_mask(1 << p):
                 failures.append((5, ("pair-singleton", p)))
                 return
         return
-    for C in lat["X2x2"].union_generators():
-        relative = frozenset(C) & eg
-        image = frozenset(idx // n2 for idx in relative)
-        if not lat["X2"].contains(image):
-            failures.append((5, (tuple(sorted(image))[:6],)))
+    eg = _mask(simultaneous_translation_relation(flow))
+    for C in lat["X2x2"].generator_masks():
+        # the first coordinates are the non-empty rows of C & eg
+        image = _mask(p for p, _ in _sections(C & eg, n2, n2, True))
+        if not lat["X2"].contains_mask(image):
+            failures.append((5, (tuple(_bits(image))[:6],)))
             return
 
 
-def _pairing_map_closed(inst, failures):
+def _pairing_map_closed(flow, lat, failures):
     """Axiom 6: images of pseudo-closed sets under (x, g) -> (x, g·x)."""
-    flow = inst.flow
-    lat = inst.lattices
     if lat["X2"].discrete:
         return
     n = flow.points
     gn = flow.group.order
-    for S in lat["XxG"].union_generators():
-        image = frozenset(
-            (idx // gn) * n + flow.act(idx % gn, idx // gn) for idx in S
-        )
-        if not lat["X2"].contains(image):
-            failures.append((6, (tuple(sorted(S))[:6],)))
+    for S in lat["XxG"].generator_masks():
+        image = _mask(x * n + flow.maps[g][x]
+                      for x, g in (divmod(idx, gn) for idx in _bits(S)))
+        if not lat["X2"].contains_mask(image):
+            failures.append((6, (tuple(_bits(S))[:6],)))
             return
 
 
 def is_agreeable(inst: StructuredInstance) -> AgreeabilityReport:
     failures: list[tuple[int, tuple]] = []
-    _sections_ok(inst, failures)
-    _products_ok(inst, failures)
-    _action_continuous(inst, failures)
-    _graph_maps_continuous(inst, failures)
-    _restricted_projection_closed(inst, failures)
-    _pairing_map_closed(inst, failures)
+    for axiom in (_sections_ok, _products_ok, _action_continuous,
+                  _graph_maps_continuous, _restricted_projection_closed,
+                  _pairing_map_closed):
+        axiom(inst.flow, inst.lattices, failures)
     return AgreeabilityReport(not failures, tuple(failures))
 
 
@@ -552,17 +555,13 @@ def verify_thm_worb(inst: StructuredInstance, require_agreeable: bool = True,
                 if got.pairs == target:
                     yield frozenset(member)
 
-    w2_witness = False
-    w3 = False
+    w2_witness = w3 = False
     for H in subgroups:
-        for sup in witnessing_supports(H):
-            if lat["X"].contains(sup):
-                w2_witness = True
-                if lat["G"].contains(H.members):
-                    w3 = True
+        if any(lat["X"].contains(sup) for sup in witnessing_supports(H)):
+            w2_witness = True
+            if lat["G"].contains(H.members):
+                w3 = True
                 break
-        if w3:
-            break
     w2 = classes_closed and w2_witness
 
     w4 = True
@@ -572,15 +571,13 @@ def verify_thm_worb(inst: StructuredInstance, require_agreeable: bool = True,
             continue
         if r_relation(flow, WitnessPair(H, sup)).pairs != target:
             continue
-        # sup is the maximal support partnered with H
-        if not lat["X"].contains(sup):
+        # sup is the maximal support partnered with H, and H is a maximal
+        # subgroup witness when it is all of sup's stabilizing elements
+        if not lat["X"].contains(sup) or (
+                stabilizing_elements(E, sup) == H.members
+                and not lat["G"].contains(H.members)):
             w4 = False
             break
-        if stabilizing_elements(E, sup) == H.members:
-            # H is a maximal subgroup witness
-            if not lat["G"].contains(H.members):
-                w4 = False
-                break
 
     equivalent = w1 == w2 == w3 == w4
     if not equivalent and agree:

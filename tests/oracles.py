@@ -1,13 +1,15 @@
 """Literal reference implementations of the closure, ideal, group-table,
 subgroup-lattice, invariance and witnessed-relation code in ``elliskit``,
-and the index-walking Tarjan it replaced. The production paths read products
-off Cayley graphs and work from generators; these compose, multiply or scan
-everything instead, so they are slow but obviously right, and the
-differential tests compare the two.
+the index-walking Tarjan it replaced, and pseudo-closed lattices held as
+frozensets of indices. The production paths read products off Cayley
+graphs, work from generators and hold sets as bitmasks; these compose,
+multiply, scan everything or walk sets index by index instead, so they are
+slow but obviously right, and the differential tests compare the two.
 """
 
 from __future__ import annotations
 
+from elliskit.errors import NotALattice, SizeCapExceeded
 from elliskit.relations import RRelationResult
 
 
@@ -304,3 +306,242 @@ def r_relation(flow, w):
         if not transitive:
             break
     return RRelationResult(frozenset(pairs), reflexive, symmetric, transitive, witness)
+
+
+# -- pseudo-closed lattices as frozensets of indices --------------------------
+
+def lattice_order(family):
+    return sorted(family, key=lambda s: (len(s), sorted(s)))
+
+
+class Lattice:
+    """An explicit family of frozensets in lattice order, or every subset of
+    the ground when `sets` is None."""
+
+    def __init__(self, ground, size, sets=None):
+        self.ground = ground
+        self.size = size
+        self.discrete = sets is None
+        self.sets = None if sets is None else lattice_order(sets)
+        self.member_set = None if sets is None else frozenset(self.sets)
+
+    def contains(self, s):
+        return self.discrete or frozenset(s) in self.member_set
+
+    def union_generators(self):
+        if self.discrete:
+            return [frozenset({i}) for i in range(self.size)]
+        return list(self.sets)
+
+
+class SectionProduct:
+    """The sets each of whose sections along the discrete factor belong to
+    the explicit factor, split index by index."""
+
+    discrete = False
+
+    def __init__(self, ground, left, right, left_discrete):
+        self.ground = ground
+        self.size = left.size * right.size
+        self.left = left
+        self.right = right
+        self.left_discrete = left_discrete
+
+    def contains(self, s):
+        cols = self.right.size
+        sections: dict[int, set[int]] = {}
+        for idx in s:
+            r, c = divmod(idx, cols)
+            if self.left_discrete:
+                sections.setdefault(r, set()).add(c)
+            else:
+                sections.setdefault(c, set()).add(r)
+        factor = self.right if self.left_discrete else self.left
+        return all(factor.contains(frozenset(sec)) for sec in sections.values())
+
+    def union_generators(self):
+        cols = self.right.size
+        if self.left_discrete:
+            return [frozenset(l * cols + r for r in b)
+                    for l in range(self.left.size)
+                    for b in self.right.union_generators()]
+        return [frozenset(l * cols + r for l in a)
+                for a in self.left.union_generators() for r in range(cols)]
+
+
+def close_family(sets, cap):
+    """Union/intersection closure of frozensets, every new set against every
+    known one; returns the family and the sets it added."""
+    family = set(sets)
+    frontier = list(family)
+    added = []
+    while frontier:
+        new = []
+        for a in frontier:
+            for b in list(family):
+                for c in (a | b, a & b):
+                    if c not in family:
+                        if len(family) >= cap:
+                            raise SizeCapExceeded(len(family) + 1, cap, "lattice")
+                        family.add(c)
+                        new.append(c)
+                        added.append(c)
+        frontier = new
+    return family, added
+
+
+def make_lattice(ground, size, sets, auto_complete, cap):
+    """(lattice, added sets sorted by their sorted indices)."""
+    family = {frozenset(s) for s in sets} | {frozenset(), frozenset(range(size))}
+    if auto_complete:
+        family, added = close_family(family, cap)
+        return Lattice(ground, size, family), sorted(added, key=sorted)
+    fam = lattice_order(family)
+    for a in fam:
+        for b in fam:
+            for c in (a | b, a & b):
+                if c not in family:
+                    raise NotALattice(a, b, c)
+    return Lattice(ground, size, family), []
+
+
+PRODUCT_GROUND = {("G", "X"): "GxX", ("X", "X"): "X2",
+                  ("X2", "X2"): "X2x2", ("X", "G"): "XxG"}
+
+
+def product_lattice(A, B, cap):
+    """Discrete, section product, or the closure of every rectangle of two
+    union generators."""
+    ground = PRODUCT_GROUND[(A.ground, B.ground)]
+    size = A.size * B.size
+    if A.discrete and B.discrete:
+        return Lattice(ground, size)
+    if A.discrete or B.discrete:
+        return SectionProduct(ground, A, B, A.discrete)
+    rects = {frozenset(x * B.size + y for x in a for y in b)
+             for a in A.union_generators() for b in B.union_generators()}
+    rects |= {frozenset(), frozenset(range(size))}
+    return Lattice(ground, size, close_family(rects, cap)[0])
+
+
+def sections_ok(flow, lat, failures):
+    """Axiom 1 over every union generator: rows, then columns, each by
+    ascending index."""
+    n = flow.points
+    gn = flow.group.order
+    specs = [
+        ("GxX", gn, n, "G", "X"),
+        ("X2", n, n, "X", "X"),
+        ("X2x2", n * n, n * n, "X2", "X2"),
+        ("XxG", n, gn, "X", "G"),
+    ]
+    for ground, rows, cols, row_ground, col_ground in specs:
+        src = lat[ground]
+        if lat[row_ground].discrete and lat[col_ground].discrete:
+            continue
+        if src.discrete:
+            for c in range(cols):
+                if not lat[col_ground].contains({c}):
+                    failures.append((1, (ground, "col-singleton", c)))
+                    return
+            for r in range(rows):
+                if not lat[row_ground].contains({r}):
+                    failures.append((1, (ground, "row-singleton", r)))
+                    return
+            continue
+        for S in src.union_generators():
+            by_row = {}
+            by_col = {}
+            for idx in S:
+                r, c = divmod(idx, cols)
+                by_row.setdefault(r, set()).add(c)
+                by_col.setdefault(c, set()).add(r)
+            for r, sec in sorted(by_row.items()):
+                if not lat[col_ground].contains(sec):
+                    failures.append((1, (ground, "row", r, tuple(sorted(sec)))))
+                    return
+            for c, sec in sorted(by_col.items()):
+                if not lat[row_ground].contains(sec):
+                    failures.append((1, (ground, "col", c, tuple(sorted(sec)))))
+                    return
+
+
+def products_ok(flow, lat, failures):
+    for left, right in PRODUCT_GROUND:
+        target = lat[PRODUCT_GROUND[(left, right)]]
+        if target.discrete:
+            continue
+        B_size = lat[right].size
+        for a in lat[left].union_generators():
+            for b in lat[right].union_generators():
+                if not target.contains({x * B_size + y for x in a for y in b}):
+                    failures.append((2, (left, right, tuple(sorted(a)),
+                                         tuple(sorted(b)))))
+                    return
+
+
+def action_continuous(flow, lat, failures):
+    if lat["GxX"].discrete:
+        return
+    n = flow.points
+    for S in lat["X"].union_generators():
+        pre = {g * n + x for g in flow.group.elements() for x in range(n)
+               if flow.act(g, x) in S}
+        if not lat["GxX"].contains(pre):
+            failures.append((3, (tuple(sorted(S)),)))
+            return
+
+
+def graph_maps_continuous(flow, lat, failures):
+    if lat["X"].discrete:
+        return
+    n = flow.points
+    for g in flow.group.elements():
+        for S in lat["X2"].union_generators():
+            pre = {x for x in range(n) if (x * n + flow.act(g, x)) in S}
+            if not lat["X"].contains(pre):
+                failures.append((4, (g, tuple(sorted(S))[:6])))
+                return
+
+
+def restricted_projection_closed(flow, lat, failures):
+    if lat["X2"].discrete:
+        return
+    n = flow.points
+    n2 = n * n
+    if lat["X2x2"].discrete:
+        for p in range(n2):
+            if not lat["X2"].contains({p}):
+                failures.append((5, ("pair-singleton", p)))
+                return
+        return
+    eg = {(x1 * n + x2) * n2 + flow.act(g, x1) * n + flow.act(g, x2)
+          for g in flow.group.elements() for x1 in range(n) for x2 in range(n)}
+    for C in lat["X2x2"].union_generators():
+        image = {idx // n2 for idx in C & eg}
+        if not lat["X2"].contains(image):
+            failures.append((5, (tuple(sorted(image))[:6],)))
+            return
+
+
+def pairing_map_closed(flow, lat, failures):
+    if lat["X2"].discrete:
+        return
+    n = flow.points
+    gn = flow.group.order
+    for S in lat["XxG"].union_generators():
+        image = {(idx // gn) * n + flow.act(idx % gn, idx // gn) for idx in S}
+        if not lat["X2"].contains(image):
+            failures.append((6, (tuple(sorted(S))[:6],)))
+            return
+
+
+def is_agreeable(flow, lat):
+    """The failures (axiom, witness) of the six agreeability axioms, each
+    checked on frozensets over every union generator."""
+    failures = []
+    for axiom in (sections_ok, products_ok, action_continuous,
+                  graph_maps_continuous, restricted_projection_closed,
+                  pairing_map_closed):
+        axiom(flow, lat, failures)
+    return tuple(failures)

@@ -483,6 +483,19 @@ def test_unknown_family():
         named_group("sporadic", n=1)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: named_group("cyclic", n=2.9), "n is 2.9, not an integer"),
+    (lambda: named_group("dihedral", n=4.0), "n is 4.0, not an integer"),
+    (lambda: named_group("affine", q=2, dim=2.5), "dim is 2.5, not an integer"),
+    (lambda: group_from_permutations(3, [[1.9, 0, 2]]),
+     "generator 0 entry is 1.9, not an integer"),
+    (lambda: group_from_table([[0, 1], [1, 0.0]]), "table entry is 0.0, not an integer"),
+], ids=["cyclic-n", "dihedral-n", "affine-dim", "permutation-entry", "table-entry"])
+def test_non_integers_are_rejected_not_truncated(build, message):
+    with pytest.raises(UnsupportedParameters, match=message):
+        build()
+
+
 # ---- direct products ----------------------------------------------------------------
 
 def test_direct_product_structure():

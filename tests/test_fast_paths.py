@@ -6,7 +6,8 @@ subgroup lattice against the pairwise-closure one, the generators-first
 invariance check against the all-elements scan, the generator-closed
 witnessed relation against the all-translates one, and the minimal left
 ideals found from the kernel against the sink components of the left
-Cayley graph."""
+Cayley graph, and the bitmask lattices (members, membership, products and
+agreeability) against the frozenset ones."""
 
 import json
 import random
@@ -23,10 +24,10 @@ from elliskit.algebra import (
     named_group,
     small_generating_set,
 )
-from elliskit.caps import DEFAULT_CAPS
-from elliskit.catalog import affine_f2_fixture
+from elliskit.caps import DEFAULT_CAPS, Caps
+from elliskit.catalog import affine_f2_fixture, structured_catalog
 from elliskit.cli import main
-from elliskit.errors import GroupTooLarge
+from elliskit.errors import GroupTooLarge, NotALattice, SizeCapExceeded
 from elliskit.ellis import (
     enveloping_semigroup,
     ideal_group,
@@ -46,7 +47,15 @@ from elliskit.generators import (
     random_group_flow,
     random_invariant_relation,
 )
-from elliskit.relations import WitnessPair, make_relation, r_relation
+from elliskit.relations import WitnessPair, make_relation, r_relation, total_relation
+from elliskit.structured import (
+    SectionProductLattice,
+    StructuredInstance,
+    discrete_lattice,
+    is_agreeable,
+    make_lattice,
+    product_lattice,
+)
 
 ORACLE_SIZE = 300   # the oracle table composes every pair of elements
 
@@ -330,3 +339,123 @@ def test_r_relation_matches_oracle_on_affine_f2():
     for w in (w1, w2):
         got = assert_same_r_relation(flow, w)
         assert got.is_equivalence and len(got.pairs) == 5376
+
+
+# ---- pseudo-closed lattices ------------------------------------------------
+
+LATTICE_CAP = 100
+
+
+def built(make):
+    """What make() returns, or the type of the lattice error it raises."""
+    try:
+        return make()
+    except (NotALattice, SizeCapExceeded) as exc:
+        return type(exc)
+
+
+def random_lattices(rng, ground, size):
+    """The same random lattice from elliskit and from the oracle (each, or
+    the error type each raised): discrete, the closure of up to three random
+    subsets, or those subsets taken as already closed."""
+    if rng.random() < 0.3:
+        return discrete_lattice(ground, size), oracles.Lattice(ground, size)
+    sets = [rng.sample(range(size), rng.randint(0, size))
+            for _ in range(rng.randint(0, 3))]
+    auto = rng.random() < 0.8
+    mine = built(lambda: make_lattice(ground, size, sets, auto,
+                                      caps=Caps(lattice_cap=LATTICE_CAP)))
+    theirs = built(lambda: oracles.make_lattice(ground, size, sets, auto,
+                                                LATTICE_CAP))
+    if isinstance(theirs, tuple):
+        theirs, added = theirs
+        assert list(mine.added) == added
+    return mine, theirs
+
+
+def products(mine, theirs, left, right):
+    return (built(lambda: product_lattice(mine[left], mine[right],
+                                          caps=Caps(lattice_cap=LATTICE_CAP))),
+            built(lambda: oracles.product_lattice(theirs[left], theirs[right],
+                                                  LATTICE_CAP)))
+
+
+def assert_same_lattice(mine, theirs, rng):
+    """The same error, or the same kind, members in the same order, and the
+    same answer to `contains` on random subsets and random unions of the
+    oracle's generators; elliskit's union generators are members whose
+    unions give every member."""
+    if isinstance(theirs, type):
+        assert mine is theirs
+        return
+    assert isinstance(mine, SectionProductLattice) == \
+        isinstance(theirs, oracles.SectionProduct)
+    assert mine.discrete == theirs.discrete and mine.size == theirs.size
+    gens = theirs.union_generators()
+    if isinstance(theirs, oracles.Lattice) and not theirs.discrete:
+        assert list(mine.members()) == theirs.sets
+        unions = {frozenset()}
+        for g in mine.union_generators():
+            assert theirs.contains(g)
+            unions |= {u | g for u in unions}
+        assert unions == set(theirs.sets)
+    probes = [rng.sample(range(theirs.size), rng.randint(0, theirs.size))
+              for _ in range(10)]
+    probes += [set().union(*rng.sample(gens, rng.randint(0, min(3, len(gens)))))
+               for _ in range(10)]
+    for s in probes:
+        assert mine.contains(s) == theirs.contains(s)
+
+
+def test_random_lattices_match_oracles():
+    rng = random.Random(43)
+    failing, section_products, compared = set(), 0, 0
+    while compared < 150:
+        flow = random_group_flow(rng, 4, 6)
+        gn, n = flow.group.order, flow.points
+        mine, theirs = {}, {}
+        for ground, size in (("G", gn), ("X", n)):
+            mine[ground], theirs[ground] = random_lattices(rng, ground, size)
+            assert_same_lattice(mine[ground], theirs[ground], rng)
+        if isinstance(theirs["G"], type) or isinstance(theirs["X"], type):
+            continue
+        for (left, right), ground in oracles.PRODUCT_GROUND.items():
+            mine[ground], theirs[ground] = products(mine, theirs, left, right)
+        if rng.random() < 0.3:
+            mine["X2"], theirs["X2"] = random_lattices(rng, "X2", n * n)
+            if not isinstance(theirs["X2"], type):
+                mine["X2x2"], theirs["X2x2"] = products(mine, theirs, "X2", "X2")
+        if rng.random() < 0.2:
+            mine["GxX"], theirs["GxX"] = random_lattices(rng, "GxX", gn * n)
+        for ground in oracles.PRODUCT_GROUND.values():
+            assert_same_lattice(mine[ground], theirs[ground], rng)
+        if any(isinstance(lat, type) for lat in theirs.values()):
+            continue
+        compared += 1
+        section_products += sum(isinstance(lat, SectionProductLattice)
+                                for lat in mine.values())
+        inst = StructuredInstance(flow, total_relation(n, flow), mine)
+        got = is_agreeable(inst).failures
+        assert got == oracles.is_agreeable(flow, theirs)
+        failing.update(axiom for axiom, _ in got)
+    assert failing == {1, 2, 3, 4, 5, 6}
+    assert section_products >= 50
+
+
+def oracle_lattice(lat):
+    if isinstance(lat, SectionProductLattice):
+        return oracles.SectionProduct(lat.ground, oracle_lattice(lat.left),
+                                      oracle_lattice(lat.right), lat.left_discrete)
+    return oracles.Lattice(lat.ground, lat.size, None if lat.discrete else lat.sets)
+
+
+def test_structured_catalog_matches_oracles():
+    rng = random.Random(47)
+    for inst, _ in structured_catalog():
+        theirs = {g: oracle_lattice(lat) for g, lat in inst.lattices.items()}
+        for (left, right), ground in oracles.PRODUCT_GROUND.items():
+            if ground != "X2":   # the counterexample gives its pair lattice
+                want = oracles.product_lattice(theirs[left], theirs[right],
+                                               DEFAULT_CAPS.lattice_cap)
+                assert_same_lattice(inst.lattices[ground], want, rng)
+        assert is_agreeable(inst).failures == oracles.is_agreeable(inst.flow, theirs)

@@ -8,6 +8,7 @@ from elliskit.errors import (
     IncompatibleTower,
     NotAnAction,
     OrbitNotDense,
+    ParseError,
     SizeCapExceeded,
 )
 from elliskit.flows import (
@@ -69,6 +70,13 @@ def test_action_homomorphism_property_exhaustive():
 def test_make_ambit_s3_natural():
     amb = make_ambit(natural_flow(s3()), 0)
     assert amb.basepoint == 0
+
+
+def test_make_ambit_rejects_a_non_integer_basepoint():
+    with pytest.raises(ParseError) as ei:
+        make_ambit(natural_flow(s3()), 1.5)
+    assert ei.value.path == "<ambit>"
+    assert "basepoint 1.5 is not an integer" in str(ei.value)
 
 
 def test_make_ambit_rejects_trivial_action():

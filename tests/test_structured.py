@@ -157,6 +157,53 @@ def test_trivial_group_coarse_lattices_need_diagonals():
     assert not rep2 and 1 in rep2.failing_axioms()
 
 
+def z3_section_failures(lat_g, lat_x, lat_gxx):
+    """Axiom-1 witnesses of the natural Z3 flow on three points with the
+    given G, X and GxX lattices (GxX rows are group elements, columns
+    points)."""
+    flow = natural_flow(named_group("cyclic", n=3))
+    lats = default_lattices(flow, lat_g, lat_x)
+    lats["GxX"] = lat_gxx
+    rep = is_agreeable(StructuredInstance(flow, total_relation(3, flow), lats))
+    return [witness for axiom, witness in rep.failures if axiom == 1]
+
+
+# {(1, 0), (2, 0), (2, 2)}: rows 1 -> {0}, 2 -> {0, 2}; columns 0 -> {1, 2},
+# 2 -> {2}. A frozenset of these indices iterates 8 first, so witnesses
+# taken in set order would be row 2 and column 2.
+SKEW = [[3, 6, 8]]
+
+
+def g_by_x(ground_sets=None, point_sets=None):
+    """A GxX section product of Z3 and three points: discrete on G with
+    `point_sets` closed on X, or discrete on X with `ground_sets` closed
+    on G."""
+    if point_sets is not None:
+        return product_lattice(discrete_lattice("G", 3), make_lattice("X", 3, point_sets))
+    return product_lattice(make_lattice("G", 3, ground_sets), discrete_lattice("X", 3))
+
+
+@pytest.mark.parametrize("failing", ["row", "col", "both"])
+@pytest.mark.parametrize("gxx, left_discrete, row_witness, col_witness", [
+    (lambda rows_fail: make_lattice("GxX", 9, SKEW), None,
+     ("GxX", "row", 1, (0,)), ("GxX", "col", 0, (1, 2))),
+    (lambda rows_fail: g_by_x(point_sets=[[0]] if rows_fail else []), True,
+     ("GxX", "row", 0, (0,)), ("GxX", "col", 0, (0,))),
+    (lambda rows_fail: g_by_x(ground_sets=[[1, 2]]), False,
+     ("GxX", "row", 1, (0,)), ("GxX", "col", 0, (1, 2))),
+], ids=["explicit", "left-discrete", "right-discrete"])
+def test_section_axiom_reports_lowest_row_then_lowest_column(
+        gxx, left_discrete, row_witness, col_witness, failing):
+    # a discrete G passes every column section and a discrete X every row
+    # section; with both coarse, rows and columns fail and rows come first
+    lat_g = discrete_lattice("G", 3) if failing == "row" else make_lattice("G", 3, [])
+    lat_x = discrete_lattice("X", 3) if failing == "col" else make_lattice("X", 3, [])
+    lat_gxx = gxx(failing != "col")
+    assert getattr(lat_gxx, "left_discrete", None) is left_discrete
+    assert z3_section_failures(lat_g, lat_x, lat_gxx) == \
+        [col_witness if failing == "col" else row_witness]
+
+
 # ---- orbital transfer -----------------------------------------------------------------
 
 def test_thm_orb_discrete_all_true():
