@@ -53,6 +53,14 @@ class UnsupportedParameters(ElliskitError):
     pass
 
 
+class InvalidArgument(ElliskitError, ValueError):
+    """A library argument with an impossible value."""
+
+
+class InvalidArgumentType(ElliskitError, TypeError):
+    """A library argument of a type the call cannot use."""
+
+
 # -- flows -----------------------------------------------------------------
 
 class NotAnAction(ElliskitError):

@@ -24,6 +24,8 @@ from .caps import DEFAULT_CAPS, Caps
 from .errors import (
     GroupMismatch,
     IncompatibleTower,
+    InvalidArgument,
+    InvalidArgumentType,
     NotAnAction,
     NotBijective,
     OrbitNotDense,
@@ -132,7 +134,7 @@ def make_flow(acting, points: int, action=None, caps: Caps = DEFAULT_CAPS,
         raise SizeCapExceeded(points, caps.points_cap, "flow point set")
     if isinstance(acting, FiniteGroup):
         if action is None or len(action) != acting.order:
-            raise ValueError("need one action map per group element")
+            raise InvalidArgument("need one action map per group element")
         elem_maps = tuple(tuple(int(v) for v in m) for m in action)
         for g, m in enumerate(elem_maps):
             if len(m) != points or any(not 0 <= v < points for v in m):
@@ -141,9 +143,9 @@ def make_flow(acting, points: int, action=None, caps: Caps = DEFAULT_CAPS,
         return Flow(points, acting, elem_maps, name)
     if isinstance(acting, TransformationGenerators):
         if acting.degree != points:
-            raise ValueError("degree disagrees with point count")
+            raise InvalidArgument("degree disagrees with point count")
         return Flow(points, None, acting.generators, name)
-    raise TypeError(f"cannot act by {type(acting).__name__}")
+    raise InvalidArgumentType(f"cannot act by {type(acting).__name__}")
 
 
 def transformation_flow(maps, caps: Caps = DEFAULT_CAPS, name=None) -> Flow:
@@ -163,7 +165,7 @@ def regular_flow(G: FiniteGroup, name=None) -> Flow:
 def natural_flow(G: FiniteGroup, name=None) -> Flow:
     """A permutation-realized group acting on 0..degree-1 by its permutations."""
     if G.perms is None:
-        raise ValueError("group carries no permutation realization")
+        raise InvalidArgument("group carries no permutation realization")
     return Flow(len(G.perms[0]), G, G.perms,
                 name or (f"natural({G.name})" if G.name else "natural"))
 
@@ -245,7 +247,7 @@ def make_ambit(flow: Flow, basepoint: int) -> Ambit:
 def product_flow(flows: list[Flow], caps: Caps = DEFAULT_CAPS) -> Flow:
     """Product group acting coordinatewise; points indexed row-major."""
     if not flows:
-        raise ValueError("need at least one flow")
+        raise InvalidArgument("need at least one flow")
     if any(not f.is_group_flow for f in flows):
         raise GroupMismatch("products are defined for group flows")
     points = 1
@@ -272,7 +274,7 @@ def disjoint_union_flow(flows: list[Flow], caps: Caps = DEFAULT_CAPS) -> Flow:
     signature, for transformation flows); block b is offset by the sum of
     the preceding block sizes."""
     if not flows:
-        raise ValueError("need at least one flow")
+        raise InvalidArgument("need at least one flow")
     first = flows[0]
     points = sum(f.points for f in flows)
     if points > caps.points_cap:
@@ -481,7 +483,7 @@ def independent_translates(flow: Flow, base, k: int,
         raise GroupMismatch("independent translates need a group flow")
     base = frozenset(base)
     if not base or len(base) >= flow.points:
-        raise ValueError("base set must be a nonempty proper subset")
+        raise InvalidArgument("base set must be a nonempty proper subset")
     if k < 1 or k > caps.independence_k_cap:
         raise SizeCapExceeded(k, caps.independence_k_cap, "family size")
     n = flow.points

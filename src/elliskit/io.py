@@ -168,16 +168,10 @@ def build_scenario(data: dict, caps: Caps = DEFAULT_CAPS) -> structured.Structur
         body.setdefault("size", structured.ground_size(ground, gn, n))
         return build_lattice(body, caps=caps)
 
-    lat_g = lat_for("G") or structured.discrete_lattice("G", gn)
-    lat_x = lat_for("X") or structured.discrete_lattice("X", n)
-    lats = structured.default_lattices(flow, lat_g, lat_x, caps=caps)
-    for ground in ("GxX", "X2", "X2x2", "XxG"):
-        override = lat_for(ground)
-        if override is not None:
-            lats[ground] = override
-    # recompute the fourth power if only the pair lattice was overridden
-    if lat_for("X2") is not None and lat_for("X2x2") is None:
-        lats["X2x2"] = structured.product_lattice(lats["X2"], lats["X2"], caps=caps)
+    built = {ground: lat_for(ground) for ground in structured.GROUNDS}
+    lats = structured.default_lattices(
+        flow, built["G"] or structured.discrete_lattice("G", gn),
+        built["X"] or structured.discrete_lattice("X", n), caps=caps, given=built)
     return structured.StructuredInstance(flow, E, lats,
                                          name=data.get("name", ""))
 

@@ -16,17 +16,24 @@ iff index i is in the subset), so unions, intersections, sections and
 rectangles are big-int operations. `contains` takes a set of indices, and
 `sets`, `members()` and `union_generators()` expand masks to frozensets
 only when asked.
+
+The weakly-orbital verifier reads witnessed relations off orbitals, the
+G-orbits on X×X: r_relation(flow, (H, S)) is the union of the orbitals of
+its seeds (s, h·s), so testing a support S is an OR of per-point masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .algebra import enumerate_subgroups
 from .caps import DEFAULT_CAPS, Caps
 from .errors import (
     NotAgreeable,
     NotALattice,
+    NotInvariant,
     NotOrbital,
     NotWeaklyOrbital,
     SizeCapExceeded,
@@ -35,13 +42,10 @@ from .errors import (
 from .flows import Flow
 from .relations import (
     EquivRelation,
-    WitnessPair,
     fix_set,
     is_orbital,
-    is_weakly_orbital,
     kernel_group,
     orbit_relation,
-    r_relation,
     stabilizing_elements,
 )
 
@@ -293,13 +297,14 @@ class StructuredInstance:
 
 
 def default_lattices(flow: Flow, lat_g: PseudoClosedLattice,
-                     lat_x: PseudoClosedLattice,
-                     caps: Caps = DEFAULT_CAPS) -> dict:
+                     lat_x: PseudoClosedLattice, caps: Caps = DEFAULT_CAPS,
+                     given=None) -> dict:
     """Fill in the four product lattices from the base two by rectangles
-    plus closure."""
+    plus closure, except those `given` holds (a given X2 is X2x2's factor)."""
     lats = {"G": lat_g, "X": lat_x}
     for (left, right), ground in _PRODUCT_GROUND.items():
-        lats[ground] = product_lattice(lats[left], lats[right], caps=caps)
+        lats[ground] = (given or {}).get(ground) or \
+            product_lattice(lats[left], lats[right], caps=caps)
     return lats
 
 
@@ -481,11 +486,12 @@ class ThmOrbReport:
 
 
 def verify_thm_orb(inst: StructuredInstance, require_agreeable: bool = True,
-                   caps: Caps = DEFAULT_CAPS) -> ThmOrbReport:
+                   caps: Caps = DEFAULT_CAPS,
+                   agree: AgreeabilityReport | None = None) -> ThmOrbReport:
     """Evaluate the four closedness conditions for an orbital relation
     independently; on agreeable instances any divergence is a structural
-    violation."""
-    agree = is_agreeable(inst)
+    violation. `agree` is is_agreeable(inst) when the caller has it."""
+    agree = is_agreeable(inst) if agree is None else agree
     if require_agreeable and not agree:
         raise NotAgreeable(agree.failures[0][0], agree.failures[0][1])
     E = inst.relation if inst.relation.flow is inst.flow else \
@@ -519,45 +525,88 @@ class ThmWorbReport:
     equivalent: bool                     # of the four full conditions
 
 
+def _orbitals(flow: Flow) -> list[int]:
+    """For each pair index a·n+b, the mask of its orbital (its G-orbit on
+    X×X), labelled by one walk over the generator maps."""
+    n = flow.points
+    gens = flow.generator_maps()
+    orbital = [0] * (n * n)
+    for p in range(n * n):
+        if orbital[p]:
+            continue
+        orbit, seen = [p], {p}
+        for q in orbit:
+            a, b = divmod(q, n)
+            for m in gens:
+                r = m[a] * n + m[b]
+                if r not in seen:
+                    seen.add(r)
+                    orbit.append(r)
+        mask = _mask(orbit)
+        for q in orbit:
+            orbital[q] = mask
+    return orbital
+
+
+def _witnessed_masks(flow: Flow, orbital, H) -> list[int]:
+    """R_H(s) for each point s: the pair mask of r_relation(flow, (H, {s})),
+    the union of the orbitals of the seeds (s, h·s). The pair mask of
+    r_relation(flow, (H, S)) is the union of R_H over S."""
+    n, maps = flow.points, flow.maps
+    return [reduce(or_, (orbital[s * n + maps[h][s]] for h in H.members), 0)
+            for s in range(n)]
+
+
+def _witnessed(R, support: int) -> int:
+    return reduce(or_, map(R.__getitem__, _bits(support)), 0)
+
+
+def _witnessing_supports(lat_x, fix: int, R, target: int):
+    """Masks of the supports witnessing the relation (pair mask `target`)
+    with the subgroup of R: its fix-set `fix`, the canonical maximal
+    support, then the other non-empty X lattice members in member order."""
+    if fix and _witnessed(R, fix) == target:
+        yield fix
+    if not lat_x.discrete:
+        for member in lat_x.masks:
+            if member and member != fix and _witnessed(R, member) == target:
+                yield member
+
+
 def verify_thm_worb(inst: StructuredInstance, require_agreeable: bool = True,
                     require_weakly_orbital: bool = True,
-                    caps: Caps = DEFAULT_CAPS) -> ThmWorbReport:
+                    caps: Caps = DEFAULT_CAPS,
+                    agree: AgreeabilityReport | None = None) -> ThmWorbReport:
     """Evaluate the weakly-orbital closedness-transfer conditions. The
     witness-free weakening of the second condition is reported separately:
-    the equivalence is asserted only for the full conditions."""
-    agree = is_agreeable(inst)
+    the equivalence is asserted only for the full conditions. `agree` is
+    is_agreeable(inst) when the caller has it."""
+    agree = is_agreeable(inst) if agree is None else agree
     if require_agreeable and not agree:
         raise NotAgreeable(agree.failures[0][0], agree.failures[0][1])
     E = inst.relation if inst.relation.flow is inst.flow else \
         inst.relation.bind(inst.flow)
-    weak_verdict = is_weakly_orbital(E, caps=caps)
-    if require_weakly_orbital and not weak_verdict:
-        raise NotWeaklyOrbital("relation is not weakly orbital")
+    if not E.invariant:
+        raise NotInvariant(E.invariance_witness)
     flow = inst.flow
     lat = inst.lattices
-    target = E.pairs()
-    subgroups = enumerate_subgroups(flow.group, caps=caps)
+    target = _mask(_relation_index_set(E))
+    orbital = _orbitals(flow)
+    witnessed = [(H, _mask(fix_set(E, H)), _witnessed_masks(flow, orbital, H))
+                 for H in enumerate_subgroups(flow.group, caps=caps)]
+    # (H, fix-set of H) when the pair witnesses E: weakly orbital iff any
+    maximal = [(H, fix) for H, fix, R in witnessed
+               if fix and _witnessed(R, fix) == target]
+    if require_weakly_orbital and not maximal:
+        raise NotWeaklyOrbital("relation is not weakly orbital")
 
-    w1 = lat["X2"].contains(_relation_index_set(E))
+    w1 = lat["X2"].contains_mask(target)
     classes_closed = all(lat["X"].contains(frozenset(c)) for c in E.classes)
 
-    def witnessing_supports(H):
-        """Lattice members that witness E together with H."""
-        sup = fix_set(E, H)
-        if sup and r_relation(flow, WitnessPair(H, sup)).pairs == target:
-            # the fix-set is the canonical maximal support for H
-            yield sup
-        if not lat["X"].discrete:
-            for member in lat["X"].members():
-                if not member or member == sup:
-                    continue
-                got = r_relation(flow, WitnessPair(H, frozenset(member)))
-                if got.pairs == target:
-                    yield frozenset(member)
-
     w2_witness = w3 = False
-    for H in subgroups:
-        if any(lat["X"].contains(sup) for sup in witnessing_supports(H)):
+    for H, fix, R in witnessed:
+        if any(lat["X"].contains_mask(sup)
+               for sup in _witnessing_supports(lat["X"], fix, R, target)):
             w2_witness = True
             if lat["G"].contains(H.members):
                 w3 = True
@@ -565,16 +614,11 @@ def verify_thm_worb(inst: StructuredInstance, require_agreeable: bool = True,
     w2 = classes_closed and w2_witness
 
     w4 = True
-    for H in subgroups:
-        sup = fix_set(E, H)
-        if not sup:
-            continue
-        if r_relation(flow, WitnessPair(H, sup)).pairs != target:
-            continue
-        # sup is the maximal support partnered with H, and H is a maximal
-        # subgroup witness when it is all of sup's stabilizing elements
-        if not lat["X"].contains(sup) or (
-                stabilizing_elements(E, sup) == H.members
+    for H, fix in maximal:
+        # H is a maximal subgroup witness when it is all of fix's
+        # stabilizing elements
+        if not lat["X"].contains_mask(fix) or (
+                stabilizing_elements(E, _bits(fix)) == H.members
                 and not lat["G"].contains(H.members)):
             w4 = False
             break

@@ -21,7 +21,7 @@ from .ellis import (
     minimal_left_ideals,
     tau_closure,
 )
-from .errors import ElliskitError
+from .errors import ElliskitError, InvalidArgument
 from .flows import Flow, make_ambit
 from .generators import (
     random_ellis_flow,
@@ -227,7 +227,8 @@ def run_structured_suite(rep: Report, instances: int, rng: random.Random,
             rep.record(f"{inst.name}: not agreeable (forced by finite unions)",
                        not agree)
             worb = verify_thm_worb(inst, require_agreeable=False,
-                                   require_weakly_orbital=False, caps=caps)
+                                   require_weakly_orbital=False, caps=caps,
+                                   agree=agree)
             rep.record(f"{inst.name}: classes pseudo-closed",
                        worb.classes_closed)
             rep.record(f"{inst.name}: relation not pseudo-closed",
@@ -241,9 +242,9 @@ def run_structured_suite(rep: Report, instances: int, rng: random.Random,
         rep.record(f"{inst.name}: agreeable", bool(agree), agree.failures[:2])
         try:
             if kind == "orbital":
-                got = verify_thm_orb(inst, caps=caps)
+                got = verify_thm_orb(inst, caps=caps, agree=agree)
             else:
-                got = verify_thm_worb(inst, caps=caps)
+                got = verify_thm_worb(inst, caps=caps, agree=agree)
             rep.record(f"{inst.name}: transfer equivalence", got.equivalent)
         except ElliskitError as exc:
             rep.record(f"{inst.name}: transfer equivalence", False, str(exc))
@@ -280,7 +281,7 @@ def run_suite(name: str, instances: int, seed: int, caps: Caps = DEFAULT_CAPS,
     for equal inputs, up to the timing block. The corrupt flag deliberately
     injects one failing verdict so the failure path can be exercised."""
     if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
+        raise InvalidArgument(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
     rng = random.Random(seed)
     rep = Report("suite", name, seed=seed,
                  caps={"max_points": max_points, "max_group_order": max_group_order})

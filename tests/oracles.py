@@ -1,7 +1,7 @@
 """Literal reference implementations of the closure, ideal, group-table,
-subgroup-lattice, invariance and witnessed-relation code in ``elliskit``,
-the index-walking Tarjan it replaced, and pseudo-closed lattices held as
-frozensets of indices. The production paths read products off Cayley
+subgroup-lattice, normality, invariance, witnessed-relation and
+witness-support code in ``elliskit``, the index-walking Tarjan it replaced,
+and pseudo-closed lattices held as frozensets of indices. The production paths read products off Cayley
 graphs, work from generators and hold sets as bitmasks; these compose,
 multiply, scan everything or walk sets index by index instead, so they are
 slow but obviously right, and the differential tests compare the two.
@@ -10,7 +10,7 @@ slow but obviously right, and the differential tests compare the two.
 from __future__ import annotations
 
 from elliskit.errors import NotALattice, SizeCapExceeded
-from elliskit.relations import RRelationResult
+from elliskit.relations import RRelationResult, WitnessPair
 
 
 def compose(outer, inner):
@@ -112,6 +112,28 @@ def enumerate_subgroups(mul, identity):
                 found.add(new)
                 queue.append(new)
     return sorted((tuple(sorted(m)) for m in found), key=lambda m: (len(m), m))
+
+
+def is_normal(G, members):
+    """Closed under conjugation by every element of G."""
+    return all(G.conjugate(g, a) in members for g in G.elements() for a in members)
+
+
+def normal_core(G, members):
+    """The intersection of the conjugates of a subgroup by every element."""
+    core = set(members)
+    for g in G.elements():
+        core &= {G.conjugate(g, a) for a in members}
+    return frozenset(core)
+
+
+def coset_products_well_defined(G, quotient):
+    """Every product of coset members lands in the coset the quotient table
+    gives for the two cosets."""
+    k = len(quotient.cosets)
+    return all(quotient.projection[G.mul[a][b]] == quotient.group.mul[i][j]
+               for i in range(k) for a in quotient.cosets[i]
+               for j in range(k) for b in quotient.cosets[j])
 
 
 def invariance(flow, class_of):
@@ -306,6 +328,22 @@ def r_relation(flow, w):
         if not transitive:
             break
     return RRelationResult(frozenset(pairs), reflexive, symmetric, transitive, witness)
+
+
+def witnessing_supports(flow, E, lat_x, H):
+    """The supports that witness E together with H, one pair closure per
+    candidate: the fix-set of H first, then every other non-empty member of
+    the X lattice in member order."""
+    target = E.pairs()
+    fix = frozenset(x for x in range(flow.points)
+                    if all(E.same(x, flow.act(h, x)) for h in H.members))
+    if fix and r_relation(flow, WitnessPair(H, fix)).pairs == target:
+        yield fix
+    if not lat_x.discrete:
+        for member in lat_x.members():
+            if member and member != fix and \
+                    r_relation(flow, WitnessPair(H, member)).pairs == target:
+                yield member
 
 
 # -- pseudo-closed lattices as frozensets of indices --------------------------

@@ -6,8 +6,10 @@ subgroup lattice against the pairwise-closure one, the generators-first
 invariance check against the all-elements scan, the generator-closed
 witnessed relation against the all-translates one, and the minimal left
 ideals found from the kernel against the sink components of the left
-Cayley graph, and the bitmask lattices (members, membership, products and
-agreeability) against the frozenset ones."""
+Cayley graph, the bitmask lattices (members, membership, products and
+agreeability) against the frozenset ones, the witness supports found by
+orbital masks against one pair closure per support, and normality by
+conjugating with the generators against conjugating with every element."""
 
 import json
 import random
@@ -22,12 +24,22 @@ from elliskit.algebra import (
     enumerate_subgroups,
     group_from_permutations,
     named_group,
+    normal_core,
+    quotient_group,
     small_generating_set,
+    subgroup_generated,
 )
 from elliskit.caps import DEFAULT_CAPS, Caps
 from elliskit.catalog import affine_f2_fixture, structured_catalog
 from elliskit.cli import main
-from elliskit.errors import GroupTooLarge, NotALattice, SizeCapExceeded
+from elliskit.errors import (
+    GroupTooLarge,
+    NotALattice,
+    NotInvariant,
+    NotNormal,
+    NotWeaklyOrbital,
+    SizeCapExceeded,
+)
 from elliskit.ellis import (
     enveloping_semigroup,
     ideal_group,
@@ -47,14 +59,30 @@ from elliskit.generators import (
     random_group_flow,
     random_invariant_relation,
 )
-from elliskit.relations import WitnessPair, make_relation, r_relation, total_relation
+from elliskit.relations import (
+    WitnessPair,
+    fix_set,
+    invariant_relations,
+    is_weakly_orbital,
+    make_relation,
+    r_relation,
+    total_relation,
+)
 from elliskit.structured import (
     SectionProductLattice,
     StructuredInstance,
+    _bits,
+    _mask,
+    _orbitals,
+    _witnessed,
+    _witnessed_masks,
+    _witnessing_supports,
+    default_lattices,
     discrete_lattice,
     is_agreeable,
     make_lattice,
     product_lattice,
+    verify_thm_worb,
 )
 
 ORACLE_SIZE = 300   # the oracle table composes every pair of elements
@@ -459,3 +487,132 @@ def test_structured_catalog_matches_oracles():
                                                DEFAULT_CAPS.lattice_cap)
                 assert_same_lattice(inst.lattices[ground], want, rng)
         assert is_agreeable(inst).failures == oracles.is_agreeable(inst.flow, theirs)
+
+
+# ---- witness supports by orbitals ------------------------------------------
+
+def pair_mask(pairs, n):
+    return _mask(a * n + b for a, b in pairs)
+
+
+def assert_witness_masks_match_oracle(flow, E, lat_x, supports):
+    """For every subgroup: the orbital-mask union of each support equals the
+    oracle's witnessed relation, and the witnessing supports are the oracle
+    loop's, in its order. Returns how many subgroups have one."""
+    n = flow.points
+    orbital = _orbitals(flow)
+    target = pair_mask(E.pairs(), n)
+    witnessed = 0
+    for H in enumerate_subgroups(flow.group):
+        R = _witnessed_masks(flow, orbital, H)
+        for S in supports:
+            want = oracles.r_relation(flow, WitnessPair(H, frozenset(S))).pairs
+            assert _witnessed(R, _mask(S)) == pair_mask(want, n)
+        got = list(_witnessing_supports(lat_x, _mask(fix_set(E, H)), R, target))
+        assert got == [_mask(S) for S in
+                       oracles.witnessing_supports(flow, E, lat_x, H)]
+        witnessed += bool(got)
+    return witnessed
+
+
+def all_supports(n):
+    return [_bits(m) for m in range(1, 1 << n)]
+
+
+def test_witness_masks_match_oracle_on_random_flows():
+    rng = random.Random(53)
+    witnessed = 0
+    for i in range(30):
+        flow = random_group_flow(rng, 6, 12)
+        E = random_invariant_relation(rng, flow)
+        n = flow.points
+        lat_x = discrete_lattice("X", n) if i % 3 == 0 else make_lattice(
+            "X", n, [rng.sample(range(n), rng.randint(1, n)) for _ in range(3)],
+            auto_complete=True)
+        witnessed += assert_witness_masks_match_oracle(flow, E, lat_x,
+                                                       all_supports(n))
+    assert witnessed >= 60
+
+
+def test_weak_transfer_decides_like_is_weakly_orbital():
+    """Unions of two flows of one group, on up to 8 points, with discrete
+    lattices: verify_thm_worb refuses exactly the invariant relations that
+    are not weakly orbital."""
+    rng = random.Random(59)
+    weak = not_weak = 0
+    while not_weak < 20:
+        first = random_group_flow(rng, 4, 8)
+        second = same_group_flow(rng, first.group)
+        if first.points + second.points > 8:
+            continue
+        flow = disjoint_union_flow([first, second])
+        lats = default_lattices(flow, discrete_lattice("G", flow.group.order),
+                                discrete_lattice("X", flow.points))
+        for E in invariant_relations(flow):
+            inst = StructuredInstance(flow, E, lats)
+            if is_weakly_orbital(E):
+                weak += 1
+                assert verify_thm_worb(inst).equivalent
+            else:
+                not_weak += 1
+                with pytest.raises(NotWeaklyOrbital):
+                    verify_thm_worb(inst)
+    assert weak >= 20
+
+
+def test_weak_transfer_rejects_a_relation_that_is_not_invariant():
+    flow = natural_flow(named_group("symmetric", n=3))
+    lats = default_lattices(flow, discrete_lattice("G", 6), discrete_lattice("X", 3))
+    inst = StructuredInstance(flow, make_relation(3, [[0, 1], [2]], flow), lats)
+    for require in (True, False):
+        with pytest.raises(NotInvariant):
+            verify_thm_worb(inst, require_weakly_orbital=require)
+
+
+def test_witness_masks_match_oracle_on_the_structured_catalog():
+    witnessed = []
+    for inst, _ in structured_catalog():
+        lat_x = inst.lattices["X"]
+        supports = all_supports(inst.flow.points) if lat_x.discrete else \
+            [sorted(s) for s in lat_x.members() if s]
+        E = inst.relation.bind(inst.flow)
+        witnessed.append(assert_witness_masks_match_oracle(inst.flow, E, lat_x,
+                                                           supports))
+    assert sum(map(bool, witnessed)) == 6 and sum(witnessed) >= 8
+
+
+# ---- normality from the generators -----------------------------------------
+
+def groups_quotients_and_ideal_group_views():
+    """The catalog groups, their quotients by every normal subgroup, and the
+    ideal groups of natural and rank-two flows."""
+    groups = group_catalog()
+    for G in group_catalog():
+        groups += [quotient_group(G, N).group for N in enumerate_subgroups(G)
+                   if oracles.is_normal(G, N.members)]
+    flows = [natural_flow(G) for G in group_catalog() if G.perms is not None]
+    for flow in flows + list(rank_two_flows(5, 40)):
+        for M in minimal_left_ideals(enveloping_semigroup(flow)):
+            groups.append(ideal_group(M, M.idempotents[0]).group_view)
+    return groups
+
+
+def test_is_normal_and_normal_core_match_oracles():
+    normal = non_normal = 0
+    for G in groups_quotients_and_ideal_group_views():
+        assert subgroup_generated(G, G.gens).members == frozenset(G.elements())
+        for H in enumerate_subgroups(G):
+            want = oracles.is_normal(G, H.members)
+            assert H.is_normal() == want
+            assert normal_core(G, H).members == oracles.normal_core(G, H.members)
+            if want:
+                normal += 1
+                assert oracles.coset_products_well_defined(G, quotient_group(G, H))
+            else:
+                non_normal += 1
+                with pytest.raises(NotNormal) as exc:
+                    quotient_group(G, H)
+                g, a = exc.value.conjugator, exc.value.member
+                assert (g, a) == next((g, a) for g in G.elements() for a in H.members
+                                      if G.conjugate(g, a) not in H.members)
+    assert normal >= 250 and non_normal >= 120

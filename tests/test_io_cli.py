@@ -9,10 +9,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from elliskit import cli
+from elliskit import cli, flows
+from elliskit.algebra import group_from_table, named_group
 from elliskit.caps import DEFAULT_CAPS
 from elliskit.cli import main
-from elliskit.errors import ParseError, ValidationError
+from elliskit.errors import ElliskitError, ParseError, ValidationError
 from elliskit.io import parse_instance, parse_obj, serialize_instance
 from elliskit.relations import is_weakly_orbital
 from elliskit.suites import run_suite
@@ -509,3 +510,56 @@ def holds_non_integer(value):
     if isinstance(value, list):
         return any(map(holds_non_integer, value))
     return isinstance(value, (bool, float))
+
+
+def test_scenario_builds_each_lattice_once(monkeypatch):
+    from elliskit import structured
+
+    made, products = [], []
+
+    def counted_make(ground, *args, **kwargs):
+        made.append(ground)
+        return make_lattice(ground, *args, **kwargs)
+
+    def counted_product(A, B, **kwargs):
+        products.append((A.ground, B.ground))
+        return product_lattice(A, B, **kwargs)
+
+    make_lattice, product_lattice = structured.make_lattice, structured.product_lattice
+    monkeypatch.setattr(structured, "make_lattice", counted_make)
+    monkeypatch.setattr(structured, "product_lattice", counted_product)
+    data = {"flow": {"group": {"kind": "named", "name": "cyclic", "n": 4},
+                     "action": "natural"},
+            "relation": {"points": 4, "classes": [[0, 2], [1, 3]]},
+            "lattices": {"G": {"sets": [[0, 2]], "auto_complete": True},
+                         "X": {"sets": [[0, 2]], "auto_complete": True},
+                         "X2": {"sets": [[0, 10]], "auto_complete": True}}}
+    inst = parse_obj(data).value
+    assert made == ["G", "X", "X2"]
+    assert products == [("G", "X"), ("X2", "X2"), ("X", "G")]
+    assert inst.lattices["X2x2"].size == 4 ** 4
+    assert inst.lattices["X2"].contains({0, 10})
+
+
+@pytest.mark.parametrize("call, base, message", [
+    (lambda: group_from_table([[0, 1], [1]]), ValueError, "square"),
+    (lambda: flows.make_flow(named_group("cyclic", n=2), 2, [[0, 1]]),
+     ValueError, "one action map per group element"),
+    (lambda: flows.make_flow("Z2", 2), TypeError, "cannot act by str"),
+    (lambda: flows.make_flow(flows.TransformationGenerators(2, ((0, 1),)), 3),
+     ValueError, "degree disagrees"),
+    (lambda: flows.natural_flow(group_from_table([[0, 1], [1, 0]])),
+     ValueError, "no permutation realization"),
+    (lambda: flows.product_flow([]), ValueError, "at least one flow"),
+    (lambda: flows.disjoint_union_flow([]), ValueError, "at least one flow"),
+    (lambda: flows.independent_translates(
+        flows.natural_flow(named_group("cyclic", n=4)), set(), 1),
+     ValueError, "nonempty proper subset"),
+    (lambda: run_suite("nope", 1, 0), ValueError, "unknown suite"),
+], ids=["table-not-square", "map-count", "acting-type", "degree", "no-permutations",
+        "empty-product", "empty-union", "empty-base", "unknown-suite"])
+def test_library_input_errors_are_elliskit_errors(call, base, message):
+    with pytest.raises(ElliskitError) as exc:
+        call()
+    assert isinstance(exc.value, base)
+    assert message in str(exc.value)

@@ -385,3 +385,30 @@ def test_psclsd_on_discrete_instances():
     flow = natural_flow(named_group("symmetric", n=3))
     inst = discrete_instance(flow, total_relation(3, flow))
     assert stabilizer_and_fixset_closed(inst)
+
+
+def test_structured_suite_checks_agreeability_once_per_catalog_instance(
+        monkeypatch):
+    from elliskit import structured, suites
+    from elliskit.catalog import structured_catalog
+
+    calls = []
+
+    def counted(inst):
+        calls.append(inst.name)
+        return is_agreeable(inst)
+
+    monkeypatch.setattr(structured, "is_agreeable", counted)
+    monkeypatch.setattr(suites, "is_agreeable", counted)
+    assert suites.run_suite("structured", 0, 7).passed
+    assert calls == [inst.name for inst, _ in structured_catalog()]
+
+
+def test_verifiers_still_check_agreeability_themselves():
+    inst = discrete_instance(natural_flow(named_group("cyclic", n=4)),
+                             total_relation(4))
+    inst.lattices["X"] = make_lattice("X", 4, [[0, 2]])
+    inst.lattices["X2"] = product_lattice(inst.lattices["X"], inst.lattices["X"])
+    for verify in (verify_thm_orb, verify_thm_worb):
+        with pytest.raises(NotAgreeable):
+            verify(inst)
