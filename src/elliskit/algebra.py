@@ -16,6 +16,7 @@ from operator import index, itemgetter
 
 from .caps import DEFAULT_CAPS, Caps
 from .errors import (
+    GroupMismatch,
     GroupTooLarge,
     InvalidArgument,
     NoIdentity,
@@ -380,6 +381,8 @@ def normal_core(G: FiniteGroup, H: Subgroup) -> Subgroup:
 
 
 def quotient_group(G: FiniteGroup, N: Subgroup) -> GroupQuotient:
+    if N.parent is not G:
+        raise GroupMismatch("subgroup of a different group")
     if not N.is_normal():
         raise NotNormal(*next((g, a) for g in G.elements() for a in N.members
                               if G.conjugate(g, a) not in N.members))

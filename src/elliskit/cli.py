@@ -170,10 +170,10 @@ def cmd_structured(args) -> int:
     if agree and E.invariant:
         orb = is_orbital(E)
         if orb:
-            got = verify_thm_orb(inst, agree=agree)
+            got = verify_thm_orb(inst, _agree=agree)
             rep.record("orbital transfer equivalence", got.equivalent)
         elif is_weakly_orbital(E):
-            got = verify_thm_worb(inst, agree=agree)
+            got = verify_thm_worb(inst, _agree=agree)
             rep.record("weakly orbital transfer equivalence", got.equivalent)
     rep.timing["seconds"] = round(time.monotonic() - start, 3)
     _emit(rep, args.format)

@@ -170,8 +170,9 @@ def build_scenario(data: dict, caps: Caps = DEFAULT_CAPS) -> structured.Structur
 
     built = {ground: lat_for(ground) for ground in structured.GROUNDS}
     lats = structured.default_lattices(
-        flow, built["G"] or structured.discrete_lattice("G", gn),
-        built["X"] or structured.discrete_lattice("X", n), caps=caps, given=built)
+        flow, built.pop("G") or structured.discrete_lattice("G", gn),
+        built.pop("X") or structured.discrete_lattice("X", n), caps=caps,
+        given=built)
     return structured.StructuredInstance(flow, E, lats,
                                          name=data.get("name", ""))
 

@@ -9,6 +9,8 @@ pair-set view is derived on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 from .algebra import FiniteGroup, Subgroup, enumerate_subgroups
 from .caps import DEFAULT_CAPS, Caps
@@ -285,6 +287,51 @@ def fix_set(E: EquivRelation, H: Subgroup) -> frozenset[int]:
     )
 
 
+def _pair_mask(E: EquivRelation) -> int:
+    """E's pairs as a bitmask over X×X: bit a·n+b set iff a ~ b."""
+    n = E.points
+    return sum(1 << a * n + b for cls in E.classes for a in cls for b in cls)
+
+
+def _orbitals(flow: Flow) -> list[int]:
+    """For each pair index a·n+b, the mask of its orbital (its G-orbit on
+    X×X), labelled by one walk over the generator maps."""
+    n = flow.points
+    gens = flow.generator_maps()
+    orbital = [0] * (n * n)
+    for p in range(n * n):
+        if orbital[p]:
+            continue
+        orbit, mask = [p], 1 << p
+        for q in orbit:
+            a, b = divmod(q, n)
+            for m in gens:
+                r = m[a] * n + m[b]
+                if not mask >> r & 1:
+                    mask |= 1 << r
+                    orbit.append(r)
+        for q in orbit:
+            orbital[q] = mask
+    return orbital
+
+
+def _subgroup_witnesses(E: EquivRelation, caps: Caps):
+    """For each subgroup H in canonical order, (H, fix_set(E, H), R_H,
+    whether (H, fix-set) witnesses E). R_H[s] is the pair mask of
+    r_relation(flow, (H, {s})), the union of the orbitals of the seeds
+    (s, h·s); that of r_relation(flow, (H, S)) is the union of R_H over S."""
+    flow, G = _require_group_bound(E)
+    if not E.invariant:
+        raise NotInvariant(E.invariance_witness)
+    n, maps = flow.points, flow.maps
+    orbital, target = _orbitals(flow), _pair_mask(E)
+    for H in enumerate_subgroups(G, caps=caps):
+        R = [reduce(or_, (orbital[s * n + maps[h][s]] for h in H.members), 0)
+             for s in range(n)]
+        fix = fix_set(E, H)
+        yield H, fix, R, bool(fix) and reduce(or_, map(R.__getitem__, fix)) == target
+
+
 def stabilizing_elements(E: EquivRelation, support) -> frozenset[int]:
     """Group elements g with s ~ g·s for every support point s."""
     flow, G = _require_group_bound(E)
@@ -361,19 +408,12 @@ def is_weakly_orbital(E: EquivRelation, caps: Caps = DEFAULT_CAPS) -> WeakOrbita
     subgroup the maximal support is forced (points equivalent to all their
     translates), so testing the pair (H, fix_set(H)) is complete: any other
     support witnessing with H is contained in the fix-set, and enlarging
-    the support of a witness preserves the relation."""
-    flow, G = _require_group_bound(E)
-    if not E.invariant:
-        raise NotInvariant(E.invariance_witness)
-    target = E.pairs()
+    the support of a witness preserves the relation. Each pair is tested by
+    its orbital masks, not by a pair closure."""
     checked = 0
-    for H in enumerate_subgroups(G, caps=caps):
+    for H, support, _, witnesses in _subgroup_witnesses(E, caps):
         checked += 1
-        support = fix_set(E, H)
-        if not support:
-            continue
-        got = r_relation(flow, WitnessPair(H, support))
-        if got.pairs == target:
+        if witnesses:
             return WeakOrbitalityVerdict(True, WitnessPair(H, support), checked)
     return WeakOrbitalityVerdict(False, None, checked)
 

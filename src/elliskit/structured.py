@@ -18,8 +18,8 @@ rectangles are big-int operations. `contains` takes a set of indices, and
 only when asked.
 
 The weakly-orbital verifier reads witnessed relations off orbitals, the
-G-orbits on X×X: r_relation(flow, (H, S)) is the union of the orbitals of
-its seeds (s, h·s), so testing a support S is an OR of per-point masks.
+G-orbits on X×X, through relations._subgroup_witnesses, which also decides
+weak orbitality: testing a support is an OR of per-point masks.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .caps import DEFAULT_CAPS, Caps
 from .errors import (
     NotAgreeable,
     NotALattice,
-    NotInvariant,
     NotOrbital,
     NotWeaklyOrbital,
     SizeCapExceeded,
@@ -42,7 +41,8 @@ from .errors import (
 from .flows import Flow
 from .relations import (
     EquivRelation,
-    fix_set,
+    _pair_mask,
+    _subgroup_witnesses,
     is_orbital,
     kernel_group,
     orbit_relation,
@@ -451,11 +451,6 @@ def is_agreeable(inst: StructuredInstance) -> AgreeabilityReport:
 
 # -- closedness-transfer verifiers --------------------------------------------
 
-def _relation_index_set(E: EquivRelation) -> frozenset[int]:
-    n = E.points
-    return frozenset(a * n + b for (a, b) in E.pairs())
-
-
 def _describe_lattice(lat) -> object:
     if lat.discrete:
         return "discrete"
@@ -486,12 +481,12 @@ class ThmOrbReport:
 
 
 def verify_thm_orb(inst: StructuredInstance, require_agreeable: bool = True,
-                   caps: Caps = DEFAULT_CAPS,
-                   agree: AgreeabilityReport | None = None) -> ThmOrbReport:
+                   caps: Caps = DEFAULT_CAPS, *,
+                   _agree: AgreeabilityReport | None = None) -> ThmOrbReport:
     """Evaluate the four closedness conditions for an orbital relation
     independently; on agreeable instances any divergence is a structural
-    violation. `agree` is is_agreeable(inst) when the caller has it."""
-    agree = is_agreeable(inst) if agree is None else agree
+    violation. `_agree` is is_agreeable(inst) from the package's callers."""
+    agree = is_agreeable(inst) if _agree is None else _agree
     if require_agreeable and not agree:
         raise NotAgreeable(agree.failures[0][0], agree.failures[0][1])
     E = inst.relation if inst.relation.flow is inst.flow else \
@@ -500,7 +495,7 @@ def verify_thm_orb(inst: StructuredInstance, require_agreeable: bool = True,
     if not verdict:
         raise NotOrbital(f"relation is not orbital: {verdict.counterexample}")
     lat = inst.lattices
-    c1 = lat["X2"].contains(_relation_index_set(E))
+    c1 = lat["X2"].contains_mask(_pair_mask(E))
     c2 = all(lat["X"].contains(frozenset(c)) for c in E.classes)
     kern = kernel_group(E)
     c3 = lat["G"].contains(kern.members)
@@ -525,47 +520,16 @@ class ThmWorbReport:
     equivalent: bool                     # of the four full conditions
 
 
-def _orbitals(flow: Flow) -> list[int]:
-    """For each pair index a·n+b, the mask of its orbital (its G-orbit on
-    X×X), labelled by one walk over the generator maps."""
-    n = flow.points
-    gens = flow.generator_maps()
-    orbital = [0] * (n * n)
-    for p in range(n * n):
-        if orbital[p]:
-            continue
-        orbit, seen = [p], {p}
-        for q in orbit:
-            a, b = divmod(q, n)
-            for m in gens:
-                r = m[a] * n + m[b]
-                if r not in seen:
-                    seen.add(r)
-                    orbit.append(r)
-        mask = _mask(orbit)
-        for q in orbit:
-            orbital[q] = mask
-    return orbital
-
-
-def _witnessed_masks(flow: Flow, orbital, H) -> list[int]:
-    """R_H(s) for each point s: the pair mask of r_relation(flow, (H, {s})),
-    the union of the orbitals of the seeds (s, h·s). The pair mask of
-    r_relation(flow, (H, S)) is the union of R_H over S."""
-    n, maps = flow.points, flow.maps
-    return [reduce(or_, (orbital[s * n + maps[h][s]] for h in H.members), 0)
-            for s in range(n)]
-
-
 def _witnessed(R, support: int) -> int:
     return reduce(or_, map(R.__getitem__, _bits(support)), 0)
 
 
-def _witnessing_supports(lat_x, fix: int, R, target: int):
+def _witnessing_supports(lat_x, fix: int, fix_witnesses: bool, R, target: int):
     """Masks of the supports witnessing the relation (pair mask `target`)
-    with the subgroup of R: its fix-set `fix`, the canonical maximal
-    support, then the other non-empty X lattice members in member order."""
-    if fix and _witnessed(R, fix) == target:
+    with the subgroup of R: its fix-set `fix` when `fix_witnesses` (the
+    canonical maximal support), then the other non-empty X lattice members
+    in member order."""
+    if fix_witnesses:
         yield fix
     if not lat_x.discrete:
         for member in lat_x.masks:
@@ -575,38 +539,30 @@ def _witnessing_supports(lat_x, fix: int, R, target: int):
 
 def verify_thm_worb(inst: StructuredInstance, require_agreeable: bool = True,
                     require_weakly_orbital: bool = True,
-                    caps: Caps = DEFAULT_CAPS,
-                    agree: AgreeabilityReport | None = None) -> ThmWorbReport:
+                    caps: Caps = DEFAULT_CAPS, *,
+                    _agree: AgreeabilityReport | None = None) -> ThmWorbReport:
     """Evaluate the weakly-orbital closedness-transfer conditions. The
     witness-free weakening of the second condition is reported separately:
-    the equivalence is asserted only for the full conditions. `agree` is
-    is_agreeable(inst) when the caller has it."""
-    agree = is_agreeable(inst) if agree is None else agree
+    the equivalence is asserted only for the full conditions. `_agree` is
+    is_agreeable(inst) from the package's callers."""
+    agree = is_agreeable(inst) if _agree is None else _agree
     if require_agreeable and not agree:
         raise NotAgreeable(agree.failures[0][0], agree.failures[0][1])
     E = inst.relation if inst.relation.flow is inst.flow else \
         inst.relation.bind(inst.flow)
-    if not E.invariant:
-        raise NotInvariant(E.invariance_witness)
-    flow = inst.flow
-    lat = inst.lattices
-    target = _mask(_relation_index_set(E))
-    orbital = _orbitals(flow)
-    witnessed = [(H, _mask(fix_set(E, H)), _witnessed_masks(flow, orbital, H))
-                 for H in enumerate_subgroups(flow.group, caps=caps)]
-    # (H, fix-set of H) when the pair witnesses E: weakly orbital iff any
-    maximal = [(H, fix) for H, fix, R in witnessed
-               if fix and _witnessed(R, fix) == target]
-    if require_weakly_orbital and not maximal:
+    witnessed = list(_subgroup_witnesses(E, caps))
+    if require_weakly_orbital and not any(w[3] for w in witnessed):
         raise NotWeaklyOrbital("relation is not weakly orbital")
+    lat = inst.lattices
+    target = _pair_mask(E)
 
     w1 = lat["X2"].contains_mask(target)
     classes_closed = all(lat["X"].contains(frozenset(c)) for c in E.classes)
 
     w2_witness = w3 = False
-    for H, fix, R in witnessed:
-        if any(lat["X"].contains_mask(sup)
-               for sup in _witnessing_supports(lat["X"], fix, R, target)):
+    for H, fix, R, fix_witnesses in witnessed:
+        if any(lat["X"].contains_mask(sup) for sup in _witnessing_supports(
+                lat["X"], _mask(fix), fix_witnesses, R, target)):
             w2_witness = True
             if lat["G"].contains(H.members):
                 w3 = True
@@ -614,12 +570,12 @@ def verify_thm_worb(inst: StructuredInstance, require_agreeable: bool = True,
     w2 = classes_closed and w2_witness
 
     w4 = True
-    for H, fix in maximal:
-        # H is a maximal subgroup witness when it is all of fix's
-        # stabilizing elements
-        if not lat["X"].contains_mask(fix) or (
-                stabilizing_elements(E, _bits(fix)) == H.members
-                and not lat["G"].contains(H.members)):
+    for H, fix, _, fix_witnesses in witnessed:
+        # fix is the maximal support partnered with H, and H is a maximal
+        # subgroup witness when it is all of fix's stabilizing elements
+        if fix_witnesses and (not lat["X"].contains(fix) or (
+                stabilizing_elements(E, fix) == H.members
+                and not lat["G"].contains(H.members))):
             w4 = False
             break
 
@@ -645,7 +601,7 @@ def stabilizer_and_fixset_closed(inst: StructuredInstance,
             stab = frozenset(g for g in G.elements() if E.same(x, flow.act(g, x)))
             if not lat["G"].contains(stab):
                 return False
-    if lat["X2"].contains(_relation_index_set(E)):
+    if lat["X2"].contains_mask(_pair_mask(E)):
         for h in G.elements():
             fx = frozenset(x for x in range(flow.points)
                            if E.same(x, flow.act(h, x)))

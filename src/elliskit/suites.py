@@ -228,7 +228,7 @@ def run_structured_suite(rep: Report, instances: int, rng: random.Random,
                        not agree)
             worb = verify_thm_worb(inst, require_agreeable=False,
                                    require_weakly_orbital=False, caps=caps,
-                                   agree=agree)
+                                   _agree=agree)
             rep.record(f"{inst.name}: classes pseudo-closed",
                        worb.classes_closed)
             rep.record(f"{inst.name}: relation not pseudo-closed",
@@ -242,9 +242,9 @@ def run_structured_suite(rep: Report, instances: int, rng: random.Random,
         rep.record(f"{inst.name}: agreeable", bool(agree), agree.failures[:2])
         try:
             if kind == "orbital":
-                got = verify_thm_orb(inst, caps=caps, agree=agree)
+                got = verify_thm_orb(inst, caps=caps, _agree=agree)
             else:
-                got = verify_thm_worb(inst, caps=caps, agree=agree)
+                got = verify_thm_worb(inst, caps=caps, _agree=agree)
             rep.record(f"{inst.name}: transfer equivalence", got.equivalent)
         except ElliskitError as exc:
             rep.record(f"{inst.name}: transfer equivalence", False, str(exc))

@@ -9,8 +9,9 @@ slow but obviously right, and the differential tests compare the two.
 
 from __future__ import annotations
 
+from elliskit.algebra import Subgroup
 from elliskit.errors import NotALattice, SizeCapExceeded
-from elliskit.relations import RRelationResult, WitnessPair
+from elliskit.relations import RRelationResult, WeakOrbitalityVerdict, WitnessPair
 
 
 def compose(outer, inner):
@@ -330,13 +331,18 @@ def r_relation(flow, w):
     return RRelationResult(frozenset(pairs), reflexive, symmetric, transitive, witness)
 
 
+def fix_set(flow, E, H):
+    """Points equivalent to all their H-translates."""
+    return frozenset(x for x in range(flow.points)
+                     if all(E.same(x, flow.act(h, x)) for h in H.members))
+
+
 def witnessing_supports(flow, E, lat_x, H):
     """The supports that witness E together with H, one pair closure per
     candidate: the fix-set of H first, then every other non-empty member of
     the X lattice in member order."""
     target = E.pairs()
-    fix = frozenset(x for x in range(flow.points)
-                    if all(E.same(x, flow.act(h, x)) for h in H.members))
+    fix = fix_set(flow, E, H)
     if fix and r_relation(flow, WitnessPair(H, fix)).pairs == target:
         yield fix
     if not lat_x.discrete:
@@ -344,6 +350,20 @@ def witnessing_supports(flow, E, lat_x, H):
             if member and member != fix and \
                     r_relation(flow, WitnessPair(H, member)).pairs == target:
                 yield member
+
+
+def is_weakly_orbital(E):
+    """The first subgroup, in canonical order, whose fix-set is non-empty and
+    witnesses E by one pair closure, with the number of subgroups tried."""
+    flow, G = E.flow, E.flow.group
+    checked = 0
+    for members in enumerate_subgroups(G.mul, G.identity):
+        H = Subgroup(G, frozenset(members))
+        checked += 1
+        fix = fix_set(flow, E, H)
+        if fix and r_relation(flow, WitnessPair(H, fix)).pairs == E.pairs():
+            return WeakOrbitalityVerdict(True, WitnessPair(H, fix), checked)
+    return WeakOrbitalityVerdict(False, None, checked)
 
 
 # -- pseudo-closed lattices as frozensets of indices --------------------------

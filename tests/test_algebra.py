@@ -17,6 +17,7 @@ from elliskit.algebra import (
     subgroup_generated,
 )
 from elliskit.errors import (
+    GroupMismatch,
     GroupTooLarge,
     NoInverse,
     NotAssociative,
@@ -278,6 +279,14 @@ def test_quotient_by_non_normal_rejected():
     t = next(g for g in G.elements() if G.element_order(g) == 2)
     with pytest.raises(NotNormal):
         quotient_group(G, subgroup_generated(G, [t]))
+
+
+def test_quotient_by_a_subgroup_of_another_group_rejected():
+    G, other = named_group("symmetric", n=3), named_group("cyclic", n=6)
+    for N in enumerate_subgroups(other):
+        assert N.is_normal()
+        with pytest.raises(GroupMismatch):
+            quotient_group(G, N)
 
 
 def test_quotient_order_formula():

@@ -61,7 +61,8 @@ from elliskit.generators import (
 )
 from elliskit.relations import (
     WitnessPair,
-    fix_set,
+    _orbitals,
+    _subgroup_witnesses,
     invariant_relations,
     is_weakly_orbital,
     make_relation,
@@ -73,9 +74,7 @@ from elliskit.structured import (
     StructuredInstance,
     _bits,
     _mask,
-    _orbitals,
     _witnessed,
-    _witnessed_masks,
     _witnessing_supports,
     default_lattices,
     discrete_lattice,
@@ -497,22 +496,37 @@ def pair_mask(pairs, n):
 
 def assert_witness_masks_match_oracle(flow, E, lat_x, supports):
     """For every subgroup: the orbital-mask union of each support equals the
-    oracle's witnessed relation, and the witnessing supports are the oracle
-    loop's, in its order. Returns how many subgroups have one."""
+    oracle's witnessed relation, the fix-set verdict is the oracle's, and the
+    witnessing supports are the oracle loop's, in its order. Returns how many
+    subgroups have one."""
     n = flow.points
-    orbital = _orbitals(flow)
     target = pair_mask(E.pairs(), n)
     witnessed = 0
-    for H in enumerate_subgroups(flow.group):
-        R = _witnessed_masks(flow, orbital, H)
+    for H, fix, R, fix_witnesses in _subgroup_witnesses(E, DEFAULT_CAPS):
         for S in supports:
             want = oracles.r_relation(flow, WitnessPair(H, frozenset(S))).pairs
             assert _witnessed(R, _mask(S)) == pair_mask(want, n)
-        got = list(_witnessing_supports(lat_x, _mask(fix_set(E, H)), R, target))
+        assert fix == oracles.fix_set(flow, E, H)
+        assert fix_witnesses == (bool(fix) and oracles.r_relation(
+            flow, WitnessPair(H, fix)).pairs == E.pairs())
+        got = list(_witnessing_supports(lat_x, _mask(fix), fix_witnesses, R,
+                                        target))
         assert got == [_mask(S) for S in
                        oracles.witnessing_supports(flow, E, lat_x, H)]
         witnessed += bool(got)
     return witnessed
+
+
+def test_orbitals_partition_the_pairs():
+    rng = random.Random(61)
+    for _ in range(20):
+        flow = random_group_flow(rng, 6, 12)
+        n = flow.points
+        orbital = _orbitals(flow)
+        for p, mask in enumerate(orbital):
+            a, b = divmod(p, n)
+            want = {(flow.act(g, a), flow.act(g, b)) for g in flow.group.elements()}
+            assert mask == pair_mask(want, n)
 
 
 def all_supports(n):
@@ -532,6 +546,25 @@ def test_witness_masks_match_oracle_on_random_flows():
         witnessed += assert_witness_masks_match_oracle(flow, E, lat_x,
                                                        all_supports(n))
     assert witnessed >= 60
+
+
+def test_is_weakly_orbital_matches_the_pair_closure_loop():
+    """Verdict, witness pair and subgroups checked equal those of one
+    r_relation closure per (subgroup, fix-set) pair, on random group flows
+    and on unions of two flows of one group (up to 8 points)."""
+    rng = random.Random(67)
+    weak = not_weak = 0
+    while not_weak < 20:
+        flow = random_group_flow(rng, 6, 12)
+        second = same_group_flow(rng, flow.group)
+        if flow.points + second.points <= 8:
+            flow = disjoint_union_flow([flow, second])
+        for E in invariant_relations(flow):
+            got = is_weakly_orbital(E)
+            assert got == oracles.is_weakly_orbital(E)
+            weak += bool(got)
+            not_weak += not got
+    assert weak >= 20
 
 
 def test_weak_transfer_decides_like_is_weakly_orbital():
