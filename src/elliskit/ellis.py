@@ -13,9 +13,11 @@ The closure keeps its right and left Cayley graphs over the generators, and
 bulk products are read off them instead of composing point tuples: Froidure
 & Pin, "Algorithms for computing finite semigroups" (1997); East,
 Egri-Nagy, Mitchell & Péresse, "Computing finite semigroups", J. Symb.
-Comput. 92 (2019). The closure itself composes in C: w∘g and g∘w are one
-`operator.itemgetter` call each (`algebra._composer`). The full table is
-built row by row from the generator rows, since associativity gives
+Comput. 92 (2019). The closure itself composes in C: on at most 256 points
+each map is `bytes` during the search and w∘g, g∘w are one `bytes.translate`
+each (bytes also hash faster than tuples), becoming tuples once at the end;
+above, one `operator.itemgetter` call each (`algebra._composer`). The full
+table is built row by row from the generator rows, since associativity gives
 row(p·g) = row(p)∘row(g) along the right spanning tree; ideal-group tables
 are filled the same way inside the group. Minimal left ideals are read from
 the minimal ideal K, the elements of minimum rank: S·e for the first such e,
@@ -29,6 +31,7 @@ every element.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .algebra import (
     FiniteGroup,
@@ -125,50 +128,78 @@ def enveloping_semigroup(flow: Flow, caps: Caps = DEFAULT_CAPS) -> EllisSemigrou
     is multiplied by every generator on the right and on the left; the
     indices of those products are the right and left Cayley graphs.
     """
-    elements: list[tuple[int, ...]] = []
-    index: dict[tuple[int, ...], int] = {}
+    as_bytes = flow.points <= 256       # a byte holds every point
+    elements, index = [], {}
     for m in flow.generator_maps():
-        m = tuple(m)
+        m = bytes(m) if as_bytes else tuple(m)
         if m not in index:
             index[m] = len(elements)
             elements.append(m)
     gens = tuple(elements)
-    after = [_composer(g) for g in gens]        # w -> w∘g
-    right: list[tuple[int, ...]] = []
-    left: list[tuple[int, ...]] = []
-    for w in elements:
-        before_w = _composer(w)                 # g -> g∘w
-        r_edges, l_edges = [], []
-        for g, times_g in zip(gens, after):
-            for cand, edges in ((times_g(w), r_edges),
-                                (before_w(g), l_edges)):
-                got = index.get(cand)
-                if got is None:
-                    if len(elements) >= caps.closure_cap:
-                        raise ClosureCapExceeded(len(elements), caps.closure_cap)
-                    got = index[cand] = len(elements)
-                    elements.append(cand)
-                edges.append(got)
-        right.append(tuple(r_edges))
-        left.append(tuple(l_edges))
+    get = index.get
+    right, left = [], []
+
+    def add(cand):
+        if len(elements) >= caps.closure_cap:
+            raise ClosureCapExceeded(len(elements), caps.closure_cap)
+        got = index[cand] = len(elements)
+        elements.append(cand)
+        return got
+
+    if as_bytes:
+        tables = [(g, g.ljust(256, b"\0")) for g in gens]   # g, its table
+        for w in elements:
+            tw = w.ljust(256, b"\0")
+            r_edges, l_edges = [], []
+            for g, tg in tables:
+                cand = g.translate(tw)              # w∘g
+                got = get(cand)
+                r_edges.append(add(cand) if got is None else got)
+                cand = w.translate(tg)              # g∘w
+                got = get(cand)
+                l_edges.append(add(cand) if got is None else got)
+            right.append(tuple(r_edges))
+            left.append(tuple(l_edges))
+        # to tuples once, bytes freed first; the index keeps the edges' ints
+        ids = list(index.values())
+        blob = b"".join(elements)
+        del get, index, elements
+        rows = zip(*[iter(blob)] * flow.points) if flow.points else [()]
+        index = dict(zip(rows, ids))
+        elements = tuple(index)
+    else:
+        after = [(g, _composer(g)) for g in gens]   # w -> w∘g
+        for w in elements:
+            before_w = _composer(w)                 # g -> g∘w
+            r_edges, l_edges = [], []
+            for g, times_g in after:
+                cand = times_g(w)
+                got = get(cand)
+                r_edges.append(add(cand) if got is None else got)
+                cand = before_w(g)
+                got = get(cand)
+                l_edges.append(add(cand) if got is None else got)
+            right.append(tuple(r_edges))
+            left.append(tuple(l_edges))
     n = len(elements)
     # one-step stability: the closure is closed under both graphs, and every
     # element is reached from the generators along right edges
-    if max(map(max, right)) >= n or max(map(max, left)) >= n:
+    if max(chain.from_iterable(right)) >= n or max(chain.from_iterable(left)) >= n:
         raise TheoremViolation("composition closure not closed", n)
     reached = [True] * len(gens) + [False] * (n - len(gens))
     order = list(range(len(gens)))
-    tree: list[tuple[int, int, int]] = []
+    tree = [] if n <= caps.mul_table_cap else None     # only for the table
     for w in order:
         for g, j in enumerate(right[w]):
             if not reached[j]:
                 reached[j] = True
                 order.append(j)
-                tree.append((j, w, g))
+                if tree is not None:
+                    tree.append((j, w, g))
     if len(order) != n:
         raise TheoremViolation("element not reached by right multiplication",
                                reached.index(False))
-    table = cayley_table(right, tree) if n <= caps.mul_table_cap else None
+    table = None if tree is None else cayley_table(right, tree)
     return EllisSemigroup(flow, tuple(elements), index, right, left, table)
 
 
@@ -381,12 +412,13 @@ def tau_closure(G: IdealGroup, A) -> frozenset[int]:
     return A itself."""
     S = G.parent
     u = G.idempotent
+    members = G.to_group.keys()         # u·M, a set view with no copy
     A = frozenset(A)
-    if not A <= set(G.members):
-        raise NotInIdeal(sorted(A - set(G.members))[0])
+    if not A <= members:
+        raise NotInIdeal(min(A - members))
     u_circ_a = circ(S, u, A)
     closed = frozenset(S.mul(u, x) for x in u_circ_a)
-    alt = frozenset(G.members) & u_circ_a
+    alt = u_circ_a & members
     if closed != alt:
         raise TheoremViolation("two closure formulas disagree", (sorted(closed)[:4],
                                                                  sorted(alt)[:4]))
@@ -406,13 +438,12 @@ def h_subgroup(G: IdealGroup) -> Subgroup:
     ideal-group topology. Discreteness is certified first (every singleton
     and co-singleton is closed), after which the smallest neighbourhood of
     the identity is the singleton itself and the intersection is {u}."""
-    members = set(G.members)
     u = G.idempotent
     for s in G.members:
         single = tau_closure(G, {s})
         if single != {s}:
             raise TheoremViolation("singleton not closed", s)
-        co = frozenset(members - {s})
+        co = frozenset(G.to_group.keys() - {s})
         if tau_closure(G, co) != co:
             raise TheoremViolation("co-singleton not closed", s)
     core = tau_closure(G, {u})

@@ -7,16 +7,17 @@ Schemas (one object per file):
             {"kind": "named", "name": "cyclic|symmetric|dihedral|affine", ...params}
   flow      {"group": <group>, "points": n,
              "action": "natural" | "regular" | {"generator_images": [[...], ...]}}
-            {"transformations": [[...], ...]}     (non-invertible stand-ins)
+            {"transformations": [[...], ...], "points": n}   (stand-ins)
   ambit     a flow object plus "basepoint": int
   relation  {"points": n, "classes": [[...], ...]}
   lattice   {"ground": "G|X|GxX|X2|X2x2|XxG", "size": n,
              "sets": [[...], ...] | "discrete", "auto_complete": bool}
-  scenario  {"flow": <flow>, "relation": <relation>,
+  scenario  {"flow": <flow>, "relation": <relation>, "name": str,
              "lattices": {"G": <lattice sets or "discrete">, "X": ..., ...}}
 
 Product-space indices are row-major. Every number is an integer: a float
-or a boolean (other than "auto_complete") is rejected, never truncated.
+or a boolean (other than "auto_complete") is rejected, never truncated, and
+an unlisted key (named groups take n, q and dim) is rejected, never ignored.
 parse(serialize(x)) returns an equal instance for every kind.
 """
 
@@ -60,16 +61,28 @@ def detect_kind(data: dict) -> str:
     raise ParseError("<data>", "unrecognized instance schema")
 
 
-def build_group(data: dict, caps: Caps = DEFAULT_CAPS) -> algebra.FiniteGroup:
+def _only(data, kind: str, keys, at: str) -> None:
+    """Reject a key the builder does not read: it would be silently ignored."""
+    if not isinstance(data, dict):
+        raise ParseError(f"<{kind}>", f"{at.rstrip('.') or kind} must be a JSON object")
+    for key in data:
+        if key not in keys:
+            raise ParseError(f"<{kind}>", f"unknown key {at + key!r}")
+
+
+def build_group(data: dict, caps: Caps = DEFAULT_CAPS, *, at="") -> algebra.FiniteGroup:
     if not isinstance(data, dict):
         raise ParseError("<group>", "a group must be a JSON object")
     kind = data.get("kind")
     if kind == "permutation":
+        _only(data, "group", ("kind", "degree", "generators"), at)
         return algebra.group_from_permutations(int(data["degree"]),
                                                data["generators"], caps=caps)
     if kind == "table":
+        _only(data, "group", ("kind", "mul"), at)
         return algebra.group_from_table(data["mul"], caps=caps)
     if kind == "named":
+        _only(data, "group", ("kind", "name", "n", "q", "dim"), at)
         params = {k: v for k, v in data.items() if k not in ("kind", "name")}
         return algebra.named_group(data["name"], caps=caps, **params)
     raise ParseError("<group>", f"unknown group kind {kind!r}")
@@ -107,23 +120,27 @@ def _flow_from_generator_images(G: algebra.FiniteGroup, points: int, images,
     return flows.make_flow(G, points, action, caps=caps)
 
 
-def build_flow(data: dict, caps: Caps = DEFAULT_CAPS) -> flows.Flow:
-    if "transformations" in data:
-        return flows.transformation_flow(data["transformations"], caps=caps)
-    G = build_group(data["group"], caps=caps)
-    action = data.get("action", "natural")
+def build_flow(data: dict, caps: Caps = DEFAULT_CAPS, *, at="") -> flows.Flow:
+    by_maps = "transformations" in data
+    _only(data, "flow", ("transformations", "points") if by_maps
+          else ("group", "points", "action"), at)
     points = data.get("points")
-    if action == "natural":
-        f = flows.natural_flow(G)
-    elif action == "regular":
-        f = flows.regular_flow(G)
-    elif isinstance(action, dict) and "generator_images" in action:
-        if points is None:
-            raise ParseError("<flow>", "explicit actions need a point count")
-        f = _flow_from_generator_images(G, int(points), action["generator_images"],
-                                        caps)
+    if by_maps:
+        f = flows.transformation_flow(data["transformations"], caps=caps)
     else:
-        raise ParseError("<flow>", f"unknown action form {action!r}")
+        G = build_group(data["group"], caps=caps, at=at + "group.")
+        action = data.get("action", "natural")
+        if action == "natural":
+            f = flows.natural_flow(G)
+        elif action == "regular":
+            f = flows.regular_flow(G)
+        elif isinstance(action, dict) and "generator_images" in action:
+            if points is None:
+                raise ParseError("<flow>", "explicit actions need a point count")
+            f = _flow_from_generator_images(G, int(points),
+                                            action["generator_images"], caps)
+        else:
+            raise ParseError("<flow>", f"unknown action form {action!r}")
     if points is not None and f.points != int(points):
         raise ParseError("<flow>", f"point count {points} disagrees with "
                                    f"action on {f.points} points")
@@ -131,15 +148,17 @@ def build_flow(data: dict, caps: Caps = DEFAULT_CAPS) -> flows.Flow:
 
 
 def build_ambit(data: dict, caps: Caps = DEFAULT_CAPS) -> flows.Ambit:
-    f = build_flow(data, caps=caps)
+    f = build_flow({k: v for k, v in data.items() if k != "basepoint"}, caps=caps)
     return flows.make_ambit(f, int(data["basepoint"]))
 
 
-def build_relation(data: dict) -> relations.EquivRelation:
+def build_relation(data: dict, *, at="") -> relations.EquivRelation:
+    _only(data, "relation", ("points", "classes"), at)
     return relations.make_relation(int(data["points"]), data["classes"])
 
 
-def build_lattice(data: dict, caps: Caps = DEFAULT_CAPS):
+def build_lattice(data: dict, caps: Caps = DEFAULT_CAPS, *, at=""):
+    _only(data, "lattice", ("ground", "size", "sets", "auto_complete"), at)
     ground = data["ground"]
     size = int(data["size"])
     sets = data.get("sets", [])
@@ -151,22 +170,22 @@ def build_lattice(data: dict, caps: Caps = DEFAULT_CAPS):
 
 
 def build_scenario(data: dict, caps: Caps = DEFAULT_CAPS) -> structured.StructuredInstance:
-    flow = build_flow(data["flow"], caps=caps)
-    E = build_relation(data["relation"]).bind(flow)
+    _only(data, "scenario", ("flow", "relation", "lattices", "name"), "")
+    flow = build_flow(data["flow"], caps=caps, at="flow.")
+    E = build_relation(data["relation"], at="relation.").bind(flow)
     gn, n = flow.group.order, flow.points
     given = data.get("lattices", {})
+    _only(given, "scenario", structured.GROUNDS, "lattices.")
 
     def lat_for(ground):
         entry = given.get(ground)
         if entry is None:
             return None
         if entry == "discrete":
-            return structured.discrete_lattice(
-                ground, structured.ground_size(ground, gn, n))
-        body = dict(entry)
-        body.setdefault("ground", ground)
-        body.setdefault("size", structured.ground_size(ground, gn, n))
-        return build_lattice(body, caps=caps)
+            entry = {"sets": "discrete"}
+        body = {"ground": ground, "size": structured.ground_size(ground, gn, n),
+                **entry}
+        return build_lattice(body, caps=caps, at=f"lattices.{ground}.")
 
     built = {ground: lat_for(ground) for ground in structured.GROUNDS}
     lats = structured.default_lattices(

@@ -166,6 +166,85 @@ def test_several_ideals_of_rank_two_match_oracles(caps):
     assert sum(k > 1 for k in counts) >= 30
 
 
+# The closure holds maps as bytes up to 256 points and as tuples above; these
+# flows sit on both sides of that boundary and use the top point values.
+
+def embedded(maps, points, moved):
+    """Maps on 0..k-1 acting on the points `moved` of 0..points-1 instead,
+    every other point fixed."""
+    out = []
+    for m in maps:
+        full = list(range(points))
+        for x, y in zip(moved, m):
+            full[x] = moved[y]
+        out.append(full)
+    return out
+
+
+def wide_maps(seed, points, count):
+    """Few random, mostly non-bijective maps on 2 to 4 points, moved onto
+    the top point and (from 256 points on) point 255, plus random others."""
+    rng = random.Random(seed)
+    top = sorted({points - 1, min(points - 1, 255)})
+    for _ in range(count):
+        k = rng.randint(2, 4)
+        moved = top + rng.sample(range(points - 2), k - len(top))
+        rng.shuffle(moved)
+        maps = [[rng.randrange(k) for _ in range(k)] for _ in range(rng.randint(1, 2))]
+        yield embedded(maps, points, moved)
+
+
+def assert_closure_matches_oracle(S, maps):
+    """Elements in discovery order, the tuple-keyed index and both Cayley
+    graphs against the oracle closure."""
+    elements, gens = oracles.closure(maps)
+    index = {e: i for i, e in enumerate(elements)}
+    assert S.elements == elements
+    assert all(type(e) is tuple for e in S.elements)
+    assert list(S.index.items()) == list(index.items())
+    assert S.right == [tuple(index[oracles.compose(w, elements[g])] for g in gens)
+                       for w in elements]
+    assert S.left == [tuple(index[oracles.compose(elements[g], w)] for g in gens)
+                      for w in elements]
+
+
+@pytest.mark.parametrize("points", [255, 256, 257])
+@CAPS
+def test_closures_around_256_points_match_oracles(points, caps):
+    compared = 0
+    for maps in wide_maps(points, points, 30):
+        flow = transformation_flow(maps)
+        if len(oracles.closure(maps)[0]) > 40:
+            continue
+        compared += 1
+        assert_closure_matches_oracle(enveloping_semigroup(flow, caps=caps), maps)
+        assert_ideals_and_groups_match_oracles(flow, caps)
+    assert compared >= 20
+
+
+def test_closure_above_the_table_cap_around_256_points():
+    """A 5-cycle and a rank-4 idempotent moved onto points that include 255
+    and the top point: 610 elements, above `mul_table_cap`, so products are
+    composed on demand. The 256-point (bytes) and 257-point (tuples)
+    closures match the oracle and have the same graphs, products and
+    minimal ideals as the 5-point one."""
+    gens = [[1, 2, 3, 4, 0], [0, 0, 2, 3, 4]]
+    S5 = enveloping_semigroup(transformation_flow(gens))
+    assert S5.size == 610 > DEFAULT_CAPS.mul_table_cap
+    rng = random.Random(3)
+    pairs = [(rng.randrange(S5.size), rng.randrange(S5.size)) for _ in range(200)]
+    for points, moved in ((256, [255, 3, 254, 100, 0]), (257, [255, 3, 256, 100, 0])):
+        maps = embedded(gens, points, moved)
+        S = enveloping_semigroup(transformation_flow(maps))
+        assert_closure_matches_oracle(S, maps)
+        assert (S.right, S.left) == (S5.right, S5.left)
+        for i, j in pairs:
+            assert S.mul(i, j) == S5.mul(i, j) == \
+                S.index[oracles.compose(S.elements[i], S.elements[j])]
+        assert [(M.members, M.idempotents) for M in minimal_left_ideals(S)] == \
+            [(M.members, M.idempotents) for M in minimal_left_ideals(S5)]
+
+
 @pytest.mark.parametrize("name, params", [("symmetric", {"n": 5}),
                                           ("dihedral", {"n": 30})])
 def test_permutation_group_tables_match_oracle(name, params):

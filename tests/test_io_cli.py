@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -18,6 +19,8 @@ from elliskit.io import parse_instance, parse_obj, serialize_instance
 from elliskit.relations import is_weakly_orbital
 from elliskit.suites import run_suite
 
+
+ROOT = Path(__file__).resolve().parents[1]
 
 S3_FLOW = {
     "group": {"kind": "permutation", "degree": 3,
@@ -317,17 +320,52 @@ def test_cli_relation_on_wrong_point_set_exit_2(tmp_path, capsys, command, point
      "transformations[0][0] is True, not an integer"),
     ({"ground": "X", "size": 2.5, "sets": "discrete"},
      "size is 2.5, not an integer"),
+    ({"group": S3_FLOW["group"], "points": 3, "actoin": "natural"},
+     "unknown key 'actoin'"),
+    (dict(S3_FLOW, group=dict(S3_FLOW["group"], order=6)),
+     "unknown key 'group.order'"),
+    ({"ground": "X", "size": 2, "sets": "discrete", "colour": 1},
+     "unknown key 'colour'"),
+    ({"flow": S3_FLOW, "relation": {"points": 3, "classes": [[0, 1, 2]]},
+      "lattices": {"X": {"sets": "discrete", "auto_completed": 1}}},
+     "unknown key 'lattices.X.auto_completed'"),
+    ({"flow": S3_FLOW, "relation": {"points": 3, "classes": [[0, 1, 2]]},
+      "lattices": [1]}, "lattices must be a JSON object"),
+    ({"transformations": [[1, 0], [0, 0]], "points": 3},
+     "point count 3 disagrees"),
 ], ids=["basepoint-out-of-range", "basepoint-not-int", "mul-not-square",
         "named-without-n", "transformations-not-maps", "image-not-self-map",
         "group-null", "group-not-object", "transformation-entry-not-int",
         "permutation-entry-float", "degree-float", "points-float", "points-bool",
         "basepoint-float", "basepoint-bool", "image-float", "transformation-bool",
-        "lattice-size-float"])
+        "lattice-size-float", "action-misspelt", "group-stray-key",
+        "lattice-stray-key", "scenario-lattice-stray-key",
+        "scenario-lattices-not-object", "transformations-points-disagree"])
 def test_cli_malformed_instance_exit_2(tmp_path, capsys, data, message):
     assert main(["ellis", write(tmp_path, "in.json", data)]) == 2
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+def readme_instance_commands():
+    """Every `elliskit ...` line of the README's code blocks that names a
+    file under instances/, split into arguments."""
+    text = (ROOT / "README.md").read_text()
+    blocks = text.split("```")[1::2]
+    return [shlex.split(line)[1:] for block in blocks
+            for line in block.splitlines()
+            if line.startswith("elliskit ") and "instances/" in line]
+
+
+def test_readme_sample_commands_exit_0(monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    commands = readme_instance_commands()
+    named = {arg for argv in commands for arg in argv if arg.startswith("instances/")}
+    assert named == {f"instances/{p.name}" for p in (ROOT / "instances").glob("*.json")}
+    for argv in commands:
+        assert main(argv) == 0, argv
+        assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra", [[], ["--decide-weak"]], ids=["plain", "decide-weak"])
