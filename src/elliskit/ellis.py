@@ -14,18 +14,20 @@ bulk products are read off them instead of composing point tuples: Froidure
 & Pin, "Algorithms for computing finite semigroups" (1997); East,
 Egri-Nagy, Mitchell & Péresse, "Computing finite semigroups", J. Symb.
 Comput. 92 (2019). The closure itself composes in C: on at most 256 points
-each map is `bytes` during the search and w∘g, g∘w are one `bytes.translate`
-each (bytes also hash faster than tuples), becoming tuples once at the end;
-above, one `operator.itemgetter` call each (`algebra._composer`). The full
-table is built row by row from the generator rows, since associativity gives
-row(p·g) = row(p)∘row(g) along the right spanning tree; ideal-group tables
-are filled the same way inside the group. Minimal left ideals are read from
-the minimal ideal K, the elements of minimum rank: S·e for the first such e,
-and its orbit under right multiplication by the generators, certified
-complete by closing their union under both graphs (the Green's-structure
-route of East et al. 2019). Each is checked in O(|M|·k) to be closed and
-strongly connected. After the closure, only the C-level rank scan touches
-every element.
+each map is `bytes` and w∘g, g∘w are one `bytes.translate` each (bytes also
+hash faster than tuples); above, one `operator.itemgetter` call each
+(`algebra._composer`). The semigroup keeps the maps as the search built
+them; tuple forms are made only when read. The full table is built row by
+row from the generator rows, since associativity gives row(p·g) =
+row(p)∘row(g) along the right spanning tree; ideal-group tables are filled
+the same way inside the group. Minimal left ideals are read from the minimal
+ideal K, the elements of minimum rank: one such e is found from the orbit of
+the generators' images under the left action, without looking at every
+element; then S·e and its orbit under right multiplication by the
+generators, certified complete by closing their union under both graphs (the
+Green's-structure route of East et al. 2019). Each is checked in O(|M|·k) to
+be closed and strongly connected. After the closure, finding the minimal
+ideals reads only the image orbit and the kernel's own elements.
 """
 
 from __future__ import annotations
@@ -59,33 +61,56 @@ from .flows import Flow, FlowMorphism, check_morphism
 class EllisSemigroup:
     """Composition closure of the acting maps, in discovery order.
 
-    Generator g is element g. right[w][g] and left[w][g] are the indices of
-    w·g and g·w. The full multiplication table is only materialized up to
-    mul_table_cap (at the default closure cap it would not fit in memory);
-    above it, `mul` composes on demand, with no memo.
+    `maps` holds the elements as the closure built them: `bytes` on at most
+    256 points, tuples of ints above; either way maps[i][x] is an int.
+    `keys` maps each of them back to its index, and `key` turns any sequence
+    of points into that type. `elements` and `index` are the same as tuples
+    and a tuple-keyed dict, built from `maps` on first read and cached; the
+    library itself never reads them. Generator g is element g. right[w][g]
+    and left[w][g] are the indices of w·g and g·w. The full multiplication
+    table is only materialized up to mul_table_cap (at the default closure
+    cap it would not fit in memory); above it, `mul` composes on demand,
+    with no memo.
     """
 
-    __slots__ = ("flow", "elements", "index", "generators", "right", "left",
-                 "_table")
+    __slots__ = ("flow", "maps", "keys", "key", "generators", "right", "left",
+                 "_table", "_elements", "_index")
 
-    def __init__(self, flow, elements, index, right, left, table):
+    def __init__(self, flow, maps, keys, right, left, table):
         self.flow = flow
-        self.elements = elements
-        self.index = index
+        self.maps = maps
+        self.keys = keys
+        self.key = _key_type(flow.points)
         self.generators = tuple(range(len(right[0])))
         self.right = right
         self.left = left
         self._table = table
+        self._elements = self._index = None
+
+    @property
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        if self._elements is None:
+            self._elements = tuple(map(tuple, self.maps))
+        return self._elements
+
+    @property
+    def index(self) -> dict[tuple[int, ...], int]:
+        if self._index is None:
+            self._index = dict(zip(self.elements, range(self.size)))
+        return self._index
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.maps)
 
     def mul(self, i: int, j: int) -> int:
-        """Index of the map x -> elements[i](elements[j](x))."""
+        """Index of the map x -> maps[i](maps[j](x))."""
         if self._table is not None:
             return self._table[i][j]
-        return self.index[compose_maps(self.elements[i], self.elements[j])]
+        a, b = self.maps[i], self.maps[j]
+        if self.key is bytes:
+            return self.keys[b.translate(a.ljust(256, b"\0"))]
+        return self.keys[compose_maps(a, b)]
 
     def left_reach(self, s: int) -> set[int]:
         """S·s: everything reachable by left multiplication (words >= 1)."""
@@ -120,6 +145,11 @@ class IdealGroup:
         return self.ideal.parent
 
 
+def _key_type(points):
+    """The type the closure holds maps in: bytes when a byte holds every point."""
+    return bytes if points <= 256 else tuple
+
+
 def enveloping_semigroup(flow: Flow, caps: Caps = DEFAULT_CAPS) -> EllisSemigroup:
     """Breadth-first composition closure of the flow's generator maps.
 
@@ -128,27 +158,26 @@ def enveloping_semigroup(flow: Flow, caps: Caps = DEFAULT_CAPS) -> EllisSemigrou
     is multiplied by every generator on the right and on the left; the
     indices of those products are the right and left Cayley graphs.
     """
-    as_bytes = flow.points <= 256       # a byte holds every point
-    elements, index = [], {}
-    for m in flow.generator_maps():
-        m = bytes(m) if as_bytes else tuple(m)
-        if m not in index:
-            index[m] = len(elements)
-            elements.append(m)
-    gens = tuple(elements)
-    get = index.get
+    key = _key_type(flow.points)
+    maps, keys = [], {}
+    for m in map(key, flow.generator_maps()):
+        if m not in keys:
+            keys[m] = len(maps)
+            maps.append(m)
+    gens = tuple(maps)
+    get = keys.get
     right, left = [], []
 
     def add(cand):
-        if len(elements) >= caps.closure_cap:
-            raise ClosureCapExceeded(len(elements), caps.closure_cap)
-        got = index[cand] = len(elements)
-        elements.append(cand)
+        if len(maps) >= caps.closure_cap:
+            raise ClosureCapExceeded(len(maps), caps.closure_cap)
+        got = keys[cand] = len(maps)
+        maps.append(cand)
         return got
 
-    if as_bytes:
+    if key is bytes:
         tables = [(g, g.ljust(256, b"\0")) for g in gens]   # g, its table
-        for w in elements:
+        for w in maps:
             tw = w.ljust(256, b"\0")
             r_edges, l_edges = [], []
             for g, tg in tables:
@@ -160,16 +189,9 @@ def enveloping_semigroup(flow: Flow, caps: Caps = DEFAULT_CAPS) -> EllisSemigrou
                 l_edges.append(add(cand) if got is None else got)
             right.append(tuple(r_edges))
             left.append(tuple(l_edges))
-        # to tuples once, bytes freed first; the index keeps the edges' ints
-        ids = list(index.values())
-        blob = b"".join(elements)
-        del get, index, elements
-        rows = zip(*[iter(blob)] * flow.points) if flow.points else [()]
-        index = dict(zip(rows, ids))
-        elements = tuple(index)
     else:
         after = [(g, _composer(g)) for g in gens]   # w -> w∘g
-        for w in elements:
+        for w in maps:
             before_w = _composer(w)                 # g -> g∘w
             r_edges, l_edges = [], []
             for g, times_g in after:
@@ -181,7 +203,7 @@ def enveloping_semigroup(flow: Flow, caps: Caps = DEFAULT_CAPS) -> EllisSemigrou
                 l_edges.append(add(cand) if got is None else got)
             right.append(tuple(r_edges))
             left.append(tuple(l_edges))
-    n = len(elements)
+    n = len(maps)
     # one-step stability: the closure is closed under both graphs, and every
     # element is reached from the generators along right edges
     if max(chain.from_iterable(right)) >= n or max(chain.from_iterable(left)) >= n:
@@ -200,7 +222,7 @@ def enveloping_semigroup(flow: Flow, caps: Caps = DEFAULT_CAPS) -> EllisSemigrou
         raise TheoremViolation("element not reached by right multiplication",
                                reached.index(False))
     table = None if tree is None else cayley_table(right, tree)
-    return EllisSemigroup(flow, tuple(elements), index, right, left, table)
+    return EllisSemigroup(flow, maps, keys, right, left, table)
 
 
 def minimal_left_ideals(S: EllisSemigroup) -> list[MinimalIdeal]:
@@ -209,16 +231,16 @@ def minimal_left_ideals(S: EllisSemigroup) -> list[MinimalIdeal]:
     92, 2019).
 
     In a finite transformation semigroup K is the set of elements of minimum
-    rank, so for the first such e, L = S·e is a minimal left ideal. Every
-    minimal left ideal is L·s, so L's orbit under right multiplication by
-    the generators lists them all. Certificate: their union is closed under
-    every left and right generator edge, so it is an ideal and contains K.
-    Each ideal is validated against the structure facts, so a failure of
-    the rank argument raises instead of giving a wrong list.
+    rank, so for an e of minimum rank (`_kernel_element`), L = S·e is a
+    minimal left ideal. Every minimal left ideal is L·s, so L's orbit under
+    right multiplication by the generators lists them all, whichever e was
+    taken. Certificate: their union is closed under every left and right
+    generator edge, so it is an ideal and contains K. Each ideal is
+    validated against the structure facts, so a failure of the rank
+    argument raises instead of giving a wrong list.
     """
     left, right = S.left, S.right
-    ranks = list(map(len, map(set, S.elements)))
-    e = ranks.index(min(ranks))
+    e = _kernel_element(S)
     found = [frozenset(_walk(left, left[e]))]
     seen = set(found)
     for L in found:
@@ -238,6 +260,31 @@ def minimal_left_ideals(S: EllisSemigroup) -> list[MinimalIdeal]:
         _validate_minimal_ideal(ideal)
         ideals.append(ideal)
     return ideals
+
+
+def _kernel_element(S: EllisSemigroup) -> int:
+    """An element of minimum rank, from the images alone (East et al. 2019).
+
+    Images are closed under the left action, image(g∘w) = g(image(w)), and
+    every element is a generator times generators on the left, so the orbit
+    of the generators' images under the generators holds every image. Each
+    image is kept with the first element seen to have it, read off the left
+    Cayley graph. The orbit is at most the nonempty subsets of the points,
+    and a single set for a group flow, so this is O(orbit × k), not O(|S|).
+    """
+    maps, left = S.maps, S.left
+    gens = [maps[g] for g in S.generators]
+    orbit = {}
+    for g in S.generators:
+        orbit.setdefault(frozenset(maps[g]), g)
+    todo = list(orbit.items())
+    for image, w in todo:
+        for g, m in enumerate(gens):
+            moved = frozenset([m[x] for x in image])
+            if moved not in orbit:
+                orbit[moved] = left[w][g]
+                todo.append((moved, left[w][g]))
+    return min(todo, key=lambda item: len(item[0]))[1]
 
 
 def _validate_minimal_ideal(M: MinimalIdeal):
@@ -485,7 +532,7 @@ def induced_epimorphism(m: FlowMorphism, source_semigroup=None,
         fibers[x].append(z)
 
     element_map = []
-    for fi, f in enumerate(src.elements):
+    for fi, f in enumerate(src.maps):
         img = [None] * m.target.flow.points
         for x, fiber in enumerate(fibers):
             vals = {pm[f[z]] for z in fiber}
@@ -493,8 +540,7 @@ def induced_epimorphism(m: FlowMorphism, source_semigroup=None,
                 bad = sorted(fiber)[:2]
                 raise NotWellDefined(fi, bad[0], bad[-1])
             img[x] = vals.pop()
-        img = tuple(img)
-        got = tgt.index.get(img)
+        got = tgt.keys.get(tgt.key(img))
         if got is None:
             raise TheoremViolation("induced image escapes target semigroup", fi)
         element_map.append(got)

@@ -168,7 +168,7 @@ def orbit_map_r(ambit: Ambit, cert: GroupLikeCertificate,
     homomorphism onto the class group. Violations are structural failures."""
     E = cert.relation
     x0 = ambit.basepoint
-    values = tuple(E.class_of[f[x0]] for f in S.elements)
+    values = tuple(E.class_of[f[x0]] for f in S.maps)
     surjective = len(set(values)) == len(E.classes)
     if not surjective:
         raise TheoremViolation("orbit map not surjective", len(set(values)))
@@ -191,16 +191,17 @@ def compute_D(G_ideal: IdealGroup, ambit: Ambit) -> Subgroup:
     S = G_ideal.parent
     x0 = ambit.basepoint
     u = G_ideal.idempotent
-    base_value = S.elements[u][x0]
+    maps = S.maps
+    base_value = maps[u][x0]
     members = frozenset(
         G_ideal.to_group[s] for s in G_ideal.members
-        if S.elements[s][x0] == base_value
+        if maps[s][x0] == base_value
     )
     D = Subgroup(G_ideal.group_view, members)
     gv = G_ideal.group_view
     for i, s in enumerate(G_ideal.members):
         for j, t in enumerate(G_ideal.members):
-            same_value = S.elements[s][x0] == S.elements[t][x0]
+            same_value = maps[s][x0] == maps[t][x0]
             quotient_in_d = gv.mul[gv.inverse[i]][j] in members
             if same_value != quotient_in_d:
                 raise TheoremViolation("basepoint fibers are not cosets", (s, t))
@@ -332,17 +333,17 @@ def identify_quotient(ambit: Ambit, E: EquivRelation,
 
     # the idempotent must act trivially on classes
     for x in range(flow.points):
-        if not bound.same(S.elements[u][x], x):
+        if not bound.same(S.maps[u][x], x):
             raise TheoremViolation("idempotent moves a class", x)
 
     # class of f(x) depends only on the coset of f and the class of x
     k = ghat.group.order
     value = [None] * k  # coset -> class of f(x0)
     for ci, coset in enumerate(ghat.cosets):
-        rep = S.elements[IG.from_group[coset[0]]]
+        rep = S.maps[IG.from_group[coset[0]]]
         value[ci] = bound.class_of[rep[x0]]
         for gi in coset:
-            f = S.elements[IG.from_group[gi]]
+            f = S.maps[IG.from_group[gi]]
             if bound.class_of[f[x0]] != value[ci]:
                 raise TheoremViolation("orbit map ill-defined on coset", (ci, gi))
             for x in range(flow.points):
@@ -380,7 +381,7 @@ def identify_quotient(ambit: Ambit, E: EquivRelation,
     G = flow.group
     equivariant = True
     for g in G.elements():
-        pg = S.index[flow.map_of(g)]
+        pg = S.keys[S.key(flow.map_of(g))]
         nat = ghat.projection[IG.to_group[S.mul(S.mul(u, pg), u)]]
         for c in range(k):
             lhs = rhat[ghat.group.mul[nat][c]]

@@ -237,13 +237,26 @@ def parse_obj(data: dict, caps: Caps = DEFAULT_CAPS, origin="<data>") -> Instanc
 def parse_instance(path, caps: Caps = DEFAULT_CAPS) -> InstanceFile:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(str(path), str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(path), f"not UTF-8 text (byte {exc.start})") from exc
+
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ParseError(str(path), f"duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(str(path), f"line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(str(path), "JSON nested too deeply") from exc
     if not isinstance(data, dict):
         raise ParseError(str(path), "top-level JSON object expected")
     return parse_obj(data, caps=caps, origin=str(path))

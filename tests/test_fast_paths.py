@@ -6,14 +6,17 @@ subgroup lattice against the pairwise-closure one, the generators-first
 invariance check against the all-elements scan, the generator-closed
 witnessed relation against the all-translates one, and the minimal left
 ideals found from the kernel against the sink components of the left
-Cayley graph, the bitmask lattices (members, membership, products and
-agreeability) against the frozenset ones, the witness supports found by
-orbital masks against one pair closure per support, and normality by
-conjugating with the generators against conjugating with every element."""
+Cayley graph, the kernel element found from the image orbit against the
+minimum rank over the oracle closure, the bitmask lattices (members,
+membership, products and agreeability) against the frozenset ones, the
+witness supports found by orbital masks against one pair closure per
+support, and normality by conjugating with the generators against
+conjugating with every element."""
 
 import json
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +44,8 @@ from elliskit.errors import (
     SizeCapExceeded,
 )
 from elliskit.ellis import (
+    EllisSemigroup,
+    _kernel_element,
     enveloping_semigroup,
     ideal_group,
     minimal_left_ideals,
@@ -243,6 +248,77 @@ def test_closure_above_the_table_cap_around_256_points():
                 S.index[oracles.compose(S.elements[i], S.elements[j])]
         assert [(M.members, M.idempotents) for M in minimal_left_ideals(S)] == \
             [(M.members, M.idempotents) for M in minimal_left_ideals(S5)]
+
+
+def kernel_element_families():
+    """Random flows, rank-two flows and the 255/256/257-point families."""
+    yield from random_flows(11, 150)
+    yield from rank_two_flows(5, 150)
+    for points in (255, 256, 257):
+        yield from map(transformation_flow, wide_maps(points, points, 30))
+
+
+@CAPS
+def test_kernel_element_has_minimum_rank(caps):
+    compared = 0
+    for flow in kernel_element_families():
+        elements, _ = oracles.closure(flow.generator_maps())
+        if len(elements) > ORACLE_SIZE:
+            continue
+        compared += 1
+        e = _kernel_element(enveloping_semigroup(flow, caps=caps))
+        assert len(set(elements[e])) == min(len(set(w)) for w in elements)
+    assert compared >= 250
+
+
+def t6_and_s6():
+    cycle, swap, collapse = [1, 2, 3, 4, 5, 0], [1, 0, 2, 3, 4, 5], [0, 0, 2, 3, 4, 5]
+    yield [cycle, swap, collapse], transformation_flow([cycle, swap, collapse])
+    yield [cycle, swap], natural_flow(group_from_permutations(6, [cycle, swap]))
+
+
+@pytest.mark.parametrize("maps, flow", t6_and_s6(), ids=["T6", "S6"])
+def test_tuple_views_are_built_only_when_read(maps, flow):
+    """The closure, its ideals, an ideal group and products above
+    `mul_table_cap` leave `elements` and `index` unbuilt; read, they are
+    the oracle's tuples and its tuple-keyed index, built once."""
+    S = enveloping_semigroup(flow)
+    assert S.size > DEFAULT_CAPS.mul_table_cap
+    M = minimal_left_ideals(S)[0]
+    ideal_group(M, M.idempotents[0])
+    rng = random.Random(1)
+    pairs = [(rng.randrange(S.size), rng.randrange(S.size)) for _ in range(200)]
+    products = [S.mul(i, j) for i, j in pairs]
+    assert (S._elements, S._index) == (None, None)
+    elements, _ = oracles.closure(maps)
+    assert S.elements == elements
+    assert all(type(e) is tuple for e in S.elements)
+    assert S.index == {e: i for i, e in enumerate(elements)}
+    assert S.elements is S.elements and S.index is S.index
+    assert products == [S.index[oracles.compose(elements[i], elements[j])]
+                        for i, j in pairs]
+
+
+def test_ellis_and_verify_never_build_the_tuple_views(monkeypatch, tmp_path):
+    """`elliskit ellis` below and above `mul_table_cap` (S6 has 720
+    elements) and every verify suite run with both views made unreadable."""
+    def unread(S):
+        raise AssertionError("tuple view read")
+
+    monkeypatch.setattr(EllisSemigroup, "elements", property(unread))
+    monkeypatch.setattr(EllisSemigroup, "index", property(unread))
+    s6 = tmp_path / "s6.json"
+    s6.write_text(json.dumps({
+        "group": {"kind": "permutation", "degree": 6,
+                  "generators": [[1, 2, 3, 4, 5, 0], [1, 0, 2, 3, 4, 5]]},
+        "points": 6, "action": "natural"}))
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    for path in ("instances/swap-collapse-flow.json", str(s6)):
+        assert main(["ellis", path]) == 0
+    for suite, count in (("ellis", 40), ("grouplike", 20), ("orbital", 10),
+                         ("structured", 2)):
+        assert main(["verify", "--suite", suite, "--instances", str(count),
+                     "--seed", "7"]) == 0
 
 
 @pytest.mark.parametrize("name, params", [("symmetric", {"n": 5}),

@@ -348,6 +348,23 @@ def test_cli_malformed_instance_exit_2(tmp_path, capsys, data, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("raw, message", [
+    (b"\xff\xfe", "not UTF-8 text"),
+    (b"[" * 5000 + b"]" * 5000, "nested too deeply"),
+    (b'{"transformations": [[0, 1]], "transformations": [[1, 1]]}',
+     "duplicate key 'transformations'"),
+    (b'{"group": {"kind": "named", "name": "cyclic", "n": 2, "n": 3},'
+     b' "action": "regular"}', "duplicate key 'n'"),
+], ids=["not-utf8", "deeply-nested", "duplicate-key", "nested-duplicate-key"])
+def test_cli_unreadable_instance_bytes_exit_2(tmp_path, capsys, raw, message):
+    path = tmp_path / "in.json"
+    path.write_bytes(raw)
+    assert main(["ellis", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and message in err
+    assert "Traceback" not in err
+
+
 def readme_instance_commands():
     """Every `elliskit ...` line of the README's code blocks that names a
     file under instances/, split into arguments."""
