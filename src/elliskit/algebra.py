@@ -167,20 +167,48 @@ def small_generating_set(mul, identity) -> tuple[int, ...]:
 
 def _closure_indices(mul, seed, gens):
     """The subgroup generated by `gens` and the nonempty `seed` (a subset of
-    that subgroup, such as the identity or a subgroup already known), by a
-    breadth-first walk from the seed right-multiplying by generators: in a
-    finite group the products of generators are the whole subgroup.
+    that subgroup, such as the identity or a subgroup already known): the
+    seed's orbit under left multiplication by the generators, whose rows
+    mul[g] are maps. In a finite group the products of generators are the
+    whole subgroup. |G|·|gens| steps to turn the rows into edges, then
     |result|·|gens| lookups."""
-    members = set(seed)
-    frontier = list(members)
-    for x in frontier:
-        row = mul[x]
-        for g in gens:
-            y = row[g]
-            if y not in members:
-                members.add(y)
-                frontier.append(y)
-    return members
+    if not gens:
+        return set(seed)
+    return _walk(list(zip(*[mul[g] for g in gens])), seed)
+
+
+def _walk(edges, starts) -> set[int]:
+    """Everything reachable from `starts` along `edges`, starts included:
+    edges[x] lists the successors of x."""
+    seen = set(starts)
+    order = list(seen)
+    for x in order:
+        for y in edges[x]:
+            if y not in seen:
+                seen.add(y)
+                order.append(y)
+    return seen
+
+
+def _extend_by_generators(G: FiniteGroup, gens, start, step):
+    """Values on every element reached from the identity by left
+    multiplication: value(g·x) = step(i, value(x)) for g = gens[i], with
+    `start` at the identity. Returns (values indexed by element, None), or
+    (None, (g, x)) at the first edge where two words give different values."""
+    values = [None] * G.order
+    values[G.identity] = start
+    order = [G.identity]
+    for x in order:
+        vx = values[x]
+        for i, g in enumerate(gens):
+            y = G.mul[g][x]
+            v = step(i, vx)
+            if values[y] is None:
+                values[y] = v
+                order.append(y)
+            elif values[y] != v:
+                return None, (g, x)
+    return values, None
 
 
 def _integer(value, what):
@@ -386,16 +414,8 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> GroupQuotient:
     if not N.is_normal():
         raise NotNormal(*next((g, a) for g in G.elements() for a in N.members
                               if G.conjugate(g, a) not in N.members))
-    coset_of = [None] * G.order
-    cosets: list[tuple[int, ...]] = []
-    for g in G.elements():
-        if coset_of[g] is not None:
-            continue
-        members = tuple(sorted(G.mul[g][h] for h in N.members))
-        idx = len(cosets)
-        cosets.append(members)
-        for m in members:
-            coset_of[m] = idx
+    cosets = left_cosets(G, N)
+    coset_of = {m: idx for idx, members in enumerate(cosets) for m in members}
     k = len(cosets)
     reps = [c[0] for c in cosets]
     mul = tuple(
@@ -405,7 +425,8 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> GroupQuotient:
     inverse = tuple(coset_of[G.inverse[reps[i]]] for i in range(k))
     group = FiniteGroup(mul, identity, inverse,
                         gens=small_generating_set(mul, identity))
-    return GroupQuotient(G, N, tuple(cosets), group, tuple(coset_of))
+    return GroupQuotient(G, N, tuple(cosets), group,
+                         tuple(coset_of[g] for g in G.elements()))
 
 
 @dataclass(frozen=True)
@@ -416,24 +437,6 @@ class IsomorphismResult:
 
     def __bool__(self):
         return self.isomorphic
-
-
-def _element_words(G: FiniteGroup):
-    """parent[x] = (prev, gen) decomposition of every element over G.gens."""
-    parent: dict[int, tuple[int, int] | None] = {G.identity: None}
-    frontier = [G.identity]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in G.gens:
-                y = G.mul[x][g]
-                if y not in parent:
-                    parent[y] = (x, g)
-                    new.append(y)
-        frontier = new
-    if len(parent) != G.order:
-        raise NotAssociative(("gens", "do not generate", len(parent)))
-    return parent
 
 
 def are_isomorphic(A: FiniteGroup, B: FiniteGroup,
@@ -453,36 +456,27 @@ def are_isomorphic(A: FiniteGroup, B: FiniteGroup,
             "right": list(B.element_order_multiset())})
 
     gens = A.gens
-    words = _element_words(A)
+    generated = len(_closure_indices(A.mul, (A.identity,), gens))
+    if generated != A.order:
+        raise NotAssociative(("gens", "do not generate", generated))
     order_of = {g: A.element_order(g) for g in gens}
     candidates = [
         [b for b in B.elements() if B.element_order(b) == order_of[g]] for g in gens
     ]
 
     def build(images):
-        phi = {A.identity: B.identity}
-        frontier = [A.identity]
-        while frontier:
-            new = []
-            for x in frontier:
-                for gi, g in enumerate(gens):
-                    y = A.mul[x][g]
-                    img = B.mul[phi[x]][images[gi]]
-                    if y in phi:
-                        if phi[y] != img:
-                            return None
-                    else:
-                        phi[y] = img
-                        new.append(y)
-            frontier = new
-        if len(set(phi.values())) != B.order:
+        """The homomorphism sending gens to images, if there is one and it
+        is a bijection."""
+        phi, _ = _extend_by_generators(A, gens, B.identity,
+                                       lambda i, b: B.mul[images[i]][b])
+        if phi is None or len(set(phi)) != B.order:
             return None
         for a in A.elements():
             pa = phi[a]
             for b in A.elements():
                 if B.mul[pa][phi[b]] != phi[A.mul[a][b]]:
                     return None
-        return tuple(phi[a] for a in A.elements())
+        return tuple(phi)
 
     for images in itertools.product(*candidates):
         phi = build(images)

@@ -30,17 +30,29 @@ class Caps:
     points_cap: int = 20000          # largest flow we will construct
 
 
+def _unique_keys(pairs) -> dict:
+    """`json.loads` object hook: the object as a dict; a repeated key raises
+    ValueError, where a plain dict would keep its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _from_env() -> tuple[Caps, ParseError | None]:
     """The caps named in ELLISKIT_CAPS over the defaults, or the defaults and
-    the reason the variable is malformed: not a JSON object, an unknown cap
-    name, or a value that is not a non-negative integer."""
+    the reason the variable is malformed: not a JSON object (a repeated name
+    or nesting too deep to parse included), an unknown cap name, or a value that is not a non-negative
+    integer."""
     raw = os.environ.get("ELLISKIT_CAPS")
     caps = Caps()
     if not raw:
         return caps, None
     try:
-        data = json.loads(raw)
-    except ValueError as exc:
+        data = json.loads(raw, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:
         return caps, ParseError("ELLISKIT_CAPS", f"not valid JSON ({exc})")
     if not isinstance(data, dict):
         return caps, ParseError("ELLISKIT_CAPS", "must be a JSON object")

@@ -15,6 +15,7 @@ from .algebra import (
     left_cosets,
     named_group,
     normal_core,
+    quotient_group,
     subgroup_generated,
 )
 from .caps import DEFAULT_CAPS, Caps
@@ -302,20 +303,11 @@ def run_product_demo(caps: Caps = DEFAULT_CAPS) -> Report:
 def tower_fixture(caps: Caps = DEFAULT_CAPS):
     G = named_group("cyclic", n=6)
     lvl0 = make_ambit(coset_flow(G, subgroup_generated(G, list(G.elements()))), 0)
-    lvl1 = make_ambit(coset_flow(G, subgroup_generated(G, [3])), 0)
+    N = subgroup_generated(G, [3])
+    lvl1 = make_ambit(coset_flow(G, N), 0)
     lvl2 = make_ambit(regular_flow(G), 0)
     m10 = FlowMorphism(lvl1, lvl0, tuple(0 for _ in range(lvl1.points)))
-    H = subgroup_generated(G, [3]).members
-    coset_of = {}
-    reps = []
-    for g in G.elements():
-        if g in coset_of:
-            continue
-        members = sorted(G.mul[g][h] for h in H)
-        reps.append(members[0])
-        for m in members:
-            coset_of[m] = len(reps) - 1
-    m21 = FlowMorphism(lvl2, lvl1, tuple(coset_of[g] for g in G.elements()))
+    m21 = FlowMorphism(lvl2, lvl1, quotient_group(G, N).projection)
     return [lvl0, lvl1, lvl2], [m10, m21]
 
 

@@ -3,12 +3,14 @@ structure, check group-likeness, decide orbitality, verify structured
 scenarios, run seeded suites, and run the bundled examples.
 
 Exit codes: 0 all checks passed (or pure analysis), 1 a verified property
-violation, 2 input error.
+violation, 2 input error, 141 (128 + SIGPIPE) standard output closed by its
+reader.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import replace
@@ -27,10 +29,7 @@ from .suites import SUITES, run_suite
 
 
 def _emit(report: Report, fmt: str) -> None:
-    if fmt == "json":
-        print(report.to_json())
-    else:
-        print(report.to_text())
+    print(report.to_json() if fmt == "json" else report.to_text(), flush=True)
 
 
 def _load(path, expect_kinds):
@@ -274,6 +273,12 @@ def main(argv=None) -> int:
         if ENV_ERROR is not None:
             raise ENV_ERROR
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout (`elliskit ... | head`); point stdout at
+        # devnull so the flush at exit cannot fail again, and exit as a
+        # process killed by SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except TheoremViolation as exc:
         print(f"verified violation: {exc}", file=sys.stderr)
         return 1

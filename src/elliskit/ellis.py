@@ -40,6 +40,7 @@ from .algebra import (
     Subgroup,
     _composer,
     _locate_inverses,
+    _walk,
     cayley_table,
     compose_maps,
     small_generating_set,
@@ -323,18 +324,6 @@ def _validate_minimal_ideal(M: MinimalIdeal):
         for s in M.members:
             if S.mul(s, u) != s:
                 raise TheoremViolation("s·u != s inside minimal ideal", (s, u))
-
-
-def _walk(edges, starts) -> set[int]:
-    """Everything reachable from `starts` along `edges`, starts included."""
-    seen = set(starts)
-    frontier = list(seen)
-    for x in frontier:
-        for y in edges[x]:
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return seen
 
 
 def ideal_group(M: MinimalIdeal, u: int) -> IdealGroup:

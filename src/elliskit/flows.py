@@ -19,7 +19,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .algebra import FiniteGroup, Subgroup, direct_product, left_cosets
+from .algebra import FiniteGroup, Subgroup, _walk, direct_product, left_cosets
 from .caps import DEFAULT_CAPS, Caps
 from .errors import (
     GroupMismatch,
@@ -187,45 +187,30 @@ def transporters(flow: Flow, basepoint: int) -> list[int | None]:
     gens = flow.generator_elements()
     out = [None] * flow.points
     out[basepoint] = G.identity
-    frontier = [basepoint]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = flow.maps[g][x]
-                if out[y] is None:
-                    out[y] = G.mul[g][out[x]]
-                    new.append(y)
-        frontier = new
+    order = [basepoint]
+    for x in order:
+        for g in gens:
+            y = flow.maps[g][x]
+            if out[y] is None:
+                out[y] = G.mul[g][out[x]]
+                order.append(y)
     return out
 
 
 def orbit_of(flow: Flow, start: int) -> set[int]:
     """Forward orbit of a point under the generated transformation monoid."""
-    gens = flow.generator_maps()
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for x in frontier:
-            for m in gens:
-                y = m[x]
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    return seen
+    return _walk(list(zip(*flow.generator_maps())), (start,))
 
 
 def orbits(flow: Flow) -> list[tuple[int, ...]]:
+    edges = list(zip(*flow.generator_maps()))
     seen = set()
     out = []
     for x in range(flow.points):
-        if x in seen:
-            continue
-        orb = orbit_of(flow, x)
-        seen |= orb
-        out.append(tuple(sorted(orb)))
+        if x not in seen:
+            orb = _walk(edges, (x,))
+            seen |= orb
+            out.append(tuple(sorted(orb)))
     return out
 
 

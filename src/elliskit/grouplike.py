@@ -19,6 +19,7 @@ from .algebra import (
     FiniteGroup,
     GroupQuotient,
     Subgroup,
+    _locate_inverses,
     normal_core,
     quotient_group,
 )
@@ -32,6 +33,7 @@ from .ellis import (
     minimal_left_ideals,
 )
 from .errors import (
+    NoInverse,
     NotEquivalence,
     NotWeaklyGroupLike,
     TheoremViolation,
@@ -107,21 +109,17 @@ def check_group_like(ambit: Ambit, E: EquivRelation) -> GroupLikeVerdict:
                 raise TheoremViolation("class product ill-defined",
                                        (g, x, c1))
     identity = bound.class_of[x0]
-    inverse = [None] * k
-    for c in range(k):
-        for d in range(k):
-            if table[c][d] == identity and table[d][c] == identity:
-                inverse[c] = d
-                break
-        if inverse[c] is None:
-            return GroupLikeVerdict(False, None, ("no class inverse", c))
+    try:
+        inverse = _locate_inverses(table, identity)
+    except NoInverse as exc:
+        return GroupLikeVerdict(False, None, ("no class inverse", exc.element))
     for a in range(k):
         for b in range(k):
             for c in range(k):
                 if table[table[a][b]][c] != table[a][table[b][c]]:
                     return GroupLikeVerdict(False, None,
                                             ("classes not associative", (a, b, c)))
-    qgroup = FiniteGroup(tuple(table), identity, tuple(inverse),
+    qgroup = FiniteGroup(tuple(table), identity, inverse,
                          gens=tuple(range(k)))
     cert = GroupLikeCertificate(ambit, bound, qgroup, kernel, class_transporter)
     _verify_quotient_is_g_mod_k(cert)

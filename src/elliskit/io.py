@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import algebra, flows, relations, structured
-from .caps import DEFAULT_CAPS, Caps
+from .caps import DEFAULT_CAPS, Caps, _unique_keys
 from .errors import ElliskitError, NotAnAction, ParseError, ValidationError
 
 
@@ -43,9 +43,8 @@ def _canonical(obj) -> dict:
     return json.loads(json.dumps(obj, sort_keys=True))
 
 
-def detect_kind(data: dict) -> str:
-    if not isinstance(data, dict):
-        raise ParseError("<data>", "top-level JSON object expected")
+def detect_kind(data: dict) -> str | None:
+    """The schema a top-level object follows, or None if it follows none."""
     if "ground" in data:
         return "lattice"
     if "lattices" in data or ("flow" in data and "relation" in data):
@@ -58,7 +57,7 @@ def detect_kind(data: dict) -> str:
         return "relation"
     if data.get("kind") in ("permutation", "table", "named"):
         return "group"
-    raise ParseError("<data>", "unrecognized instance schema")
+    return None
 
 
 def _only(data, kind: str, keys, at: str) -> None:
@@ -96,27 +95,15 @@ def _flow_from_generator_images(G: algebra.FiniteGroup, points: int, images,
     if len(images) != len(gens):
         raise ParseError("<flow>", f"need one generator image per generator "
                                    f"({len(gens)} expected)")
-    maps = {G.identity: tuple(range(points))}
     images = [tuple(int(v) for v in m) for m in images]
     for i, m in enumerate(images):
         if len(m) != points or any(not 0 <= v < points for v in m):
             raise ParseError("<flow>", f"generator image {i} is not a self-map "
                                        f"of 0..{points - 1}")
-    frontier = [G.identity]
-    while frontier:
-        new = []
-        for g in frontier:
-            for gi, gen in enumerate(gens):
-                h = G.mul[gen][g]
-                composed = tuple(images[gi][v] for v in maps[g])
-                if h in maps:
-                    if maps[h] != composed:
-                        raise NotAnAction(gen, g, -1)
-                else:
-                    maps[h] = composed
-                    new.append(h)
-        frontier = new
-    action = [maps[g] for g in G.elements()]
+    action, clash = algebra._extend_by_generators(
+        G, gens, tuple(range(points)), lambda i, m: algebra.compose_maps(images[i], m))
+    if clash is not None:
+        raise NotAnAction(*clash, -1)
     return flows.make_flow(G, points, action, caps=caps)
 
 
@@ -221,7 +208,11 @@ def _check_integers(data, where):
 
 
 def parse_obj(data: dict, caps: Caps = DEFAULT_CAPS, origin="<data>") -> InstanceFile:
+    if not isinstance(data, dict):
+        raise ParseError(origin, "top-level JSON object expected")
     kind = detect_kind(data)
+    if kind is None:
+        raise ParseError(origin, "unrecognized instance schema")
     try:
         _check_integers(data, "")
         value = _BUILDERS[kind](data, caps)
@@ -242,23 +233,14 @@ def parse_instance(path, caps: Caps = DEFAULT_CAPS) -> InstanceFile:
         raise ParseError(str(path), str(exc)) from exc
     except UnicodeDecodeError as exc:
         raise ParseError(str(path), f"not UTF-8 text (byte {exc.start})") from exc
-
-    def unique_keys(pairs):
-        obj = {}
-        for key, value in pairs:
-            if key in obj:
-                raise ParseError(str(path), f"duplicate key {key!r}")
-            obj[key] = value
-        return obj
-
     try:
-        data = json.loads(text, object_pairs_hook=unique_keys)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(str(path), f"line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:           # a repeated key or an overlong integer
+        raise ParseError(str(path), str(exc)) from exc
     except RecursionError as exc:
         raise ParseError(str(path), "JSON nested too deeply") from exc
-    if not isinstance(data, dict):
-        raise ParseError(str(path), "top-level JSON object expected")
     return parse_obj(data, caps=caps, origin=str(path))
 
 

@@ -164,20 +164,12 @@ def orbit_relation(flow: Flow, H: Subgroup) -> EquivRelation:
     seen = [False] * flow.points
     classes = []
     for x in range(flow.points):
-        if seen[x]:
-            continue
-        orbit = {x}
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            for h in H.members:
-                z = flow.act(h, y)
-                if z not in orbit:
-                    orbit.add(z)
-                    frontier.append(z)
-        for y in orbit:
-            seen[y] = True
-        classes.append(tuple(sorted(orbit)))
+        if not seen[x]:
+            # H is a group, so its images of x are the whole H-orbit
+            orbit = sorted({flow.maps[h][x] for h in H.members})
+            for y in orbit:
+                seen[y] = True
+            classes.append(tuple(orbit))
     return EquivRelation(flow.points, tuple(classes), flow)
 
 

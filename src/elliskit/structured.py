@@ -217,21 +217,17 @@ class SectionProductLattice(_Lattice):
 
 def _close_family(masks, cap):
     family = set(masks)
-    frontier = list(family)
-    added = []
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in list(family):
-                for c in (a | b, a & b):
-                    if c not in family:
-                        if len(family) >= cap:
-                            raise SizeCapExceeded(len(family) + 1, cap, "lattice")
-                        family.add(c)
-                        new.append(c)
-                        added.append(c)
-        frontier = new
-    return family, added
+    order = list(family)
+    given = len(order)
+    for a in order:
+        for b in list(family):
+            for c in (a | b, a & b):
+                if c not in family:
+                    if len(family) >= cap:
+                        raise SizeCapExceeded(len(family) + 1, cap, "lattice")
+                    family.add(c)
+                    order.append(c)
+    return family, order[given:]
 
 
 def make_lattice(ground: str, size: int, sets, auto_complete: bool = False,

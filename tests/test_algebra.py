@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elliskit.algebra import (
+    FiniteGroup,
     are_isomorphic,
     direct_product,
     enumerate_subgroups,
@@ -311,6 +312,16 @@ def test_self_isomorphism_is_identity():
     G = named_group("dihedral", n=5)
     res = are_isomorphic(G, G)
     assert res and res.mapping == tuple(range(G.order))
+
+
+def test_isomorphism_rejects_generators_that_do_not_generate():
+    # a hand-built group whose gens miss half of it: no generator images
+    # would extend to the whole group, so the search would report
+    # "exhausted" for two equal groups
+    z4 = named_group("cyclic", n=4)
+    short = FiniteGroup(z4.mul, z4.identity, z4.inverse, gens=(2,))
+    with pytest.raises(NotAssociative, match="do not generate"):
+        are_isomorphic(short, named_group("cyclic", n=4))
 
 
 def test_s3_isomorphic_to_d3():

@@ -10,8 +10,9 @@ Cayley graph, the kernel element found from the image orbit against the
 minimum rank over the oracle closure, the bitmask lattices (members,
 membership, products and agreeability) against the frozenset ones, the
 witness supports found by orbital masks against one pair closure per
-support, and normality by conjugating with the generators against
-conjugating with every element."""
+support, normality by conjugating with the generators against
+conjugating with every element, orbit relations against the pairs
+x ~ h·x, and quotient cosets against `left_cosets`."""
 
 import json
 import random
@@ -26,6 +27,7 @@ from elliskit.algebra import (
     _composer,
     enumerate_subgroups,
     group_from_permutations,
+    left_cosets,
     named_group,
     normal_core,
     quotient_group,
@@ -69,6 +71,7 @@ from elliskit.relations import (
     _orbitals,
     _subgroup_witnesses,
     invariant_relations,
+    orbit_relation,
     is_weakly_orbital,
     make_relation,
     r_relation,
@@ -804,3 +807,36 @@ def test_is_normal_and_normal_core_match_oracles():
                 assert (g, a) == next((g, a) for g in G.elements() for a in H.members
                                       if G.conjugate(g, a) not in H.members)
     assert normal >= 250 and non_normal >= 120
+
+
+# ---- orbit relations and quotient cosets -------------------------------------
+
+def test_orbit_relation_matches_the_definition():
+    rng = random.Random(43)
+    relations = 0
+    for i in range(200):
+        flow = random_group_flow(rng, 8, 24)
+        if i % 2:   # intransitive, so the H-orbits split each G-orbit apart
+            flow = disjoint_union_flow([flow, same_group_flow(rng, flow.group)])
+        n = flow.points
+        for H in enumerate_subgroups(flow.group):
+            pairs = {(x, flow.act(h, x)) for x in range(n) for h in H.members}
+            want = sorted({tuple(y for y in range(n) if (x, y) in pairs)
+                           for x in range(n)})
+            assert orbit_relation(flow, H).classes == tuple(want)
+            relations += 1
+    assert relations >= 1300
+
+
+def test_quotient_cosets_are_the_left_cosets():
+    quotients = 0
+    for G in group_catalog():
+        for N in enumerate_subgroups(G):
+            if oracles.is_normal(G, N.members):
+                Q = quotient_group(G, N)
+                assert Q.cosets == tuple(left_cosets(G, N))
+                assert Q.projection == tuple(
+                    next(i for i, c in enumerate(Q.cosets) if g in c)
+                    for g in G.elements())
+                quotients += 1
+    assert quotients >= 70

@@ -3,16 +3,16 @@ import os
 import shlex
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from elliskit import cli, flows
 from elliskit.algebra import group_from_table, named_group
-from elliskit.caps import DEFAULT_CAPS
+from elliskit.caps import DEFAULT_CAPS, Caps, _from_env
 from elliskit.cli import main
 from elliskit.errors import ElliskitError, ParseError, ValidationError
 from elliskit.io import parse_instance, parse_obj, serialize_instance
@@ -102,7 +102,8 @@ def test_parse_inconsistent_generator_images(tmp_path):
         # the transposition image has order 3: the group relations fail
         "action": {"generator_images": [[1, 2, 0], [1, 2, 0]]},
     }
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError,
+                       match=r"action axiom fails at g=0, h=0, x=-1"):
         parse_instance(write(tmp_path, "bad.json", data))
 
 
@@ -333,6 +334,7 @@ def test_cli_relation_on_wrong_point_set_exit_2(tmp_path, capsys, command, point
       "lattices": [1]}, "lattices must be a JSON object"),
     ({"transformations": [[1, 0], [0, 0]], "points": 3},
      "point count 3 disagrees"),
+    ({"a": 1}, "in.json: unrecognized instance schema"),
 ], ids=["basepoint-out-of-range", "basepoint-not-int", "mul-not-square",
         "named-without-n", "transformations-not-maps", "image-not-self-map",
         "group-null", "group-not-object", "transformation-entry-not-int",
@@ -340,7 +342,8 @@ def test_cli_relation_on_wrong_point_set_exit_2(tmp_path, capsys, command, point
         "basepoint-float", "basepoint-bool", "image-float", "transformation-bool",
         "lattice-size-float", "action-misspelt", "group-stray-key",
         "lattice-stray-key", "scenario-lattice-stray-key",
-        "scenario-lattices-not-object", "transformations-points-disagree"])
+        "scenario-lattices-not-object", "transformations-points-disagree",
+        "unknown-schema"])
 def test_cli_malformed_instance_exit_2(tmp_path, capsys, data, message):
     assert main(["ellis", write(tmp_path, "in.json", data)]) == 2
     err = capsys.readouterr().err
@@ -355,7 +358,11 @@ def test_cli_malformed_instance_exit_2(tmp_path, capsys, data, message):
      "duplicate key 'transformations'"),
     (b'{"group": {"kind": "named", "name": "cyclic", "n": 2, "n": 3},'
      b' "action": "regular"}', "duplicate key 'n'"),
-], ids=["not-utf8", "deeply-nested", "duplicate-key", "nested-duplicate-key"])
+    # json.loads refuses an integer of more than 4,300 digits with a plain
+    # ValueError, not a JSONDecodeError
+    (b'{"transformations": [[' + b"1" * 5000 + b"]]}", "Exceeds the limit"),
+], ids=["not-utf8", "deeply-nested", "duplicate-key", "nested-duplicate-key",
+        "overlong-integer"])
 def test_cli_unreadable_instance_bytes_exit_2(tmp_path, capsys, raw, message):
     path = tmp_path / "in.json"
     path.write_bytes(raw)
@@ -421,19 +428,25 @@ def test_cli_unknown_example():
         main(["example", "not-a-fixture"])
 
 
+def cli_env(**extra):
+    """The environment for running this checkout's CLI in a subprocess."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 @pytest.mark.parametrize("value, message", [
     ("{bad", "not valid JSON"),
     ('{"nope": 1}', "unknown cap names"),
     ("[1]", "must be a JSON object"),
     ('{"closure_cap": "1000"}', "must be non-negative integers"),
+    ('{"closure_cap": 5, "closure_cap": 100000}', "duplicate key 'closure_cap'"),
 ])
 def test_cli_malformed_caps_env_exit_2(value, message):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, ELLISKIT_CAPS=value, PYTHONPATH=path)
     done = subprocess.run(
         [sys.executable, "-m", "elliskit.cli", "example", "s3-stabilizer"],
-        env=env, capture_output=True, text=True, timeout=60)
+        env=cli_env(ELLISKIT_CAPS=value), capture_output=True, text=True,
+        timeout=60)
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("error: ELLISKIT_CAPS: ")
@@ -441,7 +454,77 @@ def test_cli_malformed_caps_env_exit_2(value, message):
     assert done.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["ellis", "instances/s3-natural-ambit.json"],
+    ["verify", "--suite", "ellis", "--instances", "20", "--seed", "7"],
+], ids=["ellis", "verify"])
+def test_cli_closed_stdout_exits_141(argv):
+    # the read end is closed before the command starts, so its output meets
+    # a broken pipe: exit as if killed by SIGPIPE, not 1 (a violation)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "elliskit.cli", *argv],
+                              cwd=ROOT, env=cli_env(), stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141
+    assert done.stderr == ""
+
+
 # ---- exit-code fuzz -------------------------------------------------------------
+
+CAP_NAMES = [f.name for f in fields(Caps)]
+ENV_TEXT = st.text(st.characters(min_codepoint=1, max_codepoint=0x17F), max_size=30)
+CAP_VALUES = st.one_of(st.integers(0, 10**12), st.one_of(
+    st.integers(-3, -1), st.floats(allow_nan=True), st.booleans(), st.none(),
+    ENV_TEXT, st.lists(st.integers(0, 9), max_size=2), st.just({})))
+
+
+@st.composite
+def caps_texts(draw):
+    """ELLISKIT_CAPS values: objects of cap names (repeated, unknown or
+    mistyped ones included), cut short or not, and arbitrary text."""
+    if draw(st.booleans()):
+        return draw(ENV_TEXT)
+    names = st.sampled_from(CAP_NAMES + ["", "Closure_cap", "nope"])
+    pairs = draw(st.lists(st.tuples(names, CAP_VALUES), max_size=3))
+    text = "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs) + "}"
+    return text[:draw(st.integers(0, len(text)))] if draw(st.booleans()) else text
+
+
+def caps_oracle(text):
+    """The caps the text names, or None if it is malformed."""
+    if not text:
+        return {}
+    try:
+        data = json.loads(text, object_pairs_hook=list)
+    except (ValueError, RecursionError):
+        return None
+    if not isinstance(data, list) or len({k for k, _ in data}) != len(data):
+        return None
+    if all(k in CAP_NAMES and type(v) is int and v >= 0 for k, v in data):
+        return dict(data)
+    return None
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=caps_texts())
+@example(text="")
+@example(text='{"closure_cap": 5, "lattice_cap": 0}')
+@example(text='{"closure_cap": 5, "closure_cap": 100000}')
+@example(text="[" * 5000)
+def test_caps_env_is_read_or_rejected_never_raises(monkeypatch, text):
+    monkeypatch.setenv("ELLISKIT_CAPS", text)
+    caps, error = _from_env()
+    want = caps_oracle(text)
+    if want is None:
+        assert caps == Caps() and isinstance(error, ParseError)
+        assert str(error).startswith("ELLISKIT_CAPS: ")
+    else:
+        assert error is None and caps == replace(Caps(), **want)
 
 JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 9),
                  st.floats(-2, 9, allow_nan=False), st.text(max_size=2),
