@@ -68,7 +68,6 @@ from .io import parse_instance, parse_obj, serialize_instance
 from .relations import (
     EquivRelation,
     WitnessPair,
-    class_formula,
     equality_relation,
     free_action_correspondence,
     invariant_relations,

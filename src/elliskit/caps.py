@@ -25,8 +25,8 @@ class Caps:
                                      # graphs, with no memo
     product_points_cap: int = 20000  # product flow point cap
     independence_k_cap: int = 4      # largest independent-family size searched
-    lattice_cap: int = 4096          # largest explicit lattice (number of sets)
-    partition_points_cap: int = 8    # exhaustive partition enumeration bound
+    lattice_cap: int = 4096          # largest explicit lattice (number of
+                                     # sets), and of invariant relations
     points_cap: int = 20000          # largest flow we will construct
 
 

@@ -3,7 +3,10 @@ subgroups, orbit relations, witnessed relations R_{H,support}, maximal
 witnesses, and decision procedures for orbitality and weak orbitality.
 
 Relations are stored as partitions (class-level operations dominate); the
-pair-set view is derived on demand.
+pair-set view is derived on demand. The lattice of all invariant relations
+is built from principal relations, each one union-find closure over the
+generator maps (Atkinson, Math. Comp. 29, 1975), closed under joins
+(Freese, Algebra Universalis 59, 2008).
 """
 
 from __future__ import annotations
@@ -194,16 +197,7 @@ class RRelationResult:
     def to_relation(self, flow: Flow) -> EquivRelation:
         if not self.is_equivalence:
             raise NotAWitness(f"relation is not an equivalence: {self.failure_witness}")
-        class_of = {}
-        classes = []
-        for a, b in sorted(self.pairs):
-            if a in class_of:
-                continue
-            members = sorted(x for (y, x) in self.pairs if y == a)
-            classes.append(tuple(members))
-            for m in members:
-                class_of[m] = True
-        return EquivRelation(flow.points, tuple(classes), flow)
+        return EquivRelation(flow.points, _classes(flow.points, self.pairs), flow)
 
 
 def r_relation(flow: Flow, w: WitnessPair) -> RRelationResult:
@@ -250,23 +244,6 @@ def r_relation(flow: Flow, w: WitnessPair) -> RRelationResult:
         if not transitive:
             break
     return RRelationResult(frozenset(pairs), reflexive, symmetric, transitive, witness)
-
-
-def class_formula(flow: Flow, w: WitnessPair, x0: int) -> frozenset[int]:
-    """Direct evaluation of the witnessed class of x0: the union of
-    conjugate-orbit translates over group elements carrying x0 into the
-    support. Cross-checks the translate-closure computation."""
-    if not flow.is_group_flow:
-        raise GroupMismatch("witnessed relations need a group flow")
-    G = flow.group
-    out = set()
-    for g in G.elements():
-        if flow.act(g, x0) not in w.support:
-            continue
-        ginv = G.inverse[g]
-        for h in w.subgroup.members:
-            out.add(flow.act(ginv, flow.act(h, flow.act(g, x0))))
-    return frozenset(out)
 
 
 def fix_set(E: EquivRelation, H: Subgroup) -> frozenset[int]:
@@ -419,8 +396,8 @@ class CorrespondenceReport:
 def free_action_correspondence(flow: Flow, caps: Caps = DEFAULT_CAPS) -> CorrespondenceReport:
     """On a free action, normal subgroups biject with orbital relations:
     N -> its orbit relation, recovered by the kernel. Verified by
-    enumerating the normal subgroups, checking recovery, and (via complete
-    partition enumeration) that every orbital relation arises."""
+    enumerating the normal subgroups, checking recovery, and (over the whole
+    invariant-relation lattice) that every orbital relation arises."""
     if not flow.is_group_flow:
         raise GroupMismatch("needs a group flow")
     G = flow.group
@@ -445,11 +422,8 @@ def free_action_correspondence(flow: Flow, caps: Caps = DEFAULT_CAPS) -> Corresp
                                N.sorted_members))
         seen_relations[E] = N
         entries.append((N.sorted_members, len(E.classes)))
-    if flow.points > caps.partition_points_cap:
-        raise SizeCapExceeded(flow.points, caps.partition_points_cap,
-                              "partition enumeration")
     complete = True
-    for E in invariant_relations(flow):
+    for E in invariant_relations(flow, caps):
         verdict = is_orbital(E)
         if verdict.orbital and E not in seen_relations:
             complete = False
@@ -458,34 +432,58 @@ def free_action_correspondence(flow: Flow, caps: Caps = DEFAULT_CAPS) -> Corresp
     return CorrespondenceReport(tuple(entries), complete)
 
 
-def all_partitions(n: int):
-    """Every partition of 0..n-1, via restricted-growth strings: a[0] = 0
-    and a[i] <= max(a[:i]) + 1, stepped in lexicographic order."""
-    if n == 0:
-        yield ()
-        return
-    a = [0] * n
-    while True:
-        blocks: dict[int, list[int]] = {}
-        for i, x in enumerate(a):
-            blocks.setdefault(x, []).append(i)
-        yield tuple(tuple(blocks[k]) for k in sorted(blocks))
-        i = n - 1
-        while i > 0 and a[i] > max(a[:i]):
-            i -= 1
-        if i == 0:
-            return
-        a[i] += 1
-        for j in range(i + 1, n):
-            a[j] = 0
+def _classes(n: int, pairs, maps=()) -> tuple[tuple[int, ...], ...]:
+    """The classes of the smallest equivalence on 0..n-1 that relates every
+    pair and is closed under the maps (x ~ y gives m[x] ~ m[y]), each sorted
+    and listed by least point. One union-find pass: each merge of two
+    classes queues the images of the merging pair, which suffices because
+    the merging pairs generate the equivalence (Atkinson 1975)."""
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    work = list(pairs)
+    for a, b in work:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            root[max(ra, rb)] = min(ra, rb)
+            work.extend((m[a], m[b]) for m in maps)
+    classes: dict[int, list[int]] = {}
+    for x in range(n):
+        classes.setdefault(find(x), []).append(x)
+    return tuple(map(tuple, classes.values()))
 
 
 def invariant_relations(flow: Flow, caps: Caps = DEFAULT_CAPS):
-    """All invariant equivalence relations of a small flow."""
-    if flow.points > caps.partition_points_cap:
-        raise SizeCapExceeded(flow.points, caps.partition_points_cap,
-                              "partition enumeration")
-    for classes in all_partitions(flow.points):
-        E = EquivRelation(flow.points, classes, flow)
-        if E.invariant:
-            yield E
+    """All invariant equivalence relations of a flow, in the lexicographic
+    order of their restricted-growth labellings `class_of`. Every invariant
+    equivalence is a join of principal ones. The principal relation
+    theta(a, b), the smallest invariant equivalence relating a and b, is one
+    union-find closure over the generator maps (Atkinson, Math. Comp. 29,
+    1975), and closing equality and the principal relations under joins
+    gives the whole lattice (Freese, Algebra Universalis 59, 2008). A join
+    of invariant relations is invariant; each member is re-verified when it
+    is bound to the flow. The lattice size is bounded by `lattice_cap`."""
+    n, maps = flow.points, flow.generator_maps()
+    principal = {_classes(n, [(a, b)], maps)
+                 for a in range(n) for b in range(a + 1, n)}
+    lattice = [_classes(n, ())]
+    seen = set(lattice)
+    for E in lattice:
+        for P in principal:
+            J = _classes(n, [(cls[0], x) for cls in E + P for x in cls[1:]])
+            if J not in seen:
+                seen.add(J)
+                lattice.append(J)
+                if len(lattice) > caps.lattice_cap:
+                    raise SizeCapExceeded(len(lattice), caps.lattice_cap,
+                                          "invariant relation lattice")
+    for E in sorted((EquivRelation(n, classes, flow) for classes in lattice),
+                    key=lambda E: E.class_of):
+        if not E.invariant:
+            raise NotInvariant(E.invariance_witness)
+        yield E

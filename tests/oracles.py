@@ -1,17 +1,24 @@
 """Literal reference implementations of the closure, ideal, group-table,
-subgroup-lattice, normality, invariance, witnessed-relation and
-witness-support code in ``elliskit``, the index-walking Tarjan it replaced,
-and pseudo-closed lattices held as frozensets of indices. The production paths read products off Cayley
-graphs, work from generators and hold sets as bitmasks; these compose,
-multiply, scan everything or walk sets index by index instead, so they are
-slow but obviously right, and the differential tests compare the two.
+subgroup-lattice, normality, invariance, witnessed-relation,
+invariant-relation (every partition, filtered) and witness-support code in
+``elliskit``, the index-walking Tarjan it replaced, the class formula for
+witnessed classes, and pseudo-closed lattices held as frozensets of
+indices. The production paths read products off Cayley graphs, work from
+generators and hold sets as bitmasks; these compose, multiply, scan
+everything or walk sets index by index instead, so they are slow but
+obviously right, and the differential tests compare the two.
 """
 
 from __future__ import annotations
 
 from elliskit.algebra import Subgroup
 from elliskit.errors import NotALattice, SizeCapExceeded
-from elliskit.relations import RRelationResult, WeakOrbitalityVerdict, WitnessPair
+from elliskit.relations import (
+    EquivRelation,
+    RRelationResult,
+    WeakOrbitalityVerdict,
+    WitnessPair,
+)
 
 
 def compose(outer, inner):
@@ -329,6 +336,52 @@ def r_relation(flow, w):
         if not transitive:
             break
     return RRelationResult(frozenset(pairs), reflexive, symmetric, transitive, witness)
+
+
+def class_formula(flow, w, x0):
+    """Direct evaluation of the witnessed class of x0: the union of
+    conjugate-orbit translates over group elements carrying x0 into the
+    support. Cross-checks the translate-closure computation."""
+    G = flow.group
+    out = set()
+    for g in G.elements():
+        if flow.act(g, x0) not in w.support:
+            continue
+        ginv = G.inverse[g]
+        for h in w.subgroup.members:
+            out.add(flow.act(ginv, flow.act(h, flow.act(g, x0))))
+    return frozenset(out)
+
+
+def all_partitions(n):
+    """Every partition of 0..n-1, via restricted-growth strings: a[0] = 0
+    and a[i] <= max(a[:i]) + 1, stepped in lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    a = [0] * n
+    while True:
+        blocks = {}
+        for i, x in enumerate(a):
+            blocks.setdefault(x, []).append(i)
+        yield tuple(tuple(blocks[k]) for k in sorted(blocks))
+        i = n - 1
+        while i > 0 and a[i] > max(a[:i]):
+            i -= 1
+        if i == 0:
+            return
+        a[i] += 1
+        for j in range(i + 1, n):
+            a[j] = 0
+
+
+def invariant_relations(flow):
+    """The Bell filter: every partition of the points, in restricted-growth
+    order, kept when every acting map sends classes into classes."""
+    for classes in all_partitions(flow.points):
+        E = EquivRelation(flow.points, classes, flow)
+        if invariance(flow, E.class_of)[0]:
+            yield E
 
 
 def fix_set(flow, E, H):

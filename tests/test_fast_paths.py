@@ -809,6 +809,46 @@ def test_is_normal_and_normal_core_match_oracles():
     assert normal >= 250 and non_normal >= 120
 
 
+# ---- the invariant-relation lattice -------------------------------------------
+
+def test_invariant_relations_match_the_bell_filter():
+    """Members and order equal those of the filter over all Bell(n)
+    partitions, on random group flows of up to 8 points, unions of two
+    flows of one group on up to 8 points, and random transformation and
+    group flows of up to 7 points."""
+    rng = random.Random(71)
+    flows = [random_group_flow(rng, 8, 12) for _ in range(60)]
+    while len(flows) < 100:
+        first = random_group_flow(rng, 4, 8)
+        second = same_group_flow(rng, first.group)
+        if first.points + second.points <= 8:
+            flows.append(disjoint_union_flow([first, second]))
+    flows += [random_ellis_flow(rng, 7) for _ in range(100)]
+    relations = 0
+    for flow in flows:
+        got = list(invariant_relations(flow))
+        assert got == list(oracles.invariant_relations(flow))
+        relations += len(got)
+    assert relations >= 600
+
+
+def test_invariant_relations_count_the_overgroups_of_a_stabilizer():
+    """On a transitive flow the invariant relations biject with the
+    subgroups containing a point stabilizer: on the regular flow of every
+    catalog group they are as many as its subgroups, on each coset flow as
+    many as the subgroups over the coset's own subgroup."""
+    flows = 0
+    for G in group_catalog():
+        subgroups = enumerate_subgroups(G)
+        for H in subgroups:
+            flow = regular_flow(G) if H.order == 1 else coset_flow(G, H)
+            stabilizer = frozenset(g for g in G.elements() if flow.act(g, 0) == 0)
+            overgroups = sum(stabilizer <= K.members for K in subgroups)
+            assert len(list(invariant_relations(flow))) == overgroups
+            flows += 1
+    assert flows >= 100
+
+
 # ---- orbit relations and quotient cosets -------------------------------------
 
 def test_orbit_relation_matches_the_definition():

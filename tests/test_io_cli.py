@@ -255,7 +255,7 @@ def test_cli_structured(tmp_path, capsys):
 
 
 def test_cli_orbital_max_group_order_keeps_cap_overrides(tmp_path, monkeypatch):
-    overridden = replace(DEFAULT_CAPS, partition_points_cap=7)
+    overridden = replace(DEFAULT_CAPS, lattice_cap=7)
     seen = []
 
     def spy(relation, caps):
@@ -441,6 +441,7 @@ def cli_env(**extra):
     ("[1]", "must be a JSON object"),
     ('{"closure_cap": "1000"}', "must be non-negative integers"),
     ('{"closure_cap": 5, "closure_cap": 100000}', "duplicate key 'closure_cap'"),
+    ('{"partition_points_cap": 8}', "unknown cap names"),
 ])
 def test_cli_malformed_caps_env_exit_2(value, message):
     done = subprocess.run(

@@ -11,18 +11,18 @@ from elliskit.algebra import (
     named_group,
     subgroup_generated,
 )
+from elliskit.caps import Caps
 from elliskit.errors import (
     GroupMismatch,
     NotAPartition,
     NotAWitness,
     NotFree,
     NotInvariant,
+    SizeCapExceeded,
 )
 from elliskit.flows import coset_flow, natural_flow, regular_flow
 from elliskit.relations import (
     WitnessPair,
-    all_partitions,
-    class_formula,
     equality_relation,
     fix_set,
     free_action_correspondence,
@@ -36,6 +36,7 @@ from elliskit.relations import (
     r_relation,
     total_relation,
 )
+from oracles import all_partitions, class_formula
 
 
 def s3():
@@ -375,6 +376,30 @@ def test_correspondence_rejects_non_free():
     f = natural_flow(s3())
     with pytest.raises(NotFree):
         free_action_correspondence(f)
+
+
+def test_correspondence_past_eight_points():
+    f = regular_flow(named_group("cyclic", n=9))
+    rep = free_action_correspondence(f)
+    assert [len(m) for m, _ in rep.entries] == [1, 3, 9]
+    assert rep.all_orbital_relations_arise
+
+
+def test_correspondence_passes_the_callers_caps():
+    f = regular_flow(named_group("cyclic", n=9))
+    with pytest.raises(SizeCapExceeded) as err:
+        free_action_correspondence(f, caps=Caps(lattice_cap=2))
+    assert err.value.cap == 2
+
+
+@pytest.mark.parametrize("name, n", [("symmetric", 4), ("dihedral", 12)])
+def test_correspondence_on_24_points(name, n):
+    G = named_group(name, n=n)
+    rep = free_action_correspondence(regular_flow(G))
+    normals = [N.sorted_members for N in enumerate_subgroups(G) if N.is_normal()]
+    assert [m for m, _ in rep.entries] == normals
+    assert [k for _, k in rep.entries] == [G.order // len(m) for m in normals]
+    assert rep.all_orbital_relations_arise
 
 
 # ---- partition enumeration --------------------------------------------------------------------
