@@ -6,7 +6,12 @@ Relations are stored as partitions (class-level operations dominate); the
 pair-set view is derived on demand. The lattice of all invariant relations
 is built from principal relations, each one union-find closure over the
 generator maps (Atkinson, Math. Comp. 29, 1975), closed under joins
-(Freese, Algebra Universalis 59, 2008).
+(Freese, Algebra Universalis 59, 2008). Whether a pair (H, S) witnesses an
+invariant relation E is decided on E's own orbitals, the G-orbits on its
+pairs, numbered by one walk over the generator maps: the seeds (s, h·s)
+must meet every orbital inside E and leave E nowhere. That one test serves
+weak orbitality, maximal witnesses and the weakly-orbital transfer
+verifier; r_relation stays the literal pair closure.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from .algebra import FiniteGroup, Subgroup, enumerate_subgroups
 from .caps import DEFAULT_CAPS, Caps
 from .errors import (
     GroupMismatch,
+    InvalidArgument,
     NotAPartition,
     NotAWitness,
     NotEquivalence,
@@ -26,7 +32,7 @@ from .errors import (
     NotInvariant,
     SizeCapExceeded,
 )
-from .flows import Flow
+from .flows import Flow, orbits
 
 
 @dataclass(frozen=True)
@@ -136,10 +142,23 @@ def total_relation(points: int, flow: Flow | None = None) -> EquivRelation:
     return make_relation(points, [list(range(points))], flow)
 
 
-def _require_group_bound(E: EquivRelation) -> tuple[Flow, FiniteGroup]:
-    if E.flow is None or not E.flow.is_group_flow:
-        raise GroupMismatch("relation must be bound to a group flow")
-    return E.flow, E.flow.group
+def _require_group_bound(E: EquivRelation, H: Subgroup | None = None,
+                         support=()) -> tuple[Flow, FiniteGroup]:
+    return E.flow, _require_group(E.flow, "relation must be bound to a group flow", H, support)
+
+
+def _require_group(flow: Flow | None, problem: str, H: Subgroup | None = None,
+                   support=()) -> FiniteGroup:
+    """The group of a group flow, once H (if given) is one of its subgroups
+    and every support point is one of its points; else raise, with
+    `problem` when there is no group flow."""
+    if flow is None or not flow.is_group_flow:
+        raise GroupMismatch(problem)
+    if H is not None and H.parent is not flow.group:
+        raise GroupMismatch("subgroup of a different group")
+    if not all(0 <= s < flow.points for s in support):
+        raise InvalidArgument(f"support {sorted(support)} not within 0..{flow.points - 1}")
+    return flow.group
 
 
 def kernel_group(E: EquivRelation) -> Subgroup:
@@ -160,10 +179,7 @@ def kernel_group(E: EquivRelation) -> Subgroup:
 def orbit_relation(flow: Flow, H: Subgroup) -> EquivRelation:
     """Partition of the points into H-orbits, bound to the flow (so the
     invariance verdict is attached; it holds whenever H is normal)."""
-    if not flow.is_group_flow:
-        raise GroupMismatch("orbit relations need a group flow")
-    if H.parent is not flow.group:
-        raise GroupMismatch("subgroup of a different group")
+    _require_group(flow, "orbit relations need a group flow", H)
     seen = [False] * flow.points
     classes = []
     for x in range(flow.points):
@@ -209,8 +225,7 @@ def r_relation(flow: Flow, w: WitnessPair) -> RRelationResult:
 
     Verdict-valued: the result records whether the relation is reflexive,
     symmetric, and transitive (transitivity can genuinely fail)."""
-    if not flow.is_group_flow:
-        raise GroupMismatch("witnessed relations need a group flow")
+    _require_group(flow, "witnessed relations need a group flow", w.subgroup, w.support)
     n = flow.points
     pairs = {(s, flow.act(h, s))
              for s in w.support for h in w.subgroup.members}
@@ -249,61 +264,66 @@ def r_relation(flow: Flow, w: WitnessPair) -> RRelationResult:
 def fix_set(E: EquivRelation, H: Subgroup) -> frozenset[int]:
     """Points equivalent to all their H-translates; always a union of
     E-classes when E is an equivalence relation."""
-    flow, _ = _require_group_bound(E)
+    flow, _ = _require_group_bound(E, H)
     return frozenset(
         x for x in range(flow.points)
         if all(E.same(x, flow.act(h, x)) for h in H.members)
     )
 
 
-def _pair_mask(E: EquivRelation) -> int:
-    """E's pairs as a bitmask over X×X: bit a·n+b set iff a ~ b."""
-    n = E.points
-    return sum(1 << a * n + b for cls in E.classes for a in cls for b in cls)
+def _orbitals(E: EquivRelation) -> tuple[dict[int, int], int]:
+    """Number the orbitals inside E, the G-orbits on its pairs, 0..k-1 by
+    one walk over the generator maps restricted to E's pairs (E must be
+    invariant). Returns the bit 1 << i of each pair index a·n+b of E in
+    orbital i, and the bit 1 << k, which marks a pair outside E."""
+    n, gens = E.points, E.flow.generator_maps()
+    bit, out = {}, 1
+    for p in (a * n + b for cls in E.classes for a in cls for b in cls):
+        if p not in bit:
+            bit[p], orbit = out, [p]
+            for q in orbit:
+                for m in gens:
+                    r = m[q // n] * n + m[q % n]
+                    if r not in bit:
+                        bit[r] = out
+                        orbit.append(r)
+            out <<= 1
+    return bit, out
 
 
-def _orbitals(flow: Flow) -> list[int]:
-    """For each pair index a·n+b, the mask of its orbital (its G-orbit on
-    X×X), labelled by one walk over the generator maps."""
-    n = flow.points
-    gens = flow.generator_maps()
-    orbital = [0] * (n * n)
-    for p in range(n * n):
-        if orbital[p]:
-            continue
-        orbit, mask = [p], 1 << p
-        for q in orbit:
-            a, b = divmod(q, n)
-            for m in gens:
-                r = m[a] * n + m[b]
-                if not mask >> r & 1:
-                    mask |= 1 << r
-                    orbit.append(r)
-        for q in orbit:
-            orbital[q] = mask
-    return orbital
+def _seeds(flow: Flow, bit: dict[int, int], out: int, H: Subgroup):
+    """R_H and the fix-set of H: R_H[s] holds the orbitals of the seeds
+    (s, h·s), h in H, as the bits of `_orbitals`, with `out` set when a seed
+    leaves E; s is in the fix-set iff none does."""
+    n, rows = flow.points, [flow.maps[h] for h in H.members]
+    R = [reduce(or_, {bit.get(s * n + row[s], out) for row in rows}) for s in range(n)]
+    return R, frozenset(s for s, r in enumerate(R) if not r & out)
+
+
+def _witnessed(R: list[int], support) -> int:
+    """The orbitals (and `out`) holding a seed of some support point."""
+    return reduce(or_, map(R.__getitem__, support), 0)
 
 
 def _subgroup_witnesses(E: EquivRelation, caps: Caps):
     """For each subgroup H in canonical order, (H, fix_set(E, H), R_H,
-    whether (H, fix-set) witnesses E). R_H[s] is the pair mask of
-    r_relation(flow, (H, {s})), the union of the orbitals of the seeds
-    (s, h·s); that of r_relation(flow, (H, S)) is the union of R_H over S."""
+    whether (H, fix-set) witnesses E), with R_H and the fix-set from
+    `_seeds`. E is invariant, so it is a union of orbitals, and r(H, S) is
+    the union of the orbitals of the seeds (s, h·s), s in S: (H, S)
+    witnesses E iff no seed leaves E and the seeds meet every orbital
+    inside E, that is iff _witnessed(R_H, S) is `out` - 1."""
     flow, G = _require_group_bound(E)
     if not E.invariant:
         raise NotInvariant(E.invariance_witness)
-    n, maps = flow.points, flow.maps
-    orbital, target = _orbitals(flow), _pair_mask(E)
+    bit, out = _orbitals(E)
     for H in enumerate_subgroups(G, caps=caps):
-        R = [reduce(or_, (orbital[s * n + maps[h][s]] for h in H.members), 0)
-             for s in range(n)]
-        fix = fix_set(E, H)
-        yield H, fix, R, bool(fix) and reduce(or_, map(R.__getitem__, fix)) == target
+        R, fix = _seeds(flow, bit, out, H)
+        yield H, fix, R, bool(fix) and _witnessed(R, fix) == out - 1
 
 
 def stabilizing_elements(E: EquivRelation, support) -> frozenset[int]:
     """Group elements g with s ~ g·s for every support point s."""
-    flow, G = _require_group_bound(E)
+    flow, G = _require_group_bound(E, support=support)
     return frozenset(
         g for g in G.elements()
         if all(E.same(s, flow.act(g, s)) for s in support)
@@ -312,21 +332,24 @@ def stabilizing_elements(E: EquivRelation, support) -> frozenset[int]:
 
 def maximal_witnesses(E: EquivRelation, w: WitnessPair) -> WitnessPair:
     """Alternate the support-maximization and subgroup-maximization
-    operators to a fixpoint. Requires that the pair witnesses E."""
-    flow, G = _require_group_bound(E)
-    got = r_relation(flow, w)
-    if not got.is_equivalence or got.pairs != E.pairs():
+    operators to a fixpoint. Requires that the pair witnesses E, and checks
+    that each step still does, with the orbital test and the fix-set of
+    `_subgroup_witnesses` (a relation that is not invariant has no
+    witness)."""
+    flow, G = _require_group_bound(E, w.subgroup, w.support)
+    if not E.invariant:
         raise NotAWitness("pair does not produce the given relation")
+    bit, out = _orbitals(E)
     H, support = w.subgroup, frozenset(w.support)
-    for _ in range(2 * flow.points + 2 * G.order + 2):
-        new_support = fix_set(E, H)
+    for step in range(2 * flow.points + 2 * G.order + 2):
+        R, new_support = _seeds(flow, bit, out, H)
+        if _witnessed(R, support) != out - 1:
+            raise NotAWitness("maximization changed the relation" if step else
+                              "pair does not produce the given relation")
         new_H = Subgroup(G, stabilizing_elements(E, new_support))
         if new_support == support and new_H.members == H.members:
             break
         H, support = new_H, new_support
-        check = r_relation(flow, WitnessPair(H, support))
-        if check.pairs != E.pairs():
-            raise NotAWitness("maximization changed the relation")
     else:
         raise NotAWitness("maximization did not stabilize")
     # the maximal support is a union of classes
@@ -377,8 +400,8 @@ def is_weakly_orbital(E: EquivRelation, caps: Caps = DEFAULT_CAPS) -> WeakOrbita
     subgroup the maximal support is forced (points equivalent to all their
     translates), so testing the pair (H, fix_set(H)) is complete: any other
     support witnessing with H is contained in the fix-set, and enlarging
-    the support of a witness preserves the relation. Each pair is tested by
-    its orbital masks, not by a pair closure."""
+    the support of a witness preserves the relation. Each pair is tested on
+    E's own orbitals, not by a pair closure."""
     checked = 0
     for H, support, _, witnesses in _subgroup_witnesses(E, caps):
         checked += 1
@@ -398,9 +421,7 @@ def free_action_correspondence(flow: Flow, caps: Caps = DEFAULT_CAPS) -> Corresp
     N -> its orbit relation, recovered by the kernel. Verified by
     enumerating the normal subgroups, checking recovery, and (over the whole
     invariant-relation lattice) that every orbital relation arises."""
-    if not flow.is_group_flow:
-        raise GroupMismatch("needs a group flow")
-    G = flow.group
+    G = _require_group(flow, "needs a group flow")
     for g in G.elements():
         if g == G.identity:
             continue
@@ -469,8 +490,9 @@ def invariant_relations(flow: Flow, caps: Caps = DEFAULT_CAPS):
     of invariant relations is invariant; each member is re-verified when it
     is bound to the flow. The lattice size is bounded by `lattice_cap`."""
     n, maps = flow.points, flow.generator_maps()
-    principal = {_classes(n, [(a, b)], maps)
-                 for a in range(n) for b in range(a + 1, n)}
+    # on a group flow theta(g·a, g·b) = theta(a, b): one a per orbit will do
+    firsts = [orb[0] for orb in orbits(flow)] if flow.is_group_flow else range(n)
+    principal = {_classes(n, [(a, b)], maps) for a in firsts for b in range(n) if b != a}
     lattice = [_classes(n, ())]
     seen = set(lattice)
     for E in lattice:

@@ -17,16 +17,15 @@ rectangles are big-int operations. `contains` takes a set of indices, and
 `sets`, `members()` and `union_generators()` expand masks to frozensets
 only when asked.
 
-The weakly-orbital verifier reads witnessed relations off orbitals, the
-G-orbits on X×X, through relations._subgroup_witnesses, which also decides
-weak orbitality: testing a support is an OR of per-point masks.
+The weakly-orbital verifier tests witness supports on the relation's own
+orbitals (the G-orbits on its pairs), numbered inside the relation by
+relations._subgroup_witnesses, which also decides weak orbitality: testing
+a support is an OR of small per-point label masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 
 from .algebra import enumerate_subgroups
 from .caps import DEFAULT_CAPS, Caps
@@ -41,8 +40,8 @@ from .errors import (
 from .flows import Flow
 from .relations import (
     EquivRelation,
-    _pair_mask,
     _subgroup_witnesses,
+    _witnessed,
     is_orbital,
     kernel_group,
     orbit_relation,
@@ -93,6 +92,12 @@ def _sections(m: int, rows: int, cols: int, by_row: bool):
         bits = format(m, f"0{rows * cols}b")
         secs = [int(bits[cols - 1 - c::cols], 2) for c in range(cols)]
     return [(i, sec) for i, sec in enumerate(secs) if sec]
+
+
+def _pair_mask(E: EquivRelation) -> int:
+    """E's pairs as a mask over the ground X2: bit a·n+b set iff a ~ b."""
+    n = E.points
+    return _mask(a * n + b for cls in E.classes for a in cls for b in cls)
 
 
 def _member_order(masks, size: int) -> list[int]:
@@ -516,20 +521,19 @@ class ThmWorbReport:
     equivalent: bool                     # of the four full conditions
 
 
-def _witnessed(R, support: int) -> int:
-    return reduce(or_, map(R.__getitem__, _bits(support)), 0)
-
-
-def _witnessing_supports(lat_x, fix: int, fix_witnesses: bool, R, target: int):
-    """Masks of the supports witnessing the relation (pair mask `target`)
-    with the subgroup of R: its fix-set `fix` when `fix_witnesses` (the
-    canonical maximal support), then the other non-empty X lattice members
-    in member order."""
-    if fix_witnesses:
-        yield fix
+def _witnessing_supports(lat_x, fix: int, fix_witnesses: bool, R):
+    """Masks of the supports witnessing the relation E with the subgroup H
+    of R: none unless the fix-set `fix` does (a witnessing S lies in the
+    fix-set, and then E = r(H, S) ⊆ r(H, fix) ⊆ E); else the fix-set, the
+    canonical maximal support, then the other X lattice members whose seeds
+    meet the orbitals the fix-set's do, in member order."""
+    if not fix_witnesses:
+        return
+    yield fix
     if not lat_x.discrete:
+        full = _witnessed(R, _bits(fix))
         for member in lat_x.masks:
-            if member and member != fix and _witnessed(R, member) == target:
+            if member != fix and _witnessed(R, _bits(member)) == full:
                 yield member
 
 
@@ -550,15 +554,13 @@ def verify_thm_worb(inst: StructuredInstance, require_agreeable: bool = True,
     if require_weakly_orbital and not any(w[3] for w in witnessed):
         raise NotWeaklyOrbital("relation is not weakly orbital")
     lat = inst.lattices
-    target = _pair_mask(E)
-
-    w1 = lat["X2"].contains_mask(target)
+    w1 = lat["X2"].contains_mask(_pair_mask(E))
     classes_closed = all(lat["X"].contains(frozenset(c)) for c in E.classes)
 
     w2_witness = w3 = False
     for H, fix, R, fix_witnesses in witnessed:
         if any(lat["X"].contains_mask(sup) for sup in _witnessing_supports(
-                lat["X"], _mask(fix), fix_witnesses, R, target)):
+                lat["X"], _mask(fix), fix_witnesses, R)):
             w2_witness = True
             if lat["G"].contains(H.members):
                 w3 = True

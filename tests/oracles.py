@@ -1,6 +1,7 @@
 """Literal reference implementations of the closure, ideal, group-table,
 subgroup-lattice, normality, invariance, witnessed-relation,
-invariant-relation (every partition, filtered) and witness-support code in
+invariant-relation (every partition, filtered), witness-support and
+maximal-witness code in
 ``elliskit``, the index-walking Tarjan it replaced, the class formula for
 witnessed classes, and pseudo-closed lattices held as frozensets of
 indices. The production paths read products off Cayley graphs, work from
@@ -12,7 +13,7 @@ obviously right, and the differential tests compare the two.
 from __future__ import annotations
 
 from elliskit.algebra import Subgroup
-from elliskit.errors import NotALattice, SizeCapExceeded
+from elliskit.errors import NotALattice, NotAWitness, SizeCapExceeded
 from elliskit.relations import (
     EquivRelation,
     RRelationResult,
@@ -403,6 +404,33 @@ def witnessing_supports(flow, E, lat_x, H):
             if member and member != fix and \
                     r_relation(flow, WitnessPair(H, member)).pairs == target:
                 yield member
+
+
+def stabilizing_elements(flow, E, support):
+    """Group elements g with s ~ g·s for every support point s."""
+    return frozenset(g for g in flow.group.elements()
+                     if all(E.same(s, flow.act(g, s)) for s in support))
+
+
+def maximal_witnesses(E, w):
+    """Alternate support maximization (the fix-set of the subgroup) and
+    subgroup maximization (the elements stabilizing every support point)
+    until neither changes, checking the starting pair and each step with one
+    pair closure; NotAWitness as elliskit raises it."""
+    flow, G = E.flow, E.flow.group
+    target = E.pairs()
+    if r_relation(flow, w).pairs != target:
+        raise NotAWitness("pair does not produce the given relation")
+    H, support = w.subgroup, frozenset(w.support)
+    for _ in range(2 * flow.points + 2 * G.order + 2):
+        new_support = fix_set(flow, E, H)
+        new_H = Subgroup(G, stabilizing_elements(flow, E, new_support))
+        if new_support == support and new_H.members == H.members:
+            return WitnessPair(H, support)
+        H, support = new_H, new_support
+        if r_relation(flow, WitnessPair(H, support)).pairs != target:
+            raise NotAWitness("maximization changed the relation")
+    raise NotAWitness("maximization did not stabilize")
 
 
 def is_weakly_orbital(E):

@@ -9,10 +9,11 @@ ideals found from the kernel against the sink components of the left
 Cayley graph, the kernel element found from the image orbit against the
 minimum rank over the oracle closure, the bitmask lattices (members,
 membership, products and agreeability) against the frozenset ones, the
-witness supports found by orbital masks against one pair closure per
-support, normality by conjugating with the generators against
-conjugating with every element, orbit relations against the pairs
-x ~ h·x, and quotient cosets against `left_cosets`."""
+witness verdicts and supports found on the relation's own orbitals, and
+maximal witnesses, against one pair closure per support, normality by
+conjugating with the generators against conjugating with every element,
+orbit relations against the pairs x ~ h·x, and quotient cosets against
+`left_cosets`."""
 
 import json
 import random
@@ -40,6 +41,7 @@ from elliskit.cli import main
 from elliskit.errors import (
     GroupTooLarge,
     NotALattice,
+    NotAWitness,
     NotInvariant,
     NotNormal,
     NotWeaklyOrbital,
@@ -70,10 +72,12 @@ from elliskit.relations import (
     WitnessPair,
     _orbitals,
     _subgroup_witnesses,
+    _witnessed,
     invariant_relations,
     orbit_relation,
     is_weakly_orbital,
     make_relation,
+    maximal_witnesses,
     r_relation,
     total_relation,
 )
@@ -82,7 +86,6 @@ from elliskit.structured import (
     StructuredInstance,
     _bits,
     _mask,
-    _witnessed,
     _witnessing_supports,
     default_lattices,
     discrete_lattice,
@@ -648,43 +651,105 @@ def test_structured_catalog_matches_oracles():
 
 # ---- witness supports by orbitals ------------------------------------------
 
-def pair_mask(pairs, n):
-    return _mask(a * n + b for a, b in pairs)
-
-
 def assert_witness_masks_match_oracle(flow, E, lat_x, supports):
-    """For every subgroup: the orbital-mask union of each support equals the
-    oracle's witnessed relation, the fix-set verdict is the oracle's, and the
-    witnessing supports are the oracle loop's, in its order. Returns how many
-    subgroups have one."""
-    n = flow.points
-    target = pair_mask(E.pairs(), n)
+    """For every subgroup: the orbital test of each support gives the
+    verdict of the oracle's witnessed relation (equal to E or not), the
+    fix-set and its verdict are the oracle's, and the witnessing supports
+    are the oracle loop's, in its order. Returns how many subgroups have
+    one."""
+    target, (_, out) = E.pairs(), _orbitals(E)
     witnessed = 0
     for H, fix, R, fix_witnesses in _subgroup_witnesses(E, DEFAULT_CAPS):
         for S in supports:
             want = oracles.r_relation(flow, WitnessPair(H, frozenset(S))).pairs
-            assert _witnessed(R, _mask(S)) == pair_mask(want, n)
+            assert (_witnessed(R, S) == out - 1) == (want == target)
         assert fix == oracles.fix_set(flow, E, H)
         assert fix_witnesses == (bool(fix) and oracles.r_relation(
-            flow, WitnessPair(H, fix)).pairs == E.pairs())
-        got = list(_witnessing_supports(lat_x, _mask(fix), fix_witnesses, R,
-                                        target))
+            flow, WitnessPair(H, fix)).pairs == target)
+        got = list(_witnessing_supports(lat_x, _mask(fix), fix_witnesses, R))
         assert got == [_mask(S) for S in
                        oracles.witnessing_supports(flow, E, lat_x, H)]
         witnessed += bool(got)
     return witnessed
 
 
-def test_orbitals_partition_the_pairs():
+def flow_or_union(rng, union):
+    """A random group flow or, when `union` and both fit in 8 points, its
+    union with a regular or coset flow of its group."""
+    flow = random_group_flow(rng, 6, 12)
+    second = same_group_flow(rng, flow.group)
+    if union and flow.points + second.points <= 8:
+        return disjoint_union_flow([flow, second])
+    return flow
+
+
+def test_orbitals_number_the_orbits_on_the_relations_pairs():
+    """The bits of `_orbitals` cover exactly E's pairs, are 1, 2, 4, ...
+    below `out`, and two pairs share one iff a group element maps the
+    first to the second; on random and total relations of random flows
+    and unions of two flows of one group."""
     rng = random.Random(61)
-    for _ in range(20):
-        flow = random_group_flow(rng, 6, 12)
+    shared = 0
+    for i in range(30):
+        flow = flow_or_union(rng, i % 2)
         n = flow.points
-        orbital = _orbitals(flow)
-        for p, mask in enumerate(orbital):
-            a, b = divmod(p, n)
-            want = {(flow.act(g, a), flow.act(g, b)) for g in flow.group.elements()}
-            assert mask == pair_mask(want, n)
+        for E in (random_invariant_relation(rng, flow), total_relation(n, flow)):
+            bit, out = _orbitals(E)
+            assert sorted(bit) == sorted(a * n + b for a, b in E.pairs())
+            assert set(bit.values()) == {1 << j for j in range(out.bit_length() - 1)}
+            for p in bit:
+                a, b = divmod(p, n)
+                orbit = {flow.act(g, a) * n + flow.act(g, b)
+                         for g in flow.group.elements()}
+                assert orbit == {q for q in bit if bit[q] == bit[p]}
+                shared += len(orbit) > 1
+    assert shared >= 500
+
+
+def witness_outcome(find, E, w):
+    """The maximal pair `find` reaches from w, or the NotAWitness text."""
+    try:
+        m = find(E, w)
+    except NotAWitness as exc:
+        return str(exc)
+    return m.subgroup.members, m.support
+
+
+def test_maximal_witnesses_match_the_pair_closure_fixpoint():
+    """From the weak witness, random subsets of its support and random
+    pairs, on every invariant relation of random flows and of unions of two
+    flows of one group (up to 8 points), and from random pairs on random
+    partitions that are not invariant: the same fixpoint as one pair
+    closure per step, or the same NotAWitness."""
+    rng = random.Random(71)
+    fixpoints = refused = not_invariant = 0
+    for i in range(40):
+        flow = flow_or_union(rng, i % 2)
+        n, subgroups = flow.points, enumerate_subgroups(flow.group)
+        starts = [WitnessPair(rng.choice(subgroups),
+                              frozenset(rng.sample(range(n), rng.randint(1, n))))
+                  for _ in range(3)]
+        relations = list(invariant_relations(flow))
+        for _ in range(3):
+            labels = [rng.randrange(3) for _ in range(n)]
+            E = make_relation(n, [[x for x in range(n) if labels[x] == c]
+                                  for c in set(labels)], flow)
+            if not E.invariant:
+                relations.append(E)
+                not_invariant += 1
+        for E in relations:
+            weak = E.invariant and is_weakly_orbital(E)
+            tries = list(starts)
+            if weak:
+                support = sorted(weak.witness.support)
+                tries += [weak.witness, WitnessPair(weak.witness.subgroup, frozenset(
+                    rng.sample(support, rng.randint(1, len(support)))))]
+            for w in tries:
+                got = witness_outcome(maximal_witnesses, E, w)
+                assert got == witness_outcome(oracles.maximal_witnesses, E, w)
+                fixpoints += not isinstance(got, str)
+                refused += isinstance(got, str)
+    assert fixpoints >= 200 and refused >= 200 and not_invariant >= 20
 
 
 def all_supports(n):

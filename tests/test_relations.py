@@ -14,6 +14,7 @@ from elliskit.algebra import (
 from elliskit.caps import Caps
 from elliskit.errors import (
     GroupMismatch,
+    InvalidArgument,
     NotAPartition,
     NotAWitness,
     NotFree,
@@ -34,6 +35,7 @@ from elliskit.relations import (
     maximal_witnesses,
     orbit_relation,
     r_relation,
+    stabilizing_elements,
     total_relation,
 )
 from oracles import all_partitions, class_formula
@@ -151,6 +153,35 @@ def test_orbit_relation_rejects_a_subgroup_of_another_group():
     f = natural_flow(s3())
     with pytest.raises(GroupMismatch, match="subgroup of a different group"):
         orbit_relation(f, subgroup_generated(s3(), []))
+
+
+def foreign_or_out_of_range(call):
+    """`call` on the regular flow of C6 with its equality and total
+    relations, all of C6, and all of S4 (elements 6..23 index no map)."""
+    f = regular_flow(named_group("cyclic", n=6))
+    c6, s4 = enumerate_subgroups(f.group)[-1], enumerate_subgroups(named_group(
+        "symmetric", n=4))[-1]
+    return call(f, equality_relation(6, f), total_relation(6, f), c6, s4)
+
+
+@pytest.mark.parametrize("error, call", [
+    (GroupMismatch, lambda f, eq, E, c6, s4: r_relation(f, WitnessPair(s4, {0}))),
+    (GroupMismatch, lambda f, eq, E, c6, s4: maximal_witnesses(E, WitnessPair(s4, {0}))),
+    (GroupMismatch, lambda f, eq, E, c6, s4: fix_set(eq, s4)),
+    (GroupMismatch, lambda f, eq, E, c6, s4: fix_set(E, s4)),
+    (InvalidArgument, lambda f, eq, E, c6, s4: r_relation(f, WitnessPair(c6, {0, 6}))),
+    (InvalidArgument, lambda f, eq, E, c6, s4: r_relation(f, WitnessPair(c6, {-1}))),
+    (InvalidArgument, lambda f, eq, E, c6, s4: maximal_witnesses(E, WitnessPair(c6, {6}))),
+    (InvalidArgument, lambda f, eq, E, c6, s4: stabilizing_elements(E, {6})),
+    (InvalidArgument, lambda f, eq, E, c6, s4: stabilizing_elements(eq, {-1})),
+], ids=["r_relation", "maximal_witnesses", "fix_set-equality", "fix_set-total",
+        "r_relation-6", "r_relation-minus-1", "maximal_witnesses-6",
+        "stabilizing_elements-6", "stabilizing_elements-minus-1"])
+def test_foreign_subgroups_and_outside_supports_are_refused(error, call):
+    message = "subgroup of a different group" if error is GroupMismatch else \
+        r"not within 0\.\.5"
+    with pytest.raises(error, match=message):
+        foreign_or_out_of_range(call)
 
 
 # ---- witnessed relations -----------------------------------------------------------

@@ -1,6 +1,9 @@
 """The code-line counter in ``tools/code_lines.py``, run as a script on a
-package whose lines are counted by hand."""
+package whose lines are counted by hand, and the report digest of
+``tools/report_digests.py`` on hand-written reports."""
 
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -49,3 +52,39 @@ def test_code_lines_counts_per_module_and_total(tmp_path):
     assert counts == {"__init__.py": "0", "mixed.py": "9", "plain.py": "4",
                       "total": "13"}
     assert done.stdout.splitlines()[-1].split()[0] == "total"
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+REPORT = {"caps": None, "kind": "suite", "name": "orbital", "passed": True,
+          "seed": 7, "structures": {"instances": 2},
+          "timing": {"seconds": 0.25},
+          "verdicts": [{"check": "instance 0", "passed": True, "witness": None},
+                       {"check": "instance 1", "passed": True, "witness": None}]}
+
+
+
+def test_report_digest_changes_with_everything_but_timing():
+    digest = load_tool("report_digests").digest
+
+    def of(report):
+        return digest(json.dumps(report, sort_keys=True, indent=2))
+
+    base = of(REPORT)
+    untimed = {key: value for key, value in REPORT.items() if key != "timing"}
+    assert of(dict(REPORT, timing={"seconds": 9.5, "stages": {"closure": 1}})) == base
+    assert of(untimed) == digest(json.dumps(untimed)) == base
+    first, second = REPORT["verdicts"]
+    variants = [dict(REPORT, seed=8), dict(REPORT, caps={"lattice_cap": 7}),
+                dict(REPORT, passed=False), dict(REPORT, name="grouplike"),
+                dict(REPORT, structures={"instances": 3}),
+                dict(REPORT, verdicts=[first]), dict(REPORT, verdicts=[second, first]),
+                dict(REPORT, verdicts=[first, dict(second, witness="(0, 1)")]),
+                dict(REPORT, extra=None)]
+    digests = {of(report) for report in variants}
+    assert len(digests) == len(variants) and base not in digests
