@@ -170,20 +170,20 @@ def _closure_indices(mul, seed, gens):
     that subgroup, such as the identity or a subgroup already known): the
     seed's orbit under left multiplication by the generators, whose rows
     mul[g] are maps. In a finite group the products of generators are the
-    whole subgroup. |G|·|gens| steps to turn the rows into edges, then
-    |result|·|gens| lookups."""
-    if not gens:
-        return set(seed)
-    return _walk(list(zip(*[mul[g] for g in gens])), seed)
+    whole subgroup. |result|·|gens| lookups."""
+    return _walk([mul[g] for g in gens], seed)
 
 
-def _walk(edges, starts) -> set[int]:
-    """Everything reachable from `starts` along `edges`, starts included:
-    edges[x] lists the successors of x."""
+def _walk(maps, starts) -> set[int]:
+    """Everything reachable from `starts` under `maps`, starts included:
+    maps[g][x] is the successor of x under g. Each map is read as it is
+    held (a table row, a flow's point map, a Cayley graph column), so no
+    caller transposes."""
     seen = set(starts)
     order = list(seen)
     for x in order:
-        for y in edges[x]:
+        for m in maps:
+            y = m[x]
             if y not in seen:
                 seen.add(y)
                 order.append(y)
@@ -262,14 +262,15 @@ def cayley_row(right, tree, i):
     """Every product i·j, indexed by j, read off a right Cayley graph
     (Froidure & Pin 1997) instead of composing elements.
 
-    Generator g is element g and right[w][g] is the index of w·g. `tree`
-    lists triples (j, p, g) with j = p·g, parents before children, covering
-    every non-generator, so i·j = (i·p)·g is one lookup.
+    Generator g is element g and the graph is one column per generator:
+    right[g][w] is the index of w·g. `tree` lists triples (j, p, g) with
+    j = p·g, parents before children, covering every non-generator, so
+    i·j = (i·p)·g is one lookup.
     """
-    row = [0] * len(right)
-    row[:len(right[i])] = right[i]
+    row = [0] * len(right[0])
+    row[:len(right)] = [col[i] for col in right]
     for j, p, g in tree:
-        row[j] = right[row[p]][g]
+        row[j] = right[g][row[p]]
     return row
 
 
@@ -281,9 +282,9 @@ def cayley_table(right, tree):
     row is its tree parent's row composed with a generator row, one
     `_composer` (C-level) call per row.
     """
-    rows = [tuple(cayley_row(right, tree, g)) for g in range(len(right[0]))]
+    rows = [tuple(cayley_row(right, tree, g)) for g in range(len(right))]
     after = [_composer(row) for row in rows]
-    rows.extend([None] * (len(right) - len(rows)))
+    rows.extend([None] * (len(right[0]) - len(rows)))
     for j, p, g in tree:
         rows[j] = after[g](rows[p])
     return tuple(rows)
@@ -308,12 +309,10 @@ def group_from_permutations(degree, generators, caps: Caps = DEFAULT_CAPS,
         seen[ident] = 0
         perms.append(ident)
     gen_count = len(perms)
-    after = [_composer(g) for g in perms]       # w -> w∘g
-    right: list[tuple[int, ...]] = []
+    after = [(_composer(g), []) for g in perms]     # w -> w∘g, its column
     tree: list[tuple[int, int, int]] = []
     for w, perm in enumerate(perms):
-        edges = []
-        for gi, times_g in enumerate(after):
+        for gi, (times_g, col) in enumerate(after):
             cand = times_g(perm)
             got = seen.get(cand)
             if got is None:
@@ -322,9 +321,8 @@ def group_from_permutations(degree, generators, caps: Caps = DEFAULT_CAPS,
                 got = seen[cand] = len(perms)
                 perms.append(cand)
                 tree.append((got, w, gi))
-            edges.append(got)
-        right.append(tuple(edges))
-    mul = cayley_table(right, tree)
+            col.append(got)
+    mul = cayley_table([col for _, col in after], tree)
     identity = seen[tuple(range(degree))]
     inverse = _locate_inverses(mul, identity)
     return FiniteGroup(
@@ -654,6 +652,7 @@ def _affine(q: int, dim: int, caps: Caps) -> FiniteGroup:
     vecadd = [[vec_index[tuple(F.add[a][b] for a, b in zip(v, w))] for w in vectors]
               for v in vectors]
 
+    ids = list(range(order))        # one int object per element, shared by the rows
     mul = []
     for vi in range(nv):
         row_add = vecadd[vi]
@@ -661,7 +660,7 @@ def _affine(q: int, dim: int, caps: Caps) -> FiniteGroup:
             mv = matvec[mi]
             mm = matmul[mi]
             mul.append(tuple(
-                row_add[mv[wj]] * nm + mm[nj]
+                ids[row_add[mv[wj]] * nm + mm[nj]]
                 for wj in range(nv) for nj in range(nm)
             ))
     mul = tuple(mul)

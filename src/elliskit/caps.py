@@ -19,7 +19,12 @@ class Caps:
     subgroup_enum_cap: int = 360     # largest group whose subgroups we enumerate
     iso_order_cap: int = 2000        # largest orders fed to isomorphism search
     named_group_cap: int = 5000      # largest named group we will build
-    closure_cap: int = 50000         # enveloping semigroup element cap
+    closure_cap: int = 50000         # enveloping semigroup element cap;
+                                     # an element holds about 157 bytes on
+                                     # 6 points (the T6 closure, 46,656
+                                     # elements, 7.3 MB): its bytes map, its
+                                     # list slot and dict entry, and 4 bytes
+                                     # per Cayley graph edge (2 per generator)
     mul_table_cap: int = 512         # full semigroup table up to this; above
                                      # it, products on demand from the Cayley
                                      # graphs, with no memo

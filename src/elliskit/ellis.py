@@ -13,11 +13,14 @@ The closure keeps its right and left Cayley graphs over the generators, and
 bulk products are read off them instead of composing point tuples: Froidure
 & Pin, "Algorithms for computing finite semigroups" (1997); East,
 Egri-Nagy, Mitchell & Péresse, "Computing finite semigroups", J. Symb.
-Comput. 92 (2019). The closure itself composes in C: on at most 256 points
-each map is `bytes` and w∘g, g∘w are one `bytes.translate` each (bytes also
-hash faster than tuples); above, one `operator.itemgetter` call each
-(`algebra._composer`). The semigroup keeps the maps as the search built
-them; tuple forms are made only when read. The full table is built row by
+Comput. 92 (2019). Each graph is one `array('i')` column per generator,
+appended to as the search finds products, so an edge costs 4 bytes and
+every walk reads the columns as generator maps. The closure itself
+composes in C: on at most 256 points each map is `bytes` and w∘g, g∘w are
+one `bytes.translate` each (bytes also hash faster than tuples); above,
+one `operator.itemgetter` call each (`algebra._composer`). The semigroup
+keeps the maps as the search built them; tuple forms are made only when
+read. The full table is built row by
 row from the generator rows, since associativity gives row(p·g) =
 row(p)∘row(g) along the right spanning tree; ideal-group tables are filled
 the same way inside the group. Minimal left ideals are read from the minimal
@@ -32,6 +35,7 @@ ideals reads only the image orbit and the kernel's own elements.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 
@@ -67,11 +71,12 @@ class EllisSemigroup:
     `keys` maps each of them back to its index, and `key` turns any sequence
     of points into that type. `elements` and `index` are the same as tuples
     and a tuple-keyed dict, built from `maps` on first read and cached; the
-    library itself never reads them. Generator g is element g. right[w][g]
-    and left[w][g] are the indices of w·g and g·w. The full multiplication
-    table is only materialized up to mul_table_cap (at the default closure
-    cap it would not fit in memory); above it, `mul` composes on demand,
-    with no memo.
+    library itself never reads them. Generator g is element g. `right` and
+    `left` are the Cayley graphs as one `array('i')` column per generator,
+    4 bytes an edge: right[g][w] and left[g][w] are the indices of w·g and
+    g·w. The full multiplication table is only materialized up to
+    mul_table_cap (at the default closure cap it would not fit in memory);
+    above it, `mul` composes on demand, with no memo.
     """
 
     __slots__ = ("flow", "maps", "keys", "key", "generators", "right", "left",
@@ -82,7 +87,7 @@ class EllisSemigroup:
         self.maps = maps
         self.keys = keys
         self.key = _key_type(flow.points)
-        self.generators = tuple(range(len(right[0])))
+        self.generators = tuple(range(len(right)))
         self.right = right
         self.left = left
         self._table = table
@@ -113,9 +118,21 @@ class EllisSemigroup:
             return self.keys[b.translate(a.ljust(256, b"\0"))]
         return self.keys[compose_maps(a, b)]
 
+    def times(self, a: int):
+        """The function b -> index of a·b: the table row's `__getitem__`, or
+        without a table one `translate` by a's table, padded once (one
+        `compose_maps` above 256 points)."""
+        if self._table is not None:
+            return self._table[a].__getitem__
+        maps, keys, ta = self.maps, self.keys, self.maps[a]
+        if self.key is bytes:
+            ta = ta.ljust(256, b"\0")
+            return lambda b: keys[maps[b].translate(ta)]
+        return lambda b: keys[compose_maps(ta, maps[b])]
+
     def left_reach(self, s: int) -> set[int]:
         """S·s: everything reachable by left multiplication (words >= 1)."""
-        return _walk(self.left, self.left[s])
+        return _walk(self.left, [col[s] for col in self.left])
 
     def __repr__(self):
         return f"EllisSemigroup(size={self.size}, points={self.flow.points})"
@@ -157,7 +174,8 @@ def enveloping_semigroup(flow: Flow, caps: Caps = DEFAULT_CAPS) -> EllisSemigrou
     For a group flow the closure of any generating set of the (finite) group
     equals the full image of the group, so generators suffice. Each element
     is multiplied by every generator on the right and on the left; the
-    indices of those products are the right and left Cayley graphs.
+    indices of those products are appended to the right and left Cayley
+    graphs, one column per generator.
     """
     key = _key_type(flow.points)
     maps, keys = [], {}
@@ -167,7 +185,7 @@ def enveloping_semigroup(flow: Flow, caps: Caps = DEFAULT_CAPS) -> EllisSemigrou
             maps.append(m)
     gens = tuple(maps)
     get = keys.get
-    right, left = [], []
+    right, left = [array("i") for _ in gens], [array("i") for _ in gens]
 
     def add(cand):
         if len(maps) >= caps.closure_cap:
@@ -177,51 +195,51 @@ def enveloping_semigroup(flow: Flow, caps: Caps = DEFAULT_CAPS) -> EllisSemigrou
         return got
 
     if key is bytes:
-        tables = [(g, g.ljust(256, b"\0")) for g in gens]   # g, its table
+        # g, its table, and the appends to its two columns
+        tables = [(g, g.ljust(256, b"\0"), r.append, l.append)
+                  for g, r, l in zip(gens, right, left)]
         for w in maps:
             tw = w.ljust(256, b"\0")
-            r_edges, l_edges = [], []
-            for g, tg in tables:
+            for g, tg, r_add, l_add in tables:
                 cand = g.translate(tw)              # w∘g
                 got = get(cand)
-                r_edges.append(add(cand) if got is None else got)
+                r_add(add(cand) if got is None else got)
                 cand = w.translate(tg)              # g∘w
                 got = get(cand)
-                l_edges.append(add(cand) if got is None else got)
-            right.append(tuple(r_edges))
-            left.append(tuple(l_edges))
+                l_add(add(cand) if got is None else got)
     else:
-        after = [(g, _composer(g)) for g in gens]   # w -> w∘g
+        after = [(g, _composer(g), r.append, l.append)     # w -> w∘g
+                 for g, r, l in zip(gens, right, left)]
         for w in maps:
             before_w = _composer(w)                 # g -> g∘w
-            r_edges, l_edges = [], []
-            for g, times_g in after:
+            for g, times_g, r_add, l_add in after:
                 cand = times_g(w)
                 got = get(cand)
-                r_edges.append(add(cand) if got is None else got)
+                r_add(add(cand) if got is None else got)
                 cand = before_w(g)
                 got = get(cand)
-                l_edges.append(add(cand) if got is None else got)
-            right.append(tuple(r_edges))
-            left.append(tuple(l_edges))
+                l_add(add(cand) if got is None else got)
     n = len(maps)
     # one-step stability: the closure is closed under both graphs, and every
-    # element is reached from the generators along right edges
-    if max(chain.from_iterable(right)) >= n or max(chain.from_iterable(left)) >= n:
+    # element is reached from the generators along right edges (a growing
+    # walk over a bytearray and an int array: no set, no int objects kept)
+    if max(map(max, chain(right, left))) >= n:
         raise TheoremViolation("composition closure not closed", n)
-    reached = [True] * len(gens) + [False] * (n - len(gens))
-    order = list(range(len(gens)))
+    reached = bytearray(n)
+    reached[:len(gens)] = b"\1" * len(gens)
+    order = array("i", range(len(gens)))
     tree = [] if n <= caps.mul_table_cap else None     # only for the table
     for w in order:
-        for g, j in enumerate(right[w]):
+        for g, col in enumerate(right):
+            j = col[w]
             if not reached[j]:
-                reached[j] = True
+                reached[j] = 1
                 order.append(j)
                 if tree is not None:
                     tree.append((j, w, g))
     if len(order) != n:
         raise TheoremViolation("element not reached by right multiplication",
-                               reached.index(False))
+                               reached.index(0))
     table = None if tree is None else cayley_table(right, tree)
     return EllisSemigroup(flow, maps, keys, right, left, table)
 
@@ -240,20 +258,19 @@ def minimal_left_ideals(S: EllisSemigroup) -> list[MinimalIdeal]:
     validated against the structure facts, so a failure of the rank
     argument raises instead of giving a wrong list.
     """
-    left, right = S.left, S.right
-    e = _kernel_element(S)
-    found = [frozenset(_walk(left, left[e]))]
+    found = [frozenset(S.left_reach(_kernel_element(S)))]
     seen = set(found)
     for L in found:
-        for g in S.generators:
-            Lg = frozenset([right[m][g] for m in L])
+        for col in S.right:
+            Lg = frozenset(map(col.__getitem__, L))
             if Lg not in seen:
                 seen.add(Lg)
                 found.append(Lg)
     union = frozenset().union(*found)
-    for m in union:
-        if not (union.issuperset(left[m]) and union.issuperset(right[m])):
-            raise TheoremViolation("minimal left ideals miss part of the kernel", m)
+    for col in chain(S.left, S.right):
+        if not union.issuperset(map(col.__getitem__, union)):
+            raise TheoremViolation("minimal left ideals miss part of the kernel",
+                                   next(m for m in union if col[m] not in union))
     ideals = []
     for L in sorted(found, key=min):
         members = tuple(sorted(L))
@@ -283,8 +300,8 @@ def _kernel_element(S: EllisSemigroup) -> int:
         for g, m in enumerate(gens):
             moved = frozenset([m[x] for x in image])
             if moved not in orbit:
-                orbit[moved] = left[w][g]
-                todo.append((moved, left[w][g]))
+                orbit[moved] = left[g][w]
+                todo.append((moved, left[g][w]))
     return min(todo, key=lambda item: len(item[0]))[1]
 
 
@@ -294,16 +311,23 @@ def _validate_minimal_ideal(M: MinimalIdeal):
     # every element generates the ideal, S·s = M: no left edge leaves M, and
     # one forward and one backward walk from a member cover M, so M is
     # strongly connected; every member has a successor (k >= 1), so the
-    # nonempty words from any member reach all of M and nothing else
-    left = S.left
+    # nonempty words from any member reach all of M and nothing else. Left
+    # translation on M need not be injective, so the backward walk follows
+    # predecessor lists, not columns.
     back: dict[int, list[int]] = {s: [] for s in M.members}
     for s in M.members:
-        for t in left[s]:
+        for col in S.left:
+            t = col[s]
             if t not in mset:
                 raise TheoremViolation("minimal ideal not generated by member", s)
             back[t].append(s)
-    for edges in (left, back):
-        missed = mset - _walk(edges, M.members[:1])
+    behind, todo = set(M.members[:1]), list(M.members[:1])
+    for t in todo:                      # grows: every member with a path to it
+        new = set(back[t]) - behind
+        behind |= new
+        todo.extend(new)
+    for reached in (_walk(S.left, M.members[:1]), behind):
+        missed = mset - reached
         if missed:
             raise TheoremViolation("minimal ideal not generated by member",
                                    min(missed))
@@ -439,7 +463,7 @@ def ideal_group_isomorphism(gu: IdealGroup, gv: IdealGroup) -> tuple[int, ...]:
 def circ(S: EllisSemigroup, a: int, B) -> frozenset[int]:
     """a∘B. In a finite discrete space the maps converging to a are
     eventually a itself, so the set of limits of products is exactly aB."""
-    return frozenset(S.mul(a, b) for b in B)
+    return frozenset(map(S.times(a), B))
 
 
 def tau_closure(G: IdealGroup, A) -> frozenset[int]:
@@ -452,15 +476,16 @@ def tau_closure(G: IdealGroup, A) -> frozenset[int]:
     A = frozenset(A)
     if not A <= members:
         raise NotInIdeal(min(A - members))
+    u_times = S.times(u)
     u_circ_a = circ(S, u, A)
-    closed = frozenset(S.mul(u, x) for x in u_circ_a)
+    closed = frozenset(map(u_times, u_circ_a))
     alt = u_circ_a & members
     if closed != alt:
         raise TheoremViolation("two closure formulas disagree", (sorted(closed)[:4],
                                                                  sorted(alt)[:4]))
     if not A <= closed:
         raise TheoremViolation("closure not extensive", sorted(A - closed)[:4])
-    again = frozenset(S.mul(u, x) for x in circ(S, u, closed))
+    again = frozenset(map(u_times, circ(S, u, closed)))
     if again != closed:
         raise TheoremViolation("closure not idempotent", sorted(again ^ closed)[:4])
     if closed != A:

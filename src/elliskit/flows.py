@@ -199,16 +199,16 @@ def transporters(flow: Flow, basepoint: int) -> list[int | None]:
 
 def orbit_of(flow: Flow, start: int) -> set[int]:
     """Forward orbit of a point under the generated transformation monoid."""
-    return _walk(list(zip(*flow.generator_maps())), (start,))
+    return _walk(flow.generator_maps(), (start,))
 
 
 def orbits(flow: Flow) -> list[tuple[int, ...]]:
-    edges = list(zip(*flow.generator_maps()))
+    maps = flow.generator_maps()
     seen = set()
     out = []
     for x in range(flow.points):
         if x not in seen:
-            orb = _walk(edges, (x,))
+            orb = _walk(maps, (x,))
             seen |= orb
             out.append(tuple(sorted(orb)))
     return out

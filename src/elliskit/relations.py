@@ -487,16 +487,21 @@ def invariant_relations(flow: Flow, caps: Caps = DEFAULT_CAPS):
     union-find closure over the generator maps (Atkinson, Math. Comp. 29,
     1975), and closing equality and the principal relations under joins
     gives the whole lattice (Freese, Algebra Universalis 59, 2008). A join
-    of invariant relations is invariant; each member is re-verified when it
+    E ∨ theta(a, b) with a ~E b is E itself and is skipped. A join of
+    invariant relations is invariant; each member is re-verified when it
     is bound to the flow. The lattice size is bounded by `lattice_cap`."""
     n, maps = flow.points, flow.generator_maps()
     # on a group flow theta(g·a, g·b) = theta(a, b): one a per orbit will do
     firsts = [orb[0] for orb in orbits(flow)] if flow.is_group_flow else range(n)
-    principal = {_classes(n, [(a, b)], maps) for a in firsts for b in range(n) if b != a}
+    principal = {_classes(n, [(a, b)], maps): (a, b)     # one generating pair each
+                 for a in firsts for b in range(n) if b != a}
     lattice = [_classes(n, ())]
     seen = set(lattice)
     for E in lattice:
-        for P in principal:
+        least = {x: cls[0] for cls in E for x in cls}
+        for P, (a, b) in principal.items():
+            if least[a] == least[b]:    # E is invariant, so E contains P
+                continue
             J = _classes(n, [(cls[0], x) for cls in E + P for x in cls[1:]])
             if J not in seen:
                 seen.add(J)

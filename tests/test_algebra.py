@@ -26,6 +26,7 @@ from elliskit.errors import (
     NotNormal,
     UnsupportedParameters,
 )
+from elliskit.generators import group_catalog
 
 
 # ---- independent oracles ---------------------------------------------------
@@ -465,6 +466,14 @@ def test_affine_2_3_order():
     for a in range(0, G.order, 97):
         assert G.mul[e][a] == a and G.mul[a][e] == a
         assert G.mul[a][G.inverse[a]] == e
+
+
+def test_tables_hold_one_int_object_per_element():
+    """Every catalog table and affine(2,3)'s (1344 elements, where ints are
+    no longer cached by the interpreter) read each entry from one shared
+    int object per element."""
+    for G in [*group_catalog(), named_group("affine", q=2, dim=3)]:
+        assert len({id(x) for row in G.mul for x in row}) <= G.order
 
 
 def test_affine_2_2_axioms():
