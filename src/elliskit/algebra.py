@@ -3,14 +3,17 @@
 Elements are always the indices 0..n-1. The canonical element order of a
 group built from permutation generators is discovery order: a breadth-first
 walk that starts from the deduplicated generators (in input order) and
-right-multiplies by generators. All values are immutable after construction,
-except that a group fills in its subgroup lattice on first enumeration, and
-all operations are pure.
+right-multiplies by generators. An affine group is built from each
+matrix's map on the vector indices: its GL products are composed maps, so
+the only GF(q) arithmetic is one M·w loop. All values are immutable after
+construction, except that a group fills in its subgroup lattice on first
+enumeration, and all operations are pure.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from operator import index, itemgetter
 
@@ -533,124 +536,84 @@ def _dihedral(n: int) -> FiniteGroup:
     return group_from_permutations(n, [rotation, reflection], name=f"dihedral({n})")
 
 
-class _GF:
-    """GF(q) for q in {2, 3, 4} with explicit add/mul tables."""
-
-    def __init__(self, q):
-        if q in (2, 3):
-            self.q = q
-            self.add = [[(a + b) % q for b in range(q)] for a in range(q)]
-            self.mul = [[(a * b) % q for b in range(q)] for a in range(q)]
-        elif q == 4:
-            # GF(4) as F2[w]/(w^2+w+1); element k = bits (k1, k0) of k0 + k1*w
-            self.q = 4
-            self.add = [[a ^ b for b in range(4)] for a in range(4)]
-
-            def gmul(a, b):
-                r = 0
-                for bit in (1, 0):
-                    r <<= 1
-                    if r & 4:
-                        r ^= 7  # reduce by w^2 + w + 1
-                    if (b >> bit) & 1:
-                        r ^= a
-                return r
-
-            self.mul = [[gmul(a, b) for b in range(4)] for a in range(4)]
-        else:
-            raise UnsupportedParameters(f"q={q} is not one of 2, 3, 4")
-
-    def neg(self, a):
-        for b in range(self.q):
-            if self.add[a][b] == 0:
-                return b
-        raise AssertionError
-
-
-def _gf_matrix_rank(F, rows, dim):
-    rows = [list(r) for r in rows]
-    rank = 0
-    for col in range(dim):
-        pivot = next((r for r in range(rank, dim) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        # scale pivot row to 1
-        inv = next(s for s in range(1, F.q) if F.mul[rows[rank][col]][s] == 1)
-        rows[rank] = [F.mul[x][inv] for x in rows[rank]]
-        for r in range(dim):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [F.add[x][F.neg(F.mul[factor][y])]
-                           for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+def _field(q):
+    """The addition and multiplication tables of GF(q), q in {2, 3, 4}.
+    GF(4) is F2[w]/(w^2 + w + 1) with element k = k0 + k1·w: addition is
+    XOR, and the units 1, w, w^2 = 1 + w are 1, 2, 3, so a·b = w^(a+b-2)."""
+    r = range(q)
+    if q == 4:
+        return ([[a ^ b for b in r] for a in r],
+                [[(a + b - 2) % 3 + 1 if a and b else 0 for b in r] for a in r])
+    return [[(a + b) % q for b in r] for a in r], [[a * b % q for b in r] for a in r]
 
 
 @dataclass(frozen=True)
 class AffineComponents:
-    """Structure data of an affine group: the field, the lexicographically
-    ordered vectors, and the invertible matrices in lexicographic order of
-    their row-major entries. Element index = vector_index * |GL| + matrix_index."""
+    """An affine group's vectors and matrices, each matrix held as its map on
+    the vector indices. `vectors` are in lexicographic order and `matrices`
+    are the invertible ones in lexicographic order of their row-major
+    entries. `acts[m][w]` is the index of matrices[m]·vectors[w] and
+    `shifts[v][w]` that of vectors[v] + vectors[w], one `bytes` each.
+    Element index = vector_index * |GL| + matrix_index."""
     q: int
     dim: int
-    field: "_GF"
     vectors: tuple
     matrices: tuple
-
-    def vector_index(self, v) -> int:
-        return self.vectors.index(tuple(v))
-
-    def matrix_index(self, M) -> int:
-        return self.matrices.index(tuple(tuple(r) for r in M))
-
-    def mat_vec(self, M, v):
-        return tuple(_dot(self.field, row, v) for row in M)
+    acts: tuple
+    shifts: tuple
 
 
 def affine_components(q: int, dim: int) -> AffineComponents:
-    if q not in (2, 3, 4) or not 1 <= dim <= 3:
-        raise UnsupportedParameters(
-            f"affine needs q in {{2,3,4}} and dim <= 3, got q={q}, dim={dim}")
-    F = _GF(q)
+    """The components of affine(q, dim), q in {2, 3, 4} (`named_group`
+    checks q, dim and the order first). The M·w loop is the only matrix
+    arithmetic: a matrix is invertible iff its act is a bijection."""
+    add, mul = _field(q)
     vectors = tuple(itertools.product(range(q), repeat=dim))
-    matrices = []
+    index = {v: i for i, v in enumerate(vectors)}
+    matrices, acts = [], []
     for flat in itertools.product(range(q), repeat=dim * dim):
-        rows = tuple(flat[i * dim:(i + 1) * dim] for i in range(dim))
-        if _gf_matrix_rank(F, rows, dim) == dim:
+        rows = tuple(flat[i:i + dim] for i in range(0, dim * dim, dim))
+        act = []
+        for w in vectors:
+            image = []
+            for row in rows:
+                acc = 0
+                for a, b in zip(row, w):
+                    acc = add[acc][mul[a][b]]
+                image.append(acc)
+            act.append(index[tuple(image)])
+        if len(set(act)) == len(vectors):
             matrices.append(rows)
-    return AffineComponents(q, dim, F, vectors, tuple(matrices))
+            acts.append(bytes(act))
+    shifts = tuple(bytes(index[tuple(add[a][b] for a, b in zip(v, w))] for w in vectors)
+                   for v in vectors)
+    return AffineComponents(q, dim, vectors, tuple(matrices), tuple(acts), shifts)
 
 
 def _affine(q: int, dim: int, caps: Caps) -> FiniteGroup:
-    """Vector-matrix pairs (v, M) with (v, M)(w, N) = (v + Mw, MN).
+    """Vector-matrix pairs (v, M) with (v, M)(w, N) = (v + Mw, MN), element
+    index vector_index * |GL| + matrix_index (`AffineComponents`).
 
-    Vectors are enumerated lexicographically; matrices in lexicographic
-    order of their row-major entry tuples, invertible ones kept. Element
-    index = vector_index * |GL| + matrix_index.
+    q and dim are checked, and the order q^dim·∏_{i<dim}(q^dim − q^i)
+    against `named_group_cap`, before anything is enumerated. The GL
+    product M·N is the composed acts looked up among the acts, and the
+    inverses are searched in the table.
     """
-    comp = affine_components(q, dim)
-    F = comp.field
-    vectors = list(comp.vectors)
-    matrices = list(comp.matrices)
-    nv, nm = len(vectors), len(matrices)
-    order = nv * nm
+    if q not in (2, 3, 4) or not 1 <= dim <= 3:
+        raise UnsupportedParameters(
+            f"affine needs q in {{2,3,4}} and dim <= 3, got q={q}, dim={dim}")
+    order = q ** dim * math.prod(q ** dim - q ** i for i in range(dim))
     if order > caps.named_group_cap:
         raise UnsupportedParameters(
             f"affine({q},{dim}) has order {order}, above cap {caps.named_group_cap}")
-    vec_index = {v: i for i, v in enumerate(vectors)}
-    mat_index = {m: i for i, m in enumerate(matrices)}
-
-    def mat_mat(M, N):
-        cols = list(zip(*N))
-        return tuple(
-            tuple(_dot(F, row, col) for col in cols) for row in M
-        )
-
-    matvec = [[vec_index[comp.mat_vec(M, v)] for v in vectors] for M in matrices]
-    matmul = [[mat_index[mat_mat(M, N)] for N in matrices] for M in matrices]
-    vecadd = [[vec_index[tuple(F.add[a][b] for a, b in zip(v, w))] for w in vectors]
-              for v in vectors]
+    comp = affine_components(q, dim)
+    matvec, vecadd = comp.acts, comp.shifts
+    nv, nm = len(matvec[0]), len(matvec)
+    mat_index = {act: i for i, act in enumerate(matvec)}
+    matmul = []
+    for m in matvec:
+        after_m = m.ljust(256, b"\0")       # w -> M·w as a translate table
+        matmul.append([mat_index[n.translate(after_m)] for n in matvec])
 
     ids = list(range(order))        # one int object per element, shared by the rows
     mul = []
@@ -664,32 +627,10 @@ def _affine(q: int, dim: int, caps: Caps) -> FiniteGroup:
                 for wj in range(nv) for nj in range(nm)
             ))
     mul = tuple(mul)
-    ident_mat = tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
-    identity = 0 * nm + mat_index[ident_mat]
-
-    inverse = [0] * order
-    inv_mat = [None] * nm
-    for mi in range(nm):
-        for mj in range(nm):
-            if matmul[mi][mj] == mat_index[ident_mat] and matmul[mj][mi] == mat_index[ident_mat]:
-                inv_mat[mi] = mj
-                break
-    neg_vec = [vec_index[tuple(F.neg(x) for x in v)] for v in vectors]
-    for vi in range(nv):
-        for mi in range(nm):
-            mj = inv_mat[mi]
-            wi = matvec[mj][neg_vec[vi]]
-            inverse[vi * nm + mi] = wi * nm + mj
-    gens = small_generating_set(mul, identity)
-    return FiniteGroup(mul, identity, tuple(inverse), gens=gens,
+    identity = mat_index[bytes(range(nv))]      # (0, I)
+    return FiniteGroup(mul, identity, _locate_inverses(mul, identity),
+                       gens=small_generating_set(mul, identity),
                        name=f"affine({q},{dim})")
-
-
-def _dot(F, row, col):
-    acc = 0
-    for a, b in zip(row, col):
-        acc = F.add[acc][F.mul[a][b]]
-    return acc
 
 
 def named_group(name: str, caps: Caps = DEFAULT_CAPS, **params) -> FiniteGroup:

@@ -18,7 +18,9 @@ class Caps:
     group_order_cap: int = 2000      # hard cap on any constructed group
     subgroup_enum_cap: int = 360     # largest group whose subgroups we enumerate
     iso_order_cap: int = 2000        # largest orders fed to isomorphism search
-    named_group_cap: int = 5000      # largest named group we will build
+    named_group_cap: int = 5000      # largest named group we will build;
+                                     # an affine group's order is checked
+                                     # in closed form, before enumerating
     closure_cap: int = 50000         # enveloping semigroup element cap;
                                      # an element holds about 157 bytes on
                                      # 6 points (the T6 closure, 46,656

@@ -98,38 +98,35 @@ def run_s3_stabilizer(caps: Caps = DEFAULT_CAPS) -> Report:
     return rep
 
 
+def _affine_f2(caps: Caps):
+    """The setting of both affine fixtures: the rank-three affine group over
+    the two-element field, its components, the plane x3 = 0 and the line
+    x2 = x3 = 0 as vector indices, and the translation subgroup of a set of
+    vector indices."""
+    G = named_group("affine", q=2, dim=3, caps=caps)
+    comp = affine_components(2, 3)
+    nm = len(comp.matrices)
+    plane = [i for i, v in enumerate(comp.vectors) if v[2] == 0]
+    line = [i for i, v in enumerate(comp.vectors) if v[1] == v[2] == 0]
+
+    def translations(vectors):      # the identity is (0, I): vector 0 comes first
+        return Subgroup(G, frozenset(v * nm + G.identity for v in vectors))
+
+    return G, comp, plane, line, translations
+
+
 def affine_f2_fixture(caps: Caps = DEFAULT_CAPS):
     """Two maximal witness pairs for one relation on the rank-three affine
     group over the two-element field: plane translations with the
     plane-stabilizing support, and line translations with the larger
     line-into-plane support."""
-    G = named_group("affine", q=2, dim=3, caps=caps)
-    comp = affine_components(2, 3)
+    G, comp, plane, line, translations = _affine_f2(caps)
     nm = len(comp.matrices)
-    ident_mat = tuple(tuple(1 if i == j else 0 for j in range(3)) for i in range(3))
-    ident_idx = comp.matrix_index(ident_mat)
-    plane = [v for v in comp.vectors if v[2] == 0]
-    line = [v for v in comp.vectors if v[1] == 0 and v[2] == 0]
-    h1 = Subgroup(G, frozenset(
-        comp.vector_index(v) * nm + ident_idx for v in plane))
-    h2 = Subgroup(G, frozenset(
-        comp.vector_index(v) * nm + ident_idx for v in line))
-    plane_set = set(plane)
-    line_set = set(line)
-    support1 = frozenset(
-        vi * nm + mi
-        for vi in range(len(comp.vectors))
-        for mi, M in enumerate(comp.matrices)
-        if {comp.mat_vec(M, p) for p in plane} == plane_set
-    )
-    support2 = frozenset(
-        vi * nm + mi
-        for vi in range(len(comp.vectors))
-        for mi, M in enumerate(comp.matrices)
-        if line_set <= {comp.mat_vec(M, p) for p in plane}
-    )
-    flow = regular_flow(G)
-    return flow, WitnessPair(h1, support1), WitnessPair(h2, support2)
+    images = [{act[p] for p in plane} for act in comp.acts]     # M(plane)
+    support1 = frozenset(g for g in G.elements() if images[g % nm] == set(plane))
+    support2 = frozenset(g for g in G.elements() if set(line) <= images[g % nm])
+    return (regular_flow(G), WitnessPair(translations(plane), support1),
+            WitnessPair(translations(line), support2))
 
 
 def run_affine_f2(caps: Caps = DEFAULT_CAPS) -> Report:
@@ -168,57 +165,23 @@ def run_affine_f2(caps: Caps = DEFAULT_CAPS) -> Report:
 
 def worb_union_f2_fixture(caps: Caps = DEFAULT_CAPS):
     """The affine group acting on two disjoint copies of itself; classes on
-    the first copy are matrix-twisted plane cosets, on the second copy
-    matrix-twisted line cosets. Witnessed by the line translations with a
-    support meeting the first copy in the plane-covering matrices and the
-    second copy in the identity alone."""
-    G = named_group("affine", q=2, dim=3, caps=caps)
-    comp = affine_components(2, 3)
-    nm = len(comp.matrices)
-    nv = len(comp.vectors)
-    F = comp.field
-    ident_mat = tuple(tuple(1 if i == j else 0 for j in range(3)) for i in range(3))
-    ident_idx = comp.matrix_index(ident_mat)
-    plane = [v for v in comp.vectors if v[2] == 0]
-    line = [v for v in comp.vectors if v[1] == 0 and v[2] == 0]
+    the first copy are the left cosets of the plane translations, on the
+    second copy those of the line translations: (v, M)·(p, I) = (v + Mp, M),
+    so each is a matrix-twisted coset. Witnessed by the line translations
+    with a support meeting the first copy in the plane-covering matrices and
+    the second copy in the identity alone."""
+    G, comp, plane, line, translations = _affine_f2(caps)
     flow = disjoint_union_flow([regular_flow(G), regular_flow(G)], caps=caps)
-
-    def classes_on_copy(offset, subspace):
-        classes = []
-        seen = set()
-        for mi, M in enumerate(comp.matrices):
-            twisted = {comp.vector_index(comp.mat_vec(M, p)) for p in subspace}
-            for vi in range(nv):
-                idx = vi * nm + mi
-                if idx in seen:
-                    continue
-                members = []
-                for w in twisted:
-                    vsum = comp.vector_index(tuple(
-                        F.add[a][b] for a, b in
-                        zip(comp.vectors[vi], comp.vectors[w])))
-                    members.append(offset + vsum * nm + mi)
-                members.sort()
-                seen.update(m - offset for m in members)
-                classes.append(tuple(members))
-        return classes
-
-    classes = classes_on_copy(0, plane) + classes_on_copy(G.order, line)
+    classes = left_cosets(G, translations(plane)) + [
+        tuple(G.order + g for g in coset) for coset in left_cosets(G, translations(line))]
     E = make_relation(2 * G.order, classes, flow)
-    H = Subgroup(G, frozenset(
-        comp.vector_index(v) * nm + ident_idx for v in line))
-    # matrices whose inverse images of the line sweep out the plane
-    cover = [ident_mat]
-    for target in (((0, 1, 0), (1, 0, 0), (0, 0, 1)),):
-        cover.append(target)
-    # a matrix sending e1 + e2 to e1: columns e1+e2, e2, e3 inverted; choose
-    # M with M(e1) = e1 + e2 so that its inverse maps the line into the plane
-    cover.append(((1, 0, 0), (1, 1, 0), (0, 0, 1)))
-    support = frozenset(
-        {0 * nm + comp.matrix_index(M) for M in cover}
-        | {G.order + 0 * nm + ident_idx}
-    )
-    return flow, E, WitnessPair(H, support)
+    # (0, M) for the identity, the swap of e1 and e2, and the M with
+    # M(e1) = e1 + e2: the inverse images of the line under them sweep out
+    # the plane
+    cover = [((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 1, 0), (1, 0, 0), (0, 0, 1)),
+             ((1, 0, 0), (1, 1, 0), (0, 0, 1))]
+    support = frozenset({comp.matrices.index(M) for M in cover} | {G.order + G.identity})
+    return flow, E, WitnessPair(translations(line), support)
 
 
 def run_worb_union_f2(caps: Caps = DEFAULT_CAPS) -> Report:

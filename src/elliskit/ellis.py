@@ -336,7 +336,7 @@ def _validate_minimal_ideal(M: MinimalIdeal):
     # M is the disjoint union of the groups u·M over idempotents u
     seen: set[int] = set()
     for u in M.idempotents:
-        block = {S.mul(u, m) for m in M.members}
+        block = set(map(S.times(u), M.members))
         if block & seen:
             raise TheoremViolation("idempotent blocks overlap", u)
         seen |= block
@@ -365,14 +365,15 @@ def ideal_group(M: MinimalIdeal, u: int) -> IdealGroup:
         raise NotInIdeal(u)
     if S.mul(u, u) != u:
         raise NotIdempotent(u)
-    members = tuple(sorted({S.mul(u, m) for m in M.members}))
+    members = tuple(sorted(set(map(S.times(u), M.members))))
     pos = {s: i for i, s in enumerate(members)}
 
     def literal_row(a):
+        times_a = S.times(a)
         try:
-            return tuple([pos[S.mul(a, b)] for b in members])
+            return tuple([pos[times_a(b)] for b in members])
         except KeyError:
-            b = next(b for b in members if S.mul(a, b) not in pos)
+            b = next(b for b in members if times_a(b) not in pos)
             raise TheoremViolation("u·M not closed under composition", (a, b)) from None
 
     identity = pos[u]

@@ -73,7 +73,7 @@ def check_group_like(ambit: Ambit, E: EquivRelation) -> GroupLikeVerdict:
     flow = ambit.flow
     if not flow.is_group_flow:
         raise NotEquivalence("group-likeness needs a group flow")
-    bound = E if E.flow is flow else E.bind(flow)
+    bound = E.bind(flow)
     G = flow.group
     x0 = ambit.basepoint
     if not bound.invariant:
@@ -278,7 +278,7 @@ def default_domination(ambit: Ambit, E: EquivRelation) -> DominationWitness:
     flow = ambit.flow
     G = flow.group
     x0 = ambit.basepoint
-    bound = E if E.flow is flow else E.bind(flow)
+    bound = E.bind(flow)
     if not bound.invariant:
         raise NotWeaklyGroupLike(("not invariant",) + tuple(bound.invariance_witness or ()))
     reg = make_ambit(regular_flow(G), G.identity)
@@ -315,7 +315,7 @@ def identify_quotient(ambit: Ambit, E: EquivRelation,
     flow = ambit.flow
     if not flow.is_group_flow:
         raise NotWeaklyGroupLike("needs a group flow")
-    bound = E if E.flow is flow else E.bind(flow)
+    bound = E.bind(flow)
     witness = domination or default_domination(ambit, bound)
     verdict = check_domination(witness)
     if not verdict:

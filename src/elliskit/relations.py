@@ -86,6 +86,10 @@ class EquivRelation:
         return frozenset(out)
 
     def bind(self, flow: Flow) -> "EquivRelation":
+        """This relation on `flow`: itself when already bound to it, else a
+        new relation with its invariance computed on `flow`."""
+        if self.flow is flow:
+            return self
         return EquivRelation(self.points, self.classes, flow)
 
     def __eq__(self, other):

@@ -490,8 +490,7 @@ def verify_thm_orb(inst: StructuredInstance, require_agreeable: bool = True,
     agree = is_agreeable(inst) if _agree is None else _agree
     if require_agreeable and not agree:
         raise NotAgreeable(agree.failures[0][0], agree.failures[0][1])
-    E = inst.relation if inst.relation.flow is inst.flow else \
-        inst.relation.bind(inst.flow)
+    E = inst.relation.bind(inst.flow)
     verdict = is_orbital(E)
     if not verdict:
         raise NotOrbital(f"relation is not orbital: {verdict.counterexample}")
@@ -548,8 +547,7 @@ def verify_thm_worb(inst: StructuredInstance, require_agreeable: bool = True,
     agree = is_agreeable(inst) if _agree is None else _agree
     if require_agreeable and not agree:
         raise NotAgreeable(agree.failures[0][0], agree.failures[0][1])
-    E = inst.relation if inst.relation.flow is inst.flow else \
-        inst.relation.bind(inst.flow)
+    E = inst.relation.bind(inst.flow)
     witnessed = list(_subgroup_witnesses(E, caps))
     if require_weakly_orbital and not any(w[3] for w in witnessed):
         raise NotWeaklyOrbital("relation is not weakly orbital")
@@ -590,7 +588,7 @@ def stabilizer_and_fixset_closed(inst: StructuredInstance,
     the class is, and translate-fix sets are pseudo-closed whenever the
     relation is."""
     flow = inst.flow
-    E = inst.relation if inst.relation.flow is flow else inst.relation.bind(flow)
+    E = inst.relation.bind(flow)
     lat = inst.lattices
     G = flow.group
     for x in range(flow.points):

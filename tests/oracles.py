@@ -3,14 +3,17 @@ subgroup-lattice, normality, invariance, witnessed-relation,
 invariant-relation (every partition, filtered), witness-support and
 maximal-witness code in
 ``elliskit``, the index-walking Tarjan it replaced, the class formula for
-witnessed classes, and pseudo-closed lattices held as frozensets of
-indices. The production paths read products off Cayley graphs, work from
+witnessed classes, pseudo-closed lattices held as frozensets of
+indices, and affine groups by matrix arithmetic over GF(q). The production paths read products off Cayley graphs, work from
 generators and hold sets as bitmasks; these compose, multiply, scan
 everything or walk sets index by index instead, so they are slow but
 obviously right, and the differential tests compare the two.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
 
 from elliskit.algebra import Subgroup
 from elliskit.errors import NotALattice, NotAWitness, SizeCapExceeded
@@ -226,6 +229,83 @@ def permutation_group(degree, generators):
         for a in range(n)
     )
     return tuple(perms), mul, two_sided_inverses(mul, seen[tuple(range(degree))])
+
+
+def affine_group(q, dim):
+    """AGL(dim, q), q in {2, 3, 4}, by matrix arithmetic: (product, identity,
+    order), where product(a, b) is the index of a·b.
+
+    Elements are pairs (v, M) with (v, M)(w, N) = (v + Mw, MN), indexed
+    v_index * |GL| + M_index: vectors in lexicographic order, and the
+    matrices (tuples of rows) of rank dim by Gaussian elimination, in
+    lexicographic order of their rows. GF(4) is F2[w]/(w^2 + w + 1) with
+    k = k0 + k1·w, multiplied as polynomials.
+    """
+    if q == 4:
+        def add(a, b):
+            return a ^ b
+
+        def mul(a, b):
+            r = (a if b & 1 else 0) ^ (a << 1 if b & 2 else 0)
+            return r ^ 0b111 if r & 0b100 else r    # w^2 = w + 1
+    else:
+        def add(a, b):
+            return (a + b) % q
+
+        def mul(a, b):
+            return a * b % q
+
+    def neg(a):
+        return next(b for b in range(q) if add(a, b) == 0)
+
+    def rank(rows):
+        rows = [list(r) for r in rows]
+        rank = 0
+        for col in range(dim):
+            pivot = next((r for r in range(rank, dim) if rows[r][col]), None)
+            if pivot is None:
+                continue
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            inv = next(s for s in range(1, q) if mul(rows[rank][col], s) == 1)
+            rows[rank] = [mul(x, inv) for x in rows[rank]]
+            for r in range(dim):
+                if r != rank and rows[r][col]:
+                    f = rows[r][col]
+                    rows[r] = [add(x, neg(mul(f, y))) for x, y in zip(rows[r], rows[rank])]
+            rank += 1
+        return rank
+
+    def dot(row, col):
+        acc = 0
+        for a, b in zip(row, col):
+            acc = add(acc, mul(a, b))
+        return acc
+
+    vectors = list(itertools.product(range(q), repeat=dim))
+    matrices = [m for m in (tuple(flat[i * dim:(i + 1) * dim] for i in range(dim))
+                            for flat in itertools.product(range(q), repeat=dim * dim))
+                if rank(m) == dim]
+    vector_index = {v: i for i, v in enumerate(vectors)}
+    matrix_index = {m: i for i, m in enumerate(matrices)}
+    nm = len(matrices)
+
+    @functools.cache
+    def mat_vec(m, w):
+        return tuple(dot(row, vectors[w]) for row in matrices[m])
+
+    @functools.cache
+    def mat_mat(m, n):
+        cols = list(zip(*matrices[n]))
+        return matrix_index[tuple(tuple(dot(row, col) for col in cols)
+                                  for row in matrices[m])]
+
+    def product(a, b):
+        (v, m), (w, n) = divmod(a, nm), divmod(b, nm)
+        vector = tuple(map(add, vectors[v], mat_vec(m, w)))
+        return vector_index[vector] * nm + mat_mat(m, n)
+
+    ident = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    return product, matrix_index[ident], len(vectors) * nm
 
 
 def product_act(flows, g, x):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elliskit import algebra
 from elliskit.algebra import (
     FiniteGroup,
     are_isomorphic,
@@ -505,6 +506,17 @@ def test_affine_rejects_large():
         named_group("affine", q=3, dim=3)
     with pytest.raises(UnsupportedParameters):
         named_group("affine", q=5, dim=1)
+
+
+def test_affine_cap_is_checked_before_enumerating(monkeypatch):
+    """affine(4,3) is refused from its closed-form order, 64·63·60·48, before
+    a single matrix is enumerated."""
+    def enumerate_nothing(q, dim):
+        raise AssertionError(f"affine_components({q}, {dim}) called")
+
+    monkeypatch.setattr(algebra, "affine_components", enumerate_nothing)
+    with pytest.raises(UnsupportedParameters, match="order 11612160"):
+        named_group("affine", q=4, dim=3)
 
 
 def test_unknown_family():

@@ -380,6 +380,19 @@ def test_permutation_group_tables_match_oracle(name, params):
         oracles.small_generating_set(mul, G.identity)
 
 
+@pytest.mark.parametrize("q, dim, step", [(2, 1, 1), (2, 2, 1), (3, 1, 1),
+                                          (4, 1, 1), (3, 2, 1), (2, 3, 97)])
+def test_affine_tables_match_oracle(q, dim, step):
+    """Every `step`-th row of affine(q, dim), its identity and every inverse
+    against matrix arithmetic over GF(q)."""
+    G = named_group("affine", q=q, dim=dim)
+    product, identity, order = oracles.affine_group(q, dim)
+    assert (G.order, G.identity) == (order, identity)
+    for a in range(0, order, step):
+        assert G.mul[a] == tuple(product(a, b) for b in range(order)), a
+    assert all(product(a, G.inverse[a]) == identity for a in range(order))
+
+
 def same_group_flow(rng, G):
     """A regular or coset action of G, to sit beside another flow of G."""
     H = rng.choice(enumerate_subgroups(G))

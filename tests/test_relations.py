@@ -66,6 +66,14 @@ def test_equality_and_total_invariant():
     assert total_relation(3, f).invariant
 
 
+def test_bind_keeps_a_relation_already_on_the_flow():
+    f = natural_flow(s3())
+    E = make_relation(3, [[0, 1], [2]], f)
+    assert E.bind(f) is E
+    F = make_relation(3, [[0, 1], [2]]).bind(f)
+    assert F == E and F.flow is f and F is not E and not F.invariant
+
+
 def test_partition_validation():
     with pytest.raises(NotAPartition):
         make_relation(3, [[0, 1], [1, 2]])
