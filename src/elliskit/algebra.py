@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 from operator import index, itemgetter
 
@@ -144,8 +145,11 @@ def _locate_inverses(mul, identity):
     so the first one in each row is checked against its column."""
     inverse = []
     for a, row in enumerate(mul):
-        b = row.index(identity) if identity in row else None
-        if b is None or mul[b][a] != identity:
+        try:
+            b = row.index(identity)
+        except ValueError:
+            raise NoInverse(a) from None
+        if mul[b][a] != identity:
             raise NoInverse(a)
         inverse.append(b)
     return tuple(inverse)
@@ -261,43 +265,43 @@ def _composer(inner):
     return lambda outer: ()
 
 
-def cayley_row(right, tree, i):
+def cayley_row(right, parent, via, i):
     """Every product i·j, indexed by j, read off a right Cayley graph
     (Froidure & Pin 1997) instead of composing elements.
 
     Generator g is element g and the graph is one column per generator:
-    right[g][w] is the index of w·g. `tree` lists triples (j, p, g) with
-    j = p·g, parents before children, covering every non-generator, so
-    i·j = (i·p)·g is one lookup.
+    right[g][w] is the index of w·g. The spanning tree of a closure in
+    right-only discovery order is two `array('i')` columns: element
+    k + t (k generators) was first found as parent[t]·via[t], so
+    i·(p·h) = (i·p)·h is one lookup, and parents come before children.
     """
-    row = [0] * len(right[0])
-    row[:len(right)] = [col[i] for col in right]
-    for j, p, g in tree:
-        row[j] = right[g][row[p]]
+    row = array("i", [col[i] for col in right])
+    append = row.append
+    for p, h in zip(parent, via):
+        append(right[h][row[p]])
     return row
 
 
-def cayley_table(right, tree):
+def cayley_table(right, parent, via):
     """The full multiplication table, one row at a time.
 
     Only the generator rows are read off the graph with `cayley_row`. By
-    associativity (p·g)·x = p·(g·x), so row(p·g) = row(p)∘row(g): every other
+    associativity (p·h)·x = p·(h·x), so row(p·h) = row(p)∘row(h): every other
     row is its tree parent's row composed with a generator row, one
     `_composer` (C-level) call per row.
     """
-    rows = [tuple(cayley_row(right, tree, g)) for g in range(len(right))]
+    rows = [tuple(cayley_row(right, parent, via, g)) for g in range(len(right))]
     after = [_composer(row) for row in rows]
-    rows.extend([None] * (len(right[0]) - len(rows)))
-    for j, p, g in tree:
-        rows[j] = after[g](rows[p])
+    for p, h in zip(parent, via):
+        rows.append(after[h](rows[p]))
     return tuple(rows)
 
 
 def group_from_permutations(degree, generators, caps: Caps = DEFAULT_CAPS,
                             name=None) -> FiniteGroup:
     """Close permutation generators under composition; discovery element
-    order. The closure keeps its right Cayley graph, which then fills the
-    multiplication table by row composition."""
+    order. The closure keeps its right Cayley graph and spanning tree,
+    which then fill the multiplication table by row composition."""
     perms: list[tuple[int, ...]] = []
     seen: dict[tuple[int, ...], int] = {}
     for i, g in enumerate(generators):
@@ -313,7 +317,7 @@ def group_from_permutations(degree, generators, caps: Caps = DEFAULT_CAPS,
         perms.append(ident)
     gen_count = len(perms)
     after = [(_composer(g), []) for g in perms]     # w -> w∘g, its column
-    tree: list[tuple[int, int, int]] = []
+    parent, via = array("i"), array("i")
     for w, perm in enumerate(perms):
         for gi, (times_g, col) in enumerate(after):
             cand = times_g(perm)
@@ -323,9 +327,10 @@ def group_from_permutations(degree, generators, caps: Caps = DEFAULT_CAPS,
                     raise GroupTooLarge(len(perms) + 1, caps.group_order_cap)
                 got = seen[cand] = len(perms)
                 perms.append(cand)
-                tree.append((got, w, gi))
+                parent.append(w)
+                via.append(gi)
             col.append(got)
-    mul = cayley_table([col for _, col in after], tree)
+    mul = cayley_table([col for _, col in after], parent, via)
     identity = seen[tuple(range(degree))]
     inverse = _locate_inverses(mul, identity)
     return FiniteGroup(

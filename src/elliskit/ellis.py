@@ -13,24 +13,27 @@ The closure keeps its right and left Cayley graphs over the generators, and
 bulk products are read off them instead of composing point tuples: Froidure
 & Pin, "Algorithms for computing finite semigroups" (1997); East,
 Egri-Nagy, Mitchell & Péresse, "Computing finite semigroups", J. Symb.
-Comput. 92 (2019). Each graph is one `array('i')` column per generator,
-appended to as the search finds products, so an edge costs 4 bytes and
-every walk reads the columns as generator maps. The closure itself
-composes in C: on at most 256 points each map is `bytes` and w∘g, g∘w are
-one `bytes.translate` each (bytes also hash faster than tuples); above,
-one `operator.itemgetter` call each (`algebra._composer`). The semigroup
-keeps the maps as the search built them; tuple forms are made only when
-read. The full table is built row by
-row from the generator rows, since associativity gives row(p·g) =
-row(p)∘row(g) along the right spanning tree; ideal-group tables are filled
-the same way inside the group. Minimal left ideals are read from the minimal
-ideal K, the elements of minimum rank: one such e is found from the orbit of
-the generators' images under the left action, without looking at every
-element; then S·e and its orbit under right multiplication by the
-generators, certified complete by closing their union under both graphs (the
-Green's-structure route of East et al. 2019). Each is checked in O(|M|·k) to
-be closed and strongly connected. After the closure, finding the minimal
-ideals reads only the image orbit and the kernel's own elements.
+Comput. 92 (2019). Each graph is one `array('i')` column per generator, so
+an edge costs 4 bytes and every walk reads the columns as generator maps.
+Only right products are composed and hashed: the breadth-first search
+appends w·g to the right graph and records, for each new element, its
+spanning-tree parent and generator. The left graph follows by
+associativity along that tree, g·(p·h) = (g·p)·h, one lookup an edge. The
+closure composes in C: on at most 256 points each map is `bytes` and w∘g
+is one `bytes.translate` (bytes also hash faster than tuples); above, one
+`operator.itemgetter` call (`algebra._composer`). The semigroup keeps the
+maps as the search built them; tuple forms are made only when read. The
+full table is built row by row from the generator rows, since
+associativity gives row(p·h) = row(p)∘row(h) along the same tree;
+ideal-group tables are filled the same way inside the group. Minimal left
+ideals are read from the minimal ideal K, the elements of minimum rank:
+one such e is found from the orbit of the generators' images under the left
+action, without looking at every element; then S·e and its orbit under
+right multiplication by the generators, certified complete by closing their
+union under both graphs (the Green's-structure route of East et al. 2019).
+Each is checked in O(|M|·k) to be closed and strongly connected. After the
+closure, finding the minimal ideals reads only the image orbit and the
+kernel's own elements.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .algebra import (
     _composer,
     _locate_inverses,
     _walk,
+    cayley_row,
     cayley_table,
     compose_maps,
     small_generating_set,
@@ -74,15 +78,18 @@ class EllisSemigroup:
     library itself never reads them. Generator g is element g. `right` and
     `left` are the Cayley graphs as one `array('i')` column per generator,
     4 bytes an edge: right[g][w] and left[g][w] are the indices of w·g and
-    g·w. The full multiplication table is only materialized up to
-    mul_table_cap (at the default closure cap it would not fit in memory);
-    above it, `mul` composes on demand, with no memo.
+    g·w. `tree` is the search's spanning tree, two `array('i')` columns
+    (parent, via): element k + t (k generators) was first found as
+    parent[t]·via[t]. The search fills `right`; `left` is read off the
+    tree (`algebra.cayley_row`). The full multiplication table is only
+    materialized up to mul_table_cap (at the default closure cap it would
+    not fit in memory); above it, `mul` composes on demand, with no memo.
     """
 
     __slots__ = ("flow", "maps", "keys", "key", "generators", "right", "left",
-                 "_table", "_elements", "_index")
+                 "tree", "_table", "_elements", "_index")
 
-    def __init__(self, flow, maps, keys, right, left, table):
+    def __init__(self, flow, maps, keys, right, left, tree, table):
         self.flow = flow
         self.maps = maps
         self.keys = keys
@@ -90,6 +97,7 @@ class EllisSemigroup:
         self.generators = tuple(range(len(right)))
         self.right = right
         self.left = left
+        self.tree = tree
         self._table = table
         self._elements = self._index = None
 
@@ -173,9 +181,12 @@ def enveloping_semigroup(flow: Flow, caps: Caps = DEFAULT_CAPS) -> EllisSemigrou
 
     For a group flow the closure of any generating set of the (finite) group
     equals the full image of the group, so generators suffice. Each element
-    is multiplied by every generator on the right and on the left; the
-    indices of those products are appended to the right and left Cayley
-    graphs, one column per generator.
+    w is composed with every generator g on the right once and w∘g looked
+    up; its index is appended to the right Cayley graph's column g. A new
+    product also records its spanning-tree parent w and generator g, so
+    every element is reached by right multiplication as it is found. No
+    left product is composed or hashed: g·(p·h) = (g·p)·h fills each left
+    column along the tree (`algebra.cayley_row`, Froidure & Pin 1997).
     """
     key = _key_type(flow.points)
     maps, keys = [], {}
@@ -185,63 +196,41 @@ def enveloping_semigroup(flow: Flow, caps: Caps = DEFAULT_CAPS) -> EllisSemigrou
             maps.append(m)
     gens = tuple(maps)
     get = keys.get
-    right, left = [array("i") for _ in gens], [array("i") for _ in gens]
+    right = [array("i") for _ in gens]
+    parent, via = array("i"), array("i")
 
-    def add(cand):
+    def add(cand, w, h):
         if len(maps) >= caps.closure_cap:
             raise ClosureCapExceeded(len(maps), caps.closure_cap)
         got = keys[cand] = len(maps)
         maps.append(cand)
+        parent.append(w)
+        via.append(h)
         return got
 
     if key is bytes:
-        # g, its table, and the appends to its two columns
-        tables = [(g, g.ljust(256, b"\0"), r.append, l.append)
-                  for g, r, l in zip(gens, right, left)]
-        for w in maps:
-            tw = w.ljust(256, b"\0")
-            for g, tg, r_add, l_add in tables:
+        cols = [(g, h, col.append) for h, (g, col) in enumerate(zip(gens, right))]
+        for w, m in enumerate(maps):
+            tw = m.ljust(256, b"\0")
+            for g, h, r_add in cols:
                 cand = g.translate(tw)              # w∘g
                 got = get(cand)
-                r_add(add(cand) if got is None else got)
-                cand = w.translate(tg)              # g∘w
-                got = get(cand)
-                l_add(add(cand) if got is None else got)
+                r_add(add(cand, w, h) if got is None else got)
     else:
-        after = [(g, _composer(g), r.append, l.append)     # w -> w∘g
-                 for g, r, l in zip(gens, right, left)]
-        for w in maps:
-            before_w = _composer(w)                 # g -> g∘w
-            for g, times_g, r_add, l_add in after:
-                cand = times_g(w)
+        cols = [(_composer(g), h, col.append)
+                for h, (g, col) in enumerate(zip(gens, right))]
+        for w, m in enumerate(maps):
+            for times_g, h, r_add in cols:
+                cand = times_g(m)                   # w∘g
                 got = get(cand)
-                r_add(add(cand) if got is None else got)
-                cand = before_w(g)
-                got = get(cand)
-                l_add(add(cand) if got is None else got)
+                r_add(add(cand, w, h) if got is None else got)
     n = len(maps)
-    # one-step stability: the closure is closed under both graphs, and every
-    # element is reached from the generators along right edges (a growing
-    # walk over a bytearray and an int array: no set, no int objects kept)
-    if max(map(max, chain(right, left))) >= n:
+    # one-step stability: the closure is closed under the right graph
+    if max(map(max, right)) >= n:
         raise TheoremViolation("composition closure not closed", n)
-    reached = bytearray(n)
-    reached[:len(gens)] = b"\1" * len(gens)
-    order = array("i", range(len(gens)))
-    tree = [] if n <= caps.mul_table_cap else None     # only for the table
-    for w in order:
-        for g, col in enumerate(right):
-            j = col[w]
-            if not reached[j]:
-                reached[j] = 1
-                order.append(j)
-                if tree is not None:
-                    tree.append((j, w, g))
-    if len(order) != n:
-        raise TheoremViolation("element not reached by right multiplication",
-                               reached.index(0))
-    table = None if tree is None else cayley_table(right, tree)
-    return EllisSemigroup(flow, maps, keys, right, left, table)
+    left = [cayley_row(right, parent, via, g) for g in range(len(gens))]
+    table = cayley_table(right, parent, via) if n <= caps.mul_table_cap else None
+    return EllisSemigroup(flow, maps, keys, right, left, (parent, via), table)
 
 
 def minimal_left_ideals(S: EllisSemigroup) -> list[MinimalIdeal]:

@@ -30,9 +30,9 @@ def compose(outer, inner):
 
 
 def closure(maps):
-    """Discovery-order closure by two-sided BFS: each element times every
-    generator on the right, then on the left. Returns the elements and the
-    generator indices."""
+    """Discovery-order closure by right-only BFS: each element times every
+    generator on the right, the order `permutation_group` uses. Returns the
+    elements and the generator indices."""
     elements: list[tuple[int, ...]] = []
     index: dict[tuple[int, ...], int] = {}
     for m in maps:
@@ -46,10 +46,10 @@ def closure(maps):
         w = elements[cursor]
         cursor += 1
         for gi in range(gen_count):
-            for cand in (compose(w, elements[gi]), compose(elements[gi], w)):
-                if cand not in index:
-                    index[cand] = len(elements)
-                    elements.append(cand)
+            cand = compose(w, elements[gi])
+            if cand not in index:
+                index[cand] = len(elements)
+                elements.append(cand)
     return tuple(elements), tuple(range(gen_count))
 
 

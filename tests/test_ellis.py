@@ -97,9 +97,17 @@ def test_closure_matches_brute_force_on_random_maps():
 
 
 def test_closure_cap():
+    """The cap is exceeded exactly when the closure (610 elements here) has
+    more elements than the cap, and the message gives the cap."""
     f = transformation_flow([(1, 2, 3, 4, 0), (0, 0, 2, 3, 4)])
-    with pytest.raises(ClosureCapExceeded):
+    with pytest.raises(ClosureCapExceeded,
+                       match=r"^composition closure exceeded cap 3 \(3 elements found\)$"):
         enveloping_semigroup(f, caps=Caps(closure_cap=3, mul_table_cap=3))
+    with pytest.raises(ClosureCapExceeded) as info:
+        enveloping_semigroup(f, caps=Caps(closure_cap=609, mul_table_cap=3))
+    assert (info.value.partial_count, info.value.cap) == (609, 609)
+    assert str(info.value) == "composition closure exceeded cap 609 (609 elements found)"
+    assert enveloping_semigroup(f, caps=Caps(closure_cap=610, mul_table_cap=3)).size == 610
 
 
 def test_mul_is_composition():

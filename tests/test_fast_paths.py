@@ -20,6 +20,7 @@ import random
 import tracemalloc
 from array import array
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,7 @@ from elliskit.caps import DEFAULT_CAPS, Caps
 from elliskit.catalog import affine_f2_fixture, structured_catalog
 from elliskit.cli import main
 from elliskit.errors import (
+    ClosureCapExceeded,
     GroupTooLarge,
     NotALattice,
     NotAWitness,
@@ -259,6 +261,50 @@ def test_closure_above_the_table_cap_around_256_points():
             [(M.members, M.idempotents) for M in minimal_left_ideals(S5)]
 
 
+def mid_sized_closures(seed, points):
+    """Random maps on 5 or 6 points, two or three of them, kept when their
+    closure holds 500 to 2,000 elements: above `mul_table_cap`, so no
+    table is built from the spanning tree. With `points` above 256 the
+    maps are moved onto points that include 255 and the top point, so the
+    closure holds tuples."""
+    rng = random.Random(seed)
+    caps = replace(DEFAULT_CAPS, closure_cap=2000)
+    while True:
+        k = rng.randint(5, 6)
+        maps = [[rng.randrange(k) for _ in range(k)] for _ in range(rng.randint(2, 3))]
+        if points > 256:
+            maps = embedded(maps, points, [255, points - 1] + rng.sample(range(255), k - 2))
+        try:
+            S = enveloping_semigroup(transformation_flow(maps), caps=caps)
+        except ClosureCapExceeded:
+            continue
+        if S.size >= 500:
+            yield maps, S
+
+
+@pytest.mark.parametrize("points", [6, 257])
+def test_left_graph_and_spanning_tree_above_the_table_cap(points):
+    """The left graph read off the spanning tree against literal g∘w
+    lookups, the right graph against literal w∘g, and the tree itself:
+    element k + t was first found as parent[t]·via[t], from an earlier
+    element, in the oracle's right-only discovery order."""
+    for maps, S in islice(mid_sized_closures(points, points), 6):
+        assert DEFAULT_CAPS.mul_table_cap < S.size <= 2000
+        assert S._table is None
+        elements, gens = oracles.closure(maps)
+        assert S.elements == elements
+        k, index = len(gens), S.index
+        assert [list(col) for col in S.left] == \
+            [[index[oracles.compose(elements[g], w)] for w in elements] for g in gens]
+        assert [list(col) for col in S.right] == \
+            [[index[oracles.compose(w, elements[g])] for w in elements] for g in gens]
+        parent, via = S.tree
+        assert len(parent) == len(via) == S.size - k
+        for t, (p, h) in enumerate(zip(parent, via)):
+            assert 0 <= h < k and 0 <= p < k + t
+            assert S.right[h][p] == k + t
+
+
 @pytest.mark.parametrize("points", [5, 257])
 @pytest.mark.parametrize("table_cap", [1000, 0], ids=["full-table", "on-demand"])
 def test_cayley_graphs_are_int_array_columns(points, table_cap):
@@ -282,9 +328,10 @@ def test_cayley_graphs_are_int_array_columns(points, table_cap):
 
 def test_t6_closure_holds_at_most_200_bytes_an_element():
     """The T6 closure (46,656 elements, three generators) under tracemalloc:
-    the maps as bytes, the map -> index dict and both Cayley graphs at
-    4 bytes an edge hold about 157 bytes an element; with the graphs as a
-    tuple of edges per element they held 276."""
+    the maps as bytes, the map -> index dict, both Cayley graphs at 4 bytes
+    an edge and the spanning tree at 8 bytes an element hold about 165
+    bytes an element; with the graphs as a tuple of edges per element they
+    held 276."""
     _, flow = next(t6_and_s6())
     tracemalloc.start()
     try:
