@@ -3,8 +3,12 @@
 Elements are always the indices 0..n-1. The canonical element order of a
 group built from permutation generators is discovery order: a breadth-first
 walk that starts from the deduplicated generators (in input order) and
-right-multiplies by generators. An affine group is built from each
-matrix's map on the vector indices: its GL products are composed maps, so
+right-multiplies by generators. That walk is the package's one composition
+closure (`_right_closure`, Froidure & Pin 1997), and `_table_by_rows` is its
+one table builder: a few literal rows, every other row composed from them.
+Both serve permutation groups here and enveloping semigroups and their
+ideal groups in `ellis`. An affine group is its elements' permutations
+w -> v + Mw of the vector indices, built from each matrix's map on them, so
 the only GF(q) arithmetic is one M·w loop. All values are immutable after
 construction, except that a group fills in its subgroup lattice on first
 enumeration, and all operations are pure.
@@ -36,8 +40,9 @@ class FiniteGroup:
     """A finite group on elements 0..order-1 with a full multiplication table.
 
     `perms`, when present, realizes each element as a permutation of
-    0..degree-1 (the group was built from permutation generators and `mul`
-    is composition). `gens` is a small generating set, always consistent
+    0..degree-1, a tuple, and `mul` is their composition: the group was
+    built from permutation generators, or is cyclic or affine (acting on
+    its q^dim vectors). `gens` is a small generating set, always consistent
     with `mul`. `subgroups` is the sorted subgroup lattice, filled by the
     first `enumerate_subgroups` call.
     """
@@ -282,61 +287,111 @@ def cayley_row(right, parent, via, i):
     return row
 
 
-def cayley_table(right, parent, via):
-    """The full multiplication table, one row at a time.
+def _key_type(points):
+    """The type a closure holds maps in: bytes when a byte holds every point."""
+    return bytes if points <= 256 else tuple
 
-    Only the generator rows are read off the graph with `cayley_row`. By
-    associativity (p·h)·x = p·(h·x), so row(p·h) = row(p)∘row(h): every other
-    row is its tree parent's row composed with a generator row, one
-    `_composer` (C-level) call per row.
+
+def _right_closure(generators, key, cap, overflow):
+    """Breadth-first composition closure of `generators`, maps of the same
+    points, under right multiplication (Froidure & Pin 1997).
+
+    Maps are held as `key(map)`: `bytes` on at most 256 points, where w∘g
+    is one `bytes.translate` by w's padded table (bytes also hash faster
+    than tuples), or tuples, where it is one `itemgetter` call
+    (`_composer`). The deduplicated generators come first, in input order;
+    each element w is then composed with every generator g on the right
+    once. Returns (maps, keys, right, parent, via): the maps in discovery
+    order, the dict from each map to its index, the right Cayley graph as
+    one `array('i')` column per generator (right[g][w] is the index of
+    w·g), and the spanning tree as two `array('i')` columns: element k + t
+    (k generators) was first found as parent[t]·via[t]. A new element past
+    `cap` raises `overflow(elements found)`.
     """
-    rows = [tuple(cayley_row(right, parent, via, g)) for g in range(len(right))]
-    after = [_composer(row) for row in rows]
-    for p, h in zip(parent, via):
-        rows.append(after[h](rows[p]))
-    return tuple(rows)
+    maps, keys = [], {}
+    for m in map(key, generators):
+        if m not in keys:
+            keys[m] = len(maps)
+            maps.append(m)
+    right = [array("i") for _ in maps]
+    parent, via = array("i"), array("i")
+    padded = key is bytes
+    cols = [(g.translate if padded else _composer(g), h, col.append)
+            for h, (g, col) in enumerate(zip(maps, right))]
+    get = keys.get
+    for w, m in enumerate(maps):
+        tw = m.ljust(256, b"\0") if padded else m
+        for times_g, h, r_add in cols:
+            cand = times_g(tw)                      # w∘g
+            got = get(cand)
+            if got is None:
+                if len(maps) >= cap:
+                    raise overflow(len(maps))
+                got = keys[cand] = len(maps)
+                maps.append(cand)
+                parent.append(w)
+                via.append(h)
+            r_add(got)
+    return maps, keys, right, parent, via
+
+
+def _table_by_rows(n, literal_row, start=()):
+    """The multiplication table of an associative product on 0..n-1, from
+    few literal rows: `literal_row(a)` is the row of a, indexed by b.
+
+    The rows of `start` are read first; then each element not yet reached,
+    in index order, has its row read and joins the generators. Every other
+    row follows by associativity, (a·g)·x = a·(g·x), so row(a·g) =
+    row(a)∘row(g): one `_composer` (C-level) call per row. Each reached
+    element meets each generator once; those reached before a generator
+    joined meet only that one when it does. Returns (rows, generators): the
+    rows as a tuple of tuples, and the elements read after `start`. With
+    start = (identity,) of a group those are the greedy generating set
+    that `small_generating_set` finds.
+    """
+    rows = [None] * n
+    order = list(start)
+    for s in start:
+        rows[s] = literal_row(s)
+    steps = []                      # (g, row -> row∘row(g))
+    for h in range(n):
+        if rows[h] is not None:
+            continue
+        rows[h] = literal_row(h)
+        steps.append((h, _composer(rows[h])))
+        closed = len(order)         # order[:closed] is closed under earlier steps
+        order.append(h)
+        for i, a in enumerate(order):       # grows
+            row_a = rows[a]
+            for g, times_g in steps if i >= closed else steps[-1:]:
+                ag = row_a[g]
+                if rows[ag] is None:
+                    rows[ag] = times_g(row_a)
+                    order.append(ag)
+    return tuple(rows), tuple(g for g, _ in steps)
 
 
 def group_from_permutations(degree, generators, caps: Caps = DEFAULT_CAPS,
                             name=None) -> FiniteGroup:
-    """Close permutation generators under composition; discovery element
-    order. The closure keeps its right Cayley graph and spanning tree,
-    which then fill the multiplication table by row composition."""
-    perms: list[tuple[int, ...]] = []
-    seen: dict[tuple[int, ...], int] = {}
+    """Close permutation generators under composition (`_right_closure`);
+    discovery element order. The table is filled by `_table_by_rows` from
+    literal rows read off the closure's right Cayley graph
+    (`cayley_row`)."""
+    gens = []
     for i, g in enumerate(generators):
         p = tuple(_integer(x, f"generator {i} entry") for x in g)
         if len(p) != degree or sorted(p) != list(range(degree)):
             raise NotBijective(i, p)
-        if p not in seen:
-            seen[p] = len(perms)
-            perms.append(p)
-    if not perms:
-        ident = tuple(range(degree))
-        seen[ident] = 0
-        perms.append(ident)
-    gen_count = len(perms)
-    after = [(_composer(g), []) for g in perms]     # w -> w∘g, its column
-    parent, via = array("i"), array("i")
-    for w, perm in enumerate(perms):
-        for gi, (times_g, col) in enumerate(after):
-            cand = times_g(perm)
-            got = seen.get(cand)
-            if got is None:
-                if len(perms) >= caps.group_order_cap:
-                    raise GroupTooLarge(len(perms) + 1, caps.group_order_cap)
-                got = seen[cand] = len(perms)
-                perms.append(cand)
-                parent.append(w)
-                via.append(gi)
-            col.append(got)
-    mul = cayley_table([col for _, col in after], parent, via)
-    identity = seen[tuple(range(degree))]
-    inverse = _locate_inverses(mul, identity)
+        gens.append(p)
+    key, cap = _key_type(degree), caps.group_order_cap
+    maps, keys, right, parent, via = _right_closure(
+        gens or [range(degree)], key, cap, lambda count: GroupTooLarge(count + 1, cap))
+    mul, _ = _table_by_rows(len(maps), lambda i: tuple(cayley_row(right, parent, via, i)))
+    identity = keys[key(range(degree))]
     return FiniteGroup(
-        mul, identity, inverse,
-        gens=tuple(range(gen_count)),
-        perms=tuple(perms),
+        mul, identity, _locate_inverses(mul, identity),
+        gens=tuple(range(len(right))),
+        perms=tuple(map(tuple, maps)),
         name=name,
     )
 
@@ -600,9 +655,11 @@ def _affine(q: int, dim: int, caps: Caps) -> FiniteGroup:
     index vector_index * |GL| + matrix_index (`AffineComponents`).
 
     q and dim are checked, and the order q^dim·∏_{i<dim}(q^dim − q^i)
-    against `named_group_cap`, before anything is enumerated. The GL
-    product M·N is the composed acts looked up among the acts, and the
-    inverses are searched in the table.
+    against `named_group_cap`, before anything is enumerated. Element
+    (v, M) is the permutation w -> v + Mw of the vector indices, M's act
+    translated by v's shift, and these compose like the pairs, so the
+    table is `_table_by_rows` over literal rows of composed permutations,
+    one dict lookup an entry.
     """
     if q not in (2, 3, 4) or not 1 <= dim <= 3:
         raise UnsupportedParameters(
@@ -612,30 +669,18 @@ def _affine(q: int, dim: int, caps: Caps) -> FiniteGroup:
         raise UnsupportedParameters(
             f"affine({q},{dim}) has order {order}, above cap {caps.named_group_cap}")
     comp = affine_components(q, dim)
-    matvec, vecadd = comp.acts, comp.shifts
-    nv, nm = len(matvec[0]), len(matvec)
-    mat_index = {act: i for i, act in enumerate(matvec)}
-    matmul = []
-    for m in matvec:
-        after_m = m.ljust(256, b"\0")       # w -> M·w as a translate table
-        matmul.append([mat_index[n.translate(after_m)] for n in matvec])
+    perms = [act.translate(shift.ljust(256, b"\0"))        # w -> v + Mw
+             for shift in comp.shifts for act in comp.acts]
+    keys = dict(zip(perms, range(order)))   # one int object per element
 
-    ids = list(range(order))        # one int object per element, shared by the rows
-    mul = []
-    for vi in range(nv):
-        row_add = vecadd[vi]
-        for mi in range(nm):
-            mv = matvec[mi]
-            mm = matmul[mi]
-            mul.append(tuple(
-                ids[row_add[mv[wj]] * nm + mm[nj]]
-                for wj in range(nv) for nj in range(nm)
-            ))
-    mul = tuple(mul)
-    identity = mat_index[bytes(range(nv))]      # (0, I)
-    return FiniteGroup(mul, identity, _locate_inverses(mul, identity),
-                       gens=small_generating_set(mul, identity),
-                       name=f"affine({q},{dim})")
+    def literal_row(a):
+        ta = perms[a].ljust(256, b"\0")
+        return tuple([keys[p.translate(ta)] for p in perms])
+
+    identity = keys[bytes(range(len(comp.vectors)))]        # (0, I)
+    mul, gens = _table_by_rows(order, literal_row, start=(identity,))
+    return FiniteGroup(mul, identity, _locate_inverses(mul, identity), gens=gens,
+                       perms=tuple(map(tuple, perms)), name=f"affine({q},{dim})")
 
 
 def named_group(name: str, caps: Caps = DEFAULT_CAPS, **params) -> FiniteGroup:

@@ -15,43 +15,40 @@ bulk products are read off them instead of composing point tuples: Froidure
 Egri-Nagy, Mitchell & Péresse, "Computing finite semigroups", J. Symb.
 Comput. 92 (2019). Each graph is one `array('i')` column per generator, so
 an edge costs 4 bytes and every walk reads the columns as generator maps.
-Only right products are composed and hashed: the breadth-first search
-appends w·g to the right graph and records, for each new element, its
-spanning-tree parent and generator. The left graph follows by
-associativity along that tree, g·(p·h) = (g·p)·h, one lookup an edge. The
-closure composes in C: on at most 256 points each map is `bytes` and w∘g
-is one `bytes.translate` (bytes also hash faster than tuples); above, one
-`operator.itemgetter` call (`algebra._composer`). The semigroup keeps the
-maps as the search built them; tuple forms are made only when read. The
-full table is built row by row from the generator rows, since
-associativity gives row(p·h) = row(p)∘row(h) along the same tree;
-ideal-group tables are filled the same way inside the group. Minimal left
-ideals are read from the minimal ideal K, the elements of minimum rank:
-one such e is found from the orbit of the generators' images under the left
-action, without looking at every element; then S·e and its orbit under
-right multiplication by the generators, certified complete by closing their
-union under both graphs (the Green's-structure route of East et al. 2019).
-Each is checked in O(|M|·k) to be closed and strongly connected. After the
-closure, finding the minimal ideals reads only the image orbit and the
-kernel's own elements.
+The closure itself is `algebra._right_closure`, the one permutation groups
+use: only right products are composed and hashed, one `bytes.translate`
+each on at most 256 points and one `itemgetter` call above, and each new
+element records its spanning-tree parent and generator. The semigroup keeps
+the maps as the closure built them. The left graph follows by associativity
+along that tree, g·(p·h) = (g·p)·h, one lookup an edge. The full table (up
+to `mul_table_cap`) and every ideal-group table come from
+`algebra._table_by_rows`: a few literal rows, the rest composed by
+row(a·g) = row(a)∘row(g). Minimal left ideals are read from the minimal
+ideal K, the elements of minimum rank: one such e is found from the orbit
+of the generators' images under the left action, without looking at every
+element; then S·e and its orbit under right multiplication by the
+generators, certified complete by closing their union under both graphs
+(the Green's-structure route of East et al. 2019). Each is checked in
+O(|M|·k) to be closed and strongly connected. After the closure, finding
+the minimal ideals reads only the image orbit and the kernel's own
+elements.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from itertools import chain
 
 from .algebra import (
     FiniteGroup,
     Subgroup,
-    _composer,
+    _key_type,
     _locate_inverses,
+    _right_closure,
+    _table_by_rows,
     _walk,
     cayley_row,
-    cayley_table,
     compose_maps,
-    small_generating_set,
 )
 from .caps import DEFAULT_CAPS, Caps
 from .errors import (
@@ -73,9 +70,7 @@ class EllisSemigroup:
     `maps` holds the elements as the closure built them: `bytes` on at most
     256 points, tuples of ints above; either way maps[i][x] is an int.
     `keys` maps each of them back to its index, and `key` turns any sequence
-    of points into that type. `elements` and `index` are the same as tuples
-    and a tuple-keyed dict, built from `maps` on first read and cached; the
-    library itself never reads them. Generator g is element g. `right` and
+    of points into that type. Generator g is element g. `right` and
     `left` are the Cayley graphs as one `array('i')` column per generator,
     4 bytes an edge: right[g][w] and left[g][w] are the indices of w·g and
     g·w. `tree` is the search's spanning tree, two `array('i')` columns
@@ -87,7 +82,7 @@ class EllisSemigroup:
     """
 
     __slots__ = ("flow", "maps", "keys", "key", "generators", "right", "left",
-                 "tree", "_table", "_elements", "_index")
+                 "tree", "_table")
 
     def __init__(self, flow, maps, keys, right, left, tree, table):
         self.flow = flow
@@ -99,19 +94,6 @@ class EllisSemigroup:
         self.left = left
         self.tree = tree
         self._table = table
-        self._elements = self._index = None
-
-    @property
-    def elements(self) -> tuple[tuple[int, ...], ...]:
-        if self._elements is None:
-            self._elements = tuple(map(tuple, self.maps))
-        return self._elements
-
-    @property
-    def index(self) -> dict[tuple[int, ...], int]:
-        if self._index is None:
-            self._index = dict(zip(self.elements, range(self.size)))
-        return self._index
 
     @property
     def size(self) -> int:
@@ -171,65 +153,31 @@ class IdealGroup:
         return self.ideal.parent
 
 
-def _key_type(points):
-    """The type the closure holds maps in: bytes when a byte holds every point."""
-    return bytes if points <= 256 else tuple
-
-
 def enveloping_semigroup(flow: Flow, caps: Caps = DEFAULT_CAPS) -> EllisSemigroup:
     """Breadth-first composition closure of the flow's generator maps.
 
     For a group flow the closure of any generating set of the (finite) group
-    equals the full image of the group, so generators suffice. Each element
-    w is composed with every generator g on the right once and w∘g looked
-    up; its index is appended to the right Cayley graph's column g. A new
-    product also records its spanning-tree parent w and generator g, so
-    every element is reached by right multiplication as it is found. No
-    left product is composed or hashed: g·(p·h) = (g·p)·h fills each left
-    column along the tree (`algebra.cayley_row`, Froidure & Pin 1997).
+    equals the full image of the group, so generators suffice. The closure
+    is `algebra._right_closure`: each element w is composed with every
+    generator g on the right once, w∘g is looked up and its index appended
+    to the right Cayley graph's column g, and a new product records its
+    spanning-tree parent w and generator g. No left product is composed or
+    hashed: g·(p·h) = (g·p)·h fills each left column along the tree
+    (`algebra.cayley_row`, Froidure & Pin 1997). Up to `mul_table_cap` the
+    full table is `algebra._table_by_rows` over rows read the same way.
     """
-    key = _key_type(flow.points)
-    maps, keys = [], {}
-    for m in map(key, flow.generator_maps()):
-        if m not in keys:
-            keys[m] = len(maps)
-            maps.append(m)
-    gens = tuple(maps)
-    get = keys.get
-    right = [array("i") for _ in gens]
-    parent, via = array("i"), array("i")
-
-    def add(cand, w, h):
-        if len(maps) >= caps.closure_cap:
-            raise ClosureCapExceeded(len(maps), caps.closure_cap)
-        got = keys[cand] = len(maps)
-        maps.append(cand)
-        parent.append(w)
-        via.append(h)
-        return got
-
-    if key is bytes:
-        cols = [(g, h, col.append) for h, (g, col) in enumerate(zip(gens, right))]
-        for w, m in enumerate(maps):
-            tw = m.ljust(256, b"\0")
-            for g, h, r_add in cols:
-                cand = g.translate(tw)              # w∘g
-                got = get(cand)
-                r_add(add(cand, w, h) if got is None else got)
-    else:
-        cols = [(_composer(g), h, col.append)
-                for h, (g, col) in enumerate(zip(gens, right))]
-        for w, m in enumerate(maps):
-            for times_g, h, r_add in cols:
-                cand = times_g(m)                   # w∘g
-                got = get(cand)
-                r_add(add(cand, w, h) if got is None else got)
+    cap = caps.closure_cap
+    maps, keys, right, parent, via = _right_closure(
+        flow.generator_maps(), _key_type(flow.points), cap,
+        lambda count: ClosureCapExceeded(count, cap))
     n = len(maps)
     # one-step stability: the closure is closed under the right graph
     if max(map(max, right)) >= n:
         raise TheoremViolation("composition closure not closed", n)
-    left = [cayley_row(right, parent, via, g) for g in range(len(gens))]
-    table = cayley_table(right, parent, via) if n <= caps.mul_table_cap else None
+    left = [cayley_row(right, parent, via, g) for g in range(len(right))]
+    table = None
+    if n <= caps.mul_table_cap:
+        table, _ = _table_by_rows(n, lambda i: tuple(cayley_row(right, parent, via, i)))
     return EllisSemigroup(flow, maps, keys, right, left, (parent, via), table)
 
 
@@ -343,11 +291,11 @@ def ideal_group(M: MinimalIdeal, u: int) -> IdealGroup:
     """The group u·M with identity u; verified via closure, left identity
     and two-sided inverses (which force a group).
 
-    Only the rows of u and of a greedy generating set (each member not yet
-    reached, in member order) are read off the semigroup and checked to
-    stay in u·M. The rest of the table follows by associativity along a
-    right spanning tree from u: row(a·h) = row(a)∘row(h), one `_composer`
-    call per row, the identity `algebra.cayley_table` uses.
+    The table is `algebra._table_by_rows` from u: only the rows of u and of
+    a greedy generating set (each member not yet reached, in member order)
+    are read off the semigroup and checked to stay in u·M; the rest follow
+    by associativity, row(a·h) = row(a)∘row(h). The members read after u
+    are the group's generators.
     """
     S = M.parent
     if u not in M.member_set:
@@ -366,23 +314,8 @@ def ideal_group(M: MinimalIdeal, u: int) -> IdealGroup:
             raise TheoremViolation("u·M not closed under composition", (a, b)) from None
 
     identity = pos[u]
-    rows = [None] * len(members)
-    rows[identity] = literal_row(u)
-    order = [identity]
-    gens = []                       # (h, row -> row∘row(h))
-    for h in range(len(members)):
-        if rows[h] is not None:
-            continue
-        rows[h] = literal_row(members[h])
-        order.append(h)
-        gens.append((h, _composer(rows[h])))
-        for a in order:             # grows: closes the reached set under gens
-            for g, times_g in gens:
-                ag = rows[a][g]
-                if rows[ag] is None:
-                    rows[ag] = times_g(rows[a])
-                    order.append(ag)
-    mul = tuple(rows)
+    mul, gens = _table_by_rows(len(members), lambda i: literal_row(members[i]),
+                               start=(identity,))
     for i, s in enumerate(members):
         if mul[identity][i] != i:
             raise TheoremViolation("u is not a left identity on u·M", s)
@@ -391,8 +324,7 @@ def ideal_group(M: MinimalIdeal, u: int) -> IdealGroup:
     except NoInverse as exc:
         raise TheoremViolation("u·M element without two-sided inverse",
                                members[exc.element]) from None
-    gview = FiniteGroup(mul, identity, inverse,
-                        gens=small_generating_set(mul, identity))
+    gview = FiniteGroup(mul, identity, inverse, gens=gens)
     return IdealGroup(M, u, members, gview, pos, members)
 
 

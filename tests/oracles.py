@@ -29,6 +29,16 @@ def compose(outer, inner):
     return tuple(outer[i] for i in inner)
 
 
+def elements_of(S):
+    """An enveloping semigroup's elements as tuples, in discovery order."""
+    return tuple(map(tuple, S.maps))
+
+
+def index_of(S):
+    """The tuple-keyed index of an enveloping semigroup's elements."""
+    return dict(zip(elements_of(S), range(S.size)))
+
+
 def closure(maps):
     """Discovery-order closure by right-only BFS: each element times every
     generator on the right, the order `permutation_group` uses. Returns the

@@ -122,7 +122,7 @@ def test_criterion_6_product_and_tower_suites():
             a1 = a2 = None
         pairs = set()
         nb = f2.group.order
-        for i, f in enumerate(S.elements):
+        for i, f in enumerate(S.maps):
             left = tuple(f[x * f2.points] // f2.points for x in range(f1.points))
             right = tuple(f[x] % f2.points for x in range(f2.points))
             pairs.add((left, right))

@@ -21,7 +21,6 @@ import tracemalloc
 from array import array
 from dataclasses import replace
 from itertools import islice
-from pathlib import Path
 
 import pytest
 
@@ -29,6 +28,7 @@ import oracles
 from elliskit.algebra import (
     Subgroup,
     _composer,
+    _table_by_rows,
     enumerate_subgroups,
     group_from_permutations,
     left_cosets,
@@ -52,7 +52,6 @@ from elliskit.errors import (
     SizeCapExceeded,
 )
 from elliskit.ellis import (
-    EllisSemigroup,
     _kernel_element,
     enveloping_semigroup,
     ideal_group,
@@ -143,7 +142,7 @@ def assert_ideals_and_groups_match_oracles(flow, caps):
     elements, gens = oracles.closure(flow.generator_maps())
     table = oracles.composition_table(elements)
     S = enveloping_semigroup(flow, caps=caps)
-    assert S.elements == elements
+    assert oracles.elements_of(S) == elements
     assert S.generators == gens
     for i in range(S.size):
         assert [S.mul(i, j) for j in range(S.size)] == list(table[i])
@@ -211,13 +210,12 @@ def wide_maps(seed, points, count):
 
 
 def assert_closure_matches_oracle(S, maps):
-    """Elements in discovery order, the tuple-keyed index and both Cayley
+    """Elements in discovery order, the map-keyed index and both Cayley
     graphs against the oracle closure."""
     elements, gens = oracles.closure(maps)
     index = {e: i for i, e in enumerate(elements)}
-    assert S.elements == elements
-    assert all(type(e) is tuple for e in S.elements)
-    assert list(S.index.items()) == list(index.items())
+    assert oracles.elements_of(S) == elements
+    assert list(S.keys.items()) == list(zip(S.maps, range(S.size)))
     assert [list(col) for col in S.right] == \
         [[index[oracles.compose(w, elements[g])] for w in elements] for g in gens]
     assert [list(col) for col in S.left] == \
@@ -254,9 +252,10 @@ def test_closure_above_the_table_cap_around_256_points():
         S = enveloping_semigroup(transformation_flow(maps))
         assert_closure_matches_oracle(S, maps)
         assert (S.right, S.left) == (S5.right, S5.left)
+        elements, index = oracles.elements_of(S), oracles.index_of(S)
         for i, j in pairs:
             assert S.mul(i, j) == S5.mul(i, j) == \
-                S.index[oracles.compose(S.elements[i], S.elements[j])]
+                index[oracles.compose(elements[i], elements[j])]
         assert [(M.members, M.idempotents) for M in minimal_left_ideals(S)] == \
             [(M.members, M.idempotents) for M in minimal_left_ideals(S5)]
 
@@ -292,8 +291,8 @@ def test_left_graph_and_spanning_tree_above_the_table_cap(points):
         assert DEFAULT_CAPS.mul_table_cap < S.size <= 2000
         assert S._table is None
         elements, gens = oracles.closure(maps)
-        assert S.elements == elements
-        k, index = len(gens), S.index
+        assert oracles.elements_of(S) == elements
+        k, index = len(gens), oracles.index_of(S)
         assert [list(col) for col in S.left] == \
             [[index[oracles.compose(elements[g], w)] for w in elements] for g in gens]
         assert [list(col) for col in S.right] == \
@@ -320,10 +319,11 @@ def test_cayley_graphs_are_int_array_columns(points, table_cap):
         assert len(graph) == len(S.generators) == 2
         for col in graph:
             assert (type(col), col.typecode, len(col)) == (array, "i", S.size)
+    elements, index = oracles.elements_of(S), oracles.index_of(S)
     for a in random.Random(5).sample(range(S.size), 8):
         times = S.times(a)
         assert [times(b) for b in range(S.size)] == \
-            [S.index[oracles.compose(S.elements[a], w)] for w in S.elements]
+            [index[oracles.compose(elements[a], w)] for w in elements]
 
 
 def test_t6_closure_holds_at_most_200_bytes_an_element():
@@ -371,10 +371,9 @@ def t6_and_s6():
 
 
 @pytest.mark.parametrize("maps, flow", t6_and_s6(), ids=["T6", "S6"])
-def test_tuple_views_are_built_only_when_read(maps, flow):
-    """The closure, its ideals, an ideal group and products above
-    `mul_table_cap` leave `elements` and `index` unbuilt; read, they are
-    the oracle's tuples and its tuple-keyed index, built once."""
+def test_products_above_the_table_cap_match_oracle(maps, flow):
+    """The closure above `mul_table_cap` (T6 and S6), its first ideal group
+    and products composed on demand against the oracle's tuples."""
     S = enveloping_semigroup(flow)
     assert S.size > DEFAULT_CAPS.mul_table_cap
     M = minimal_left_ideals(S)[0]
@@ -382,36 +381,11 @@ def test_tuple_views_are_built_only_when_read(maps, flow):
     rng = random.Random(1)
     pairs = [(rng.randrange(S.size), rng.randrange(S.size)) for _ in range(200)]
     products = [S.mul(i, j) for i, j in pairs]
-    assert (S._elements, S._index) == (None, None)
     elements, _ = oracles.closure(maps)
-    assert S.elements == elements
-    assert all(type(e) is tuple for e in S.elements)
-    assert S.index == {e: i for i, e in enumerate(elements)}
-    assert S.elements is S.elements and S.index is S.index
-    assert products == [S.index[oracles.compose(elements[i], elements[j])]
+    assert oracles.elements_of(S) == elements
+    index = oracles.index_of(S)
+    assert products == [index[oracles.compose(elements[i], elements[j])]
                         for i, j in pairs]
-
-
-def test_ellis_and_verify_never_build_the_tuple_views(monkeypatch, tmp_path):
-    """`elliskit ellis` below and above `mul_table_cap` (S6 has 720
-    elements) and every verify suite run with both views made unreadable."""
-    def unread(S):
-        raise AssertionError("tuple view read")
-
-    monkeypatch.setattr(EllisSemigroup, "elements", property(unread))
-    monkeypatch.setattr(EllisSemigroup, "index", property(unread))
-    s6 = tmp_path / "s6.json"
-    s6.write_text(json.dumps({
-        "group": {"kind": "permutation", "degree": 6,
-                  "generators": [[1, 2, 3, 4, 5, 0], [1, 0, 2, 3, 4, 5]]},
-        "points": 6, "action": "natural"}))
-    monkeypatch.chdir(Path(__file__).resolve().parents[1])
-    for path in ("instances/swap-collapse-flow.json", str(s6)):
-        assert main(["ellis", path]) == 0
-    for suite, count in (("ellis", 40), ("grouplike", 20), ("orbital", 10),
-                         ("structured", 2)):
-        assert main(["verify", "--suite", suite, "--instances", str(count),
-                     "--seed", "7"]) == 0
 
 
 @pytest.mark.parametrize("name, params", [("symmetric", {"n": 5}),
@@ -438,6 +412,40 @@ def test_affine_tables_match_oracle(q, dim, step):
     for a in range(0, order, step):
         assert G.mul[a] == tuple(product(a, b) for b in range(order)), a
     assert all(product(a, G.inverse[a]) == identity for a in range(order))
+
+
+@pytest.mark.parametrize("q, dim, step", [(2, 1, 1), (2, 2, 1), (3, 1, 1),
+                                          (4, 1, 1), (3, 2, 1), (2, 3, 97)])
+def test_affine_permutations_compose_like_the_table(q, dim, step):
+    """affine(q, dim) acts naturally on its q^dim vectors, its permutations
+    compose like its table on every `step`-th row, and on the four smallest
+    groups its generators are the oracle's greedy generating set."""
+    G = named_group("affine", q=q, dim=dim)
+    assert natural_flow(G).points == q ** dim
+    perms = G.perms
+    for a in range(0, G.order, step):
+        assert all(perms[G.mul[a][b]] == oracles.compose(perms[a], perms[b])
+                   for b in range(G.order)), a
+    if G.order <= 24:
+        assert G.gens == oracles.small_generating_set(G.mul, G.identity)
+
+
+def test_permutation_group_on_300_points_matches_oracle():
+    """Above 256 points the closure holds tuples: S4 moved onto points that
+    include 255, 256 and the top point, everything else fixed."""
+    gens = embedded([[1, 0, 2, 3], [1, 2, 3, 0]], 300, [299, 0, 256, 255])
+    G = group_from_permutations(300, gens)
+    perms, mul, inverse = oracles.permutation_group(300, gens)
+    assert G.order == 24
+    assert (G.perms, G.mul, G.inverse) == (perms, mul, inverse)
+
+
+def test_table_by_rows_rebuilds_catalog_tables_and_generating_sets():
+    """From the identity's row and greedy literal rows, every catalog table
+    comes back whole, and the rows read are `small_generating_set`'s."""
+    for G in group_catalog():
+        assert _table_by_rows(G.order, G.mul.__getitem__, start=(G.identity,)) == \
+            (G.mul, small_generating_set(G.mul, G.identity)), G.name
 
 
 def same_group_flow(rng, G):
@@ -554,7 +562,7 @@ def test_one_element_closures(tmp_path, capsys, maps):
     elements, gens = oracles.closure(flow.generator_maps())
     S = enveloping_semigroup(flow)
     table = oracles.composition_table(elements)
-    assert S.elements == elements == (tuple(maps[0]),)
+    assert oracles.elements_of(S) == elements == (tuple(maps[0]),)
     assert S.generators == gens
     assert ((S.mul(0, 0),),) == table
     assert [(M.members, M.idempotents) for M in minimal_left_ideals(S)] == \

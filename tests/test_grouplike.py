@@ -118,7 +118,7 @@ def test_orbit_map_z6_cosets():
     assert len(set(rep.values)) == 3
     kernel = {i for i, v in enumerate(rep.values)
               if v == cert.quotient_group.identity}
-    assert {S.elements[i][0] for i in kernel} == {0, 3}
+    assert {S.maps[i][0] for i in kernel} == {0, 3}
 
 
 # ---- basepoint stabilizer in the ideal group -----------------------------------

@@ -221,6 +221,18 @@ def test_cli_ellis(tmp_path, capsys):
     assert data["structures"]["closure_size"] == 4
 
 
+def test_cli_ellis_affine_natural(tmp_path, capsys):
+    """AGL(3,2) acting on its 8 vectors: a group flow, so the closure and
+    its one ideal group are the whole group."""
+    flow_path = write(tmp_path, "f.json",
+                      {"group": {"kind": "named", "name": "affine", "q": 2, "dim": 3},
+                       "points": 8, "action": "natural"})
+    assert main(["ellis", flow_path, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["structures"]["closure_size"] == 1344
+    assert data["structures"]["ideal_group_order"] == 1344
+
+
 def test_cli_grouplike(tmp_path, capsys):
     amb = write(tmp_path, "a.json",
                 {"group": {"kind": "named", "name": "cyclic", "n": 6},
