@@ -7,11 +7,13 @@ right-multiplies by generators. That walk is the package's one composition
 closure (`_right_closure`, Froidure & Pin 1997), and `_table_by_rows` is its
 one table builder: a few literal rows, every other row composed from them.
 Both serve permutation groups here and enveloping semigroups and their
-ideal groups in `ellis`. An affine group is its elements' permutations
-w -> v + Mw of the vector indices, built from each matrix's map on them, so
-the only GF(q) arithmetic is one M·w loop. All values are immutable after
-construction, except that a group fills in its subgroup lattice on first
-enumeration, and all operations are pure.
+ideal groups in `ellis`. The table builder also gives a quotient group its
+coset table, and every group built without generators (quotient and
+table-given groups) its greedy generating set. An affine group is its
+elements' permutations w -> v + Mw of the vector indices, built from each
+matrix's map on them, so the only GF(q) arithmetic is one M·w loop. All
+values are immutable after construction, except that a group fills in its
+subgroup lattice on first enumeration, and all operations are pure.
 """
 
 from __future__ import annotations
@@ -160,23 +162,6 @@ def _locate_inverses(mul, identity):
     return tuple(inverse)
 
 
-def small_generating_set(mul, identity) -> tuple[int, ...]:
-    """Greedy generating set; at most log2(order) elements. The subgroup
-    generated so far is regrown by `_closure_indices` from the identity:
-    |G|·|gens| lookups a step."""
-    n = len(mul)
-    gens: list[int] = []
-    have = {identity}
-    for a in range(n):
-        if a in have:
-            continue
-        gens.append(a)
-        have = _closure_indices(mul, (identity,), gens)
-        if len(have) == n:
-            break
-    return tuple(gens)
-
-
 def _closure_indices(mul, seed, gens):
     """The subgroup generated by `gens` and the nonempty `seed` (a subset of
     that subgroup, such as the identity or a subgroup already known): the
@@ -249,7 +234,8 @@ def group_from_table(table, caps: Caps = DEFAULT_CAPS) -> FiniteGroup:
     identity = _locate_identity(mul)
     _check_associative(mul)
     inverse = _locate_inverses(mul, identity)
-    return FiniteGroup(mul, identity, inverse, gens=small_generating_set(mul, identity))
+    _, gens = _table_by_rows(n, mul.__getitem__, start=(identity,))
+    return FiniteGroup(mul, identity, inverse, gens=gens)
 
 
 def compose_maps(outer, inner):
@@ -346,8 +332,9 @@ def _table_by_rows(n, literal_row, start=()):
     element meets each generator once; those reached before a generator
     joined meet only that one when it does. Returns (rows, generators): the
     rows as a tuple of tuples, and the elements read after `start`. With
-    start = (identity,) of a group those are the greedy generating set
-    that `small_generating_set` finds.
+    start = (identity,) of a group those are its greedy generating set:
+    each is the least element outside the subgroup the earlier ones
+    generate, so there are at most log2(n) of them.
     """
     rows = [None] * n
     order = list(start)
@@ -477,15 +464,13 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> GroupQuotient:
                               if G.conjugate(g, a) not in N.members))
     cosets = left_cosets(G, N)
     coset_of = {m: idx for idx, members in enumerate(cosets) for m in members}
-    k = len(cosets)
     reps = [c[0] for c in cosets]
-    mul = tuple(
-        tuple(coset_of[G.mul[reps[i]][reps[j]]] for j in range(k)) for i in range(k)
-    )
     identity = coset_of[G.identity]
-    inverse = tuple(coset_of[G.inverse[reps[i]]] for i in range(k))
-    group = FiniteGroup(mul, identity, inverse,
-                        gens=small_generating_set(mul, identity))
+    mul, gens = _table_by_rows(
+        len(cosets), lambda i: tuple(coset_of[G.mul[reps[i]][r]] for r in reps),
+        start=(identity,))
+    inverse = tuple(coset_of[G.inverse[r]] for r in reps)
+    group = FiniteGroup(mul, identity, inverse, gens=gens)
     return GroupQuotient(G, N, tuple(cosets), group,
                          tuple(coset_of[g] for g in G.elements()))
 

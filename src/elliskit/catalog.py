@@ -66,16 +66,14 @@ def run_s3_stabilizer(caps: Caps = DEFAULT_CAPS) -> Report:
     amb = make_ambit(natural_flow(G), 0)
     S = enveloping_semigroup(amb.flow, caps=caps)
     rep.record("closure has six elements", S.size == 6, S.size)
-    iso = are_isomorphic(
-        ideal_group(minimal_left_ideals(S)[0],
-                    minimal_left_ideals(S)[0].idempotents[0]).group_view, G)
     ideals = minimal_left_ideals(S)
+    IG = ideal_group(ideals[0], ideals[0].idempotents[0])
     rep.record("unique minimal ideal equals the closure",
                len(ideals) == 1 and ideals[0].member_set == frozenset(range(6)))
     rep.record("unique idempotent", len(ideals[0].idempotents) == 1,
                ideals[0].idempotents)
-    IG = ideal_group(ideals[0], ideals[0].idempotents[0])
-    rep.record("ideal group is the full symmetric group", bool(iso))
+    rep.record("ideal group is the full symmetric group",
+               bool(are_isomorphic(IG.group_view, G)))
     D = compute_D(IG, amb)
     rep.record("basepoint stabilizer has order two", D.order == 2, D.sorted_members)
     rep.record("stabilizer is not normal", not D.is_normal())

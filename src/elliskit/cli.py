@@ -147,7 +147,7 @@ def cmd_orbital(args) -> int:
         rep.structures["kernel_order"] = verdict.kernel.order
         if args.decide_weak:
             caps = DEFAULT_CAPS
-            if args.max_group_order:
+            if args.max_group_order is not None:
                 caps = replace(caps, subgroup_enum_cap=args.max_group_order)
             weak = is_weakly_orbital(relation, caps=caps)
             rep.structures["weakly_orbital"] = bool(weak)
@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("flow")
     p.add_argument("--relation", required=True)
     p.add_argument("--decide-weak", action="store_true")
-    p.add_argument("--max-group-order", type=int, default=None)
+    p.add_argument("--max-group-order", type=_int_at_least(1), default=None)
     add_format(p)
     p.set_defaults(func=cmd_orbital)
 

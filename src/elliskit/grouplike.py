@@ -19,6 +19,7 @@ from .algebra import (
     FiniteGroup,
     GroupQuotient,
     Subgroup,
+    _check_associative,
     _locate_inverses,
     normal_core,
     quotient_group,
@@ -34,6 +35,7 @@ from .ellis import (
 )
 from .errors import (
     NoInverse,
+    NotAssociative,
     NotEquivalence,
     NotWeaklyGroupLike,
     TheoremViolation,
@@ -46,7 +48,7 @@ from .flows import (
     regular_flow,
     transporters,
 )
-from .relations import EquivRelation, orbit_relation
+from .relations import EquivRelation, orbit_relation, stabilizing_elements
 
 
 @dataclass(frozen=True)
@@ -78,9 +80,7 @@ def check_group_like(ambit: Ambit, E: EquivRelation) -> GroupLikeVerdict:
     x0 = ambit.basepoint
     if not bound.invariant:
         return GroupLikeVerdict(False, None, ("not invariant",) + bound.invariance_witness)
-    kernel_members = frozenset(
-        g for g in G.elements() if bound.same(flow.act(g, x0), x0)
-    )
+    kernel_members = stabilizing_elements(bound, (x0,))
     # the kernel must fix every class, i.e. lie inside the relation's kernel
     for k in sorted(kernel_members):
         for x in range(flow.points):
@@ -111,14 +111,11 @@ def check_group_like(ambit: Ambit, E: EquivRelation) -> GroupLikeVerdict:
     identity = bound.class_of[x0]
     try:
         inverse = _locate_inverses(table, identity)
+        _check_associative(table)
     except NoInverse as exc:
         return GroupLikeVerdict(False, None, ("no class inverse", exc.element))
-    for a in range(k):
-        for b in range(k):
-            for c in range(k):
-                if table[table[a][b]][c] != table[a][table[b][c]]:
-                    return GroupLikeVerdict(False, None,
-                                            ("classes not associative", (a, b, c)))
+    except NotAssociative as exc:
+        return GroupLikeVerdict(False, None, ("classes not associative", exc.triple))
     qgroup = FiniteGroup(tuple(table), identity, inverse,
                          gens=tuple(range(k)))
     cert = GroupLikeCertificate(ambit, bound, qgroup, kernel, class_transporter)
@@ -282,8 +279,7 @@ def default_domination(ambit: Ambit, E: EquivRelation) -> DominationWitness:
     if not bound.invariant:
         raise NotWeaklyGroupLike(("not invariant",) + tuple(bound.invariance_witness or ()))
     reg = make_ambit(regular_flow(G), G.identity)
-    members = frozenset(g for g in G.elements() if bound.same(flow.act(g, x0), x0))
-    K = Subgroup(G, members)
+    K = Subgroup(G, stabilizing_elements(bound, (x0,)))
     if K.is_normal():
         F = orbit_relation(reg.flow, K)  # orbits = cosets; normal, so invariant
     else:

@@ -170,13 +170,9 @@ def kernel_group(E: EquivRelation) -> Subgroup:
     flow, G = _require_group_bound(E)
     if not E.invariant:
         raise NotInvariant(E.invariance_witness)
-    members = set()
-    for g in G.elements():
-        if all(E.same(flow.act(g, x), x) for x in range(flow.points)):
-            members.add(g)
-    sub = Subgroup(G, frozenset(members))
+    sub = Subgroup(G, stabilizing_elements(E, range(flow.points)))
     if not sub.is_normal():
-        raise NotInvariant(("kernel not normal", sorted(members)))
+        raise NotInvariant(("kernel not normal", sorted(sub.members)))
     return sub
 
 

@@ -592,11 +592,9 @@ def stabilizer_and_fixset_closed(inst: StructuredInstance,
     lat = inst.lattices
     G = flow.group
     for x in range(flow.points):
-        cls = frozenset(E.classes[E.class_of[x]])
-        if lat["X"].contains(cls):
-            stab = frozenset(g for g in G.elements() if E.same(x, flow.act(g, x)))
-            if not lat["G"].contains(stab):
-                return False
+        if (lat["X"].contains(frozenset(E.classes[E.class_of[x]]))
+                and not lat["G"].contains(stabilizing_elements(E, (x,)))):
+            return False
     if lat["X2"].contains_mask(_pair_mask(E)):
         for h in G.elements():
             fx = frozenset(x for x in range(flow.points)

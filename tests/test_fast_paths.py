@@ -12,8 +12,8 @@ membership, products and agreeability) against the frozenset ones, the
 witness verdicts and supports found on the relation's own orbitals, and
 maximal witnesses, against one pair closure per support, normality by
 conjugating with the generators against conjugating with every element,
-orbit relations against the pairs x ~ h·x, and quotient cosets against
-`left_cosets`."""
+orbit relations against the pairs x ~ h·x, quotient cosets against
+`left_cosets`, and quotient tables against the literal coset tables."""
 
 import json
 import random
@@ -31,11 +31,11 @@ from elliskit.algebra import (
     _table_by_rows,
     enumerate_subgroups,
     group_from_permutations,
+    group_from_table,
     left_cosets,
     named_group,
     normal_core,
     quotient_group,
-    small_generating_set,
     subgroup_generated,
 )
 from elliskit.caps import DEFAULT_CAPS, Caps
@@ -397,7 +397,7 @@ def test_permutation_group_tables_match_oracle(name, params):
     assert G.perms == perms
     assert G.mul == mul
     assert G.inverse == inverse
-    assert small_generating_set(G.mul, G.identity) == \
+    assert _table_by_rows(G.order, G.mul.__getitem__, start=(G.identity,))[1] == \
         oracles.small_generating_set(mul, G.identity)
 
 
@@ -442,10 +442,18 @@ def test_permutation_group_on_300_points_matches_oracle():
 
 def test_table_by_rows_rebuilds_catalog_tables_and_generating_sets():
     """From the identity's row and greedy literal rows, every catalog table
-    comes back whole, and the rows read are `small_generating_set`'s."""
+    comes back whole, and the rows read are the oracle's greedy generating
+    set."""
     for G in group_catalog():
         assert _table_by_rows(G.order, G.mul.__getitem__, start=(G.identity,)) == \
-            (G.mul, small_generating_set(G.mul, G.identity)), G.name
+            (G.mul, oracles.small_generating_set(G.mul, G.identity)), G.name
+
+
+def test_group_from_table_keeps_catalog_tables_and_greedy_generators():
+    for G in group_catalog():
+        H = group_from_table(G.mul)
+        assert (H.mul, H.identity, H.inverse) == (G.mul, G.identity, G.inverse)
+        assert H.gens == oracles.small_generating_set(G.mul, G.identity), G.name
 
 
 def same_group_flow(rng, G):
@@ -1073,3 +1081,21 @@ def test_quotient_cosets_are_the_left_cosets():
                     for g in G.elements())
                 quotients += 1
     assert quotients >= 70
+
+
+def test_quotient_tables_are_the_literal_coset_tables():
+    """Every quotient of a catalog group or of S5 by a normal subgroup: its
+    table is the products of coset representatives, each looked up in the
+    projection, and its generators are the oracle's greedy set."""
+    quotients = 0
+    for G in group_catalog() + [named_group("symmetric", n=5)]:
+        for N in enumerate_subgroups(G):
+            if oracles.is_normal(G, N.members):
+                Q = quotient_group(G, N)
+                reps = [c[0] for c in Q.cosets]
+                assert Q.group.mul == tuple(
+                    tuple(Q.projection[G.mul[a][b]] for b in reps) for a in reps)
+                assert Q.group.gens == \
+                    oracles.small_generating_set(Q.group.mul, Q.group.identity)
+                quotients += 1
+    assert quotients == 74

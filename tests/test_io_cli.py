@@ -423,6 +423,16 @@ def test_cli_verify_rejects_impossible_sizes(capsys, flag, value):
     assert "usage:" in err and flag in err
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_cli_orbital_rejects_impossible_group_orders(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["orbital", "flow.json", "--relation", "rel.json", "--decide-weak",
+              "--max-group-order", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--max-group-order" in err
+
+
 @pytest.mark.parametrize("suite", ["ellis", "grouplike", "orbital", "structured"])
 def test_cli_verify_smallest_sizes(suite):
     assert main(["verify", "--suite", suite, "--instances", "20", "--seed", "7",
