@@ -10,6 +10,7 @@ reader.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -208,7 +209,15 @@ def _int_at_least(low: int):
     return integer
 
 
+# read by each call of `main`; the cached parser holds no command function
+COMMANDS = {"analyze": cmd_analyze, "ellis": cmd_ellis, "grouplike": cmd_grouplike,
+            "orbital": cmd_orbital, "structured": cmd_structured, "verify": cmd_verify,
+            "example": cmd_example}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="elliskit",
         description="Finite enveloping semigroups, group-like quotients, and "
@@ -222,18 +231,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("flow")
     p.add_argument("--relation")
     add_format(p)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("ellis", help="enveloping semigroup structure")
     p.add_argument("flow")
     add_format(p)
-    p.set_defaults(func=cmd_ellis)
 
     p = sub.add_parser("grouplike", help="group-likeness of a relation on an ambit")
     p.add_argument("ambit")
     p.add_argument("--relation", required=True)
     add_format(p)
-    p.set_defaults(func=cmd_grouplike)
 
     p = sub.add_parser("orbital", help="orbitality decisions for a relation")
     p.add_argument("flow")
@@ -241,12 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decide-weak", action="store_true")
     p.add_argument("--max-group-order", type=_int_at_least(1), default=None)
     add_format(p)
-    p.set_defaults(func=cmd_orbital)
 
     p = sub.add_parser("structured", help="agreeability and transfer theorems")
     p.add_argument("scenario")
     add_format(p)
-    p.set_defaults(func=cmd_structured)
 
     p = sub.add_parser("verify", help="run a seeded verification suite")
     p.add_argument("--suite", choices=SUITES, required=True)
@@ -256,12 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-group-order", type=_int_at_least(2), default=None)
     p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     add_format(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("example", help="run a bundled example")
     p.add_argument("name", choices=sorted(EXAMPLES))
     add_format(p)
-    p.set_defaults(func=cmd_example)
 
     return parser
 
@@ -272,7 +274,7 @@ def main(argv=None) -> int:
     try:
         if ENV_ERROR is not None:
             raise ENV_ERROR
-        return args.func(args)
+        return COMMANDS[args.command](args)
     except BrokenPipeError:
         # the reader closed stdout (`elliskit ... | head`); point stdout at
         # devnull so the flush at exit cannot fail again, and exit as a

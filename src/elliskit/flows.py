@@ -19,7 +19,14 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .algebra import FiniteGroup, Subgroup, _walk, direct_product, left_cosets
+from .algebra import (
+    FiniteGroup,
+    Subgroup,
+    _require_generating,
+    _walk,
+    direct_product,
+    left_cosets,
+)
 from .caps import DEFAULT_CAPS, Caps
 from .errors import (
     GroupMismatch,
@@ -112,7 +119,7 @@ def _validate_group_action(group, points, elem_maps):
         m = elem_maps[g]
         if sorted(m) != list(range(points)):
             raise NotBijective(g, m)
-    for g in group.elements():
+    for g in group.gens:
         mg = elem_maps[g]
         for h in group.elements():
             mh = elem_maps[h]
@@ -124,17 +131,21 @@ def _validate_group_action(group, points, elem_maps):
 
 def make_flow(acting, points: int, action=None, caps: Caps = DEFAULT_CAPS,
               name=None) -> Flow:
-    """Explicit flow construction with exhaustive validation.
+    """Explicit flow construction with complete validation.
 
-    For a group, `action` lists one map per element and the action axioms
-    are verified on all pairs. For TransformationGenerators the maps are
-    arbitrary self-maps.
+    For a group, `action` lists one map per element. The group's `gens`
+    must generate it, and the action axioms are verified over the
+    generators: g·(h·x) = (gh)·x for every generator g, every element h and
+    every point x, which gives them for every pair (`algebra` module
+    docstring). For TransformationGenerators the maps are arbitrary
+    self-maps.
     """
     if points > caps.points_cap:
         raise SizeCapExceeded(points, caps.points_cap, "flow point set")
     if isinstance(acting, FiniteGroup):
         if action is None or len(action) != acting.order:
             raise InvalidArgument("need one action map per group element")
+        _require_generating(acting)
         elem_maps = tuple(tuple(int(v) for v in m) for m in action)
         for g, m in enumerate(elem_maps):
             if len(m) != points or any(not 0 <= v < points for v in m):
@@ -293,8 +304,8 @@ class FlowMorphism:
     `generator_correspondence` pairs the source flow generators with the
     target maps they must intertwine: for group flows, target group element
     per source generator element (None means the flows share one acting
-    group and equivariance is checked over every element); for
-    transformation flows, a target generator index per source generator.
+    group and each generator is paired with itself); for transformation
+    flows, a target generator index per source generator.
     """
     source: Ambit
     target: Ambit
@@ -315,6 +326,9 @@ class MorphismReport:
 
 
 def check_morphism(m: FlowMorphism) -> MorphismReport:
+    """Shape, surjectivity, basepoint and equivariance of the point map.
+    Equivariance is checked on the source generators, which gives it for
+    every acting element (`algebra` module docstring)."""
     src, tgt = m.source.flow, m.target.flow
     pm = m.point_map
     if len(pm) != src.points or any(not 0 <= v < tgt.points for v in pm):
@@ -327,23 +341,21 @@ def check_morphism(m: FlowMorphism) -> MorphismReport:
     basepoint_ok = pm[m.source.basepoint] == m.target.basepoint
     if not basepoint_ok and witness is None:
         witness = ("basepoint", pm[m.source.basepoint])
-    if m.generator_correspondence is None:
+    gens = src.generator_elements()
+    corr = m.generator_correspondence
+    if corr is None:
         if not (src.is_group_flow and tgt.is_group_flow):
             return MorphismReport(False, surjective, False, basepoint_ok,
                                   ("correspondence required",))
         if src.group is not tgt.group and src.group.mul != tgt.group.mul:
             return MorphismReport(False, surjective, False, basepoint_ok,
                                   ("acting groups differ",))
-        pairs = [(g, g) for g in src.group.elements()]
-    else:
-        corr = m.generator_correspondence
-        gens = src.generator_elements()
-        if len(corr) != len(gens):
-            return MorphismReport(False, surjective, False, basepoint_ok,
-                                  ("correspondence length",))
-        pairs = zip(gens, corr)
+        corr = gens
+    elif len(corr) != len(gens):
+        return MorphismReport(False, surjective, False, basepoint_ok,
+                              ("correspondence length",))
     equivariant = True
-    for a, b in pairs:
+    for a, b in zip(gens, corr):
         ma, mb = src.maps[a], tgt.maps[b]
         x = next((x for x in range(src.points) if pm[ma[x]] != mb[pm[x]]), None)
         if x is not None:

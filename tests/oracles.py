@@ -4,10 +4,12 @@ invariant-relation (every partition, filtered), witness-support and
 maximal-witness code in
 ``elliskit``, the index-walking Tarjan it replaced, the class formula for
 witnessed classes, pseudo-closed lattices held as frozensets of
-indices, and affine groups by matrix arithmetic over GF(q). The production paths read products off Cayley graphs, work from
-generators and hold sets as bitmasks; these compose, multiply, scan
-everything or walk sets index by index instead, so they are slow but
-obviously right, and the differential tests compare the two.
+indices, affine groups by matrix arithmetic over GF(q), and the
+homomorphism, action-axiom, equivariance and class-table definitions over
+every pair of elements. The production paths read products off Cayley
+graphs, work from generators and hold sets as bitmasks; these compose,
+multiply, scan everything or walk sets index by index instead, so they are
+slow but obviously right, and the differential tests compare the two.
 """
 
 from __future__ import annotations
@@ -112,6 +114,73 @@ def closure_indices(mul, seed):
                         new.append(c)
         frontier = new
     return members
+
+
+def generated(mul, identity, gens):
+    """Every product of generators: words by breadth-first search, each
+    word extended by every generator on the right."""
+    members = {identity}
+    frontier = [identity]
+    while frontier:
+        frontier = [mul[w][g] for w in frontier for g in gens
+                    if mul[w][g] not in members]
+        members.update(frontier)
+    return members
+
+
+def is_homomorphism(mul_a, mul_b, phi):
+    """phi(a·b) = phi(a)·phi(b) for every pair of elements."""
+    n = len(mul_a)
+    return all(phi[mul_a[a][b]] == mul_b[phi[a]][phi[b]]
+               for a in range(n) for b in range(n))
+
+
+def action_failure(G, maps):
+    """The first triple (g, h, x), over every pair of elements, with
+    g·(h·x) != (gh)·x, or (identity, identity, x) where the identity moves
+    x; None for an action."""
+    n = len(maps[G.identity])
+    for x in range(n):
+        if maps[G.identity][x] != x:
+            return G.identity, G.identity, x
+    for g in G.elements():
+        for h in G.elements():
+            for x in range(n):
+                if maps[g][maps[h][x]] != maps[G.mul[g][h]][x]:
+                    return g, h, x
+    return None
+
+
+def equivariant(source, target, point_map):
+    """point_map(g·x) = g·point_map(x) for every element g of the one group
+    both flows share, and every point x."""
+    return all(point_map[source.act(g, x)] == target.act(g, point_map[x])
+               for g in source.group.elements() for x in range(source.points))
+
+
+def unrefined_pair(F, E, point_map):
+    """The first pair (z1, z2), over every pair of points, that F relates
+    and E does not relate after the point map; None when F refines E's
+    pullback."""
+    n = len(point_map)
+    return next(((z1, z2) for z1 in range(n) for z2 in range(n)
+                 if F.same(z1, z2) and not E.same(point_map[z1], point_map[z2])),
+                None)
+
+
+def class_table(flow, class_of, basepoint):
+    """The class group's table by its definition: [g·x0]·[x] = [g·x] for
+    every element g and every point x, each entry the one class those
+    products give; None when some entry gets two classes."""
+    k = max(class_of) + 1
+    table = [[set() for _ in range(k)] for _ in range(k)]
+    for g in flow.group.elements():
+        for x in range(flow.points):
+            table[class_of[flow.act(g, basepoint)]][class_of[x]].add(
+                class_of[flow.act(g, x)])
+    if any(len(entry) != 1 for row in table for entry in row):
+        return None
+    return tuple(tuple(min(entry) for entry in row) for row in table)
 
 
 def enumerate_subgroups(mul, identity):

@@ -4,11 +4,13 @@ import random
 import pytest
 
 import oracles
+from elliskit import ellis
 from elliskit.algebra import are_isomorphic, named_group
 from elliskit.caps import DEFAULT_CAPS, Caps
 from elliskit.errors import (
     ClosureCapExceeded,
     GroupMismatch,
+    IsomorphismViolated,
     NotIdempotent,
     NotInIdeal,
     TheoremViolation,
@@ -324,6 +326,23 @@ def test_two_sided_conjugation_fails_for_incompatible_pairs():
     assert found_incompatible_failure
 
 
+def test_isomorphism_through_an_incompatible_idempotent_is_refuted(monkeypatch):
+    # s -> v·(s·w) with w the idempotent of N that is not compatible with u
+    S = enveloping_semigroup(two_ideal_flow())
+    ideals = minimal_left_ideals(S)
+    compatible = ellis.compatible_idempotent
+    monkeypatch.setattr(ellis, "compatible_idempotent", lambda gu, N: next(
+        w for w in N.idempotents if w != compatible(gu, N)))
+    refuted = 0
+    for M, N in itertools.permutations(ideals, 2):
+        for u in M.idempotents:
+            for v in N.idempotents:
+                with pytest.raises(IsomorphismViolated, match="not a homomorphism"):
+                    ideal_group_isomorphism(ideal_group(M, u), ideal_group(N, v))
+                refuted += 1
+    assert refuted == 8
+
+
 # ---- circ and closure ------------------------------------------------------------------
 
 def test_circ_identity_element():
@@ -447,6 +466,20 @@ def test_regular_to_natural_epimorphism():
     assert epi.surjective
     assert epi.source.size == 6 and epi.target.size == 6
     assert epi.ideal_images == ((0, 0),)
+
+
+def test_induced_epimorphism_checks_products_against_the_target_table():
+    # a target table with two rows swapped is not the composition of its maps
+    G = named_group("symmetric", n=3)
+    reg = make_ambit(regular_flow(G), G.identity)
+    nat = make_ambit(natural_flow(G), 0)
+    pm = tuple(G.perms[g][0] for g in G.elements())
+    target = enveloping_semigroup(nat.flow)
+    rows = list(target._table)
+    rows[1], rows[2] = rows[2], rows[1]
+    target._table = tuple(rows)
+    with pytest.raises(TheoremViolation, match="induced map not multiplicative"):
+        induced_epimorphism(FlowMorphism(reg, nat, pm), target_semigroup=target)
 
 
 def test_product_projection_epimorphism():

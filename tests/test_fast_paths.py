@@ -25,16 +25,19 @@ from itertools import islice
 import pytest
 
 import oracles
+from elliskit import grouplike
 from elliskit.algebra import (
     Subgroup,
     _composer,
     _table_by_rows,
+    direct_product,
     enumerate_subgroups,
     group_from_permutations,
     group_from_table,
     left_cosets,
     named_group,
     normal_core,
+    quaternion_group,
     quotient_group,
     subgroup_generated,
 )
@@ -45,6 +48,7 @@ from elliskit.errors import (
     ClosureCapExceeded,
     GroupTooLarge,
     NotALattice,
+    NotAnAction,
     NotAWitness,
     NotInvariant,
     NotNormal,
@@ -58,8 +62,12 @@ from elliskit.ellis import (
     minimal_left_ideals,
 )
 from elliskit.flows import (
+    FlowMorphism,
+    check_morphism,
     coset_flow,
     disjoint_union_flow,
+    make_ambit,
+    make_flow,
     natural_flow,
     product_flow,
     regular_flow,
@@ -67,6 +75,7 @@ from elliskit.flows import (
 )
 from elliskit.generators import (
     group_catalog,
+    random_group_like_setup,
     random_ellis_flow,
     random_group_flow,
     random_invariant_relation,
@@ -85,6 +94,7 @@ from elliskit.relations import (
     r_relation,
     total_relation,
 )
+from elliskit.suites import run_suite
 from elliskit.structured import (
     SectionProductLattice,
     StructuredInstance,
@@ -1099,3 +1109,150 @@ def test_quotient_tables_are_the_literal_coset_tables():
                     oracles.small_generating_set(Q.group.mul, Q.group.identity)
                 quotients += 1
     assert quotients == 74
+
+
+# ---- products checked over the generators --------------------------------------
+
+def corrupted_actions(seed, count):
+    """Group flows with their action table corrupted: one element's map
+    swapped with another's, or two entries of one map swapped."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        flow = random_group_flow(rng, 6, 24)
+        maps = [list(m) for m in flow.maps]
+        if flow.points < 2 or rng.random() < 0.5:
+            a, b = rng.sample(range(len(maps)), 2)
+            maps[a], maps[b] = maps[b], maps[a]
+        else:
+            m = rng.choice(maps)
+            i, j = rng.sample(range(flow.points), 2)
+            m[i], m[j] = m[j], m[i]
+        yield flow, maps
+
+
+def test_action_axioms_over_generators_match_the_all_pairs_oracle():
+    refuted = accepted = 0
+    for flow, maps in corrupted_actions(29, 300):
+        G = flow.group
+        assert make_flow(G, flow.points, flow.maps).maps == flow.maps
+        want = oracles.action_failure(G, maps)
+        try:
+            make_flow(G, flow.points, maps)
+        except NotAnAction as exc:
+            assert want is not None
+            g, h, x = exc.g, exc.h, exc.x
+            assert g in G.gens or (g, h) == (G.identity, G.identity)
+            assert maps[g][maps[h][x]] != maps[G.mul[g][h]][x]
+            refuted += 1
+        else:
+            assert want is None
+            accepted += 1
+    assert refuted >= 200 and accepted >= 10
+
+
+def test_equivariance_over_generators_matches_the_all_elements_oracle():
+    """Point maps from the regular flow onto a random flow of the same
+    group, most with one entry changed or two entries swapped."""
+    rng = random.Random(31)
+    equivariant = 0
+    for _ in range(300):
+        target = random_group_flow(rng, 6, 24)
+        G = target.group
+        source = regular_flow(G)
+        pm = [target.act(g, 0) for g in G.elements()]
+        if rng.random() < 0.4:
+            pm[rng.randrange(G.order)] = rng.randrange(target.points)
+        elif rng.random() < 0.7:
+            i, j = rng.sample(range(G.order), 2)
+            pm[i], pm[j] = pm[j], pm[i]
+        m = FlowMorphism(make_ambit(source, G.identity), make_ambit(target, 0),
+                         tuple(pm))
+        want = oracles.equivariant(source, target, pm)
+        assert check_morphism(m).equivariant == want
+        equivariant += want
+    assert 80 <= equivariant <= 220
+
+
+def test_refinement_by_classes_matches_the_all_pairs_oracle():
+    """Random relations on random flows, dominated from the regular ambit
+    by the coset relation of a random normal subgroup: the first unrefined
+    pair is the all-pairs loop's first pair."""
+    rng = random.Random(37)
+    unrefined = 0
+    for _ in range(300):
+        target = random_group_flow(rng, 6, 24)
+        G = target.group
+        reg = make_ambit(regular_flow(G), G.identity)
+        N = rng.choice([N for N in enumerate_subgroups(G) if N.is_normal()])
+        F = orbit_relation(reg.flow, N)
+        labels = [rng.randrange(rng.randint(1, target.points))
+                  for _ in range(target.points)]
+        E = make_relation(target.points, [[x for x, c in enumerate(labels) if c == c0]
+                                          for c0 in sorted(set(labels))])
+        pm = tuple(target.act(g, 0) for g in G.elements())
+        w = grouplike.DominationWitness(reg, F, FlowMorphism(reg, make_ambit(target, 0), pm), E)
+        verdict = grouplike.check_domination(w)
+        want = oracles.unrefined_pair(F, E, pm)
+        if want is None:
+            assert verdict.refutation is None or verdict.refutation[0] != "no refinement"
+        else:
+            assert verdict.refutation == ("no refinement", want)
+            unrefined += 1
+    assert 100 <= unrefined <= 280
+
+
+def test_class_tables_are_the_literal_class_tables(monkeypatch):
+    """Every certificate the group-like suite builds at seeds 1-8, its own
+    instances and the regular-ambit sources that dominate them: the class
+    table, identity and inverses are the literal ones."""
+    certificates = []
+    check = grouplike.check_group_like
+
+    def recording(ambit, E):
+        verdict = check(ambit, E)
+        certificates.append(verdict.certificate)
+        return verdict
+
+    monkeypatch.setattr(grouplike, "check_group_like", recording)
+    for seed in range(1, 9):
+        assert run_suite("grouplike", 12, seed).passed
+    assert len(certificates) >= 2 * 8 * 12
+    for cert in certificates:
+        flow, q = cert.ambit.flow, cert.quotient_group
+        assert q.mul == oracles.class_table(flow, cert.relation.class_of,
+                                            cert.ambit.basepoint)
+        assert q.identity == cert.relation.class_of[cert.ambit.basepoint]
+        assert q.inverse == oracles.two_sided_inverses(q.mul, q.identity)
+
+
+def every_kind_of_group():
+    """A group from each constructor: tables, permutations, the named
+    families, affine groups up to (2, 3), quotients, direct products,
+    the quaternions, ideal-group views and group-like class groups."""
+    groups = groups_quotients_and_ideal_group_views()
+    groups += [group_from_table(G.mul) for G in group_catalog()]
+    rng = random.Random(41)
+    for _ in range(20):
+        degree = rng.randint(1, 6)
+        gens = [rng.sample(range(degree), degree) for _ in range(rng.randint(0, 3))]
+        groups.append(group_from_permutations(degree, gens))
+    groups += [named_group("cyclic", n=n) for n in (1, 2, 7, 30)]
+    groups += [named_group("symmetric", n=n) for n in range(1, 6)]
+    groups += [named_group("dihedral", n=n) for n in (3, 7, 12)]
+    groups += [named_group("affine", q=q, dim=dim)
+               for q, dim in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1))]
+    z2, s3 = named_group("cyclic", n=2), named_group("symmetric", n=3)
+    groups += [direct_product(s3, s3), direct_product(z2, quaternion_group()),
+               direct_product(named_group("cyclic", n=1), z2), quaternion_group()]
+    for _ in range(40):
+        flow, E = random_group_like_setup(rng, 6, 24)
+        groups.append(grouplike.check_group_like(make_ambit(flow, 0), E)
+                      .certificate.quotient_group)
+    return groups
+
+
+def test_every_group_is_generated_by_its_gens():
+    groups = every_kind_of_group()
+    for G in groups:
+        assert oracles.generated(G.mul, G.identity, G.gens) == set(G.elements())
+    assert len(groups) >= 200

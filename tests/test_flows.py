@@ -2,10 +2,11 @@ import itertools
 
 import pytest
 
-from elliskit.algebra import named_group, subgroup_generated
+from elliskit.algebra import FiniteGroup, named_group, subgroup_generated
 from elliskit.errors import (
     GroupMismatch,
     IncompatibleTower,
+    InvalidArgument,
     NotAnAction,
     OrbitNotDense,
     ParseError,
@@ -51,6 +52,15 @@ def test_non_involutive_action_rejected():
     # the non-identity element acts by a 3-cycle: g*g should act as identity
     with pytest.raises(NotAnAction):
         make_flow(G, 3, [(0, 1, 2), (1, 2, 0)])
+
+
+def test_make_flow_rejects_gens_that_do_not_generate():
+    # every generator-based check would pass on the half of Z4 that gens=(2,)
+    # never reaches
+    z4 = named_group("cyclic", n=4)
+    short = FiniteGroup(z4.mul, z4.identity, z4.inverse, gens=(2,))
+    with pytest.raises(InvalidArgument, match="gens reach 2 of the group's 4"):
+        make_flow(short, 4, z4.mul)
 
 
 def test_action_homomorphism_property_exhaustive():

@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
+from elliskit import grouplike
 from elliskit.algebra import (
     are_isomorphic,
+    direct_product,
     enumerate_subgroups,
     named_group,
     subgroup_generated,
@@ -11,7 +15,7 @@ from elliskit.ellis import (
     ideal_group,
     minimal_left_ideals,
 )
-from elliskit.errors import NotWeaklyGroupLike
+from elliskit.errors import NotWeaklyGroupLike, TheoremViolation
 from elliskit.flows import make_ambit, natural_flow, regular_flow, transformation_flow
 from elliskit.grouplike import (
     DominationWitness,
@@ -119,6 +123,30 @@ def test_orbit_map_z6_cosets():
     kernel = {i for i, v in enumerate(rep.values)
               if v == cert.quotient_group.identity}
     assert {S.maps[i][0] for i in kernel} == {0, 3}
+
+
+def test_orbit_map_rejects_the_table_of_another_group():
+    # Z4's class group with the table of Z2 x Z2 put in its place
+    G = named_group("cyclic", n=4)
+    amb = regular_ambit(G)
+    cert = check_group_like(amb, equality_relation(4)).certificate
+    z2 = named_group("cyclic", n=2)
+    klein = direct_product(z2, z2)
+    assert cert.quotient_group.identity == klein.identity == 0
+    wrong = replace(cert, quotient_group=klein)
+    with pytest.raises(TheoremViolation, match="orbit map not multiplicative"):
+        orbit_map_r(amb, wrong, enveloping_semigroup(amb.flow))
+
+
+def test_class_law_rejects_the_table_of_another_group(monkeypatch):
+    # G/K for K trivial in Z4, with the table of Z2 x Z2 on the same cosets
+    z2 = named_group("cyclic", n=2)
+    quotient = grouplike.quotient_group
+    monkeypatch.setattr(grouplike, "quotient_group", lambda G, N: replace(
+        quotient(G, N), group=direct_product(z2, z2)))
+    amb = regular_ambit(named_group("cyclic", n=4))
+    with pytest.raises(TheoremViolation, match="class product ill-defined"):
+        check_group_like(amb, equality_relation(4))
 
 
 # ---- basepoint stabilizer in the ideal group -----------------------------------

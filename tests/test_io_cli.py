@@ -185,6 +185,14 @@ def test_cli_example_json(capsys):
     assert data["passed"] is True
 
 
+def test_cli_builds_its_parser_once_and_dispatches_through_commands(monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, "example", lambda args: seen.append(args.name) or 7)
+    assert main(["example", "s3-stabilizer"]) == 7
+    assert seen == ["s3-stabilizer"]
+
+
 def test_cli_verify_exit_codes(capsys):
     assert main(["verify", "--suite", "orbital", "--instances", "0",
                  "--seed", "1"]) == 0
