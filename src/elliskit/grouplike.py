@@ -6,7 +6,15 @@ A relation E on a pointed transitive action is group-like when the recipe
 operation on the classes. This needs E invariant (second argument) and the
 basepoint-class stabilizer K to fix every class (first argument). The
 class group is then G/K from `quotient_group`, transported to class indices
-along coset of g -> class of g·basepoint. A relation
+along coset of g -> class of g·basepoint.
+
+Every check here says that fibers match cosets or that a map respects
+products. The first kind is one `relations.first_split` of two labellings
+(classes against cosets of K, basepoint values against cosets of D in the
+ideal group, orbit-map values against cosets of the stabilizer); the second
+runs over generators only, by the argument in the `algebra` module
+docstring (the class law, the orbit map, left invariance under domination
+and the cover-group homomorphism of a proper witness). A relation
 is weakly group-like when a group-like relation on another ambit dominates
 it; finitely, every invariant relation on a transitive group ambit is
 dominated from the regular ambit, so the quotient identification applies to
@@ -21,6 +29,7 @@ from .algebra import (
     FiniteGroup,
     GroupQuotient,
     Subgroup,
+    _require_generating,
     normal_core,
     quotient_group,
 )
@@ -46,7 +55,13 @@ from .flows import (
     regular_flow,
     transporters,
 )
-from .relations import EquivRelation, orbit_relation, stabilizing_elements
+from .relations import (
+    EquivRelation,
+    _class_break,
+    first_split,
+    orbit_relation,
+    stabilizing_elements,
+)
 
 
 @dataclass(frozen=True)
@@ -55,7 +70,6 @@ class GroupLikeCertificate:
     relation: EquivRelation
     quotient_group: FiniteGroup   # on class indices of the relation
     kernel: Subgroup              # elements moving the basepoint inside its class
-    class_transporters: tuple[int, ...]  # class -> g with g·basepoint in class
 
 
 @dataclass(frozen=True)
@@ -73,10 +87,10 @@ def check_group_like(ambit: Ambit, E: EquivRelation) -> GroupLikeVerdict:
 
     The class group is G/K, K the stabilizer of the basepoint's class, from
     `quotient_group`, transported to class indices along coset of g ->
-    class of g·basepoint (checked constant on each coset and a bijection).
-    Once the class law [g·x0]·[x] = [g·x] holds for every g and x, the
-    table is the group law on classes, so no group axiom needs its own
-    check."""
+    class of g·basepoint (its fibers checked to be the cosets of K). Once
+    the class law [g·x0]·[x] = [g·x] holds for every generator g and every
+    x, it holds for every g, and the table is the group law on classes, so
+    no group axiom needs its own check."""
     flow = ambit.flow
     if not flow.is_group_flow:
         raise NotEquivalence("group-likeness needs a group flow")
@@ -99,32 +113,27 @@ def check_group_like(ambit: Ambit, E: EquivRelation) -> GroupLikeVerdict:
 
     class_of = bound.class_of
     quo = quotient_group(G, kernel)
-    cls = []                        # coset index -> class index
-    for ci, coset in enumerate(quo.cosets):
-        cls.append(class_of[flow.act(coset[0], x0)])
-        if any(class_of[flow.act(g, x0)] != cls[ci] for g in coset):
-            raise TheoremViolation("coset maps to several classes", ci)
+    orbit_class = [class_of[flow.act(g, x0)] for g in G.elements()]
+    split = first_split(orbit_class, quo.projection)
+    if split is not None:
+        raise TheoremViolation("cosets not in bijection with classes", split)
     k = len(bound.classes)
-    if sorted(cls) != list(range(k)):
-        raise TheoremViolation("cosets not in bijection with classes",
-                               (quo.group.order, k))
+    cls = [None] * k                # coset index -> class index
     pos = [None] * k                # class index -> coset index
-    for ci, c in enumerate(cls):
-        pos[c] = ci
+    for c, ci in zip(orbit_class, quo.projection):
+        cls[ci], pos[c] = c, ci
     q = quo.group
     table = tuple(tuple(cls[q.mul[pos[c1]][pos[c2]]] for c2 in range(k))
                   for c1 in range(k))
-    # the class law: class of g·x is [g·x0]·[x]
-    for g in G.elements():
+    # the class law: class of g·x is [g·x0]·[x] (`algebra` module docstring)
+    for g in flow.generator_elements():
         c1 = class_of[flow.act(g, x0)]
         for x in range(flow.points):
             if class_of[flow.act(g, x)] != table[c1][class_of[x]]:
                 raise TheoremViolation("class product ill-defined", (g, x, c1))
     qgroup = FiniteGroup(table, class_of[x0], tuple(cls[q.inverse[c]] for c in pos),
                          gens=tuple(cls[g] for g in q.gens))
-    cert = GroupLikeCertificate(ambit, bound, qgroup, kernel,
-                                tuple(quo.cosets[c][0] for c in pos))
-    return GroupLikeVerdict(True, cert, None)
+    return GroupLikeVerdict(True, GroupLikeCertificate(ambit, bound, qgroup, kernel), None)
 
 
 @dataclass(frozen=True)
@@ -158,27 +167,25 @@ def orbit_map_r(ambit: Ambit, cert: GroupLikeCertificate,
     return OrbitMapReport(values, True, True, True)
 
 
+def _left_coset_labels(G: FiniteGroup, H: Subgroup) -> list[int]:
+    """Each element's left coset gH, labelled by its least member."""
+    return [min(G.mul[g][h] for h in H.members) for g in G.elements()]
+
+
 def compute_D(G_ideal: IdealGroup, ambit: Ambit) -> Subgroup:
     """Elements of the ideal group whose basepoint value matches the
-    idempotent's; its cosets are exactly the fibers of evaluation at the
-    basepoint (verified on all pairs)."""
-    S = G_ideal.parent
+    idempotent's; its left cosets are exactly the fibers of evaluation at
+    the basepoint (verified by `first_split`)."""
+    maps = G_ideal.parent.maps
     x0 = ambit.basepoint
-    u = G_ideal.idempotent
-    maps = S.maps
-    base_value = maps[u][x0]
-    members = frozenset(
-        G_ideal.to_group[s] for s in G_ideal.members
-        if maps[s][x0] == base_value
-    )
-    D = Subgroup(G_ideal.group_view, members)
-    gv = G_ideal.group_view
-    for i, s in enumerate(G_ideal.members):
-        for j, t in enumerate(G_ideal.members):
-            same_value = maps[s][x0] == maps[t][x0]
-            quotient_in_d = gv.mul[gv.inverse[i]][j] in members
-            if same_value != quotient_in_d:
-                raise TheoremViolation("basepoint fibers are not cosets", (s, t))
+    values = [maps[s][x0] for s in G_ideal.from_group]
+    base_value = maps[G_ideal.idempotent][x0]
+    D = Subgroup(G_ideal.group_view,
+                 frozenset(i for i, v in enumerate(values) if v == base_value))
+    split = first_split(values, _left_coset_labels(G_ideal.group_view, D))
+    if split is not None:
+        raise TheoremViolation("basepoint fibers are not cosets",
+                               tuple(G_ideal.from_group[i] for i in split))
     return D
 
 
@@ -234,13 +241,10 @@ def check_domination(w: DominationWitness) -> DominationVerdict:
     src_classes = F.classes
     induced = tuple(E.class_of[pm[cls[0]]] for cls in src_classes)
     q = src_verdict.certificate.quotient_group
-    for wcls in range(len(src_classes)):
-        for c1 in range(len(src_classes)):
-            for c2 in range(len(src_classes)):
-                if induced[c1] == induced[c2]:
-                    if induced[q.mul[wcls][c1]] != induced[q.mul[wcls][c2]]:
-                        return DominationVerdict(
-                            False, ("not left invariant", (wcls, c1, c2)), None)
+    for wcls in q.gens:     # left invariance (`algebra` module docstring)
+        broken = _class_break(q.mul[wcls], induced, len(E.classes))
+        if broken is not None:
+            return DominationVerdict(False, ("not left invariant", (wcls,) + broken), None)
     if len(set(induced)) != len(E.classes):
         return DominationVerdict(False, ("induced map not onto", None), None)
     return DominationVerdict(True, None, induced)
@@ -332,12 +336,9 @@ def identify_quotient(ambit: Ambit, E: EquivRelation,
     H = Subgroup(ghat.group, stab_members)
 
     # fibers of the orbit map are exactly the left cosets of the stabilizer
-    for c1 in range(k):
-        for c2 in range(k):
-            same_fiber = rhat[c1] == rhat[c2]
-            same_coset = ghat.group.mul[ghat.group.inverse[c1]][c2] in stab_members
-            if same_fiber != same_coset:
-                raise TheoremViolation("fibers are not stabilizer cosets", (c1, c2))
+    split = first_split(rhat, _left_coset_labels(ghat.group, H))
+    if split is not None:
+        raise TheoremViolation("fibers are not stabilizer cosets", split)
 
     if len(bound.classes) * H.order != k:
         raise TheoremViolation("cardinality identity fails",
@@ -390,8 +391,9 @@ class ProperWitnessVerdict:
 
 
 def check_proper_witness(pw: ProperWitness) -> ProperWitnessVerdict:
-    """Three checks: the induced map to the class group is a homomorphism
-    (this already fails when the relation is not group-like, since then
+    """Three checks: the induced map to the class group is a homomorphism,
+    checked on the cover group's generators, which must generate it (this
+    leg already fails when the relation is not group-like, since then
     there is no class group); finite pseudocompleteness (all limit triples
     are realized by cover elements, with nets replaced by their eventually
     constant values); and the fiber-difference set is computed (closedness
@@ -400,6 +402,7 @@ def check_proper_witness(pw: ProperWitness) -> ProperWitnessVerdict:
     flow = pw.ambit.flow
     G = flow.group
     GT = pw.cover_group
+    _require_generating(GT)
     fm = pw.fiber_map
     if len(fm) != GT.order or any(not 0 <= x < flow.points for x in fm):
         return ProperWitnessVerdict(False, False, False, False, frozenset(),
@@ -414,18 +417,13 @@ def check_proper_witness(pw: ProperWitness) -> ProperWitnessVerdict:
         cert = cert_verdict.certificate
         E = cert.relation
         q = cert.quotient_group
-        hom = True
-        for a in range(GT.order):
-            for b in range(GT.order):
-                lhs = E.class_of[fm[GT.mul[a][b]]]
-                rhs = q.mul[E.class_of[fm[a]]][E.class_of[fm[b]]]
-                if lhs != rhs:
-                    hom = False
-                    if refutation is None:
-                        refutation = ("not a homomorphism", (a, b))
-                    break
-            if not hom:
-                break
+        # a homomorphism on generators is one (`algebra` module docstring)
+        phi = [E.class_of[x] for x in fm]
+        bad = next(((a, b) for a in GT.gens for b in GT.elements()
+                    if phi[GT.mul[a][b]] != q.mul[phi[a]][phi[b]]), None)
+        hom = bad is None
+        if bad is not None and refutation is None:
+            refutation = ("not a homomorphism", bad)
     else:
         hom = False
         if refutation is None:

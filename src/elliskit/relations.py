@@ -134,6 +134,20 @@ def _class_break(m, class_of, classes):
     return None
 
 
+def first_split(left, right) -> tuple[int, int] | None:
+    """None when two labellings of 0..n-1 have the same fibers, else the
+    first pair (a, b) in lexicographic order that one labelling puts in one
+    fiber and the other does not. The fibers are equal iff the label pairs
+    (left[x], right[x]) are as many as each labelling's labels, for then
+    each pair joins one left fiber to one right fiber; only a failure is
+    searched pair by pair."""
+    if len(set(zip(left, right))) == len(set(left)) == len(set(right)):
+        return None
+    n = len(left)
+    return next((a, b) for a in range(n) for b in range(n)
+                if (left[a] == left[b]) != (right[a] == right[b]))
+
+
 def make_relation(points: int, classes, flow: Flow | None = None) -> EquivRelation:
     return EquivRelation(points, tuple(tuple(c) for c in classes), flow)
 
@@ -375,14 +389,8 @@ def is_orbital(E: EquivRelation) -> OrbitalityVerdict:
     if not E.invariant:
         raise NotInvariant(E.invariance_witness)
     kern = kernel_group(E)
-    orbit = orbit_relation(flow, kern)
-    if orbit == E:
-        return OrbitalityVerdict(True, kern, None)
-    diff = next(
-        (a, b) for a in range(flow.points) for b in range(flow.points)
-        if E.same(a, b) != orbit.same(a, b)
-    )
-    return OrbitalityVerdict(False, kern, diff)
+    diff = first_split(E.class_of, orbit_relation(flow, kern).class_of)
+    return OrbitalityVerdict(diff is None, kern, diff)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ maximal-witness code in
 ``elliskit``, the index-walking Tarjan it replaced, the class formula for
 witnessed classes, pseudo-closed lattices held as frozensets of
 indices, affine groups by matrix arithmetic over GF(q), and the
-homomorphism, action-axiom, equivariance and class-table definitions over
-every pair of elements. The production paths read products off Cayley
+homomorphism, action-axiom, equivariance, class-table, left-invariance,
+fiber-against-coset and orbitality definitions over every pair of
+elements. The production paths read products off Cayley
 graphs, work from generators and hold sets as bitmasks; these compose,
 multiply, scan everything or walk sets index by index instead, so they are
 slow but obviously right, and the differential tests compare the two.
@@ -181,6 +182,46 @@ def class_table(flow, class_of, basepoint):
     if any(len(entry) != 1 for row in table for entry in row):
         return None
     return tuple(tuple(min(entry) for entry in row) for row in table)
+
+
+def fiber_split(left, right):
+    """The first pair (a, b), over every pair of points, that one
+    labelling puts in one fiber and the other does not; None when the
+    fibers are equal."""
+    n = len(left)
+    return next(((a, b) for a in range(n) for b in range(n)
+                 if (left[a] == left[b]) != (right[a] == right[b])), None)
+
+
+def coset_fiber_split(G, members, values):
+    """The first pair (i, j), over every pair of elements, where
+    values[i] == values[j] disagrees with i^-1·j lying in the subgroup
+    `members`; None when the fibers of `values` are its left cosets."""
+    return next(((i, j) for i in G.elements() for j in G.elements()
+                 if (values[i] == values[j])
+                 != (G.mul[G.inverse[i]][j] in members)), None)
+
+
+def orbital_counterexample(flow, class_of):
+    """is_orbital by its definition: the kernel is every element fixing
+    every class, and the first pair of points, over every pair, on which
+    the relation and the kernel's orbit relation disagree; None when they
+    are equal."""
+    n = flow.points
+    kernel = [g for g in flow.group.elements()
+              if all(class_of[flow.act(g, x)] == class_of[x] for x in range(n))]
+    orbit = [min(flow.act(k, x) for k in kernel) for x in range(n)]
+    return fiber_split(class_of, orbit)
+
+
+def left_invariance_break(mul, labels):
+    """The first triple (w, c1, c2), over every element w and every pair,
+    with labels[c1] == labels[c2] but labels[w·c1] != labels[w·c2]; None
+    when left multiplication keeps the labelling's fibers together."""
+    n = len(mul)
+    return next(((w, c1, c2) for w in range(n) for c1 in range(n)
+                 for c2 in range(n) if labels[c1] == labels[c2]
+                 and labels[mul[w][c1]] != labels[mul[w][c2]]), None)
 
 
 def enumerate_subgroups(mul, identity):

@@ -311,6 +311,16 @@ def test_z4_not_isomorphic_to_klein():
     assert res.refutation["reason"] == "element_orders"
 
 
+def test_equal_element_orders_without_isomorphism():
+    # Z4xZ4 and Q8xZ2 have the same element orders, and generator images of
+    # those orders extend to homomorphisms that are not bijections
+    A = direct_product(named_group("cyclic", n=4), named_group("cyclic", n=4))
+    B = direct_product(quaternion_group(), named_group("cyclic", n=2))
+    assert A.element_order_multiset() == B.element_order_multiset()
+    assert not are_isomorphic(A, B)
+    assert not are_isomorphic(B, A)
+
+
 def test_self_isomorphism_is_identity():
     G = named_group("dihedral", n=5)
     res = are_isomorphic(G, G)

@@ -13,7 +13,9 @@ witness verdicts and supports found on the relation's own orbitals, and
 maximal witnesses, against one pair closure per support, normality by
 conjugating with the generators against conjugating with every element,
 orbit relations against the pairs x ~ h·x, quotient cosets against
-`left_cosets`, and quotient tables against the literal coset tables."""
+`left_cosets`, quotient tables against the literal coset tables, and the
+fiber comparison, left invariance and proper-witness homomorphism check
+against their all-pairs loops."""
 
 import json
 import random
@@ -75,6 +77,7 @@ from elliskit.flows import (
 )
 from elliskit.generators import (
     group_catalog,
+    random_group,
     random_group_like_setup,
     random_ellis_flow,
     random_group_flow,
@@ -83,10 +86,13 @@ from elliskit.generators import (
 from elliskit.relations import (
     WitnessPair,
     _classes,
+    first_split,
     _orbitals,
     _subgroup_witnesses,
     _witnessed,
+    equality_relation,
     invariant_relations,
+    is_orbital,
     orbit_relation,
     is_weakly_orbital,
     make_relation,
@@ -1256,3 +1262,132 @@ def test_every_group_is_generated_by_its_gens():
     for G in groups:
         assert oracles.generated(G.mul, G.identity, G.gens) == set(G.elements())
     assert len(groups) >= 200
+
+
+def test_first_split_matches_the_all_pairs_scan():
+    """Labellings of 0 to 8 points against a renaming of their own labels,
+    most with one point then moved to a random label."""
+    rng = random.Random(43)
+    split = 0
+    for _ in range(400):
+        n = rng.randint(0, 8)
+        left = [rng.randrange(rng.randint(1, 4)) for _ in range(n)]
+        names = rng.sample(range(10), 4)
+        right = [names[c] for c in left]
+        if n and rng.random() < 0.7:
+            right[rng.randrange(n)] = rng.randrange(10)
+        want = oracles.fiber_split(left, right)
+        assert first_split(left, right) == want
+        assert first_split(right, left) == want
+        split += want is not None
+    assert 100 <= split <= 300
+
+
+def test_fibers_against_cosets_match_the_literal_loop():
+    """`compute_D` and `identify_quotient` compare values with the left
+    cosets of a subgroup. On every subgroup of the catalog groups, against
+    its renamed cosets, another subgroup's cosets and either with one entry
+    changed, the first split is the literal loop's first pair."""
+    rng = random.Random(47)
+    split = total = 0
+    for G in group_catalog():
+        subs = enumerate_subgroups(G)
+        for H in subs:
+            labels = grouplike._left_coset_labels(G, H)
+            names = rng.sample(range(G.order), G.order)
+            for values in ([names[c] for c in labels],
+                           grouplike._left_coset_labels(G, rng.choice(subs))):
+                if rng.random() < 0.4:
+                    values[rng.randrange(G.order)] = rng.randrange(G.order)
+                want = oracles.coset_fiber_split(G, H.members, values)
+                assert first_split(values, labels) == want
+                split += want is not None
+                total += 1
+    assert total // 4 <= split <= 3 * total // 4
+
+
+def test_is_orbital_counterexamples_match_the_definition():
+    """Every invariant relation of random group flows and of two copies of
+    small ones side by side: the verdict and the first differing pair are
+    those of the all-elements kernel and the all-pairs scan."""
+    rng = random.Random(53)
+    orbital = not_orbital = 0
+    for _ in range(40):
+        flow = random_group_flow(rng, 6, 24)
+        if flow.points <= 4:
+            flow = disjoint_union_flow([flow, flow])
+        for E in invariant_relations(flow):
+            verdict = is_orbital(E)
+            want = oracles.orbital_counterexample(flow, E.class_of)
+            assert verdict.counterexample == want
+            assert verdict.orbital == (want is None)
+            orbital += verdict.orbital
+            not_orbital += not verdict.orbital
+    assert orbital >= 80 and not_orbital >= 200
+
+
+def test_proper_witness_homomorphism_matches_the_all_pairs_oracle():
+    """Group-like relations with two classes or more, covered by their own
+    group through g -> g·x0, most fiber maps with one entry changed or two
+    entries swapped: the homomorphism leg, run over the generators, is the
+    all-pairs verdict."""
+    rng = random.Random(59)
+    homomorphisms = checked = 0
+    while checked < 200:
+        flow, E = random_group_like_setup(rng, 6, 24)
+        if len(E.classes) == 1:
+            continue
+        checked += 1
+        G, amb = flow.group, make_ambit(flow, 0)
+        fm = [flow.act(g, 0) for g in G.elements()]
+        if rng.random() < 0.4:
+            fm[rng.randrange(G.order)] = rng.randrange(flow.points)
+        elif rng.random() < 0.7:
+            i, j = rng.sample(range(G.order), 2)
+            fm[i], fm[j] = fm[j], fm[i]
+        verdict = grouplike.check_proper_witness(
+            grouplike.ProperWitness(G, tuple(fm), amb, E))
+        q = grouplike.check_group_like(amb, E).certificate.quotient_group
+        phi = [E.class_of[x] for x in fm]
+        want = oracles.is_homomorphism(G.mul, q.mul, phi)
+        assert verdict.homomorphism == want
+        if verdict.refutation and verdict.refutation[0] == "not a homomorphism":
+            a, b = verdict.refutation[1]
+            assert a in G.gens and phi[G.mul[a][b]] != q.mul[phi[a]][phi[b]]
+        homomorphisms += want
+    assert 60 <= homomorphisms <= 140
+
+
+def test_left_invariance_on_generators_matches_the_all_elements_oracle():
+    """Equality on the regular ambit of a random group dominating, through
+    the identity, a random partition or the left or right cosets of a
+    random subgroup: the verdict is the literal left-invariance loop's, and
+    a refutation names a generator and a pair it splits."""
+    rng = random.Random(61)
+    invariant = 0
+    for _ in range(300):
+        G = random_group(rng, 12)
+        reg = make_ambit(regular_flow(G), G.identity)
+        H = rng.choice(enumerate_subgroups(G))
+        kind = rng.random()
+        if kind < 0.3:
+            labels = [rng.randrange(rng.randint(1, G.order)) for _ in G.elements()]
+        elif kind < 0.65:
+            labels = [min(G.mul[g][h] for h in H.members) for g in G.elements()]
+        else:
+            labels = [min(G.mul[h][g] for h in H.members) for g in G.elements()]
+        E = make_relation(G.order, [[x for x, c in enumerate(labels) if c == c0]
+                                    for c0 in sorted(set(labels))])
+        source = equality_relation(G.order)
+        ident = FlowMorphism(reg, reg, tuple(G.elements()))
+        verdict = grouplike.check_domination(
+            grouplike.DominationWitness(reg, source, ident, E))
+        q = grouplike.check_group_like(reg, source).certificate.quotient_group
+        want = oracles.left_invariance_break(q.mul, E.class_of)
+        assert verdict.dominates == (want is None)
+        if want is not None:
+            reason, (w, c1, c2) = verdict.refutation
+            assert reason == "not left invariant" and w in q.gens
+            assert E.same(c1, c2) and not E.same(q.mul[w][c1], q.mul[w][c2])
+        invariant += want is None
+    assert 60 <= invariant <= 240

@@ -4,6 +4,7 @@ import pytest
 
 from elliskit import grouplike
 from elliskit.algebra import (
+    FiniteGroup,
     are_isomorphic,
     direct_product,
     enumerate_subgroups,
@@ -15,7 +16,7 @@ from elliskit.ellis import (
     ideal_group,
     minimal_left_ideals,
 )
-from elliskit.errors import NotWeaklyGroupLike, TheoremViolation
+from elliskit.errors import InvalidArgument, NotWeaklyGroupLike, TheoremViolation
 from elliskit.flows import make_ambit, natural_flow, regular_flow, transformation_flow
 from elliskit.grouplike import (
     DominationWitness,
@@ -248,6 +249,25 @@ def test_no_refinement_refuted():
     assert not verdict and verdict.refutation[0] == "no refinement"
 
 
+def test_not_left_invariant_refuted_on_a_generator():
+    # equality on regular S3 refines every partition, but left
+    # multiplication does not carry the right cosets of an order-2
+    # subgroup into one another
+    G = s3()
+    amb = regular_ambit(G)
+    t = next(g for g in G.elements() if G.element_order(g) == 2)
+    E = orbit_relation(amb.flow, subgroup_generated(G, [t]))
+    src = equality_relation(G.order)
+    ident = FlowMorphism(amb, amb, tuple(range(G.order)))
+    verdict = check_domination(DominationWitness(amb, src, ident, E))
+    assert verdict.refutation == ("not left invariant", (1, 0, 2))
+    w, c1, c2 = verdict.refutation[1]
+    q = check_group_like(amb, src).certificate.quotient_group
+    assert w in q.gens
+    assert E.same(c1, c2)
+    assert not E.same(q.mul[w][c1], q.mul[w][c2])
+
+
 # ---- quotient identification --------------------------------------------------------
 
 def test_identify_equality_on_natural_s3():
@@ -354,6 +374,16 @@ def test_proper_witness_evaluation_covering_natural_ambit():
     assert verdict.pseudocomplete
     assert not verdict.homomorphism
     assert verdict.quotient_set == frozenset({0})
+
+
+def test_proper_witness_rejects_a_cover_group_its_gens_do_not_generate():
+    # the homomorphism leg runs over the cover group's generators only
+    z4 = named_group("cyclic", n=4)
+    short = FiniteGroup(z4.mul, z4.identity, z4.inverse, gens=(2,))
+    amb = regular_ambit(z4)
+    pw = ProperWitness(short, tuple(range(4)), amb, equality_relation(4))
+    with pytest.raises(InvalidArgument, match="gens reach 2 of the group's 4"):
+        check_proper_witness(pw)
 
 
 def test_uniform_witness_single_member():
