@@ -184,8 +184,8 @@ def _closure_indices(mul, seed, gens):
 def _walk(maps, starts) -> set[int]:
     """Everything reachable from `starts` under `maps`, starts included:
     maps[g][x] is the successor of x under g. Each map is read as it is
-    held (a table row, a flow's point map, a Cayley graph column), so no
-    caller transposes."""
+    held (a table row, a flow's point map, `EllisSemigroup.times(g)`), so
+    no caller transposes or materializes a column."""
     seen = set(starts)
     order = list(seen)
     for x in order:
@@ -579,12 +579,10 @@ def _cyclic(n: int) -> FiniteGroup:
 
 
 def _symmetric(n: int) -> FiniteGroup:
-    if n == 1:
-        return group_from_permutations(1, [tuple(range(1))], name="symmetric(1)")
     transposition = tuple([1, 0] + list(range(2, n)))
     cycle = tuple(list(range(1, n)) + [0])
-    gens = [transposition] if n == 2 else [transposition, cycle]
-    return group_from_permutations(n, gens, name=f"symmetric({n})")
+    # S1 takes no generator (its closure is the identity), S2 one
+    return group_from_permutations(n, [transposition, cycle][:n - 1], name=f"symmetric({n})")
 
 
 def _dihedral(n: int) -> FiniteGroup:
@@ -648,24 +646,16 @@ def affine_components(q: int, dim: int) -> AffineComponents:
     return AffineComponents(q, dim, vectors, tuple(matrices), tuple(acts), shifts)
 
 
-def _affine(q: int, dim: int, caps: Caps) -> FiniteGroup:
+def _affine(q: int, dim: int, order: int) -> FiniteGroup:
     """Vector-matrix pairs (v, M) with (v, M)(w, N) = (v + Mw, MN), element
     index vector_index * |GL| + matrix_index (`AffineComponents`).
 
-    q and dim are checked, and the order q^dim·∏_{i<dim}(q^dim − q^i)
-    against `named_group_cap`, before anything is enumerated. Element
-    (v, M) is the permutation w -> v + Mw of the vector indices, M's act
-    translated by v's shift, and these compose like the pairs, so the
-    table is `_table_by_rows` over literal rows of composed permutations,
-    one dict lookup an entry.
+    `named_group` checks q, dim and the order first. Element (v, M) is the
+    permutation w -> v + Mw of the vector indices, M's act translated by
+    v's shift, and these compose like the pairs, so the table is
+    `_table_by_rows` over literal rows of composed permutations, one dict
+    lookup an entry.
     """
-    if q not in (2, 3, 4) or not 1 <= dim <= 3:
-        raise UnsupportedParameters(
-            f"affine needs q in {{2,3,4}} and dim <= 3, got q={q}, dim={dim}")
-    order = q ** dim * math.prod(q ** dim - q ** i for i in range(dim))
-    if order > caps.named_group_cap:
-        raise UnsupportedParameters(
-            f"affine({q},{dim}) has order {order}, above cap {caps.named_group_cap}")
     comp = affine_components(q, dim)
     perms = [act.translate(shift.ljust(256, b"\0"))        # w -> v + Mw
              for shift in comp.shifts for act in comp.acts]
@@ -682,25 +672,42 @@ def _affine(q: int, dim: int, caps: Caps) -> FiniteGroup:
 
 
 def named_group(name: str, caps: Caps = DEFAULT_CAPS, **params) -> FiniteGroup:
-    """cyclic(n) | symmetric(n) | dihedral(n) | affine(q, dim)."""
+    """cyclic(n) | symmetric(n) | dihedral(n) | affine(q, dim).
+
+    Each family's parameters are checked against its bounds, then its
+    closed-form order against `group_order_cap` (GroupTooLarge), before
+    anything is built: n, n!, 2n, and q^dim·∏_{i<dim}(q^dim − q^i).
+    """
     if name == "cyclic":
         n = _integer(params["n"], "n")
         if not 1 <= n <= caps.named_group_cap:
             raise UnsupportedParameters(f"cyclic({n}) outside bounds")
-        return _cyclic(n)
-    if name == "symmetric":
+        order, build, args = n, _cyclic, (n,)
+    elif name == "symmetric":
         n = _integer(params["n"], "n")
         if not 1 <= n <= 6:
             raise UnsupportedParameters(f"symmetric({n}) outside bounds (n <= 6)")
-        return _symmetric(n)
-    if name == "dihedral":
+        order, build, args = math.factorial(n), _symmetric, (n,)
+    elif name == "dihedral":
         n = _integer(params["n"], "n")
         if not 3 <= n <= caps.named_group_cap // 2:
             raise UnsupportedParameters(f"dihedral({n}) outside bounds")
-        return _dihedral(n)
-    if name == "affine":
-        return _affine(_integer(params["q"], "q"), _integer(params["dim"], "dim"), caps)
-    raise UnsupportedParameters(f"unknown group family {name!r}")
+        order, build, args = 2 * n, _dihedral, (n,)
+    elif name == "affine":
+        q, dim = _integer(params["q"], "q"), _integer(params["dim"], "dim")
+        if q not in (2, 3, 4) or not 1 <= dim <= 3:
+            raise UnsupportedParameters(
+                f"affine needs q in {{2,3,4}} and dim <= 3, got q={q}, dim={dim}")
+        order = q ** dim * math.prod(q ** dim - q ** i for i in range(dim))
+        if order > caps.named_group_cap:
+            raise UnsupportedParameters(
+                f"affine({q},{dim}) has order {order}, above cap {caps.named_group_cap}")
+        build, args = _affine, (q, dim, order)
+    else:
+        raise UnsupportedParameters(f"unknown group family {name!r}")
+    if order > caps.group_order_cap:
+        raise GroupTooLarge(order, caps.group_order_cap)
+    return build(*args)
 
 
 def quaternion_group() -> FiniteGroup:

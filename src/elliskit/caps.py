@@ -22,14 +22,15 @@ class Caps:
                                      # an affine group's order is checked
                                      # in closed form, before enumerating
     closure_cap: int = 50000         # enveloping semigroup element cap;
-                                     # an element holds about 157 bytes on
+                                     # an element holds about 153 bytes on
                                      # 6 points (the T6 closure, 46,656
-                                     # elements, 7.3 MB): its bytes map, its
-                                     # list slot and dict entry, and 4 bytes
-                                     # per Cayley graph edge (2 per generator)
+                                     # elements, 7.1 MB): its bytes map, its
+                                     # list slot and dict entry, 4 bytes per
+                                     # right Cayley graph edge (1 per
+                                     # generator) and 8 of spanning tree
     mul_table_cap: int = 512         # full semigroup table up to this; above
-                                     # it, products on demand from the Cayley
-                                     # graphs, with no memo
+                                     # it, each product is composed on
+                                     # demand, with no memo
     product_points_cap: int = 20000  # product flow point cap
     independence_k_cap: int = 4      # largest independent-family size searched
     lattice_cap: int = 4096          # largest explicit lattice (number of

@@ -9,35 +9,36 @@ intersection of closures of neighbourhoods of the identity is a singleton.
 The operations below still evaluate the defining formulas literally and
 raise TheoremViolation if the collapse ever failed to hold.
 
-The closure keeps its right and left Cayley graphs over the generators, and
-bulk products are read off them instead of composing point tuples: Froidure
+The closure keeps one Cayley graph over the generators, the right one, and
+bulk products are read off it instead of composing point tuples: Froidure
 & Pin, "Algorithms for computing finite semigroups" (1997); East,
 Egri-Nagy, Mitchell & Péresse, "Computing finite semigroups", J. Symb.
-Comput. 92 (2019). Each graph is one `array('i')` column per generator, so
-an edge costs 4 bytes and every walk reads the columns as generator maps.
-The closure itself is `algebra._right_closure`, the one permutation groups
-use: only right products are composed and hashed, one `bytes.translate`
-each on at most 256 points and one `itemgetter` call above, and each new
-element records its spanning-tree parent and generator. The semigroup keeps
-the maps as the closure built them. The left graph follows by associativity
-along that tree, g·(p·h) = (g·p)·h, one lookup an edge. The full table (up
-to `mul_table_cap`) and every ideal-group table come from
+Comput. 92 (2019). The graph is one `array('i')` column per generator, so
+an edge costs 4 bytes. The closure itself is `algebra._right_closure`, the
+one permutation groups use: only right products are composed and hashed,
+one `bytes.translate` each on at most 256 points and one `itemgetter` call
+above, and each new element records its spanning-tree parent and
+generator. The semigroup keeps the maps as the closure built them. The
+full table (up to `mul_table_cap`) and every ideal-group table come from
 `algebra._table_by_rows`: a few literal rows, the rest composed by
-row(a·g) = row(a)∘row(g). Minimal left ideals are read from the minimal
-ideal K, the elements of minimum rank: one such e is found from the orbit
-of the generators' images under the left action, without looking at every
+row(a·g) = row(a)∘row(g); the table's literal rows are read off the tree by
+associativity, i·(p·h) = (i·p)·h, one lookup an entry. No left graph is
+held: every left product g·w goes through `EllisSemigroup.times`, a table
+row lookup or, above the cap, one composition, and it is read only where
+the kernel needs it. Minimal left ideals are read from the minimal ideal
+K, the elements of minimum rank: one such e is found from the orbit of the
+generators' images under the left action, without looking at every
 element; then S·e and its orbit under right multiplication by the
-generators, certified complete by closing their union under both graphs
-(the Green's-structure route of East et al. 2019). Each is checked in
-O(|M|·k) to be closed and strongly connected. After the closure, finding
-the minimal ideals reads only the image orbit and the kernel's own
-elements.
+generators, certified complete by closing their union under left and right
+products by the generators (the Green's-structure route of East et al.
+2019). Each is checked in O(|M|·k) to be closed and strongly connected.
+After the closure, finding the minimal ideals reads only the image orbit
+and the kernel's own elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from .algebra import (
     FiniteGroup,
@@ -64,34 +65,53 @@ from .errors import (
 from .flows import Flow, FlowMorphism, check_morphism
 
 
+class _ComposedRow:
+    """Row a of a multiplication table that is not materialized: row[b] is
+    the index of a·b, composed when read, with no memo. One `translate` by
+    a's table, padded once, on at most 256 points; one `compose_maps`
+    above."""
+
+    __slots__ = ("maps", "keys", "outer")
+
+    def __init__(self, maps, keys, outer):
+        self.maps, self.keys = maps, keys
+        self.outer = outer.ljust(256, b"\0") if type(outer) is bytes else outer
+
+    def __getitem__(self, b):
+        inner = self.maps[b]
+        if type(inner) is bytes:
+            return self.keys[inner.translate(self.outer)]
+        return self.keys[compose_maps(self.outer, inner)]
+
+
 class EllisSemigroup:
     """Composition closure of the acting maps, in discovery order.
 
     `maps` holds the elements as the closure built them: `bytes` on at most
     256 points, tuples of ints above; either way maps[i][x] is an int.
     `keys` maps each of them back to its index, and `key` turns any sequence
-    of points into that type. Generator g is element g. `right` and
-    `left` are the Cayley graphs as one `array('i')` column per generator,
-    4 bytes an edge: right[g][w] and left[g][w] are the indices of w·g and
-    g·w. `tree` is the search's spanning tree, two `array('i')` columns
-    (parent, via): element k + t (k generators) was first found as
-    parent[t]·via[t]. The search fills `right`; `left` is read off the
-    tree (`algebra.cayley_row`). The full multiplication table is only
-    materialized up to mul_table_cap (at the default closure cap it would
-    not fit in memory); above it, `mul` composes on demand, with no memo.
+    of points into that type. Generator g is element g. `right` is the one
+    Cayley graph, one `array('i')` column per generator, 4 bytes an edge:
+    right[g][w] is the index of w·g. `tree` is the search's spanning tree,
+    two `array('i')` columns (parent, via): element k + t (k generators)
+    was first found as parent[t]·via[t]. Left products are not held:
+    `times(a)` is row a of the multiplication table, and every product,
+    `mul` included, is read from it. The full table is only materialized
+    up to mul_table_cap (at the default closure cap it would not fit in
+    memory); above it, a row composes each product as it is read, with no
+    memo.
     """
 
-    __slots__ = ("flow", "maps", "keys", "key", "generators", "right", "left",
-                 "tree", "_table")
+    __slots__ = ("flow", "maps", "keys", "key", "generators", "right", "tree",
+                 "_table")
 
-    def __init__(self, flow, maps, keys, right, left, tree, table):
+    def __init__(self, flow, maps, keys, right, tree, table):
         self.flow = flow
         self.maps = maps
         self.keys = keys
         self.key = _key_type(flow.points)
         self.generators = tuple(range(len(right)))
         self.right = right
-        self.left = left
         self.tree = tree
         self._table = table
 
@@ -101,28 +121,21 @@ class EllisSemigroup:
 
     def mul(self, i: int, j: int) -> int:
         """Index of the map x -> maps[i](maps[j](x))."""
-        if self._table is not None:
-            return self._table[i][j]
-        a, b = self.maps[i], self.maps[j]
-        if self.key is bytes:
-            return self.keys[b.translate(a.ljust(256, b"\0"))]
-        return self.keys[compose_maps(a, b)]
+        return self.times(i)[j]
 
     def times(self, a: int):
-        """The function b -> index of a·b: the table row's `__getitem__`, or
-        without a table one `translate` by a's table, padded once (one
-        `compose_maps` above 256 points)."""
+        """Row a of the multiplication table, indexed by b: times(a)[b] is
+        the index of a·b. The table's own row up to mul_table_cap, a
+        `_ComposedRow` above."""
         if self._table is not None:
-            return self._table[a].__getitem__
-        maps, keys, ta = self.maps, self.keys, self.maps[a]
-        if self.key is bytes:
-            ta = ta.ljust(256, b"\0")
-            return lambda b: keys[maps[b].translate(ta)]
-        return lambda b: keys[compose_maps(ta, maps[b])]
+            return self._table[a]
+        return _ComposedRow(self.maps, self.keys, self.maps[a])
 
     def left_reach(self, s: int) -> set[int]:
-        """S·s: everything reachable by left multiplication (words >= 1)."""
-        return _walk(self.left, [col[s] for col in self.left])
+        """S·s: everything reachable by left multiplication (words >= 1),
+        walking the generators' rows."""
+        rows = [self.times(g) for g in self.generators]
+        return _walk(rows, [row[s] for row in rows])
 
     def __repr__(self):
         return f"EllisSemigroup(size={self.size}, points={self.flow.points})"
@@ -161,10 +174,11 @@ def enveloping_semigroup(flow: Flow, caps: Caps = DEFAULT_CAPS) -> EllisSemigrou
     is `algebra._right_closure`: each element w is composed with every
     generator g on the right once, w∘g is looked up and its index appended
     to the right Cayley graph's column g, and a new product records its
-    spanning-tree parent w and generator g. No left product is composed or
-    hashed: g·(p·h) = (g·p)·h fills each left column along the tree
-    (`algebra.cayley_row`, Froidure & Pin 1997). Up to `mul_table_cap` the
-    full table is `algebra._table_by_rows` over rows read the same way.
+    spanning-tree parent w and generator g. No left product is composed,
+    hashed or stored here. Up to `mul_table_cap` the full table is
+    `algebra._table_by_rows` over literal rows read off the tree by
+    associativity, i·(p·h) = (i·p)·h (`algebra.cayley_row`, Froidure & Pin
+    1997); above it, left products are composed where they are read.
     """
     cap = caps.closure_cap
     maps, keys, right, parent, via = _right_closure(
@@ -174,11 +188,10 @@ def enveloping_semigroup(flow: Flow, caps: Caps = DEFAULT_CAPS) -> EllisSemigrou
     # one-step stability: the closure is closed under the right graph
     if max(map(max, right)) >= n:
         raise TheoremViolation("composition closure not closed", n)
-    left = [cayley_row(right, parent, via, g) for g in range(len(right))]
     table = None
     if n <= caps.mul_table_cap:
         table, _ = _table_by_rows(n, lambda i: tuple(cayley_row(right, parent, via, i)))
-    return EllisSemigroup(flow, maps, keys, right, left, (parent, via), table)
+    return EllisSemigroup(flow, maps, keys, right, (parent, via), table)
 
 
 def minimal_left_ideals(S: EllisSemigroup) -> list[MinimalIdeal]:
@@ -190,10 +203,10 @@ def minimal_left_ideals(S: EllisSemigroup) -> list[MinimalIdeal]:
     rank, so for an e of minimum rank (`_kernel_element`), L = S·e is a
     minimal left ideal. Every minimal left ideal is L·s, so L's orbit under
     right multiplication by the generators lists them all, whichever e was
-    taken. Certificate: their union is closed under every left and right
-    generator edge, so it is an ideal and contains K. Each ideal is
-    validated against the structure facts, so a failure of the rank
-    argument raises instead of giving a wrong list.
+    taken. Certificate: their union is closed under left and right
+    multiplication by every generator, so it is an ideal and contains K.
+    Each ideal is validated against the structure facts, so a failure of
+    the rank argument raises instead of giving a wrong list.
     """
     found = [frozenset(S.left_reach(_kernel_element(S)))]
     seen = set(found)
@@ -204,10 +217,10 @@ def minimal_left_ideals(S: EllisSemigroup) -> list[MinimalIdeal]:
                 seen.add(Lg)
                 found.append(Lg)
     union = frozenset().union(*found)
-    for col in chain(S.left, S.right):
-        if not union.issuperset(map(col.__getitem__, union)):
+    for row in [S.times(g) for g in S.generators] + S.right:
+        if not union.issuperset(map(row.__getitem__, union)):
             raise TheoremViolation("minimal left ideals miss part of the kernel",
-                                   next(m for m in union if col[m] not in union))
+                                   next(m for m in union if row[m] not in union))
     ideals = []
     for L in sorted(found, key=min):
         members = tuple(sorted(L))
@@ -223,22 +236,19 @@ def _kernel_element(S: EllisSemigroup) -> int:
     Images are closed under the left action, image(g∘w) = g(image(w)), and
     every element is a generator times generators on the left, so the orbit
     of the generators' images under the generators holds every image. Each
-    image is kept with the first element seen to have it, read off the left
-    Cayley graph. The orbit is at most the nonempty subsets of the points,
+    image is kept with the first element seen to have it, g·w from
+    `times(g)`. The orbit is at most the nonempty subsets of the points,
     and a single set for a group flow, so this is O(orbit × k), not O(|S|).
     """
-    maps, left = S.maps, S.left
-    gens = [maps[g] for g in S.generators]
-    orbit = {}
-    for g in S.generators:
-        orbit.setdefault(frozenset(maps[g]), g)
-    todo = list(orbit.items())
+    gens = [(S.maps[g], S.times(g)) for g in S.generators]
+    todo = [(frozenset(S.maps[g]), g) for g in S.generators]
+    orbit = {image for image, _ in todo}
     for image, w in todo:
-        for g, m in enumerate(gens):
+        for m, row in gens:
             moved = frozenset([m[x] for x in image])
             if moved not in orbit:
-                orbit[moved] = left[g][w]
-                todo.append((moved, left[g][w]))
+                orbit.add(moved)
+                todo.append((moved, row[w]))
     return min(todo, key=lambda item: len(item[0]))[1]
 
 
@@ -251,10 +261,11 @@ def _validate_minimal_ideal(M: MinimalIdeal):
     # nonempty words from any member reach all of M and nothing else. Left
     # translation on M need not be injective, so the backward walk follows
     # predecessor lists, not columns.
+    rows = [S.times(g) for g in S.generators]
     back: dict[int, list[int]] = {s: [] for s in M.members}
     for s in M.members:
-        for col in S.left:
-            t = col[s]
+        for row in rows:
+            t = row[s]
             if t not in mset:
                 raise TheoremViolation("minimal ideal not generated by member", s)
             back[t].append(s)
@@ -263,7 +274,7 @@ def _validate_minimal_ideal(M: MinimalIdeal):
         new = set(back[t]) - behind
         behind |= new
         todo.extend(new)
-    for reached in (_walk(S.left, M.members[:1]), behind):
+    for reached in (_walk(rows, M.members[:1]), behind):
         missed = mset - reached
         if missed:
             raise TheoremViolation("minimal ideal not generated by member",
@@ -273,7 +284,7 @@ def _validate_minimal_ideal(M: MinimalIdeal):
     # M is the disjoint union of the groups u·M over idempotents u
     seen: set[int] = set()
     for u in M.idempotents:
-        block = set(map(S.times(u), M.members))
+        block = set(map(S.times(u).__getitem__, M.members))
         if block & seen:
             raise TheoremViolation("idempotent blocks overlap", u)
         seen |= block
@@ -302,15 +313,15 @@ def ideal_group(M: MinimalIdeal, u: int) -> IdealGroup:
         raise NotInIdeal(u)
     if S.mul(u, u) != u:
         raise NotIdempotent(u)
-    members = tuple(sorted(set(map(S.times(u), M.members))))
+    members = tuple(sorted(set(map(S.times(u).__getitem__, M.members))))
     pos = {s: i for i, s in enumerate(members)}
 
     def literal_row(a):
-        times_a = S.times(a)
+        row_a = S.times(a)
         try:
-            return tuple([pos[times_a(b)] for b in members])
+            return tuple([pos[row_a[b]] for b in members])
         except KeyError:
-            b = next(b for b in members if times_a(b) not in pos)
+            b = next(b for b in members if row_a[b] not in pos)
             raise TheoremViolation("u·M not closed under composition", (a, b)) from None
 
     identity = pos[u]
@@ -389,7 +400,7 @@ def ideal_group_isomorphism(gu: IdealGroup, gv: IdealGroup) -> tuple[int, ...]:
 def circ(S: EllisSemigroup, a: int, B) -> frozenset[int]:
     """a∘B. In a finite discrete space the maps converging to a are
     eventually a itself, so the set of limits of products is exactly aB."""
-    return frozenset(map(S.times(a), B))
+    return frozenset(map(S.times(a).__getitem__, B))
 
 
 def tau_closure(G: IdealGroup, A) -> frozenset[int]:
@@ -402,7 +413,7 @@ def tau_closure(G: IdealGroup, A) -> frozenset[int]:
     A = frozenset(A)
     if not A <= members:
         raise NotInIdeal(min(A - members))
-    u_times = S.times(u)
+    u_times = S.times(u).__getitem__
     u_circ_a = circ(S, u, A)
     closed = frozenset(map(u_times, u_circ_a))
     alt = u_circ_a & members
@@ -494,7 +505,7 @@ def induced_epimorphism(m: FlowMorphism, source_semigroup=None,
     # generators on the left suffice (`algebra` module docstring)
     for i in src.generators:
         for j in range(src.size):
-            if element_map[src.left[i][j]] != tgt.mul(element_map[i], element_map[j]):
+            if element_map[src.mul(i, j)] != tgt.mul(element_map[i], element_map[j]):
                 raise TheoremViolation("induced map not multiplicative", (i, j))
 
     src_ideals = minimal_left_ideals(src)

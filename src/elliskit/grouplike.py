@@ -156,7 +156,7 @@ def orbit_map_r(ambit: Ambit, cert: GroupLikeCertificate,
         raise TheoremViolation("orbit map not surjective", len(set(values)))
     q = cert.quotient_group
     for g in S.generators:      # a homomorphism (`algebra` module docstring)
-        left_g, row = S.left[g], q.mul[values[g]]
+        left_g, row = S.times(g), q.mul[values[g]]
         for j in range(S.size):
             if values[left_g[j]] != row[values[j]]:
                 raise TheoremViolation("orbit map not multiplicative", (g, j))

@@ -28,6 +28,7 @@ from elliskit.errors import (
     NotNormal,
     UnsupportedParameters,
 )
+from elliskit.caps import Caps
 from elliskit.generators import group_catalog
 
 
@@ -433,8 +434,6 @@ def test_isomorphism_agrees_with_pruned_search_up_to_order_12():
 
 
 def test_isomorphism_cap():
-    from elliskit.caps import Caps
-
     G = named_group("cyclic", n=5)
     with pytest.raises(GroupTooLarge):
         are_isomorphic(G, G, caps=Caps(iso_order_cap=3))
@@ -528,6 +527,22 @@ def test_affine_cap_is_checked_before_enumerating(monkeypatch):
     monkeypatch.setattr(algebra, "affine_components", enumerate_nothing)
     with pytest.raises(UnsupportedParameters, match="order 11612160"):
         named_group("affine", q=4, dim=3)
+
+
+@pytest.mark.parametrize("name, params, cap, order", [
+    ("cyclic", {"n": 2001}, 2000, 2001),
+    ("affine", {"q": 4, "dim": 2}, 2000, 2880),
+    ("dihedral", {"n": 1001}, 2000, 2002),
+    ("symmetric", {"n": 6}, 100, 720),
+])
+def test_named_group_order_cap_is_hard(monkeypatch, name, params, cap, order):
+    """Above `group_order_cap` but within the family's bounds: refused from
+    the closed-form order before anything is built."""
+    for build in ("_cyclic", "_symmetric", "_dihedral", "_affine", "affine_components"):
+        monkeypatch.setattr(algebra, build, lambda *args: pytest.fail("built"))
+    with pytest.raises(GroupTooLarge) as exc:
+        named_group(name, caps=Caps(group_order_cap=cap), **params)
+    assert (exc.value.order, exc.value.bound) == (order, cap)
 
 
 def test_unknown_family():

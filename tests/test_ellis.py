@@ -532,7 +532,7 @@ def test_minimal_ideal_validation_rejects_fake_ideals():
     S = enveloping_semigroup(transformation_flow([(0, 0, 2, 1), (1, 1, 2, 2)]))
     first, second = minimal_left_ideals(S)
     assert (first.members, second.members) == ((1, 3), (2, 4))
-    assert {col[0] for col in S.left} == {2, 4}
+    assert {S.times(g)[0] for g in S.generators} == {2, 4}
     idems = first.idempotents + second.idempotents
     fakes = {
         # closed, but the walks from 1 never reach (2, 4)

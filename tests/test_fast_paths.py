@@ -6,8 +6,9 @@ subgroup lattice against the pairwise-closure one, the generators-first
 invariance check against the all-elements scan, the generator-closed
 witnessed relation against the all-translates one, and the minimal left
 ideals found from the kernel against the sink components of the left
-Cayley graph, the kernel element found from the image orbit against the
-minimum rank over the oracle closure, the bitmask lattices (members,
+products, the kernel element found from the image orbit against the
+minimum rank over the oracle closure (above the table cap and on 257
+points too), the bitmask lattices (members,
 membership, products and agreeability) against the frozenset ones, the
 witness verdicts and supports found on the relation's own orbitals, and
 maximal witnesses, against one pair closure per support, normality by
@@ -225,16 +226,23 @@ def wide_maps(seed, points, count):
         yield embedded(maps, points, moved)
 
 
+def left_products(S):
+    """Every g·w, g a generator, read from row g, `times(g)`: the semigroup
+    holds no left Cayley graph."""
+    return [[S.times(g)[w] for w in range(S.size)] for g in S.generators]
+
+
 def assert_closure_matches_oracle(S, maps):
-    """Elements in discovery order, the map-keyed index and both Cayley
-    graphs against the oracle closure."""
+    """Elements in discovery order, the map-keyed index, the right Cayley
+    graph and the left products by the generators against the oracle
+    closure."""
     elements, gens = oracles.closure(maps)
     index = {e: i for i, e in enumerate(elements)}
     assert oracles.elements_of(S) == elements
     assert list(S.keys.items()) == list(zip(S.maps, range(S.size)))
     assert [list(col) for col in S.right] == \
         [[index[oracles.compose(w, elements[g])] for w in elements] for g in gens]
-    assert [list(col) for col in S.left] == \
+    assert left_products(S) == \
         [[index[oracles.compose(elements[g], w)] for w in elements] for g in gens]
 
 
@@ -256,7 +264,7 @@ def test_closure_above_the_table_cap_around_256_points():
     """A 5-cycle and a rank-4 idempotent moved onto points that include 255
     and the top point: 610 elements, above `mul_table_cap`, so products are
     composed on demand. The 256-point (bytes) and 257-point (tuples)
-    closures match the oracle and have the same graphs, products and
+    closures match the oracle and have the same right graph, products and
     minimal ideals as the 5-point one."""
     gens = [[1, 2, 3, 4, 0], [0, 0, 2, 3, 4]]
     S5 = enveloping_semigroup(transformation_flow(gens))
@@ -267,7 +275,7 @@ def test_closure_above_the_table_cap_around_256_points():
         maps = embedded(gens, points, moved)
         S = enveloping_semigroup(transformation_flow(maps))
         assert_closure_matches_oracle(S, maps)
-        assert (S.right, S.left) == (S5.right, S5.left)
+        assert (S.right, left_products(S)) == (S5.right, left_products(S5))
         elements, index = oracles.elements_of(S), oracles.index_of(S)
         for i, j in pairs:
             assert S.mul(i, j) == S5.mul(i, j) == \
@@ -299,17 +307,17 @@ def mid_sized_closures(seed, points):
 
 @pytest.mark.parametrize("points", [6, 257])
 def test_left_graph_and_spanning_tree_above_the_table_cap(points):
-    """The left graph read off the spanning tree against literal g∘w
-    lookups, the right graph against literal w∘g, and the tree itself:
-    element k + t was first found as parent[t]·via[t], from an earlier
-    element, in the oracle's right-only discovery order."""
+    """Left products composed by `times(g)[w]` against literal g∘w lookups,
+    the right graph against literal w∘g, and the spanning tree: element
+    k + t was first found as parent[t]·via[t], from an earlier element, in
+    the oracle's right-only discovery order."""
     for maps, S in islice(mid_sized_closures(points, points), 6):
         assert DEFAULT_CAPS.mul_table_cap < S.size <= 2000
         assert S._table is None
         elements, gens = oracles.closure(maps)
         assert oracles.elements_of(S) == elements
         k, index = len(gens), oracles.index_of(S)
-        assert [list(col) for col in S.left] == \
+        assert left_products(S) == \
             [[index[oracles.compose(elements[g], w)] for w in elements] for g in gens]
         assert [list(col) for col in S.right] == \
             [[index[oracles.compose(w, elements[g])] for w in elements] for g in gens]
@@ -320,34 +328,66 @@ def test_left_graph_and_spanning_tree_above_the_table_cap(points):
             assert S.right[h][p] == k + t
 
 
+@pytest.mark.parametrize("points", [6, 257])
+def test_kernel_reads_above_the_table_cap_match_oracles(points):
+    """Above `mul_table_cap`, on bytes (6 points) and tuple (257 points)
+    maps, where each left product g·w is composed by `times(g)[w]`: the kernel
+    element has the minimum rank over the oracle closure, S·s is the
+    oracle's left reach for it and seeded others, and the minimal left
+    ideals with their idempotents are the sink components of the oracle's
+    left products."""
+    rng = random.Random(points)
+    above = ((maps, S) for maps, S in mid_sized_closures(100 + points, points)
+             if S._table is None)
+    for maps, S in islice(above, 4):
+        elements, gens = oracles.closure(maps)
+        index = oracles.index_of(S)
+        left = {g: [index[oracles.compose(elements[g], w)] for w in elements]
+                for g in gens}
+        e = _kernel_element(S)
+        assert len(set(elements[e])) == min(len(set(w)) for w in elements)
+        for s in [e, *rng.sample(range(S.size), 3)]:
+            assert S.left_reach(s) == oracles.left_reach(left, gens, s)
+
+        def successors(v):
+            return [left[g][v] for g in gens]
+        components = map(frozenset, oracles.tarjan_sccs(S.size, successors))
+        sinks = sorted(sorted(c) for c in components
+                       if all(c.issuperset(successors(v)) for v in c))
+        idempotent = [oracles.compose(w, w) == w for w in elements]
+        assert [(M.members, M.idempotents) for M in minimal_left_ideals(S)] == \
+            [(tuple(c), tuple(x for x in c if idempotent[x])) for c in sinks]
+
+
 @pytest.mark.parametrize("points", [5, 257])
 @pytest.mark.parametrize("table_cap", [1000, 0], ids=["full-table", "on-demand"])
 def test_cayley_graphs_are_int_array_columns(points, table_cap):
-    """Both graphs are one `array('i')` column per generator, each as long
-    as the closure, on bytes (5 points) and tuple (257 points) maps; and
-    `times(a)` gives every product a·b, with the table and without."""
+    """The one Cayley graph, the right one, is one `array('i')` column per
+    generator, each as long as the closure, on bytes (5 points) and tuple
+    (257 points) maps; no left graph is held; and row a, `times(a)`, gives
+    every product a·b, with the table and without."""
     gens = [[1, 2, 3, 4, 0], [0, 0, 2, 3, 4]]
     maps = gens if points == 5 else embedded(gens, points, [255, 3, 256, 100, 0])
     caps = replace(DEFAULT_CAPS, mul_table_cap=table_cap)
     S = enveloping_semigroup(transformation_flow(maps), caps=caps)
     assert S.size == 610
-    for graph in (S.right, S.left):
-        assert len(graph) == len(S.generators) == 2
-        for col in graph:
-            assert (type(col), col.typecode, len(col)) == (array, "i", S.size)
+    assert len(S.right) == len(S.generators) == 2
+    for col in S.right:
+        assert (type(col), col.typecode, len(col)) == (array, "i", S.size)
+    assert not hasattr(S, "left")
     elements, index = oracles.elements_of(S), oracles.index_of(S)
     for a in random.Random(5).sample(range(S.size), 8):
-        times = S.times(a)
-        assert [times(b) for b in range(S.size)] == \
+        row = S.times(a)
+        assert [row[b] for b in range(S.size)] == \
             [index[oracles.compose(elements[a], w)] for w in elements]
 
 
 def test_t6_closure_holds_at_most_200_bytes_an_element():
     """The T6 closure (46,656 elements, three generators) under tracemalloc:
-    the maps as bytes, the map -> index dict, both Cayley graphs at 4 bytes
-    an edge and the spanning tree at 8 bytes an element hold about 165
-    bytes an element; with the graphs as a tuple of edges per element they
-    held 276."""
+    the maps as bytes, the map -> index dict, the right Cayley graph at 4
+    bytes an edge and the spanning tree at 8 bytes an element hold about
+    153 bytes an element; with a left graph as well they held 165, and
+    with both graphs as a tuple of edges per element, 276."""
     _, flow = next(t6_and_s6())
     tracemalloc.start()
     try:
@@ -614,8 +654,10 @@ def test_minimal_ideals_are_the_sink_components():
     several = 0
     for flow in [*random_flows(11, 100), *rank_two_flows(5, 300)]:
         S = enveloping_semigroup(flow)
+        rows = [S.times(g) for g in S.generators]
+
         def successors(v):
-            return [col[v] for col in S.left]
+            return [row[v] for row in rows]
         components = map(frozenset, oracles.tarjan_sccs(S.size, successors))
         sinks = sorted(sorted(c) for c in components
                        if all(c.issuperset(successors(v)) for v in c))

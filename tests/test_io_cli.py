@@ -303,6 +303,15 @@ def test_cli_malformed_transformations_exit_2(tmp_path, capsys, maps, message):
     assert message in capsys.readouterr().err
 
 
+def test_cli_named_group_above_group_order_cap_exits_2(tmp_path, capsys):
+    """cyclic(2001) is within `named_group_cap` but above the hard
+    `group_order_cap` of 2,000: refused from its order, before it is built."""
+    path = write(tmp_path, "f.json", {"group": {"kind": "named", "name": "cyclic",
+                                                "n": 2001}, "action": "regular"})
+    assert main(["ellis", path]) == 2
+    assert "group order 2001 exceeds bound 2000" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["orbital", "analyze"])
 @pytest.mark.parametrize("points", [4, 2])
 def test_cli_relation_on_wrong_point_set_exit_2(tmp_path, capsys, command, points):
