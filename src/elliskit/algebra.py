@@ -8,12 +8,16 @@ closure (`_right_closure`, Froidure & Pin 1997), and `_table_by_rows` is its
 one table builder: a few literal rows, every other row composed from them.
 Both serve permutation groups here and enveloping semigroups and their
 ideal groups in `ellis`. The table builder also gives a quotient group its
-coset table, and every group built without generators (quotient and
-table-given groups) its greedy generating set. An affine group is its
-elements' permutations w -> v + Mw of the vector indices, built from each
-matrix's map on them, so the only GF(q) arithmetic is one M·w loop. All
-values are immutable after construction, except that a group fills in its
-subgroup lattice on first enumeration, and all operations are pure.
+coset table, and quotient and table-given groups their greedy generating
+sets. A group known by literal rows (permutation, affine and ideal groups,
+`_group_by_rows`) reads only its identity's and generators' rows when it
+is built, finds a greedy generating set by walking them when it has none,
+and fills in `mul` and `inverse` on first read. An affine group is
+its elements' permutations w -> v + Mw of the vector indices, built from
+each matrix's map on them, so the only GF(q) arithmetic is one M·w loop.
+All values are immutable after construction, except that a group fills in
+its tables on first read and its subgroup lattice on first enumeration,
+and all operations are pure.
 
 A check that a map respects products needs only the generators. If a map f
 on a group (or semigroup) satisfies f(g·x) = f(g)·f(x) for every generator
@@ -48,25 +52,43 @@ from .errors import (
 )
 
 
-class FiniteGroup:
-    """A finite group on elements 0..order-1 with a full multiplication table.
+class _Tables:
+    """A group's `mul` before it is built: its length and the function that
+    builds (mul, inverse) (`_group_by_rows`)."""
 
-    `perms`, when present, realizes each element as a permutation of
-    0..degree-1, a tuple, and `mul` is their composition: the group was
-    built from permutation generators, or is cyclic or affine (acting on
-    its q^dim vectors). `gens` is a small generating set, always consistent
-    with `mul`. `subgroups` is the sorted subgroup lattice, filled by the
-    first `enumerate_subgroups` call.
+    __slots__ = ("n", "build")
+
+    def __init__(self, n, build):
+        self.n, self.build = n, build
+
+    def __len__(self):
+        return self.n
+
+
+class FiniteGroup:
+    """A finite group on elements 0..order-1 with a multiplication table.
+
+    `mul` is the table as a tuple of rows and `inverse` the inverse of each
+    element. A group known by its rows (`_group_by_rows`) is built as a
+    `_DeferredGroup` with a `_Tables` for `mul`, and the first read of
+    `mul` or `inverse` builds both into their slots; `_tables` holds the
+    builder until then and is None after. `perms`, when present, realizes
+    each element as a permutation of 0..degree-1, a tuple, and `mul` is
+    their composition: the group was built from permutation generators, or
+    is cyclic or affine (acting on its q^dim vectors). `gens` is a small
+    generating set, always consistent with `mul`. `subgroups` is the sorted
+    subgroup lattice, filled by the first `enumerate_subgroups` call.
     """
 
     __slots__ = ("order", "mul", "identity", "inverse", "gens", "perms", "name",
-                 "subgroups")
+                 "subgroups", "_tables")
 
     def __init__(self, mul, identity, inverse, gens, perms=None, name=None):
         self.order = len(mul)
-        self.mul = mul
+        self._tables = mul.build if type(mul) is _Tables else None
+        if self._tables is None:
+            self.mul, self.inverse = mul, inverse
         self.identity = identity
-        self.inverse = inverse
         self.gens = tuple(gens)
         self.perms = perms
         self.name = name
@@ -95,6 +117,23 @@ class FiniteGroup:
     def __repr__(self):
         tag = self.name or "group"
         return f"FiniteGroup({tag}, order={self.order})"
+
+
+class _DeferredGroup(FiniteGroup):
+    """A group whose `mul` and `inverse` slots are not filled yet. The first
+    read of either fills both through `__getattr__` and makes the group a
+    plain FiniteGroup: CPython 3.11 does not specialize attribute reads on a
+    type with `__getattr__` (a loop reading S4's `mul` ran 1.5 to 2 times
+    slower), so no built group keeps it."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name not in ("mul", "inverse"):
+            raise AttributeError(name)
+        self.mul, self.inverse = self._tables()
+        self._tables, self.__class__ = None, FiniteGroup
+        return getattr(self, name)
 
 
 @dataclass(frozen=True)
@@ -377,12 +416,40 @@ def _table_by_rows(n, literal_row, start=()):
     return tuple(rows), tuple(g for g, _ in steps)
 
 
+def _group_by_rows(n, literal_row, identity, gens=None, perms=None, name=None):
+    """The group on 0..n-1 in which the row of a, indexed by b, is
+    `literal_row(a)`, with `mul` and `inverse` built on first read.
+
+    The identity's row is read here. Without `gens`, so are the rows of the
+    greedy generating set: the least element not yet reached from the
+    identity by the earlier generators' rows (`_walk`) joins, and the walk
+    is repeated, until every element is reached. Those are the rows, and
+    the generators, `_table_by_rows(start=(identity,))` reads, so then the
+    deferred build (that call and `_locate_inverses`) reads no row that was
+    not read here. Returns (group, the rows read here, by element).
+    """
+    rows = {identity: literal_row(identity)}
+    if gens is None:
+        gens, reached = [], {identity}
+        for h in range(n):
+            if h not in reached:
+                rows[h] = literal_row(h)
+                gens.append(h)
+                reached = _walk([rows[g] for g in gens], reached)
+
+    def tables():
+        mul, _ = _table_by_rows(n, lambda a: rows.get(a) or literal_row(a), start=(identity,))
+        return mul, _locate_inverses(mul, identity)
+
+    return _DeferredGroup(_Tables(n, tables), identity, None, gens, perms, name), rows
+
+
 def group_from_permutations(degree, generators, caps: Caps = DEFAULT_CAPS,
                             name=None) -> FiniteGroup:
     """Close permutation generators under composition (`_right_closure`);
-    discovery element order. The table is filled by `_table_by_rows` from
-    literal rows read off the closure's right Cayley graph
-    (`cayley_row`)."""
+    discovery element order. The table is filled on first read
+    (`_group_by_rows`) from literal rows read off the closure's right
+    Cayley graph (`cayley_row`)."""
     gens = []
     for i, g in enumerate(generators):
         p = tuple(_integer(x, f"generator {i} entry") for x in g)
@@ -392,14 +459,9 @@ def group_from_permutations(degree, generators, caps: Caps = DEFAULT_CAPS,
     key, cap = _key_type(degree), caps.group_order_cap
     maps, keys, right, parent, via = _right_closure(
         gens or [range(degree)], key, cap, lambda count: GroupTooLarge(count + 1, cap))
-    mul, _ = _table_by_rows(len(maps), lambda i: tuple(cayley_row(right, parent, via, i)))
-    identity = keys[key(range(degree))]
-    return FiniteGroup(
-        mul, identity, _locate_inverses(mul, identity),
-        gens=tuple(range(len(right))),
-        perms=tuple(map(tuple, maps)),
-        name=name,
-    )
+    return _group_by_rows(len(maps), lambda i: tuple(cayley_row(right, parent, via, i)),
+                          keys[key(range(degree))], gens=range(len(right)),
+                          perms=tuple(map(tuple, maps)), name=name)[0]
 
 
 def subgroup_generated(G: FiniteGroup, seeds) -> Subgroup:
@@ -652,9 +714,10 @@ def _affine(q: int, dim: int, order: int) -> FiniteGroup:
 
     `named_group` checks q, dim and the order first. Element (v, M) is the
     permutation w -> v + Mw of the vector indices, M's act translated by
-    v's shift, and these compose like the pairs, so the table is
-    `_table_by_rows` over literal rows of composed permutations, one dict
-    lookup an entry.
+    v's shift, and these compose like the pairs, so the group is
+    `_group_by_rows` over literal rows of composed permutations, one dict
+    lookup an entry: the greedy generators' rows are read here, the table
+    on first read.
     """
     comp = affine_components(q, dim)
     perms = [act.translate(shift.ljust(256, b"\0"))        # w -> v + Mw
@@ -665,10 +728,8 @@ def _affine(q: int, dim: int, order: int) -> FiniteGroup:
         ta = perms[a].ljust(256, b"\0")
         return tuple([keys[p.translate(ta)] for p in perms])
 
-    identity = keys[bytes(range(len(comp.vectors)))]        # (0, I)
-    mul, gens = _table_by_rows(order, literal_row, start=(identity,))
-    return FiniteGroup(mul, identity, _locate_inverses(mul, identity), gens=gens,
-                       perms=tuple(map(tuple, perms)), name=f"affine({q},{dim})")
+    return _group_by_rows(order, literal_row, keys[bytes(range(len(comp.vectors)))],  # (0, I)
+                          perms=tuple(map(tuple, perms)), name=f"affine({q},{dim})")[0]
 
 
 def named_group(name: str, caps: Caps = DEFAULT_CAPS, **params) -> FiniteGroup:

@@ -19,10 +19,12 @@ one permutation groups use: only right products are composed and hashed,
 one `bytes.translate` each on at most 256 points and one `itemgetter` call
 above, and each new element records its spanning-tree parent and
 generator. The semigroup keeps the maps as the closure built them. The
-full table (up to `mul_table_cap`) and every ideal-group table come from
-`algebra._table_by_rows`: a few literal rows, the rest composed by
-row(a·g) = row(a)∘row(g); the table's literal rows are read off the tree by
-associativity, i·(p·h) = (i·p)·h, one lookup an entry. No left graph is
+full table (up to `mul_table_cap`) comes from `algebra._table_by_rows`: a
+few literal rows, the rest composed by row(a·g) = row(a)∘row(g), the
+literal rows read off the tree by associativity, i·(p·h) = (i·p)·h, one
+lookup an entry. An ideal group reads only the rows of its identity and
+generators, checks the group axioms on them, and builds its table from
+them on first read (`algebra._group_by_rows`). No left graph is
 held: every left product g·w goes through `EllisSemigroup.times`, a table
 row lookup or, above the cap, one composition, and it is read only where
 the kernel needs it. Minimal left ideals are read from the minimal ideal
@@ -43,8 +45,8 @@ from dataclasses import dataclass
 from .algebra import (
     FiniteGroup,
     Subgroup,
+    _group_by_rows,
     _key_type,
-    _locate_inverses,
     _right_closure,
     _table_by_rows,
     _walk,
@@ -56,7 +58,6 @@ from .errors import (
     ClosureCapExceeded,
     GroupMismatch,
     IsomorphismViolated,
-    NoInverse,
     NotIdempotent,
     NotInIdeal,
     NotWellDefined,
@@ -299,14 +300,25 @@ def _validate_minimal_ideal(M: MinimalIdeal):
 
 
 def ideal_group(M: MinimalIdeal, u: int) -> IdealGroup:
-    """The group u·M with identity u; verified via closure, left identity
-    and two-sided inverses (which force a group).
+    """The group u·M with identity u, its axioms checked here over the rows
+    of u and of its generators (the Green's-structure view of East,
+    Egri-Nagy, Mitchell & Péresse 2019), its tables built on first read.
 
-    The table is `algebra._table_by_rows` from u: only the rows of u and of
-    a greedy generating set (each member not yet reached, in member order)
-    are read off the semigroup and checked to stay in u·M; the rest follow
-    by associativity, row(a·h) = row(a)∘row(h). The members read after u
-    are the group's generators.
+    The group is `algebra._group_by_rows` from u: only the rows of u and of
+    a greedy generating set (each member not yet reached from u by the
+    earlier generators' rows, in member order) are read off the semigroup,
+    and these checks run on them:
+    - each row read stays in u·M;
+    - u's row is the identity, u·s = s;
+    - each generator g has a t in its row with g·t = u, and t·g = u.
+    They make u·M a group. Every member a is reached from u by left
+    products with the generators, a = g1·…·gk·u. Closure: a·b =
+    g1·…·gk·(u·b) = g1·(…·(gk·b)), in u·M one generator row at a time.
+    Identity: u·a = a, and a·u = g1·…·gk·u·u = a. Inverses: with ti the t
+    of gi, a' = tk·…·t1 is in u·M by closure. In a·a' the middle
+    gk·u·tk = gk·tk = u, and so on out to g1·t1 = u; in a'·a the middle
+    t1·g1 = u, u·g2 = g2, and so on out to tk·gk·u = u. The deferred
+    build reads only the rows read here, so no check waits for it.
     """
     S = M.parent
     if u not in M.member_set:
@@ -325,17 +337,14 @@ def ideal_group(M: MinimalIdeal, u: int) -> IdealGroup:
             raise TheoremViolation("u·M not closed under composition", (a, b)) from None
 
     identity = pos[u]
-    mul, gens = _table_by_rows(len(members), lambda i: literal_row(members[i]),
-                               start=(identity,))
+    gview, rows = _group_by_rows(len(members), lambda i: literal_row(members[i]), identity)
     for i, s in enumerate(members):
-        if mul[identity][i] != i:
+        if rows[identity][i] != i:
             raise TheoremViolation("u is not a left identity on u·M", s)
-    try:
-        inverse = _locate_inverses(mul, identity)
-    except NoInverse as exc:
-        raise TheoremViolation("u·M element without two-sided inverse",
-                               members[exc.element]) from None
-    gview = FiniteGroup(mul, identity, inverse, gens=gens)
+    for g in gview.gens:
+        t = rows[g].index(identity) if identity in rows[g] else None
+        if t is None or S.mul(members[t], members[g]) != u:
+            raise TheoremViolation("u·M element without two-sided inverse", members[g])
     return IdealGroup(M, u, members, gview, pos, members)
 
 

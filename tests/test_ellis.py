@@ -276,6 +276,43 @@ def test_ideal_group_rejects_a_set_not_closed_under_composition():
         ideal_group(fake, u)
 
 
+def test_ideal_group_refutes_constants_without_inverse():
+    # T2 = {id, swap, c0, c1} with u = id: u·M is all of T2, and the
+    # constant generator's row c·x = c never reaches u
+    S = enveloping_semigroup(swap_const_flow())
+    index = oracles.index_of(S)
+    assert S.size == 4
+    u = index[(0, 1)]
+    fake = MinimalIdeal(S, tuple(range(4)), (u,))
+    with pytest.raises(TheoremViolation, match="without two-sided inverse") as exc:
+        ideal_group(fake, u)
+    assert oracles.elements_of(S)[exc.value.witness] in {(0, 0), (1, 1)}
+
+
+def fake_table_semigroup(table):
+    """The closure of a 3-cycle, three elements, with its table replaced by
+    `table`: products no composition of maps gives."""
+    S = enveloping_semigroup(natural_flow(named_group("cyclic", n=3)))
+    S._table = table
+    return S, MinimalIdeal(S, (0, 1, 2), (0,))
+
+
+def test_ideal_group_refutes_a_row_of_u_that_is_not_the_identity():
+    # u = 0 is idempotent and u·M = {0, 1, 2}, but u·1 = 2
+    _, fake = fake_table_semigroup(((0, 2, 1), (1, 2, 0), (2, 0, 1)))
+    with pytest.raises(TheoremViolation, match="not a left identity") as exc:
+        ideal_group(fake, 0)
+    assert exc.value.witness == 1
+
+
+def test_ideal_group_refutes_a_one_sided_inverse():
+    # generator 1 reaches everything from u = 0 and 1·2 = u, but 2·1 = 1
+    _, fake = fake_table_semigroup(((0, 1, 2), (1, 2, 0), (2, 1, 0)))
+    with pytest.raises(TheoremViolation, match="without two-sided inverse") as exc:
+        ideal_group(fake, 0)
+    assert exc.value.witness == 1
+
+
 def test_ideal_group_isomorphisms_across_ideals():
     S = enveloping_semigroup(two_ideal_flow())
     ideals = minimal_left_ideals(S)

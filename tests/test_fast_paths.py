@@ -1,6 +1,6 @@
 """Differential tests: the Cayley-graph products of the closure, its ideals,
-its ideal groups and permutation-group tables against the literal
-compose-everything oracles in ``oracles.py``, the product and union action
+its ideal groups and permutation-group tables (built on first read) against
+the literal compose-everything oracles in ``oracles.py``, the product and union action
 tables against the coordinate decoders there, the cyclic-extension
 subgroup lattice against the pairwise-closure one, the generators-first
 invariance check against the all-elements scan, the generator-closed
@@ -28,7 +28,7 @@ from itertools import islice
 import pytest
 
 import oracles
-from elliskit import grouplike
+from elliskit import algebra, ellis, grouplike
 from elliskit.algebra import (
     Subgroup,
     _composer,
@@ -464,6 +464,7 @@ def test_affine_tables_match_oracle(q, dim, step):
     against matrix arithmetic over GF(q)."""
     G = named_group("affine", q=q, dim=dim)
     product, identity, order = oracles.affine_group(q, dim)
+    assert G._tables is not None        # built on the first read below
     assert (G.order, G.identity) == (order, identity)
     for a in range(0, order, step):
         assert G.mul[a] == tuple(product(a, b) for b in range(order)), a
@@ -484,6 +485,98 @@ def test_affine_permutations_compose_like_the_table(q, dim, step):
                    for b in range(G.order)), a
     if G.order <= 24:
         assert G.gens == oracles.small_generating_set(G.mul, G.identity)
+
+
+def ideal_products(S, ideal):
+    """The oracle's table over one ideal: row a, entry b is the index of
+    the composed map a·b, for a and b in the ideal."""
+    elements, index = oracles.elements_of(S), oracles.index_of(S)
+    return {a: {b: index[oracles.compose(elements[a], elements[b])] for b in ideal}
+            for a in ideal}
+
+
+def test_deferred_ideal_groups_match_oracle():
+    """The ideal groups of 400 seeded transformation flows and of S6 acting
+    naturally (720 elements, above `mul_table_cap`): members and generators
+    before any table is read, then `mul` and `inverse` built on first read,
+    against the oracle's lookups in the composed products."""
+    rng = random.Random(23)
+    flows = []
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        flows.append(transformation_flow([tuple(rng.randrange(n) for _ in range(n))
+                                          for _ in range(rng.randint(1, 3))]))
+    flows.append(natural_flow(named_group("symmetric", n=6)))
+    orders = set()
+    for flow in flows:
+        S = enveloping_semigroup(flow)
+        for M in minimal_left_ideals(S):
+            table = ideal_products(S, M.members)
+            for u in M.idempotents:
+                G = ideal_group(M, u)
+                members, mul, inverse, gens = oracles.ideal_group(table, M.members, u)
+                assert (G.members, G.group_view.gens) == (members, gens)
+                assert G.group_view._tables is not None
+                assert G.group_view.order == len(members)
+                assert (G.group_view.mul, G.group_view.inverse) == (mul, inverse)
+                assert (G.group_view._tables, type(G.group_view)) == \
+                    (None, algebra.FiniteGroup)
+                orders.add(len(members))
+    assert {1, 720} <= orders and len(orders) >= 4
+
+
+@pytest.mark.parametrize("degree, generators", [
+    (0, []), (3, []), (4, [[0, 1, 2, 3]]),
+    (4, [[1, 0, 2, 3], [1, 2, 3, 0]]), (5, [[1, 2, 3, 4, 0], [0, 4, 3, 2, 1]]),
+    (5, [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0], [1, 0, 2, 3, 4]])])
+def test_deferred_permutation_groups_match_oracle(degree, generators):
+    """Degree 0 and empty generators give the trivial group; the oracle
+    closes the identity for them."""
+    G = group_from_permutations(degree, generators)
+    assert G._tables is not None
+    perms, mul, inverse = oracles.permutation_group(
+        degree, generators or [tuple(range(degree))])
+    assert (G.order, G.perms) == (len(perms), perms)
+    assert (G.mul, G.inverse) == (mul, inverse)
+    assert G.identity == perms.index(tuple(range(degree)))
+
+
+def test_reading_inverse_before_mul_gives_the_same_tables():
+    M = minimal_left_ideals(enveloping_semigroup(
+        natural_flow(named_group("symmetric", n=4))))[0]
+    built = [(named_group("symmetric", n=5), named_group("symmetric", n=5)),
+             (named_group("affine", q=3, dim=1), named_group("affine", q=3, dim=1)),
+             (ideal_group(M, M.idempotents[0]).group_view,
+              ideal_group(M, M.idempotents[0]).group_view)]
+    for inverse_first, mul_first in built:
+        inverse = inverse_first.inverse
+        assert (inverse_first.mul, inverse) == (mul_first.mul, mul_first.inverse)
+
+
+def test_ellis_on_s6_builds_no_720_table(tmp_path, capsys, monkeypatch):
+    """`elliskit ellis` reads only the order of the ideal group and only the
+    permutations of the acting group, so neither 720-element table is built."""
+    sizes = []
+
+    def counted(n, literal_row, start=()):
+        sizes.append(n)
+        return _table_by_rows(n, literal_row, start)
+
+    monkeypatch.setattr(algebra, "_table_by_rows", counted)
+    monkeypatch.setattr(ellis, "_table_by_rows", counted)
+    G = named_group("symmetric", n=6)
+    path = tmp_path / "s6.json"
+    path.write_text(json.dumps({
+        "group": {"kind": "permutation", "degree": 6,
+                  "generators": [list(p) for p in G.perms[:len(G.gens)]]},
+        "points": 6, "action": "natural"}))
+    assert main(["ellis", str(path), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["structures"]["closure_size"],
+            report["structures"]["ideal_group_order"]) == (720, 720)
+    assert 720 not in sizes
+    sizes.clear()
+    assert len(G.mul) == 720 and sizes == [720]
 
 
 def test_permutation_group_on_300_points_matches_oracle():
