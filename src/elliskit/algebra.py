@@ -735,13 +735,16 @@ def _affine(q: int, dim: int, order: int) -> FiniteGroup:
 def named_group(name: str, caps: Caps = DEFAULT_CAPS, **params) -> FiniteGroup:
     """cyclic(n) | symmetric(n) | dihedral(n) | affine(q, dim).
 
-    Each family's parameters are checked against its bounds, then its
-    closed-form order against `group_order_cap` (GroupTooLarge), before
-    anything is built: n, n!, 2n, and q^dim·∏_{i<dim}(q^dim − q^i).
+    Each family's parameters are checked against its bounds
+    (UnsupportedParameters), then its closed-form order against
+    `group_order_cap` (GroupTooLarge), before anything is built: n, n!, 2n,
+    and q^dim·∏_{i<dim}(q^dim − q^i). The bounds only keep the closed form
+    cheap and the family supported: n <= 6 before n!, and q in {2, 3, 4}
+    with dim <= 3 for the affine groups, whose matrices are enumerated.
     """
     if name == "cyclic":
         n = _integer(params["n"], "n")
-        if not 1 <= n <= caps.named_group_cap:
+        if n < 1:
             raise UnsupportedParameters(f"cyclic({n}) outside bounds")
         order, build, args = n, _cyclic, (n,)
     elif name == "symmetric":
@@ -751,7 +754,7 @@ def named_group(name: str, caps: Caps = DEFAULT_CAPS, **params) -> FiniteGroup:
         order, build, args = math.factorial(n), _symmetric, (n,)
     elif name == "dihedral":
         n = _integer(params["n"], "n")
-        if not 3 <= n <= caps.named_group_cap // 2:
+        if n < 3:
             raise UnsupportedParameters(f"dihedral({n}) outside bounds")
         order, build, args = 2 * n, _dihedral, (n,)
     elif name == "affine":
@@ -760,9 +763,6 @@ def named_group(name: str, caps: Caps = DEFAULT_CAPS, **params) -> FiniteGroup:
             raise UnsupportedParameters(
                 f"affine needs q in {{2,3,4}} and dim <= 3, got q={q}, dim={dim}")
         order = q ** dim * math.prod(q ** dim - q ** i for i in range(dim))
-        if order > caps.named_group_cap:
-            raise UnsupportedParameters(
-                f"affine({q},{dim}) has order {order}, above cap {caps.named_group_cap}")
         build, args = _affine, (q, dim, order)
     else:
         raise UnsupportedParameters(f"unknown group family {name!r}")

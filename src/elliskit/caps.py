@@ -1,7 +1,13 @@
 """Size caps guarding every potentially explosive computation.
 
+Each cap bounds what one computation may build, and going over it raises
+an error (exit 2 at the command line). No cap picks between two ways of
+computing the same result: those choices are fixed in the code, such as
+the size up to which `ellis` keeps a full multiplication table.
+
 All caps can be overridden at once through the ELLISKIT_CAPS environment
 variable, which holds a JSON object, e.g. ELLISKIT_CAPS='{"closure_cap": 1000}'.
+A name that is not a field of `Caps` is rejected.
 """
 
 from __future__ import annotations
@@ -15,27 +21,24 @@ from .errors import ParseError
 
 @dataclass(frozen=True)
 class Caps:
-    group_order_cap: int = 2000      # hard cap on any constructed group
+    group_order_cap: int = 2000      # hard cap on any constructed group,
+                                     # named groups included: checked on
+                                     # the closed-form order, before any
+                                     # element is built
     subgroup_enum_cap: int = 360     # largest group whose subgroups we enumerate
     iso_order_cap: int = 2000        # largest orders fed to isomorphism search
-    named_group_cap: int = 5000      # largest named group we will build;
-                                     # an affine group's order is checked
-                                     # in closed form, before enumerating
     closure_cap: int = 50000         # enveloping semigroup element cap;
-                                     # an element holds about 153 bytes on
+                                     # an element holds about 144 bytes on
                                      # 6 points (the T6 closure, 46,656
-                                     # elements, 7.1 MB): its bytes map, its
-                                     # list slot and dict entry, 4 bytes per
-                                     # right Cayley graph edge (1 per
-                                     # generator) and 8 of spanning tree
-    mul_table_cap: int = 512         # full semigroup table up to this; above
-                                     # it, each product is composed on
-                                     # demand, with no memo
-    product_points_cap: int = 20000  # product flow point cap
+                                     # elements, 6.7 MB under tracemalloc):
+                                     # its bytes map, its list slot and dict
+                                     # entry, and 4 bytes per right Cayley
+                                     # graph edge (1 per generator)
     independence_k_cap: int = 4      # largest independent-family size searched
     lattice_cap: int = 4096          # largest explicit lattice (number of
                                      # sets), and of invariant relations
-    points_cap: int = 20000          # largest flow we will construct
+    points_cap: int = 20000          # largest flow we will construct, products
+                                     # and disjoint unions included
 
 
 def _unique_keys(pairs) -> dict:

@@ -261,7 +261,7 @@ def run_product_demo(caps: Caps = DEFAULT_CAPS) -> Report:
     return rep
 
 
-def tower_fixture(caps: Caps = DEFAULT_CAPS):
+def tower_fixture():
     G = named_group("cyclic", n=6)
     lvl0 = make_ambit(coset_flow(G, subgroup_generated(G, list(G.elements()))), 0)
     N = subgroup_generated(G, [3])
@@ -274,7 +274,7 @@ def tower_fixture(caps: Caps = DEFAULT_CAPS):
 
 def run_tower_demo(caps: Caps = DEFAULT_CAPS) -> Report:
     rep = Report("example", "tower-demo")
-    levels, connecting = tower_fixture(caps)
+    levels, connecting = tower_fixture()
     tower = check_tower(levels, connecting, caps=caps)
     orders = [lv.ideal_group_order for lv in tower.levels]
     rep.record("ideal groups are trivial, order three, order six",

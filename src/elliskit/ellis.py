@@ -18,18 +18,19 @@ an edge costs 4 bytes. The closure itself is `algebra._right_closure`, the
 one permutation groups use: only right products are composed and hashed,
 one `bytes.translate` each on at most 256 points and one `itemgetter` call
 above, and each new element records its spanning-tree parent and
-generator. The semigroup keeps the maps as the closure built them. The
-full table (up to `mul_table_cap`) comes from `algebra._table_by_rows`: a
-few literal rows, the rest composed by row(a·g) = row(a)∘row(g), the
-literal rows read off the tree by associativity, i·(p·h) = (i·p)·h, one
-lookup an entry. An ideal group reads only the rows of its identity and
+generator. The semigroup keeps the maps as the closure built them. A
+closure of at most `_TABLE_LIMIT` (512) elements gets its full table from
+`algebra._table_by_rows`: a few literal rows, the rest composed by
+row(a·g) = row(a)∘row(g), the literal rows read off the tree by
+associativity, i·(p·h) = (i·p)·h, one lookup an entry; the tree is then
+dropped. An ideal group reads only the rows of its identity and
 generators, checks the group axioms on them, and builds its table from
 them on first read (`algebra._group_by_rows`). No left graph is
 held: every left product g·w goes through `EllisSemigroup.times`, a table
-row lookup or, above the cap, one composition, and it is read only where
-the kernel needs it. Minimal left ideals are read from the minimal ideal
-K, the elements of minimum rank: one such e is found from the orbit of the
-generators' images under the left action, without looking at every
+row lookup or, above `_TABLE_LIMIT`, one composition, and it is read only
+where the kernel needs it. Minimal left ideals are read from the minimal
+ideal K, the elements of minimum rank: one such e is found from the orbit
+of the generators' images under the left action, without looking at every
 element; then S·e and its orbit under right multiplication by the
 generators, certified complete by closing their union under left and right
 products by the generators (the Green's-structure route of East et al.
@@ -65,6 +66,15 @@ from .errors import (
 )
 from .flows import Flow, FlowMorphism, check_morphism
 
+# Largest closure that gets its full multiplication table (n² entries);
+# above it every product is composed where it is read, with no memo. Small
+# closures read their products many times over: with no table at all,
+# perfbench's verify-ellis (400 closures, each of at most a few hundred
+# elements) took 0.441–0.448 s against 0.318–0.350 s with it, in 3 of 3
+# alternated 15-s runs on a 2-core Xeon. Large ones cannot afford it: the
+# 46,656-element T6 closure's table would hold 2.2 G entries.
+_TABLE_LIMIT = 512
+
 
 class _ComposedRow:
     """Row a of a multiplication table that is not materialized: row[b] is
@@ -93,27 +103,22 @@ class EllisSemigroup:
     `keys` maps each of them back to its index, and `key` turns any sequence
     of points into that type. Generator g is element g. `right` is the one
     Cayley graph, one `array('i')` column per generator, 4 bytes an edge:
-    right[g][w] is the index of w·g. `tree` is the search's spanning tree,
-    two `array('i')` columns (parent, via): element k + t (k generators)
-    was first found as parent[t]·via[t]. Left products are not held:
-    `times(a)` is row a of the multiplication table, and every product,
-    `mul` included, is read from it. The full table is only materialized
-    up to mul_table_cap (at the default closure cap it would not fit in
-    memory); above it, a row composes each product as it is read, with no
-    memo.
+    right[g][w] is the index of w·g. Left products are not held: `times(a)`
+    is row a of the multiplication table, and every product, `mul`
+    included, is read from it. `_table` holds the full table for a closure
+    of at most `_TABLE_LIMIT` elements and is None above, where a row
+    composes each product as it is read, with no memo.
     """
 
-    __slots__ = ("flow", "maps", "keys", "key", "generators", "right", "tree",
-                 "_table")
+    __slots__ = ("flow", "maps", "keys", "key", "generators", "right", "_table")
 
-    def __init__(self, flow, maps, keys, right, tree, table):
+    def __init__(self, flow, maps, keys, right, table):
         self.flow = flow
         self.maps = maps
         self.keys = keys
         self.key = _key_type(flow.points)
         self.generators = tuple(range(len(right)))
         self.right = right
-        self.tree = tree
         self._table = table
 
     @property
@@ -126,8 +131,8 @@ class EllisSemigroup:
 
     def times(self, a: int):
         """Row a of the multiplication table, indexed by b: times(a)[b] is
-        the index of a·b. The table's own row up to mul_table_cap, a
-        `_ComposedRow` above."""
+        the index of a·b. The table's own row up to `_TABLE_LIMIT`
+        elements, a `_ComposedRow` above."""
         if self._table is not None:
             return self._table[a]
         return _ComposedRow(self.maps, self.keys, self.maps[a])
@@ -176,10 +181,11 @@ def enveloping_semigroup(flow: Flow, caps: Caps = DEFAULT_CAPS) -> EllisSemigrou
     generator g on the right once, w∘g is looked up and its index appended
     to the right Cayley graph's column g, and a new product records its
     spanning-tree parent w and generator g. No left product is composed,
-    hashed or stored here. Up to `mul_table_cap` the full table is
-    `algebra._table_by_rows` over literal rows read off the tree by
-    associativity, i·(p·h) = (i·p)·h (`algebra.cayley_row`, Froidure & Pin
-    1997); above it, left products are composed where they are read.
+    hashed or stored here. A closure of at most `_TABLE_LIMIT` elements
+    gets its full table, `algebra._table_by_rows` over literal rows read off
+    the spanning tree by associativity, i·(p·h) = (i·p)·h
+    (`algebra.cayley_row`, Froidure & Pin 1997); above it, left products are
+    composed where they are read. The tree is not kept either way.
     """
     cap = caps.closure_cap
     maps, keys, right, parent, via = _right_closure(
@@ -190,9 +196,9 @@ def enveloping_semigroup(flow: Flow, caps: Caps = DEFAULT_CAPS) -> EllisSemigrou
     if max(map(max, right)) >= n:
         raise TheoremViolation("composition closure not closed", n)
     table = None
-    if n <= caps.mul_table_cap:
+    if n <= _TABLE_LIMIT:
         table, _ = _table_by_rows(n, lambda i: tuple(cayley_row(right, parent, via, i)))
-    return EllisSemigroup(flow, maps, keys, right, (parent, via), table)
+    return EllisSemigroup(flow, maps, keys, right, table)
 
 
 def minimal_left_ideals(S: EllisSemigroup) -> list[MinimalIdeal]:

@@ -249,8 +249,8 @@ def product_flow(flows: list[Flow], caps: Caps = DEFAULT_CAPS) -> Flow:
     points = 1
     for f in flows:
         points *= f.points
-    if points > caps.product_points_cap:
-        raise SizeCapExceeded(points, caps.product_points_cap, "product point set")
+    if points > caps.points_cap:
+        raise SizeCapExceeded(points, caps.points_cap, "product point set")
     group = flows[0].group
     for f in flows[1:]:
         group = direct_product(group, f.group, caps=caps)

@@ -30,7 +30,7 @@ from .flows import (
 from .relations import EquivRelation, make_relation
 
 
-def group_catalog(caps: Caps = DEFAULT_CAPS) -> list[FiniteGroup]:
+def group_catalog() -> list[FiniteGroup]:
     """The 17 catalog groups, in a new list on every call; the groups are
     built once and shared, so each keeps its subgroup lattice."""
     return list(_catalog_groups())
@@ -49,9 +49,8 @@ def _catalog_groups() -> tuple[FiniteGroup, ...]:
     return tuple(base)
 
 
-def random_group(rng: random.Random, max_order: int,
-                 caps: Caps = DEFAULT_CAPS) -> FiniteGroup:
-    options = [G for G in group_catalog(caps) if G.order <= max_order]
+def random_group(rng: random.Random, max_order: int) -> FiniteGroup:
+    options = [G for G in group_catalog() if G.order <= max_order]
     return rng.choice(options)
 
 
@@ -67,7 +66,7 @@ def random_group_flow(rng: random.Random, max_points: int, max_order: int,
     """A group action on at most max_points points: natural, regular, or a
     coset action of a random subgroup of small enough index."""
     for _ in range(200):
-        G = random_group(rng, max_order, caps)
+        G = random_group(rng, max_order)
         choices = []
         if G.perms is not None and len(G.perms[0]) <= max_points:
             choices.append(("natural", None))
@@ -139,7 +138,7 @@ def random_group_like_setup(rng: random.Random, max_points: int, max_order: int,
     normal subgroup: the block relation of K = N·Stab(basepoint) where the
     product is normal."""
     for _ in range(500):
-        G = random_group(rng, max_order, caps)
+        G = random_group(rng, max_order)
         subs = enumerate_subgroups(G, caps=caps)
         small = [H for H in subs if G.order // H.order <= max_points]
         if not small:

@@ -184,12 +184,12 @@ def build_scenario(data: dict, caps: Caps = DEFAULT_CAPS) -> structured.Structur
 
 
 _BUILDERS = {
-    "group": lambda d, caps: build_group(d, caps),
-    "flow": lambda d, caps: build_flow(d, caps),
-    "ambit": lambda d, caps: build_ambit(d, caps),
-    "relation": lambda d, caps: build_relation(d),
-    "lattice": lambda d, caps: build_lattice(d, caps),
-    "scenario": lambda d, caps: build_scenario(d, caps),
+    "group": build_group,
+    "flow": build_flow,
+    "ambit": build_ambit,
+    "relation": lambda d, _caps: build_relation(d),
+    "lattice": build_lattice,
+    "scenario": build_scenario,
 }
 
 

@@ -582,8 +582,7 @@ def verify_thm_worb(inst: StructuredInstance, require_agreeable: bool = True,
     return ThmWorbReport(w1, classes_closed, w2_witness, w3, w4, equivalent)
 
 
-def stabilizer_and_fixset_closed(inst: StructuredInstance,
-                                 caps: Caps = DEFAULT_CAPS) -> bool:
+def stabilizer_and_fixset_closed(inst: StructuredInstance) -> bool:
     """On agreeable instances: class stabilizers are pseudo-closed whenever
     the class is, and translate-fix sets are pseudo-closed whenever the
     relation is."""

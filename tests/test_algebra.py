@@ -511,8 +511,11 @@ def test_affine_multiplication_convention():
     assert ab == 3 * nm + ident_mat_idx  # vector (1,1)
 
 
-def test_affine_rejects_large():
-    with pytest.raises(UnsupportedParameters):
+def test_affine_rejects_large(monkeypatch):
+    """affine(3,3), order 303,264, is within the family's bounds and refused
+    from its order before a matrix is enumerated; q = 5 is outside them."""
+    monkeypatch.setattr(algebra, "affine_components", lambda *args: pytest.fail("built"))
+    with pytest.raises(GroupTooLarge, match="group order 303264 exceeds bound 2000"):
         named_group("affine", q=3, dim=3)
     with pytest.raises(UnsupportedParameters):
         named_group("affine", q=5, dim=1)
@@ -525,7 +528,7 @@ def test_affine_cap_is_checked_before_enumerating(monkeypatch):
         raise AssertionError(f"affine_components({q}, {dim}) called")
 
     monkeypatch.setattr(algebra, "affine_components", enumerate_nothing)
-    with pytest.raises(UnsupportedParameters, match="order 11612160"):
+    with pytest.raises(GroupTooLarge, match="order 11612160"):
         named_group("affine", q=4, dim=3)
 
 

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from elliskit import ellis
 from elliskit.algebra import are_isomorphic, named_group
-from elliskit.caps import DEFAULT_CAPS, Caps
+from elliskit.caps import Caps
 from elliskit.errors import (
     ClosureCapExceeded,
     GroupMismatch,
@@ -105,12 +105,12 @@ def test_closure_cap():
     f = transformation_flow([(1, 2, 3, 4, 0), (0, 0, 2, 3, 4)])
     with pytest.raises(ClosureCapExceeded,
                        match=r"^composition closure exceeded cap 3 \(3 elements found\)$"):
-        enveloping_semigroup(f, caps=Caps(closure_cap=3, mul_table_cap=3))
+        enveloping_semigroup(f, caps=Caps(closure_cap=3))
     with pytest.raises(ClosureCapExceeded) as info:
-        enveloping_semigroup(f, caps=Caps(closure_cap=609, mul_table_cap=3))
+        enveloping_semigroup(f, caps=Caps(closure_cap=609))
     assert (info.value.partial_count, info.value.cap) == (609, 609)
     assert str(info.value) == "composition closure exceeded cap 609 (609 elements found)"
-    assert enveloping_semigroup(f, caps=Caps(closure_cap=610, mul_table_cap=3)).size == 610
+    assert enveloping_semigroup(f, caps=Caps(closure_cap=610)).size == 610
 
 
 def test_mul_is_composition():
@@ -122,10 +122,12 @@ def test_mul_is_composition():
             assert elements[S.mul(i, j)] == composed
 
 
-def test_lazy_mul_matches_table():
+def test_lazy_mul_matches_table(monkeypatch):
     f = swap_const_flow()
-    with_table = enveloping_semigroup(f, caps=Caps(mul_table_cap=512))
-    lazy = enveloping_semigroup(f, caps=Caps(mul_table_cap=1))
+    with_table = enveloping_semigroup(f)
+    monkeypatch.setattr(ellis, "_TABLE_LIMIT", 0)
+    lazy = enveloping_semigroup(f)
+    assert with_table._table is not None and lazy._table is None
     for i in range(with_table.size):
         for j in range(with_table.size):
             assert with_table.mul(i, j) == lazy.mul(i, j)
@@ -141,14 +143,16 @@ def first_ideal_group(flow):
 
 def test_d100_regular_shape():
     S, ideals, G = first_ideal_group(regular_flow(named_group("dihedral", n=100)))
-    assert S.size == 200 <= DEFAULT_CAPS.mul_table_cap
+    assert S.size == 200 <= ellis._TABLE_LIMIT
+    assert S._table is not None
     assert len(ideals) == 1
     assert G.group_view.order == 200
 
 
 def test_s6_natural_shape_above_table_cap():
     S, ideals, G = first_ideal_group(natural_flow(named_group("symmetric", n=6)))
-    assert S.size == 720 > DEFAULT_CAPS.mul_table_cap
+    assert S.size == 720 > ellis._TABLE_LIMIT
+    assert S._table is None
     assert len(ideals) == 1
     assert G.group_view.order == 720
     assert are_isomorphic(G.group_view, named_group("symmetric", n=6))

@@ -148,17 +148,25 @@ def rank_two_flows(seed, count):
             yield transformation_flow(maps)
 
 
-CAPS = pytest.mark.parametrize(
-    "caps", [DEFAULT_CAPS, replace(DEFAULT_CAPS, mul_table_cap=0)],
-    ids=["full-table", "on-demand"])
+@pytest.fixture
+def table_limit(request, monkeypatch):
+    """`ellis._TABLE_LIMIT`, the largest closure given a full table, set to
+    the parameter for one test: 0 composes every product on demand."""
+    monkeypatch.setattr(ellis, "_TABLE_LIMIT", request.param)
+    return request.param
 
 
-def assert_ideals_and_groups_match_oracles(flow, caps):
+TABLE_PATHS = pytest.mark.parametrize(
+    "table_limit", [ellis._TABLE_LIMIT, 0], ids=["full-table", "on-demand"],
+    indirect=True)
+
+
+def assert_ideals_and_groups_match_oracles(flow):
     """Compare the closure, its products, its minimal left ideals and every
     ideal group with the oracles; returns the number of ideals."""
     elements, gens = oracles.closure(flow.generator_maps())
     table = oracles.composition_table(elements)
-    S = enveloping_semigroup(flow, caps=caps)
+    S = enveloping_semigroup(flow)
     assert oracles.elements_of(S) == elements
     assert S.generators == gens
     for i in range(S.size):
@@ -179,20 +187,20 @@ def assert_ideals_and_groups_match_oracles(flow, caps):
     return len(ideals)
 
 
-@CAPS
-def test_closure_ideals_and_groups_match_oracles(caps):
+@TABLE_PATHS
+def test_closure_ideals_and_groups_match_oracles(table_limit):
     compared = 0
     for flow in random_flows(11, 300):
         if len(oracles.closure(flow.generator_maps())[0]) > ORACLE_SIZE:
             continue
         compared += 1
-        assert_ideals_and_groups_match_oracles(flow, caps)
+        assert_ideals_and_groups_match_oracles(flow)
     assert compared >= 250
 
 
-@CAPS
-def test_several_ideals_of_rank_two_match_oracles(caps):
-    counts = [assert_ideals_and_groups_match_oracles(flow, caps)
+@TABLE_PATHS
+def test_several_ideals_of_rank_two_match_oracles(table_limit):
+    counts = [assert_ideals_and_groups_match_oracles(flow)
               for flow in rank_two_flows(5, 300)]
     assert len(counts) >= 90
     assert sum(k > 1 for k in counts) >= 30
@@ -247,28 +255,28 @@ def assert_closure_matches_oracle(S, maps):
 
 
 @pytest.mark.parametrize("points", [255, 256, 257])
-@CAPS
-def test_closures_around_256_points_match_oracles(points, caps):
+@TABLE_PATHS
+def test_closures_around_256_points_match_oracles(points, table_limit):
     compared = 0
     for maps in wide_maps(points, points, 30):
         flow = transformation_flow(maps)
         if len(oracles.closure(maps)[0]) > 40:
             continue
         compared += 1
-        assert_closure_matches_oracle(enveloping_semigroup(flow, caps=caps), maps)
-        assert_ideals_and_groups_match_oracles(flow, caps)
+        assert_closure_matches_oracle(enveloping_semigroup(flow), maps)
+        assert_ideals_and_groups_match_oracles(flow)
     assert compared >= 20
 
 
 def test_closure_above_the_table_cap_around_256_points():
     """A 5-cycle and a rank-4 idempotent moved onto points that include 255
-    and the top point: 610 elements, above `mul_table_cap`, so products are
+    and the top point: 610 elements, above `ellis._TABLE_LIMIT`, so products are
     composed on demand. The 256-point (bytes) and 257-point (tuples)
     closures match the oracle and have the same right graph, products and
     minimal ideals as the 5-point one."""
     gens = [[1, 2, 3, 4, 0], [0, 0, 2, 3, 4]]
     S5 = enveloping_semigroup(transformation_flow(gens))
-    assert S5.size == 610 > DEFAULT_CAPS.mul_table_cap
+    assert S5.size == 610 > ellis._TABLE_LIMIT
     rng = random.Random(3)
     pairs = [(rng.randrange(S5.size), rng.randrange(S5.size)) for _ in range(200)]
     for points, moved in ((256, [255, 3, 254, 100, 0]), (257, [255, 3, 256, 100, 0])):
@@ -286,7 +294,7 @@ def test_closure_above_the_table_cap_around_256_points():
 
 def mid_sized_closures(seed, points):
     """Random maps on 5 or 6 points, two or three of them, kept when their
-    closure holds 500 to 2,000 elements: above `mul_table_cap`, so no
+    closure holds 500 to 2,000 elements: above `ellis._TABLE_LIMIT`, so no
     table is built from the spanning tree. With `points` above 256 the
     maps are moved onto points that include 255 and the top point, so the
     closure holds tuples."""
@@ -308,11 +316,12 @@ def mid_sized_closures(seed, points):
 @pytest.mark.parametrize("points", [6, 257])
 def test_left_graph_and_spanning_tree_above_the_table_cap(points):
     """Left products composed by `times(g)[w]` against literal g∘w lookups,
-    the right graph against literal w∘g, and the spanning tree: element
-    k + t was first found as parent[t]·via[t], from an earlier element, in
-    the oracle's right-only discovery order."""
+    the right graph against literal w∘g, and the spanning tree that
+    `algebra._right_closure` returns (the semigroup does not keep it):
+    element k + t was first found as parent[t]·via[t], from an earlier
+    element, in the oracle's right-only discovery order."""
     for maps, S in islice(mid_sized_closures(points, points), 6):
-        assert DEFAULT_CAPS.mul_table_cap < S.size <= 2000
+        assert ellis._TABLE_LIMIT < S.size <= 2000
         assert S._table is None
         elements, gens = oracles.closure(maps)
         assert oracles.elements_of(S) == elements
@@ -321,7 +330,9 @@ def test_left_graph_and_spanning_tree_above_the_table_cap(points):
             [[index[oracles.compose(elements[g], w)] for w in elements] for g in gens]
         assert [list(col) for col in S.right] == \
             [[index[oracles.compose(w, elements[g])] for w in elements] for g in gens]
-        parent, via = S.tree
+        closed, _, right, parent, via = algebra._right_closure(
+            S.flow.generator_maps(), S.key, S.size, AssertionError)
+        assert (closed, right) == (S.maps, S.right)
         assert len(parent) == len(via) == S.size - k
         for t, (p, h) in enumerate(zip(parent, via)):
             assert 0 <= h < k and 0 <= p < k + t
@@ -330,7 +341,7 @@ def test_left_graph_and_spanning_tree_above_the_table_cap(points):
 
 @pytest.mark.parametrize("points", [6, 257])
 def test_kernel_reads_above_the_table_cap_match_oracles(points):
-    """Above `mul_table_cap`, on bytes (6 points) and tuple (257 points)
+    """Above `ellis._TABLE_LIMIT`, on bytes (6 points) and tuple (257 points)
     maps, where each left product g·w is composed by `times(g)[w]`: the kernel
     element has the minimum rank over the oracle closure, S·s is the
     oracle's left reach for it and seeded others, and the minimal left
@@ -360,17 +371,18 @@ def test_kernel_reads_above_the_table_cap_match_oracles(points):
 
 
 @pytest.mark.parametrize("points", [5, 257])
-@pytest.mark.parametrize("table_cap", [1000, 0], ids=["full-table", "on-demand"])
-def test_cayley_graphs_are_int_array_columns(points, table_cap):
+@pytest.mark.parametrize("table_limit", [1000, 0], ids=["full-table", "on-demand"],
+                         indirect=True)
+def test_cayley_graphs_are_int_array_columns(points, table_limit):
     """The one Cayley graph, the right one, is one `array('i')` column per
     generator, each as long as the closure, on bytes (5 points) and tuple
     (257 points) maps; no left graph is held; and row a, `times(a)`, gives
     every product a·b, with the table and without."""
     gens = [[1, 2, 3, 4, 0], [0, 0, 2, 3, 4]]
     maps = gens if points == 5 else embedded(gens, points, [255, 3, 256, 100, 0])
-    caps = replace(DEFAULT_CAPS, mul_table_cap=table_cap)
-    S = enveloping_semigroup(transformation_flow(maps), caps=caps)
+    S = enveloping_semigroup(transformation_flow(maps))
     assert S.size == 610
+    assert (S._table is None) == (table_limit == 0)
     assert len(S.right) == len(S.generators) == 2
     for col in S.right:
         assert (type(col), col.typecode, len(col)) == (array, "i", S.size)
@@ -384,10 +396,10 @@ def test_cayley_graphs_are_int_array_columns(points, table_cap):
 
 def test_t6_closure_holds_at_most_200_bytes_an_element():
     """The T6 closure (46,656 elements, three generators) under tracemalloc:
-    the maps as bytes, the map -> index dict, the right Cayley graph at 4
-    bytes an edge and the spanning tree at 8 bytes an element hold about
-    153 bytes an element; with a left graph as well they held 165, and
-    with both graphs as a tuple of edges per element, 276."""
+    the maps as bytes, the map -> index dict and the right Cayley graph at
+    4 bytes an edge hold about 144 bytes an element. Keeping the spanning
+    tree as well, at 8 bytes an element, held 153; a left graph on top,
+    165; and both graphs as a tuple of edges per element, 276."""
     _, flow = next(t6_and_s6())
     tracemalloc.start()
     try:
@@ -407,15 +419,15 @@ def kernel_element_families():
         yield from map(transformation_flow, wide_maps(points, points, 30))
 
 
-@CAPS
-def test_kernel_element_has_minimum_rank(caps):
+@TABLE_PATHS
+def test_kernel_element_has_minimum_rank(table_limit):
     compared = 0
     for flow in kernel_element_families():
         elements, _ = oracles.closure(flow.generator_maps())
         if len(elements) > ORACLE_SIZE:
             continue
         compared += 1
-        e = _kernel_element(enveloping_semigroup(flow, caps=caps))
+        e = _kernel_element(enveloping_semigroup(flow))
         assert len(set(elements[e])) == min(len(set(w)) for w in elements)
     assert compared >= 250
 
@@ -428,10 +440,10 @@ def t6_and_s6():
 
 @pytest.mark.parametrize("maps, flow", t6_and_s6(), ids=["T6", "S6"])
 def test_products_above_the_table_cap_match_oracle(maps, flow):
-    """The closure above `mul_table_cap` (T6 and S6), its first ideal group
+    """The closure above `ellis._TABLE_LIMIT` (T6 and S6), its first ideal group
     and products composed on demand against the oracle's tuples."""
     S = enveloping_semigroup(flow)
-    assert S.size > DEFAULT_CAPS.mul_table_cap
+    assert S.size > ellis._TABLE_LIMIT
     M = minimal_left_ideals(S)[0]
     ideal_group(M, M.idempotents[0])
     rng = random.Random(1)
@@ -497,7 +509,7 @@ def ideal_products(S, ideal):
 
 def test_deferred_ideal_groups_match_oracle():
     """The ideal groups of 400 seeded transformation flows and of S6 acting
-    naturally (720 elements, above `mul_table_cap`): members and generators
+    naturally (720 elements, above `ellis._TABLE_LIMIT`): members and generators
     before any table is read, then `mul` and `inverse` built on first read,
     against the oracle's lookups in the composed products."""
     rng = random.Random(23)

@@ -134,7 +134,7 @@ def test_product_cap():
 
     big = natural_flow(named_group("cyclic", n=50))
     with pytest.raises(SizeCapExceeded):
-        product_flow([big, big], caps=Caps(product_points_cap=100))
+        product_flow([big, big], caps=Caps(points_cap=100))
 
 
 def test_union_of_one():

@@ -304,8 +304,8 @@ def test_cli_malformed_transformations_exit_2(tmp_path, capsys, maps, message):
 
 
 def test_cli_named_group_above_group_order_cap_exits_2(tmp_path, capsys):
-    """cyclic(2001) is within `named_group_cap` but above the hard
-    `group_order_cap` of 2,000: refused from its order, before it is built."""
+    """cyclic(2001) is above the hard `group_order_cap` of 2,000: refused
+    from its order, before it is built."""
     path = write(tmp_path, "f.json", {"group": {"kind": "named", "name": "cyclic",
                                                 "n": 2001}, "action": "regular"})
     assert main(["ellis", path]) == 2
@@ -481,6 +481,9 @@ def cli_env(**extra):
     ('{"closure_cap": "1000"}', "must be non-negative integers"),
     ('{"closure_cap": 5, "closure_cap": 100000}', "duplicate key 'closure_cap'"),
     ('{"partition_points_cap": 8}', "unknown cap names"),
+    ('{"mul_table_cap": 50000}', "unknown cap names"),
+    ('{"named_group_cap": 5000}', "unknown cap names"),
+    ('{"product_points_cap": 20000}', "unknown cap names"),
 ])
 def test_cli_malformed_caps_env_exit_2(value, message):
     done = subprocess.run(

@@ -1,7 +1,9 @@
 """The code-line counter in ``tools/code_lines.py``, run as a script on a
 package whose lines are counted by hand, and the report digest of
-``tools/report_digests.py`` on hand-written reports."""
+``tools/report_digests.py`` on hand-written reports, and an AST scan of the
+package for caps that nothing reads."""
 
+import ast
 import importlib.util
 import json
 import subprocess
@@ -88,3 +90,29 @@ def test_report_digest_changes_with_everything_but_timing():
                 dict(REPORT, extra=None)]
     digests = {of(report) for report in variants}
     assert len(digests) == len(variants) and base not in digests
+
+
+def test_no_dead_caps_in_src():
+    """Every `Caps` field is read somewhere in the package outside `caps.py`,
+    and every function parameter named `caps` is read by its function: a cap
+    that nothing reads, or one handed to a function that ignores it, bounds
+    nothing."""
+    from dataclasses import fields
+
+    from elliskit.caps import Caps
+
+    read, unused = set(), []
+    for path in sorted((ROOT / "src" / "elliskit").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and path.name != "caps.py":
+                read.add(node.attr)
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args
+                if "caps" in [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] \
+                        and not any(isinstance(n, ast.Name) and n.id == "caps"
+                                    and isinstance(n.ctx, ast.Load)
+                                    for n in ast.walk(node)):
+                    unused.append(f"{path.name}:{node.lineno}")
+    assert [f.name for f in fields(Caps) if f.name not in read] == []
+    assert unused == []
