@@ -4,16 +4,19 @@ Elements are always the indices 0..n-1. The canonical element order of a
 group built from permutation generators is discovery order: a breadth-first
 walk that starts from the deduplicated generators (in input order) and
 right-multiplies by generators. That walk is the package's one composition
-closure (`_right_closure`, Froidure & Pin 1997), and `_table_by_rows` is its
-one table builder: a few literal rows, every other row composed from them.
-Both serve permutation groups here and enveloping semigroups and their
-ideal groups in `ellis`. The table builder also gives a quotient group its
-coset table, and quotient and table-given groups their greedy generating
-sets. A group known by literal rows (permutation, affine and ideal groups,
-`_group_by_rows`) reads only its identity's and generators' rows when it
-is built, finds a greedy generating set by walking them when it has none,
-and fills in `mul` and `inverse` on first read. An affine group is
-its elements' permutations w -> v + Mw of the vector indices, built from
+closure (`_right_closure`, Froidure & Pin 1997); it keeps the maps and
+their index and nothing else. `_table_by_rows` is the one table builder: a
+few literal rows, every other row composed from them. A closure's literal
+row is composed from its maps (`_ComposedRow`), which is also how a
+product is read where no table is held. These serve permutation groups
+here and enveloping semigroups and their ideal groups in `ellis`. The
+table builder also gives a quotient group its coset table, and quotient
+and table-given groups their greedy generating sets. A group known by
+literal rows (permutation, affine and ideal groups, `_group_by_rows`)
+reads only its identity's and generators' rows when it is built, finds a
+greedy generating set by walking them when it has none, and fills in
+`mul` and `inverse` on first read. An affine group is its elements'
+permutations w -> v + Mw of the vector indices, built from
 each matrix's map on them, so the only GF(q) arithmetic is one M·w loop.
 All values are immutable after construction, except that a group fills in
 its tables on first read and its subgroup lattice on first enumeration,
@@ -34,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from array import array
 from dataclasses import dataclass, field
 from operator import index, itemgetter
 
@@ -48,6 +50,7 @@ from .errors import (
     NotAssociative,
     NotBijective,
     NotNormal,
+    TheoremViolation,
     UnsupportedParameters,
 )
 
@@ -314,21 +317,36 @@ def _composer(inner):
     return lambda outer: ()
 
 
-def cayley_row(right, parent, via, i):
-    """Every product i·j, indexed by j, read off a right Cayley graph
-    (Froidure & Pin 1997) instead of composing elements.
+class _ComposedRow:
+    """Row a of the multiplication table of a composition closure, not
+    materialized: row[b] is the index of a∘b in `keys`, composed when read,
+    with no memo. One `translate` by a's table, padded once, on at most 256
+    points; one `compose_maps` above."""
 
-    Generator g is element g and the graph is one column per generator:
-    right[g][w] is the index of w·g. The spanning tree of a closure in
-    right-only discovery order is two `array('i')` columns: element
-    k + t (k generators) was first found as parent[t]·via[t], so
-    i·(p·h) = (i·p)·h is one lookup, and parents come before children.
-    """
-    row = array("i", [col[i] for col in right])
-    append = row.append
-    for p, h in zip(parent, via):
-        append(right[h][row[p]])
-    return row
+    __slots__ = ("maps", "keys", "a", "outer")
+
+    def __init__(self, maps, keys, a):
+        outer = maps[a]
+        self.maps, self.keys, self.a = maps, keys, a
+        self.outer = outer.ljust(256, b"\0") if type(outer) is bytes else outer
+
+    def __getitem__(self, b):
+        inner = self.maps[b]
+        if type(inner) is bytes:
+            return self.keys[inner.translate(self.outer)]
+        return self.keys[compose_maps(self.outer, inner)]
+
+    def literal(self):
+        """The whole row as a tuple, composed at C level. A product missing
+        from `keys` means the maps are not closed under composition."""
+        outer = itertools.repeat(self.outer)
+        row = tuple(map(self.keys.get, map(bytes.translate, self.maps, outer)
+                        if type(self.outer) is bytes else
+                        map(compose_maps, outer, self.maps)))
+        if None in row:
+            raise TheoremViolation("composition closure not closed",
+                                   (self.a, row.index(None)))
+        return row
 
 
 def _key_type(points):
@@ -345,38 +363,29 @@ def _right_closure(generators, key, cap, overflow):
     than tuples), or tuples, where it is one `itemgetter` call
     (`_composer`). The deduplicated generators come first, in input order;
     each element w is then composed with every generator g on the right
-    once. Returns (maps, keys, right, parent, via): the maps in discovery
-    order, the dict from each map to its index, the right Cayley graph as
-    one `array('i')` column per generator (right[g][w] is the index of
-    w·g), and the spanning tree as two `array('i')` columns: element k + t
-    (k generators) was first found as parent[t]·via[t]. A new element past
-    `cap` raises `overflow(elements found)`.
+    once and looked up, so the closure is closed when the walk ends.
+    Returns (maps, keys, k): the maps in discovery order, the dict from
+    each map to its index, and the number k of distinct generators, which
+    are elements 0..k-1. A new element past `cap` raises
+    `overflow(elements found)`.
     """
     maps, keys = [], {}
     for m in map(key, generators):
         if m not in keys:
             keys[m] = len(maps)
             maps.append(m)
-    right = [array("i") for _ in maps]
-    parent, via = array("i"), array("i")
     padded = key is bytes
-    cols = [(g.translate if padded else _composer(g), h, col.append)
-            for h, (g, col) in enumerate(zip(maps, right))]
-    get = keys.get
-    for w, m in enumerate(maps):
+    steps = [g.translate if padded else _composer(g) for g in maps]
+    for m in maps:                                  # grows
         tw = m.ljust(256, b"\0") if padded else m
-        for times_g, h, r_add in cols:
+        for times_g in steps:
             cand = times_g(tw)                      # w∘g
-            got = get(cand)
-            if got is None:
+            if cand not in keys:
                 if len(maps) >= cap:
                     raise overflow(len(maps))
-                got = keys[cand] = len(maps)
+                keys[cand] = len(maps)
                 maps.append(cand)
-                parent.append(w)
-                via.append(h)
-            r_add(got)
-    return maps, keys, right, parent, via
+    return maps, keys, len(steps)
 
 
 def _table_by_rows(n, literal_row, start=()):
@@ -448,8 +457,8 @@ def group_from_permutations(degree, generators, caps: Caps = DEFAULT_CAPS,
                             name=None) -> FiniteGroup:
     """Close permutation generators under composition (`_right_closure`);
     discovery element order. The table is filled on first read
-    (`_group_by_rows`) from literal rows read off the closure's right
-    Cayley graph (`cayley_row`)."""
+    (`_group_by_rows`) from literal rows, each composed from the closure's
+    maps (`_ComposedRow.literal`)."""
     gens = []
     for i, g in enumerate(generators):
         p = tuple(_integer(x, f"generator {i} entry") for x in g)
@@ -457,10 +466,10 @@ def group_from_permutations(degree, generators, caps: Caps = DEFAULT_CAPS,
             raise NotBijective(i, p)
         gens.append(p)
     key, cap = _key_type(degree), caps.group_order_cap
-    maps, keys, right, parent, via = _right_closure(
+    maps, keys, k = _right_closure(
         gens or [range(degree)], key, cap, lambda count: GroupTooLarge(count + 1, cap))
-    return _group_by_rows(len(maps), lambda i: tuple(cayley_row(right, parent, via, i)),
-                          keys[key(range(degree))], gens=range(len(right)),
+    return _group_by_rows(len(maps), lambda a: _ComposedRow(maps, keys, a).literal(),
+                          keys[key(range(degree))], gens=range(k),
                           perms=tuple(map(tuple, maps)), name=name)[0]
 
 

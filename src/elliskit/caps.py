@@ -28,12 +28,11 @@ class Caps:
     subgroup_enum_cap: int = 360     # largest group whose subgroups we enumerate
     iso_order_cap: int = 2000        # largest orders fed to isomorphism search
     closure_cap: int = 50000         # enveloping semigroup element cap;
-                                     # an element holds about 144 bytes on
-                                     # 6 points (the T6 closure, 46,656
-                                     # elements, 6.7 MB under tracemalloc):
-                                     # its bytes map, its list slot and dict
-                                     # entry, and 4 bytes per right Cayley
-                                     # graph edge (1 per generator)
+                                     # an element holds about 131.5 bytes
+                                     # on 6 points (the T6 closure, 46,656
+                                     # elements, 6.1 MB under tracemalloc):
+                                     # its bytes map, its list slot and its
+                                     # dict entry
     independence_k_cap: int = 4      # largest independent-family size searched
     lattice_cap: int = 4096          # largest explicit lattice (number of
                                      # sets), and of invariant relations

@@ -9,34 +9,30 @@ intersection of closures of neighbourhoods of the identity is a singleton.
 The operations below still evaluate the defining formulas literally and
 raise TheoremViolation if the collapse ever failed to hold.
 
-The closure keeps one Cayley graph over the generators, the right one, and
-bulk products are read off it instead of composing point tuples: Froidure
-& Pin, "Algorithms for computing finite semigroups" (1997); East,
+The closure is `algebra._right_closure`, the one permutation groups use
+(Froidure & Pin, "Algorithms for computing finite semigroups", 1997; East,
 Egri-Nagy, Mitchell & Péresse, "Computing finite semigroups", J. Symb.
-Comput. 92 (2019). The graph is one `array('i')` column per generator, so
-an edge costs 4 bytes. The closure itself is `algebra._right_closure`, the
-one permutation groups use: only right products are composed and hashed,
-one `bytes.translate` each on at most 256 points and one `itemgetter` call
-above, and each new element records its spanning-tree parent and
-generator. The semigroup keeps the maps as the closure built them. A
-closure of at most `_TABLE_LIMIT` (512) elements gets its full table from
-`algebra._table_by_rows`: a few literal rows, the rest composed by
-row(a·g) = row(a)∘row(g), the literal rows read off the tree by
-associativity, i·(p·h) = (i·p)·h, one lookup an entry; the tree is then
-dropped. An ideal group reads only the rows of its identity and
-generators, checks the group axioms on them, and builds its table from
-them on first read (`algebra._group_by_rows`). No left graph is
-held: every left product g·w goes through `EllisSemigroup.times`, a table
-row lookup or, above `_TABLE_LIMIT`, one composition, and it is read only
-where the kernel needs it. Minimal left ideals are read from the minimal
-ideal K, the elements of minimum rank: one such e is found from the orbit
-of the generators' images under the left action, without looking at every
-element; then S·e and its orbit under right multiplication by the
-generators, certified complete by closing their union under left and right
-products by the generators (the Green's-structure route of East et al.
-2019). Each is checked in O(|M|·k) to be closed and strongly connected.
-After the closure, finding the minimal ideals reads only the image orbit
-and the kernel's own elements.
+Comput. 92, 2019): each element is composed with every generator on the
+right once and looked up, one `bytes.translate` each on at most 256 points
+and one `itemgetter` call above. It keeps the maps and their index and no
+Cayley graph: the closure is only the means to reach the minimal ideals.
+Every product goes through `EllisSemigroup.times`. A closure of at most
+`_TABLE_LIMIT` (512) elements gets its full table from
+`algebra._table_by_rows`: at most k literal rows (k generators), each
+composed from the maps, and every other row composed by row(a·g) =
+row(a)∘row(g). Above it a product is one composition, made only where it
+is read (the kernel walks and generator checks). An ideal group reads only
+the rows of its identity and generators, checks the group axioms on them,
+and builds its table from them on first read (`algebra._group_by_rows`).
+Minimal left ideals are read from the minimal ideal K, the elements of
+minimum rank: one such e is found from the orbit of the generators' images
+under the left action, without looking at every element; then S·e and its
+orbit under right multiplication by the generators, certified complete by
+closing their union under left and right products by the generators (the
+Green's-structure route of East et al. 2019). Each is checked in O(|M|·k)
+to be closed and strongly connected. After the closure, finding the
+minimal ideals reads only the image orbit and the kernel's own elements,
+|K|·k products.
 """
 
 from __future__ import annotations
@@ -46,13 +42,12 @@ from dataclasses import dataclass
 from .algebra import (
     FiniteGroup,
     Subgroup,
+    _ComposedRow,
     _group_by_rows,
     _key_type,
     _right_closure,
     _table_by_rows,
     _walk,
-    cayley_row,
-    compose_maps,
 )
 from .caps import DEFAULT_CAPS, Caps
 from .errors import (
@@ -76,49 +71,28 @@ from .flows import Flow, FlowMorphism, check_morphism
 _TABLE_LIMIT = 512
 
 
-class _ComposedRow:
-    """Row a of a multiplication table that is not materialized: row[b] is
-    the index of a·b, composed when read, with no memo. One `translate` by
-    a's table, padded once, on at most 256 points; one `compose_maps`
-    above."""
-
-    __slots__ = ("maps", "keys", "outer")
-
-    def __init__(self, maps, keys, outer):
-        self.maps, self.keys = maps, keys
-        self.outer = outer.ljust(256, b"\0") if type(outer) is bytes else outer
-
-    def __getitem__(self, b):
-        inner = self.maps[b]
-        if type(inner) is bytes:
-            return self.keys[inner.translate(self.outer)]
-        return self.keys[compose_maps(self.outer, inner)]
-
-
 class EllisSemigroup:
     """Composition closure of the acting maps, in discovery order.
 
     `maps` holds the elements as the closure built them: `bytes` on at most
     256 points, tuples of ints above; either way maps[i][x] is an int.
     `keys` maps each of them back to its index, and `key` turns any sequence
-    of points into that type. Generator g is element g. `right` is the one
-    Cayley graph, one `array('i')` column per generator, 4 bytes an edge:
-    right[g][w] is the index of w·g. Left products are not held: `times(a)`
-    is row a of the multiplication table, and every product, `mul`
-    included, is read from it. `_table` holds the full table for a closure
-    of at most `_TABLE_LIMIT` elements and is None above, where a row
-    composes each product as it is read, with no memo.
+    of points into that type. Generator g is element g. No Cayley graph is
+    held: `times(a)` is row a of the multiplication table, and every
+    product, `mul` and right products by generators included, is read from
+    it. `_table` holds the full table for a closure of at most
+    `_TABLE_LIMIT` elements and is None above, where a row composes each
+    product as it is read, with no memo.
     """
 
-    __slots__ = ("flow", "maps", "keys", "key", "generators", "right", "_table")
+    __slots__ = ("flow", "maps", "keys", "key", "generators", "_table")
 
-    def __init__(self, flow, maps, keys, right, table):
+    def __init__(self, flow, maps, keys, k, table):
         self.flow = flow
         self.maps = maps
         self.keys = keys
         self.key = _key_type(flow.points)
-        self.generators = tuple(range(len(right)))
-        self.right = right
+        self.generators = tuple(range(k))
         self._table = table
 
     @property
@@ -135,7 +109,7 @@ class EllisSemigroup:
         elements, a `_ComposedRow` above."""
         if self._table is not None:
             return self._table[a]
-        return _ComposedRow(self.maps, self.keys, self.maps[a])
+        return _ComposedRow(self.maps, self.keys, a)
 
     def left_reach(self, s: int) -> set[int]:
         """S·s: everything reachable by left multiplication (words >= 1),
@@ -178,27 +152,22 @@ def enveloping_semigroup(flow: Flow, caps: Caps = DEFAULT_CAPS) -> EllisSemigrou
     For a group flow the closure of any generating set of the (finite) group
     equals the full image of the group, so generators suffice. The closure
     is `algebra._right_closure`: each element w is composed with every
-    generator g on the right once, w∘g is looked up and its index appended
-    to the right Cayley graph's column g, and a new product records its
-    spanning-tree parent w and generator g. No left product is composed,
-    hashed or stored here. A closure of at most `_TABLE_LIMIT` elements
-    gets its full table, `algebra._table_by_rows` over literal rows read off
-    the spanning tree by associativity, i·(p·h) = (i·p)·h
-    (`algebra.cayley_row`, Froidure & Pin 1997); above it, left products are
-    composed where they are read. The tree is not kept either way.
+    generator g on the right once and w∘g is looked up; only the maps and
+    their index are kept. A closure of at most `_TABLE_LIMIT` elements gets
+    its full table, `algebra._table_by_rows` over at most k literal rows,
+    each composed from the maps (`algebra._ComposedRow.literal`, which
+    raises if a product is missing, so the closure's completeness is
+    checked where the table reads it); above it, products are composed
+    where they are read.
     """
     cap = caps.closure_cap
-    maps, keys, right, parent, via = _right_closure(
+    maps, keys, k = _right_closure(
         flow.generator_maps(), _key_type(flow.points), cap,
         lambda count: ClosureCapExceeded(count, cap))
-    n = len(maps)
-    # one-step stability: the closure is closed under the right graph
-    if max(map(max, right)) >= n:
-        raise TheoremViolation("composition closure not closed", n)
     table = None
-    if n <= _TABLE_LIMIT:
-        table, _ = _table_by_rows(n, lambda i: tuple(cayley_row(right, parent, via, i)))
-    return EllisSemigroup(flow, maps, keys, right, table)
+    if len(maps) <= _TABLE_LIMIT:
+        table, _ = _table_by_rows(len(maps), lambda a: _ComposedRow(maps, keys, a).literal())
+    return EllisSemigroup(flow, maps, keys, k, table)
 
 
 def minimal_left_ideals(S: EllisSemigroup) -> list[MinimalIdeal]:
@@ -212,22 +181,27 @@ def minimal_left_ideals(S: EllisSemigroup) -> list[MinimalIdeal]:
     right multiplication by the generators lists them all, whichever e was
     taken. Certificate: their union is closed under left and right
     multiplication by every generator, so it is an ideal and contains K.
-    Each ideal is validated against the structure facts, so a failure of
-    the rank argument raises instead of giving a wrong list.
+    Each l·g is read from row l, `S.times(l)[g]`, and only kernel elements
+    are multiplied: |K|·k products on each side. Each ideal is validated
+    against the structure facts, so a failure of the rank argument raises
+    instead of giving a wrong list.
     """
     found = [frozenset(S.left_reach(_kernel_element(S)))]
     seen = set(found)
     for L in found:
-        for col in S.right:
-            Lg = frozenset(map(col.__getitem__, L))
+        rows = [S.times(s) for s in L]
+        for g in S.generators:
+            Lg = frozenset([row[g] for row in rows])
             if Lg not in seen:
                 seen.add(Lg)
                 found.append(Lg)
     union = frozenset().union(*found)
-    for row in [S.times(g) for g in S.generators] + S.right:
-        if not union.issuperset(map(row.__getitem__, union)):
-            raise TheoremViolation("minimal left ideals miss part of the kernel",
-                                   next(m for m in union if row[m] not in union))
+    left = [S.times(g) for g in S.generators]
+    for m in union:
+        row = S.times(m)
+        for g, g_row in enumerate(left):
+            if row[g] not in union or g_row[m] not in union:
+                raise TheoremViolation("minimal left ideals miss part of the kernel", m)
     ideals = []
     for L in sorted(found, key=min):
         members = tuple(sorted(L))

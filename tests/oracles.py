@@ -7,8 +7,8 @@ witnessed classes, pseudo-closed lattices held as frozensets of
 indices, affine groups by matrix arithmetic over GF(q), and the
 homomorphism, action-axiom, equivariance, class-table, left-invariance,
 fiber-against-coset and orbitality definitions over every pair of
-elements. The production paths read products off Cayley
-graphs, work from generators and hold sets as bitmasks; these compose,
+elements. The production paths compose few products and read the rest
+off tables, work from generators and hold sets as bitmasks; these compose,
 multiply, scan everything or walk sets index by index instead, so they are
 slow but obviously right, and the differential tests compare the two.
 """

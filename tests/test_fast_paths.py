@@ -1,4 +1,4 @@
-"""Differential tests: the Cayley-graph products of the closure, its ideals,
+"""Differential tests: the composed products of the closure, its ideals,
 its ideal groups and permutation-group tables (built on first read) against
 the literal compose-everything oracles in ``oracles.py``, the product and union action
 tables against the coordinate decoders there, the cyclic-extension
@@ -21,7 +21,6 @@ against their all-pairs loops."""
 import json
 import random
 import tracemalloc
-from array import array
 from dataclasses import replace
 from itertools import islice
 
@@ -57,6 +56,7 @@ from elliskit.errors import (
     NotNormal,
     NotWeaklyOrbital,
     SizeCapExceeded,
+    TheoremViolation,
 )
 from elliskit.ellis import (
     _kernel_element,
@@ -236,22 +236,32 @@ def wide_maps(seed, points, count):
 
 def left_products(S):
     """Every g·w, g a generator, read from row g, `times(g)`: the semigroup
-    holds no left Cayley graph."""
+    holds no Cayley graph."""
     return [[S.times(g)[w] for w in range(S.size)] for g in S.generators]
 
 
-def assert_closure_matches_oracle(S, maps):
-    """Elements in discovery order, the map-keyed index, the right Cayley
-    graph and the left products by the generators against the oracle
-    closure."""
-    elements, gens = oracles.closure(maps)
+def right_products(S):
+    """Every w·g, g a generator, read from row w, `times(w)`."""
+    return [[S.times(w)[g] for w in range(S.size)] for g in S.generators]
+
+
+def assert_generator_products_match_oracle(S, elements, gens):
+    """Left products g·w and right products w·g by the generators against
+    literal g∘w and w∘g lookups in the oracle closure."""
     index = {e: i for i, e in enumerate(elements)}
-    assert oracles.elements_of(S) == elements
-    assert list(S.keys.items()) == list(zip(S.maps, range(S.size)))
-    assert [list(col) for col in S.right] == \
-        [[index[oracles.compose(w, elements[g])] for w in elements] for g in gens]
     assert left_products(S) == \
         [[index[oracles.compose(elements[g], w)] for w in elements] for g in gens]
+    assert right_products(S) == \
+        [[index[oracles.compose(w, elements[g])] for w in elements] for g in gens]
+
+
+def assert_closure_matches_oracle(S, maps):
+    """Elements in discovery order, the map-keyed index, and the left and
+    right products by the generators against the oracle closure."""
+    elements, gens = oracles.closure(maps)
+    assert oracles.elements_of(S) == elements
+    assert list(S.keys.items()) == list(zip(S.maps, range(S.size)))
+    assert_generator_products_match_oracle(S, elements, gens)
 
 
 @pytest.mark.parametrize("points", [255, 256, 257])
@@ -272,8 +282,9 @@ def test_closure_above_the_table_cap_around_256_points():
     """A 5-cycle and a rank-4 idempotent moved onto points that include 255
     and the top point: 610 elements, above `ellis._TABLE_LIMIT`, so products are
     composed on demand. The 256-point (bytes) and 257-point (tuples)
-    closures match the oracle and have the same right graph, products and
-    minimal ideals as the 5-point one."""
+    closures match the oracle and have the same products, those by the
+    generators on either side included, and minimal ideals as the 5-point
+    one."""
     gens = [[1, 2, 3, 4, 0], [0, 0, 2, 3, 4]]
     S5 = enveloping_semigroup(transformation_flow(gens))
     assert S5.size == 610 > ellis._TABLE_LIMIT
@@ -283,7 +294,8 @@ def test_closure_above_the_table_cap_around_256_points():
         maps = embedded(gens, points, moved)
         S = enveloping_semigroup(transformation_flow(maps))
         assert_closure_matches_oracle(S, maps)
-        assert (S.right, left_products(S)) == (S5.right, left_products(S5))
+        assert (right_products(S), left_products(S)) == \
+            (right_products(S5), left_products(S5))
         elements, index = oracles.elements_of(S), oracles.index_of(S)
         for i, j in pairs:
             assert S.mul(i, j) == S5.mul(i, j) == \
@@ -295,7 +307,7 @@ def test_closure_above_the_table_cap_around_256_points():
 def mid_sized_closures(seed, points):
     """Random maps on 5 or 6 points, two or three of them, kept when their
     closure holds 500 to 2,000 elements: above `ellis._TABLE_LIMIT`, so no
-    table is built from the spanning tree. With `points` above 256 the
+    table is built. With `points` above 256 the
     maps are moved onto points that include 255 and the top point, so the
     closure holds tuples."""
     rng = random.Random(seed)
@@ -314,29 +326,21 @@ def mid_sized_closures(seed, points):
 
 
 @pytest.mark.parametrize("points", [6, 257])
-def test_left_graph_and_spanning_tree_above_the_table_cap(points):
-    """Left products composed by `times(g)[w]` against literal g∘w lookups,
-    the right graph against literal w∘g, and the spanning tree that
-    `algebra._right_closure` returns (the semigroup does not keep it):
-    element k + t was first found as parent[t]·via[t], from an earlier
-    element, in the oracle's right-only discovery order."""
+def test_generator_products_above_the_table_cap_match_oracles(points):
+    """Above `ellis._TABLE_LIMIT`, on bytes (6 points) and tuple (257 points)
+    maps: left products composed by `times(g)[w]` against literal g∘w
+    lookups, right products `times(w)[g]` against literal w∘g, and
+    `algebra._right_closure`'s (maps, keys, k) against the oracle's
+    right-only discovery order and its distinct generators."""
     for maps, S in islice(mid_sized_closures(points, points), 6):
         assert ellis._TABLE_LIMIT < S.size <= 2000
         assert S._table is None
         elements, gens = oracles.closure(maps)
         assert oracles.elements_of(S) == elements
-        k, index = len(gens), oracles.index_of(S)
-        assert left_products(S) == \
-            [[index[oracles.compose(elements[g], w)] for w in elements] for g in gens]
-        assert [list(col) for col in S.right] == \
-            [[index[oracles.compose(w, elements[g])] for w in elements] for g in gens]
-        closed, _, right, parent, via = algebra._right_closure(
+        assert_generator_products_match_oracle(S, elements, gens)
+        closed, keys, k = algebra._right_closure(
             S.flow.generator_maps(), S.key, S.size, AssertionError)
-        assert (closed, right) == (S.maps, S.right)
-        assert len(parent) == len(via) == S.size - k
-        for t, (p, h) in enumerate(zip(parent, via)):
-            assert 0 <= h < k and 0 <= p < k + t
-            assert S.right[h][p] == k + t
+        assert (closed, keys, tuple(range(k))) == (S.maps, S.keys, gens)
 
 
 @pytest.mark.parametrize("points", [6, 257])
@@ -373,33 +377,54 @@ def test_kernel_reads_above_the_table_cap_match_oracles(points):
 @pytest.mark.parametrize("points", [5, 257])
 @pytest.mark.parametrize("table_limit", [1000, 0], ids=["full-table", "on-demand"],
                          indirect=True)
-def test_cayley_graphs_are_int_array_columns(points, table_limit):
-    """The one Cayley graph, the right one, is one `array('i')` column per
-    generator, each as long as the closure, on bytes (5 points) and tuple
-    (257 points) maps; no left graph is held; and row a, `times(a)`, gives
-    every product a·b, with the table and without."""
+def test_semigroup_holds_no_cayley_graph(points, table_limit):
+    """On bytes (5 points) and tuple (257 points) maps, with the table and
+    without: the semigroup holds its maps, their index and at most the
+    table, and no Cayley graph or spanning tree; row a, `times(a)`, gives
+    every product a·b, and the products by the generators on either side
+    match the oracle's."""
     gens = [[1, 2, 3, 4, 0], [0, 0, 2, 3, 4]]
     maps = gens if points == 5 else embedded(gens, points, [255, 3, 256, 100, 0])
     S = enveloping_semigroup(transformation_flow(maps))
     assert S.size == 610
     assert (S._table is None) == (table_limit == 0)
-    assert len(S.right) == len(S.generators) == 2
-    for col in S.right:
-        assert (type(col), col.typecode, len(col)) == (array, "i", S.size)
-    assert not hasattr(S, "left")
+    assert S.generators == (0, 1)
+    assert set(type(S).__slots__) == {"flow", "maps", "keys", "key", "generators", "_table"}
     elements, index = oracles.elements_of(S), oracles.index_of(S)
+    assert_generator_products_match_oracle(S, elements, S.generators)
     for a in random.Random(5).sample(range(S.size), 8):
         row = S.times(a)
         assert [row[b] for b in range(S.size)] == \
             [index[oracles.compose(elements[a], w)] for w in elements]
 
 
+@pytest.mark.parametrize("points", [3, 257])
+def test_literal_row_of_a_map_list_not_closed_raises(points, monkeypatch):
+    """A literal row composes a product missing from `keys` when the maps
+    are not closed: a 3-cycle and its square without the identity, by hand
+    and as the closure `enveloping_semigroup` builds its table from, on
+    bytes (3 points) and tuple (257 points) maps. Each raises
+    TheoremViolation, not KeyError."""
+    cycle = embedded([[1, 2, 0]], points, [0, min(points - 2, 255), points - 1])[0]
+    key = algebra._key_type(points)
+    maps = [key(cycle), key(oracles.compose(cycle, cycle))]
+    keys = {m: i for i, m in enumerate(maps)}
+    with pytest.raises(TheoremViolation, match="composition closure not closed") as err:
+        algebra._ComposedRow(maps, keys, 0).literal()
+    assert err.value.witness == (0, 1)          # cycle∘cycle² is the identity
+    assert algebra._ComposedRow(maps, keys, 0)[0] == 1
+    monkeypatch.setattr(ellis, "_right_closure", lambda *args: (maps, keys, 1))
+    with pytest.raises(TheoremViolation, match="composition closure not closed"):
+        enveloping_semigroup(transformation_flow([cycle]))
+
+
 def test_t6_closure_holds_at_most_200_bytes_an_element():
     """The T6 closure (46,656 elements, three generators) under tracemalloc:
-    the maps as bytes, the map -> index dict and the right Cayley graph at
-    4 bytes an edge hold about 144 bytes an element. Keeping the spanning
-    tree as well, at 8 bytes an element, held 153; a left graph on top,
-    165; and both graphs as a tuple of edges per element, 276."""
+    the maps as bytes and the map -> index dict hold about 131.5 bytes an
+    element, checked against 140. A right Cayley graph at 4 bytes an edge
+    held 144; a spanning tree as well, at 8 bytes an element, 153; a left
+    graph on top, 165; and both graphs as a tuple of edges per element,
+    276."""
     _, flow = next(t6_and_s6())
     tracemalloc.start()
     try:
@@ -408,7 +433,7 @@ def test_t6_closure_holds_at_most_200_bytes_an_element():
     finally:
         tracemalloc.stop()
     assert S.size == 46656
-    assert held <= 200 * S.size
+    assert held <= 140 * S.size
 
 
 def kernel_element_families():
