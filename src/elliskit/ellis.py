@@ -28,9 +28,10 @@ Minimal left ideals are read from the minimal ideal K, the elements of
 minimum rank: one such e is found from the orbit of the generators' images
 under the left action, without looking at every element; then S·e and its
 orbit under right multiplication by the generators, certified complete by
-closing their union under left and right products by the generators (the
-Green's-structure route of East et al. 2019). Each is checked in O(|M|·k)
-to be closed and strongly connected. After the closure, finding the
+checking that their union is closed under left products by the generators;
+it is closed under right products by construction (the Green's-structure
+route of East et al. 2019). Each is checked in O(|M|·k) to be closed and
+strongly connected. After the closure, finding the
 minimal ideals reads only the image orbit and the kernel's own elements,
 |K|·k products.
 """
@@ -179,12 +180,13 @@ def minimal_left_ideals(S: EllisSemigroup) -> list[MinimalIdeal]:
     rank, so for an e of minimum rank (`_kernel_element`), L = S·e is a
     minimal left ideal. Every minimal left ideal is L·s, so L's orbit under
     right multiplication by the generators lists them all, whichever e was
-    taken. Certificate: their union is closed under left and right
-    multiplication by every generator, so it is an ideal and contains K.
-    Each l·g is read from row l, `S.times(l)[g]`, and only kernel elements
-    are multiplied: |K|·k products on each side. Each ideal is validated
-    against the structure facts, so a failure of the rank argument raises
-    instead of giving a wrong list.
+    taken. Certificate: their union is closed under multiplication by every
+    generator on both sides, so it is an ideal and contains K. The right
+    side holds by construction: the orbit loop adds L·g for every L it
+    finds and every generator g, so m·g is in the union for every m in it.
+    The left side is checked, g·m from generator g's row: |K|·k products.
+    Each ideal is validated against the structure facts, so a failure of
+    the rank argument raises instead of giving a wrong list.
     """
     found = [frozenset(S.left_reach(_kernel_element(S)))]
     seen = set(found)
@@ -196,11 +198,10 @@ def minimal_left_ideals(S: EllisSemigroup) -> list[MinimalIdeal]:
                 seen.add(Lg)
                 found.append(Lg)
     union = frozenset().union(*found)
-    left = [S.times(g) for g in S.generators]
-    for m in union:
-        row = S.times(m)
-        for g, g_row in enumerate(left):
-            if row[g] not in union or g_row[m] not in union:
+    for g in S.generators:
+        g_row = S.times(g)
+        for m in union:
+            if g_row[m] not in union:
                 raise TheoremViolation("minimal left ideals miss part of the kernel", m)
     ideals = []
     for L in sorted(found, key=min):

@@ -7,6 +7,11 @@ class ElliskitError(Exception):
     """Base class for all toolkit errors."""
 
 
+class CapExceeded(ElliskitError):
+    """A computation would build more than a size cap allows: exit 2 at the
+    command line, from inside a `verify` suite too."""
+
+
 # -- algebra ---------------------------------------------------------------
 
 class NotAssociative(ElliskitError):
@@ -33,7 +38,7 @@ class NotBijective(ElliskitError):
         super().__init__(f"map {index} is not a bijection")
 
 
-class GroupTooLarge(ElliskitError):
+class GroupTooLarge(CapExceeded):
     def __init__(self, order, bound):
         self.order = order
         self.bound = bound
@@ -75,7 +80,7 @@ class OrbitNotDense(ElliskitError):
         super().__init__(f"basepoint orbit misses points {self.unreached}")
 
 
-class SizeCapExceeded(ElliskitError):
+class SizeCapExceeded(CapExceeded):
     def __init__(self, size, cap, what="object"):
         self.size = size
         self.cap = cap
@@ -95,7 +100,7 @@ class IncompatibleTower(ElliskitError):
 
 # -- ellis -----------------------------------------------------------------
 
-class ClosureCapExceeded(ElliskitError):
+class ClosureCapExceeded(CapExceeded):
     def __init__(self, partial_count, cap):
         self.partial_count = partial_count
         self.cap = cap

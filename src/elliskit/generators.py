@@ -3,12 +3,16 @@
 Groups come from a fixed catalog; actions are coset actions of random
 subgroups (plus regular and natural actions); relations are coset-block
 partitions, which are invariant by construction while still exercising
-non-normal subgroups."""
+non-normal subgroups.
+
+`_below` and `_subset` draw what `random.Random.randrange` and
+`random.Random.sample` draw, bit for bit, reading `getrandbits` alone."""
 
 from __future__ import annotations
 
 import functools
 import random
+from math import ceil, log
 
 from .algebra import (
     FiniteGroup,
@@ -47,6 +51,43 @@ def _catalog_groups() -> tuple[FiniteGroup, ...]:
     base += [direct_product(z2, z2), direct_product(z2, z3),
              direct_product(named_group("symmetric", n=3), z2)]
     return tuple(base)
+
+
+def _below(rng: random.Random, n: int) -> int:
+    """`rng.randrange(n)` for n >= 1, drawn as CPython's
+    `Random._randbelow_with_getrandbits` draws it: getrandbits of the bit
+    length of n, drawn again until it is below n."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def _subset(rng: random.Random, population, k: int) -> frozenset:
+    """`frozenset(rng.sample(population, k))`, drawn as CPython's
+    `Random.sample` draws it: up to setsize elements from a pool, moving the
+    last unchosen element into each vacancy; above it, indices below n
+    drawn until k distinct ones are in."""
+    n = len(population)
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    if n <= setsize:
+        pool = list(population)
+        chosen = []
+        for i in range(k):
+            j = _below(rng, n - i)
+            chosen.append(pool[j])
+            pool[j] = pool[n - i - 1]
+        return frozenset(chosen)
+    picked = set()
+    for _ in range(k):
+        j = _below(rng, n)
+        while j in picked:
+            j = _below(rng, n)
+        picked.add(j)
+    return frozenset(map(population.__getitem__, picked))
 
 
 def random_group(rng: random.Random, max_order: int) -> FiniteGroup:

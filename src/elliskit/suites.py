@@ -21,9 +21,11 @@ from .ellis import (
     minimal_left_ideals,
     tau_closure,
 )
-from .errors import ElliskitError, InvalidArgument
+from .errors import CapExceeded, ElliskitError, InvalidArgument
 from .flows import Flow, make_ambit
 from .generators import (
+    _below,
+    _subset,
     random_ellis_flow,
     random_group_like_setup,
     random_group_flow,
@@ -43,8 +45,22 @@ from .report import Report
 from .structured import is_agreeable, verify_thm_orb, verify_thm_worb
 
 
+def _record_error(rep: Report, name: str, exc: ElliskitError):
+    """Record a toolkit error as a failed check, except a cap hit: that is
+    raised again, so the command line exits 2, since a limit of the run is
+    not a verified violation."""
+    if isinstance(exc, CapExceeded):
+        raise exc
+    rep.record(name, False, str(exc))
+
+
 def _ellis_instance_checks(flow: Flow, rng: random.Random, caps: Caps):
-    """The full structure battery on one flow's enveloping semigroup."""
+    """The full structure battery on one flow's enveloping semigroup.
+
+    Its random elements and subsets are drawn by `generators._below` and
+    `generators._subset`, which read `rng.getrandbits` only and draw what
+    `rng.randrange` and `rng.sample` would, bit for bit, so the rng leaves
+    the battery in the state the next flow's draws expect."""
     failures = []
     S = enveloping_semigroup(flow, caps=caps)
     ideals = minimal_left_ideals(S)  # raises on any structure-fact failure
@@ -64,29 +80,31 @@ def _ellis_instance_checks(flow: Flow, rng: random.Random, caps: Caps):
     if len(orders) != 1:
         failures.append(("ideal groups share one order", sorted(orders)))
     # composition-limit identities on random data
-    elems = range(S.size)
+    size = S.size
+    elems = range(size)
     for _ in range(20):
-        a, b, c = (rng.choice(elems) for _ in range(3))
-        B = frozenset(rng.sample(elems, k=rng.randint(0, min(S.size, 8))))
-        C = frozenset(rng.sample(elems, k=rng.randint(0, min(S.size, 8))))
+        a, b, c = _below(rng, size), _below(rng, size), _below(rng, size)
+        B = _subset(rng, elems, _below(rng, min(size, 8) + 1))
+        C = _subset(rng, elems, _below(rng, min(size, 8) + 1))
+        row_a = S.times(a)
         aB = circ(S, a, B)
-        lhs = frozenset(S.mul(x, c) for x in aB)
-        if lhs != circ(S, a, frozenset(S.mul(x, c) for x in B)):
+        lhs = frozenset([S.times(x)[c] for x in aB])
+        if lhs != circ(S, a, frozenset([S.times(x)[c] for x in B])):
             failures.append(("right translation identity", (a, c)))
-        if not circ(S, a, circ(S, b, B)) <= circ(S, S.mul(a, b), B):
+        if not circ(S, a, circ(S, b, B)) <= circ(S, row_a[b], B):
             failures.append(("iterated limit inclusion", (a, b)))
-        if not frozenset(S.mul(a, x) for x in B) <= aB:
+        if not frozenset([row_a[x] for x in B]) <= aB:
             failures.append(("product inclusion", a))
         if circ(S, a, B | C) != aB | circ(S, a, C):
             failures.append(("union additivity", a))
     # closure-operator axioms and discreteness on the ideal groups
     for g in groups:
-        members = list(g.members)
+        members = g.members
         if tau_closure(g, frozenset()) != frozenset():
             failures.append(("empty set closed", g.idempotent))
         for _ in range(5):
-            A = frozenset(rng.sample(members, k=rng.randint(0, len(members))))
-            B = frozenset(rng.sample(members, k=rng.randint(0, len(members))))
+            A = _subset(rng, members, _below(rng, len(members) + 1))
+            B = _subset(rng, members, _below(rng, len(members) + 1))
             if tau_closure(g, A) != A:
                 failures.append(("discreteness", g.idempotent))
             if tau_closure(g, A | B) != tau_closure(g, A) | tau_closure(g, B):
@@ -106,7 +124,7 @@ def run_ellis_suite(rep: Report, instances: int, rng: random.Random,
         try:
             failures, size = _ellis_instance_checks(flow, rng, caps)
         except ElliskitError as exc:
-            rep.record(f"instance {i}", False, str(exc))
+            _record_error(rep, f"instance {i}", exc)
             continue
         sizes.append(size)
         if failures:
@@ -144,7 +162,7 @@ def run_grouplike_suite(rep: Report, instances: int, rng: random.Random,
                 failures.append(("identification", asdict(ident)))
             rep.record(f"instance {i}", not failures, failures[:2] or None)
         except ElliskitError as exc:
-            rep.record(f"instance {i}", False, str(exc))
+            _record_error(rep, f"instance {i}", exc)
 
 
 def brute_force_weakly_orbital(E, caps: Caps) -> bool:
@@ -213,7 +231,7 @@ def run_orbital_suite(rep: Report, instances: int, rng: random.Random,
             failures = _orbital_instance_checks(E, rng, caps,
                                                 full_brute_force=small)
         except ElliskitError as exc:
-            rep.record(f"instance {i}", False, str(exc))
+            _record_error(rep, f"instance {i}", exc)
             continue
         rep.record(f"instance {i}", not failures, failures[:3] or None)
 
@@ -246,7 +264,7 @@ def run_structured_suite(rep: Report, instances: int, rng: random.Random,
                 got = verify_thm_worb(inst, caps=caps, _agree=agree)
             rep.record(f"{inst.name}: transfer equivalence", got.equivalent)
         except ElliskitError as exc:
-            rep.record(f"{inst.name}: transfer equivalence", False, str(exc))
+            _record_error(rep, f"{inst.name}: transfer equivalence", exc)
     # random discrete-lattice instances on top of the fixed catalog
     from .structured import StructuredInstance, default_lattices, discrete_lattice
 
@@ -267,7 +285,7 @@ def run_structured_suite(rep: Report, instances: int, rng: random.Random,
                 continue
             rep.record(f"random {i}: transfer equivalence", got.equivalent)
         except ElliskitError as exc:
-            rep.record(f"random {i}", False, str(exc))
+            _record_error(rep, f"random {i}", exc)
 
 
 SUITES = ("ellis", "grouplike", "orbital", "structured")

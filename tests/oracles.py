@@ -7,10 +7,12 @@ witnessed classes, pseudo-closed lattices held as frozensets of
 indices, affine groups by matrix arithmetic over GF(q), and the
 homomorphism, action-axiom, equivariance, class-table, left-invariance,
 fiber-against-coset and orbitality definitions over every pair of
-elements. The production paths compose few products and read the rest
-off tables, work from generators and hold sets as bitmasks; these compose,
-multiply, scan everything or walk sets index by index instead, so they are
-slow but obviously right, and the differential tests compare the two.
+elements, and the Ellis battery's random data drawn by `random.Random`'s
+own `choice`, `randint` and `sample`. The production paths compose few
+products and read the rest off tables, work from generators and hold sets
+as bitmasks; these compose, multiply, scan everything or walk sets index
+by index instead, so they are slow but obviously right, and the
+differential tests compare the two.
 """
 
 from __future__ import annotations
@@ -884,3 +886,25 @@ def is_agreeable(flow, lat):
                   pairing_map_closed):
         axiom(flow, lat, failures)
     return tuple(failures)
+
+
+def ellis_battery_draws(rng, size, groups):
+    """The random data of `suites._ellis_instance_checks`, drawn in its
+    order with the stdlib calls: 20 rounds of three elements of a closure of
+    `size` elements and two subsets of at most 8 of them (each size drawn
+    before its subset), then 5 rounds of two subsets of any size for each
+    ideal group's members in `groups`. Returns every value in draw order."""
+    elems = range(size)
+    draws = []
+    for _ in range(20):
+        draws += [rng.choice(elems) for _ in range(3)]
+        for _ in range(2):
+            k = rng.randint(0, min(size, 8))
+            draws += [k, frozenset(rng.sample(elems, k=k))]
+    for members in groups:
+        members = list(members)
+        for _ in range(5):
+            for _ in range(2):
+                k = rng.randint(0, len(members))
+                draws += [k, frozenset(rng.sample(members, k=k))]
+    return draws

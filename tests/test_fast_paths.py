@@ -16,7 +16,8 @@ conjugating with the generators against conjugating with every element,
 orbit relations against the pairs x ~ h·x, quotient cosets against
 `left_cosets`, quotient tables against the literal coset tables, and the
 fiber comparison, left invariance and proper-witness homomorphism check
-against their all-pairs loops."""
+against their all-pairs loops, and the seeded draws read from
+`getrandbits` against `random.Random`'s own calls."""
 
 import json
 import random
@@ -76,7 +77,10 @@ from elliskit.flows import (
     regular_flow,
     transformation_flow,
 )
+from elliskit import suites
 from elliskit.generators import (
+    _below,
+    _subset,
     group_catalog,
     random_group,
     random_group_like_setup,
@@ -1563,3 +1567,65 @@ def test_left_invariance_on_generators_matches_the_all_elements_oracle():
             assert E.same(c1, c2) and not E.same(q.mul[w][c1], q.mul[w][c2])
         invariant += want is None
     assert 60 <= invariant <= 240
+
+
+# ---- seeded draws from getrandbits ----------------------------------------------
+
+DRAW_SIZES = (*range(1, 41), 84, 85, 86, 100, 500, 1733)
+
+
+def test_below_and_subset_draw_what_random_draws():
+    """`_below` against `randrange`, `choice(range(n))` and `randint`, and
+    `_subset` against `sample` on ranges and tuples, across the pool and
+    set branches (setsize 21, and 85 for k of 6 to 9), on 300 seeds: the
+    same values and the same generator state after each size."""
+    for seed in range(300):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in DRAW_SIZES:
+            assert _below(ours, n) == theirs.randrange(n)
+            assert _below(ours, n) == theirs.choice(range(n))
+            assert _below(ours, n + 1) == theirs.randint(0, n)
+            values = tuple(range(7, 7 + 3 * n, 3))
+            for k in range(min(n, 9) + 1):
+                for population in (range(n), values):
+                    got = _subset(ours, population, k)
+                    assert got == frozenset(theirs.sample(population, k))
+            assert ours.getstate() == theirs.getstate()
+
+
+def test_ellis_battery_draws_like_the_stdlib_replay(monkeypatch):
+    """Sixty seeded flows, drawn and checked on one generator as the suite
+    does: the battery draws every value the oracle's stdlib replay draws,
+    in its order, and leaves the generator in the same state for the next
+    flow. The flows reach both `sample` branches: closures above 85
+    elements and ideal groups of order above 1."""
+    drawn, branches = [], set()
+
+    def below(rng, n):
+        drawn.append(_below(rng, n))
+        return drawn[-1]
+
+    def subset(rng, population, k):
+        branches.add(len(population) <= (85 if k > 5 else 21))
+        drawn.append(_subset(rng, population, k))
+        return drawn[-1]
+
+    monkeypatch.setattr(suites, "_below", below)
+    monkeypatch.setattr(suites, "_subset", subset)
+    ours, theirs = random.Random(5), random.Random(5)
+    sizes, orders = set(), set()
+    for _ in range(60):
+        flow = random_ellis_flow(ours, 6)
+        assert random_ellis_flow(theirs, 6).maps == flow.maps
+        drawn.clear()
+        failures, size = suites._ellis_instance_checks(flow, ours, DEFAULT_CAPS)
+        assert failures == []
+        S = enveloping_semigroup(flow)
+        groups = [ideal_group(M, u).members for M in minimal_left_ideals(S)
+                  for u in M.idempotents]
+        assert drawn == oracles.ellis_battery_draws(theirs, size, groups)
+        assert ours.getstate() == theirs.getstate()
+        sizes.add(size)
+        orders.update(map(len, groups))
+    assert max(sizes) > 85 and max(orders) > 1
+    assert branches == {True, False}

@@ -10,11 +10,19 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from elliskit import cli, flows
+from elliskit import cli, flows, suites
 from elliskit.algebra import group_from_table, named_group
 from elliskit.caps import DEFAULT_CAPS, Caps, _from_env
 from elliskit.cli import main
-from elliskit.errors import ElliskitError, ParseError, ValidationError
+from elliskit.errors import (
+    ClosureCapExceeded,
+    ElliskitError,
+    GroupTooLarge,
+    NotInIdeal,
+    ParseError,
+    SizeCapExceeded,
+    ValidationError,
+)
 from elliskit.io import parse_instance, parse_obj, serialize_instance
 from elliskit.relations import is_weakly_orbital
 from elliskit.suites import run_suite
@@ -495,6 +503,49 @@ def test_cli_malformed_caps_env_exit_2(value, message):
     assert done.stderr.startswith("error: ELLISKIT_CAPS: ")
     assert message in done.stderr
     assert done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("suite, instances, cap, message", [
+    ("ellis", 25, 100, "composition closure exceeded cap 100 (100 elements found)"),
+    ("grouplike", 10, 5, "composition closure exceeded cap 5 (5 elements found)"),
+], ids=["ellis", "grouplike"])
+def test_cli_verify_over_a_cap_exits_2(suite, instances, cap, message):
+    # a cap hit inside a suite's checks stops the run; it is not a failed check
+    done = subprocess.run(
+        [sys.executable, "-m", "elliskit.cli", "verify", "--suite", suite,
+         "--instances", str(instances), "--seed", "3"],
+        env=cli_env(ELLISKIT_CAPS=json.dumps({"closure_cap": cap})),
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("suite, target", [
+    ("ellis", "_ellis_instance_checks"),
+    ("grouplike", "make_ambit"),
+    ("orbital", "_orbital_instance_checks"),
+    ("structured", "verify_thm_orb"),
+    ("structured", "is_orbital"),
+])
+@pytest.mark.parametrize("error, code", [
+    (ClosureCapExceeded(7, 6), 2),
+    (GroupTooLarge(30, 24), 2),
+    (SizeCapExceeded(9, 8, "lattice"), 2),
+    (NotInIdeal(3), 1),
+], ids=["closure", "group", "size", "other"])
+def test_cli_verify_suite_loops_pass_cap_errors_through(
+        monkeypatch, capsys, suite, target, error, code):
+    # each of the five suite loops: a cap error exits 2 with its message,
+    # any other toolkit error is recorded as a failed check (exit 1)
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(suites, target, fail)
+    assert main(["verify", "--suite", suite, "--instances", "2",
+                 "--seed", "1"]) == code
+    err = capsys.readouterr().err
+    assert (err == f"error: {error}\n") == (code == 2)
 
 
 @pytest.mark.parametrize("argv", [
