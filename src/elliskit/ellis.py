@@ -4,10 +4,19 @@ The enveloping semigroup here is the composition closure of the flow's
 acting maps inside the (finite, discrete) space of self-maps of the point
 set. In this discrete setting every net of maps is eventually constant, so
 the limit-based operations collapse to algebra: a∘B evaluates to aB, the
-induced closure operator on an ideal group is the identity, and the
-intersection of closures of neighbourhoods of the identity is a singleton.
-The operations below still evaluate the defining formulas literally and
-raise TheoremViolation if the collapse ever failed to hold.
+image of B under row a. What the infinite theory proves about them holds
+here by construction, so it is stated once and not re-checked:
+- a∘B is an image, so aB ⊆ a∘B and a∘(B ∪ C) = a∘B ∪ a∘C; the other
+  composition-limit identities, (a∘B)c = a∘(Bc) and a∘(b∘B) ⊆ (ab)∘B,
+  are associativity of `times`, the composition of maps looked up in
+  `keys` (a product missing from the closure raises where it is read).
+- On an ideal group u·M, `ideal_group` certifies u·s = s for every
+  member. So for A ⊆ u·M, u∘A = u·A = A, and the τ-closure u(u∘A) and
+  (u·M) ∩ (u∘A) are both A: τ is discrete, and H(u·M), the intersection
+  of the closures of the neighbourhoods of u, is {u}.
+`tau_closure` and `h_subgroup` certify the one fact this rests on, u·a = a
+for each a they are given, in one pass. The literal formulas run as seeded
+property tests against them in `tests/oracles.py`.
 
 The closure is `algebra._right_closure`, the one permutation groups use
 (Froidure & Pin, "Algorithms for computing finite semigroups", 1997; East,
@@ -394,54 +403,28 @@ def circ(S: EllisSemigroup, a: int, B) -> frozenset[int]:
 
 
 def tau_closure(G: IdealGroup, A) -> frozenset[int]:
-    """Closure of A inside the ideal group: u(u∘A), verified to agree with
-    (u·M) ∩ (u∘A), to be a closure operator, and (finite discreteness) to
-    return A itself."""
-    S = G.parent
-    u = G.idempotent
+    """Closure of A inside the ideal group, u(u∘A), which is A itself: u
+    acts as the identity on u·M, so u∘A = A and (u·M) ∩ (u∘A) = A, and τ is
+    discrete (module docstring). Certified by u·a = a for each a in A, in
+    one pass over u's row."""
     members = G.to_group.keys()         # u·M, a set view with no copy
     A = frozenset(A)
     if not A <= members:
         raise NotInIdeal(min(A - members))
-    u_times = S.times(u).__getitem__
-    u_circ_a = circ(S, u, A)
-    closed = frozenset(map(u_times, u_circ_a))
-    alt = u_circ_a & members
-    if closed != alt:
-        raise TheoremViolation("two closure formulas disagree", (sorted(closed)[:4],
-                                                                 sorted(alt)[:4]))
-    if not A <= closed:
-        raise TheoremViolation("closure not extensive", sorted(A - closed)[:4])
-    again = frozenset(map(u_times, circ(S, u, closed)))
-    if again != closed:
-        raise TheoremViolation("closure not idempotent", sorted(again ^ closed)[:4])
-    if closed != A:
-        raise TheoremViolation("finite ideal-group topology not discrete",
-                               sorted(closed - A)[:4])
-    return closed
+    row_u = G.parent.times(G.idempotent)
+    for a in A:
+        if row_u[a] != a:
+            raise TheoremViolation("u moves a member of u·M", (a, row_u[a]))
+    return A
 
 
 def h_subgroup(G: IdealGroup) -> Subgroup:
-    """Intersection of closures of neighbourhoods of the identity in the
-    ideal-group topology. Discreteness is certified first (every singleton
-    and co-singleton is closed), after which the smallest neighbourhood of
-    the identity is the singleton itself and the intersection is {u}."""
-    u = G.idempotent
-    for s in G.members:
-        single = tau_closure(G, {s})
-        if single != {s}:
-            raise TheoremViolation("singleton not closed", s)
-        co = frozenset(G.to_group.keys() - {s})
-        if tau_closure(G, co) != co:
-            raise TheoremViolation("co-singleton not closed", s)
-    core = tau_closure(G, {u})
-    if core != {u}:
-        raise TheoremViolation("identity neighbourhood closure not trivial",
-                               sorted(core))
-    sub = Subgroup(G.group_view, frozenset({G.to_group[u]}))
-    if not sub.is_normal():
-        raise TheoremViolation("trivial subgroup reported non-normal", u)
-    return sub
+    """H(u·M), the intersection of the closures of the neighbourhoods of the
+    identity in the ideal-group topology: the trivial subgroup, since τ is
+    discrete, so {u} is a neighbourhood of u and its own closure (module
+    docstring). Certified by u·s = s for every member s, O(|u·M|)."""
+    tau_closure(G, G.members)
+    return Subgroup(G.group_view, frozenset({G.group_view.identity}))
 
 
 @dataclass(frozen=True)

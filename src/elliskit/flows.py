@@ -129,6 +129,11 @@ def _validate_group_action(group, points, elem_maps):
                     raise NotAnAction(g, h, x)
 
 
+def _require_points(points: int, caps: Caps):
+    if points > caps.points_cap:
+        raise SizeCapExceeded(points, caps.points_cap, "flow point set")
+
+
 def make_flow(acting, points: int, action=None, caps: Caps = DEFAULT_CAPS,
               name=None) -> Flow:
     """Explicit flow construction with complete validation.
@@ -140,8 +145,7 @@ def make_flow(acting, points: int, action=None, caps: Caps = DEFAULT_CAPS,
     docstring). For TransformationGenerators the maps are arbitrary
     self-maps.
     """
-    if points > caps.points_cap:
-        raise SizeCapExceeded(points, caps.points_cap, "flow point set")
+    _require_points(points, caps)
     if isinstance(acting, FiniteGroup):
         if action is None or len(action) != acting.order:
             raise InvalidArgument("need one action map per group element")
@@ -166,23 +170,27 @@ def transformation_flow(maps, caps: Caps = DEFAULT_CAPS, name=None) -> Flow:
     return make_flow(gens, degree, caps=caps, name=name)
 
 
-def regular_flow(G: FiniteGroup, name=None) -> Flow:
+def regular_flow(G: FiniteGroup, name=None, caps: Caps = DEFAULT_CAPS) -> Flow:
     """G acting on itself by left translation; the action table is the
     multiplication table, so the axioms hold by construction."""
+    _require_points(G.order, caps)
     return Flow(G.order, G, G.mul,
                 name or (f"regular({G.name})" if G.name else "regular"))
 
 
-def natural_flow(G: FiniteGroup, name=None) -> Flow:
+def natural_flow(G: FiniteGroup, name=None, caps: Caps = DEFAULT_CAPS) -> Flow:
     """A permutation-realized group acting on 0..degree-1 by its permutations."""
     if G.perms is None:
         raise InvalidArgument("group carries no permutation realization")
+    _require_points(len(G.perms[0]), caps)
     return Flow(len(G.perms[0]), G, G.perms,
                 name or (f"natural({G.name})" if G.name else "natural"))
 
 
-def coset_flow(G: FiniteGroup, H: Subgroup, name=None) -> Flow:
+def coset_flow(G: FiniteGroup, H: Subgroup, name=None,
+               caps: Caps = DEFAULT_CAPS) -> Flow:
     """G acting on the left cosets of H; cosets ordered by least member."""
+    _require_points(G.order // H.order, caps)
     cosets = left_cosets(G, H)
     coset_of = {m: idx for idx, members in enumerate(cosets) for m in members}
     elem_maps = tuple(tuple(coset_of[G.mul[g][c[0]]] for c in cosets)

@@ -95,11 +95,12 @@ def random_group(rng: random.Random, max_order: int) -> FiniteGroup:
     return rng.choice(options)
 
 
-def random_transformation_flow(rng: random.Random, max_points: int) -> Flow:
+def random_transformation_flow(rng: random.Random, max_points: int,
+                               caps: Caps = DEFAULT_CAPS) -> Flow:
     n = rng.randint(2, min(5, max_points))
     k = rng.randint(1, 3)
     maps = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(k)]
-    return transformation_flow(maps)
+    return transformation_flow(maps, caps)
 
 
 def random_group_flow(rng: random.Random, max_points: int, max_order: int,
@@ -121,17 +122,17 @@ def random_group_flow(rng: random.Random, max_points: int, max_order: int,
             continue
         kind, H = rng.choice(choices)
         if kind == "natural":
-            return natural_flow(G)
+            return natural_flow(G, caps=caps)
         if kind == "regular":
-            return regular_flow(G)
-        return coset_flow(G, H)
+            return regular_flow(G, caps=caps)
+        return coset_flow(G, H, caps=caps)
     raise RuntimeError("no admissible flow in the catalog")
 
 
 def random_ellis_flow(rng: random.Random, max_points: int,
                       caps: Caps = DEFAULT_CAPS) -> Flow:
     if rng.random() < 0.6:
-        return random_transformation_flow(rng, max_points)
+        return random_transformation_flow(rng, max_points, caps)
     return random_group_flow(rng, max_points, 24, caps)
 
 
@@ -185,7 +186,8 @@ def random_group_like_setup(rng: random.Random, max_points: int, max_order: int,
         if not small:
             continue
         H0 = rng.choice(small)
-        flow = coset_flow(G, H0) if H0.order > 1 else regular_flow(G)
+        flow = (coset_flow(G, H0, caps=caps) if H0.order > 1
+                else regular_flow(G, caps=caps))
         normals = [N for N in subs if N.is_normal()]
         candidates = []
         for N in normals:

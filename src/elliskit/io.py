@@ -118,9 +118,9 @@ def build_flow(data: dict, caps: Caps = DEFAULT_CAPS, *, at="") -> flows.Flow:
         G = build_group(data["group"], caps=caps, at=at + "group.")
         action = data.get("action", "natural")
         if action == "natural":
-            f = flows.natural_flow(G)
+            f = flows.natural_flow(G, caps=caps)
         elif action == "regular":
-            f = flows.regular_flow(G)
+            f = flows.regular_flow(G, caps=caps)
         elif isinstance(action, dict) and "generator_images" in action:
             if points is None:
                 raise ParseError("<flow>", "explicit actions need a point count")

@@ -13,13 +13,11 @@ from . import catalog
 from .algebra import enumerate_subgroups
 from .caps import DEFAULT_CAPS, Caps
 from .ellis import (
-    circ,
     enveloping_semigroup,
     h_subgroup,
     ideal_group,
     ideal_group_isomorphism,
     minimal_left_ideals,
-    tau_closure,
 )
 from .errors import CapExceeded, ElliskitError, InvalidArgument
 from .flows import Flow, make_ambit
@@ -55,12 +53,17 @@ def _record_error(rep: Report, name: str, exc: ElliskitError):
 
 
 def _ellis_instance_checks(flow: Flow, rng: random.Random, caps: Caps):
-    """The full structure battery on one flow's enveloping semigroup.
+    """The structure battery on one flow's enveloping semigroup: the
+    minimal ideals, each ideal group with its H(u·M), and the isomorphisms
+    between every pair of ideal groups, each certified inside its call.
+    The composition-limit identities and the τ-closure axioms hold by
+    construction (`ellis` module docstring) and run as property tests
+    against their literal forms in `tests/oracles.py`, not here.
 
-    Its random elements and subsets are drawn by `generators._below` and
-    `generators._subset`, which read `rng.getrandbits` only and draw what
-    `rng.randrange` and `rng.sample` would, bit for bit, so the rng leaves
-    the battery in the state the next flow's draws expect."""
+    The battery still makes the random draws that sampled them, because
+    they advance the rng that builds the next flow. `generators._below` and
+    `generators._subset` read `rng.getrandbits` only and draw what
+    `rng.randrange` and `rng.sample` would, bit for bit."""
     failures = []
     S = enveloping_semigroup(flow, caps=caps)
     ideals = minimal_left_ideals(S)  # raises on any structure-fact failure
@@ -71,49 +74,25 @@ def _ellis_instance_checks(flow: Flow, rng: random.Random, caps: Caps):
     for M in ideals:
         for u in M.idempotents:
             groups.append(ideal_group(M, u))
+            h_subgroup(groups[-1])
     # within one ideal: left translation isomorphism; across ideals: the
     # compatible-idempotent map (both verified inside the call)
     for gu in groups:
         for gv in groups:
             ideal_group_isomorphism(gu, gv)
-    orders = {g.group_view.order for g in groups}
-    if len(orders) != 1:
-        failures.append(("ideal groups share one order", sorted(orders)))
-    # composition-limit identities on random data
+    # 20 rounds of three elements and two subsets of at most 8, then 5
+    # rounds of two subsets of each ideal group
     size = S.size
     elems = range(size)
     for _ in range(20):
-        a, b, c = _below(rng, size), _below(rng, size), _below(rng, size)
-        B = _subset(rng, elems, _below(rng, min(size, 8) + 1))
-        C = _subset(rng, elems, _below(rng, min(size, 8) + 1))
-        row_a = S.times(a)
-        aB = circ(S, a, B)
-        lhs = frozenset([S.times(x)[c] for x in aB])
-        if lhs != circ(S, a, frozenset([S.times(x)[c] for x in B])):
-            failures.append(("right translation identity", (a, c)))
-        if not circ(S, a, circ(S, b, B)) <= circ(S, row_a[b], B):
-            failures.append(("iterated limit inclusion", (a, b)))
-        if not frozenset([row_a[x] for x in B]) <= aB:
-            failures.append(("product inclusion", a))
-        if circ(S, a, B | C) != aB | circ(S, a, C):
-            failures.append(("union additivity", a))
-    # closure-operator axioms and discreteness on the ideal groups
+        for _ in range(3):
+            _below(rng, size)
+        for _ in range(2):
+            _subset(rng, elems, _below(rng, min(size, 8) + 1))
     for g in groups:
-        members = g.members
-        if tau_closure(g, frozenset()) != frozenset():
-            failures.append(("empty set closed", g.idempotent))
-        for _ in range(5):
-            A = _subset(rng, members, _below(rng, len(members) + 1))
-            B = _subset(rng, members, _below(rng, len(members) + 1))
-            if tau_closure(g, A) != A:
-                failures.append(("discreteness", g.idempotent))
-            if tau_closure(g, A | B) != tau_closure(g, A) | tau_closure(g, B):
-                failures.append(("closure additivity", g.idempotent))
-        H = h_subgroup(g)
-        if H.members != {g.group_view.identity}:
-            failures.append(("identity-neighbourhood intersection trivial",
-                             g.idempotent))
-    return failures, S.size
+        for _ in range(10):
+            _subset(rng, g.members, _below(rng, len(g.members) + 1))
+    return failures, size
 
 
 def run_ellis_suite(rep: Report, instances: int, rng: random.Random,

@@ -7,8 +7,10 @@ witnessed classes, pseudo-closed lattices held as frozensets of
 indices, affine groups by matrix arithmetic over GF(q), and the
 homomorphism, action-axiom, equivariance, class-table, left-invariance,
 fiber-against-coset and orbitality definitions over every pair of
-elements, and the Ellis battery's random data drawn by `random.Random`'s
-own `choice`, `randint` and `sample`. The production paths compose few
+elements, the composition-limit identities, τ-closure formulas and
+H(u·M) that hold by construction in ``elliskit.ellis``, and the Ellis
+battery's random data drawn by `random.Random`'s own `choice`, `randint`
+and `sample`. The production paths compose few
 products and read the rest off tables, work from generators and hold sets
 as bitmasks; these compose, multiply, scan everything or walk sets index
 by index instead, so they are slow but obviously right, and the
@@ -323,6 +325,63 @@ def ideal_group(table, ideal_members, u):
     identity = pos[u]
     return (members, mul, two_sided_inverses(mul, identity),
             small_generating_set(mul, identity))
+
+
+def circ(mul, a, B):
+    """a∘B, the limits of the nets a_i·b_i with a_i -> a and b_i in B. In
+    a finite discrete space a net converging to a is eventually a, so the
+    limits are the products a·b, each by mul(a, b)."""
+    return frozenset(mul(a, b) for b in B)
+
+
+def composition_identity_failures(mul, a, b, c, B, C):
+    """The names of the composition-limit identities of the Ellis battery
+    that fail at (a, b, c, B, C), every product by mul."""
+    aB = circ(mul, a, B)
+    checks = (
+        ("right translation identity",
+         frozenset(mul(x, c) for x in aB)
+         == circ(mul, a, frozenset(mul(x, c) for x in B))),
+        ("iterated limit inclusion",
+         circ(mul, a, circ(mul, b, B)) <= circ(mul, mul(a, b), B)),
+        ("product inclusion", frozenset(mul(a, x) for x in B) <= aB),
+        ("union additivity", circ(mul, a, B | C) == aB | circ(mul, a, C)),
+    )
+    return [name for name, held in checks if not held]
+
+
+def tau_closure(mul, members, u, A):
+    """The τ-closure u(u∘A) of A inside the ideal group u·M (`members`),
+    and the names of the closure facts that fail at A: the two closure
+    formulas agree (u(u∘A) = (u·M) ∩ (u∘A)), the closure is extensive and
+    idempotent, and the topology is discrete (the closure of A is A)."""
+    members, A = frozenset(members), frozenset(A)
+
+    def closure_of(X):
+        return frozenset(mul(u, x) for x in circ(mul, u, X))
+
+    closed = closure_of(A)
+    checks = (
+        ("two closure formulas", closed == circ(mul, u, A) & members),
+        ("extensive", A <= closed),
+        ("idempotent", closure_of(closed) == closed),
+        ("discrete", closed == A),
+    )
+    return closed, [name for name, held in checks if not held]
+
+
+def h_subgroup(mul, members, u):
+    """H(u·M), the intersection of the τ-closures of the open sets that
+    contain u, over {u} and the co-singletons u·M - {s}, s != u: each is
+    taken when its complement, a co-singleton or a singleton, is closed,
+    which makes it open."""
+    members = frozenset(members)
+    H = members
+    for V in [frozenset({u})] + [members - {s} for s in members if s != u]:
+        rest = members - V
+        if tau_closure(mul, members, u, rest)[0] == rest:
+            H &= tau_closure(mul, members, u, V)[0]
+    return H
 
 
 def permutation_group(degree, generators):

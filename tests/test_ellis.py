@@ -1,10 +1,12 @@
 import itertools
+import json
 import random
+from dataclasses import replace
 
 import pytest
 
 import oracles
-from elliskit import ellis
+from elliskit import ellis, suites
 from elliskit.algebra import are_isomorphic, named_group
 from elliskit.caps import Caps
 from elliskit.errors import (
@@ -23,7 +25,9 @@ from elliskit.flows import (
     regular_flow,
     transformation_flow,
 )
+from elliskit.cli import main
 from elliskit.ellis import (
+    EllisSemigroup,
     MinimalIdeal,
     _validate_minimal_ideal,
     circ,
@@ -481,6 +485,48 @@ def test_h_subgroup_trivial_and_normal():
             H = h_subgroup(G)
             assert H.members == {G.group_view.identity}
             assert H.is_normal()
+
+
+def moved_identity_row(G):
+    """G rebuilt on a semigroup whose row of u sends u to another element,
+    every other row unchanged: an ideal group whose u moves one member."""
+    S, u = G.parent, G.idempotent
+    row = [S.times(u)[b] for b in range(S.size)]
+    row[u] = (u + 1) % S.size
+
+    class Moved(EllisSemigroup):
+        __slots__ = ()
+
+        def times(self, a):
+            return row if a == u else EllisSemigroup.times(self, a)
+
+    moved = Moved(S.flow, S.maps, S.keys, len(S.generators), S._table)
+    return replace(G, ideal=replace(G.ideal, parent=moved))
+
+
+def test_tau_closure_and_h_subgroup_refute_a_moved_identity_row():
+    S = enveloping_semigroup(natural_flow(named_group("symmetric", n=3)))
+    M = minimal_left_ideals(S)[0]
+    G = moved_identity_row(ideal_group(M, M.idempotents[0]))
+    u = G.idempotent
+    rest = frozenset(G.members) - {u}
+    assert tau_closure(G, rest) == rest
+    with pytest.raises(TheoremViolation, match="u moves a member of u·M"):
+        tau_closure(G, {u})
+    with pytest.raises(TheoremViolation, match="u moves a member of u·M"):
+        h_subgroup(G)
+
+
+def test_verify_records_a_moved_identity_row_as_a_failed_check(monkeypatch, capsys):
+    monkeypatch.setattr(suites, "ideal_group",
+                        lambda M, u: moved_identity_row(ideal_group(M, u)))
+    assert main(["verify", "--suite", "ellis", "--instances", "6", "--seed", "7",
+                 "--format", "json"]) == 1
+    # a one-element closure has no other element for u to move to
+    failed = [v for v in json.loads(capsys.readouterr().out)["verdicts"]
+              if not v["passed"]]
+    assert len(failed) >= 4
+    assert all("u moves a member of u·M" in v["witness"] for v in failed)
 
 
 # ---- induced epimorphisms ---------------------------------------------------------------

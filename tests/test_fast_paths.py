@@ -16,8 +16,9 @@ conjugating with the generators against conjugating with every element,
 orbit relations against the pairs x ~ h·x, quotient cosets against
 `left_cosets`, quotient tables against the literal coset tables, and the
 fiber comparison, left invariance and proper-witness homomorphism check
-against their all-pairs loops, and the seeded draws read from
-`getrandbits` against `random.Random`'s own calls."""
+against their all-pairs loops, the composition-limit identities,
+τ-closures and H(u·M) against their literal formulas, and the seeded
+draws read from `getrandbits` against `random.Random`'s own calls."""
 
 import json
 import random
@@ -208,6 +209,77 @@ def test_several_ideals_of_rank_two_match_oracles(table_limit):
               for flow in rank_two_flows(5, 300)]
     assert len(counts) >= 90
     assert sum(k > 1 for k in counts) >= 30
+
+
+def assert_limit_identities_and_tau_match_oracles(flow, rng):
+    """On 20 random rounds, the Ellis battery's composition-limit
+    identities through `S.times` and `circ` against the literal products;
+    for every ideal group, `tau_closure` against the literal closure
+    formulas on the empty set, the whole group and 5 random subsets, and
+    `h_subgroup` against the literal intersection, a normal subgroup; and
+    all ideal groups share one order. Returns the closure size and the
+    ideal groups' orders."""
+    S = enveloping_semigroup(flow)
+    index, maps = oracles.index_of(S), oracles.elements_of(S)
+
+    def literal(a, b):
+        return index[oracles.compose(maps[a], maps[b])]
+
+    def product(a, b):
+        return S.times(a)[b]
+
+    elems = range(S.size)
+    for _ in range(20):
+        a, b, c = (rng.randrange(S.size) for _ in range(3))
+        B, C = (frozenset(rng.sample(elems, rng.randint(0, min(S.size, 8))))
+                for _ in range(2))
+        assert oracles.composition_identity_failures(product, a, b, c, B, C) == []
+        assert ellis.circ(S, a, B) == oracles.circ(literal, a, B)
+    orders = []
+    for M in minimal_left_ideals(S):
+        for u in M.idempotents:
+            G = ideal_group(M, u)
+            orders.append(len(G.members))
+            subsets = [frozenset(), frozenset(G.members)] + [
+                frozenset(rng.sample(G.members, rng.randint(0, len(G.members))))
+                for _ in range(5)]
+            for A in subsets:
+                closed, failed = oracles.tau_closure(literal, G.members, u, A)
+                assert failed == []
+                assert ellis.tau_closure(G, A) == closed
+            H = ellis.h_subgroup(G)
+            assert {G.from_group[i] for i in H.members} == \
+                oracles.h_subgroup(literal, G.members, u)
+            assert oracles.is_normal(G.group_view, H.members)
+    assert len(set(orders)) == 1
+    return S.size, orders
+
+
+@TABLE_PATHS
+def test_limit_identities_tau_closure_and_h_match_oracles(table_limit):
+    rng = random.Random(26)
+    sizes, orders = [], []
+    for _ in range(60):
+        size, group_orders = assert_limit_identities_and_tau_match_oracles(
+            random_ellis_flow(rng, 6), rng)
+        sizes.append(size)
+        orders += group_orders
+    assert max(sizes) > 100 and max(orders) > 2
+    assert sum(k > 1 for k in orders) >= 20
+
+
+def test_off_by_one_products_fail_the_identity_property(monkeypatch):
+    times = ellis.EllisSemigroup.times
+
+    def shifted(self, a):
+        row = times(self, a)
+        return [(row[b] + 1) % self.size for b in range(self.size)]
+
+    monkeypatch.setattr(ellis.EllisSemigroup, "times", shifted)
+    rng = random.Random(26)
+    with pytest.raises(AssertionError):
+        for _ in range(60):
+            assert_limit_identities_and_tau_match_oracles(random_ellis_flow(rng, 6), rng)
 
 
 # The closure holds maps as bytes up to 256 points and as tuples above; these

@@ -137,6 +137,20 @@ def test_product_cap():
         product_flow([big, big], caps=Caps(points_cap=100))
 
 
+@pytest.mark.parametrize("build, points", [
+    (lambda G, caps: regular_flow(G, caps=caps), 6),
+    (lambda G, caps: natural_flow(G, caps=caps), 3),
+    (lambda G, caps: coset_flow(G, subgroup_generated(G, [0]), caps=caps), 3),
+], ids=["regular", "natural", "coset"])
+def test_group_flow_builders_respect_points_cap(build, points):
+    from elliskit.caps import Caps
+
+    assert build(s3(), Caps(points_cap=points)).points == points
+    with pytest.raises(SizeCapExceeded, match=f"flow point set size {points} "
+                                              f"exceeds cap {points - 1}"):
+        build(s3(), Caps(points_cap=points - 1))
+
+
 def test_union_of_one():
     f = natural_flow(s3())
     u = disjoint_union_flow([f])

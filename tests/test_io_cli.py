@@ -505,16 +505,21 @@ def test_cli_malformed_caps_env_exit_2(value, message):
     assert done.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("suite, instances, cap, message", [
-    ("ellis", 25, 100, "composition closure exceeded cap 100 (100 elements found)"),
-    ("grouplike", 10, 5, "composition closure exceeded cap 5 (5 elements found)"),
-], ids=["ellis", "grouplike"])
-def test_cli_verify_over_a_cap_exits_2(suite, instances, cap, message):
-    # a cap hit inside a suite's checks stops the run; it is not a failed check
+@pytest.mark.parametrize("suite, instances, caps, message", [
+    ("ellis", 25, {"closure_cap": 100},
+     "composition closure exceeded cap 100 (100 elements found)"),
+    ("grouplike", 10, {"closure_cap": 5},
+     "composition closure exceeded cap 5 (5 elements found)"),
+    ("grouplike", 10, {"points_cap": 3}, "flow point set size 6 exceeds cap 3"),
+    ("orbital", 10, {"points_cap": 3}, "flow point set size 4 exceeds cap 3"),
+], ids=["ellis", "grouplike", "grouplike-points", "orbital-points"])
+def test_cli_verify_over_a_cap_exits_2(suite, instances, caps, message):
+    # a cap hit inside a suite's checks or while it builds a flow stops the
+    # run; it is not a failed check
     done = subprocess.run(
         [sys.executable, "-m", "elliskit.cli", "verify", "--suite", suite,
          "--instances", str(instances), "--seed", "3"],
-        env=cli_env(ELLISKIT_CAPS=json.dumps({"closure_cap": cap})),
+        env=cli_env(ELLISKIT_CAPS=json.dumps(caps)),
         capture_output=True, text=True, timeout=60)
     assert done.returncode == 2
     assert done.stdout == ""
