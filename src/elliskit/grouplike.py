@@ -10,11 +10,22 @@ along coset of g -> class of g·basepoint.
 
 Every check here says that fibers match cosets or that a map respects
 products. The first kind is one `relations.first_split` of two labellings
-(classes against cosets of K, basepoint values against cosets of D in the
-ideal group, orbit-map values against cosets of the stabilizer); the second
-runs over generators only, by the argument in the `algebra` module
-docstring (the class law, the orbit map, left invariance under domination
-and the cover-group homomorphism of a proper witness). A relation
+(orbit-map values against cosets of the stabilizer); the second runs over
+generators only, by the argument in the `algebra` module docstring (the
+class law, the orbit map, left invariance under domination and the
+cover-group homomorphism of a proper witness). Three facts hold by
+construction and are not re-checked; their literal forms run as seeded
+property tests against `tests/oracles.py`:
+- K is normal: once it fixes every class it is the class-wise stabilizer
+  of an invariant relation (`relations` module docstring).
+- The classes are the cosets of K along g -> class of g·x0: for an
+  invariant E, gK = hK iff h⁻¹g·x0 ~ x0 iff g·x0 ~ h·x0.
+- The cosets of D, the ideal-group elements that agree with u at x0, are
+  the fibers of evaluation at x0: i⁻¹j ∈ D iff i(x0) = j(x0), because
+  s·u = s for every s in u·M.
+On a group flow the enveloping semigroup is a permutation group, whose
+only idempotent is the identity map, so the idempotent of the ideal group
+moves no class either. A relation
 is weakly group-like when a group-like relation on another ambit dominates
 it; finitely, every invariant relation on a transitive group ambit is
 dominated from the regular ambit, so the quotient identification applies to
@@ -87,7 +98,8 @@ def check_group_like(ambit: Ambit, E: EquivRelation) -> GroupLikeVerdict:
 
     The class group is G/K, K the stabilizer of the basepoint's class, from
     `quotient_group`, transported to class indices along coset of g ->
-    class of g·basepoint (its fibers checked to be the cosets of K). Once
+    class of g·basepoint (its fibers are the cosets of K, module
+    docstring). Once
     the class law [g·x0]·[x] = [g·x] holds for every generator g and every
     x, it holds for every g, and the table is the group law on classes, so
     no group axiom needs its own check."""
@@ -106,17 +118,12 @@ def check_group_like(ambit: Ambit, E: EquivRelation) -> GroupLikeVerdict:
             if not bound.same(flow.act(k, x), x):
                 return GroupLikeVerdict(False, None, (k, G.identity, x))
     kernel = Subgroup(G, kernel_members)
-    if not kernel.is_normal():
-        raise TheoremViolation("group-like kernel not normal", sorted(kernel_members))
     if None in transporters(flow, x0):
         raise NotWeaklyGroupLike("action is not transitive")
 
     class_of = bound.class_of
     quo = quotient_group(G, kernel)
     orbit_class = [class_of[flow.act(g, x0)] for g in G.elements()]
-    split = first_split(orbit_class, quo.projection)
-    if split is not None:
-        raise TheoremViolation("cosets not in bijection with classes", split)
     k = len(bound.classes)
     cls = [None] * k                # coset index -> class index
     pos = [None] * k                # class index -> coset index
@@ -175,18 +182,13 @@ def _left_coset_labels(G: FiniteGroup, H: Subgroup) -> list[int]:
 def compute_D(G_ideal: IdealGroup, ambit: Ambit) -> Subgroup:
     """Elements of the ideal group whose basepoint value matches the
     idempotent's; its left cosets are exactly the fibers of evaluation at
-    the basepoint (verified by `first_split`)."""
+    the basepoint (module docstring)."""
     maps = G_ideal.parent.maps
     x0 = ambit.basepoint
     values = [maps[s][x0] for s in G_ideal.from_group]
     base_value = maps[G_ideal.idempotent][x0]
-    D = Subgroup(G_ideal.group_view,
-                 frozenset(i for i, v in enumerate(values) if v == base_value))
-    split = first_split(values, _left_coset_labels(G_ideal.group_view, D))
-    if split is not None:
-        raise TheoremViolation("basepoint fibers are not cosets",
-                               tuple(G_ideal.from_group[i] for i in split))
-    return D
+    return Subgroup(G_ideal.group_view,
+                    frozenset(i for i, v in enumerate(values) if v == base_value))
 
 
 def compute_ghat(G_ideal: IdealGroup, ambit: Ambit) -> GroupQuotient:
@@ -307,11 +309,6 @@ def identify_quotient(ambit: Ambit, E: EquivRelation,
     gv = IG.group_view
     x0 = ambit.basepoint
     u = IG.idempotent
-
-    # the idempotent must act trivially on classes
-    for x in range(flow.points):
-        if not bound.same(S.maps[u][x], x):
-            raise TheoremViolation("idempotent moves a class", x)
 
     # class of f(x) depends only on the coset of f and the class of x
     k = ghat.group.order

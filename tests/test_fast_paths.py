@@ -1690,8 +1690,7 @@ def test_ellis_battery_draws_like_the_stdlib_replay(monkeypatch):
         flow = random_ellis_flow(ours, 6)
         assert random_ellis_flow(theirs, 6).maps == flow.maps
         drawn.clear()
-        failures, size = suites._ellis_instance_checks(flow, ours, DEFAULT_CAPS)
-        assert failures == []
+        size = suites._ellis_instance_checks(flow, ours, DEFAULT_CAPS)
         S = enveloping_semigroup(flow)
         groups = [ideal_group(M, u).members for M in minimal_left_ideals(S)
                   for u in M.idempotents]

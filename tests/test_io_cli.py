@@ -10,22 +10,45 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from elliskit import cli, flows, suites
-from elliskit.algebra import group_from_table, named_group
+from elliskit import cli, ellis, flows, structured, suites
+from elliskit.algebra import (
+    Subgroup,
+    _locate_inverses,
+    direct_product,
+    group_from_table,
+    named_group,
+)
 from elliskit.caps import DEFAULT_CAPS, Caps, _from_env
 from elliskit.cli import main
 from elliskit.errors import (
     ClosureCapExceeded,
     ElliskitError,
+    GroupMismatch,
     GroupTooLarge,
+    IncompatibleTower,
+    InvalidArgument,
+    NoIdentity,
+    NoInverse,
+    NotALattice,
+    NotAnAction,
+    NotAPartition,
+    NotAssociative,
+    NotAWitness,
+    NotBijective,
+    NotEquivalence,
     NotInIdeal,
+    NotInvariant,
+    NotOrbital,
+    NotWeaklyGroupLike,
     ParseError,
     SizeCapExceeded,
+    UnsupportedParameters,
     ValidationError,
 )
+from elliskit.grouplike import check_group_like, identify_quotient
 from elliskit.io import parse_instance, parse_obj, serialize_instance
-from elliskit.relations import is_weakly_orbital
-from elliskit.suites import run_suite
+from elliskit.relations import RRelationResult, is_orbital, is_weakly_orbital, make_relation
+from elliskit.suites import SUITES, run_suite
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -799,4 +822,139 @@ def test_library_input_errors_are_elliskit_errors(call, base, message):
     with pytest.raises(ElliskitError) as exc:
         call()
     assert isinstance(exc.value, base)
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("suite", SUITES)
+@pytest.mark.parametrize("bounds, message", [
+    ({"max_points": -1}, "max_points must be at least 2, got -1"),
+    ({"max_points": 1}, "max_points must be at least 2, got 1"),
+    ({"max_group_order": 1}, "max_group_order must be at least 2, got 1"),
+    ({"max_points": 0, "max_group_order": 0}, "max_points must be at least 2, got 0"),
+], ids=["points-negative", "points-1", "order-1", "both-0"])
+def test_run_suite_rejects_bounds_below_2(suite, bounds, message):
+    # the command line's --max-points and --max-group-order admit 2 and up
+    with pytest.raises(InvalidArgument, match=message):
+        run_suite(suite, 3, seed=1, **bounds)
+    assert run_suite(suite, 3, seed=1, max_points=2, max_group_order=2).passed
+
+
+def _c4():
+    return named_group("cyclic", n=4)
+
+
+def _s3_ambit(copies=1):
+    """S3 on 3 points, or on that many copies of them side by side (an
+    ambit built directly, since its orbit is not dense)."""
+    natural = flows.natural_flow(named_group("symmetric", n=3))
+    return flows.Ambit(flows.disjoint_union_flow([natural] * copies), 0)
+
+
+def _swap_ambit():
+    return flows.make_ambit(flows.transformation_flow([[1, 0]]), 0)
+
+
+def _ideal_group_and_outsider():
+    """The ideal group of a swap and a constant on two points, and a set
+    holding the swap, which lies outside it."""
+    S = ellis.enveloping_semigroup(flows.transformation_flow([[1, 0], [0, 0]]))
+    M = ellis.minimal_left_ideals(S)[0]
+    G = ellis.ideal_group(M, M.idempotents[0])
+    return G, {next(s for s in range(S.size) if s not in G.to_group)}
+
+
+def _lattices(g_size):
+    return {"G": structured.discrete_lattice("G", g_size),
+            "X": structured.discrete_lattice("X", 3)}
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Subgroup(_c4(), frozenset({1})), NoIdentity, "no two-sided identity"),
+    (lambda: Subgroup(_c4(), frozenset({0, 1})), NoInverse, "element 1 has no"),
+    (lambda: Subgroup(_c4(), frozenset({0, 1, 3})), NotAssociative,
+     "(1, 1, 'closure')"),
+    (lambda: group_from_table([]), NoIdentity, "no two-sided identity"),
+    (lambda: group_from_table([[0, 1, 2]] * 3, Caps(group_order_cap=2)),
+     GroupTooLarge, "group order 3 exceeds bound 2"),
+    (lambda: group_from_table([[1, 1], [1, 1]]), NoIdentity, "no two-sided identity"),
+    (lambda: group_from_table([[0, 1, 2], [1, 0, 0], [2, 0, 0]]), NotAssociative,
+     "triple (1, 1, 2)"),
+    (lambda: _locate_inverses(((0, 1, 2), (1, 2, 0), (2, 1, 0)), 0), NoInverse,
+     "element 1 has no two-sided inverse"),
+    (lambda: named_group("cyclic", n=0), UnsupportedParameters,
+     "cyclic(0) outside bounds"),
+    (lambda: named_group("symmetric", n=7), UnsupportedParameters,
+     "symmetric(7) outside bounds"),
+    (lambda: named_group("dihedral", n=2), UnsupportedParameters,
+     "dihedral(2) outside bounds"),
+    (lambda: direct_product(_c4(), _c4(), Caps(group_order_cap=10)), GroupTooLarge,
+     "group order 16 exceeds bound 10"),
+    (lambda: flows.product_flow([_swap_ambit().flow]), GroupMismatch,
+     "products are defined for group flows"),
+    (lambda: flows.disjoint_union_flow([_s3_ambit().flow] * 2, Caps(points_cap=5)),
+     SizeCapExceeded, "union point set size 6 exceeds cap 5"),
+    (lambda: flows.disjoint_union_flow([
+        flows.transformation_flow([[1, 0]]),
+        flows.transformation_flow([[1, 0], [0, 0]])]), GroupMismatch,
+     "union requires matching generator counts"),
+    (lambda: flows.independent_translates(_swap_ambit().flow, {0}, 1), GroupMismatch,
+     "independent translates need a group flow"),
+    (lambda: flows.independent_translates(_s3_ambit().flow, {0}, 0), SizeCapExceeded,
+     "translate family size 0 exceeds cap"),
+    (lambda: flows.check_tower([_s3_ambit()] * 2, []), IncompatibleTower,
+     "need one morphism per adjacent pair"),
+    (lambda: flows.check_tower([_s3_ambit(), _s3_ambit()], [flows.FlowMorphism(
+        _s3_ambit(), _s3_ambit(), (0, 1, 2))]), IncompatibleTower,
+     "morphism endpoints do not match levels"),
+    (lambda: flows.make_flow(named_group("cyclic", n=2), 2, [[0, 1], [0]]),
+     NotAnAction, "g=1, h=1, x=-1"),
+    (lambda: flows.make_flow(named_group("cyclic", n=2), 2, [[0, 1], [0, 0]]),
+     NotBijective, "map 1 is not a bijection"),
+    (lambda: make_relation(3, [[0, 1, 2], []]), NotAPartition, "empty class"),
+    (lambda: structured.StructuredInstance(_swap_ambit().flow, make_relation(2, [[0, 1]]),
+                                           {}), NotOrbital, "need group flows"),
+    (lambda: structured.StructuredInstance(_s3_ambit().flow, make_relation(3, [[0, 1, 2]]),
+                                           {}), NotALattice, "missing set ['G']"),
+    (lambda: structured.StructuredInstance(_s3_ambit().flow, make_relation(3, [[0, 1, 2]]),
+                                           _lattices(5)), NotALattice,
+     "combination of [5] and [] gives missing set ['G']"),
+    (lambda: structured.make_lattice("X", 3, [[0, 5]]), NotALattice,
+     "combination of [0, 5]"),
+    (lambda: structured.product_lattice(*[_lattices(6)["G"]] * 2), NotALattice,
+     "combination of [] and [] gives missing set []"),
+    (lambda: structured.discrete_lattice("X", 3).members(), SizeCapExceeded,
+     "discrete lattice enumeration size 8"),
+    (lambda: structured.product_lattice(structured.discrete_lattice("G", 2),
+                                        structured.make_lattice("X", 3, [[0]])).members(),
+     SizeCapExceeded, "intensional lattice enumeration size 9"),
+    (lambda: is_orbital(make_relation(3, [[0, 1], [2]], _s3_ambit().flow)),
+     NotInvariant, "relation is not invariant"),
+    (lambda: check_group_like(_swap_ambit(), make_relation(2, [[0, 1]])),
+     NotEquivalence, "group-likeness needs a group flow"),
+    (lambda: check_group_like(_s3_ambit(2), make_relation(6, [list(range(6))])),
+     NotWeaklyGroupLike, "action is not transitive"),
+    (lambda: identify_quotient(_swap_ambit(), make_relation(2, [[0, 1]])),
+     NotWeaklyGroupLike, "needs a group flow"),
+    (lambda: ellis.tau_closure(*_ideal_group_and_outsider()),
+     NotInIdeal, "does not belong to the ideal"),
+    (lambda: RRelationResult(frozenset({(0, 1)}), False, False, False,
+                             ("irreflexive", 0)).to_relation(_swap_ambit().flow),
+     NotAWitness, "relation is not an equivalence: ('irreflexive', 0)"),
+    (lambda: parse_obj([1, 2]), ParseError, "<data>: top-level JSON object expected"),
+], ids=["subgroup-identity", "subgroup-inverse", "subgroup-closure", "table-empty",
+        "table-over-cap", "table-identity", "table-associative", "one-sided-inverse",
+        "cyclic-0", "symmetric-7", "dihedral-2", "direct-product-cap",
+        "product-of-transformations", "union-cap", "union-generator-counts",
+        "translates-transformation", "translates-k", "tower-morphism-count",
+        "tower-endpoints", "action-map-length", "action-not-bijective", "empty-class",
+        "structured-transformation", "structured-missing-lattice",
+        "structured-lattice-size", "lattice-out-of-range", "product-unknown-ground",
+        "discrete-members", "section-members", "orbital-not-invariant",
+        "group-like-transformation", "group-like-intransitive",
+        "identify-transformation", "tau-outside-ideal", "not-an-equivalence",
+        "parse-non-object"])
+def test_input_validation_refutations_fire(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error
     assert message in str(exc.value)

@@ -116,3 +116,56 @@ def test_no_dead_caps_in_src():
                     unused.append(f"{path.name}:{node.lineno}")
     assert [f.name for f in fields(Caps) if f.name not in read] == []
     assert unused == []
+
+
+# Raises that a protocol asks for: attribute lookup, a json object hook, the
+# builders' integer check (caught by `io` and reported as a ParseError) and
+# an argparse type function.
+PROTOCOL_RAISES = {
+    ("algebra.py", "__getattr__", "AttributeError"),
+    ("caps.py", "_unique_keys", "ValueError"),
+    ("io.py", "_check_integers", "TypeError"),
+    ("cli.py", "integer", "argparse.ArgumentTypeError"),
+}
+# Raises of an error built elsewhere: `_record_error`'s ElliskitError passed
+# back up, the ParseError `caps._from_env` kept, and the cap error a
+# `_right_closure` caller builds.
+PASSED_ON = {
+    ("suites.py", "_record_error", "exc"),
+    ("cli.py", "main", "ENV_ERROR"),
+    ("algebra.py", "_right_closure", "overflow"),
+}
+
+
+def test_every_raise_in_src_names_an_elliskit_error():
+    """Walks the package's AST: every `raise` names an `ElliskitError`
+    subclass, one of the protocol raises or one of the errors passed on. A
+    check that "cannot happen" therefore never surfaces as an
+    AssertionError or RuntimeError traceback."""
+    from elliskit import errors
+
+    found, bad = set(), []
+
+    class Raises(ast.NodeVisitor):
+        def __init__(self, module):
+            self.module, self.functions = module, ["<module>"]
+
+        def visit_FunctionDef(self, node):
+            self.functions.append(node.name)
+            self.generic_visit(node)
+            self.functions.pop()
+
+        def visit_Raise(self, node):
+            if node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                site = (self.module, self.functions[-1], ast.unparse(exc))
+                cls = getattr(errors, site[2], None)
+                if site in PROTOCOL_RAISES | PASSED_ON:
+                    found.add(site)
+                elif not (isinstance(cls, type) and issubclass(cls, errors.ElliskitError)):
+                    bad.append(f"{site[0]}:{node.lineno} {site[2]}")
+
+    for path in sorted((ROOT / "src" / "elliskit").glob("*.py")):
+        Raises(path.name).visit(ast.parse(path.read_text(encoding="utf-8")))
+    assert bad == []
+    assert found == PROTOCOL_RAISES | PASSED_ON
