@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from operator import index, itemgetter
+from typing import NamedTuple
 
 from .caps import DEFAULT_CAPS, Caps
 from .errors import (
@@ -139,23 +139,46 @@ class _DeferredGroup(FiniteGroup):
         return getattr(self, name)
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    parent: FiniteGroup
-    members: frozenset[int]
-    sorted_members: tuple[int, ...] = field(init=False)
+def _read_only(self, name, value=None):
+    """`__setattr__` and `__delattr__` of a read-only slots class, whose
+    `__init__` sets each field once through `object.__setattr__`."""
+    raise AttributeError(f"cannot assign to field {name!r}")
 
-    def __post_init__(self):
-        object.__setattr__(self, "sorted_members", tuple(sorted(self.members)))
-        G = self.parent
-        if G.identity not in self.members:
+
+class Subgroup:
+    """A subset of `parent` checked on construction to hold the identity and
+    to be closed under inverses and products. Read-only."""
+
+    __slots__ = ("parent", "members", "sorted_members")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, parent: FiniteGroup, members: frozenset[int]):
+        sorted_members = tuple(sorted(members))
+        if parent.identity not in members:
             raise NoIdentity()
-        for a in self.members:
-            if G.inverse[a] not in self.members:
+        inverse, mul = parent.inverse, parent.mul
+        for a in members:
+            if inverse[a] not in members:
                 raise NoInverse(a)
-            for b in self.members:
-                if G.mul[a][b] not in self.members:
+            row = mul[a]
+            for b in members:
+                if row[b] not in members:
                     raise NotAssociative((a, b, "closure"))
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "sorted_members", sorted_members)
+
+    def __eq__(self, other):
+        if type(other) is not Subgroup:
+            return NotImplemented
+        return self.parent is other.parent and self.members == other.members
+
+    def __hash__(self):
+        return hash((self.parent, self.members))
+
+    def __repr__(self):
+        return (f"Subgroup(parent={self.parent!r}, members={self.members!r}, "
+                f"sorted_members={self.sorted_members!r})")
 
     @property
     def order(self) -> int:
@@ -169,8 +192,7 @@ class Subgroup:
         return all(G.conjugate(g, a) in members for g in G.gens for a in members)
 
 
-@dataclass(frozen=True)
-class GroupQuotient:
+class GroupQuotient(NamedTuple):
     parent: FiniteGroup
     normal_subgroup: Subgroup
     cosets: tuple[tuple[int, ...], ...]
@@ -565,8 +587,7 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> GroupQuotient:
                          tuple(coset_of[g] for g in G.elements()))
 
 
-@dataclass(frozen=True)
-class IsomorphismResult:
+class IsomorphismResult(NamedTuple):
     isomorphic: bool
     mapping: tuple[int, ...] | None  # A element -> B element
     refutation: dict | None
@@ -674,8 +695,7 @@ def _field(q):
     return [[(a + b) % q for b in r] for a in r], [[a * b % q for b in r] for a in r]
 
 
-@dataclass(frozen=True)
-class AffineComponents:
+class AffineComponents(NamedTuple):
     """An affine group's vectors and matrices, each matrix held as its map on
     the vector indices. `vectors` are in lexicographic order and `matrices`
     are the invertible ones in lexicographic order of their row-major

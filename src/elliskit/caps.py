@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 from .errors import ParseError
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(NamedTuple):
     group_order_cap: int = 2000      # hard cap on any constructed group,
                                      # named groups included: checked on
                                      # the closed-form order, before any
@@ -66,7 +65,7 @@ def _from_env() -> tuple[Caps, ParseError | None]:
         return caps, ParseError("ELLISKIT_CAPS", f"not valid JSON ({exc})")
     if not isinstance(data, dict):
         return caps, ParseError("ELLISKIT_CAPS", "must be a JSON object")
-    unknown = set(data) - {f.name for f in fields(Caps)}
+    unknown = set(data) - set(Caps._fields)
     if unknown:
         return caps, ParseError("ELLISKIT_CAPS",
                                 f"unknown cap names {sorted(unknown)}")
@@ -74,7 +73,7 @@ def _from_env() -> tuple[Caps, ParseError | None]:
     if bad:
         return caps, ParseError("ELLISKIT_CAPS",
                                 f"caps {bad} must be non-negative integers")
-    return replace(caps, **data), None
+    return caps._replace(**data), None
 
 
 # A malformed ELLISKIT_CAPS leaves the defaults in force and is kept in

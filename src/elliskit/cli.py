@@ -14,7 +14,6 @@ import functools
 import os
 import sys
 import time
-from dataclasses import replace
 
 from . import io as instance_io
 from .caps import DEFAULT_CAPS, ENV_ERROR
@@ -149,7 +148,7 @@ def cmd_orbital(args) -> int:
         if args.decide_weak:
             caps = DEFAULT_CAPS
             if args.max_group_order is not None:
-                caps = replace(caps, subgroup_enum_cap=args.max_group_order)
+                caps = caps._replace(subgroup_enum_cap=args.max_group_order)
             weak = is_weakly_orbital(relation, caps=caps)
             rep.structures["weakly_orbital"] = bool(weak)
             if weak:

@@ -47,7 +47,7 @@ minimal ideals reads only the image orbit and the kernel's own elements,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (
     FiniteGroup,
@@ -131,8 +131,7 @@ class EllisSemigroup:
         return f"EllisSemigroup(size={self.size}, points={self.flow.points})"
 
 
-@dataclass(frozen=True)
-class MinimalIdeal:
+class MinimalIdeal(NamedTuple):
     parent: EllisSemigroup
     members: tuple[int, ...]
     idempotents: tuple[int, ...]
@@ -142,8 +141,7 @@ class MinimalIdeal:
         return frozenset(self.members)
 
 
-@dataclass(frozen=True)
-class IdealGroup:
+class IdealGroup(NamedTuple):
     ideal: MinimalIdeal
     idempotent: int
     members: tuple[int, ...]            # semigroup element indices
@@ -427,8 +425,7 @@ def h_subgroup(G: IdealGroup) -> Subgroup:
     return Subgroup(G.group_view, frozenset({G.group_view.identity}))
 
 
-@dataclass(frozen=True)
-class EllisEpimorphism:
+class EllisEpimorphism(NamedTuple):
     source: EllisSemigroup
     target: EllisSemigroup
     element_map: tuple[int, ...]

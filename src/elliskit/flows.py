@@ -22,11 +22,12 @@ idempotent, so every pushed element is again a minimal-ideal idempotent.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (
     FiniteGroup,
     Subgroup,
+    _read_only,
     _require_generating,
     _walk,
     direct_product,
@@ -46,18 +47,26 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
 class TransformationGenerators:
-    degree: int
-    generators: tuple[tuple[int, ...], ...]
+    """Self-maps of 0..degree-1 as image tuples, at least one, checked on
+    construction. Read-only."""
 
-    def __post_init__(self):
-        if not self.generators:
+    __slots__ = ("degree", "generators")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, degree: int, generators: tuple[tuple[int, ...], ...]):
+        if not generators:
             raise ParseError("<flow>", "a transformation flow needs at least one map")
-        for i, g in enumerate(self.generators):
-            if len(g) != self.degree or any(not 0 <= x < self.degree for x in g):
+        for i, g in enumerate(generators):
+            if len(g) != degree or any(not 0 <= x < degree for x in g):
                 raise ParseError("<flow>", f"map {i} is not a self-map of "
-                                           f"0..{self.degree - 1}")
+                                           f"0..{degree - 1}")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "generators", generators)
+
+    def __repr__(self):
+        return (f"TransformationGenerators(degree={self.degree!r}, "
+                f"generators={self.generators!r})")
 
 
 class Flow:
@@ -105,8 +114,7 @@ class Flow:
         return f"Flow({kind}, points={self.points}{tag})"
 
 
-@dataclass(frozen=True)
-class Ambit:
+class Ambit(NamedTuple):
     flow: Flow
     basepoint: int
 
@@ -310,8 +318,7 @@ def disjoint_union_flow(flows: list[Flow], caps: Caps = DEFAULT_CAPS) -> Flow:
 
 # -- morphisms ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FlowMorphism:
+class FlowMorphism(NamedTuple):
     """A basepoint-preserving equivariant surjection of ambits.
 
     `generator_correspondence` pairs the source flow generators with the
@@ -326,8 +333,7 @@ class FlowMorphism:
     generator_correspondence: tuple[int, ...] | None = None
 
 
-@dataclass(frozen=True)
-class MorphismReport:
+class MorphismReport(NamedTuple):
     valid: bool
     surjective: bool
     equivariant: bool
@@ -382,15 +388,13 @@ def check_morphism(m: FlowMorphism) -> MorphismReport:
 
 # -- towers ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TowerLevel:
+class TowerLevel(NamedTuple):
     ideal_count: int
     idempotent_counts: tuple[int, ...]
     ideal_group_order: int
 
 
-@dataclass(frozen=True)
-class TowerReport:
+class TowerReport(NamedTuple):
     levels: tuple[TowerLevel, ...]
     correspondences: tuple[dict, ...]
     coherent_idempotent_chain: tuple[int, ...]
@@ -446,8 +450,7 @@ def check_tower(levels: list[Ambit], connecting: list[FlowMorphism],
 
 # -- independent translates --------------------------------------------------------
 
-@dataclass(frozen=True)
-class IndependenceResult:
+class IndependenceResult(NamedTuple):
     found: bool
     witness: tuple[int, ...] | None
     exhausted_reason: str | None
@@ -490,7 +493,9 @@ def independent_translates(flow: Flow, base, k: int,
     base = frozenset(base)
     if not base or len(base) >= flow.points:
         raise InvalidArgument("base set must be a nonempty proper subset")
-    if k < 1 or k > caps.independence_k_cap:
+    if k < 1:
+        raise InvalidArgument(f"translate family size must be at least 1, got {k}")
+    if k > caps.independence_k_cap:
         raise SizeCapExceeded(k, caps.independence_k_cap, "translate family")
     n = flow.points
     if 2 ** k > n:

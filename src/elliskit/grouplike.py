@@ -34,7 +34,7 @@ all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (
     FiniteGroup,
@@ -75,16 +75,14 @@ from .relations import (
 )
 
 
-@dataclass(frozen=True)
-class GroupLikeCertificate:
+class GroupLikeCertificate(NamedTuple):
     ambit: Ambit
     relation: EquivRelation
     quotient_group: FiniteGroup   # on class indices of the relation
     kernel: Subgroup              # elements moving the basepoint inside its class
 
 
-@dataclass(frozen=True)
-class GroupLikeVerdict:
+class GroupLikeVerdict(NamedTuple):
     group_like: bool
     certificate: GroupLikeCertificate | None
     refutation: tuple | None
@@ -143,8 +141,7 @@ def check_group_like(ambit: Ambit, E: EquivRelation) -> GroupLikeVerdict:
     return GroupLikeVerdict(True, GroupLikeCertificate(ambit, bound, qgroup, kernel), None)
 
 
-@dataclass(frozen=True)
-class OrbitMapReport:
+class OrbitMapReport(NamedTuple):
     values: tuple[int, ...]     # semigroup element -> class index
     surjective: bool
     homomorphism: bool
@@ -203,16 +200,14 @@ def compute_ghat(G_ideal: IdealGroup, ambit: Ambit) -> GroupQuotient:
     return quotient_group(gv, core)
 
 
-@dataclass(frozen=True)
-class DominationWitness:
+class DominationWitness(NamedTuple):
     source: Ambit                   # the dominating ambit
     source_relation: EquivRelation  # group-like relation on it
     morphism: FlowMorphism          # onto the target ambit
     target_relation: EquivRelation
 
 
-@dataclass(frozen=True)
-class DominationVerdict:
+class DominationVerdict(NamedTuple):
     dominates: bool
     refutation: tuple | None
     orbit_map: tuple[int, ...] | None  # source class -> target class
@@ -274,8 +269,7 @@ def default_domination(ambit: Ambit, E: EquivRelation) -> DominationWitness:
     return DominationWitness(reg, F, morphism, bound)
 
 
-@dataclass(frozen=True)
-class IdentificationReport:
+class IdentificationReport(NamedTuple):
     ghat: GroupQuotient
     stabilizer: Subgroup            # of ghat.group
     class_count: int
@@ -366,16 +360,14 @@ def identify_quotient(ambit: Ambit, E: EquivRelation,
 
 # -- properly and uniformly properly group-like witnesses ---------------------
 
-@dataclass(frozen=True)
-class ProperWitness:
+class ProperWitness(NamedTuple):
     cover_group: FiniteGroup
     fiber_map: tuple[int, ...]   # cover element -> point
     ambit: Ambit
     relation: EquivRelation
 
 
-@dataclass(frozen=True)
-class ProperWitnessVerdict:
+class ProperWitnessVerdict(NamedTuple):
     valid: bool
     homomorphism: bool
     pseudocomplete: bool
@@ -457,14 +449,12 @@ def check_proper_witness(pw: ProperWitness) -> ProperWitnessVerdict:
                                 quotient_set, refutation)
 
 
-@dataclass(frozen=True)
-class UniformWitnessFamily:
+class UniformWitnessFamily(NamedTuple):
     members: tuple[frozenset[tuple[int, int]], ...]
     successor: tuple[int, ...]   # index of D' for each member D
 
 
-@dataclass(frozen=True)
-class UniformWitnessVerdict:
+class UniformWitnessVerdict(NamedTuple):
     valid: bool
     refutation: tuple | None
 

@@ -24,16 +24,15 @@ parse(serialize(x)) returns an equal instance for every kind.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import algebra, flows, relations, structured
 from .caps import DEFAULT_CAPS, Caps, _unique_keys
 from .errors import ElliskitError, NotAnAction, ParseError, ValidationError
 
 
-@dataclass(frozen=True)
-class InstanceFile:
+class InstanceFile(NamedTuple):
     kind: str
     value: object
     raw: dict

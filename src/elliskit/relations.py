@@ -32,11 +32,11 @@ forms run as seeded property tests against `tests/oracles.py`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
+from typing import NamedTuple
 
-from .algebra import FiniteGroup, Subgroup, enumerate_subgroups
+from .algebra import FiniteGroup, Subgroup, _read_only, enumerate_subgroups
 from .caps import DEFAULT_CAPS, Caps
 from .errors import (
     GroupMismatch,
@@ -51,25 +51,27 @@ from .errors import (
 from .flows import Flow, orbits
 
 
-@dataclass(frozen=True)
 class EquivRelation:
-    points: int
-    classes: tuple[tuple[int, ...], ...]
-    flow: Flow | None = None
-    class_of: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    invariant: bool | None = field(init=False, compare=False, default=None)
-    invariance_witness: tuple | None = field(init=False, compare=False, default=None)
+    """A partition of 0..points-1, its classes sorted and ordered by least
+    point, checked on construction. Bound to a flow, it also holds whether
+    the flow's maps send classes into classes, and a witness if not.
+    Read-only; equal relations have equal points and classes."""
 
-    def __post_init__(self):
-        if self.flow is not None and self.flow.points != self.points:
+    __slots__ = ("points", "classes", "flow", "class_of", "invariant",
+                 "invariance_witness")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, points: int, classes: tuple[tuple[int, ...], ...],
+                 flow: Flow | None = None):
+        if flow is not None and flow.points != points:
             raise NotEquivalence("relation on the wrong point set")
-        seen = [None] * self.points
+        seen = [None] * points
         norm = []
-        for cls in self.classes:
+        for cls in classes:
             if not cls:
                 raise NotAPartition("empty class")
             for x in cls:
-                if not 0 <= x < self.points:
+                if not 0 <= x < points:
                     raise NotAPartition(f"point {x} out of range")
                 if seen[x] is not None:
                     raise NotAPartition(f"point {x} in two classes")
@@ -79,16 +81,25 @@ class EquivRelation:
             missing = next(i for i, s in enumerate(seen) if s is None)
             raise NotAPartition(f"point {missing} uncovered")
         norm.sort(key=lambda c: c[0])
-        object.__setattr__(self, "classes", tuple(norm))
-        class_of = [None] * self.points
-        for i, cls in enumerate(self.classes):
+        class_of = [None] * points
+        for i, cls in enumerate(norm):
             for x in cls:
                 class_of[x] = i
-        object.__setattr__(self, "class_of", tuple(class_of))
-        if self.flow is not None:
-            ok, witness = _invariance(self.flow, self.class_of)
-            object.__setattr__(self, "invariant", ok)
-            object.__setattr__(self, "invariance_witness", witness)
+        class_of = tuple(class_of)
+        invariant = witness = None
+        if flow is not None:
+            invariant, witness = _invariance(flow, class_of)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "classes", tuple(norm))
+        object.__setattr__(self, "flow", flow)
+        object.__setattr__(self, "class_of", class_of)
+        object.__setattr__(self, "invariant", invariant)
+        object.__setattr__(self, "invariance_witness", witness)
+
+    def __repr__(self):
+        return (f"EquivRelation(points={self.points!r}, classes={self.classes!r}, "
+                f"flow={self.flow!r}, invariant={self.invariant!r}, "
+                f"invariance_witness={self.invariance_witness!r})")
 
     def same(self, a: int, b: int) -> bool:
         return self.class_of[a] == self.class_of[b]
@@ -218,14 +229,12 @@ def orbit_relation(flow: Flow, H: Subgroup) -> EquivRelation:
     return EquivRelation(flow.points, tuple(classes), flow)
 
 
-@dataclass(frozen=True)
-class WitnessPair:
+class WitnessPair(NamedTuple):
     subgroup: Subgroup
     support: frozenset[int]
 
 
-@dataclass(frozen=True)
-class RRelationResult:
+class RRelationResult(NamedTuple):
     pairs: frozenset[tuple[int, int]]
     reflexive: bool
     symmetric: bool
@@ -372,8 +381,7 @@ def maximal_witnesses(E: EquivRelation, w: WitnessPair) -> WitnessPair:
     return WitnessPair(Subgroup(G, stabilizing_elements(E, support)), support)
 
 
-@dataclass(frozen=True)
-class OrbitalityVerdict:
+class OrbitalityVerdict(NamedTuple):
     orbital: bool
     kernel: Subgroup
     counterexample: tuple | None
@@ -392,8 +400,7 @@ def is_orbital(E: EquivRelation) -> OrbitalityVerdict:
     return OrbitalityVerdict(diff is None, kern, diff)
 
 
-@dataclass(frozen=True)
-class WeakOrbitalityVerdict:
+class WeakOrbitalityVerdict(NamedTuple):
     weakly_orbital: bool
     witness: WitnessPair | None
     subgroups_checked: int
@@ -417,8 +424,7 @@ def is_weakly_orbital(E: EquivRelation, caps: Caps = DEFAULT_CAPS) -> WeakOrbita
     return WeakOrbitalityVerdict(False, None, checked)
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
+class CorrespondenceReport(NamedTuple):
     entries: tuple[tuple[tuple[int, ...], int], ...]  # (normal subgroup, class count)
     all_orbital_relations_arise: bool
 

@@ -3,25 +3,28 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     check: str
     passed: bool
     witness: str | None = None
 
 
-@dataclass
 class Report:
-    kind: str                      # example | suite | analysis
-    name: str
-    seed: int | None = None
-    caps: dict | None = None
-    verdicts: list[Verdict] = field(default_factory=list)
-    structures: dict = field(default_factory=dict)
-    timing: dict = field(default_factory=dict)
+    """One run's verdicts, structures and timing; `kind` is example, suite
+    or analysis."""
+
+    __slots__ = ("kind", "name", "seed", "caps", "verdicts", "structures",
+                 "timing")
+
+    def __init__(self, kind: str, name: str, seed: int | None = None,
+                 caps: dict | None = None):
+        self.kind, self.name, self.seed, self.caps = kind, name, seed, caps
+        self.verdicts: list[Verdict] = []
+        self.structures: dict = {}
+        self.timing: dict = {}
 
     def record(self, check: str, passed: bool, witness=None):
         text = None

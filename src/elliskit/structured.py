@@ -25,7 +25,7 @@ a support is an OR of small per-point label masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import enumerate_subgroups
 from .caps import DEFAULT_CAPS, Caps
@@ -277,21 +277,23 @@ def product_lattice(A: PseudoClosedLattice, B: PseudoClosedLattice,
     return PseudoClosedLattice(ground, size, _member_order(closed, size))
 
 
-@dataclass
 class StructuredInstance:
-    flow: Flow
-    relation: EquivRelation
-    lattices: dict
-    name: str = ""
+    """A group flow, a relation on it and one lattice per ground in GROUNDS,
+    each of its ground's size, checked on construction."""
 
-    def __post_init__(self):
-        if not self.flow.is_group_flow:
+    __slots__ = ("flow", "relation", "lattices", "name")
+
+    def __init__(self, flow: Flow, relation: EquivRelation, lattices: dict,
+                 name: str = ""):
+        self.flow, self.relation = flow, relation
+        self.lattices, self.name = lattices, name
+        if not flow.is_group_flow:
             raise NotOrbital("structured instances need group flows")
-        gn, n = self.flow.group.order, self.flow.points
+        gn, n = flow.group.order, flow.points
         for ground in GROUNDS:
-            if ground not in self.lattices:
+            if ground not in lattices:
                 raise NotALattice(frozenset(), frozenset(), frozenset({ground}))
-            lat = self.lattices[ground]
+            lat = lattices[ground]
             if lat.size != ground_size(ground, gn, n):
                 raise NotALattice(frozenset({lat.size}), frozenset(),
                                   frozenset({ground}))
@@ -311,8 +313,7 @@ def default_lattices(flow: Flow, lat_g: PseudoClosedLattice,
 
 # -- agreeability ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AgreeabilityReport:
+class AgreeabilityReport(NamedTuple):
     agreeable: bool
     failures: tuple[tuple[int, tuple], ...]  # (axiom number, witness)
 
@@ -472,8 +473,7 @@ def _serialize_instance(inst: StructuredInstance) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ThmOrbReport:
+class ThmOrbReport(NamedTuple):
     relation_closed: bool
     classes_closed: bool
     kernel_closed: bool
@@ -510,8 +510,7 @@ def verify_thm_orb(inst: StructuredInstance, require_agreeable: bool = True,
     return ThmOrbReport(c1, c2, c3, c4, equivalent)
 
 
-@dataclass(frozen=True)
-class ThmWorbReport:
+class ThmWorbReport(NamedTuple):
     relation_closed: bool
     classes_closed: bool                 # the witness-free weakening
     classes_closed_with_witness: bool    # full condition: + closed support

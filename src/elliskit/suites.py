@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import asdict
 
 from . import catalog
 from .algebra import enumerate_subgroups
@@ -140,7 +139,11 @@ def run_grouplike_suite(rep: Report, instances: int, rng: random.Random,
             ident = identify_quotient(amb, E, caps=caps)
             if not (ident.cardinality_identity and ident.equivariant
                     and ident.class_count == len(E.classes)):
-                failures.append(("identification", asdict(ident)))
+                failures.append(("identification", {
+                    "class_count": ident.class_count,
+                    "classes": len(E.classes),
+                    "cardinality_identity": ident.cardinality_identity,
+                    "equivariant": ident.equivariant}))
             rep.record(f"instance {i}", not failures, failures[:2] or None)
         except ElliskitError as exc:
             _record_error(rep, f"instance {i}", exc)

@@ -1,7 +1,6 @@
 import itertools
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -501,7 +500,7 @@ def moved_identity_row(G):
             return row if a == u else EllisSemigroup.times(self, a)
 
     moved = Moved(S.flow, S.maps, S.keys, len(S.generators), S._table)
-    return replace(G, ideal=replace(G.ideal, parent=moved))
+    return G._replace(ideal=G.ideal._replace(parent=moved))
 
 
 def test_tau_closure_and_h_subgroup_refute_a_moved_identity_row():

@@ -23,7 +23,6 @@ draws read from `getrandbits` against `random.Random`'s own calls."""
 import json
 import random
 import tracemalloc
-from dataclasses import replace
 from itertools import islice
 
 import pytest
@@ -387,7 +386,7 @@ def mid_sized_closures(seed, points):
     maps are moved onto points that include 255 and the top point, so the
     closure holds tuples."""
     rng = random.Random(seed)
-    caps = replace(DEFAULT_CAPS, closure_cap=2000)
+    caps = DEFAULT_CAPS._replace(closure_cap=2000)
     while True:
         k = rng.randint(5, 6)
         maps = [[rng.randrange(k) for _ in range(k)] for _ in range(rng.randint(2, 3))]
@@ -792,7 +791,7 @@ def test_subgroup_bounds_hold_on_a_memoised_group():
     with pytest.raises(GroupTooLarge):
         enumerate_subgroups(G, max_order_bound=23)
     with pytest.raises(GroupTooLarge):
-        enumerate_subgroups(G, caps=replace(DEFAULT_CAPS, subgroup_enum_cap=12))
+        enumerate_subgroups(G, caps=DEFAULT_CAPS._replace(subgroup_enum_cap=12))
 
 
 def test_group_catalog_shares_its_groups():

@@ -3,7 +3,6 @@ import os
 import shlex
 import subprocess
 import sys
-from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -306,7 +305,7 @@ def test_cli_structured(tmp_path, capsys):
 
 
 def test_cli_orbital_max_group_order_keeps_cap_overrides(tmp_path, monkeypatch):
-    overridden = replace(DEFAULT_CAPS, lattice_cap=7)
+    overridden = DEFAULT_CAPS._replace(lattice_cap=7)
     seen = []
 
     def spy(relation, caps):
@@ -321,7 +320,7 @@ def test_cli_orbital_max_group_order_keeps_cap_overrides(tmp_path, monkeypatch):
     rel = write(tmp_path, "r.json", {"points": 4, "classes": [[0, 2], [1, 3]]})
     assert main(["orbital", flow, "--relation", rel, "--decide-weak",
                  "--max-group-order", "24", "--format", "json"]) == 0
-    assert seen == [replace(overridden, subgroup_enum_cap=24)]
+    assert seen == [overridden._replace(subgroup_enum_cap=24)]
 
 
 @pytest.mark.parametrize("maps, message", [([], "at least one map"),
@@ -576,6 +575,19 @@ def test_cli_verify_suite_loops_pass_cap_errors_through(
     assert (err == f"error: {error}\n") == (code == 2)
 
 
+def test_cli_verify_grouplike_records_a_failed_identification(monkeypatch, capsys):
+    # an identification that fails one of its checks is a failed check
+    # (exit 1) whose witness holds the fields compared, not the quotient
+    monkeypatch.setattr(suites, "identify_quotient", lambda *args, **kwargs:
+                        identify_quotient(*args, **kwargs)._replace(equivariant=False))
+    assert main(["verify", "--suite", "grouplike", "--instances", "2",
+                 "--seed", "7", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [v["witness"] for v in report["verdicts"]] == [
+        f"[('identification', {{'class_count': {n}, 'classes': {n}, "
+        f"'cardinality_identity': True, 'equivariant': False}})]" for n in (2, 3)]
+
+
 @pytest.mark.parametrize("argv", [
     ["ellis", "instances/s3-natural-ambit.json"],
     ["verify", "--suite", "ellis", "--instances", "20", "--seed", "7"],
@@ -597,7 +609,7 @@ def test_cli_closed_stdout_exits_141(argv):
 
 # ---- exit-code fuzz -------------------------------------------------------------
 
-CAP_NAMES = [f.name for f in fields(Caps)]
+CAP_NAMES = list(Caps._fields)
 ENV_TEXT = st.text(st.characters(min_codepoint=1, max_codepoint=0x17F), max_size=30)
 CAP_VALUES = st.one_of(st.integers(0, 10**12), st.one_of(
     st.integers(-3, -1), st.floats(allow_nan=True), st.booleans(), st.none(),
@@ -646,7 +658,7 @@ def test_caps_env_is_read_or_rejected_never_raises(monkeypatch, text):
         assert caps == Caps() and isinstance(error, ParseError)
         assert str(error).startswith("ELLISKIT_CAPS: ")
     else:
-        assert error is None and caps == replace(Caps(), **want)
+        assert error is None and caps == Caps()._replace(**want)
 
 JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 9),
                  st.floats(-2, 9, allow_nan=False), st.text(max_size=2),
@@ -899,8 +911,8 @@ def _lattices(g_size):
      "union requires matching generator counts"),
     (lambda: flows.independent_translates(_swap_ambit().flow, {0}, 1), GroupMismatch,
      "independent translates need a group flow"),
-    (lambda: flows.independent_translates(_s3_ambit().flow, {0}, 0), SizeCapExceeded,
-     "translate family size 0 exceeds cap"),
+    (lambda: flows.independent_translates(_s3_ambit().flow, {0}, 0), InvalidArgument,
+     "translate family size must be at least 1, got 0"),
     (lambda: flows.check_tower([_s3_ambit()] * 2, []), IncompatibleTower,
      "need one morphism per adjacent pair"),
     (lambda: flows.check_tower([_s3_ambit(), _s3_ambit()], [flows.FlowMorphism(

@@ -1,7 +1,8 @@
 """The code-line counter in ``tools/code_lines.py``, run as a script on a
 package whose lines are counted by hand, and the report digest of
-``tools/report_digests.py`` on hand-written reports, and an AST scan of the
-package for caps that nothing reads."""
+``tools/report_digests.py`` on hand-written reports, an AST scan of the
+package for caps that nothing reads, and the package's start-up imports and
+read-only records."""
 
 import ast
 import importlib.util
@@ -9,6 +10,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -97,8 +100,6 @@ def test_no_dead_caps_in_src():
     and every function parameter named `caps` is read by its function: a cap
     that nothing reads, or one handed to a function that ignores it, bounds
     nothing."""
-    from dataclasses import fields
-
     from elliskit.caps import Caps
 
     read, unused = set(), []
@@ -114,15 +115,16 @@ def test_no_dead_caps_in_src():
                                     and isinstance(n.ctx, ast.Load)
                                     for n in ast.walk(node)):
                     unused.append(f"{path.name}:{node.lineno}")
-    assert [f.name for f in fields(Caps) if f.name not in read] == []
+    assert [name for name in Caps._fields if name not in read] == []
     assert unused == []
 
 
-# Raises that a protocol asks for: attribute lookup, a json object hook, the
-# builders' integer check (caught by `io` and reported as a ParseError) and
-# an argparse type function.
+# Raises that a protocol asks for: attribute lookup, attribute assignment on
+# a read-only class, a json object hook, the builders' integer check (caught
+# by `io` and reported as a ParseError) and an argparse type function.
 PROTOCOL_RAISES = {
     ("algebra.py", "__getattr__", "AttributeError"),
+    ("algebra.py", "_read_only", "AttributeError"),
     ("caps.py", "_unique_keys", "ValueError"),
     ("io.py", "_check_integers", "TypeError"),
     ("cli.py", "integer", "argparse.ArgumentTypeError"),
@@ -169,3 +171,50 @@ def test_every_raise_in_src_names_an_elliskit_error():
         Raises(path.name).visit(ast.parse(path.read_text(encoding="utf-8")))
     assert bad == []
     assert found == PROTOCOL_RAISES | PASSED_ON
+
+
+def test_startup_loads_no_code_generator():
+    """A fresh interpreter that imports the package and its command line
+    loads neither `dataclasses` nor `inspect`: records are NamedTuples or
+    slots classes, so start-up generates and compiles no methods."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import elliskit, elliskit.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-I", "-B", "-c", code, str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def test_records_are_read_only_and_keep_their_repr():
+    """Assigning to or deleting a record's field raises AttributeError, and a
+    record recorded as a witness reads `Name(field=value, ...)`."""
+    from elliskit.algebra import Subgroup, named_group
+    from elliskit.caps import DEFAULT_CAPS
+    from elliskit.ellis import enveloping_semigroup, ideal_group, minimal_left_ideals
+    from elliskit.flows import regular_flow
+    from elliskit.relations import WitnessPair, make_relation
+    from elliskit.report import Report, Verdict
+
+    G = named_group("symmetric", n=3)
+    H = Subgroup(G, frozenset({G.identity}))
+    pair = WitnessPair(H, frozenset({0, 2}))
+    E = make_relation(6, [[1, 0], [2, 3], [4, 5]], regular_flow(G))
+    M = minimal_left_ideals(enveloping_semigroup(regular_flow(G)))[0]
+    for record, field in [(H, "members"), (E, "classes"), (DEFAULT_CAPS, "closure_cap"),
+                          (Verdict("check", True), "passed"), (pair, "support"),
+                          (ideal_group(M, M.idempotents[0]), "members")]:
+        for change in (lambda: setattr(record, field, None),
+                       lambda: delattr(record, field),
+                       lambda: setattr(record, "extra", None)):
+            with pytest.raises(AttributeError):
+                change()
+    subgroup = ("Subgroup(parent=FiniteGroup(symmetric(3), order=6), "
+                "members=frozenset({2}), sorted_members=(2,))")
+    assert repr(H) == subgroup
+    assert repr(E) == ("EquivRelation(points=6, classes=((0, 1), (2, 3), (4, 5)), "
+                       "flow=Flow(group, points=6 regular(symmetric(3))), "
+                       "invariant=True, invariance_witness=None)")
+    rep = Report("analysis", "records")
+    rep.record("witness", False, pair)
+    assert rep.verdicts == [Verdict("witness", False, f"WitnessPair(subgroup={subgroup}, "
+                                                     "support=frozenset({0, 2}))")]
