@@ -5,12 +5,14 @@ subgroups (plus regular and natural actions); relations are coset-block
 partitions, which are invariant by construction while still exercising
 non-normal subgroups.
 
-`_below` and `_subset` draw what `random.Random.randrange` and
-`random.Random.sample` draw, bit for bit, reading `getrandbits` alone.
+`_battery_draws` advances a generator by exactly the `getrandbits` words
+that the Ellis battery's `randrange` and `sample` calls would consume,
+without forming the values: the battery keeps them only for the state they
+leave to the next flow.
 
-Every draw succeeds at once, so nothing is retried (the suites admit
-`max_points` and `max_group_order` of 2 and above, where the catalog's
-cyclic group of order 2 qualifies): a group G of order at least 2 always
+Every draw succeeds at once, so nothing is retried (`check_bounds` admits
+`max_points` and `max_group_order` of 2 and above, before any draw, where
+the catalog's cyclic group of order 2 qualifies): a group G of order at least 2 always
 has the coset action of G itself, of index 1; for a group-like setup, N·H0
 is a subgroup whenever N is normal, and N = G gives the normal K = G. The
 coset-block relations are invariant, and `make_relation` on the flow still
@@ -31,6 +33,7 @@ from .algebra import (
     quaternion_group,
 )
 from .caps import DEFAULT_CAPS, Caps
+from .errors import InvalidArgument
 from .flows import (
     Flow,
     coset_flow,
@@ -61,50 +64,66 @@ def _catalog_groups() -> tuple[FiniteGroup, ...]:
     return tuple(base)
 
 
-def _below(rng: random.Random, n: int) -> int:
-    """`rng.randrange(n)` for n >= 1, drawn as CPython's
-    `Random._randbelow_with_getrandbits` draws it: getrandbits of the bit
-    length of n, drawn again until it is below n."""
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return r
+def check_bounds(**bounds) -> None:
+    """Raise InvalidArgument for a `max_points` or `max_group_order` below
+    2, the smallest bound every generator can meet (module docstring)."""
+    for label, value in bounds.items():
+        if value is not None and value < 2:
+            raise InvalidArgument(f"{label} must be at least 2, got {value}")
 
 
-def _subset(rng: random.Random, population, k: int) -> frozenset:
-    """`frozenset(rng.sample(population, k))`, drawn as CPython's
-    `Random.sample` draws it: up to setsize elements from a pool, moving the
-    last unchosen element into each vacancy; above it, indices below n
-    drawn until k distinct ones are in."""
-    n = len(population)
-    setsize = 21
-    if k > 5:
-        setsize += 4 ** ceil(log(k * 3, 4))
-    if n <= setsize:
-        pool = list(population)
-        chosen = []
-        for i in range(k):
-            j = _below(rng, n - i)
-            chosen.append(pool[j])
-            pool[j] = pool[n - i - 1]
-        return frozenset(chosen)
-    picked = set()
-    for _ in range(k):
-        j = _below(rng, n)
-        while j in picked:
-            j = _below(rng, n)
-        picked.add(j)
-    return frozenset(map(population.__getitem__, picked))
+def _battery_draws(rng: random.Random, size: int, orders) -> None:
+    """Advance rng as the Ellis battery's random data would, forming none
+    of it: 20 rounds of three `randrange(size)` and two `sample(range(size),
+    k)`, each k a `randint(0, min(size, 8))`, then for each ideal group
+    order m in orders ten `sample(range(m), k)`, each k a `randint(0, m)`.
+    `randrange(n)` is CPython's `_randbelow_with_getrandbits`: words of n's
+    bit length, drawn until one is below n."""
+    bits = rng.getrandbits
+    plan = ((size, 3, 2, min(size, 8) + 1),) * 20
+    for n, elements, subsets, top in plan + tuple((m, 0, 10, m + 1) for m in orders):
+        nb, tb = n.bit_length(), top.bit_length()
+        for _ in range(elements):
+            while bits(nb) >= n:
+                pass
+        for _ in range(subsets):
+            k = bits(tb)
+            while k >= top:
+                k = bits(tb)
+            _skip_sample(bits, n, k)
+
+
+def _skip_sample(bits, n: int, k: int) -> None:
+    """Draw from `bits` (a generator's `getrandbits`) what CPython's
+    `Random.sample` of k from n elements draws, forming no sample. Up to
+    setsize elements (21, plus 4**ceil(log(3k, 4)) for k above 5) it picks
+    from a pool that shrinks by one a pick: one index below each of n,
+    n - 1, ..., n - k + 1. Above, it draws indices below n until k distinct
+    ones are in; only the set of those indices is kept."""
+    if n <= 21 or k > 5 and n <= 21 + 4 ** ceil(log(k * 3, 4)):
+        for m in range(n, n - k, -1):
+            mb = m.bit_length()
+            while bits(mb) >= m:
+                pass
+    else:
+        nb = n.bit_length()
+        picked = set()
+        for _ in range(k):
+            j = bits(nb)
+            while j >= n or j in picked:
+                j = bits(nb)
+            picked.add(j)
 
 
 def random_group(rng: random.Random, max_order: int) -> FiniteGroup:
+    check_bounds(max_group_order=max_order)
     options = [G for G in group_catalog() if G.order <= max_order]
     return rng.choice(options)
 
 
 def random_transformation_flow(rng: random.Random, max_points: int,
                                caps: Caps = DEFAULT_CAPS) -> Flow:
+    check_bounds(max_points=max_points)
     n = rng.randint(2, min(5, max_points))
     k = rng.randint(1, 3)
     maps = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(k)]
@@ -115,6 +134,7 @@ def random_group_flow(rng: random.Random, max_points: int, max_order: int,
                       caps: Caps = DEFAULT_CAPS) -> Flow:
     """A group action on at most max_points points: natural, regular, or a
     coset action of a random subgroup of small enough index."""
+    check_bounds(max_points=max_points)
     G = random_group(rng, max_order)
     choices = []
     if G.perms is not None and len(G.perms[0]) <= max_points:
@@ -179,6 +199,7 @@ def random_group_like_setup(rng: random.Random, max_points: int, max_order: int,
     """A transitive pointed action with a group-like relation built from a
     normal subgroup: the block relation of K = N·Stab(basepoint) where the
     product is normal."""
+    check_bounds(max_points=max_points)
     G = random_group(rng, max_order)
     subs = enumerate_subgroups(G, caps=caps)
     H0 = rng.choice([H for H in subs if G.order // H.order <= max_points])

@@ -26,8 +26,8 @@ from .ellis import (
 from .errors import CapExceeded, ElliskitError, InvalidArgument
 from .flows import Flow, make_ambit
 from .generators import (
-    _below,
-    _subset,
+    _battery_draws,
+    check_bounds,
     random_ellis_flow,
     random_group_like_setup,
     random_group_flow,
@@ -60,16 +60,22 @@ def _ellis_instance_checks(flow: Flow, rng: random.Random, caps: Caps) -> int:
     """The structure battery on one flow's enveloping semigroup: the
     minimal ideals, each ideal group with its certificate that u fixes
     every member (so τ is discrete and H(u·M) = {u}), and the isomorphisms
-    between every pair of ideal groups, each certified inside its call;
-    any failure raises. Returns the closure size.
+    between every pair of distinct ideal groups, each certified inside its
+    call; any failure raises. Returns the closure size.
     The composition-limit identities and the τ-closure axioms hold by
     construction (`ellis` module docstring) and run as property tests
     against their literal forms in `tests/oracles.py`, not here.
 
-    The battery still makes the random draws that sampled them, because
-    they advance the rng that builds the next flow. `generators._below` and
-    `generators._subset` read `rng.getrandbits` only and draw what
-    `rng.randrange` and `rng.sample` would, bit for bit."""
+    A group paired with itself is not checked: the idempotent of u's own
+    ideal compatible with u is u, since `_validate_minimal_ideal` checks
+    w·u = w for every idempotent w of that ideal, so w·u = u forces w = u.
+    The map s -> u·(s·u) is then the identity on u·M, and its bijection
+    and homomorphism checks would compare a·b with itself.
+
+    The battery still advances the rng by what the draws that sampled the
+    identities consumed, because that state builds the next flow.
+    `generators._battery_draws` makes exactly the `rng.getrandbits` calls
+    that `rng.randrange` and `rng.sample` would make, forming no value."""
     S = enveloping_semigroup(flow, caps=caps)
     groups = []
     for M in minimal_left_ideals(S):
@@ -80,20 +86,10 @@ def _ellis_instance_checks(flow: Flow, rng: random.Random, caps: Caps) -> int:
     # compatible-idempotent map (both verified inside the call)
     for gu in groups:
         for gv in groups:
-            ideal_group_isomorphism(gu, gv)
-    # 20 rounds of three elements and two subsets of at most 8, then 5
-    # rounds of two subsets of each ideal group
-    size = S.size
-    elems = range(size)
-    for _ in range(20):
-        for _ in range(3):
-            _below(rng, size)
-        for _ in range(2):
-            _subset(rng, elems, _below(rng, min(size, 8) + 1))
-    for g in groups:
-        for _ in range(10):
-            _subset(rng, g.members, _below(rng, len(g.members) + 1))
-    return size
+            if gu is not gv:
+                ideal_group_isomorphism(gu, gv)
+    _battery_draws(rng, S.size, [len(g.members) for g in groups])
+    return S.size
 
 
 def run_ellis_suite(rep: Report, instances: int, rng: random.Random,
@@ -282,10 +278,7 @@ def run_suite(name: str, instances: int, seed: int, caps: Caps = DEFAULT_CAPS,
     rng = random.Random(seed)
     rep = Report("suite", name, seed=seed,
                  caps={"max_points": max_points, "max_group_order": max_group_order})
-    for label, value in (("max_points", max_points),
-                         ("max_group_order", max_group_order)):
-        if value is not None and value < 2:
-            raise InvalidArgument(f"{label} must be at least 2, got {value}")
+    check_bounds(max_points=max_points, max_group_order=max_group_order)
     start = time.monotonic()
     max_points = 6 if max_points is None else max_points
     max_group_order = 24 if max_group_order is None else max_group_order

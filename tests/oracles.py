@@ -952,18 +952,22 @@ def ellis_battery_draws(rng, size, groups):
     order with the stdlib calls: 20 rounds of three elements of a closure of
     `size` elements and two subsets of at most 8 of them (each size drawn
     before its subset), then 5 rounds of two subsets of any size for each
-    ideal group's members in `groups`. Returns every value in draw order."""
+    ideal group's members in `groups`. Returns the population size and the
+    k of every subset, in draw order."""
     elems = range(size)
-    draws = []
+    samples = []
     for _ in range(20):
-        draws += [rng.choice(elems) for _ in range(3)]
+        for _ in range(3):
+            rng.choice(elems)
         for _ in range(2):
             k = rng.randint(0, min(size, 8))
-            draws += [k, frozenset(rng.sample(elems, k=k))]
+            rng.sample(elems, k=k)
+            samples.append((size, k))
     for members in groups:
         members = list(members)
         for _ in range(5):
             for _ in range(2):
                 k = rng.randint(0, len(members))
-                draws += [k, frozenset(rng.sample(members, k=k))]
-    return draws
+                rng.sample(members, k=k)
+                samples.append((len(members), k))
+    return samples

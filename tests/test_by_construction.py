@@ -5,7 +5,8 @@ invariant relations; every generator map is an acting map; the kernel of an
 invariant relation is the normal class-wise stabilizer; the classes are the
 cosets of the basepoint-class stabilizer, and the basepoint fibers of an
 ideal group are the cosets of D; a group flow's only idempotent is the
-identity; and a tower's idempotent chain stays in the minimal ideals. The
+identity; an ideal group's isomorphism onto itself is the identity; and a
+tower's idempotent chain stays in the minimal ideals. The
 one-step maximal witnesses and the lattice members' invariance are compared
 with their oracles in ``test_fast_paths.py``."""
 
@@ -13,7 +14,13 @@ import random
 
 import oracles
 from elliskit import grouplike
-from elliskit.ellis import enveloping_semigroup, ideal_group, minimal_left_ideals
+from elliskit.ellis import (
+    compatible_idempotent,
+    enveloping_semigroup,
+    ideal_group,
+    ideal_group_isomorphism,
+    minimal_left_ideals,
+)
 from elliskit.errors import OrbitNotDense
 from elliskit.flows import (
     FlowMorphism,
@@ -25,6 +32,7 @@ from elliskit.flows import (
     transformation_flow,
 )
 from elliskit.generators import (
+    _battery_draws,
     group_catalog,
     random_ellis_flow,
     random_group_flow,
@@ -166,6 +174,27 @@ def test_a_group_flows_only_idempotent_is_the_identity():
         elements, _ = oracles.closure(flow.generator_maps())
         identity = tuple(range(flow.points))
         assert [f for f in elements if oracles.compose(f, f) == f] == [identity]
+
+
+def test_a_group_paired_with_itself_maps_by_the_identity():
+    """The Ellis battery skips each ideal group's isomorphism onto itself:
+    on the suite's first 60 closures at seed 5, u is its own compatible
+    idempotent and the checked map s -> u·(s·u) is the identity."""
+    rng = random.Random(5)
+    groups = nontrivial = 0
+    for _ in range(60):
+        S = enveloping_semigroup(random_ellis_flow(rng, 6))
+        orders = []
+        for M in minimal_left_ideals(S):
+            for u in M.idempotents:
+                g = ideal_group(M, u)
+                assert compatible_idempotent(g, M) == u
+                assert ideal_group_isomorphism(g, g) == g.members
+                orders.append(len(g.members))
+        groups += len(orders)
+        nontrivial += sum(order > 1 for order in orders)
+        _battery_draws(rng, S.size, orders)
+    assert groups >= 100 and nontrivial >= 30
 
 
 def quotient_ambit(ambit, E):

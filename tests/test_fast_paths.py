@@ -21,6 +21,7 @@ against their all-pairs loops, the composition-limit identities,
 draws read from `getrandbits` against `random.Random`'s own calls."""
 
 import json
+import math
 import random
 import tracemalloc
 from itertools import islice
@@ -79,8 +80,8 @@ from elliskit.flows import (
 )
 from elliskit import suites
 from elliskit.generators import (
-    _below,
-    _subset,
+    _battery_draws,
+    _skip_sample,
     group_catalog,
     random_group,
     random_group_like_setup,
@@ -1646,56 +1647,73 @@ DRAW_SIZES = (*range(1, 41), 84, 85, 86, 100, 500, 1733)
 
 
 def test_below_and_subset_draw_what_random_draws():
-    """`_below` against `randrange`, `choice(range(n))` and `randint`, and
-    `_subset` against `sample` on ranges and tuples, across the pool and
-    set branches (setsize 21, and 85 for k of 6 to 9), on 300 seeds: the
-    same values and the same generator state after each size."""
+    """`_skip_sample` against `sample` across the pool and set branches
+    (setsize 21, and 85 for k of 6 to 9), and `_battery_draws` with no
+    ideal groups against the stdlib replay of its `randrange`, `randint`
+    and `sample` calls, one size of `DRAW_SIZES` a seed, on 300 seeds: the
+    same next word after every sample and the same generator state after
+    every size (one `getstate` takes about 16 µs, too long to compare after
+    each of the 127,200 samples)."""
     for seed in range(300):
         ours, theirs = random.Random(seed), random.Random(seed)
         for n in DRAW_SIZES:
-            assert _below(ours, n) == theirs.randrange(n)
-            assert _below(ours, n) == theirs.choice(range(n))
-            assert _below(ours, n + 1) == theirs.randint(0, n)
-            values = tuple(range(7, 7 + 3 * n, 3))
             for k in range(min(n, 9) + 1):
-                for population in (range(n), values):
-                    got = _subset(ours, population, k)
-                    assert got == frozenset(theirs.sample(population, k))
+                _skip_sample(ours.getrandbits, n, k)
+                theirs.sample(range(n), k)
+                assert ours.getrandbits(32) == theirs.getrandbits(32)
             assert ours.getstate() == theirs.getstate()
+        n = DRAW_SIZES[seed % len(DRAW_SIZES)]
+        _battery_draws(ours, n, ())
+        oracles.ellis_battery_draws(theirs, n, [])
+        assert ours.getstate() == theirs.getstate()
 
 
-def test_ellis_battery_draws_like_the_stdlib_replay(monkeypatch):
+def _pool_branch(n, k):
+    """Whether `random.Random.sample` of k from n picks from a pool."""
+    return n <= 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+
+
+def test_ellis_battery_draws_like_the_stdlib_replay():
     """Sixty seeded flows, drawn and checked on one generator as the suite
-    does: the battery draws every value the oracle's stdlib replay draws,
-    in its order, and leaves the generator in the same state for the next
-    flow. The flows reach both `sample` branches: closures above 85
-    elements and ideal groups of order above 1."""
-    drawn, branches = [], set()
-
-    def below(rng, n):
-        drawn.append(_below(rng, n))
-        return drawn[-1]
-
-    def subset(rng, population, k):
-        branches.add(len(population) <= (85 if k > 5 else 21))
-        drawn.append(_subset(rng, population, k))
-        return drawn[-1]
-
-    monkeypatch.setattr(suites, "_below", below)
-    monkeypatch.setattr(suites, "_subset", subset)
+    does: the battery leaves the generator in the state the oracle's stdlib
+    replay of its draws leaves, so the next flow is the same. The replay's
+    subsets reach both `sample` branches: closures above 85 elements and
+    ideal groups of order above 1."""
     ours, theirs = random.Random(5), random.Random(5)
-    sizes, orders = set(), set()
+    sizes, orders, branches = set(), set(), set()
     for _ in range(60):
         flow = random_ellis_flow(ours, 6)
         assert random_ellis_flow(theirs, 6).maps == flow.maps
-        drawn.clear()
         size = suites._ellis_instance_checks(flow, ours, DEFAULT_CAPS)
         S = enveloping_semigroup(flow)
         groups = [ideal_group(M, u).members for M in minimal_left_ideals(S)
                   for u in M.idempotents]
-        assert drawn == oracles.ellis_battery_draws(theirs, size, groups)
+        samples = oracles.ellis_battery_draws(theirs, size, groups)
         assert ours.getstate() == theirs.getstate()
         sizes.add(size)
         orders.update(map(len, groups))
+        branches.update(_pool_branch(n, k) for n, k in samples)
     assert max(sizes) > 85 and max(orders) > 1
     assert branches == {True, False}
+
+
+class _BitsOnly(random.Random):
+    """A generator whose only drawing method is `getrandbits`."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("drew through a method other than getrandbits")
+
+    random = randrange = randint = choice = sample = shuffle = _refuse
+
+
+def test_ellis_battery_reads_getrandbits_alone():
+    """The battery's draws stay the same on every Python whose `getrandbits`
+    does: it calls no other drawing method of its generator."""
+    rng, bits_only = random.Random(5), _BitsOnly()
+    for _ in range(60):
+        flow = random_ellis_flow(rng, 6)
+        bits_only.setstate(rng.getstate())
+        suites._ellis_instance_checks(flow, bits_only, DEFAULT_CAPS)
+        rng.setstate(bits_only.getstate())
+    with pytest.raises(AssertionError):
+        bits_only.sample(range(3), 1)

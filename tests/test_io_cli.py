@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -43,6 +44,12 @@ from elliskit.errors import (
     SizeCapExceeded,
     UnsupportedParameters,
     ValidationError,
+)
+from elliskit.generators import (
+    random_group,
+    random_group_flow,
+    random_group_like_setup,
+    random_transformation_flow,
 )
 from elliskit.grouplike import check_group_like, identify_quotient
 from elliskit.io import parse_instance, parse_obj, serialize_instance
@@ -849,6 +856,22 @@ def test_run_suite_rejects_bounds_below_2(suite, bounds, message):
     with pytest.raises(InvalidArgument, match=message):
         run_suite(suite, 3, seed=1, **bounds)
     assert run_suite(suite, 3, seed=1, max_points=2, max_group_order=2).passed
+
+
+@pytest.mark.parametrize("draw, message", [
+    (lambda rng: random_group(rng, 1), "max_group_order must be at least 2, got 1"),
+    (lambda rng: random_group_flow(rng, 6, 1), "max_group_order must be at least 2, got 1"),
+    (lambda rng: random_group_like_setup(rng, 6, 1),
+     "max_group_order must be at least 2, got 1"),
+    (lambda rng: random_transformation_flow(rng, 1), "max_points must be at least 2, got 1"),
+], ids=["group", "group-flow", "group-like-setup", "transformation-flow"])
+def test_generators_reject_bounds_below_2(draw, message):
+    # the suites' message, raised before the generator draws anything
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(InvalidArgument, match=message):
+        draw(rng)
+    assert rng.getstate() == state
 
 
 def _c4():
