@@ -511,8 +511,7 @@ def left_cosets(G: FiniteGroup, H: Subgroup) -> list[tuple[int, ...]]:
     return cosets
 
 
-def enumerate_subgroups(G: FiniteGroup, max_order_bound: int | None = None,
-                        caps: Caps = DEFAULT_CAPS) -> list[Subgroup]:
+def enumerate_subgroups(G: FiniteGroup, caps: Caps = DEFAULT_CAPS) -> list[Subgroup]:
     """Every subgroup exactly once, sorted by (order, member tuple).
 
     Neubüser's cyclic-extension method (Numer. Math. 2, 1960): breadth-first
@@ -521,12 +520,11 @@ def enumerate_subgroups(G: FiniteGroup, max_order_bound: int | None = None,
     reachable by adjoining its own elements one at a time. One g is tried per
     right coset Hg, since <H, hg> = <H, g>. A subgroup of more than half of
     G is G itself and is not extended (Lagrange). The lattice is computed
-    once per group and kept on it; the bound is checked on every call and
-    every call returns a new list.
+    once per group and kept on it; `subgroup_enum_cap` is checked on every
+    call and every call returns a new list.
     """
-    bound = max_order_bound if max_order_bound is not None else caps.subgroup_enum_cap
-    if G.order > bound:
-        raise GroupTooLarge(G.order, bound)
+    if G.order > caps.subgroup_enum_cap:
+        raise GroupTooLarge(G.order, caps.subgroup_enum_cap)
     if G.subgroups is None:
         G.subgroups = _subgroup_lattice(G)
     return list(G.subgroups)

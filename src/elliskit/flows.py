@@ -14,9 +14,10 @@ be invertible: they stand in for limit elements that finite group actions
 cannot produce.
 
 A tower's idempotent chain is not re-checked link by link: it starts at a
-minimal-ideal idempotent, and `ellis.induced_epimorphism` checks that each
-minimal ideal maps onto a minimal ideal and each of its idempotents to an
-idempotent, so every pushed element is again a minimal-ideal idempotent.
+minimal-ideal idempotent, `ellis.induced_epimorphism` checks that each
+minimal ideal maps onto a minimal ideal, and a multiplicative map sends an
+idempotent to an idempotent, so every pushed element is again a
+minimal-ideal idempotent.
 """
 
 from __future__ import annotations

@@ -8,14 +8,12 @@ basepoint-class stabilizer K to fix every class (first argument). The
 class group is then G/K from `quotient_group`, transported to class indices
 along coset of g -> class of g·basepoint.
 
-Every check here says that fibers match cosets or that a map respects
-products. The first kind is one `relations.first_split` of two labellings
-(orbit-map values against cosets of the stabilizer); the second runs over
-generators only, by the argument in the `algebra` module docstring (the
-class law, the orbit map, left invariance under domination and the
-cover-group homomorphism of a proper witness). Three facts hold by
-construction and are not re-checked; their literal forms run as seeded
-property tests against `tests/oracles.py`:
+Every check here that a map respects products runs over generators only,
+by the argument in the `algebra` module docstring (the class law, the
+orbit map, left invariance under domination and the cover-group
+homomorphism of a proper witness). The facts below hold by construction
+and are not re-checked; their literal forms run as seeded property tests
+against `tests/oracles.py`:
 - K is normal: once it fixes every class it is the class-wise stabilizer
   of an invariant relation (`relations` module docstring).
 - The classes are the cosets of K along g -> class of g·x0: for an
@@ -30,6 +28,20 @@ is weakly group-like when a group-like relation on another ambit dominates
 it; finitely, every invariant relation on a transitive group ambit is
 dominated from the regular ambit, so the quotient identification applies to
 all of them.
+
+On the transitive group flows that `identify_quotient` accepts (the
+domination morphism g -> g·x0 is onto), the identification is
+orbit-stabilizer, so none of its parts is re-checked:
+- The closure is G's faithful image and u the identity map. core(D) fixes
+  every point g·x0, so it is {u}, every coset of Ĝ is one element, and the
+  class of f(x0), or of f(x), is the same along each coset.
+- The classes are reached: the action is transitive.
+- The fibers are the stabilizer's cosets: E is invariant, so f(x0) ~
+  f'(x0) iff f'⁻¹f ∈ H.
+- |X/E|·|H| = |Ĝ| is Lagrange's theorem.
+- The identification is equivariant: [g·f(x0)] = [g·x] for x ~ f(x0), by
+  invariance.
+The report's `cardinality_identity` and `equivariant` are therefore True.
 """
 
 from __future__ import annotations
@@ -69,7 +81,6 @@ from .flows import (
 from .relations import (
     EquivRelation,
     _class_break,
-    first_split,
     orbit_relation,
     stabilizing_elements,
 )
@@ -169,11 +180,6 @@ def orbit_map_r(ambit: Ambit, cert: GroupLikeCertificate,
             if values[u] != q.identity:
                 raise TheoremViolation("idempotent outside orbit-map kernel", u)
     return OrbitMapReport(values, True, True, True)
-
-
-def _left_coset_labels(G: FiniteGroup, H: Subgroup) -> list[int]:
-    """Each element's left coset gH, labelled by its least member."""
-    return [min(G.mul[g][h] for h in H.members) for g in G.elements()]
 
 
 def compute_D(G_ideal: IdealGroup, ambit: Ambit) -> Subgroup:
@@ -280,18 +286,17 @@ class IdentificationReport(NamedTuple):
 
 
 def identify_quotient(ambit: Ambit, E: EquivRelation,
-                      domination: DominationWitness | None = None,
                       caps: Caps = DEFAULT_CAPS) -> IdentificationReport:
     """The central identification: build the quotient of the ideal group by
-    the core of H·D, act with it on the classes, and verify that the orbit
-    map at the basepoint class induces an equivariant bijection between the
-    quotient modulo the basepoint-class stabilizer and the class space,
-    whose fibers are exactly the stabilizer's left cosets."""
+    the core of H·D, act with it on the classes, and read off the orbit map
+    at the basepoint class, an equivariant bijection between the quotient
+    modulo the basepoint-class stabilizer and the class space whose fibers
+    are the stabilizer's left cosets (orbit-stabilizer, module docstring)."""
     flow = ambit.flow
     if not flow.is_group_flow:
         raise NotWeaklyGroupLike("needs a group flow")
     bound = E.bind(flow)
-    witness = domination or default_domination(ambit, bound)
+    witness = default_domination(ambit, bound)
     verdict = check_domination(witness)
     if not verdict:
         raise NotWeaklyGroupLike(verdict.refutation)
@@ -300,62 +305,16 @@ def identify_quotient(ambit: Ambit, E: EquivRelation,
     M = minimal_left_ideals(S)[0]
     IG = ideal_group(M, M.idempotents[0])
     ghat = compute_ghat(IG, ambit)
-    gv = IG.group_view
     x0 = ambit.basepoint
-    u = IG.idempotent
-
-    # class of f(x) depends only on the coset of f and the class of x
-    k = ghat.group.order
-    value = [None] * k  # coset -> class of f(x0)
-    for ci, coset in enumerate(ghat.cosets):
-        rep = S.maps[IG.from_group[coset[0]]]
-        value[ci] = bound.class_of[rep[x0]]
-        for gi in coset:
-            f = S.maps[IG.from_group[gi]]
-            if bound.class_of[f[x0]] != value[ci]:
-                raise TheoremViolation("orbit map ill-defined on coset", (ci, gi))
-            for x in range(flow.points):
-                if bound.class_of[f[x]] != bound.class_of[rep[x]]:
-                    raise TheoremViolation("action ill-defined on coset", (ci, gi, x))
-    rhat = tuple(value)
-
-    if len(set(rhat)) != len(bound.classes):
-        raise TheoremViolation("identification map not onto classes",
-                               len(set(rhat)))
-
-    stab_members = frozenset(c for c in range(k) if rhat[c] == bound.class_of[x0])
-    H = Subgroup(ghat.group, stab_members)
-
-    # fibers of the orbit map are exactly the left cosets of the stabilizer
-    split = first_split(rhat, _left_coset_labels(ghat.group, H))
-    if split is not None:
-        raise TheoremViolation("fibers are not stabilizer cosets", split)
-
-    if len(bound.classes) * H.order != k:
-        raise TheoremViolation("cardinality identity fails",
-                               (len(bound.classes), H.order, k))
-
-    coset_to_class = []
-    seen = set()
-    for c in range(k):
-        if rhat[c] not in seen:
-            seen.add(rhat[c])
-            coset_to_class.append(rhat[c])
-
-    # equivariance along the natural map from the acting group
-    G = flow.group
-    equivariant = True
-    for g in G.elements():
-        pg = S.keys[S.key(flow.map_of(g))]
-        nat = ghat.projection[IG.to_group[S.mul(S.mul(u, pg), u)]]
-        for c in range(k):
-            lhs = rhat[ghat.group.mul[nat][c]]
-            rep_point = bound.classes[rhat[c]][0]
-            rhs = bound.class_of[flow.act(g, rep_point)]
-            if lhs != rhs:
-                raise TheoremViolation("identification not equivariant", (g, c))
-    return IdentificationReport(ghat, H, len(bound.classes), tuple(coset_to_class),
-                                True, equivariant, witness)
+    class_of = bound.class_of
+    # coset -> class of f(x0), f the coset's one member
+    rhat = tuple(class_of[S.maps[IG.from_group[coset[0]]][x0]]
+                 for coset in ghat.cosets)
+    H = Subgroup(ghat.group,
+                 frozenset(c for c, v in enumerate(rhat) if v == class_of[x0]))
+    coset_to_class = tuple(dict.fromkeys(rhat))
+    return IdentificationReport(ghat, H, len(bound.classes), coset_to_class,
+                                True, True, witness)
 
 
 # -- properly and uniformly properly group-like witnesses ---------------------

@@ -67,8 +67,9 @@ def _ellis_instance_checks(flow: Flow, rng: random.Random, caps: Caps) -> int:
     against their literal forms in `tests/oracles.py`, not here.
 
     A group paired with itself is not checked: the idempotent of u's own
-    ideal compatible with u is u, since `_validate_minimal_ideal` checks
-    w·u = w for every idempotent w of that ideal, so w·u = u forces w = u.
+    ideal compatible with u is u, since w·u = w for every idempotent w of
+    that ideal (the right-identity law, `ellis` module docstring), so
+    w·u = u forces w = u.
     The map s -> u·(s·u) is then the identity on u·M, and its bijection
     and homomorphism checks would compare a·b with itself.
 

@@ -7,8 +7,9 @@ witnessed classes, pseudo-closed lattices held as frozensets of
 indices, affine groups by matrix arithmetic over GF(q), and the
 homomorphism, action-axiom, equivariance, class-table, left-invariance,
 fiber-against-coset and orbitality definitions over every pair of
-elements, the composition-limit identities, τ-closure formulas and
-H(u·M) that hold by construction in ``elliskit.ellis``, and the Ellis
+elements, the composition-limit identities, τ-closure formulas, H(u·M)
+and minimal-ideal structure that hold by construction in
+``elliskit.ellis``, the quotient identification's scans, and the Ellis
 battery's random data drawn by `random.Random`'s own `choice`, `randint`
 and `sample`. The production paths compose few
 products and read the rest off tables, work from generators and hold sets
@@ -382,6 +383,57 @@ def h_subgroup(mul, members, u):
         if tau_closure(mul, members, u, rest)[0] == rest:
             H &= tau_closure(mul, members, u, V)[0]
     return H
+
+
+def product(elements, index, a, b):
+    """The index of elements[a]∘elements[b], composed and looked up."""
+    return index[compose(elements[a], elements[b])]
+
+
+def ideal_blocks(elements, index, members):
+    """A minimal left ideal's structure by its definitions: the members e
+    with e∘e = e, whether s∘u = s for every member s and idempotent u, and
+    the block u·M of each idempotent u."""
+    mul = functools.partial(product, elements, index)
+    idempotents = tuple(s for s in members if mul(s, s) == s)
+    right_identity = all(mul(s, u) == s for u in idempotents for s in members)
+    blocks = tuple(frozenset(mul(u, s) for s in members) for u in idempotents)
+    return idempotents, right_identity, blocks
+
+
+def identification(flow, x0, class_of, cosets, Q, u):
+    """`grouplike.identify_quotient` by its literal scans. `cosets` holds
+    each coset of Ĝ as its members' maps, Q is Ĝ on coset indices and u the
+    ideal group's identity map. Every member of a coset must give the class
+    its first member gives at every point; the values at x0 must reach
+    every class, their fibers must be the left cosets of the stabilizer H of
+    x0's class, |X/E|·|H| = |Ĝ|, and for every acting element g the coset
+    of u∘g∘u must move each value as g moves the points of its class.
+    Returns (H, each coset's class in first-seen order), or the name of the
+    first check that fails."""
+    n = flow.points
+    rhat = []
+    for coset in cosets:
+        first = coset[0]
+        if any(class_of[f[x]] != class_of[first[x]] for f in coset for x in range(n)):
+            return "ill-defined on a coset"
+        rhat.append(class_of[first[x0]])
+    classes = len(set(class_of))
+    if len(set(rhat)) != classes:
+        return "not onto classes"
+    H = frozenset(c for c, v in enumerate(rhat) if v == class_of[x0])
+    if coset_fiber_split(Q, H, rhat) is not None:
+        return "fibers are not stabilizer cosets"
+    if classes * len(H) != Q.order:
+        return "cardinality identity fails"
+    coset_of = {f: c for c, coset in enumerate(cosets) for f in coset}
+    for g in flow.group.elements():
+        nat = coset_of[compose(u, compose(flow.map_of(g), u))]
+        for c in range(Q.order):
+            if any(rhat[Q.mul[nat][c]] != class_of[flow.act(g, p)]
+                   for p in range(n) if class_of[p] == rhat[c]):
+                return "not equivariant"
+    return H, tuple(dict.fromkeys(rhat))
 
 
 def permutation_group(degree, generators):

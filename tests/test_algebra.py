@@ -28,7 +28,7 @@ from elliskit.errors import (
     NotNormal,
     UnsupportedParameters,
 )
-from elliskit.caps import Caps
+from elliskit.caps import DEFAULT_CAPS, Caps
 from elliskit.generators import group_catalog
 
 
@@ -220,7 +220,7 @@ def test_enumerate_subgroups_trivial_group():
 def test_enumerate_subgroups_cap():
     G = named_group("cyclic", n=12)
     with pytest.raises(GroupTooLarge):
-        enumerate_subgroups(G, max_order_bound=6)
+        enumerate_subgroups(G, caps=DEFAULT_CAPS._replace(subgroup_enum_cap=6))
 
 
 # ---- normal core --------------------------------------------------------------

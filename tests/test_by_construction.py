@@ -5,30 +5,39 @@ invariant relations; every generator map is an acting map; the kernel of an
 invariant relation is the normal class-wise stabilizer; the classes are the
 cosets of the basepoint-class stabilizer, and the basepoint fibers of an
 ideal group are the cosets of D; a group flow's only idempotent is the
-identity; an ideal group's isomorphism onto itself is the identity; and a
-tower's idempotent chain stays in the minimal ideals. The
+identity; an ideal group's isomorphism onto itself is the identity; the
+minimal-ideal structure that generation by every member gives, below and
+above the table limit; the unique compatible idempotent and the
+conjugation form of an isomorphism; idempotents pushed to idempotents; a
+tower's idempotent chain stays in the minimal ideals; and the quotient
+identification, against its literal scans. The
 one-step maximal witnesses and the lattice members' invariance are compared
 with their oracles in ``test_fast_paths.py``."""
 
 import random
 
 import oracles
-from elliskit import grouplike
+from elliskit import ellis, grouplike
+from elliskit.algebra import enumerate_subgroups, named_group
+from elliskit.caps import DEFAULT_CAPS
 from elliskit.ellis import (
     compatible_idempotent,
     enveloping_semigroup,
     ideal_group,
     ideal_group_isomorphism,
+    induced_epimorphism,
     minimal_left_ideals,
 )
-from elliskit.errors import OrbitNotDense
+from elliskit.errors import ClosureCapExceeded, OrbitNotDense
 from elliskit.flows import (
     FlowMorphism,
     check_tower,
+    coset_flow,
     disjoint_union_flow,
     make_ambit,
     natural_flow,
     product_flow,
+    regular_flow,
     transformation_flow,
 )
 from elliskit.generators import (
@@ -239,3 +248,154 @@ def test_tower_chains_stay_in_the_minimal_ideals():
             nontrivial += f != tuple(range(level.flow.points))
         towers += 1
     assert nontrivial >= 200
+
+
+def ellis_closures(seed):
+    """Seeded flows with their closures: 400 transformation and group flows
+    of up to 6 points, nearly all within `ellis._TABLE_LIMIT`, then S6 on 6
+    points and four closures of random maps on 5 or 6 points above it,
+    where a product is composed where it is read."""
+    rng = random.Random(seed)
+    for _ in range(400):
+        flow = random_ellis_flow(rng, 6)
+        yield flow, enveloping_semigroup(flow)
+    flow = natural_flow(named_group("symmetric", n=6))
+    yield flow, enveloping_semigroup(flow)
+    caps = DEFAULT_CAPS._replace(closure_cap=2000)
+    large = 0
+    while large < 4:
+        k = rng.randint(5, 6)
+        flow = transformation_flow([[rng.randrange(k) for _ in range(k)]
+                                    for _ in range(rng.randint(2, 3))])
+        try:
+            S = enveloping_semigroup(flow, caps=caps)
+        except ClosureCapExceeded:
+            continue
+        if S.size > ellis._TABLE_LIMIT:
+            large += 1
+            yield flow, S
+
+
+def test_minimal_ideals_hold_what_generation_by_every_member_gives():
+    """`_validate_minimal_ideal` certifies only that every member generates
+    its ideal. On every minimal left ideal of the closures above: the list
+    is the all-elements oracle's (within the table limit) and its union is
+    closed under left products; each ideal has an idempotent, s·u = s for
+    every member s and idempotent u, and the blocks u·M are disjoint and
+    cover it (`ellis` module docstring)."""
+    ideals = blocks = large = 0
+    for flow, S in ellis_closures(107):
+        elements, index = oracles.elements_of(S), oracles.index_of(S)
+        found = minimal_left_ideals(S)
+        if S.size <= ellis._TABLE_LIMIT:
+            table = oracles.composition_table(elements)
+            assert [(M.members, M.idempotents) for M in found] == \
+                oracles.minimal_left_ideals(table, S.generators)
+        else:
+            large += 1
+        union = frozenset().union(*(M.members for M in found))
+        assert all(oracles.product(elements, index, g, m) in union
+                   for g in S.generators for m in union)
+        for M in found:
+            idempotents, right_identity, cover = oracles.ideal_blocks(
+                elements, index, M.members)
+            assert idempotents == M.idempotents and idempotents
+            assert right_identity
+            assert sum(map(len, cover)) == len(M.members)
+            assert frozenset().union(*cover) == M.member_set
+            ideals += 1
+            blocks += len(cover)
+    assert large >= 5 and ideals >= 400 and blocks >= 600
+
+
+def test_the_compatible_idempotent_is_unique_and_gives_the_conjugation():
+    """For every ideal group u·M and minimal ideal N: exactly one
+    idempotent w of N has w·u = u, `compatible_idempotent` returns it, and
+    u·w = w; when v·u = u for the identity v of v·N, the isomorphism onto
+    v·N is the conjugation s -> (v·s)·v (`ellis` module docstring)."""
+    pairs = not_first = conjugations = 0
+    for flow, S in ellis_closures(113):
+        elements, index = oracles.elements_of(S), oracles.index_of(S)
+
+        def mul(a, b):
+            return oracles.product(elements, index, a, b)
+
+        ideals = minimal_left_ideals(S)
+        groups = {u: ideal_group(M, u) for M in ideals for u in M.idempotents}
+        for gu in groups.values():
+            u = gu.idempotent
+            for N in ideals:
+                compatible = [w for w in N.idempotents if mul(w, u) == u]
+                w = compatible_idempotent(gu, N)
+                assert compatible == [w] and mul(u, w) == w
+                pairs += 1
+                not_first += w != N.idempotents[0]
+                assert ideal_group_isomorphism(gu, groups[w]) == \
+                    tuple(mul(mul(w, s), w) for s in gu.members)
+                conjugations += len(gu.members) > 1
+    assert pairs >= 600 and not_first >= 250 and conjugations >= 150
+
+
+def test_epimorphisms_send_idempotents_to_idempotents():
+    """The epimorphism a random quotient of each closure's flow induces:
+    every pushed minimal-ideal idempotent is an idempotent of the target
+    closure, by composing its map with itself."""
+    rng = random.Random(127)
+    epimorphisms = moved = 0
+    for flow, S in ellis_closures(131):
+        ambit = ambit_or_none(flow, rng.randrange(flow.points))
+        if ambit is None:
+            continue
+        relation = rng.choice(list(invariant_relations(flow)))
+        target, morphism = quotient_ambit(ambit, relation)
+        epi = induced_epimorphism(morphism, source_semigroup=S)
+        for _, pushed in epi.idempotent_images:
+            f = tuple(epi.target.maps[pushed])
+            assert oracles.compose(f, f) == f
+            moved += f != tuple(range(target.flow.points))
+        epimorphisms += 1
+    assert epimorphisms >= 250 and moved >= 150
+
+
+def transitive_catalog_flows():
+    """The catalog groups acting on themselves, by their permutations and
+    on the cosets of each subgroup of index 3 to 6."""
+    for G in group_catalog():
+        yield regular_flow(G)
+        if G.perms is not None:
+            yield natural_flow(G)
+        for H in enumerate_subgroups(G):
+            if 3 <= G.order // H.order <= 6:
+                yield coset_flow(G, H)
+
+
+def test_identification_matches_the_literal_scans():
+    """Every invariant relation of the catalog's transitive flows, at
+    basepoint 0 and at a seeded other point: `identify_quotient`'s
+    stabilizer and coset-to-class map are those the literal scans give, and
+    every scan passes: each coset of Ĝ acts as one map, the values reach
+    every class, their fibers are the stabilizer's cosets, |X/E|·|H| =
+    |Ĝ|, and the identification is equivariant for every element of G
+    (`grouplike` module docstring)."""
+    rng = random.Random(137)
+    pairs = moved = 0
+    for flow in transitive_catalog_flows():
+        S = enveloping_semigroup(flow)
+        M = minimal_left_ideals(S)[0]
+        IG = ideal_group(M, M.idempotents[0])
+        u = tuple(S.maps[IG.idempotent])
+        for E in invariant_relations(flow):
+            for x0 in {0, rng.randrange(flow.points)}:
+                ambit = make_ambit(flow, x0)
+                report = grouplike.identify_quotient(ambit, E)
+                ghat = grouplike.compute_ghat(IG, ambit)
+                assert report.ghat.cosets == ghat.cosets
+                cosets = [[tuple(S.maps[IG.from_group[g]]) for g in coset]
+                          for coset in ghat.cosets]
+                assert (report.stabilizer.members, report.coset_to_class) == \
+                    oracles.identification(flow, x0, E.class_of, cosets, ghat.group, u)
+                assert (report.class_count, report.cardinality_identity,
+                        report.equivariant) == (len(E.classes), True, True)
+                pairs += 1
+                moved += E.class_of[x0] != E.class_of[0]
+    assert pairs >= 600 and moved >= 150

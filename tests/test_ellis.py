@@ -638,16 +638,15 @@ def test_minimal_ideal_validation_rejects_fake_ideals():
         _validate_minimal_ideal(M)
 
 
-def test_minimal_left_ideals_certificate_catches_a_set_not_left_closed(monkeypatch):
+def test_a_set_not_left_closed_is_not_generated_by_member(monkeypatch):
     # a 3-cycle and the constant map to 0: the kernel is the three constant
     # maps, and S·c0 holds all three. Cut S·s down to {s}: the constant c0
     # absorbs right products, so its orbit is {c0} alone, and the 3-cycle
-    # times c0 leaves it; only the left-product check can see that
+    # times c0 leaves it; the generation certificate sees that edge leave
     S = enveloping_semigroup(transformation_flow([(1, 2, 0), (0, 0, 0)]))
     c0 = S.keys[S.key((0, 0, 0))]
     assert len(minimal_left_ideals(S)) == 1
     monkeypatch.setattr(ellis.EllisSemigroup, "left_reach", lambda self, s: {s})
     assert ellis._kernel_element(S) == c0
-    with pytest.raises(TheoremViolation,
-                       match="minimal left ideals miss part of the kernel"):
+    with pytest.raises(TheoremViolation, match="not generated by member"):
         minimal_left_ideals(S)

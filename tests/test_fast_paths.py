@@ -766,7 +766,7 @@ def test_subgroup_lattices_match_oracle():
 
 def test_s5_subgroup_lattice():
     G = named_group("symmetric", n=5)
-    subs = enumerate_subgroups(G, max_order_bound=200)
+    subs = enumerate_subgroups(G)
     assert len(subs) == 156
     assert len({H.members for H in subs}) == 156
     for H in subs:
@@ -790,7 +790,7 @@ def test_subgroup_bounds_hold_on_a_memoised_group():
     G = named_group("symmetric", n=4)
     assert len(enumerate_subgroups(G)) == 30
     with pytest.raises(GroupTooLarge):
-        enumerate_subgroups(G, max_order_bound=23)
+        enumerate_subgroups(G, caps=DEFAULT_CAPS._replace(subgroup_enum_cap=23))
     with pytest.raises(GroupTooLarge):
         enumerate_subgroups(G, caps=DEFAULT_CAPS._replace(subgroup_enum_cap=12))
 
@@ -1531,20 +1531,25 @@ def test_first_split_matches_the_all_pairs_scan():
     assert 100 <= split <= 300
 
 
+def left_coset_labels(G, H):
+    """Each element's left coset gH, labelled by its least member."""
+    return [min(G.mul[g][h] for h in H.members) for g in G.elements()]
+
+
 def test_fibers_against_cosets_match_the_literal_loop():
-    """`compute_D` and `identify_quotient` compare values with the left
-    cosets of a subgroup. On every subgroup of the catalog groups, against
-    its renamed cosets, another subgroup's cosets and either with one entry
-    changed, the first split is the literal loop's first pair."""
+    """`first_split` of values against the left cosets of a subgroup. On
+    every subgroup of the catalog groups, against its renamed cosets,
+    another subgroup's cosets and either with one entry changed, the first
+    split is the literal loop's first pair."""
     rng = random.Random(47)
     split = total = 0
     for G in group_catalog():
         subs = enumerate_subgroups(G)
         for H in subs:
-            labels = grouplike._left_coset_labels(G, H)
+            labels = left_coset_labels(G, H)
             names = rng.sample(range(G.order), G.order)
             for values in ([names[c] for c in labels],
-                           grouplike._left_coset_labels(G, rng.choice(subs))):
+                           left_coset_labels(G, rng.choice(subs))):
                 if rng.random() < 0.4:
                     values[rng.randrange(G.order)] = rng.randrange(G.order)
                 want = oracles.coset_fiber_split(G, H.members, values)

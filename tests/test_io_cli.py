@@ -53,7 +53,13 @@ from elliskit.generators import (
 )
 from elliskit.grouplike import check_group_like, identify_quotient
 from elliskit.io import parse_instance, parse_obj, serialize_instance
-from elliskit.relations import RRelationResult, is_orbital, is_weakly_orbital, make_relation
+from elliskit.relations import (
+    RRelationResult,
+    invariant_relations,
+    is_orbital,
+    is_weakly_orbital,
+    make_relation,
+)
 from elliskit.suites import SUITES, run_suite
 
 
@@ -898,6 +904,15 @@ def _ideal_group_and_outsider():
     return G, {next(s for s in range(S.size) if s not in G.to_group)}
 
 
+def _non_orbital_instance():
+    """Regular S3 with an invariant relation that is not orbital (the left
+    cosets of a non-normal subgroup of order 2) and discrete lattices."""
+    flow = flows.regular_flow(named_group("symmetric", n=3))
+    E = next(E for E in invariant_relations(flow) if not is_orbital(E))
+    return structured.StructuredInstance(flow, E, structured.default_lattices(
+        flow, structured.discrete_lattice("G", 6), structured.discrete_lattice("X", 6)))
+
+
 def _lattices(g_size):
     return {"G": structured.discrete_lattice("G", g_size),
             "X": structured.discrete_lattice("X", 3)}
@@ -936,6 +951,9 @@ def _lattices(g_size):
      "independent translates need a group flow"),
     (lambda: flows.independent_translates(_s3_ambit().flow, {0}, 0), InvalidArgument,
      "translate family size must be at least 1, got 0"),
+    (lambda: flows.independent_translates(
+        _s3_ambit().flow, {0}, DEFAULT_CAPS.independence_k_cap + 1), SizeCapExceeded,
+     f"translate family size {DEFAULT_CAPS.independence_k_cap + 1} exceeds cap"),
     (lambda: flows.check_tower([_s3_ambit()] * 2, []), IncompatibleTower,
      "need one morphism per adjacent pair"),
     (lambda: flows.check_tower([_s3_ambit(), _s3_ambit()], [flows.FlowMorphism(
@@ -962,6 +980,8 @@ def _lattices(g_size):
     (lambda: structured.product_lattice(structured.discrete_lattice("G", 2),
                                         structured.make_lattice("X", 3, [[0]])).members(),
      SizeCapExceeded, "intensional lattice enumeration size 9"),
+    (lambda: structured.verify_thm_orb(_non_orbital_instance(), require_agreeable=False),
+     NotOrbital, "relation is not orbital"),
     (lambda: is_orbital(make_relation(3, [[0, 1], [2]], _s3_ambit().flow)),
      NotInvariant, "relation is not invariant"),
     (lambda: check_group_like(_swap_ambit(), make_relation(2, [[0, 1]])),
@@ -970,6 +990,8 @@ def _lattices(g_size):
      NotWeaklyGroupLike, "action is not transitive"),
     (lambda: identify_quotient(_swap_ambit(), make_relation(2, [[0, 1]])),
      NotWeaklyGroupLike, "needs a group flow"),
+    (lambda: identify_quotient(_s3_ambit(2), make_relation(6, [list(range(6))])),
+     NotWeaklyGroupLike, "('morphism', ('unreached', 3))"),
     (lambda: ellis.tau_closure(*_ideal_group_and_outsider()),
      NotInIdeal, "does not belong to the ideal"),
     (lambda: RRelationResult(frozenset({(0, 1)}), False, False, False,
@@ -977,16 +999,18 @@ def _lattices(g_size):
      NotAWitness, "relation is not an equivalence: ('irreflexive', 0)"),
     (lambda: parse_obj([1, 2]), ParseError, "<data>: top-level JSON object expected"),
 ], ids=["subgroup-identity", "subgroup-inverse", "subgroup-closure", "table-empty",
-        "table-over-cap", "table-identity", "table-associative", "one-sided-inverse",
-        "cyclic-0", "symmetric-7", "dihedral-2", "direct-product-cap",
-        "product-of-transformations", "union-cap", "union-generator-counts",
-        "translates-transformation", "translates-k", "tower-morphism-count",
-        "tower-endpoints", "action-map-length", "action-not-bijective", "empty-class",
+        "table-over-cap", "table-identity", "table-associative",
+        "one-sided-inverse", "cyclic-0", "symmetric-7", "dihedral-2",
+        "direct-product-cap", "product-of-transformations", "union-cap",
+        "union-generator-counts", "translates-transformation", "translates-k",
+        "translates-over-cap", "tower-morphism-count", "tower-endpoints",
+        "action-map-length", "action-not-bijective", "empty-class",
         "structured-transformation", "structured-missing-lattice",
         "structured-lattice-size", "lattice-out-of-range", "product-unknown-ground",
-        "discrete-members", "section-members", "orbital-not-invariant",
-        "group-like-transformation", "group-like-intransitive",
-        "identify-transformation", "tau-outside-ideal", "not-an-equivalence",
+        "discrete-members", "section-members", "thm-orb-not-orbital",
+        "orbital-not-invariant", "group-like-transformation",
+        "group-like-intransitive", "identify-transformation",
+        "identify-intransitive", "tau-outside-ideal", "not-an-equivalence",
         "parse-non-object"])
 def test_input_validation_refutations_fire(call, error, message):
     with pytest.raises(error) as exc:
