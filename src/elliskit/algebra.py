@@ -97,9 +97,6 @@ class FiniteGroup:
         self.name = name
         self.subgroups = None
 
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     def conjugate(self, g: int, a: int) -> int:
         """g * a * g^-1."""
         return self.mul[self.mul[g][a]][self.inverse[g]]

@@ -86,7 +86,8 @@ def run_s3_stabilizer(caps: Caps = DEFAULT_CAPS) -> Report:
     rep.record("three classes", ident.class_count == 3, ident.class_count)
     rep.record("index of stabilizer is three",
                ident.ghat.group.order // ident.stabilizer.order == 3)
-    rep.record("cardinality identity", ident.cardinality_identity)
+    rep.record("cardinality identity",
+               ident.class_count * ident.stabilizer.order == ghat.group.order)
     rep.structures.update({
         "closure_size": S.size,
         "stabilizer": list(D.sorted_members),
@@ -251,11 +252,12 @@ def run_product_demo(caps: Caps = DEFAULT_CAPS) -> Report:
                   for i in range(S.size)}
         rep.record(f"{tag}: projections separate the closure",
                    len(paired) == S.size)
-        rep.record(f"{tag}: ideals correspond under both projections",
-                   epi1.ideal_images is not None and epi2.ideal_images is not None)
         n_src = len(minimal_left_ideals(S))
         n1 = len(minimal_left_ideals(S1))
         n2 = len(minimal_left_ideals(S2))
+        rep.record(f"{tag}: ideals correspond under both projections",
+                   all({t for _, t in epi.ideal_images} == set(range(n))
+                       for epi, n in ((epi1, n1), (epi2, n2))))
         rep.record(f"{tag}: minimal ideal counts multiply",
                    n_src == n1 * n2, (n_src, n1, n2))
     return rep
@@ -282,7 +284,8 @@ def run_tower_demo(caps: Caps = DEFAULT_CAPS) -> Report:
     rep.record("one minimal ideal per level",
                all(lv.ideal_count == 1 for lv in tower.levels))
     rep.record("idempotent chain threads the tower",
-               len(tower.coherent_idempotent_chain) == 3)
+               all(e in lv.idempotents for lv, e in
+                   zip(tower.levels, tower.coherent_idempotent_chain)))
     rep.structures["ideal_group_orders"] = orders
     return rep
 

@@ -138,14 +138,6 @@ class IsomorphismViolated(TheoremViolation):
         super().__init__("ideal-group isomorphism s -> vsv", witness)
 
 
-class NotWellDefined(ElliskitError):
-    def __init__(self, f, z1, z2):
-        self.f, self.z1, self.z2 = f, z1, z2
-        super().__init__(
-            f"induced map ill-defined: element {f} disagrees on fiber points {z1}, {z2}"
-        )
-
-
 # -- relations -------------------------------------------------------------
 
 class NotAPartition(ElliskitError):

@@ -14,10 +14,10 @@ be invertible: they stand in for limit elements that finite group actions
 cannot produce.
 
 A tower's idempotent chain is not re-checked link by link: it starts at a
-minimal-ideal idempotent, `ellis.induced_epimorphism` checks that each
-minimal ideal maps onto a minimal ideal, and a multiplicative map sends an
-idempotent to an idempotent, so every pushed element is again a
-minimal-ideal idempotent.
+minimal-ideal idempotent, and an epimorphism, checked onto and
+multiplicative by `ellis.induced_epimorphism`, maps each minimal ideal
+onto a minimal ideal and an idempotent to an idempotent (`ellis` module
+docstring), so every pushed element is again a minimal-ideal idempotent.
 """
 
 from __future__ import annotations
@@ -393,6 +393,7 @@ class TowerLevel(NamedTuple):
     ideal_count: int
     idempotent_counts: tuple[int, ...]
     ideal_group_order: int
+    idempotents: frozenset[int]     # of every minimal ideal of the level
 
 
 class TowerReport(NamedTuple):
@@ -404,9 +405,9 @@ class TowerReport(NamedTuple):
 def check_tower(levels: list[Ambit], connecting: list[FlowMorphism],
                 caps: Caps = DEFAULT_CAPS) -> TowerReport:
     """Levels joined by morphisms level[i+1] -> level[i]; verifies that each
-    induced semigroup epimorphism sends minimal ideals onto minimal ideals
-    and idempotents to idempotents, and threads one idempotent chain through
-    the whole tower (module docstring)."""
+    induced semigroup map is an epimorphism, so it sends minimal ideals
+    onto minimal ideals and idempotents to idempotents, and threads one
+    idempotent chain through the whole tower (module docstring)."""
     from . import ellis
 
     if len(connecting) != len(levels) - 1:
@@ -429,6 +430,7 @@ def check_tower(levels: list[Ambit], connecting: list[FlowMorphism],
             ideal_count=len(ideals),
             idempotent_counts=tuple(len(m.idempotents) for m in ideals),
             ideal_group_order=gview.order,
+            idempotents=frozenset(u for m in ideals for u in m.idempotents),
         ))
 
     correspondences = []

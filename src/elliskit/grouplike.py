@@ -29,19 +29,30 @@ it; finitely, every invariant relation on a transitive group ambit is
 dominated from the regular ambit, so the quotient identification applies to
 all of them.
 
-On the transitive group flows that `identify_quotient` accepts (the
-domination morphism g -> g·x0 is onto), the identification is
+`identify_quotient` takes an invariant E on a transitive group ambit, the
+two input conditions it checks. There the identification is
 orbit-stabilizer, so none of its parts is re-checked:
+- E is dominated from the regular ambit: the coset relation of the
+  basepoint-class stabilizer K when K is normal, else equality. Both are
+  group-like; g -> g·x0 is an equivariant surjection; it maps each coset gK
+  into the class of g·x0, since K fixes x0's class and E is invariant; and
+  the induced relation is left invariant and onto, since E is invariant
+  and the action transitive. So `default_domination` and
+  `check_domination` would only re-prove the input conditions.
 - The closure is G's faithful image and u the identity map. core(D) fixes
   every point g·x0, so it is {u}, every coset of Ĝ is one element, and the
   class of f(x0), or of f(x), is the same along each coset.
-- The classes are reached: the action is transitive.
+- The classes are reached: the action is transitive. So the reached
+  classes counted, `class_count`, are |X/E|.
 - The fibers are the stabilizer's cosets: E is invariant, so f(x0) ~
   f'(x0) iff f'⁻¹f ∈ H.
 - |X/E|·|H| = |Ĝ| is Lagrange's theorem.
 - The identification is equivariant: [g·f(x0)] = [g·x] for x ~ f(x0), by
   invariance.
-The report's `cardinality_identity` and `equivariant` are therefore True.
+The same facts make `orbit_map_r` onto the class group on such an ambit,
+with the identity map, the only idempotent, sent to the class group's
+identity; it checks only that the map is multiplicative, which a caller's
+wrong certificate breaks.
 """
 
 from __future__ import annotations
@@ -152,34 +163,24 @@ def check_group_like(ambit: Ambit, E: EquivRelation) -> GroupLikeVerdict:
     return GroupLikeVerdict(True, GroupLikeCertificate(ambit, bound, qgroup, kernel), None)
 
 
-class OrbitMapReport(NamedTuple):
-    values: tuple[int, ...]     # semigroup element -> class index
-    surjective: bool
-    homomorphism: bool
-    idempotents_in_kernel: bool
-
-
 def orbit_map_r(ambit: Ambit, cert: GroupLikeCertificate,
-                S: EllisSemigroup) -> OrbitMapReport:
-    """Evaluation at the basepoint followed by the class map, as a semigroup
-    homomorphism onto the class group. Violations are structural failures."""
+                S: EllisSemigroup) -> tuple[int, ...]:
+    """Evaluation at the basepoint followed by the class map, semigroup
+    element -> class index: a homomorphism onto the class group, checked
+    multiplicative over the generators (`algebra` module docstring); a
+    violation is a structural failure. On a transitive group ambit it is
+    onto, and the identity map, the only idempotent, lies in its kernel,
+    by construction (module docstring)."""
     E = cert.relation
     x0 = ambit.basepoint
     values = tuple(E.class_of[f[x0]] for f in S.maps)
-    surjective = len(set(values)) == len(E.classes)
-    if not surjective:
-        raise TheoremViolation("orbit map not surjective", len(set(values)))
     q = cert.quotient_group
-    for g in S.generators:      # a homomorphism (`algebra` module docstring)
+    for g in S.generators:
         left_g, row = S.times(g), q.mul[values[g]]
         for j in range(S.size):
             if values[left_g[j]] != row[values[j]]:
                 raise TheoremViolation("orbit map not multiplicative", (g, j))
-    for M in minimal_left_ideals(S):
-        for u in M.idempotents:
-            if values[u] != q.identity:
-                raise TheoremViolation("idempotent outside orbit-map kernel", u)
-    return OrbitMapReport(values, True, True, True)
+    return values
 
 
 def compute_D(G_ideal: IdealGroup, ambit: Ambit) -> Subgroup:
@@ -278,11 +279,8 @@ def default_domination(ambit: Ambit, E: EquivRelation) -> DominationWitness:
 class IdentificationReport(NamedTuple):
     ghat: GroupQuotient
     stabilizer: Subgroup            # of ghat.group
-    class_count: int
+    class_count: int                # classes the identification reaches
     coset_to_class: tuple[int, ...]
-    cardinality_identity: bool      # |X/E| * |H| == |Ghat|
-    equivariant: bool
-    domination: DominationWitness
 
 
 def identify_quotient(ambit: Ambit, E: EquivRelation,
@@ -291,21 +289,26 @@ def identify_quotient(ambit: Ambit, E: EquivRelation,
     the core of H·D, act with it on the classes, and read off the orbit map
     at the basepoint class, an equivariant bijection between the quotient
     modulo the basepoint-class stabilizer and the class space whose fibers
-    are the stabilizer's left cosets (orbit-stabilizer, module docstring)."""
+    are the stabilizer's left cosets (orbit-stabilizer, module docstring).
+    E must be invariant and the ambit transitive; either failure raises
+    NotWeaklyGroupLike with its witness."""
     flow = ambit.flow
     if not flow.is_group_flow:
         raise NotWeaklyGroupLike("needs a group flow")
     bound = E.bind(flow)
-    witness = default_domination(ambit, bound)
-    verdict = check_domination(witness)
-    if not verdict:
-        raise NotWeaklyGroupLike(verdict.refutation)
+    if not bound.invariant:
+        raise NotWeaklyGroupLike(("not invariant",) + tuple(bound.invariance_witness or ()))
+    x0 = ambit.basepoint
+    # transitive: the orbit map g -> g·x0 of the regular ambit is onto
+    reached = {flow.act(g, x0) for g in flow.group.elements()}
+    unreached = set(range(flow.points)) - reached
+    if unreached:
+        raise NotWeaklyGroupLike(("morphism", ("unreached", min(unreached))))
 
     S = enveloping_semigroup(flow, caps=caps)
     M = minimal_left_ideals(S)[0]
     IG = ideal_group(M, M.idempotents[0])
     ghat = compute_ghat(IG, ambit)
-    x0 = ambit.basepoint
     class_of = bound.class_of
     # coset -> class of f(x0), f the coset's one member
     rhat = tuple(class_of[S.maps[IG.from_group[coset[0]]][x0]]
@@ -313,8 +316,7 @@ def identify_quotient(ambit: Ambit, E: EquivRelation,
     H = Subgroup(ghat.group,
                  frozenset(c for c, v in enumerate(rhat) if v == class_of[x0]))
     coset_to_class = tuple(dict.fromkeys(rhat))
-    return IdentificationReport(ghat, H, len(bound.classes), coset_to_class,
-                                True, True, witness)
+    return IdentificationReport(ghat, H, len(coset_to_class), coset_to_class)
 
 
 # -- properly and uniformly properly group-like witnesses ---------------------

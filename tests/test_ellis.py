@@ -549,7 +549,7 @@ def test_regular_to_natural_epimorphism():
     nat = make_ambit(natural_flow(G), 0)
     pm = tuple(G.perms[g][0] for g in G.elements())
     epi = induced_epimorphism(FlowMorphism(reg, nat, pm))
-    assert epi.surjective
+    assert sorted(epi.element_map) == list(range(6))
     assert epi.source.size == 6 and epi.target.size == 6
     assert epi.ideal_images == ((0, 0),)
 
@@ -580,7 +580,7 @@ def test_product_projection_epimorphism():
     nb = f2.group.order
     corr = tuple(g // nb for g in prod.generator_elements())
     epi = induced_epimorphism(FlowMorphism(amb, a1, pm, corr))
-    assert epi.surjective
+    assert set(epi.element_map) == set(range(6))
     assert epi.target.size == 6
 
 
@@ -591,8 +591,28 @@ def test_transformation_flow_epimorphism():
     tgt = make_ambit(transformation_flow([(0,), (0,)]), 0)
     m = FlowMorphism(src, tgt, (0, 0), generator_correspondence=(0, 1))
     epi = induced_epimorphism(m)
-    assert epi.surjective and epi.target.size == 1
+    assert set(epi.element_map) == {0} and epi.target.size == 1
     assert epi.ideal_images == ((0, 0),)
+
+
+def test_induced_epimorphism_refutes_targets_that_do_not_generate():
+    # the swap on two points mapped onto the swap-and-collapse flow by the
+    # identity: equivariant for the swap alone, whose closure misses both
+    # constants of the target's closure
+    src = make_ambit(transformation_flow([(1, 0)]), 0)
+    tgt = make_ambit(swap_const_flow(), 0)
+    m = FlowMorphism(src, tgt, (0, 1), generator_correspondence=(0,))
+    with pytest.raises(TheoremViolation, match="induced map not surjective; witness 2"):
+        induced_epimorphism(m)
+
+
+def test_induced_epimorphism_rejects_a_semigroup_of_another_flow():
+    amb = make_ambit(natural_flow(named_group("symmetric", n=3)), 0)
+    m = FlowMorphism(amb, amb, tuple(range(3)))
+    other = enveloping_semigroup(natural_flow(named_group("symmetric", n=3)))
+    for given in ({"source_semigroup": other}, {"target_semigroup": other}):
+        with pytest.raises(GroupMismatch, match="semigroup of another flow"):
+            induced_epimorphism(m, **given)
 
 
 def test_product_semigroup_isomorphic_to_product_of_semigroups():

@@ -1,6 +1,6 @@
 import pytest
 
-from elliskit import grouplike
+from elliskit import ellis, grouplike, suites
 from elliskit.algebra import (
     FiniteGroup,
     are_isomorphic,
@@ -38,6 +38,7 @@ from elliskit.relations import (
     orbit_relation,
     total_relation,
 )
+from elliskit.suites import run_suite
 
 
 def s3():
@@ -106,8 +107,8 @@ def test_orbit_map_total_relation():
     amb = make_ambit(natural_flow(s3()), 0)
     cert = check_group_like(amb, total_relation(3)).certificate
     S = enveloping_semigroup(amb.flow)
-    rep = orbit_map_r(amb, cert, S)
-    assert set(rep.values) == {cert.quotient_group.identity}
+    values = orbit_map_r(amb, cert, S)
+    assert set(values) == {cert.quotient_group.identity}
 
 
 def test_orbit_map_z6_cosets():
@@ -116,10 +117,9 @@ def test_orbit_map_z6_cosets():
     E = orbit_relation(amb.flow, subgroup_generated(G, [3]))
     cert = check_group_like(amb, E).certificate
     S = enveloping_semigroup(amb.flow)
-    rep = orbit_map_r(amb, cert, S)
-    assert rep.surjective and rep.homomorphism and rep.idempotents_in_kernel
-    assert len(set(rep.values)) == 3
-    kernel = {i for i, v in enumerate(rep.values)
+    values = orbit_map_r(amb, cert, S)
+    assert len(set(values)) == 3
+    kernel = {i for i, v in enumerate(values)
               if v == cert.quotient_group.identity}
     assert {S.maps[i][0] for i in kernel} == {0, 3}
 
@@ -274,7 +274,7 @@ def test_identify_equality_on_natural_s3():
     assert rep.class_count == 3
     assert rep.ghat.group.order == 6
     assert rep.stabilizer.order == 2
-    assert rep.cardinality_identity and rep.equivariant
+    assert sorted(rep.coset_to_class) == [0, 1, 2]
 
 
 def test_identify_total():
@@ -311,6 +311,31 @@ def test_identify_all_invariant_relations_small():
             assert rep.class_count * rep.stabilizer.order == rep.ghat.group.order
 
 
+def test_the_grouplike_suite_builds_one_closure_per_instance(monkeypatch):
+    """No second closure per instance and no re-proved domination: the one
+    enveloping semigroup of each instance is `identify_quotient`'s
+    (`suites` module docstring)."""
+    calls = {"enveloping_semigroup": 0, "check_domination": 0,
+             "default_domination": 0}
+
+    def counted(name, original):
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return count
+
+    build = counted("enveloping_semigroup", ellis.enveloping_semigroup)
+    for module in (ellis, grouplike, suites):
+        monkeypatch.setattr(module, "enveloping_semigroup", build)
+    for name in ("check_domination", "default_domination"):
+        monkeypatch.setattr(grouplike, name, counted(name, getattr(grouplike, name)))
+    for n, seed in ((12, 5), (7, 11)):
+        calls.update(dict.fromkeys(calls, 0))
+        assert run_suite("grouplike", n, seed).passed
+        assert calls == {"enveloping_semigroup": n, "check_domination": 0,
+                         "default_domination": 0}
+
+
 def test_identification_reproduces_stabilizer_index():
     # on any transitive instance, the class count equals the index of the
     # basepoint-class stabilizer in the acting group
@@ -322,8 +347,6 @@ def test_identification_reproduces_stabilizer_index():
             stab = sum(1 for g in G.elements() if E.same(f.act(g, 0), 0))
             rep = identify_quotient(amb, E)
             assert rep.class_count == G.order // stab
-            # and the domination discovered along the way verifies
-            assert check_domination(rep.domination)
 
 
 # ---- proper and uniform witnesses -----------------------------------------------------

@@ -589,16 +589,22 @@ def test_cli_verify_suite_loops_pass_cap_errors_through(
 
 
 def test_cli_verify_grouplike_records_a_failed_identification(monkeypatch, capsys):
-    # an identification that fails one of its checks is a failed check
-    # (exit 1) whose witness holds the fields compared, not the quotient
-    monkeypatch.setattr(suites, "identify_quotient", lambda *args, **kwargs:
-                        identify_quotient(*args, **kwargs)._replace(equivariant=False))
+    # an identification whose stabilizer has the wrong order breaks
+    # |X/E|·|H| = |Ĝ|: a failed check (exit 1) whose witness holds the
+    # numbers compared, not the quotient
+    def whole_group_as_stabilizer(*args, **kwargs):
+        ident = identify_quotient(*args, **kwargs)
+        q = ident.ghat.group
+        return ident._replace(stabilizer=Subgroup(q, frozenset(q.elements())))
+
+    monkeypatch.setattr(suites, "identify_quotient", whole_group_as_stabilizer)
     assert main(["verify", "--suite", "grouplike", "--instances", "2",
                  "--seed", "7", "--format", "json"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert [v["witness"] for v in report["verdicts"]] == [
         f"[('identification', {{'class_count': {n}, 'classes': {n}, "
-        f"'cardinality_identity': True, 'equivariant': False}})]" for n in (2, 3)]
+        f"'stabilizer_order': {order}, 'identified_group_order': {order}}})]"
+        for n, order in ((2, 12), (3, 3))]
 
 
 @pytest.mark.parametrize("argv", [
