@@ -6,12 +6,13 @@ walk that starts from the deduplicated generators (in input order) and
 right-multiplies by generators. That walk is the package's one composition
 closure (`_right_closure`, Froidure & Pin 1997); it keeps the maps and
 their index and nothing else. `_table_by_rows` is the one table builder: a
-few literal rows, every other row composed from them. A closure's literal
-row is composed from its maps (`_ComposedRow`), which is also how a
-product is read where no table is held. These serve permutation groups
-here and enveloping semigroups and their ideal groups in `ellis`. The
-table builder also gives a quotient group its coset table, and quotient
-and table-given groups their greedy generating sets. A group known by
+few literal rows, every other row composed from them. A closure's row is
+composed from its maps (`_ComposedRow`): whole, as a literal row of a
+permutation group's table, or one product at a time where it is read.
+The second serves every product of an enveloping semigroup in `ellis`,
+which builds no table; its ideal groups build theirs from literal rows
+here. The table builder also gives a quotient group its coset table, and
+quotient and table-given groups their greedy generating sets. A group known by
 literal rows (permutation, affine and ideal groups, `_group_by_rows`)
 reads only its identity's and generators' rows when it is built, finds a
 greedy generating set by walking them when it has none, and fills in
@@ -340,7 +341,8 @@ class _ComposedRow:
     """Row a of the multiplication table of a composition closure, not
     materialized: row[b] is the index of a∘b in `keys`, composed when read,
     with no memo. One `translate` by a's table, padded once, on at most 256
-    points; one `compose_maps` above."""
+    points; one `compose_maps` above. A product missing from `keys` means
+    the maps are not closed under composition, and raises."""
 
     __slots__ = ("maps", "keys", "a", "outer")
 
@@ -351,9 +353,12 @@ class _ComposedRow:
 
     def __getitem__(self, b):
         inner = self.maps[b]
-        if type(inner) is bytes:
-            return self.keys[inner.translate(self.outer)]
-        return self.keys[compose_maps(self.outer, inner)]
+        try:
+            if type(inner) is bytes:
+                return self.keys[inner.translate(self.outer)]
+            return self.keys[compose_maps(self.outer, inner)]
+        except KeyError:
+            raise TheoremViolation("composition closure not closed", (self.a, b)) from None
 
     def literal(self):
         """The whole row as a tuple, composed at C level. A product missing
@@ -658,11 +663,13 @@ def direct_product(A: FiniteGroup, B: FiniteGroup,
 # -- named groups ------------------------------------------------------------
 
 def _cyclic(n: int) -> FiniteGroup:
-    mul = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-    inverse = tuple((-a) % n for a in range(n))
+    # row a is (a + b) % n over b, the rotation of one row by a, so every
+    # row and a's permutation x -> x + a hold the same int objects
+    r = tuple(range(n))
+    mul = tuple(r[a:] + r[:a] for a in range(n))
+    inverse = r[:1] + r[:0:-1]          # (-a) % n
     gens = (1,) if n > 1 else ()
-    perms = tuple(tuple((x + a) % n for x in range(n)) for a in range(n))
-    return FiniteGroup(mul, 0, inverse, gens=gens, perms=perms, name=f"cyclic({n})")
+    return FiniteGroup(mul, 0, inverse, gens=gens, perms=mul, name=f"cyclic({n})")
 
 
 def _symmetric(n: int) -> FiniteGroup:

@@ -3,7 +3,7 @@
 Each cap bounds what one computation may build, and going over it raises
 an error (exit 2 at the command line). No cap picks between two ways of
 computing the same result: those choices are fixed in the code, such as
-the size up to which `ellis` keeps a full multiplication table.
+the number of points up to which a closure holds its maps as `bytes`.
 
 All caps can be overridden at once through the ELLISKIT_CAPS environment
 variable, which holds a JSON object, e.g. ELLISKIT_CAPS='{"closure_cap": 1000}'.

@@ -25,14 +25,15 @@ Comput. 92, 2019): each element is composed with every generator on the
 right once and looked up, one `bytes.translate` each on at most 256 points
 and one `itemgetter` call above. It keeps the maps and their index and no
 Cayley graph: the closure is only the means to reach the minimal ideals.
-Every product goes through `EllisSemigroup.times`. A closure of at most
-`_TABLE_LIMIT` (512) elements gets its full table from
-`algebra._table_by_rows`: at most k literal rows (k generators), each
-composed from the maps, and every other row composed by row(a·g) =
-row(a)∘row(g). Above it a product is one composition, made only where it
-is read (the kernel walks and generator checks). An ideal group reads only
-the rows of its identity and generators, checks the group axioms on them,
-and builds its table from them on first read (`algebra._group_by_rows`).
+It is closed by construction: every element meets every generator on the
+right, and every element is a word in the generators, so each product
+w∘v lies in it and no table re-checks that. Every product goes through
+`EllisSemigroup.times`, at every closure size: row a is an
+`algebra._ComposedRow`, made on first read and kept, and each product in
+it is one composition, made only where it is read (the kernel walks and
+generator checks). An ideal group reads only the rows of its identity and
+generators, checks the group axioms on them, and builds its table from
+them on first read (`algebra._group_by_rows`).
 Minimal left ideals are read from the minimal ideal K, the elements of
 minimum rank: one such e is found from the orbit of the generators' images
 under the left action, without looking at every element; then S·e and its
@@ -87,7 +88,6 @@ from .algebra import (
     _group_by_rows,
     _key_type,
     _right_closure,
-    _table_by_rows,
     _walk,
 )
 from .caps import DEFAULT_CAPS, Caps
@@ -101,39 +101,28 @@ from .errors import (
 )
 from .flows import Flow, FlowMorphism, check_morphism
 
-# Largest closure that gets its full multiplication table (n² entries);
-# above it every product is composed where it is read, with no memo. Small
-# closures read their products many times over: with no table at all,
-# perfbench's verify-ellis (400 closures, each of at most a few hundred
-# elements) took 0.441–0.448 s against 0.318–0.350 s with it, in 3 of 3
-# alternated 15-s runs on a 2-core Xeon. Large ones cannot afford it: the
-# 46,656-element T6 closure's table would hold 2.2 G entries.
-_TABLE_LIMIT = 512
-
-
 class EllisSemigroup:
     """Composition closure of the acting maps, in discovery order.
 
     `maps` holds the elements as the closure built them: `bytes` on at most
     256 points, tuples of ints above; either way maps[i][x] is an int.
     `keys` maps each of them back to its index, and `key` turns any sequence
-    of points into that type. Generator g is element g. No Cayley graph is
-    held: `times(a)` is row a of the multiplication table, and every
-    product, `mul` and right products by generators included, is read from
-    it. `_table` holds the full table for a closure of at most
-    `_TABLE_LIMIT` elements and is None above, where a row composes each
-    product as it is read, with no memo.
+    of points into that type. Generator g is element g. No Cayley graph and
+    no multiplication table are held: `times(a)` is row a, composed where
+    it is read, and every product, `mul` and right products by generators
+    included, is read from it. `_rows` keeps each row read, so a row's
+    padded map is made once.
     """
 
-    __slots__ = ("flow", "maps", "keys", "key", "generators", "_table")
+    __slots__ = ("flow", "maps", "keys", "key", "generators", "_rows")
 
-    def __init__(self, flow, maps, keys, k, table):
+    def __init__(self, flow, maps, keys, k):
         self.flow = flow
         self.maps = maps
         self.keys = keys
         self.key = _key_type(flow.points)
         self.generators = tuple(range(k))
-        self._table = table
+        self._rows = {}
 
     @property
     def size(self) -> int:
@@ -145,11 +134,11 @@ class EllisSemigroup:
 
     def times(self, a: int):
         """Row a of the multiplication table, indexed by b: times(a)[b] is
-        the index of a·b. The table's own row up to `_TABLE_LIMIT`
-        elements, a `_ComposedRow` above."""
-        if self._table is not None:
-            return self._table[a]
-        return _ComposedRow(self.maps, self.keys, a)
+        the index of a·b. An `algebra._ComposedRow`, made on first read."""
+        row = self._rows.get(a)
+        if row is None:
+            row = self._rows[a] = _ComposedRow(self.maps, self.keys, a)
+        return row
 
     def left_reach(self, s: int) -> set[int]:
         """S·s: everything reachable by left multiplication (words >= 1),
@@ -191,21 +180,14 @@ def enveloping_semigroup(flow: Flow, caps: Caps = DEFAULT_CAPS) -> EllisSemigrou
     equals the full image of the group, so generators suffice. The closure
     is `algebra._right_closure`: each element w is composed with every
     generator g on the right once and w∘g is looked up; only the maps and
-    their index are kept. A closure of at most `_TABLE_LIMIT` elements gets
-    its full table, `algebra._table_by_rows` over at most k literal rows,
-    each composed from the maps (`algebra._ComposedRow.literal`, which
-    raises if a product is missing, so the closure's completeness is
-    checked where the table reads it); above it, products are composed
-    where they are read.
+    their index are kept, and products are composed where they are read
+    (`EllisSemigroup.times`).
     """
     cap = caps.closure_cap
     maps, keys, k = _right_closure(
         flow.generator_maps(), _key_type(flow.points), cap,
         lambda count: ClosureCapExceeded(count, cap))
-    table = None
-    if len(maps) <= _TABLE_LIMIT:
-        table, _ = _table_by_rows(len(maps), lambda a: _ComposedRow(maps, keys, a).literal())
-    return EllisSemigroup(flow, maps, keys, k, table)
+    return EllisSemigroup(flow, maps, keys, k)
 
 
 def minimal_left_ideals(S: EllisSemigroup) -> list[MinimalIdeal]:

@@ -480,11 +480,13 @@ def test_affine_2_3_order():
 
 
 def test_tables_hold_one_int_object_per_element():
-    """Every catalog table and affine(2,3)'s (1344 elements, where ints are
-    no longer cached by the interpreter) read each entry from one shared
-    int object per element."""
-    for G in [*group_catalog(), named_group("affine", q=2, dim=3)]:
+    """Every catalog table, affine(2,3)'s (1344 elements) and cyclic(300)'s,
+    where ints are no longer cached by the interpreter, read each entry from
+    one shared int object per element; cyclic(300)'s permutations too."""
+    C300 = named_group("cyclic", n=300)
+    for G in [*group_catalog(), named_group("affine", q=2, dim=3), C300]:
         assert len({id(x) for row in G.mul for x in row}) <= G.order
+    assert len({id(x) for p in C300.perms for x in p}) <= C300.order
 
 
 def test_affine_2_2_axioms():

@@ -7,7 +7,7 @@ cosets of the basepoint-class stabilizer, and the basepoint fibers of an
 ideal group are the cosets of D; a group flow's only idempotent is the
 identity; an ideal group's isomorphism onto itself is the identity; the
 minimal-ideal structure that generation by every member gives, below and
-above the table limit; the unique compatible idempotent and the
+above `ORACLE_LIMIT`; the unique compatible idempotent and the
 conjugation form of an isomorphism; an induced map as the literal
 pushforward, with minimal ideals onto minimal ideals; idempotents pushed
 to idempotents; a
@@ -22,7 +22,7 @@ the lattice members' invariance are compared with their oracles in
 import random
 
 import oracles
-from elliskit import ellis, grouplike, suites
+from elliskit import grouplike, suites
 from elliskit.algebra import Subgroup, enumerate_subgroups, named_group
 from elliskit.caps import DEFAULT_CAPS
 from elliskit.ellis import (
@@ -63,6 +63,7 @@ from elliskit.relations import (
 )
 from elliskit.suites import run_suite
 
+ORACLE_LIMIT = 512  # largest closure compared with the all-pairs oracle table
 
 def group_flows(seed, count):
     """Random group flows of up to 6 points, the small ones beside a copy
@@ -265,9 +266,8 @@ def test_tower_chains_stay_in_the_minimal_ideals():
 
 def ellis_closures(seed):
     """Seeded flows with their closures: 400 transformation and group flows
-    of up to 6 points, nearly all within `ellis._TABLE_LIMIT`, then S6 on 6
-    points and four closures of random maps on 5 or 6 points above it,
-    where a product is composed where it is read."""
+    of up to 6 points, nearly all within `ORACLE_LIMIT`, then S6 on 6
+    points and four closures of random maps on 5 or 6 points above it."""
     rng = random.Random(seed)
     for _ in range(400):
         flow = random_ellis_flow(rng, 6)
@@ -284,7 +284,7 @@ def ellis_closures(seed):
             S = enveloping_semigroup(flow, caps=caps)
         except ClosureCapExceeded:
             continue
-        if S.size > ellis._TABLE_LIMIT:
+        if S.size > ORACLE_LIMIT:
             large += 1
             yield flow, S
 
@@ -292,7 +292,7 @@ def ellis_closures(seed):
 def test_minimal_ideals_hold_what_generation_by_every_member_gives():
     """`_validate_minimal_ideal` certifies only that every member generates
     its ideal. On every minimal left ideal of the closures above: the list
-    is the all-elements oracle's (within the table limit) and its union is
+    is the all-elements oracle's (within `ORACLE_LIMIT`) and its union is
     closed under left products; each ideal has an idempotent, s·u = s for
     every member s and idempotent u, and the blocks u·M are disjoint and
     cover it (`ellis` module docstring)."""
@@ -300,7 +300,7 @@ def test_minimal_ideals_hold_what_generation_by_every_member_gives():
     for flow, S in ellis_closures(107):
         elements, index = oracles.elements_of(S), oracles.index_of(S)
         found = minimal_left_ideals(S)
-        if S.size <= ellis._TABLE_LIMIT:
+        if S.size <= ORACLE_LIMIT:
             table = oracles.composition_table(elements)
             assert [(M.members, M.idempotents) for M in found] == \
                 oracles.minimal_left_ideals(table, S.generators)
@@ -375,8 +375,8 @@ def test_an_induced_map_is_the_literal_pushforward():
     against its literal form: each source map sends every point of a fiber
     into one fiber, the map this induces lies in the target closure and is
     `element_map`'s, and the image of each minimal ideal is a minimal left
-    ideal of the target by the all-elements oracle (within the table
-    limit), the one `ideal_images` names (`ellis` module docstring)."""
+    ideal of the target by the all-elements oracle (within
+    `ORACLE_LIMIT`), the one `ideal_images` names (`ellis` module docstring)."""
     rng = random.Random(149)
     epimorphisms = collapsed = ideals_checked = 0
     for flow, S in ellis_closures(151):
@@ -394,7 +394,7 @@ def test_an_induced_map_is_the_literal_pushforward():
             assert all(len(values) == 1 for values in pushed)
             images.append(index[tuple(v for (v,) in pushed)])
         assert tuple(images) == epi.element_map
-        if T.size <= ellis._TABLE_LIMIT:
+        if T.size <= ORACLE_LIMIT:
             table = oracles.composition_table(oracles.elements_of(T))
             oracle_ideals = [frozenset(members) for members, _ in
                              oracles.minimal_left_ideals(table, T.generators)]

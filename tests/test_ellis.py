@@ -5,7 +5,7 @@ import random
 import pytest
 
 import oracles
-from elliskit import ellis, suites
+from elliskit import algebra, ellis, suites
 from elliskit.algebra import are_isomorphic, named_group
 from elliskit.caps import Caps
 from elliskit.errors import (
@@ -125,18 +125,17 @@ def test_mul_is_composition():
             assert elements[S.mul(i, j)] == composed
 
 
-def test_lazy_mul_matches_table(monkeypatch):
-    f = swap_const_flow()
-    with_table = enveloping_semigroup(f)
-    monkeypatch.setattr(ellis, "_TABLE_LIMIT", 0)
-    lazy = enveloping_semigroup(f)
-    assert with_table._table is not None and lazy._table is None
-    for i in range(with_table.size):
-        for j in range(with_table.size):
-            assert with_table.mul(i, j) == lazy.mul(i, j)
+def test_lazy_mul_matches_table():
+    # products composed where they are read against the table `algebra`
+    # builds for groups, from literal rows and row(a·g) = row(a)∘row(g)
+    S = enveloping_semigroup(swap_const_flow())
+    table, _ = algebra._table_by_rows(
+        S.size, lambda a: algebra._ComposedRow(S.maps, S.keys, a).literal())
+    assert table == tuple(tuple(S.mul(i, j) for j in range(S.size))
+                          for i in range(S.size))
 
 
-# ---- large shapes: full table, on-demand products, huge closure ---------------
+# ---- large shapes: products on demand, huge closure ---------------------------
 
 def first_ideal_group(flow):
     S = enveloping_semigroup(flow)
@@ -146,16 +145,14 @@ def first_ideal_group(flow):
 
 def test_d100_regular_shape():
     S, ideals, G = first_ideal_group(regular_flow(named_group("dihedral", n=100)))
-    assert S.size == 200 <= ellis._TABLE_LIMIT
-    assert S._table is not None
+    assert S.size == 200
     assert len(ideals) == 1
     assert G.group_view.order == 200
 
 
 def test_s6_natural_shape_above_table_cap():
     S, ideals, G = first_ideal_group(natural_flow(named_group("symmetric", n=6)))
-    assert S.size == 720 > ellis._TABLE_LIMIT
-    assert S._table is None
+    assert S.size == 720
     assert len(ideals) == 1
     assert G.group_view.order == 720
     assert are_isomorphic(G.group_view, named_group("symmetric", n=6))
@@ -296,11 +293,24 @@ def test_ideal_group_refutes_constants_without_inverse():
     assert oracles.elements_of(S)[exc.value.witness] in {(0, 0), (1, 1)}
 
 
+def with_rows(S, row_of):
+    """S with row a read as `row_of(a)`: products no composition of its maps
+    need give."""
+
+    class Faked(EllisSemigroup):
+        __slots__ = ()
+
+        def times(self, a):
+            return row_of(a)
+
+    return Faked(S.flow, S.maps, S.keys, len(S.generators))
+
+
 def fake_table_semigroup(table):
-    """The closure of a 3-cycle, three elements, with its table replaced by
-    `table`: products no composition of maps gives."""
-    S = enveloping_semigroup(natural_flow(named_group("cyclic", n=3)))
-    S._table = table
+    """The closure of a 3-cycle, three elements, with its rows replaced by
+    those of `table`."""
+    S = with_rows(enveloping_semigroup(natural_flow(named_group("cyclic", n=3))),
+                  table.__getitem__)
     return S, MinimalIdeal(S, (0, 1, 2), (0,))
 
 
@@ -492,14 +502,7 @@ def moved_identity_row(G):
     S, u = G.parent, G.idempotent
     row = [S.times(u)[b] for b in range(S.size)]
     row[u] = (u + 1) % S.size
-
-    class Moved(EllisSemigroup):
-        __slots__ = ()
-
-        def times(self, a):
-            return row if a == u else EllisSemigroup.times(self, a)
-
-    moved = Moved(S.flow, S.maps, S.keys, len(S.generators), S._table)
+    moved = with_rows(S, lambda a: row if a == u else S.times(a))
     return G._replace(ideal=G.ideal._replace(parent=moved))
 
 
@@ -555,15 +558,13 @@ def test_regular_to_natural_epimorphism():
 
 
 def test_induced_epimorphism_checks_products_against_the_target_table():
-    # a target table with two rows swapped is not the composition of its maps
+    # a target with rows 1 and 2 swapped is not the composition of its maps
     G = named_group("symmetric", n=3)
     reg = make_ambit(regular_flow(G), G.identity)
     nat = make_ambit(natural_flow(G), 0)
     pm = tuple(G.perms[g][0] for g in G.elements())
-    target = enveloping_semigroup(nat.flow)
-    rows = list(target._table)
-    rows[1], rows[2] = rows[2], rows[1]
-    target._table = tuple(rows)
+    S = enveloping_semigroup(nat.flow)
+    target = with_rows(S, lambda a: S.times({1: 2, 2: 1}.get(a, a)))
     with pytest.raises(TheoremViolation, match="induced map not multiplicative"):
         induced_epimorphism(FlowMorphism(reg, nat, pm), target_semigroup=target)
 

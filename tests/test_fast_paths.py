@@ -7,8 +7,8 @@ invariance check against the all-elements scan, the generator-closed
 witnessed relation against the all-translates one, and the minimal left
 ideals found from the kernel against the sink components of the left
 products, the kernel element found from the image orbit against the
-minimum rank over the oracle closure (above the table cap and on 257
-points too), the bitmask lattices (members,
+minimum rank over the oracle closure (on closures of more than 512
+elements and on 257 points too), the bitmask lattices (members,
 membership, products and agreeability) against the frozenset ones, the
 witness verdicts and supports found on the relation's own orbitals, and
 maximal witnesses, against one pair closure per support, normality by
@@ -122,6 +122,7 @@ from elliskit.structured import (
 )
 
 ORACLE_SIZE = 300   # the oracle table composes every pair of elements
+LARGE = 512         # closures above it are the large family: no oracle table
 
 
 def random_flows(seed, count):
@@ -153,17 +154,10 @@ def rank_two_flows(seed, count):
             yield transformation_flow(maps)
 
 
-@pytest.fixture
-def table_limit(request, monkeypatch):
-    """`ellis._TABLE_LIMIT`, the largest closure given a full table, set to
-    the parameter for one test: 0 composes every product on demand."""
-    monkeypatch.setattr(ellis, "_TABLE_LIMIT", request.param)
-    return request.param
-
-
-TABLE_PATHS = pytest.mark.parametrize(
-    "table_limit", [ellis._TABLE_LIMIT, 0], ids=["full-table", "on-demand"],
-    indirect=True)
+# Every Ellis product is composed where it is read, at every closure size.
+# The tests that ran both row paths while closures of at most 512 elements
+# kept a full table keep the id of the one path left.
+ON_DEMAND = pytest.mark.parametrize("products", ["on-demand"])
 
 
 def assert_ideals_and_groups_match_oracles(flow):
@@ -192,8 +186,8 @@ def assert_ideals_and_groups_match_oracles(flow):
     return len(ideals)
 
 
-@TABLE_PATHS
-def test_closure_ideals_and_groups_match_oracles(table_limit):
+@ON_DEMAND
+def test_closure_ideals_and_groups_match_oracles(products):
     compared = 0
     for flow in random_flows(11, 300):
         if len(oracles.closure(flow.generator_maps())[0]) > ORACLE_SIZE:
@@ -203,8 +197,8 @@ def test_closure_ideals_and_groups_match_oracles(table_limit):
     assert compared >= 250
 
 
-@TABLE_PATHS
-def test_several_ideals_of_rank_two_match_oracles(table_limit):
+@ON_DEMAND
+def test_several_ideals_of_rank_two_match_oracles(products):
     counts = [assert_ideals_and_groups_match_oracles(flow)
               for flow in rank_two_flows(5, 300)]
     assert len(counts) >= 90
@@ -255,8 +249,8 @@ def assert_limit_identities_and_tau_match_oracles(flow, rng):
     return S.size, orders
 
 
-@TABLE_PATHS
-def test_limit_identities_tau_closure_and_h_match_oracles(table_limit):
+@ON_DEMAND
+def test_limit_identities_tau_closure_and_h_match_oracles(products):
     rng = random.Random(26)
     sizes, orders = [], []
     for _ in range(60):
@@ -341,8 +335,8 @@ def assert_closure_matches_oracle(S, maps):
 
 
 @pytest.mark.parametrize("points", [255, 256, 257])
-@TABLE_PATHS
-def test_closures_around_256_points_match_oracles(points, table_limit):
+@ON_DEMAND
+def test_closures_around_256_points_match_oracles(points, products):
     compared = 0
     for maps in wide_maps(points, points, 30):
         flow = transformation_flow(maps)
@@ -356,14 +350,13 @@ def test_closures_around_256_points_match_oracles(points, table_limit):
 
 def test_closure_above_the_table_cap_around_256_points():
     """A 5-cycle and a rank-4 idempotent moved onto points that include 255
-    and the top point: 610 elements, above `ellis._TABLE_LIMIT`, so products are
-    composed on demand. The 256-point (bytes) and 257-point (tuples)
-    closures match the oracle and have the same products, those by the
-    generators on either side included, and minimal ideals as the 5-point
-    one."""
+    and the top point: 610 elements, more than `LARGE`. The 256-point
+    (bytes) and 257-point (tuples) closures match the oracle and have the
+    same products, those by the generators on either side included, and
+    minimal ideals as the 5-point one."""
     gens = [[1, 2, 3, 4, 0], [0, 0, 2, 3, 4]]
     S5 = enveloping_semigroup(transformation_flow(gens))
-    assert S5.size == 610 > ellis._TABLE_LIMIT
+    assert S5.size == 610 > LARGE
     rng = random.Random(3)
     pairs = [(rng.randrange(S5.size), rng.randrange(S5.size)) for _ in range(200)]
     for points, moved in ((256, [255, 3, 254, 100, 0]), (257, [255, 3, 256, 100, 0])):
@@ -382,8 +375,7 @@ def test_closure_above_the_table_cap_around_256_points():
 
 def mid_sized_closures(seed, points):
     """Random maps on 5 or 6 points, two or three of them, kept when their
-    closure holds 500 to 2,000 elements: above `ellis._TABLE_LIMIT`, so no
-    table is built. With `points` above 256 the
+    closure holds 500 to 2,000 elements. With `points` above 256 the
     maps are moved onto points that include 255 and the top point, so the
     closure holds tuples."""
     rng = random.Random(seed)
@@ -403,14 +395,14 @@ def mid_sized_closures(seed, points):
 
 @pytest.mark.parametrize("points", [6, 257])
 def test_generator_products_above_the_table_cap_match_oracles(points):
-    """Above `ellis._TABLE_LIMIT`, on bytes (6 points) and tuple (257 points)
-    maps: left products composed by `times(g)[w]` against literal g∘w
-    lookups, right products `times(w)[g]` against literal w∘g, and
+    """On closures of more than `LARGE` elements, on bytes (6 points) and
+    tuple (257 points) maps: left products composed by `times(g)[w]`
+    against literal g∘w lookups, right products `times(w)[g]` against
+    literal w∘g, and
     `algebra._right_closure`'s (maps, keys, k) against the oracle's
     right-only discovery order and its distinct generators."""
     for maps, S in islice(mid_sized_closures(points, points), 6):
-        assert ellis._TABLE_LIMIT < S.size <= 2000
-        assert S._table is None
+        assert LARGE < S.size <= 2000
         elements, gens = oracles.closure(maps)
         assert oracles.elements_of(S) == elements
         assert_generator_products_match_oracle(S, elements, gens)
@@ -421,15 +413,15 @@ def test_generator_products_above_the_table_cap_match_oracles(points):
 
 @pytest.mark.parametrize("points", [6, 257])
 def test_kernel_reads_above_the_table_cap_match_oracles(points):
-    """Above `ellis._TABLE_LIMIT`, on bytes (6 points) and tuple (257 points)
-    maps, where each left product g·w is composed by `times(g)[w]`: the kernel
-    element has the minimum rank over the oracle closure, S·s is the
-    oracle's left reach for it and seeded others, and the minimal left
-    ideals with their idempotents are the sink components of the oracle's
-    left products."""
+    """On closures of more than `LARGE` elements, on bytes (6 points) and
+    tuple (257 points) maps, where each left product g·w is composed by
+    `times(g)[w]`: the kernel element has the minimum rank over the oracle
+    closure, S·s is the oracle's left reach for it and seeded others, and
+    the minimal left ideals with their idempotents are the sink components
+    of the oracle's left products."""
     rng = random.Random(points)
     above = ((maps, S) for maps, S in mid_sized_closures(100 + points, points)
-             if S._table is None)
+             if S.size > LARGE)
     for maps, S in islice(above, 4):
         elements, gens = oracles.closure(maps)
         index = oracles.index_of(S)
@@ -451,36 +443,38 @@ def test_kernel_reads_above_the_table_cap_match_oracles(points):
 
 
 @pytest.mark.parametrize("points", [5, 257])
-@pytest.mark.parametrize("table_limit", [1000, 0], ids=["full-table", "on-demand"],
-                         indirect=True)
-def test_semigroup_holds_no_cayley_graph(points, table_limit):
-    """On bytes (5 points) and tuple (257 points) maps, with the table and
-    without: the semigroup holds its maps, their index and at most the
-    table, and no Cayley graph or spanning tree; row a, `times(a)`, gives
-    every product a·b, and the products by the generators on either side
+@ON_DEMAND
+def test_semigroup_holds_no_cayley_graph(points, products):
+    """On bytes (5 points) and tuple (257 points) maps: the semigroup holds
+    its maps, their index and the rows read, and no table, Cayley graph or
+    spanning tree; row a, `times(a)`, gives every product a·b, is kept
+    from its first read, and the products by the generators on either side
     match the oracle's."""
     gens = [[1, 2, 3, 4, 0], [0, 0, 2, 3, 4]]
     maps = gens if points == 5 else embedded(gens, points, [255, 3, 256, 100, 0])
     S = enveloping_semigroup(transformation_flow(maps))
     assert S.size == 610
-    assert (S._table is None) == (table_limit == 0)
     assert S.generators == (0, 1)
-    assert set(type(S).__slots__) == {"flow", "maps", "keys", "key", "generators", "_table"}
+    assert set(type(S).__slots__) == {"flow", "maps", "keys", "key", "generators", "_rows"}
+    assert S._rows == {}
     elements, index = oracles.elements_of(S), oracles.index_of(S)
-    assert_generator_products_match_oracle(S, elements, S.generators)
-    for a in random.Random(5).sample(range(S.size), 8):
+    read = random.Random(5).sample(range(S.size), 8)
+    for a in read:
         row = S.times(a)
         assert [row[b] for b in range(S.size)] == \
             [index[oracles.compose(elements[a], w)] for w in elements]
+        assert S.times(a) is row
+    assert set(S._rows) == set(read)
+    assert_generator_products_match_oracle(S, elements, S.generators)
 
 
 @pytest.mark.parametrize("points", [3, 257])
 def test_literal_row_of_a_map_list_not_closed_raises(points, monkeypatch):
-    """A literal row composes a product missing from `keys` when the maps
-    are not closed: a 3-cycle and its square without the identity, by hand
-    and as the closure `enveloping_semigroup` builds its table from, on
-    bytes (3 points) and tuple (257 points) maps. Each raises
-    TheoremViolation, not KeyError."""
+    """A row composes a product missing from `keys` when the maps are not
+    closed: a 3-cycle and its square without the identity, by hand (the
+    literal row and the one product) and as the closure whose minimal
+    ideals are read, on bytes (3 points) and tuple (257 points) maps. Each
+    raises TheoremViolation, not KeyError, where the product is read."""
     cycle = embedded([[1, 2, 0]], points, [0, min(points - 2, 255), points - 1])[0]
     key = algebra._key_type(points)
     maps = [key(cycle), key(oracles.compose(cycle, cycle))]
@@ -489,9 +483,13 @@ def test_literal_row_of_a_map_list_not_closed_raises(points, monkeypatch):
         algebra._ComposedRow(maps, keys, 0).literal()
     assert err.value.witness == (0, 1)          # cycle∘cycle² is the identity
     assert algebra._ComposedRow(maps, keys, 0)[0] == 1
+    with pytest.raises(TheoremViolation, match="composition closure not closed") as err:
+        algebra._ComposedRow(maps, keys, 0)[1]
+    assert err.value.witness == (0, 1)
     monkeypatch.setattr(ellis, "_right_closure", lambda *args: (maps, keys, 1))
+    S = enveloping_semigroup(transformation_flow([cycle]))
     with pytest.raises(TheoremViolation, match="composition closure not closed"):
-        enveloping_semigroup(transformation_flow([cycle]))
+        minimal_left_ideals(S)
 
 
 def test_t6_closure_holds_at_most_200_bytes_an_element():
@@ -512,6 +510,26 @@ def test_t6_closure_holds_at_most_200_bytes_an_element():
     assert held <= 140 * S.size
 
 
+def test_d100_ideals_and_group_hold_no_multiplication_table():
+    """The 200-element closure of D100 acting regularly, its minimal left
+    ideal and first ideal group under tracemalloc: the maps, their index,
+    the 200 rows the ideal reads (each a's map padded once) and the group's
+    rows of u and its generators hold about 790 bytes an element, checked
+    against 1,000. A full table of the closure held 2,035: its pointers
+    alone are 8 bytes an entry, 1,600 an element."""
+    flow = regular_flow(named_group("dihedral", n=100))
+    tracemalloc.start()
+    try:
+        S = enveloping_semigroup(flow)
+        M = minimal_left_ideals(S)[0]
+        G = ideal_group(M, M.idempotents[0])
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert S.size == G.group_view.order == 200
+    assert held <= 1000 * S.size
+
+
 def kernel_element_families():
     """Random flows, rank-two flows and the 255/256/257-point families."""
     yield from random_flows(11, 150)
@@ -520,8 +538,8 @@ def kernel_element_families():
         yield from map(transformation_flow, wide_maps(points, points, 30))
 
 
-@TABLE_PATHS
-def test_kernel_element_has_minimum_rank(table_limit):
+@ON_DEMAND
+def test_kernel_element_has_minimum_rank(products):
     compared = 0
     for flow in kernel_element_families():
         elements, _ = oracles.closure(flow.generator_maps())
@@ -541,10 +559,11 @@ def t6_and_s6():
 
 @pytest.mark.parametrize("maps, flow", t6_and_s6(), ids=["T6", "S6"])
 def test_products_above_the_table_cap_match_oracle(maps, flow):
-    """The closure above `ellis._TABLE_LIMIT` (T6 and S6), its first ideal group
-    and products composed on demand against the oracle's tuples."""
+    """The closures of more than `LARGE` elements (T6 and S6), their first
+    ideal group and products composed on demand against the oracle's
+    tuples."""
     S = enveloping_semigroup(flow)
-    assert S.size > ellis._TABLE_LIMIT
+    assert S.size > LARGE
     M = minimal_left_ideals(S)[0]
     ideal_group(M, M.idempotents[0])
     rng = random.Random(1)
@@ -610,7 +629,7 @@ def ideal_products(S, ideal):
 
 def test_deferred_ideal_groups_match_oracle():
     """The ideal groups of 400 seeded transformation flows and of S6 acting
-    naturally (720 elements, above `ellis._TABLE_LIMIT`): members and generators
+    naturally (720 elements, more than `LARGE`): members and generators
     before any table is read, then `mul` and `inverse` built on first read,
     against the oracle's lookups in the composed products."""
     rng = random.Random(23)
@@ -676,7 +695,6 @@ def test_ellis_on_s6_builds_no_720_table(tmp_path, capsys, monkeypatch):
         return _table_by_rows(n, literal_row, start)
 
     monkeypatch.setattr(algebra, "_table_by_rows", counted)
-    monkeypatch.setattr(ellis, "_table_by_rows", counted)
     G = named_group("symmetric", n=6)
     path = tmp_path / "s6.json"
     path.write_text(json.dumps({
