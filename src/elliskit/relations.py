@@ -28,6 +28,16 @@ forms run as seeded property tests against `tests/oracles.py`:
 - The lattice members are invariant: the principal relations are closed
   under the generator maps, and a join of invariant equivalences is
   invariant.
+- On a free action, N -> the orbit relation E_N of N is a bijection from
+  the normal subgroups onto the orbital relations, so
+  `free_action_correspondence` checks freeness alone. E_N is invariant
+  when N is normal: g·(N·x) = (g·N·g⁻¹)·(g·x) = N·(g·x). Its kernel is
+  N: N fixes each of its own orbits, and a kernel element h keeps a
+  point x in its class N·x, so h·x = n·x for some n in N; then n⁻¹·h
+  fixes x and is the identity by freeness. So E_N is orbital, and since
+  the kernel recovers N, no two normal subgroups give one relation.
+  Every orbital E is the orbit relation of its kernel, which is normal,
+  so every orbital relation arises.
 """
 
 from __future__ import annotations
@@ -426,14 +436,13 @@ def is_weakly_orbital(E: EquivRelation, caps: Caps = DEFAULT_CAPS) -> WeakOrbita
 
 class CorrespondenceReport(NamedTuple):
     entries: tuple[tuple[tuple[int, ...], int], ...]  # (normal subgroup, class count)
-    all_orbital_relations_arise: bool
 
 
 def free_action_correspondence(flow: Flow, caps: Caps = DEFAULT_CAPS) -> CorrespondenceReport:
     """On a free action, normal subgroups biject with orbital relations:
-    N -> its orbit relation, recovered by the kernel. Verified by
-    enumerating the normal subgroups, checking recovery, and (over the whole
-    invariant-relation lattice) that every orbital relation arises."""
+    N -> its orbit relation, recovered by the kernel. Only freeness is
+    checked; the bijection holds by construction (module docstring). Lists
+    each normal subgroup with the class count of its orbit relation."""
     G = _require_group(flow, "needs a group flow")
     for g in G.elements():
         if g == G.identity:
@@ -441,29 +450,9 @@ def free_action_correspondence(flow: Flow, caps: Caps = DEFAULT_CAPS) -> Corresp
         for x in range(flow.points):
             if flow.act(g, x) == x:
                 raise NotFree(g, x)
-    normals = [H for H in enumerate_subgroups(G, caps=caps) if H.is_normal()]
-    entries = []
-    seen_relations = {}
-    for N in normals:
-        E = orbit_relation(flow, N)
-        if not E.invariant:
-            raise NotInvariant(("orbit relation of normal subgroup", N.sorted_members))
-        back = kernel_group(E)
-        if back.members != N.members:
-            raise NotAWitness(("kernel does not recover subgroup", N.sorted_members))
-        if E in seen_relations:
-            raise NotAWitness(("two normal subgroups give one relation",
-                               N.sorted_members))
-        seen_relations[E] = N
-        entries.append((N.sorted_members, len(E.classes)))
-    complete = True
-    for E in invariant_relations(flow, caps):
-        verdict = is_orbital(E)
-        if verdict.orbital and E not in seen_relations:
-            complete = False
-    if not complete:
-        raise NotAWitness("an orbital relation escapes the correspondence")
-    return CorrespondenceReport(tuple(entries), complete)
+    return CorrespondenceReport(tuple(
+        (N.sorted_members, len(orbit_relation(flow, N).classes))
+        for N in enumerate_subgroups(G, caps=caps) if N.is_normal()))
 
 
 def _classes(n: int, pairs, maps=()) -> tuple[tuple[int, ...], ...]:

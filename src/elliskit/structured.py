@@ -43,7 +43,6 @@ from .relations import (
     _subgroup_witnesses,
     _witnessed,
     is_orbital,
-    kernel_group,
     orbit_relation,
     stabilizing_elements,
 )
@@ -497,8 +496,7 @@ def verify_thm_orb(inst: StructuredInstance, require_agreeable: bool = True,
     lat = inst.lattices
     c1 = lat["X2"].contains_mask(_pair_mask(E))
     c2 = all(lat["X"].contains(frozenset(c)) for c in E.classes)
-    kern = kernel_group(E)
-    c3 = lat["G"].contains(kern.members)
+    c3 = lat["G"].contains(verdict.kernel.members)
     c4 = any(
         lat["G"].contains(H.members) and orbit_relation(inst.flow, H) == E
         for H in enumerate_subgroups(inst.flow.group, caps=caps)

@@ -29,7 +29,6 @@ from .ellis import (
     ideal_group,
     ideal_group_isomorphism,
     minimal_left_ideals,
-    tau_closure,
 )
 from .errors import CapExceeded, ElliskitError, InvalidArgument
 from .flows import Flow, make_ambit
@@ -47,7 +46,6 @@ from .relations import (
     fix_set,
     is_orbital,
     is_weakly_orbital,
-    kernel_group,
     r_relation,
 )
 from .report import Report
@@ -65,10 +63,10 @@ def _record_error(rep: Report, name: str, exc: ElliskitError):
 
 def _ellis_instance_checks(flow: Flow, rng: random.Random, caps: Caps) -> int:
     """The structure battery on one flow's enveloping semigroup: the
-    minimal ideals, each ideal group with its certificate that u fixes
-    every member (so τ is discrete and H(u·M) = {u}), and the isomorphisms
-    between every pair of distinct ideal groups, each certified inside its
-    call; any failure raises. Returns the closure size.
+    minimal ideals, each ideal group, whose axioms `ideal_group` certifies
+    (u fixing every member among them, so τ is discrete and H(u·M) = {u}),
+    and the isomorphisms between every pair of distinct ideal groups, each
+    certified inside its call; any failure raises. Returns the closure size.
     The composition-limit identities and the τ-closure axioms hold by
     construction (`ellis` module docstring) and run as property tests
     against their literal forms in `tests/oracles.py`, not here.
@@ -85,11 +83,7 @@ def _ellis_instance_checks(flow: Flow, rng: random.Random, caps: Caps) -> int:
     `generators._battery_draws` makes exactly the `rng.getrandbits` calls
     that `rng.randrange` and `rng.sample` would make, forming no value."""
     S = enveloping_semigroup(flow, caps=caps)
-    groups = []
-    for M in minimal_left_ideals(S):
-        for u in M.idempotents:
-            groups.append(ideal_group(M, u))
-            tau_closure(groups[-1], groups[-1].members)
+    groups = [ideal_group(M, u) for M in minimal_left_ideals(S) for u in M.idempotents]
     # within one ideal: left translation isomorphism; across ideals: the
     # compatible-idempotent map (both verified inside the call)
     for gu in groups:
@@ -170,13 +164,12 @@ def brute_force_weakly_orbital(E, caps: Caps) -> bool:
 def _orbital_instance_checks(E, caps: Caps, full_brute_force: bool):
     failures = []
     flow = E.flow
-    kern = kernel_group(E)
     orb = is_orbital(E)
     weak = is_weakly_orbital(E, caps=caps)
     if orb and not weak:
         failures.append(("orbital implies weakly orbital", None))
     if orb:
-        full = r_relation(flow, WitnessPair(kern, frozenset(range(flow.points))))
+        full = r_relation(flow, WitnessPair(orb.kernel, frozenset(range(flow.points))))
         if full.pairs != E.pairs():
             failures.append(("full-support witness for orbital", None))
     if weak:

@@ -5,7 +5,9 @@ invariant relations; every generator map is an acting map; the kernel of an
 invariant relation is the normal class-wise stabilizer; the classes are the
 cosets of the basepoint-class stabilizer, and the basepoint fibers of an
 ideal group are the cosets of D; a group flow's only idempotent is the
-identity; an ideal group's isomorphism onto itself is the identity; the
+identity; an ideal group's isomorphism onto itself is the identity, and
+its identity fixes every member; on a free action the normal subgroups
+biject with the orbital relations; the
 minimal-ideal structure that generation by every member gives, below and
 above `ORACLE_LIMIT`; the unique compatible idempotent and the
 conjugation form of an isomorphism; an induced map as the literal
@@ -54,7 +56,9 @@ from elliskit.generators import (
     random_invariant_relation,
 )
 from elliskit.relations import (
+    EquivRelation,
     WitnessPair,
+    free_action_correspondence,
     invariant_relations,
     is_orbital,
     is_weakly_orbital,
@@ -218,6 +222,61 @@ def test_a_group_paired_with_itself_maps_by_the_identity():
         nontrivial += sum(order > 1 for order in orders)
         _battery_draws(rng, S.size, orders)
     assert groups >= 100 and nontrivial >= 30
+
+
+def test_every_ideal_group_of_the_ellis_battery_has_u_fixing_its_members(
+        monkeypatch):
+    """On every ideal group the Ellis battery builds at seeds 1-4, u·s = s
+    for each member s, composing the maps by hand: the fact `ideal_group`
+    certifies once, on which `tau_closure`, `h_subgroup` and the battery
+    rest without reading u's row again (`ellis` module docstring)."""
+    groups = recorded_draws(monkeypatch, "ideal_group")
+    for seed in range(1, 5):
+        assert run_suite("ellis", 50, seed).passed
+    nontrivial = 0
+    for G in groups:
+        maps = oracles.elements_of(G.parent)
+        u = maps[G.idempotent]
+        assert all(oracles.compose(u, maps[s]) == maps[s] for s in G.members)
+        nontrivial += len(G.members) > 1
+    assert len(groups) >= 300 and nontrivial >= 80
+
+
+def test_on_free_actions_normal_subgroups_biject_with_orbital_relations():
+    """On the regular flow of every catalog group (2 to 24 points), by the
+    literal scans: each normal subgroup N has an invariant orbit relation
+    whose class-wise stabilizer is N, so distinct normal subgroups give
+    distinct relations; and every orbital relation among the invariant
+    ones is such an orbit relation. These are the facts
+    `free_action_correspondence` no longer re-checks (`relations` module
+    docstring). The invariant relations are the Bell filter's up to 8
+    points and the lattice's above, which `test_fast_paths.py` compares
+    with the filter."""
+    normals = 0
+    for G in group_catalog():
+        flow = regular_flow(G)
+        n = flow.points
+        relations = (oracles.invariant_relations(flow) if n <= 8
+                     else invariant_relations(flow))
+        orbital = {E.classes for E in relations
+                   if oracles.orbital_counterexample(flow, E.class_of) is None}
+        arising = set()
+        entries = []
+        for members in oracles.enumerate_subgroups(G.mul, G.identity):
+            if not oracles.is_normal(G, members):
+                continue
+            orbit = [min(flow.act(h, x) for h in members) for x in range(n)]
+            E = EquivRelation(n, tuple(tuple(x for x in range(n) if orbit[x] == r)
+                                       for r in sorted(set(orbit))), flow)
+            assert oracles.invariance(flow, E.class_of)[0]
+            assert oracles.stabilizing_elements(flow, E, range(n)) == set(members)
+            assert E.classes not in arising
+            arising.add(E.classes)
+            entries.append((members, len(E.classes)))
+        assert arising == orbital
+        assert list(free_action_correspondence(flow).entries) == entries
+        normals += len(entries)
+    assert normals >= 60
 
 
 def quotient_ambit(ambit, E):

@@ -397,6 +397,27 @@ def test_isomorphism_through_an_incompatible_idempotent_is_refuted(monkeypatch):
     assert refuted == 8
 
 
+def test_isomorphism_through_a_collapsing_row_is_refuted():
+    # v's row sends s1·w where it sends s0·w, so s -> v·(s·w) repeats a value
+    S = enveloping_semigroup(two_ideal_flow())
+    ideals = minimal_left_ideals(S)
+    refuted = 0
+    for M, N in itertools.permutations(ideals, 2):
+        for u in M.idempotents:
+            for v in N.idempotents:
+                gu, gv = ideal_group(M, u), ideal_group(N, v)
+                w = ellis.compatible_idempotent(gu, N)
+                s0, s1 = (S.mul(s, w) for s in gu.members[:2])
+                row = [S.times(v)[b] for b in range(S.size)]
+                row[s1] = row[s0]
+                F = with_rows(S, lambda a: row if a == v else S.times(a))
+                fu, fv = (g._replace(ideal=g.ideal._replace(parent=F)) for g in (gu, gv))
+                with pytest.raises(IsomorphismViolated, match="not a bijection"):
+                    ideal_group_isomorphism(fu, fv)
+                refuted += 1
+    assert refuted == 8
+
+
 # ---- circ and closure ------------------------------------------------------------------
 
 def test_circ_identity_element():
@@ -496,39 +517,31 @@ def test_h_subgroup_trivial_and_normal():
             assert H.is_normal()
 
 
-def moved_identity_row(G):
-    """G rebuilt on a semigroup whose row of u sends u to another element,
-    every other row unchanged: an ideal group whose u moves one member."""
-    S, u = G.parent, G.idempotent
+def moved_identity_row(M, u):
+    """M on a semigroup whose row of u swaps two members of u·M other than
+    u, every other row unchanged; M itself when u·M has no two such
+    members. u stays idempotent and u·M keeps its members."""
+    S = M.parent
+    others = [s for s in ideal_group(M, u).members if s != u]
+    if len(others) < 2:
+        return M
     row = [S.times(u)[b] for b in range(S.size)]
-    row[u] = (u + 1) % S.size
-    moved = with_rows(S, lambda a: row if a == u else S.times(a))
-    return G._replace(ideal=G.ideal._replace(parent=moved))
-
-
-def test_tau_closure_and_h_subgroup_refute_a_moved_identity_row():
-    S = enveloping_semigroup(natural_flow(named_group("symmetric", n=3)))
-    M = minimal_left_ideals(S)[0]
-    G = moved_identity_row(ideal_group(M, M.idempotents[0]))
-    u = G.idempotent
-    rest = frozenset(G.members) - {u}
-    assert tau_closure(G, rest) == rest
-    with pytest.raises(TheoremViolation, match="u moves a member of u·M"):
-        tau_closure(G, {u})
-    with pytest.raises(TheoremViolation, match="u moves a member of u·M"):
-        h_subgroup(G)
+    a, b = others[:2]
+    row[a], row[b] = b, a
+    moved = with_rows(S, lambda x: row if x == u else S.times(x))
+    return M._replace(parent=moved)
 
 
 def test_verify_records_a_moved_identity_row_as_a_failed_check(monkeypatch, capsys):
     monkeypatch.setattr(suites, "ideal_group",
-                        lambda M, u: moved_identity_row(ideal_group(M, u)))
-    assert main(["verify", "--suite", "ellis", "--instances", "6", "--seed", "7",
+                        lambda M, u: ideal_group(moved_identity_row(M, u), u))
+    assert main(["verify", "--suite", "ellis", "--instances", "20", "--seed", "7",
                  "--format", "json"]) == 1
-    # a one-element closure has no other element for u to move to
+    # an ideal group of order 1 or 2 has no two members for u to swap
     failed = [v for v in json.loads(capsys.readouterr().out)["verdicts"]
               if not v["passed"]]
-    assert len(failed) >= 4
-    assert all("u moves a member of u·M" in v["witness"] for v in failed)
+    assert len(failed) >= 3
+    assert all("u is not a left identity on u·M" in v["witness"] for v in failed)
 
 
 # ---- induced epimorphisms ---------------------------------------------------------------

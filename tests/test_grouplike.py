@@ -463,3 +463,90 @@ def test_uniform_witness_missing_diagonal_refuted():
     fam = UniformWitnessFamily((broken,), (0,))
     verdict = check_uniform_witness(E, fam, pw)
     assert not verdict and verdict.refutation[0] == "diagonal missing"
+
+
+
+def a3_cosets():
+    """Regular S3 with the cosets of A3 and its proper witness by the group
+    itself."""
+    G = s3()
+    amb = regular_ambit(G)
+    a3 = next(s for s in enumerate_subgroups(G) if s.order == 3)
+    E = orbit_relation(amb.flow, a3)
+    return E, ProperWitness(G, tuple(range(G.order)), amb, E)
+
+
+def domination_refutation(ambit, source_relation, point_map, target_relation):
+    m = FlowMorphism(ambit, ambit, point_map)
+    return check_domination(
+        DominationWitness(ambit, source_relation, m, target_relation)).refutation
+
+
+def uniform_refutation(members, successor, pw=None):
+    E, regular = a3_cosets()
+    return check_uniform_witness(E, UniformWitnessFamily(members, successor),
+                                 regular if pw is None else pw).refutation
+
+
+def raised_diagnostic(call):
+    with pytest.raises(NotWeaklyGroupLike) as exc:
+        call()
+    return exc.value.diagnostic
+
+
+def one_sided_pair():
+    # the cosets of A3 and one pair across them, without its reverse
+    E, _ = a3_cosets()
+    y = next(y for y in range(6) if not E.same(0, y))
+    return uniform_refutation((E.pairs() | {(0, y)},), (0,))
+
+
+def translation_breaks():
+    # D0 = diagonal + {(e, g), (g, e)}, g of order 3, is its own successor
+    # and closed under composition, but (e, g) in D0 asks (g, g·g) in D0
+    E, pw = a3_cosets()
+    G = pw.cover_group
+    e = G.identity
+    g = next(x for x in E.classes[E.class_of[e]] if x != e)
+    diagonal = frozenset((x, x) for x in G.elements())
+    return uniform_refutation((diagonal | {(e, g), (g, e)}, E.pairs()), (0, 1))
+
+
+DIAGONAL = frozenset((x, x) for x in range(6))
+NATURAL = make_ambit(natural_flow(s3()), 0)
+COLLAPSED = ProperWitness(s3(), (0,) * 6, NATURAL, total_relation(3))
+
+
+@pytest.mark.parametrize("refute, first", [
+    (lambda: domination_refutation(regular_ambit(s3()), equality_relation(6),
+                                   (0,) * 6, equality_relation(6)),
+     "morphism"),
+    (lambda: domination_refutation(NATURAL, equality_relation(3), (0, 1, 2),
+                                   equality_relation(3)),
+     "source not group-like"),
+    # reached only by a target relation on more points than the target
+    # flow has: an onto, refining morphism reaches every class otherwise
+    (lambda: domination_refutation(regular_ambit(s3()), equality_relation(6),
+                                   tuple(range(6)), equality_relation(7)),
+     "induced map not onto"),
+    (lambda: raised_diagnostic(lambda: default_domination(
+        NATURAL, make_relation(3, [[0, 1], [2]]))),
+     "not invariant"),
+    (lambda: check_proper_witness(a3_cosets()[1]._replace(fiber_map=(0,) * 5)).refutation,
+     "fiber map shape"),
+    (lambda: uniform_refutation((a3_cosets()[0].pairs(),), (0,), COLLAPSED),
+     "proper witness invalid"),
+    (lambda: uniform_refutation((a3_cosets()[0].pairs(),), ()), "successor map shape"),
+    (one_sided_pair, "not symmetric"),
+    (lambda: uniform_refutation((DIAGONAL,), (0,)), "union differs from relation"),
+    (lambda: uniform_refutation((a3_cosets()[0].pairs(), DIAGONAL), (1, 1)),
+     "composition escapes successor"),
+    (translation_breaks, "translation condition"),
+], ids=["domination-morphism", "domination-source", "domination-onto",
+        "default-domination-invariant", "proper-shape", "uniform-proper",
+        "uniform-successor-shape", "uniform-symmetric", "uniform-union",
+        "uniform-composition", "uniform-translation"])
+def test_library_verifiers_refute(refute, first):
+    """Each refutation of the library-only domination and witness
+    verifiers, fired by one malformed input."""
+    assert refute()[0] == first

@@ -464,6 +464,14 @@ def test_readme_sample_commands_exit_0(monkeypatch, capsys):
         assert "Traceback" not in capsys.readouterr().err
 
 
+def test_cli_instance_file_of_the_wrong_kind_exits_2(monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    assert main(["ellis", "instances/equality-on-3.json"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: instances/equality-on-3.json: "
+                   "expected flow or ambit, got relation\n")
+
+
 @pytest.mark.parametrize("extra", [[], ["--decide-weak"]], ids=["plain", "decide-weak"])
 def test_cli_orbital_on_transformation_flow_exit_2(tmp_path, capsys, extra):
     flow = write(tmp_path, "f.json", {"transformations": [[0, 1], [1, 1]]})

@@ -14,12 +14,12 @@ from elliskit.algebra import (
 from elliskit.caps import Caps
 from elliskit.errors import (
     GroupMismatch,
+    GroupTooLarge,
     InvalidArgument,
     NotAPartition,
     NotAWitness,
     NotFree,
     NotInvariant,
-    SizeCapExceeded,
 )
 from elliskit.flows import coset_flow, natural_flow, regular_flow
 from elliskit.relations import (
@@ -395,7 +395,6 @@ def test_correspondence_z4():
     f = regular_flow(named_group("cyclic", n=4))
     rep = free_action_correspondence(f)
     assert len(rep.entries) == 3
-    assert rep.all_orbital_relations_arise
 
 
 def test_correspondence_s3():
@@ -421,14 +420,13 @@ def test_correspondence_past_eight_points():
     f = regular_flow(named_group("cyclic", n=9))
     rep = free_action_correspondence(f)
     assert [len(m) for m, _ in rep.entries] == [1, 3, 9]
-    assert rep.all_orbital_relations_arise
 
 
 def test_correspondence_passes_the_callers_caps():
     f = regular_flow(named_group("cyclic", n=9))
-    with pytest.raises(SizeCapExceeded) as err:
-        free_action_correspondence(f, caps=Caps(lattice_cap=2))
-    assert err.value.cap == 2
+    with pytest.raises(GroupTooLarge) as err:
+        free_action_correspondence(f, caps=Caps(subgroup_enum_cap=8))
+    assert (err.value.order, err.value.bound) == (9, 8)
 
 
 @pytest.mark.parametrize("name, n", [("symmetric", 4), ("dihedral", 12)])
@@ -438,7 +436,6 @@ def test_correspondence_on_24_points(name, n):
     normals = [N.sorted_members for N in enumerate_subgroups(G) if N.is_normal()]
     assert [m for m, _ in rep.entries] == normals
     assert [k for _, k in rep.entries] == [G.order // len(m) for m in normals]
-    assert rep.all_orbital_relations_arise
 
 
 # ---- partition enumeration --------------------------------------------------------------------

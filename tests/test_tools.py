@@ -1,6 +1,7 @@
 """The code-line counter in ``tools/code_lines.py``, run as a script on a
 package whose lines are counted by hand, and the report digest of
-``tools/report_digests.py`` on hand-written reports, an AST scan of the
+``tools/report_digests.py`` on hand-written reports, the committed list of
+``tools/reach.py`` and its README section, an AST scan of the
 package for caps that nothing reads, and the package's start-up imports and
 read-only records."""
 
@@ -93,6 +94,19 @@ def test_report_digest_changes_with_everything_but_timing():
                 dict(REPORT, extra=None)]
     digests = {of(report) for report in variants}
     assert len(digests) == len(variants) and base not in digests
+
+
+def test_reach_lists_the_committed_unreached_names():
+    """`tools/reach.py` prints `tools/unreached.txt`, and README's
+    library-only section names every function on it."""
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "reach.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    committed = (ROOT / "tools" / "unreached.txt").read_text()
+    assert done.stdout == committed
+    section = (ROOT / "README.md").read_text().split("## Library-only code")[1]
+    section = section.split("\n## ")[0]
+    assert [name for name in committed.split() if f"`{name}`" not in section] == []
 
 
 def test_no_dead_caps_in_src():
