@@ -29,22 +29,28 @@ and one `itemgetter` call above. It keeps the maps and their index and no
 Cayley graph: the closure is only the means to reach the minimal ideals.
 It is closed by construction: every element meets every generator on the
 right, and every element is a word in the generators, so each product
-w∘v lies in it and no table re-checks that. Every product goes through
-`EllisSemigroup.times`, at every closure size: row a is an
-`algebra._ComposedRow`, made on first read and kept, and each product in
-it is one composition, made only where it is read (the kernel walks and
-generator checks). An ideal group reads only the rows of its identity and
-generators, checks the group axioms on them, and builds its table from
+w∘v lies in it and no table re-checks that. A product is one
+composition, made only where it is read, at every closure size. Where a
+row is read more than once it goes through `EllisSemigroup.times`: row a
+is an `algebra._ComposedRow`, made on first read and kept. A product
+read alone (s·s, the column s·w of an isomorphism, w·u) is composed from
+the two maps (`_composed`) and makes no row. An ideal group reads only the rows of its identity and generators,
+checks the group axioms on them, keeps them, and builds its table from
 them on first read (`algebra._group_by_rows`).
 Minimal left ideals are read from the minimal ideal K, the elements of
 minimum rank: one such e is found from the orbit of the generators' images
-under the left action, without looking at every element; then S·e and its
-orbit under right multiplication by the generators. After the closure,
-finding the minimal ideals reads only the image orbit and the kernel's own
-elements, |K|·k products.
+under the left action, without looking at every element. S·e is walked
+over the generators' rows, recording each member's successors g·s. For a
+member r of a minimal left ideal L, L·g = S·(r·g), and distinct minimal
+left ideals are disjoint, so one right product r·g per ideal and
+generator either lands in an ideal already found, which is then L·g, or
+starts the walk of a new one. After the closure, finding the minimal
+ideals reads the image orbit, each left product g·s of the kernel's
+elements once, |K|·k products, and k right products per ideal.
 
-Each minimal ideal M keeps one certificate, checked in O(|M|·k): every
-member s generates it, S·s = M. That makes M a minimal left ideal, and
+Each minimal ideal M keeps one certificate, checked in O(|M|·k) over the
+successors its walk recorded, with no product read: every member s
+generates it, S·s = M. That makes M a minimal left ideal, and
 the rest of its structure follows and is not re-checked (the literal forms
 run as seeded property tests in `tests/test_by_construction.py`):
 - The list is complete and left-closed: S·e is a left ideal by its walk,
@@ -64,6 +70,11 @@ run as seeded property tests in `tests/test_by_construction.py`):
   is the conjugation (v·s)·v, by associativity.
 - An epimorphism maps idempotents to idempotents: φ(u)² = φ(u²) = φ(u)
   once φ is multiplicative.
+`ideal_group_isomorphism` composes the column s·w once for each member s
+of u·M and reads it through v's row. For a generator a of u·M (or u) and
+any member b, v·((a·b)·w) is the image of a·b, which a's row, read and
+checked by `ideal_group`, gives; so the homomorphism check composes only
+image(a)·image(b), one row of image(a) each.
 
 `induced_epimorphism` pushes the closure of a source flow through an
 equivariant surjection p of points onto a target flow, checked on the
@@ -87,6 +98,7 @@ from .algebra import (
     FiniteGroup,
     Subgroup,
     _ComposedRow,
+    compose_maps,
     _group_by_rows,
     _key_type,
     _right_closure,
@@ -111,9 +123,9 @@ class EllisSemigroup:
     `keys` maps each of them back to its index, and `key` turns any sequence
     of points into that type. Generator g is element g. No Cayley graph and
     no multiplication table are held: `times(a)` is row a, composed where
-    it is read, and every product, `mul` and right products by generators
-    included, is read from it. `_rows` keeps each row read, so a row's
-    padded map is made once.
+    it is read, and `mul` reads from it. `_rows` keeps each row read, so a
+    row's padded map is made once; a product read alone is composed from
+    the two maps instead (`_composed`, module docstring).
     """
 
     __slots__ = ("flow", "maps", "keys", "key", "generators", "_rows")
@@ -169,6 +181,7 @@ class IdealGroup(NamedTuple):
     group_view: FiniteGroup             # same elements re-indexed 0..k-1
     to_group: dict                      # semigroup index -> group index
     from_group: tuple[int, ...]         # group index -> semigroup index
+    rows: dict                          # identity's and generators' rows, group indices
 
     @property
     def parent(self) -> EllisSemigroup:
@@ -195,31 +208,32 @@ def enveloping_semigroup(flow: Flow, caps: Caps = DEFAULT_CAPS) -> EllisSemigrou
 def minimal_left_ideals(S: EllisSemigroup) -> list[MinimalIdeal]:
     """All minimal left ideals, sorted by least member, read from the
     minimal ideal K (East, Egri-Nagy, Mitchell & Péresse, J. Symb. Comput.
-    92, 2019).
+    92, 2019), each of their generator products read once.
 
     In a finite transformation semigroup K is the set of elements of minimum
     rank, so for an e of minimum rank (`_kernel_element`), L = S·e is a
     minimal left ideal. Every minimal left ideal is L·s, so L's orbit under
     right multiplication by the generators lists them all, whichever e was
-    taken (module docstring). Each is certified generated by every member,
-    so a failure of the rank argument raises instead of giving a wrong list.
+    taken, and for a member r of an ideal L, L·g = S·(r·g). Distinct
+    minimal left ideals are disjoint, so one product r·g per ideal and
+    generator either lands in an ideal already found, which is L·g, or
+    starts the walk of a new one (module docstring). Each walk records its
+    members' generator successors, and each ideal is certified generated by
+    every member over them, so a failure of the rank argument raises
+    instead of giving a wrong list. s·s = s is decided by composing s's map
+    with itself, so the only rows read are the generators' and one r's per
+    ideal.
     """
-    found = [frozenset(S.left_reach(_kernel_element(S)))]
-    seen = set(found)
-    for L in found:
-        rows = [S.times(s) for s in L]
-        for g in S.generators:
-            Lg = frozenset([row[g] for row in rows])
-            if Lg not in seen:
-                seen.add(Lg)
-                found.append(Lg)
-    ideals = []
-    for L in sorted(found, key=min):
-        members = tuple(sorted(L))
-        ideal = MinimalIdeal(S, members, tuple(s for s in members if S.mul(s, s) == s))
-        _validate_minimal_ideal(ideal)
-        ideals.append(ideal)
-    return ideals
+    rows = [S.times(g) for g in S.generators]
+    walks, seen, starts = [], set(), [_kernel_element(S)]
+    for r in starts:                    # grows: r·g for each walk's start r
+        if r not in seen:               # else r lies in an ideal found
+            walks.append(_left_walk(rows, r))
+            seen.update(walks[-1])
+            starts += map(S.times(r).__getitem__, S.generators)
+    return [MinimalIdeal(S, members, tuple(
+        s for s in members if _composed(S.maps[s], S.maps[s]) == S.maps[s]))
+        for members in map(_validate_minimal_ideal, sorted(walks, key=min))]
 
 
 def _kernel_element(S: EllisSemigroup) -> int:
@@ -231,11 +245,14 @@ def _kernel_element(S: EllisSemigroup) -> int:
     image is kept with the first element seen to have it, g·w from
     `times(g)`. The orbit is at most the nonempty subsets of the points,
     and a single set for a group flow, so this is O(orbit × k), not O(|S|).
+    The walk stops at an image of one point, since no rank is lower.
     """
     gens = [(S.maps[g], S.times(g)) for g in S.generators]
     todo = [(frozenset(S.maps[g]), g) for g in S.generators]
     orbit = {image for image, _ in todo}
     for image, w in todo:
+        if len(image) == 1:
+            return w
         for m, row in gens:
             moved = frozenset([m[x] for x in image])
             if moved not in orbit:
@@ -244,33 +261,54 @@ def _kernel_element(S: EllisSemigroup) -> int:
     return min(todo, key=lambda item: len(item[0]))[1]
 
 
-def _validate_minimal_ideal(M: MinimalIdeal):
-    S = M.parent
-    mset = M.member_set
-    # every element generates the ideal, S·s = M: no left edge leaves M, and
-    # one forward and one backward walk from a member cover M, so M is
-    # strongly connected; every member has a successor (k >= 1), so the
-    # nonempty words from any member reach all of M and nothing else. Left
-    # translation on M need not be injective, so the backward walk follows
-    # predecessor lists, not columns.
-    rows = [S.times(g) for g in S.generators]
-    back: dict[int, list[int]] = {s: [] for s in M.members}
-    for s in M.members:
-        for row in rows:
-            t = row[s]
-            if t not in mset:
+def _composed(outer, inner):
+    """The map outer∘inner, held like the closure's maps: one `translate`
+    by outer's padded table on bytes, `compose_maps` on tuples. For a
+    product read once, with no row of outer made."""
+    return (inner.translate(outer.ljust(256, b"\0")) if type(inner) is bytes
+            else compose_maps(outer, inner))
+
+
+def _left_walk(rows, r) -> dict[int, list[int]]:
+    """S·r, r included, walked over the generators' rows: a dict from each
+    member s, in walk order from r, to its successors g·s, one per row,
+    recorded as the walk reads them. Each product is read once."""
+    succ = {}
+    _reached(lambda s: succ.setdefault(s, [row[s] for row in rows]), r)
+    return succ
+
+
+def _reached(successors, start) -> set[int]:
+    """Everything reachable from `start`, start included: successors(s)
+    lists the successors of s, and is called once for each s reached."""
+    seen, todo = set(), [start]
+    for s in todo:                      # grows
+        if s not in seen:
+            seen.add(s)
+            todo += successors(s)
+    return seen
+
+
+def _validate_minimal_ideal(succ) -> tuple[int, ...]:
+    """The members of a minimal left ideal M, sorted, certified to generate
+    it each, S·s = M, from `succ`, which maps each member s to its generator
+    successors g·s (as `_left_walk` records them); no product is read. No successor
+    leaves M, and one forward and one backward walk from the least member
+    cover M, so M is strongly connected; every member has a successor
+    (k >= 1), so the nonempty words from any member reach all of M and
+    nothing else. Left translation on M need not be injective, so the
+    backward walk follows predecessor lists, not columns."""
+    back: dict[int, list[int]] = {s: [] for s in sorted(succ)}
+    for s in back:
+        for t in succ[s]:
+            if t not in back:
                 raise TheoremViolation("minimal ideal not generated by member", s)
             back[t].append(s)
-    behind, todo = set(M.members[:1]), list(M.members[:1])
-    for t in todo:                      # grows: every member with a path to it
-        new = set(back[t]) - behind
-        behind |= new
-        todo.extend(new)
-    for reached in (_walk(rows, M.members[:1]), behind):
-        missed = mset - reached
+    for edges in (succ, back):
+        missed = back.keys() - _reached(edges.__getitem__, min(back))
         if missed:
-            raise TheoremViolation("minimal ideal not generated by member",
-                                   min(missed))
+            raise TheoremViolation("minimal ideal not generated by member", min(missed))
+    return tuple(back)
 
 
 def ideal_group(M: MinimalIdeal, u: int) -> IdealGroup:
@@ -292,7 +330,9 @@ def ideal_group(M: MinimalIdeal, u: int) -> IdealGroup:
     of gi, a' = tk·…·t1 is in u·M by closure. In a·a' the middle
     gk·u·tk = gk·tk = u, and so on out to g1·t1 = u; in a'·a the middle
     t1·g1 = u, u·g2 = g2, and so on out to tk·gk·u = u. The deferred
-    build reads only the rows read here, so no check waits for it.
+    build reads only the rows read here, so no check waits for it. The
+    group keeps them, in group indices (`rows`), and its isomorphisms read
+    a·b off them.
     """
     S = M.parent
     if u not in M.member_set:
@@ -319,7 +359,7 @@ def ideal_group(M: MinimalIdeal, u: int) -> IdealGroup:
         t = rows[g].index(identity) if identity in rows[g] else None
         if t is None or S.mul(members[t], members[g]) != u:
             raise TheoremViolation("u·M element without two-sided inverse", members[g])
-    return IdealGroup(M, u, members, gview, pos, members)
+    return IdealGroup(M, u, members, gview, pos, members, rows)
 
 
 def compatible_idempotent(gu: IdealGroup, N: MinimalIdeal) -> int:
@@ -331,9 +371,8 @@ def compatible_idempotent(gu: IdealGroup, N: MinimalIdeal) -> int:
     u·w = w (module docstring); within u's own ideal the right-identity law
     forces w = u.
     """
-    S = gu.parent
-    u = gu.idempotent
-    return next(w for w in N.idempotents if S.mul(w, u) == u)
+    maps, u = gu.parent.maps, gu.parent.maps[gu.idempotent]
+    return next(w for w in N.idempotents if _composed(maps[w], u) == u)
 
 
 def ideal_group_isomorphism(gu: IdealGroup, gv: IdealGroup) -> tuple[int, ...]:
@@ -346,29 +385,31 @@ def ideal_group_isomorphism(gu: IdealGroup, gv: IdealGroup) -> tuple[int, ...]:
     idempotent pairs across distinct ideals (an 8-element transformation
     semigroup on 4 points witnesses this), so the compatible intermediate
     is required.
+    The column s·w is composed once per member and read through v's row.
+    The homomorphism check runs over the generators of u·M and u; a·b is
+    read off the rows `ideal_group` read and checked (`IdealGroup.rows`),
+    so v·((a·b)·w) is the image of a·b, and only image(a)·image(b) is
+    composed, one row of image(a) for each a.
     Failure of the constructed map is fatal: it would falsify the structure
     theory on a finite instance. Returns the image, indexed like gu.members.
     """
     S = gu.parent
     if S is not gv.parent:
         raise GroupMismatch("ideal groups from different semigroups")
-    v = gv.idempotent
-    w = compatible_idempotent(gu, gv.ideal)
-    image = tuple(S.mul(v, S.mul(s, w)) for s in gu.members)
+    v, w = gv.idempotent, compatible_idempotent(gu, gv.ideal)
+    row_v, w_map = S.times(v), S.maps[w]
+    image = tuple([row_v[S.keys[_composed(S.maps[s], w_map)]] for s in gu.members])
     tgt = set(gv.members)
     if set(image) != tgt or len(set(image)) != len(image):
         raise IsomorphismViolated(("not a bijection", image[:4]))
     # over the generators (and u, for the trivial group): a homomorphism
-    # (`algebra` module docstring)
-    gview = gu.group_view
-    for i in gview.gens + (gview.identity,):
-        a = gu.members[i]
-        for j, b in enumerate(gu.members):
-            ab = S.mul(a, b)
-            lhs = S.mul(v, S.mul(ab, w))
-            rhs = S.mul(image[i], image[j])
-            if lhs != rhs:
-                raise IsomorphismViolated(("not a homomorphism", a, b))
+    # (`algebra` module docstring); v·((a·b)·w) is the image of a·b, read
+    # off a's row as `ideal_group` read and checked it
+    for i, row_a in gu.rows.items():
+        row_image = S.times(image[i])
+        for j, ab in enumerate(row_a):
+            if image[ab] != row_image[image[j]]:
+                raise IsomorphismViolated(("not a homomorphism", gu.members[i], gu.members[j]))
     return image
 
 

@@ -53,6 +53,12 @@ The same facts make `orbit_map_r` onto the class group on such an ambit,
 with the identity map, the only idempotent, sent to the class group's
 identity; it checks only that the map is multiplicative, which a caller's
 wrong certificate breaks.
+
+`check_domination` returns no "not onto" refutation: its target relation
+lives on the target flow's points (an input check), `flows.check_morphism`
+has checked that the point map reaches every one of them, and each
+source class maps into one target class once refinement holds, so every
+target class is the image of the source class of any point over it.
 """
 
 from __future__ import annotations
@@ -225,7 +231,11 @@ class DominationVerdict(NamedTuple):
 
 def check_domination(w: DominationWitness) -> DominationVerdict:
     """Refinement plus left-invariance of the induced relation on the
-    source quotient group; returns the induced surjection of class spaces."""
+    source quotient group; returns the induced surjection of class spaces,
+    onto by construction (module docstring). A target relation on other
+    points than the morphism's target flow is an input error."""
+    if w.target_relation.points != w.morphism.target.flow.points:
+        raise NotEquivalence("relation on the wrong point set")
     rep = check_morphism(w.morphism)
     if not rep:
         return DominationVerdict(False, ("morphism", rep.witness), None)
@@ -249,8 +259,6 @@ def check_domination(w: DominationWitness) -> DominationVerdict:
         broken = _class_break(q.mul[wcls], induced, len(E.classes))
         if broken is not None:
             return DominationVerdict(False, ("not left invariant", (wcls,) + broken), None)
-    if len(set(induced)) != len(E.classes):
-        return DominationVerdict(False, ("induced map not onto", None), None)
     return DominationVerdict(True, None, induced)
 
 
@@ -433,7 +441,8 @@ def check_uniform_witness(E: EquivRelation, fam: UniformWitnessFamily,
         return UniformWitnessVerdict(False, ("proper witness invalid",
                                              pw_verdict.refutation))
     n = E.points
-    if len(fam.successor) != len(fam.members):
+    if len(fam.successor) != len(fam.members) or any(
+            not 0 <= i < len(fam.members) for i in fam.successor):
         return UniformWitnessVerdict(False, ("successor map shape",))
     for idx, D in enumerate(fam.members):
         for (a, b) in D:

@@ -648,39 +648,139 @@ def test_product_semigroup_isomorphic_to_product_of_semigroups():
 
 def test_minimal_ideal_validation_rejects_fake_ideals():
     # two minimal left ideals, (1, 3) and (2, 4); element 0 is in neither
-    # and both of its left products g·0 land in (2, 4)
+    # and both of its left products g·0 land in (2, 4). The certificate
+    # reads each member's generator successors, here off the rows.
     S = enveloping_semigroup(transformation_flow([(0, 0, 2, 1), (1, 1, 2, 2)]))
     first, second = minimal_left_ideals(S)
     assert (first.members, second.members) == ((1, 3), (2, 4))
     assert {S.times(g)[0] for g in S.generators} == {2, 4}
-    idems = first.idempotents + second.idempotents
+
+    def successors(members):
+        return {s: [S.times(g)[s] for g in S.generators] for s in members}
     fakes = {
         # closed, but the walks from 1 never reach (2, 4)
-        "union of two ideals": MinimalIdeal(S, (1, 2, 3, 4), idems),
+        "union of two ideals": (1, 2, 3, 4),
         # g·0 lands in (2, 4), outside the set: not closed
-        "ideal plus an element mapping out": MinimalIdeal(S, (0, 1, 3),
-                                                          first.idempotents),
+        "ideal plus an element mapping out": (0, 1, 3),
         # closed, and the forward walk from 0 covers it; only the backward
         # walk finds that nothing returns to 0
-        "ideal plus an element mapping in": MinimalIdeal(S, (0, 2, 4),
-                                                         second.idempotents),
+        "ideal plus an element mapping in": (0, 2, 4),
     }
     for fake in fakes.values():
         with pytest.raises(TheoremViolation, match="not generated by member"):
-            _validate_minimal_ideal(fake)
+            _validate_minimal_ideal(successors(fake))
     for M in (first, second):
-        _validate_minimal_ideal(M)
+        assert _validate_minimal_ideal(successors(reversed(M.members))) == M.members
 
 
 def test_a_set_not_left_closed_is_not_generated_by_member(monkeypatch):
     # a 3-cycle and the constant map to 0: the kernel is the three constant
-    # maps, and S·c0 holds all three. Cut S·s down to {s}: the constant c0
-    # absorbs right products, so its orbit is {c0} alone, and the 3-cycle
-    # times c0 leaves it; the generation certificate sees that edge leave
+    # maps, and S·c0 holds all three. Cut the walk of S·s down to {s}: the
+    # constant c0 absorbs right products, so its orbit is {c0} alone, and
+    # the 3-cycle times c0 leaves it; the generation certificate sees that
+    # recorded edge leave
     S = enveloping_semigroup(transformation_flow([(1, 2, 0), (0, 0, 0)]))
     c0 = S.keys[S.key((0, 0, 0))]
     assert len(minimal_left_ideals(S)) == 1
-    monkeypatch.setattr(ellis.EllisSemigroup, "left_reach", lambda self, s: {s})
+    monkeypatch.setattr(ellis, "_left_walk",
+                        lambda rows, s: {s: [row[s] for row in rows]})
     assert ellis._kernel_element(S) == c0
     with pytest.raises(TheoremViolation, match="not generated by member"):
         minimal_left_ideals(S)
+
+
+# ---- products read by the ideal pipeline ------------------------------------------
+
+def several_ideal_flows(count):
+    """Seeded transformation flows whose closures have at least two minimal
+    left ideals and no generator among their members, so a product read
+    off a generator's row is a left product g·s and any other is a right
+    one r·g."""
+    rng = random.Random(34)
+    found = 0
+    while found < count:
+        n = rng.randint(3, 5)
+        flow = transformation_flow([[rng.randrange(n) for _ in range(n)]
+                                    for _ in range(rng.randint(2, 3))])
+        S = enveloping_semigroup(flow)
+        ideals = minimal_left_ideals(S)
+        if len(ideals) >= 2 and not any(M.member_set & set(S.generators) for M in ideals):
+            found += 1
+            yield flow
+
+
+def counted_reads(monkeypatch):
+    """The (a, b) of every product a·b read from a row, and the a of every
+    row made, as they happen."""
+    reads, made = [], []
+    init, get = algebra._ComposedRow.__init__, algebra._ComposedRow.__getitem__
+
+    def counted_init(self, maps, keys, a):
+        made.append(a)
+        init(self, maps, keys, a)
+
+    def counted_get(self, b):
+        reads.append((self.a, b))
+        return get(self, b)
+    monkeypatch.setattr(algebra._ComposedRow, "__init__", counted_init)
+    monkeypatch.setattr(algebra._ComposedRow, "__getitem__", counted_get)
+    return reads, made
+
+
+def test_minimal_left_ideals_read_each_generator_product_once(monkeypatch):
+    """Past the kernel element, `minimal_left_ideals` reads each member's
+    product g·s once for each generator g and no other left product, k
+    right products r·g for one member r of each ideal, and makes rows only
+    for the generators and those members: no row squares a member."""
+    flows = list(several_ideal_flows(8))
+    reads, made = counted_reads(monkeypatch)
+    for flow in flows:
+        S = enveloping_semigroup(flow)
+        e = ellis._kernel_element(S)
+        S._rows.clear()
+        del reads[:], made[:]
+        with monkeypatch.context() as patched:
+            patched.setattr(ellis, "_kernel_element", lambda S: e)
+            ideals = minimal_left_ideals(S)
+        assert [(M.members, M.idempotents) for M in ideals] == \
+            oracles.minimal_left_ideals(oracles.composition_table(oracles.elements_of(S)),
+                                        S.generators)
+        gens = set(S.generators)
+        members = [s for M in ideals for s in M.members]
+        by_row = {}
+        for a, b in reads:
+            by_row.setdefault(a, []).append(b)
+        for g in gens:
+            assert sorted(by_row.pop(g)) == sorted(members)
+        assert len(by_row) == len(ideals)
+        for M in ideals:
+            (r,) = M.member_set & set(by_row)
+            assert by_row[r] == sorted(gens)
+        assert sorted(made) == sorted(gens | set(by_row))
+        assert set(S._rows) == gens | set(by_row)
+
+
+def test_isomorphisms_compose_only_the_image_products(monkeypatch):
+    """An isomorphism u·M -> v·N reads |u·M| products v·(s·w) through v's
+    row, the column s·w composed from the maps, and for each generator a
+    of u·M and for u the |u·M| products image(a)·image(b), a·b read off
+    the group's rows: no other product, and rows only for v and those
+    images."""
+    reads, made = counted_reads(monkeypatch)
+    pairs = 0
+    for flow in several_ideal_flows(8):
+        S = enveloping_semigroup(flow)
+        elements, index = oracles.elements_of(S), oracles.index_of(S)
+        groups = [ideal_group(M, u) for M in minimal_left_ideals(S) for u in M.idempotents]
+        for gu, gv in itertools.permutations(groups, 2):
+            w = ellis.compatible_idempotent(gu, gv.ideal)
+            S._rows.clear()
+            del reads[:], made[:]
+            image = ideal_group_isomorphism(gu, gv)
+            pairs += 1
+            column = [index[oracles.compose(elements[s], elements[w])] for s in gu.members]
+            outer = [image[i] for i in (*gu.group_view.gens, gu.group_view.identity)]
+            assert sorted(reads) == sorted([(gv.idempotent, sw) for sw in column] +
+                                           [(x, y) for x in outer for y in image])
+            assert sorted(made) == sorted({gv.idempotent, *outer})
+    assert pairs >= 8

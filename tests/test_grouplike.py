@@ -14,7 +14,12 @@ from elliskit.ellis import (
     ideal_group,
     minimal_left_ideals,
 )
-from elliskit.errors import InvalidArgument, NotWeaklyGroupLike, TheoremViolation
+from elliskit.errors import (
+    InvalidArgument,
+    NotEquivalence,
+    NotWeaklyGroupLike,
+    TheoremViolation,
+)
 from elliskit.flows import make_ambit, natural_flow, regular_flow, transformation_flow
 from elliskit.grouplike import (
     DominationWitness,
@@ -488,6 +493,12 @@ def uniform_refutation(members, successor, pw=None):
                                  regular if pw is None else pw).refutation
 
 
+def raised_message(error, call):
+    with pytest.raises(error) as exc:
+        call()
+    return (str(exc.value),)
+
+
 def raised_diagnostic(call):
     with pytest.raises(NotWeaklyGroupLike) as exc:
         call()
@@ -524,11 +535,16 @@ COLLAPSED = ProperWitness(s3(), (0,) * 6, NATURAL, total_relation(3))
     (lambda: domination_refutation(NATURAL, equality_relation(3), (0, 1, 2),
                                    equality_relation(3)),
      "source not group-like"),
-    # reached only by a target relation on more points than the target
-    # flow has: an onto, refining morphism reaches every class otherwise
-    (lambda: domination_refutation(regular_ambit(s3()), equality_relation(6),
-                                   tuple(range(6)), equality_relation(7)),
-     "induced map not onto"),
+    # a target relation on other points than the target flow is an input
+    # error; an onto, refining morphism then reaches every class
+    (lambda: raised_message(NotEquivalence, lambda: domination_refutation(
+        regular_ambit(s3()), equality_relation(6), tuple(range(6)),
+        equality_relation(7))),
+     "not an equivalence relation: relation on the wrong point set"),
+    (lambda: raised_message(NotEquivalence, lambda: domination_refutation(
+        regular_ambit(s3()), equality_relation(6), tuple(range(6)),
+        equality_relation(5))),
+     "not an equivalence relation: relation on the wrong point set"),
     (lambda: raised_diagnostic(lambda: default_domination(
         NATURAL, make_relation(3, [[0, 1], [2]]))),
      "not invariant"),
@@ -537,16 +553,21 @@ COLLAPSED = ProperWitness(s3(), (0,) * 6, NATURAL, total_relation(3))
     (lambda: uniform_refutation((a3_cosets()[0].pairs(),), (0,), COLLAPSED),
      "proper witness invalid"),
     (lambda: uniform_refutation((a3_cosets()[0].pairs(),), ()), "successor map shape"),
+    (lambda: uniform_refutation((a3_cosets()[0].pairs(),), (5,)), "successor map shape"),
+    (lambda: uniform_refutation((a3_cosets()[0].pairs(),), (-1,)), "successor map shape"),
     (one_sided_pair, "not symmetric"),
     (lambda: uniform_refutation((DIAGONAL,), (0,)), "union differs from relation"),
     (lambda: uniform_refutation((a3_cosets()[0].pairs(), DIAGONAL), (1, 1)),
      "composition escapes successor"),
     (translation_breaks, "translation condition"),
 ], ids=["domination-morphism", "domination-source", "domination-onto",
+        "domination-fewer-points",
         "default-domination-invariant", "proper-shape", "uniform-proper",
-        "uniform-successor-shape", "uniform-symmetric", "uniform-union",
+        "uniform-successor-shape", "uniform-successor-past-end",
+        "uniform-successor-negative", "uniform-symmetric", "uniform-union",
         "uniform-composition", "uniform-translation"])
 def test_library_verifiers_refute(refute, first):
     """Each refutation of the library-only domination and witness
-    verifiers, fired by one malformed input."""
+    verifiers, and `check_domination`'s input error on a target relation
+    over the wrong points, fired by one malformed input."""
     assert refute()[0] == first
