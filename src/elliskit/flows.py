@@ -74,15 +74,16 @@ class Flow:
     """A finite action, either of a group (by all its elements) or of a set
     of arbitrary transformation generators, held as one image table:
     `maps[g]` is the image tuple of group element g, or of the g-th
-    generator of a transformation flow."""
+    generator of a transformation flow. Read-only."""
 
     __slots__ = ("points", "group", "maps", "name")
+    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, points, group, maps, name=None):
-        self.points = points
-        self.group = group
-        self.maps = maps
-        self.name = name
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "maps", maps)
+        object.__setattr__(self, "name", name)
 
     @property
     def is_group_flow(self) -> bool:

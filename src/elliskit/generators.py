@@ -16,7 +16,22 @@ the catalog's cyclic group of order 2 qualifies): a group G of order at least 2 
 has the coset action of G itself, of index 1; for a group-like setup, N·H0
 is a subgroup whenever N is normal, and N = G gives the normal K = G. The
 coset-block relations are invariant, and `make_relation` on the flow still
-computes that verdict."""
+computes that verdict.
+
+What generation derives from a catalog group alone is built once per
+process and shared: the actions `random_group_flow` may draw on it, each
+drawn action (built when first drawn, so a cap it exceeds is reported for
+that flow and not for another candidate) and the normal products N·H0 of a
+group-like setup; `catalog.structured_catalog` keeps its instances the same
+way. Relations are built afresh on every draw. Every draw is the same `rng`
+call on a sequence of the same length and order as a fresh build would
+make, so reports do not change, and every check still runs on every
+instance. Sharing is safe: flows, subgroups, lattices and structured
+instances are read-only, and a catalog instance's lattice map is a read-only view; the
+keys are catalog groups, their subgroups and `Caps` values, none of them
+a caller's flow; and each cache holds at most one entry per such key, a
+bound the 17-group catalog fixes for each `Caps` value. The gain needs
+inputs that repeat, within a call or across calls in one process."""
 
 from __future__ import annotations
 
@@ -136,15 +151,29 @@ def random_group_flow(rng: random.Random, max_points: int, max_order: int,
     coset action of a random subgroup of small enough index."""
     check_bounds(max_points=max_points)
     G = random_group(rng, max_order)
-    choices = []
-    if G.perms is not None and len(G.perms[0]) <= max_points:
-        choices.append(("natural", None))
-    if G.order <= max_points:
-        choices.append(("regular", None))
-    for H in enumerate_subgroups(G, caps=caps):
-        if H.order > 1 and G.order // H.order <= max_points:
-            choices.append(("coset", H))
-    kind, H = rng.choice(choices)
+    kind, H = rng.choice([(kind, H) for points, kind, H in _flow_options(G, caps)
+                          if points <= max_points])
+    return _group_flow(G, kind, H, caps)
+
+
+@functools.cache
+def _flow_options(G: FiniteGroup, caps: Caps) -> tuple:
+    """(points, kind, subgroup) for each action `random_group_flow` may
+    draw on G, in the order it draws from: natural, regular, then the
+    coset action of each nontrivial subgroup."""
+    options = []
+    if G.perms is not None:
+        options.append((len(G.perms[0]), "natural", None))
+    options.append((G.order, "regular", None))
+    options += [(G.order // H.order, "coset", H)
+                for H in enumerate_subgroups(G, caps=caps) if H.order > 1]
+    return tuple(options)
+
+
+@functools.cache
+def _group_flow(G: FiniteGroup, kind: str, H: Subgroup | None, caps: Caps) -> Flow:
+    """One drawn action, built when first drawn, so a cap it exceeds is
+    reported for the flow drawn and not for another candidate."""
     if kind == "natural":
         return natural_flow(G, caps=caps)
     if kind == "regular":
@@ -201,17 +230,23 @@ def random_group_like_setup(rng: random.Random, max_points: int, max_order: int,
     product is normal."""
     check_bounds(max_points=max_points)
     G = random_group(rng, max_order)
-    subs = enumerate_subgroups(G, caps=caps)
-    H0 = rng.choice([H for H in subs if G.order // H.order <= max_points])
-    flow = (coset_flow(G, H0, caps=caps) if H0.order > 1
-            else regular_flow(G, caps=caps))
+    H0 = rng.choice([H for H in enumerate_subgroups(G, caps=caps)
+                     if G.order // H.order <= max_points])
+    flow = (_group_flow(G, "coset", H0, caps) if H0.order > 1
+            else _group_flow(G, "regular", None, caps))
+    K = rng.choice(_normal_products(G, H0, caps))
+    blocks = _coset_blocks(G, K, transporters(flow, 0), range(flow.points))
+    return flow, make_relation(flow.points, blocks, flow)
+
+
+@functools.cache
+def _normal_products(G: FiniteGroup, H0: Subgroup, caps: Caps) -> tuple[Subgroup, ...]:
+    """The normal products K = N·H0 over the normal subgroups N of G."""
     candidates = []
-    for N in subs:
+    for N in enumerate_subgroups(G, caps=caps):
         if N.is_normal():
             K = Subgroup(G, frozenset(G.mul[a][b] for a in N.members
                                       for b in H0.members))
             if K.is_normal():
                 candidates.append(K)
-    K = rng.choice(candidates)
-    blocks = _coset_blocks(G, K, transporters(flow, 0), range(flow.points))
-    return flow, make_relation(flow.points, blocks, flow)
+    return tuple(candidates)

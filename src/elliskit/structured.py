@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import enumerate_subgroups
+from .algebra import _read_only, enumerate_subgroups
 from .caps import DEFAULT_CAPS, Caps
 from .errors import (
     NotAgreeable,
@@ -109,9 +109,10 @@ def _member_order(masks, size: int) -> list[int]:
 
 
 class _Lattice:
-    """The index-set view shared by both lattice kinds."""
+    """The index-set view shared by both lattice kinds, which are read-only."""
 
     __slots__ = ()
+    __setattr__ = __delattr__ = _read_only
 
     def contains(self, s) -> bool:
         return self.contains_mask(_mask(s))
@@ -129,12 +130,13 @@ class PseudoClosedLattice(_Lattice):
     __slots__ = ("ground", "size", "masks", "discrete", "added", "_mask_set")
 
     def __init__(self, ground, size, masks=None, discrete=False, added=()):
-        self.ground = ground
-        self.size = size
-        self.discrete = discrete
-        self.masks = None if discrete else tuple(masks)
-        self.added = tuple(added)
-        self._mask_set = None if discrete else frozenset(self.masks)
+        masks = None if discrete else tuple(masks)
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "discrete", discrete)
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "added", tuple(added))
+        object.__setattr__(self, "_mask_set", None if discrete else frozenset(masks))
 
     @property
     def sets(self):
@@ -185,11 +187,11 @@ class SectionProductLattice(_Lattice):
     discrete, sets, added = False, None, ()
 
     def __init__(self, ground, left, right, left_discrete):
-        self.ground = ground
-        self.size = left.size * right.size
-        self.left = left
-        self.right = right
-        self.left_discrete = left_discrete
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "size", left.size * right.size)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "left_discrete", left_discrete)
 
     def contains_mask(self, m: int) -> bool:
         factor = self.right if self.left_discrete else self.left
@@ -278,14 +280,13 @@ def product_lattice(A: PseudoClosedLattice, B: PseudoClosedLattice,
 
 class StructuredInstance:
     """A group flow, a relation on it and one lattice per ground in GROUNDS,
-    each of its ground's size, checked on construction."""
+    each of its ground's size, checked on construction. Read-only."""
 
     __slots__ = ("flow", "relation", "lattices", "name")
+    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, flow: Flow, relation: EquivRelation, lattices: dict,
                  name: str = ""):
-        self.flow, self.relation = flow, relation
-        self.lattices, self.name = lattices, name
         if not flow.is_group_flow:
             raise NotOrbital("structured instances need group flows")
         gn, n = flow.group.order, flow.points
@@ -296,6 +297,10 @@ class StructuredInstance:
             if lat.size != ground_size(ground, gn, n):
                 raise NotALattice(frozenset({lat.size}), frozenset(),
                                   frozenset({ground}))
+        object.__setattr__(self, "flow", flow)
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "lattices", lattices)
+        object.__setattr__(self, "name", name)
 
 
 def default_lattices(flow: Flow, lat_g: PseudoClosedLattice,

@@ -9,9 +9,10 @@ homomorphism, action-axiom, equivariance, class-table, left-invariance,
 fiber-against-coset and orbitality definitions over every pair of
 elements, the composition-limit identities, τ-closure formulas, H(u·M)
 and minimal-ideal structure that hold by construction in
-``elliskit.ellis``, the quotient identification's scans, and the Ellis
+``elliskit.ellis``, the quotient identification's scans, the Ellis
 battery's random data drawn by `random.Random`'s own `choice`, `randint`
-and `sample`. The production paths compose few
+and `sample`, and the suites' group flows and relations drawn with every
+choice list, flow and coset built afresh on each draw. The production paths compose few
 products and read the rest off tables, work from generators and hold sets
 as bitmasks; these compose, multiply, scan everything or walk sets index
 by index instead, so they are slow but obviously right, and the
@@ -23,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 
+from elliskit import algebra, flows, generators
 from elliskit.algebra import Subgroup
 from elliskit.errors import NotALattice, NotAWitness, SizeCapExceeded
 from elliskit.relations import (
@@ -696,6 +698,57 @@ def invariant_relations(flow):
         E = EquivRelation(flow.points, classes, flow)
         if invariance(flow, E.class_of)[0]:
             yield E
+
+
+def _draw_group(rng, max_order):
+    return rng.choice([G for G in generators.group_catalog() if G.order <= max_order])
+
+
+def coset_block_relation(flow, pick):
+    """Per orbit, from its least point x0, classes that are the points whose
+    transporters lie in one left coset of `pick(subgroups containing x0's
+    stabilizer)`, each transporter and coset found by a scan."""
+    G, classes, seen = flow.group, [], set()
+    for x0 in range(flow.points):
+        if x0 in seen:
+            continue
+        stab = frozenset(g for g in G.elements() if flow.act(g, x0) == x0)
+        K = pick([H for H in algebra.enumerate_subgroups(G) if stab <= H.members])
+        blocks = {}
+        for x in sorted({flow.act(g, x0) for g in G.elements()}):
+            g = next(g for g in G.elements() if flow.act(g, x0) == x)
+            blocks.setdefault(frozenset(G.mul[g][k] for k in K.members), []).append(x)
+            seen.add(x)
+        classes += blocks.values()
+    return EquivRelation(flow.points, tuple(map(tuple, classes)), flow)
+
+
+def random_group_flow(rng, max_points, max_order):
+    """`generators.random_group_flow`, its candidate list built on each
+    draw: natural, regular, then coset actions of nontrivial subgroups."""
+    G = _draw_group(rng, max_order)
+    choices = []
+    if G.perms is not None and len(G.perms[0]) <= max_points:
+        choices.append((flows.natural_flow, None))
+    if G.order <= max_points:
+        choices.append((flows.regular_flow, None))
+    choices += [(flows.coset_flow, H) for H in algebra.enumerate_subgroups(G)
+                if H.order > 1 and G.order // H.order <= max_points]
+    build, H = rng.choice(choices)
+    return build(G) if H is None else build(G, H)
+
+
+def random_group_like_setup(rng, max_points, max_order):
+    """`generators.random_group_like_setup` built on each draw: the coset
+    action of H0 and the block relation of a normal product N·H0."""
+    G = _draw_group(rng, max_order)
+    subs = algebra.enumerate_subgroups(G)
+    H0 = rng.choice([H for H in subs if G.order // H.order <= max_points])
+    flow = flows.coset_flow(G, H0) if H0.order > 1 else flows.regular_flow(G)
+    products = [frozenset(G.mul[a][b] for a in N.members for b in H0.members)
+                for N in subs if is_normal(G, N.members)]
+    K = rng.choice([Subgroup(G, K) for K in products if is_normal(G, K)])
+    return flow, coset_block_relation(flow, lambda choices: K)
 
 
 def fix_set(flow, E, H):

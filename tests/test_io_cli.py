@@ -4,17 +4,20 @@ import random
 import shlex
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from elliskit import cli, ellis, flows, structured, suites
+import oracles
+from elliskit import catalog, cli, ellis, flows, generators, structured, suites
 from elliskit.algebra import (
     Subgroup,
     _locate_inverses,
     direct_product,
+    enumerate_subgroups,
     group_from_table,
     named_group,
 )
@@ -46,9 +49,11 @@ from elliskit.errors import (
     ValidationError,
 )
 from elliskit.generators import (
+    group_catalog,
     random_group,
     random_group_flow,
     random_group_like_setup,
+    random_invariant_relation,
     random_transformation_flow,
 )
 from elliskit.grouplike import check_group_like, identify_quotient
@@ -202,6 +207,98 @@ def test_suite_reports_deterministic():
     assert a.to_json(include_timing=False) == b.to_json(include_timing=False)
     c = run_suite("ellis", 12, seed=6)
     assert a.to_json(include_timing=False) != c.to_json(include_timing=False)
+
+
+# the per-process caches of catalog fixtures that instance generation draws
+# from (`generators` module docstring), by module and name
+FIXTURE_CACHES = {(generators, name): getattr(generators, name) for name in (
+    "_flow_options", "_group_flow", "_normal_products")}
+FIXTURE_CACHES[catalog, "_structured_catalog"] = catalog._structured_catalog
+
+
+def clear_fixture_caches():
+    for cache in FIXTURE_CACHES.values():
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_suite_reports_are_the_same_with_warm_cold_and_no_caches(suite, monkeypatch):
+    """At seeds 1-3, two calls in one process give the same report, so does
+    a call after every fixture cache is cleared, and so does a call with
+    every cache bypassed, each fixture built afresh where it is drawn."""
+    def report(seed):
+        return run_suite(suite, 8, seed).to_json(include_timing=False)
+
+    warm = {}
+    for seed in (1, 2, 3):
+        warm[seed] = report(seed)
+        assert report(seed) == warm[seed]
+        clear_fixture_caches()
+        assert report(seed) == warm[seed]
+    for (module, name), cache in FIXTURE_CACHES.items():
+        monkeypatch.setattr(module, name, cache.__wrapped__)
+    for seed in (1, 2, 3):
+        assert report(seed) == warm[seed]
+
+
+def drawn_instances(seed, draw_flow, draw_relation, draw_setup):
+    """Flows and relations drawn as the orbital, structured and grouplike
+    suites draw them, by content, and the generator's state after."""
+    rng, out = random.Random(seed), []
+    for _ in range(30):
+        flow = draw_flow(rng, 6, 24)
+        out.append((flow.maps, draw_relation(rng, flow).classes))
+        flow, E = draw_setup(rng, 6, 24)
+        out.append((flow.maps, E.classes))
+    return out, rng.getstate()
+
+
+def test_drawn_instances_are_the_ones_built_afresh():
+    """With cold and with warm caches, the suites draw the flows and
+    relations that building every fixture afresh on each draw gives, with
+    the same generator calls."""
+    clear_fixture_caches()
+    fresh = [drawn_instances(seed, oracles.random_group_flow,
+                             lambda rng, flow: oracles.coset_block_relation(flow, rng.choice),
+                             oracles.random_group_like_setup) for seed in range(1, 5)]
+    for _ in range(2):
+        assert [drawn_instances(seed, random_group_flow, random_invariant_relation,
+                                random_group_like_setup)
+                for seed in range(1, 5)] == fresh
+
+
+def test_fixture_caches_stay_within_the_catalog_keys():
+    """After every suite at seeds 1-8, each cache holds at most one entry per
+    key the catalog allows: per catalog group, per action drawn on it and
+    per (group, subgroup)."""
+    clear_fixture_caches()
+    for suite in SUITES:
+        for seed in range(1, 9):
+            assert run_suite(suite, 8, seed).passed
+    groups = group_catalog()
+    bounds = {
+        generators._flow_options: len(groups),
+        generators._group_flow: sum(len(generators._flow_options(G, DEFAULT_CAPS))
+                                    for G in groups),
+        generators._normal_products: sum(len(enumerate_subgroups(G)) for G in groups),
+        catalog._structured_catalog: 1,
+    }
+    assert set(bounds) == set(FIXTURE_CACHES.values())
+    for cache, bound in bounds.items():
+        assert 0 < cache.cache_info().currsize <= bound, cache
+
+
+def test_random_invariant_relation_keeps_no_caller_flow():
+    """A caller's own flow, here a regular action of a catalog group, is not
+    kept by any cache once the caller drops it and its relation."""
+    CallerFlow = type("CallerFlow", (flows.Flow,), {})     # weak-referenceable
+    G = group_catalog()[11]
+    flow = CallerFlow(G.order, G, flows.regular_flow(G).maps)
+    E = random_invariant_relation(random.Random(4), flow)
+    assert E.flow is flow and E.invariant
+    ref = weakref.ref(flow)
+    del flow, E
+    assert ref() is None
 
 
 def test_empty_suite_passes():
@@ -567,6 +664,24 @@ def test_cli_verify_over_a_cap_exits_2(suite, instances, caps, message):
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == f"error: {message}\n"
+
+
+def test_a_cap_error_fires_with_warm_caches():
+    """The orbital-points case of the test above, run in a process whose
+    caches already hold the fixtures of passing orbital calls: the cap is
+    still reported for the flow drawn, not for another candidate."""
+    code = ("import sys; from elliskit.caps import Caps; from elliskit.cli import main; "
+            "from elliskit.suites import run_suite; "
+            "assert run_suite('orbital', 10, 3, caps=Caps()).passed; "
+            "assert run_suite('orbital', 10, 3, max_points=3).passed; "
+            "sys.exit(main(['verify', '--suite', 'orbital', '--instances', '10', "
+            "'--seed', '3']))")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=cli_env(ELLISKIT_CAPS=json.dumps({"points_cap": 3})),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: flow point set size 4 exceeds cap 3\n"
 
 
 @pytest.mark.parametrize("suite, target", [

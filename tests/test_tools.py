@@ -190,7 +190,8 @@ def test_every_raise_in_src_names_an_elliskit_error():
 def test_startup_loads_no_code_generator():
     """A fresh interpreter that imports the package and its command line
     loads neither `dataclasses` nor `inspect`: records are NamedTuples or
-    slots classes, so start-up generates and compiles no methods."""
+    slots classes. (The NamedTuples still `eval` a `__new__` each and
+    compile their annotations at import; that is not checked here.)"""
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import elliskit, elliskit.cli; "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-I", "-B", "-c", code, str(ROOT / "src")],
@@ -201,9 +202,11 @@ def test_startup_loads_no_code_generator():
 
 def test_records_are_read_only_and_keep_their_repr():
     """Assigning to or deleting a record's field raises AttributeError, and a
-    record recorded as a witness reads `Name(field=value, ...)`."""
+    record recorded as a witness reads `Name(field=value, ...)`. A shared
+    catalog instance's lattice map and its lattices refuse writes too."""
     from elliskit.algebra import Subgroup, named_group
     from elliskit.caps import DEFAULT_CAPS
+    from elliskit.catalog import structured_catalog
     from elliskit.ellis import enveloping_semigroup, ideal_group, minimal_left_ideals
     from elliskit.flows import regular_flow
     from elliskit.relations import WitnessPair, make_relation
@@ -212,16 +215,23 @@ def test_records_are_read_only_and_keep_their_repr():
     G = named_group("symmetric", n=3)
     H = Subgroup(G, frozenset({G.identity}))
     pair = WitnessPair(H, frozenset({0, 2}))
-    E = make_relation(6, [[1, 0], [2, 3], [4, 5]], regular_flow(G))
-    M = minimal_left_ideals(enveloping_semigroup(regular_flow(G)))[0]
+    flow = regular_flow(G)
+    E = make_relation(6, [[1, 0], [2, 3], [4, 5]], flow)
+    M = minimal_left_ideals(enveloping_semigroup(flow))[0]
     for record, field in [(H, "members"), (E, "classes"), (DEFAULT_CAPS, "closure_cap"),
                           (Verdict("check", True), "passed"), (pair, "support"),
-                          (ideal_group(M, M.idempotents[0]), "members")]:
+                          (ideal_group(M, M.idempotents[0]), "members"),
+                          (flow, "maps"), (structured_catalog()[0][0], "lattices")]:
         for change in (lambda: setattr(record, field, None),
                        lambda: delattr(record, field),
                        lambda: setattr(record, "extra", None)):
             with pytest.raises(AttributeError):
                 change()
+    lattices = structured_catalog()[0][0].lattices
+    with pytest.raises(TypeError):
+        lattices["X"] = lattices["G"]
+    with pytest.raises(AttributeError):
+        lattices["X"].masks = ()
     subgroup = ("Subgroup(parent=FiniteGroup(symmetric(3), order=6), "
                 "members=frozenset({2}), sorted_members=(2,))")
     assert repr(H) == subgroup
