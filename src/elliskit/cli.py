@@ -2,9 +2,11 @@
 structure, check group-likeness, decide orbitality, verify structured
 scenarios, run seeded suites, and run the bundled examples.
 
-Exit codes: 0 all checks passed (or pure analysis), 1 a verified property
-violation, 2 input error, 141 (128 + SIGPIPE) standard output closed by its
-reader.
+Each command returns its report; `main` times it, prints it and sets the
+exit code. Exit codes: 0 all checks passed (or an analysis, whatever its
+verdicts), 1 a verified property violation (a failed check of `structured`,
+`verify` or `example`, or a violated theorem), 2 input error, 141
+(128 + SIGPIPE) standard output closed by its reader.
 """
 
 from __future__ import annotations
@@ -40,10 +42,13 @@ def _load(path, expect_kinds):
     return inst.value
 
 
-def _as_ambit(value) -> Ambit:
+def _flow(path) -> tuple[Flow, int]:
+    """The flow of a flow or ambit file, and the ambit's basepoint (0 for a
+    flow)."""
+    value = _load(path, ("flow", "ambit"))
     if isinstance(value, Ambit):
-        return value
-    return make_ambit(value, 0)
+        return value.flow, value.basepoint
+    return value, 0
 
 
 def _ellis_structures(flow: Flow, rep: Report) -> None:
@@ -58,36 +63,24 @@ def _ellis_structures(flow: Flow, rep: Report) -> None:
     rep.structures["ideal_group_order"] = first.group_view.order
 
 
-def cmd_ellis(args) -> int:
-    flow = _load(args.flow, ("flow", "ambit"))
-    if isinstance(flow, Ambit):
-        flow = flow.flow
+def cmd_ellis(args) -> Report:
     rep = Report("analysis", "ellis")
-    start = time.monotonic()
-    _ellis_structures(flow, rep)
-    rep.timing["seconds"] = round(time.monotonic() - start, 3)
-    _emit(rep, args.format)
-    return 0
+    _ellis_structures(_flow(args.flow)[0], rep)
+    return rep
 
 
-def cmd_analyze(args) -> int:
-    value = _load(args.flow, ("flow", "ambit"))
+def cmd_analyze(args) -> Report:
+    flow, basepoint = _flow(args.flow)
     rep = Report("analysis", "analyze")
-    start = time.monotonic()
-    flow = value.flow if isinstance(value, Ambit) else value
     _ellis_structures(flow, rep)
-    relation = None
     if args.relation:
         relation = _load(args.relation, ("relation",)).bind(flow)
         rep.structures["class_count"] = len(relation.classes)
         rep.structures["invariant"] = relation.invariant
         if not relation.invariant:
             rep.record("relation invariant", False, relation.invariance_witness)
-            rep.timing["seconds"] = round(time.monotonic() - start, 3)
-            _emit(rep, args.format)
-            return 0  # analysis, not verification
-        if flow.is_group_flow:
-            ambit = _as_ambit(value)
+        elif flow.is_group_flow:
+            ambit = make_ambit(flow, basepoint)
             verdict = check_group_like(ambit, relation)
             rep.structures["group_like"] = bool(verdict)
             ident = identify_quotient(ambit, relation)
@@ -103,16 +96,13 @@ def cmd_analyze(args) -> int:
                     "subgroup_order": m.subgroup.order,
                     "support_size": len(m.support),
                 }
-    rep.timing["seconds"] = round(time.monotonic() - start, 3)
-    _emit(rep, args.format)
-    return 0
+    return rep
 
 
-def cmd_grouplike(args) -> int:
-    ambit = _as_ambit(_load(args.ambit, ("ambit", "flow")))
+def cmd_grouplike(args) -> Report:
+    ambit = make_ambit(*_flow(args.ambit))
     relation = _load(args.relation, ("relation",)).bind(ambit.flow)
     rep = Report("analysis", "grouplike")
-    start = time.monotonic()
     verdict = check_group_like(ambit, relation)
     rep.structures["group_like"] = bool(verdict)
     if verdict:
@@ -128,18 +118,12 @@ def cmd_grouplike(args) -> int:
         rep.structures["identified_group_order"] = ghat.group.order
     else:
         rep.structures["refutation"] = repr(verdict.refutation)
-    rep.timing["seconds"] = round(time.monotonic() - start, 3)
-    _emit(rep, args.format)
-    return 0
+    return rep
 
 
-def cmd_orbital(args) -> int:
-    flow = _load(args.flow, ("flow", "ambit"))
-    if isinstance(flow, Ambit):
-        flow = flow.flow
-    relation = _load(args.relation, ("relation",)).bind(flow)
+def cmd_orbital(args) -> Report:
+    relation = _load(args.relation, ("relation",)).bind(_flow(args.flow)[0])
     rep = Report("analysis", "orbital")
-    start = time.monotonic()
     rep.structures["invariant"] = relation.invariant
     if relation.invariant:
         verdict = is_orbital(relation)
@@ -154,15 +138,12 @@ def cmd_orbital(args) -> int:
             if weak:
                 rep.structures["witness_subgroup_order"] = weak.witness.subgroup.order
                 rep.structures["witness_support_size"] = len(weak.witness.support)
-    rep.timing["seconds"] = round(time.monotonic() - start, 3)
-    _emit(rep, args.format)
-    return 0
+    return rep
 
 
-def cmd_structured(args) -> int:
+def cmd_structured(args) -> Report:
     inst = _load(args.scenario, ("scenario",))
     rep = Report("analysis", "structured")
-    start = time.monotonic()
     agree = is_agreeable(inst)
     rep.record("agreeable", bool(agree), agree.failures[:2] or None)
     E = inst.relation.bind(inst.flow)
@@ -174,28 +155,18 @@ def cmd_structured(args) -> int:
         elif is_weakly_orbital(E):
             got = verify_thm_worb(inst, _agree=agree)
             rep.record("weakly orbital transfer equivalence", got.equivalent)
-    rep.timing["seconds"] = round(time.monotonic() - start, 3)
-    _emit(rep, args.format)
-    return 0 if rep.passed else 1
+    return rep
 
 
-def cmd_verify(args) -> int:
-    rep = run_suite(args.suite, args.instances, args.seed,
-                    max_points=args.max_points,
-                    max_group_order=args.max_group_order,
-                    corrupt=args.corrupt)
-    _emit(rep, args.format)
-    if not rep.passed:
-        print(f"{rep.failure_count} verified property violations",
-              file=sys.stderr)
-        return 1
-    return 0
+def cmd_verify(args) -> Report:
+    return run_suite(args.suite, args.instances, args.seed,
+                     max_points=args.max_points,
+                     max_group_order=args.max_group_order,
+                     corrupt=args.corrupt)
 
 
-def cmd_example(args) -> int:
-    rep = run_example(args.name)
-    _emit(rep, args.format)
-    return 0 if rep.passed else 1
+def cmd_example(args) -> Report:
+    return run_example(args.name)
 
 
 def _int_at_least(low: int):
@@ -212,6 +183,9 @@ def _int_at_least(low: int):
 COMMANDS = {"analyze": cmd_analyze, "ellis": cmd_ellis, "grouplike": cmd_grouplike,
             "orbital": cmd_orbital, "structured": cmd_structured, "verify": cmd_verify,
             "example": cmd_example}
+# the commands whose failed check is a verified property violation (exit 1);
+# the others are analyses, whose verdicts are reported and exit 0
+VERIFYING = frozenset({"structured", "verify", "example"})
 
 
 @functools.cache
@@ -244,7 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("flow")
     p.add_argument("--relation", required=True)
     p.add_argument("--decide-weak", action="store_true")
-    p.add_argument("--max-group-order", type=_int_at_least(1), default=None)
+    p.add_argument("--max-group-order", type=_int_at_least(1), default=None,
+                   help="largest group whose subgroups --decide-weak enumerates "
+                        "(the subgroup_enum_cap of this call)")
     add_format(p)
 
     p = sub.add_parser("structured", help="agreeability and transfer theorems")
@@ -255,8 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=SUITES, required=True)
     p.add_argument("--instances", type=_int_at_least(0), default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-points", type=_int_at_least(2), default=None)
-    p.add_argument("--max-group-order", type=_int_at_least(2), default=None)
+    p.add_argument("--max-points", type=_int_at_least(2), default=None,
+                   help="most points of a generated flow (default 6)")
+    p.add_argument("--max-group-order", type=_int_at_least(2), default=None,
+                   help="largest order of a drawn catalog group (default 24)")
     p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     add_format(p)
 
@@ -273,7 +251,15 @@ def main(argv=None) -> int:
     try:
         if ENV_ERROR is not None:
             raise ENV_ERROR
-        return COMMANDS[args.command](args)
+        start = time.monotonic()
+        rep = COMMANDS[args.command](args)
+        rep.timing["seconds"] = round(time.monotonic() - start, 3)
+        _emit(rep, args.format)
+        if args.command in VERIFYING and not rep.passed:
+            print(f"{rep.failure_count} verified property violations",
+                  file=sys.stderr)
+            return 1
+        return 0
     except BrokenPipeError:
         # the reader closed stdout (`elliskit ... | head`); point stdout at
         # devnull so the flush at exit cannot fail again, and exit as a

@@ -28,6 +28,7 @@ from typing import NamedTuple
 from .algebra import (
     FiniteGroup,
     Subgroup,
+    _integer,
     _read_only,
     _require_generating,
     _walk,
@@ -165,7 +166,7 @@ def make_flow(acting, points: int, action=None, caps: Caps = DEFAULT_CAPS,
         if action is None or len(action) != acting.order:
             raise InvalidArgument("need one action map per group element")
         _require_generating(acting)
-        elem_maps = tuple(tuple(int(v) for v in m) for m in action)
+        elem_maps = tuple(tuple(_integer(v, "action entry") for v in m) for m in action)
         for g, m in enumerate(elem_maps):
             if len(m) != points or any(not 0 <= v < points for v in m):
                 raise NotAnAction(g, g, -1)

@@ -181,11 +181,11 @@ def _group_flow(G: FiniteGroup, kind: str, H: Subgroup | None, caps: Caps) -> Fl
     return coset_flow(G, H, caps=caps)
 
 
-def random_ellis_flow(rng: random.Random, max_points: int,
+def random_ellis_flow(rng: random.Random, max_points: int, max_order: int = 24,
                       caps: Caps = DEFAULT_CAPS) -> Flow:
     if rng.random() < 0.6:
         return random_transformation_flow(rng, max_points, caps)
-    return random_group_flow(rng, max_points, 24, caps)
+    return random_group_flow(rng, max_points, max_order, caps)
 
 
 def _coset_blocks(G: FiniteGroup, K: Subgroup, trans, points) -> list[list[int]]:

@@ -15,9 +15,10 @@ Schemas (one object per file):
   scenario  {"flow": <flow>, "relation": <relation>, "name": str,
              "lattices": {"G": <lattice sets or "discrete">, "X": ..., ...}}
 
-Product-space indices are row-major. Every number is an integer: a float
-or a boolean (other than "auto_complete") is rejected, never truncated, and
-an unlisted key (named groups take n, q and dim) is rejected, never ignored.
+Product-space indices are row-major. Every number is an integer: a float,
+a string or a boolean is rejected, never truncated or converted;
+"auto_complete" is a JSON boolean and nothing else. An unlisted key (named
+groups take n, q and dim) is rejected, never ignored.
 parse(serialize(x)) returns an equal instance for every kind.
 """
 
@@ -28,6 +29,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import algebra, flows, relations, structured
+from .algebra import _integer
 from .caps import DEFAULT_CAPS, Caps, _unique_keys
 from .errors import ElliskitError, NotAnAction, ParseError, ValidationError
 
@@ -74,7 +76,7 @@ def build_group(data: dict, caps: Caps = DEFAULT_CAPS, *, at="") -> algebra.Fini
     kind = data.get("kind")
     if kind == "permutation":
         _only(data, "group", ("kind", "degree", "generators"), at)
-        return algebra.group_from_permutations(int(data["degree"]),
+        return algebra.group_from_permutations(_integer(data["degree"], at + "degree"),
                                                data["generators"], caps=caps)
     if kind == "table":
         _only(data, "group", ("kind", "mul"), at)
@@ -94,7 +96,7 @@ def _flow_from_generator_images(G: algebra.FiniteGroup, points: int, images,
     if len(images) != len(gens):
         raise ParseError("<flow>", f"need one generator image per generator "
                                    f"({len(gens)} expected)")
-    images = [tuple(int(v) for v in m) for m in images]
+    images = [tuple(_integer(v, "generator_images entry") for v in m) for m in images]
     for i, m in enumerate(images):
         if len(m) != points or any(not 0 <= v < points for v in m):
             raise ParseError("<flow>", f"generator image {i} is not a self-map "
@@ -110,7 +112,7 @@ def build_flow(data: dict, caps: Caps = DEFAULT_CAPS, *, at="") -> flows.Flow:
     by_maps = "transformations" in data
     _only(data, "flow", ("transformations", "points") if by_maps
           else ("group", "points", "action"), at)
-    points = data.get("points")
+    points = _integer(data["points"], at + "points") if "points" in data else None
     if by_maps:
         f = flows.transformation_flow(data["transformations"], caps=caps)
     else:
@@ -123,11 +125,11 @@ def build_flow(data: dict, caps: Caps = DEFAULT_CAPS, *, at="") -> flows.Flow:
         elif isinstance(action, dict) and "generator_images" in action:
             if points is None:
                 raise ParseError("<flow>", "explicit actions need a point count")
-            f = _flow_from_generator_images(G, int(points),
+            f = _flow_from_generator_images(G, points,
                                             action["generator_images"], caps)
         else:
             raise ParseError("<flow>", f"unknown action form {action!r}")
-    if points is not None and f.points != int(points):
+    if points is not None and f.points != points:
         raise ParseError("<flow>", f"point count {points} disagrees with "
                                    f"action on {f.points} points")
     return f
@@ -135,24 +137,26 @@ def build_flow(data: dict, caps: Caps = DEFAULT_CAPS, *, at="") -> flows.Flow:
 
 def build_ambit(data: dict, caps: Caps = DEFAULT_CAPS) -> flows.Ambit:
     f = build_flow({k: v for k, v in data.items() if k != "basepoint"}, caps=caps)
-    return flows.make_ambit(f, int(data["basepoint"]))
+    return flows.make_ambit(f, _integer(data["basepoint"], "basepoint"))
 
 
 def build_relation(data: dict, *, at="") -> relations.EquivRelation:
     _only(data, "relation", ("points", "classes"), at)
-    return relations.make_relation(int(data["points"]), data["classes"])
+    return relations.make_relation(_integer(data["points"], at + "points"),
+                                   data["classes"])
 
 
 def build_lattice(data: dict, caps: Caps = DEFAULT_CAPS, *, at=""):
     _only(data, "lattice", ("ground", "size", "sets", "auto_complete"), at)
     ground = data["ground"]
-    size = int(data["size"])
+    size = _integer(data["size"], at + "size")
     sets = data.get("sets", [])
     if sets == "discrete":
         return structured.discrete_lattice(ground, size)
-    return structured.make_lattice(ground, size, sets,
-                                   auto_complete=bool(data.get("auto_complete")),
-                                   caps=caps)
+    complete = data.get("auto_complete", False)
+    if type(complete) is not bool:
+        raise ParseError("<lattice>", f"{at}auto_complete is {complete!r}, not a boolean")
+    return structured.make_lattice(ground, size, sets, auto_complete=complete, caps=caps)
 
 
 def build_scenario(data: dict, caps: Caps = DEFAULT_CAPS) -> structured.StructuredInstance:
@@ -193,8 +197,9 @@ _BUILDERS = {
 
 
 def _check_integers(data, where):
-    """Raise TypeError at the first float or boolean: the builders' int()
-    would turn 1.9 into 1 and True into 1."""
+    """Raise TypeError at the first float or boolean outside `auto_complete`,
+    naming its path: the builders read numbers through `algebra._integer`,
+    which refuses a float or a string but takes True for 1."""
     if isinstance(data, (bool, float)):
         raise TypeError(f"{where[1:]} is {data!r}, not an integer")
     items = data.items() if isinstance(data, dict) else \

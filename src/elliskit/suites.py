@@ -95,14 +95,14 @@ def _ellis_instance_checks(flow: Flow, rng: random.Random, caps: Caps) -> int:
 
 
 def run_ellis_suite(rep: Report, instances: int, rng: random.Random,
-                    caps: Caps, max_points: int):
+                    caps: Caps, max_points: int, max_order: int):
     """One battery per random flow. A failed instance raises before its
     battery's remaining draws, so every later instance runs on a different
     flow than in a clean run with the same seed: after a failure, instance
     numbers no longer name the clean run's flows."""
     sizes = []
     for i in range(instances):
-        flow = random_ellis_flow(rng, max_points, caps)
+        flow = random_ellis_flow(rng, max_points, max_order, caps)
         try:
             sizes.append(_ellis_instance_checks(flow, rng, caps))
         except ElliskitError as exc:
@@ -259,7 +259,9 @@ def run_structured_suite(rep: Report, instances: int, rng: random.Random,
             _record_error(rep, f"random {i}", exc)
 
 
-SUITES = ("ellis", "grouplike", "orbital", "structured")
+# every runner takes (rep, instances, rng, caps, max_points, max_order)
+SUITES = {"ellis": run_ellis_suite, "grouplike": run_grouplike_suite,
+          "orbital": run_orbital_suite, "structured": run_structured_suite}
 
 
 def run_suite(name: str, instances: int, seed: int, caps: Caps = DEFAULT_CAPS,
@@ -277,14 +279,7 @@ def run_suite(name: str, instances: int, seed: int, caps: Caps = DEFAULT_CAPS,
     start = time.monotonic()
     max_points = 6 if max_points is None else max_points
     max_group_order = 24 if max_group_order is None else max_group_order
-    if name == "ellis":
-        run_ellis_suite(rep, instances, rng, caps, max_points)
-    elif name == "grouplike":
-        run_grouplike_suite(rep, instances, rng, caps, max_points, max_group_order)
-    elif name == "orbital":
-        run_orbital_suite(rep, instances, rng, caps, max_points, max_group_order)
-    elif name == "structured":
-        run_structured_suite(rep, instances, rng, caps, max_points, max_group_order)
+    SUITES[name](rep, instances, rng, caps, max_points, max_group_order)
     if corrupt:
         rep.record("deliberately corrupted check (harness self-test)", False,
                    "injected failure")

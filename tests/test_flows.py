@@ -11,6 +11,7 @@ from elliskit.errors import (
     OrbitNotDense,
     ParseError,
     SizeCapExceeded,
+    UnsupportedParameters,
 )
 from elliskit.flows import (
     FlowMorphism,
@@ -87,6 +88,13 @@ def test_make_ambit_rejects_a_non_integer_basepoint():
         make_ambit(natural_flow(s3()), 1.5)
     assert ei.value.path == "<ambit>"
     assert "basepoint 1.5 is not an integer" in str(ei.value)
+
+
+def test_make_flow_rejects_non_integer_action_entries():
+    """A float entry is refused, not truncated to a valid map."""
+    with pytest.raises(UnsupportedParameters) as ei:
+        make_flow(named_group("cyclic", n=2), 2, [[0, 1], [1.9, 0.2]])
+    assert "action entry is 1.9, not an integer" in str(ei.value)
 
 
 def test_make_ambit_rejects_trivial_action():

@@ -50,6 +50,7 @@ from elliskit.errors import (
 )
 from elliskit.generators import (
     group_catalog,
+    random_ellis_flow,
     random_group,
     random_group_flow,
     random_group_like_setup,
@@ -65,6 +66,7 @@ from elliskit.relations import (
     is_weakly_orbital,
     make_relation,
 )
+from elliskit.report import Report
 from elliskit.suites import SUITES, run_suite
 
 
@@ -301,6 +303,23 @@ def test_random_invariant_relation_keeps_no_caller_flow():
     assert ref() is None
 
 
+def test_random_ellis_flow_draws_no_group_above_max_order():
+    rng = random.Random(3)
+    drawn = [random_ellis_flow(rng, 6, max_order=2) for _ in range(200)]
+    orders = {flow.group.order for flow in drawn if flow.is_group_flow}
+    assert orders == {2}
+
+
+def test_verify_max_group_order_bounds_the_ellis_suite(capsys):
+    def closure_sizes(*bound):
+        assert main(["verify", "--suite", "ellis", "--seed", "3", "--instances",
+                     "60", "--format", "json", *bound]) == 0
+        return json.loads(capsys.readouterr().out)["structures"]["closure_sizes"]
+
+    assert closure_sizes() == {"min": 1, "max": 1147, "mean": 31.5}
+    assert closure_sizes("--max-group-order", "2") == {"min": 1, "max": 99, "mean": 9.5}
+
+
 def test_empty_suite_passes():
     rep = run_suite("orbital", 0, seed=1)
     assert rep.passed
@@ -328,9 +347,57 @@ def test_cli_example_json(capsys):
 def test_cli_builds_its_parser_once_and_dispatches_through_commands(monkeypatch):
     assert cli.build_parser() is cli.build_parser()
     seen = []
-    monkeypatch.setitem(cli.COMMANDS, "example", lambda args: seen.append(args.name) or 7)
-    assert main(["example", "s3-stabilizer"]) == 7
+
+    def fake(args):
+        seen.append(args.name)
+        return failing_report("example", args.name)
+
+    monkeypatch.setitem(cli.COMMANDS, "example", fake)
+    assert main(["example", "s3-stabilizer"]) == 1      # the real one passes
     assert seen == ["s3-stabilizer"]
+
+
+def failing_report(kind, name):
+    rep = Report(kind, name)
+    rep.record("a check that fails", False)
+    return rep
+
+
+NON_AGREEABLE = {
+    "flow": S3_FLOW,
+    "relation": {"points": 3, "classes": [[0, 1, 2]]},
+    "lattices": {"G": "discrete", "X": {"sets": [[0]], "auto_complete": True}},
+}
+NON_INVARIANT_FLOW = {"group": {"kind": "permutation", "degree": 6,
+                                "generators": [[1, 2, 3, 4, 5, 0]]},
+                      "points": 6, "action": "natural"}
+
+
+@pytest.mark.parametrize("command, code", [
+    ("structured", 1), ("verify", 1), ("example", 1), ("analyze", 0)])
+def test_cli_exit_code_contract(tmp_path, monkeypatch, capsys, command, code):
+    """A failed check exits 1, with the count of failed checks on standard
+    error, for the verifying commands only; an analysis records its failed
+    verdict, exits 0 and writes nothing on standard error."""
+    monkeypatch.setitem(catalog.EXAMPLES, "s3-stabilizer",
+                        lambda caps: failing_report("example", "s3-stabilizer"))
+    argv = {
+        "structured": ["structured", write(tmp_path, "s.json", NON_AGREEABLE)],
+        "verify": ["verify", "--suite", "grouplike", "--instances", "1",
+                   "--seed", "1", "--corrupt"],
+        "example": ["example", "s3-stabilizer"],
+        "analyze": ["analyze", write(tmp_path, "f.json", NON_INVARIANT_FLOW),
+                    "--relation", write(tmp_path, "r.json", {
+                        "points": 6, "classes": [[0, 1], [2], [3], [4], [5]]})],
+    }[command]
+    assert main(argv + ["--format", "json"]) == code
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    failed = sum(not v["passed"] for v in report["verdicts"])
+    assert not report["passed"] and failed >= 1
+    assert report["timing"]["seconds"] >= 0
+    assert err == (f"{failed} verified property violations\n" if code else "")
+    assert (command in cli.VERIFYING) == (code == 1)
 
 
 def test_cli_verify_exit_codes(capsys):
@@ -352,10 +419,7 @@ def test_cli_analyze(tmp_path, capsys):
 
 
 def test_cli_analyze_non_invariant_exits_zero(tmp_path, capsys):
-    G = {"kind": "permutation", "degree": 6,
-         "generators": [[1, 2, 3, 4, 5, 0]]}
-    flow_path = write(tmp_path, "f.json",
-                      {"group": G, "points": 6, "action": "natural"})
+    flow_path = write(tmp_path, "f.json", NON_INVARIANT_FLOW)
     rel_path = write(tmp_path, "r.json",
                      {"points": 6, "classes": [[0, 1], [2], [3], [4], [5]]})
     assert main(["analyze", flow_path, "--relation", rel_path]) == 0
@@ -414,6 +478,38 @@ def test_cli_structured(tmp_path, capsys):
     assert main(["structured", scenario]) == 0
 
 
+def test_cli_structured_weakly_orbital_scenario(tmp_path, capsys):
+    """Regular S3 with the cosets of an order-2 subgroup: invariant, weakly
+    orbital (the subgroup fixes one class) and not orbital (the subgroup
+    is not normal), so the weakly orbital transfer theorem is verified."""
+    scenario = write(tmp_path, "s.json", {
+        "flow": {"group": {"kind": "named", "name": "symmetric", "n": 3},
+                 "action": "regular"},
+        "relation": {"points": 6, "classes": [[0, 2], [1, 4], [3, 5]]},
+        "lattices": {"G": "discrete", "X": "discrete"},
+    })
+    assert main(["structured", scenario]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "analysis structured: PASS (2 checks, 0 failures)",
+        "  ok  agreeable",
+        "  ok  weakly orbital transfer equivalence"]
+
+
+def test_structured_suite_reaches_the_weakly_orbital_branch(monkeypatch):
+    """At seed 1, three of the first 200 random draws are weakly orbital but
+    not orbital; each is verified by the weakly orbital transfer theorem."""
+    seen = []
+
+    def spy(inst, *args, **kwargs):
+        seen.append(inst.name)
+        return structured.verify_thm_worb(inst, *args, **kwargs)
+
+    monkeypatch.setattr(suites, "verify_thm_worb", spy)
+    assert run_suite("structured", 200, seed=1).passed
+    assert [name for name in seen if name.startswith("random")] == [
+        "random-11", "random-89", "random-183"]
+
+
 def test_cli_orbital_max_group_order_keeps_cap_overrides(tmp_path, monkeypatch):
     overridden = DEFAULT_CAPS._replace(lattice_cap=7)
     seen = []
@@ -464,7 +560,7 @@ def test_cli_relation_on_wrong_point_set_exit_2(tmp_path, capsys, command, point
 
 @pytest.mark.parametrize("data, message", [
     (dict(S3_FLOW, basepoint=7), "basepoint 7 is not one of 0..2"),
-    (dict(S3_FLOW, basepoint="x"), "ValueError"),
+    (dict(S3_FLOW, basepoint="x"), "basepoint is 'x', not an integer"),
     ({"group": {"kind": "table", "mul": [[0, 1], [1]]}, "action": "regular"},
      "square"),
     ({"group": {"kind": "named", "name": "cyclic"}, "action": "regular"},
@@ -504,6 +600,19 @@ def test_cli_relation_on_wrong_point_set_exit_2(tmp_path, capsys, command, point
     ({"transformations": [[1, 0], [0, 0]], "points": 3},
      "point count 3 disagrees"),
     ({"a": 1}, "in.json: unrecognized instance schema"),
+    (dict(S3_FLOW, group=dict(S3_FLOW["group"], degree="3")),
+     "group.degree is '3', not an integer"),
+    (dict(S3_FLOW, points="3"), "points is '3', not an integer"),
+    (dict(S3_FLOW, basepoint="0"), "basepoint is '0', not an integer"),
+    ({"flow": S3_FLOW, "relation": {"points": "3", "classes": [[0, 1, 2]]}},
+     "relation.points is '3', not an integer"),
+    ({"ground": "X", "size": "2", "sets": "discrete"},
+     "size is '2', not an integer"),
+    ({"group": {"kind": "named", "name": "cyclic", "n": 2}, "points": 2,
+      "action": {"generator_images": [["1", 0]]}},
+     "generator_images entry is '1', not an integer"),
+    ({"ground": "X", "size": 2, "sets": [[0]], "auto_complete": "false"},
+     "auto_complete is 'false', not a boolean"),
 ], ids=["basepoint-out-of-range", "basepoint-not-int", "mul-not-square",
         "named-without-n", "transformations-not-maps", "image-not-self-map",
         "group-null", "group-not-object", "transformation-entry-not-int",
@@ -512,7 +621,9 @@ def test_cli_relation_on_wrong_point_set_exit_2(tmp_path, capsys, command, point
         "lattice-size-float", "action-misspelt", "group-stray-key",
         "lattice-stray-key", "scenario-lattice-stray-key",
         "scenario-lattices-not-object", "transformations-points-disagree",
-        "unknown-schema"])
+        "unknown-schema", "degree-string", "points-string", "basepoint-string",
+        "relation-points-string", "lattice-size-string", "image-string",
+        "auto-complete-string"])
 def test_cli_malformed_instance_exit_2(tmp_path, capsys, data, message):
     assert main(["ellis", write(tmp_path, "in.json", data)]) == 2
     err = capsys.readouterr().err
