@@ -6,8 +6,6 @@ from __future__ import annotations
 
 import functools
 import operator
-import time
-from types import MappingProxyType
 
 from .algebra import (
     Subgroup,
@@ -346,10 +344,7 @@ EXAMPLES = {
 def run_example(name: str, caps: Caps = DEFAULT_CAPS) -> Report:
     if name not in EXAMPLES:
         raise UnknownExample(name, EXAMPLES)
-    start = time.monotonic()
-    rep = EXAMPLES[name](caps)
-    rep.timing["seconds"] = round(time.monotonic() - start, 3)
-    return rep
+    return EXAMPLES[name](caps)
 
 
 # -- structured catalog ---------------------------------------------------------
@@ -390,7 +385,7 @@ def counterexample_shape(caps: Caps = DEFAULT_CAPS) -> StructuredInstance:
         "X2x2": product_lattice(lat_x2, lat_x2, caps=caps),
         "XxG": product_lattice(lat_x, lat_g, caps=caps),
     }
-    return StructuredInstance(flow, E, MappingProxyType(lats), "counterexample-shape")
+    return StructuredInstance(flow, E, lats, "counterexample-shape")
 
 
 def structured_catalog(caps: Caps = DEFAULT_CAPS):
@@ -402,7 +397,6 @@ def structured_catalog(caps: Caps = DEFAULT_CAPS):
 
 @functools.cache
 def _structured_catalog(caps: Caps) -> tuple:
-    # shared by every call, so each instance's lattice map is a read-only view
     out = []
 
     G = named_group("symmetric", n=3)
@@ -412,23 +406,22 @@ def _structured_catalog(caps: Caps) -> tuple:
 
     E = orbit_relation(flow, a3)
     out.append((StructuredInstance(
-        flow, E, MappingProxyType(default_lattices(flow, discrete_lattice("G", 6),
-                                                   discrete_lattice("X", 6), caps=caps)),
+        flow, E, default_lattices(flow, discrete_lattice("G", 6),
+                                  discrete_lattice("X", 6), caps=caps),
         "discrete-s3-regular-cosets"), "orbital"))
 
     z4 = named_group("cyclic", n=4)
     fz4 = natural_flow(z4)
     out.append((StructuredInstance(
         fz4, make_relation(4, [[0, 2], [1, 3]], fz4),
-        MappingProxyType(default_lattices(fz4, discrete_lattice("G", 4),
-                                          discrete_lattice("X", 4), caps=caps)),
+        default_lattices(fz4, discrete_lattice("G", 4),
+                         discrete_lattice("X", 4), caps=caps),
         "discrete-rotations-opposite-vertices"), "orbital"))
 
     z2 = named_group("cyclic", n=2)
     fz2 = natural_flow(z2)
-    triv = MappingProxyType(default_lattices(fz2, make_lattice("G", 2, [], caps=caps),
-                                             make_lattice("X", 2, [], caps=caps),
-                                             caps=caps))
+    triv = default_lattices(fz2, make_lattice("G", 2, [], caps=caps),
+                            make_lattice("X", 2, [], caps=caps), caps=caps)
     out.append((StructuredInstance(fz2, make_relation(2, [[0, 1]], fz2),
                                    triv, "trivial-lattices-total"),
                 "orbital"))
@@ -444,15 +437,15 @@ def _structured_catalog(caps: Caps) -> tuple:
     cls.extend((6 + x,) for x in range(3))
     E2 = make_relation(9, cls, union)
     out.append((StructuredInstance(
-        union, E2, MappingProxyType(default_lattices(union, discrete_lattice("G", 6),
-                                                     discrete_lattice("X", 9), caps=caps)),
+        union, E2, default_lattices(union, discrete_lattice("G", 6),
+                                    discrete_lattice("X", 9), caps=caps),
         "discrete-separate-orbits"), "weakly-orbital"))
 
     freg = regular_flow(z2)
     out.append((StructuredInstance(
         freg, make_relation(2, [[0, 1]], freg),
-        MappingProxyType(default_lattices(freg, make_lattice("G", 2, [], caps=caps),
-                                          make_lattice("X", 2, [], caps=caps), caps=caps)),
+        default_lattices(freg, make_lattice("G", 2, [], caps=caps),
+                         make_lattice("X", 2, [], caps=caps), caps=caps),
         "trivial-lattices-regular-total"), "weakly-orbital"))
 
     out.append((counterexample_shape(caps), "counterexample"))

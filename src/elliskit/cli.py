@@ -26,7 +26,7 @@ from .flows import Ambit, Flow, make_ambit
 from .grouplike import check_group_like, compute_D, compute_ghat, identify_quotient
 from .relations import is_orbital, is_weakly_orbital, maximal_witnesses
 from .report import Report
-from .structured import is_agreeable, verify_thm_orb, verify_thm_worb
+from .structured import verify_thm_orb, verify_thm_worb
 from .suites import SUITES, run_suite
 
 
@@ -144,17 +144,17 @@ def cmd_orbital(args) -> Report:
 def cmd_structured(args) -> Report:
     inst = _load(args.scenario, ("scenario",))
     rep = Report("analysis", "structured")
-    agree = is_agreeable(inst)
+    agree = inst.agreement
     rep.record("agreeable", bool(agree), agree.failures[:2] or None)
     E = inst.relation.bind(inst.flow)
     if agree and E.invariant:
-        orb = is_orbital(E)
-        if orb:
-            got = verify_thm_orb(inst, _agree=agree)
-            rep.record("orbital transfer equivalence", got.equivalent)
-        elif is_weakly_orbital(E):
-            got = verify_thm_worb(inst, _agree=agree)
-            rep.record("weakly orbital transfer equivalence", got.equivalent)
+        if is_orbital(E):
+            rep.record("orbital transfer equivalence",
+                       verify_thm_orb(inst).equivalent)
+        else:
+            got = verify_thm_worb(inst)
+            if got.weakly_orbital:
+                rep.record("weakly orbital transfer equivalence", got.equivalent)
     return rep
 
 

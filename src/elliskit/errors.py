@@ -186,18 +186,7 @@ class NotALattice(ElliskitError):
         )
 
 
-class NotAgreeable(ElliskitError):
-    def __init__(self, axiom, witness):
-        self.axiom = axiom
-        self.witness = witness
-        super().__init__(f"lattices do not agree with the action: axiom {axiom}, witness {witness}")
-
-
 class NotOrbital(ElliskitError):
-    pass
-
-
-class NotWeaklyOrbital(ElliskitError):
     pass
 
 

@@ -27,8 +27,8 @@ way. Relations are built afresh on every draw. Every draw is the same `rng`
 call on a sequence of the same length and order as a fresh build would
 make, so reports do not change, and every check still runs on every
 instance. Sharing is safe: flows, subgroups, lattices and structured
-instances are read-only, and a catalog instance's lattice map is a read-only view; the
-keys are catalog groups, their subgroups and `Caps` values, none of them
+instances are read-only, every structured instance's lattice map included
+(a read-only copy of the map it was built from); the keys are catalog groups, their subgroups and `Caps` values, none of them
 a caller's flow; and each cache holds at most one entry per such key, a
 bound the 17-group catalog fixes for each `Caps` value. The gain needs
 inputs that repeat, within a call or across calls in one process."""

@@ -21,22 +21,25 @@ The weakly-orbital verifier tests witness supports on the relation's own
 orbitals (the G-orbits on its pairs), numbered inside the relation by
 relations._subgroup_witnesses, which also decides weak orbitality: testing
 a support is an OR of small per-point label masks.
+
+Each transfer theorem holds on agreeable instances under its own
+hypothesis. A `StructuredInstance` decides its agreeability once, when
+built, and keeps the report as `agreement`. `verify_thm_orb` needs an
+orbital relation and raises NotOrbital otherwise; `verify_thm_worb`
+decides weak orbitality itself and returns it as `weakly_orbital`. Either
+raises TheoremViolation only when the instance is agreeable, its
+hypothesis holds and its conditions disagree; otherwise it returns the
+conditions as found.
 """
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .algebra import _read_only, enumerate_subgroups
 from .caps import DEFAULT_CAPS, Caps
-from .errors import (
-    NotAgreeable,
-    NotALattice,
-    NotOrbital,
-    NotWeaklyOrbital,
-    SizeCapExceeded,
-    TheoremViolation,
-)
+from .errors import NotALattice, NotOrbital, SizeCapExceeded, TheoremViolation
 from .flows import Flow
 from .relations import (
     EquivRelation,
@@ -280,9 +283,12 @@ def product_lattice(A: PseudoClosedLattice, B: PseudoClosedLattice,
 
 class StructuredInstance:
     """A group flow, a relation on it and one lattice per ground in GROUNDS,
-    each of its ground's size, checked on construction. Read-only."""
+    each of its ground's size, checked on construction. Read-only: the
+    lattice map is a read-only copy of the one given, so a later change to
+    the caller's dict reaches neither it nor `agreement`, the instance's
+    `AgreeabilityReport`, decided once here by `is_agreeable`."""
 
-    __slots__ = ("flow", "relation", "lattices", "name")
+    __slots__ = ("flow", "relation", "lattices", "name", "agreement")
     __setattr__ = __delattr__ = _read_only
 
     def __init__(self, flow: Flow, relation: EquivRelation, lattices: dict,
@@ -299,8 +305,9 @@ class StructuredInstance:
                                   frozenset({ground}))
         object.__setattr__(self, "flow", flow)
         object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "lattices", lattices)
+        object.__setattr__(self, "lattices", MappingProxyType(dict(lattices)))
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "agreement", is_agreeable(self))
 
 
 def default_lattices(flow: Flow, lat_g: PseudoClosedLattice,
@@ -447,6 +454,8 @@ def _pairing_map_closed(flow, lat, failures):
 
 
 def is_agreeable(inst: StructuredInstance) -> AgreeabilityReport:
+    """The six compatibility axioms on an instance's flow and lattices; each
+    instance holds its own report as `inst.agreement`."""
     failures: list[tuple[int, tuple]] = []
     for axiom in (_sections_ok, _products_ok, _action_continuous,
                   _graph_maps_continuous, _restricted_projection_closed,
@@ -485,15 +494,13 @@ class ThmOrbReport(NamedTuple):
     equivalent: bool
 
 
-def verify_thm_orb(inst: StructuredInstance, require_agreeable: bool = True,
-                   caps: Caps = DEFAULT_CAPS, *,
-                   _agree: AgreeabilityReport | None = None) -> ThmOrbReport:
+def verify_thm_orb(inst: StructuredInstance,
+                   caps: Caps = DEFAULT_CAPS) -> ThmOrbReport:
     """Evaluate the four closedness conditions for an orbital relation
-    independently; on agreeable instances any divergence is a structural
-    violation. `_agree` is is_agreeable(inst) from the package's callers."""
-    agree = is_agreeable(inst) if _agree is None else _agree
-    if require_agreeable and not agree:
-        raise NotAgreeable(agree.failures[0][0], agree.failures[0][1])
+    independently. Raises NotInvariant or NotOrbital when the relation is
+    not orbital, the theorem's hypothesis; raises TheoremViolation only
+    when the instance is agreeable and the conditions disagree. On an
+    instance that is not agreeable the conditions are returned as found."""
     E = inst.relation.bind(inst.flow)
     verdict = is_orbital(E)
     if not verdict:
@@ -507,13 +514,14 @@ def verify_thm_orb(inst: StructuredInstance, require_agreeable: bool = True,
         for H in enumerate_subgroups(inst.flow.group, caps=caps)
     )
     equivalent = c1 == c2 == c3 == c4
-    if not equivalent and agree:
+    if not equivalent and inst.agreement:
         raise TheoremViolation("orbital closedness-transfer equivalence",
                                _serialize_instance(inst))
     return ThmOrbReport(c1, c2, c3, c4, equivalent)
 
 
 class ThmWorbReport(NamedTuple):
+    weakly_orbital: bool                 # the hypothesis: some pair witnesses E
     relation_closed: bool
     classes_closed: bool                 # the witness-free weakening
     classes_closed_with_witness: bool    # full condition: + closed support
@@ -538,21 +546,20 @@ def _witnessing_supports(lat_x, fix: int, fix_witnesses: bool, R):
                 yield member
 
 
-def verify_thm_worb(inst: StructuredInstance, require_agreeable: bool = True,
-                    require_weakly_orbital: bool = True,
-                    caps: Caps = DEFAULT_CAPS, *,
-                    _agree: AgreeabilityReport | None = None) -> ThmWorbReport:
+def verify_thm_worb(inst: StructuredInstance,
+                    caps: Caps = DEFAULT_CAPS) -> ThmWorbReport:
     """Evaluate the weakly-orbital closedness-transfer conditions. The
     witness-free weakening of the second condition is reported separately:
-    the equivalence is asserted only for the full conditions. `_agree` is
-    is_agreeable(inst) from the package's callers."""
-    agree = is_agreeable(inst) if _agree is None else _agree
-    if require_agreeable and not agree:
-        raise NotAgreeable(agree.failures[0][0], agree.failures[0][1])
+    the equivalence is asserted only for the full conditions. Raises
+    NotInvariant when the relation is not invariant; raises
+    TheoremViolation only when the instance is agreeable, the relation is
+    weakly orbital (`weakly_orbital`, the theorem's hypothesis) and the
+    conditions disagree. A relation that is not weakly orbital has no
+    witness, so the second and third conditions fail while the fourth
+    holds vacuously, and `equivalent` reads False."""
     E = inst.relation.bind(inst.flow)
     witnessed = list(_subgroup_witnesses(E, caps))
-    if require_weakly_orbital and not any(w[3] for w in witnessed):
-        raise NotWeaklyOrbital("relation is not weakly orbital")
+    weak = any(w[3] for w in witnessed)
     lat = inst.lattices
     w1 = lat["X2"].contains_mask(_pair_mask(E))
     classes_closed = all(lat["X"].contains(frozenset(c)) for c in E.classes)
@@ -578,10 +585,10 @@ def verify_thm_worb(inst: StructuredInstance, require_agreeable: bool = True,
             break
 
     equivalent = w1 == w2 == w3 == w4
-    if not equivalent and agree:
+    if not equivalent and weak and inst.agreement:
         raise TheoremViolation("weakly-orbital closedness-transfer equivalence",
                                _serialize_instance(inst))
-    return ThmWorbReport(w1, classes_closed, w2_witness, w3, w4, equivalent)
+    return ThmWorbReport(weak, w1, classes_closed, w2_witness, w3, w4, equivalent)
 
 
 def stabilizer_and_fixset_closed(inst: StructuredInstance) -> bool:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import time
 
 from . import catalog
 from .algebra import enumerate_subgroups
@@ -49,7 +48,7 @@ from .relations import (
     r_relation,
 )
 from .report import Report
-from .structured import is_agreeable, verify_thm_orb, verify_thm_worb
+from .structured import verify_thm_orb, verify_thm_worb
 
 
 def _record_error(rep: Report, name: str, exc: ElliskitError):
@@ -163,18 +162,18 @@ def brute_force_weakly_orbital(E, caps: Caps) -> bool:
 
 def _orbital_instance_checks(E, caps: Caps, full_brute_force: bool):
     failures = []
-    flow = E.flow
+    flow, pairs = E.flow, E.pairs()
     orb = is_orbital(E)
     weak = is_weakly_orbital(E, caps=caps)
     if orb and not weak:
         failures.append(("orbital implies weakly orbital", None))
     if orb:
         full = r_relation(flow, WitnessPair(orb.kernel, frozenset(range(flow.points))))
-        if full.pairs != E.pairs():
+        if full.pairs != pairs:
             failures.append(("full-support witness for orbital", None))
     if weak:
         got = r_relation(flow, weak.witness)
-        if not got.is_equivalence or got.pairs != E.pairs():
+        if not got.is_equivalence or got.pairs != pairs:
             failures.append(("weak witness reproduces relation", None))
     if full_brute_force:
         if bool(weak) != brute_force_weakly_orbital(E, caps):
@@ -185,7 +184,7 @@ def _orbital_instance_checks(E, caps: Caps, full_brute_force: bool):
         if not H.is_normal():
             continue
         sup = fix_set(E, H)
-        if sup and r_relation(flow, WitnessPair(H, sup)).pairs == E.pairs():
+        if sup and r_relation(flow, WitnessPair(H, sup)).pairs == pairs:
             normal_wit = True
             break
     if bool(orb) != normal_wit:
@@ -210,13 +209,11 @@ def run_orbital_suite(rep: Report, instances: int, rng: random.Random,
 def run_structured_suite(rep: Report, instances: int, rng: random.Random,
                          caps: Caps, max_points: int, max_order: int):
     for inst, kind in catalog.structured_catalog(caps):
-        agree = is_agreeable(inst)
+        agree = inst.agreement
         if kind == "counterexample":
             rep.record(f"{inst.name}: not agreeable (forced by finite unions)",
                        not agree)
-            worb = verify_thm_worb(inst, require_agreeable=False,
-                                   require_weakly_orbital=False, caps=caps,
-                                   _agree=agree)
+            worb = verify_thm_worb(inst, caps)
             rep.record(f"{inst.name}: classes pseudo-closed",
                        worb.classes_closed)
             rep.record(f"{inst.name}: relation not pseudo-closed",
@@ -229,10 +226,8 @@ def run_structured_suite(rep: Report, instances: int, rng: random.Random,
             continue
         rep.record(f"{inst.name}: agreeable", bool(agree), agree.failures[:2])
         try:
-            if kind == "orbital":
-                got = verify_thm_orb(inst, caps=caps, _agree=agree)
-            else:
-                got = verify_thm_worb(inst, caps=caps, _agree=agree)
+            verify = verify_thm_orb if kind == "orbital" else verify_thm_worb
+            got = verify(inst, caps)
             rep.record(f"{inst.name}: transfer equivalence", got.equivalent)
         except ElliskitError as exc:
             _record_error(rep, f"{inst.name}: transfer equivalence", exc)
@@ -246,14 +241,8 @@ def run_structured_suite(rep: Report, instances: int, rng: random.Random,
                                 discrete_lattice("X", flow.points), caps=caps)
         inst = StructuredInstance(flow, E, lats, f"random-{i}")
         try:
-            orb = is_orbital(E)
-            if orb:
-                got = verify_thm_orb(inst, caps=caps)
-            elif is_weakly_orbital(E, caps=caps):
-                got = verify_thm_worb(inst, caps=caps)
-            else:
-                rep.record(f"random {i}: agreeable", bool(is_agreeable(inst)))
-                continue
+            verify = verify_thm_orb if is_orbital(E) else verify_thm_worb
+            got = verify(inst, caps)
             rep.record(f"random {i}: transfer equivalence", got.equivalent)
         except ElliskitError as exc:
             _record_error(rep, f"random {i}", exc)
@@ -276,12 +265,10 @@ def run_suite(name: str, instances: int, seed: int, caps: Caps = DEFAULT_CAPS,
     rep = Report("suite", name, seed=seed,
                  caps={"max_points": max_points, "max_group_order": max_group_order})
     check_bounds(max_points=max_points, max_group_order=max_group_order)
-    start = time.monotonic()
     max_points = 6 if max_points is None else max_points
     max_group_order = 24 if max_group_order is None else max_group_order
     SUITES[name](rep, instances, rng, caps, max_points, max_group_order)
     if corrupt:
         rep.record("deliberately corrupted check (harness self-test)", False,
                    "injected failure")
-    rep.timing["seconds"] = round(time.monotonic() - start, 3)
     return rep

@@ -17,7 +17,7 @@ from elliskit.relations import (
     kernel_group,
     orbit_relation,
 )
-from elliskit.structured import is_agreeable, verify_thm_orb, verify_thm_worb
+from elliskit.structured import verify_thm_orb, verify_thm_worb
 from elliskit.suites import brute_force_weakly_orbital, run_suite
 
 
@@ -149,15 +149,17 @@ def test_criterion_8_structured_suite():
     ok = True
     saw_counterexample = False
     for inst, kind in structured_catalog():
-        agree = is_agreeable(inst)
+        agree = inst.agreement
         if kind == "counterexample":
             saw_counterexample = True
             # agreeability must fail: with every class pseudo-closed, union
             # closure would otherwise force the relation into the pair lattice
             if agree:
                 ok = False
-            got = verify_thm_worb(inst, require_agreeable=False,
-                                  require_weakly_orbital=False)
+            got = verify_thm_worb(inst)
+            # the relation is not weakly orbital, so no equivalence is claimed
+            if got.weakly_orbital or got.equivalent:
+                ok = False
             # dropping the witness clause breaks the equivalence: the classes
             # are pseudo-closed while the relation is not
             if not (got.classes_closed and not got.relation_closed):
@@ -173,7 +175,8 @@ def test_criterion_8_structured_suite():
             if not verify_thm_orb(inst).equivalent:
                 ok = False
         else:
-            if not verify_thm_worb(inst).equivalent:
+            got = verify_thm_worb(inst)
+            if not (got.weakly_orbital and got.equivalent):
                 ok = False
     suite = run_suite("structured", 10, seed=3)
     elapsed = time.monotonic() - start

@@ -13,7 +13,6 @@ def test_all_examples_pass():
     for name in sorted(EXAMPLES):
         rep = run_example(name)
         assert rep.passed, f"{name}: {rep.to_text()}"
-        assert rep.timing["seconds"] >= 0
 
 
 def test_unknown_example_rejected():

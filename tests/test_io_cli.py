@@ -495,6 +495,28 @@ def test_cli_structured_weakly_orbital_scenario(tmp_path, capsys):
         "  ok  weakly orbital transfer equivalence"]
 
 
+def test_cli_structured_scenario_neither_theorem_speaks_about(tmp_path, capsys):
+    """Z6 acting freely on two copies of itself, with the cosets of the
+    order-3 subgroup on the first copy and those of the order-2 subgroup on
+    the second: invariant, and not weakly orbital, since a subgroup fixing
+    classes on both copies is trivial. With discrete lattices the scenario
+    is agreeable, and neither transfer theorem is checked."""
+    scenario = write(tmp_path, "s.json", {
+        "flow": {"group": {"kind": "permutation", "degree": 12, "generators": [
+            [1, 2, 3, 4, 5, 0, 7, 8, 9, 10, 11, 6]]}, "action": "natural"},
+        "relation": {"points": 12, "classes": [[0, 2, 4], [1, 3, 5], [6, 9],
+                                               [7, 10], [8, 11]]},
+        "lattices": {"G": "discrete", "X": "discrete"},
+    })
+    inst = parse_instance(scenario).value
+    E = inst.relation.bind(inst.flow)
+    assert inst.agreement and E.invariant and not is_weakly_orbital(E)
+    assert main(["structured", scenario]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "analysis structured: PASS (1 checks, 0 failures)",
+        "  ok  agreeable"]
+
+
 def test_structured_suite_reaches_the_weakly_orbital_branch(monkeypatch):
     """At seed 1, three of the first 200 random draws are weakly orbital but
     not orbital; each is verified by the weakly orbital transfer theorem."""
@@ -1220,7 +1242,7 @@ def _lattices(g_size):
     (lambda: structured.product_lattice(structured.discrete_lattice("G", 2),
                                         structured.make_lattice("X", 3, [[0]])).members(),
      SizeCapExceeded, "intensional lattice enumeration size 9"),
-    (lambda: structured.verify_thm_orb(_non_orbital_instance(), require_agreeable=False),
+    (lambda: structured.verify_thm_orb(_non_orbital_instance()),
      NotOrbital, "relation is not orbital"),
     (lambda: is_orbital(make_relation(3, [[0, 1], [2]], _s3_ambit().flow)),
      NotInvariant, "relation is not invariant"),

@@ -1,7 +1,7 @@
 import pytest
 
 from elliskit.algebra import enumerate_subgroups, named_group, subgroup_generated
-from elliskit.errors import NotAgreeable, NotALattice, NotWeaklyOrbital, SizeCapExceeded
+from elliskit.errors import NotALattice, SizeCapExceeded
 from elliskit.flows import disjoint_union_flow, natural_flow, regular_flow
 from elliskit.relations import (
     equality_relation,
@@ -365,13 +365,12 @@ def test_counterexample_not_agreeable():
 
 
 def test_counterexample_conditions():
+    # neither agreeable nor weakly orbital: the conditions are returned as
+    # found, and nothing is raised
     inst = counterexample_shape()
-    with pytest.raises(NotAgreeable):
-        verify_thm_worb(inst)
-    with pytest.raises(NotWeaklyOrbital):
-        verify_thm_worb(inst, require_agreeable=False)
-    rep = verify_thm_worb(inst, require_agreeable=False,
-                          require_weakly_orbital=False)
+    rep = verify_thm_worb(inst)
+    assert not inst.agreement
+    assert not rep.weakly_orbital and not rep.equivalent
     # classes are pseudo-closed but the relation is not: the witness-free
     # weakening of the second condition breaks the equivalence with the first
     assert rep.classes_closed
@@ -379,6 +378,35 @@ def test_counterexample_conditions():
     # and the full second condition (with the witness clause) is false too
     assert not rep.classes_closed_with_witness
     assert not rep.closed_pair_exists
+
+
+def test_thm_worb_on_an_agreeable_relation_that_is_not_weakly_orbital():
+    """The counterexample's flow and relation with discrete lattices: the
+    instance is agreeable, the theorem's hypothesis fails, and the verifier
+    returns its conditions without raising. Without a witness the second
+    and third conditions fail while the fourth holds vacuously."""
+    shape = counterexample_shape()
+    inst = discrete_instance(shape.flow, shape.relation)
+    assert inst.agreement
+    rep = verify_thm_worb(inst)
+    assert not rep.weakly_orbital and not rep.equivalent
+    assert rep.relation_closed and rep.classes_closed
+    assert not rep.classes_closed_with_witness and not rep.closed_pair_exists
+    assert rep.maximal_witnesses_closed
+
+
+def test_instance_keeps_a_read_only_copy_of_its_lattices():
+    flow = natural_flow(named_group("cyclic", n=4))
+    lats = default_lattices(flow, discrete_lattice("G", 4), discrete_lattice("X", 4))
+    inst = StructuredInstance(flow, total_relation(4, flow), lats)
+    built = dict(inst.lattices)
+    lats["X"] = make_lattice("X", 4, [[0, 2]])
+    lats["X2"] = product_lattice(lats["X"], lats["X"])
+    assert dict(inst.lattices) == built and inst.lattices["X"].discrete
+    assert inst.agreement
+    assert not StructuredInstance(flow, total_relation(4, flow), lats).agreement
+    with pytest.raises(TypeError):
+        inst.lattices["X"] = lats["X"]
 
 
 def test_psclsd_on_discrete_instances():
@@ -389,8 +417,10 @@ def test_psclsd_on_discrete_instances():
 
 def test_structured_suite_checks_agreeability_once_per_catalog_instance(
         monkeypatch):
-    from elliskit import structured, suites
-    from elliskit.catalog import structured_catalog
+    """Each instance decides its agreeability when built, and the catalog
+    is built once per process: two suite calls decide it once per catalog
+    instance in all."""
+    from elliskit import catalog, structured, suites
 
     calls = []
 
@@ -399,16 +429,22 @@ def test_structured_suite_checks_agreeability_once_per_catalog_instance(
         return is_agreeable(inst)
 
     monkeypatch.setattr(structured, "is_agreeable", counted)
-    monkeypatch.setattr(suites, "is_agreeable", counted)
-    assert suites.run_suite("structured", 0, 7).passed
-    assert calls == [inst.name for inst, _ in structured_catalog()]
+    catalog._structured_catalog.cache_clear()
+    for _ in range(2):
+        assert suites.run_suite("structured", 0, 7).passed
+    assert calls == [inst.name for inst, _ in catalog.structured_catalog()]
 
 
 def test_verifiers_still_check_agreeability_themselves():
-    inst = discrete_instance(natural_flow(named_group("cyclic", n=4)),
-                             total_relation(4))
-    inst.lattices["X"] = make_lattice("X", 4, [[0, 2]])
-    inst.lattices["X2"] = product_lattice(inst.lattices["X"], inst.lattices["X"])
-    for verify in (verify_thm_orb, verify_thm_worb):
-        with pytest.raises(NotAgreeable):
-            verify(inst)
+    """On an instance that is not agreeable the conditions may disagree:
+    both verifiers return them as found and raise nothing."""
+    flow = natural_flow(named_group("cyclic", n=4))
+    lats = default_lattices(flow, discrete_lattice("G", 4), discrete_lattice("X", 4))
+    lats["X"] = make_lattice("X", 4, [[0, 2]])
+    lats["X2"] = product_lattice(lats["X"], lats["X"])
+    inst = StructuredInstance(flow, make_relation(4, [[0, 2], [1, 3]], flow), lats)
+    assert not inst.agreement
+    orb, worb = verify_thm_orb(inst), verify_thm_worb(inst)
+    assert orb == (False, False, True, True, False)
+    assert worb.weakly_orbital and not worb.equivalent
+    assert (worb.relation_closed, worb.closed_pair_exists) == (False, True)

@@ -1,9 +1,9 @@
 """The code-line counter in ``tools/code_lines.py``, run as a script on a
 package whose lines are counted by hand, and the report digest of
 ``tools/report_digests.py`` on hand-written reports, the committed list of
-``tools/reach.py`` and its README section, an AST scan of the
-package for caps that nothing reads, and the package's start-up imports and
-read-only records."""
+``tools/reach.py`` and its README section, AST scans of the package for
+caps that nothing reads and error classes that nothing uses, and the
+package's start-up imports and read-only records."""
 
 import ast
 import importlib.util
@@ -185,6 +185,25 @@ def test_every_raise_in_src_names_an_elliskit_error():
         Raises(path.name).visit(ast.parse(path.read_text(encoding="utf-8")))
     assert bad == []
     assert found == PROTOCOL_RAISES | PASSED_ON
+
+
+def test_every_error_class_is_used():
+    """Every class that `errors.py` defines is read by name somewhere in the
+    package outside `errors.py` (an import alone does not count): an error
+    that nothing raises or catches is dead code."""
+    src = ROOT / "src" / "elliskit"
+    defined = [node.name for node in ast.parse(
+        (src / "errors.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef)]
+    read = set()
+    for path in sorted(src.glob("*.py")):
+        if path.name != "errors.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+    assert defined and [name for name in defined if name not in read] == []
 
 
 def test_startup_loads_no_code_generator():
