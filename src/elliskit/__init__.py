@@ -24,14 +24,12 @@ from .ellis import (
     EllisSemigroup,
     IdealGroup,
     MinimalIdeal,
-    circ,
     enveloping_semigroup,
     h_subgroup,
     ideal_group,
     ideal_group_isomorphism,
     induced_epimorphism,
     minimal_left_ideals,
-    tau_closure,
 )
 from .flows import (
     Ambit,

@@ -38,7 +38,7 @@ from .flows import (
     product_flow,
     regular_flow,
 )
-from .grouplike import compute_D, compute_ghat, identify_quotient
+from .grouplike import compute_D, identify_quotient
 from .relations import (
     WitnessPair,
     equality_relation,
@@ -79,19 +79,18 @@ def run_s3_stabilizer(caps: Caps = DEFAULT_CAPS) -> Report:
     rep.record("stabilizer is not normal", not D.is_normal())
     core = normal_core(IG.group_view, D)
     rep.record("stabilizer core is trivial", core.order == 1)
-    ghat = compute_ghat(IG, amb)
+    ident = identify_quotient(amb, equality_relation(3), S)
+    order = ident.ghat.group.order
     rep.record("identified group is the full symmetric group",
-               bool(are_isomorphic(ghat.group, G)))
-    ident = identify_quotient(amb, equality_relation(3), caps=caps)
+               bool(are_isomorphic(ident.ghat.group, G)))
     rep.record("three classes", ident.class_count == 3, ident.class_count)
-    rep.record("index of stabilizer is three",
-               ident.ghat.group.order // ident.stabilizer.order == 3)
+    rep.record("index of stabilizer is three", order // ident.stabilizer.order == 3)
     rep.record("cardinality identity",
-               ident.class_count * ident.stabilizer.order == ghat.group.order)
+               ident.class_count * ident.stabilizer.order == order)
     rep.structures.update({
         "closure_size": S.size,
         "stabilizer": list(D.sorted_members),
-        "identified_group_order": ghat.group.order,
+        "identified_group_order": order,
         "class_count": ident.class_count,
     })
     return rep
@@ -242,12 +241,10 @@ def run_product_demo(caps: Caps = DEFAULT_CAPS) -> Report:
         pm2 = tuple(x % f2.points for x in range(prod.points))
         epi1 = induced_epimorphism(
             FlowMorphism(amb, a1, pm1,
-                         tuple(g // nb for g in prod.generator_elements())),
-            source_semigroup=S, target_semigroup=S1, caps=caps)
+                         tuple(g // nb for g in prod.generator_elements())), S, S1)
         epi2 = induced_epimorphism(
             FlowMorphism(amb, a2, pm2,
-                         tuple(g % nb for g in prod.generator_elements())),
-            source_semigroup=S, target_semigroup=S2, caps=caps)
+                         tuple(g % nb for g in prod.generator_elements())), S, S2)
         paired = {(epi1.element_map[i], epi2.element_map[i])
                   for i in range(S.size)}
         rep.record(f"{tag}: projections separate the closure",

@@ -20,7 +20,7 @@ import time
 from . import io as instance_io
 from .caps import DEFAULT_CAPS, ENV_ERROR
 from .catalog import EXAMPLES, run_example
-from .ellis import enveloping_semigroup, ideal_group, minimal_left_ideals
+from .ellis import EllisSemigroup, enveloping_semigroup, ideal_group, minimal_left_ideals
 from .errors import ElliskitError, ParseError, TheoremViolation
 from .flows import Ambit, Flow, make_ambit
 from .grouplike import check_group_like, compute_D, compute_ghat, identify_quotient
@@ -51,7 +51,7 @@ def _flow(path) -> tuple[Flow, int]:
     return value, 0
 
 
-def _ellis_structures(flow: Flow, rep: Report) -> None:
+def _ellis_structures(flow: Flow, rep: Report) -> EllisSemigroup:
     S = enveloping_semigroup(flow)
     ideals = minimal_left_ideals(S)
     first = ideal_group(ideals[0], ideals[0].idempotents[0])
@@ -61,6 +61,7 @@ def _ellis_structures(flow: Flow, rep: Report) -> None:
         for M in ideals
     ]
     rep.structures["ideal_group_order"] = first.group_view.order
+    return S
 
 
 def cmd_ellis(args) -> Report:
@@ -72,7 +73,7 @@ def cmd_ellis(args) -> Report:
 def cmd_analyze(args) -> Report:
     flow, basepoint = _flow(args.flow)
     rep = Report("analysis", "analyze")
-    _ellis_structures(flow, rep)
+    S = _ellis_structures(flow, rep)
     if args.relation:
         relation = _load(args.relation, ("relation",)).bind(flow)
         rep.structures["class_count"] = len(relation.classes)
@@ -83,7 +84,7 @@ def cmd_analyze(args) -> Report:
             ambit = make_ambit(flow, basepoint)
             verdict = check_group_like(ambit, relation)
             rep.structures["group_like"] = bool(verdict)
-            ident = identify_quotient(ambit, relation)
+            ident = identify_quotient(ambit, relation, S)
             rep.structures["identified_group_order"] = ident.ghat.group.order
             rep.structures["stabilizer_order"] = ident.stabilizer.order
             orb = is_orbital(relation)

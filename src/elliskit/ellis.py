@@ -15,10 +15,11 @@ here by construction, so it is stated once and not re-checked:
   u·M"). So for A ⊆ u·M, u∘A = u·A = A, and the τ-closure u(u∘A) and
   (u·M) ∩ (u∘A) are both A: τ is discrete, and H(u·M), the intersection
   of the closures of the neighbourhoods of u, is {u}.
-`tau_closure` and `h_subgroup` rest on that certificate and read no row
-of the semigroup. The literal formulas run as seeded property tests
-against them in `tests/oracles.py`, and u·s = s, composed by hand, on
-every ideal group the seeded Ellis battery builds.
+`h_subgroup` rests on that certificate and reads no row of the
+semigroup. The literal a∘B, τ-closure and H(u·M) formulas live in
+`tests/oracles.py` and run as seeded property tests against the ideal
+groups and ideals built here, and u·s = s, composed by hand, on every ideal
+group the seeded Ellis battery builds.
 
 The closure is `algebra._right_closure`, the one permutation groups use
 (Froidure & Pin, "Algorithms for computing finite semigroups", 1997; East,
@@ -76,9 +77,10 @@ any member b, v·((a·b)·w) is the image of a·b, which a's row, read and
 checked by `ideal_group`, gives; so the homomorphism check composes only
 image(a)·image(b), one row of image(a) each.
 
-`induced_epimorphism` pushes the closure of a source flow through an
-equivariant surjection p of points onto a target flow, checked on the
-generators by `flows.check_morphism`. What it builds holds by construction:
+`induced_epimorphism` pushes the closure of a source flow, built by its
+caller, through an equivariant surjection p of points onto a target flow,
+checked on the generators by `flows.check_morphism`, into the target
+flow's closure, also the caller's. What it builds holds by construction:
 - Each source element f is a word in the source generators, and p·f = f'·p
   for f' the same word in the corresponding target maps, by equivariance
   on each letter. So f' is read off one point z of each fiber, f'(p(z)) =
@@ -102,7 +104,6 @@ from .algebra import (
     _group_by_rows,
     _key_type,
     _right_closure,
-    _walk,
 )
 from .caps import DEFAULT_CAPS, Caps
 from .errors import (
@@ -154,12 +155,6 @@ class EllisSemigroup:
             row = self._rows[a] = _ComposedRow(self.maps, self.keys, a)
         return row
 
-    def left_reach(self, s: int) -> set[int]:
-        """S·s: everything reachable by left multiplication (words >= 1),
-        walking the generators' rows."""
-        rows = [self.times(g) for g in self.generators]
-        return _walk(rows, [row[s] for row in rows])
-
     def __repr__(self):
         return f"EllisSemigroup(size={self.size}, points={self.flow.points})"
 
@@ -177,10 +172,9 @@ class MinimalIdeal(NamedTuple):
 class IdealGroup(NamedTuple):
     ideal: MinimalIdeal
     idempotent: int
-    members: tuple[int, ...]            # semigroup element indices
+    members: tuple[int, ...]            # group index -> semigroup index
     group_view: FiniteGroup             # same elements re-indexed 0..k-1
     to_group: dict                      # semigroup index -> group index
-    from_group: tuple[int, ...]         # group index -> semigroup index
     rows: dict                          # identity's and generators' rows, group indices
 
     @property
@@ -359,7 +353,7 @@ def ideal_group(M: MinimalIdeal, u: int) -> IdealGroup:
         t = rows[g].index(identity) if identity in rows[g] else None
         if t is None or S.mul(members[t], members[g]) != u:
             raise TheoremViolation("u·M element without two-sided inverse", members[g])
-    return IdealGroup(M, u, members, gview, pos, members, rows)
+    return IdealGroup(M, u, members, gview, pos, rows)
 
 
 def compatible_idempotent(gu: IdealGroup, N: MinimalIdeal) -> int:
@@ -413,24 +407,6 @@ def ideal_group_isomorphism(gu: IdealGroup, gv: IdealGroup) -> tuple[int, ...]:
     return image
 
 
-def circ(S: EllisSemigroup, a: int, B) -> frozenset[int]:
-    """a∘B. In a finite discrete space the maps converging to a are
-    eventually a itself, so the set of limits of products is exactly aB."""
-    return frozenset(map(S.times(a).__getitem__, B))
-
-
-def tau_closure(G: IdealGroup, A) -> frozenset[int]:
-    """Closure of A inside the ideal group, u(u∘A), which is A itself: u
-    acts as the identity on u·M, as `ideal_group` certified, so u∘A = A
-    and (u·M) ∩ (u∘A) = A, and τ is discrete (module docstring). Checks
-    only that A lies in u·M."""
-    members = G.to_group.keys()         # u·M, a set view with no copy
-    A = frozenset(A)
-    if not A <= members:
-        raise NotInIdeal(min(A - members))
-    return A
-
-
 def h_subgroup(G: IdealGroup) -> Subgroup:
     """H(u·M), the intersection of the closures of the neighbourhoods of the
     identity in the ideal-group topology: the trivial subgroup, since τ is
@@ -447,23 +423,20 @@ class EllisEpimorphism(NamedTuple):
     idempotent_images: tuple[tuple[int, int], ...]  # (source idem, target idem)
 
 
-def induced_epimorphism(m: FlowMorphism, source_semigroup=None,
-                        target_semigroup=None,
-                        caps: Caps = DEFAULT_CAPS) -> EllisEpimorphism:
-    """Push the source enveloping semigroup through an ambit morphism:
-    the image of f sends phi(z) to phi(f(z)). The semigroups given must be
-    the closures of the morphism's own flows. Verified surjective and
-    multiplicative; it is well-defined and lands in the target semigroup,
-    and it maps minimal ideals onto minimal ideals and idempotents to
-    idempotents, by construction (module docstring)."""
+def induced_epimorphism(m: FlowMorphism, src: EllisSemigroup,
+                        tgt: EllisSemigroup) -> EllisEpimorphism:
+    """Push the source enveloping semigroup `src` through an ambit morphism
+    into the target's, `tgt`: the image of f sends phi(z) to phi(f(z)). The
+    semigroups must be the closures of the morphism's own flows, built by
+    the caller. Verified surjective and multiplicative; it is well-defined
+    and lands in the target semigroup, and it maps minimal ideals onto
+    minimal ideals and idempotents to idempotents, by construction (module
+    docstring)."""
     rep = check_morphism(m)
     if not rep:
         raise GroupMismatch(f"invalid morphism: {rep.witness}")
-    for given, ambit in ((source_semigroup, m.source), (target_semigroup, m.target)):
-        if given is not None and given.flow is not ambit.flow:
-            raise GroupMismatch("semigroup of another flow than the morphism's")
-    src = source_semigroup or enveloping_semigroup(m.source.flow, caps=caps)
-    tgt = target_semigroup or enveloping_semigroup(m.target.flow, caps=caps)
+    if src.flow is not m.source.flow or tgt.flow is not m.target.flow:
+        raise GroupMismatch("semigroup of another flow than the morphism's")
     pm = m.point_map
     rep_of = dict(zip(pm, range(len(pm))))      # one point per fiber
     reps = [rep_of[x] for x in range(m.target.flow.points)]

@@ -440,8 +440,7 @@ def check_tower(levels: list[Ambit], connecting: list[FlowMorphism],
     chain = [ideal_lists[-1][0].idempotents[0]]
     for i in range(len(connecting) - 1, -1, -1):
         mor = connecting[i]
-        epi = ellis.induced_epimorphism(mor, source_semigroup=semis[i + 1],
-                                        target_semigroup=semis[i], caps=caps)
+        epi = ellis.induced_epimorphism(mor, semis[i + 1], semis[i])
         correspondences.append({
             "level": i,
             "ideal_images": epi.ideal_images,

@@ -30,8 +30,10 @@ dominated from the regular ambit, so the quotient identification applies to
 all of them.
 
 `identify_quotient` takes an invariant E on a transitive group ambit, the
-two input conditions it checks. There the identification is
-orbit-stabilizer, so none of its parts is re-checked:
+two input conditions it checks, and the enveloping semigroup of the ambit's
+flow, which its caller built (checked to be that flow's); it builds no
+closure. There the identification is orbit-stabilizer, so none of its parts
+is re-checked:
 - E is dominated from the regular ambit: the coset relation of the
   basepoint-class stabilizer K when K is normal, else equality. Both are
   group-like; g -> g·x0 is an equivariant surjection; it maps each coset gK
@@ -73,16 +75,15 @@ from .algebra import (
     normal_core,
     quotient_group,
 )
-from .caps import DEFAULT_CAPS, Caps
 from .ellis import (
     EllisSemigroup,
     IdealGroup,
-    enveloping_semigroup,
     h_subgroup,
     ideal_group,
     minimal_left_ideals,
 )
 from .errors import (
+    GroupMismatch,
     NotEquivalence,
     NotWeaklyGroupLike,
     TheoremViolation,
@@ -195,7 +196,7 @@ def compute_D(G_ideal: IdealGroup, ambit: Ambit) -> Subgroup:
     the basepoint (module docstring)."""
     maps = G_ideal.parent.maps
     x0 = ambit.basepoint
-    values = [maps[s][x0] for s in G_ideal.from_group]
+    values = [maps[s][x0] for s in G_ideal.members]
     base_value = maps[G_ideal.idempotent][x0]
     return Subgroup(G_ideal.group_view,
                     frozenset(i for i, v in enumerate(values) if v == base_value))
@@ -292,17 +293,21 @@ class IdentificationReport(NamedTuple):
 
 
 def identify_quotient(ambit: Ambit, E: EquivRelation,
-                      caps: Caps = DEFAULT_CAPS) -> IdentificationReport:
-    """The central identification: build the quotient of the ideal group by
-    the core of H·D, act with it on the classes, and read off the orbit map
-    at the basepoint class, an equivariant bijection between the quotient
-    modulo the basepoint-class stabilizer and the class space whose fibers
-    are the stabilizer's left cosets (orbit-stabilizer, module docstring).
+                      S: EllisSemigroup) -> IdentificationReport:
+    """The central identification: build the quotient of the ideal group of
+    S, the enveloping semigroup of the ambit's flow, by the core of H·D, act
+    with it on the classes, and read off the orbit map at the basepoint
+    class, an equivariant bijection between the quotient modulo the
+    basepoint-class stabilizer and the class space whose fibers are the
+    stabilizer's left cosets (orbit-stabilizer, module docstring).
     E must be invariant and the ambit transitive; either failure raises
-    NotWeaklyGroupLike with its witness."""
+    NotWeaklyGroupLike with its witness. S of another flow raises
+    GroupMismatch."""
     flow = ambit.flow
     if not flow.is_group_flow:
         raise NotWeaklyGroupLike("needs a group flow")
+    if S.flow is not flow:
+        raise GroupMismatch("semigroup of another flow than the ambit's")
     bound = E.bind(flow)
     if not bound.invariant:
         raise NotWeaklyGroupLike(("not invariant",) + tuple(bound.invariance_witness or ()))
@@ -313,13 +318,12 @@ def identify_quotient(ambit: Ambit, E: EquivRelation,
     if unreached:
         raise NotWeaklyGroupLike(("morphism", ("unreached", min(unreached))))
 
-    S = enveloping_semigroup(flow, caps=caps)
     M = minimal_left_ideals(S)[0]
     IG = ideal_group(M, M.idempotents[0])
     ghat = compute_ghat(IG, ambit)
     class_of = bound.class_of
     # coset -> class of f(x0), f the coset's one member
-    rhat = tuple(class_of[S.maps[IG.from_group[coset[0]]][x0]]
+    rhat = tuple(class_of[S.maps[IG.members[coset[0]]][x0]]
                  for coset in ghat.cosets)
     H = Subgroup(ghat.group,
                  frozenset(c for c, v in enumerate(rhat) if v == class_of[x0]))

@@ -12,8 +12,10 @@ Schemas (one object per file):
   relation  {"points": n, "classes": [[...], ...]}
   lattice   {"ground": "G|X|GxX|X2|X2x2|XxG", "size": n,
              "sets": [[...], ...] | "discrete", "auto_complete": bool}
-  scenario  {"flow": <flow>, "relation": <relation>, "name": str,
-             "lattices": {"G": <lattice sets or "discrete">, "X": ..., ...}}
+  scenario  {"flow": <group flow>, "relation": <relation>, "name": str,
+             "lattices": {"G": {"sets": ..., "auto_complete": bool}
+                                | "discrete", "X": ..., ...}}
+            (a lattice entry's ground and size are its slot's)
 
 Product-space indices are row-major. Every number is an integer: a float,
 a string or a boolean is rejected, never truncated or converted;
@@ -162,6 +164,8 @@ def build_lattice(data: dict, caps: Caps = DEFAULT_CAPS, *, at=""):
 def build_scenario(data: dict, caps: Caps = DEFAULT_CAPS) -> structured.StructuredInstance:
     _only(data, "scenario", ("flow", "relation", "lattices", "name"), "")
     flow = build_flow(data["flow"], caps=caps, at="flow.")
+    if not flow.is_group_flow:
+        raise ParseError("<scenario>", "flow must be a group flow, not transformations")
     E = build_relation(data["relation"], at="relation.").bind(flow)
     gn, n = flow.group.order, flow.points
     given = data.get("lattices", {})
@@ -173,9 +177,11 @@ def build_scenario(data: dict, caps: Caps = DEFAULT_CAPS) -> structured.Structur
             return None
         if entry == "discrete":
             entry = {"sets": "discrete"}
+        at = f"lattices.{ground}."
+        _only(entry, "scenario", ("sets", "auto_complete"), at)
         body = {"ground": ground, "size": structured.ground_size(ground, gn, n),
                 **entry}
-        return build_lattice(body, caps=caps, at=f"lattices.{ground}.")
+        return build_lattice(body, caps=caps, at=at)
 
     built = {ground: lat_for(ground) for ground in structured.GROUNDS}
     lats = structured.default_lattices(

@@ -13,7 +13,7 @@ Facts that hold by construction are not recorded as checks:
 - the grouplike battery's orbit map onto the class group and its
   domination from the regular ambit hold on every transitive setup
   (`grouplike` module docstring), so each instance builds one closure,
-  inside `identify_quotient`."""
+  which `identify_quotient` reads."""
 
 from __future__ import annotations
 
@@ -133,7 +133,7 @@ def run_grouplike_suite(rep: Report, instances: int, rng: random.Random,
             if not verdict:
                 failures.append(("constructed relation group-like",
                                  verdict.refutation))
-            ident = identify_quotient(amb, E, caps=caps)
+            ident = identify_quotient(amb, E, enveloping_semigroup(flow, caps=caps))
             count, order = ident.class_count, ident.ghat.group.order
             if not (count == len(E.classes)
                     and count * ident.stabilizer.order == order):

@@ -184,7 +184,7 @@ def test_basepoint_fibers_are_the_cosets_of_D():
                 continue
             for IG in groups:
                 D = grouplike.compute_D(IG, ambit)
-                values = [S.maps[s][x0] for s in IG.from_group]
+                values = [S.maps[s][x0] for s in IG.members]
                 assert D.members == {i for i, v in enumerate(values)
                                      if v == S.maps[IG.idempotent][x0]}
                 assert oracles.coset_fiber_split(IG.group_view, D.members,
@@ -228,8 +228,8 @@ def test_every_ideal_group_of_the_ellis_battery_has_u_fixing_its_members(
         monkeypatch):
     """On every ideal group the Ellis battery builds at seeds 1-4, u·s = s
     for each member s, composing the maps by hand: the fact `ideal_group`
-    certifies once, on which `tau_closure`, `h_subgroup` and the battery
-    rest without reading u's row again (`ellis` module docstring)."""
+    certifies once, on which the discrete τ-topology, `h_subgroup` and the
+    battery rest without reading u's row again (`ellis` module docstring)."""
     groups = recorded_draws(monkeypatch, "ideal_group")
     for seed in range(1, 5):
         assert run_suite("ellis", 50, seed).passed
@@ -420,7 +420,7 @@ def test_epimorphisms_send_idempotents_to_idempotents():
             continue
         relation = rng.choice(list(invariant_relations(flow)))
         target, morphism = quotient_ambit(ambit, relation)
-        epi = induced_epimorphism(morphism, source_semigroup=S)
+        epi = induced_epimorphism(morphism, S, enveloping_semigroup(target.flow))
         for _, pushed in epi.idempotent_images:
             f = tuple(epi.target.maps[pushed])
             assert oracles.compose(f, f) == f
@@ -444,7 +444,7 @@ def test_an_induced_map_is_the_literal_pushforward():
             continue
         relation = rng.choice(list(invariant_relations(flow)))
         target, morphism = quotient_ambit(ambit, relation)
-        epi = induced_epimorphism(morphism, source_semigroup=S)
+        epi = induced_epimorphism(morphism, S, enveloping_semigroup(target.flow))
         T, pm = epi.target, morphism.point_map
         index = oracles.index_of(T)
         images = []
@@ -497,10 +497,10 @@ def test_identification_matches_the_literal_scans():
         for E in invariant_relations(flow):
             for x0 in {0, rng.randrange(flow.points)}:
                 ambit = make_ambit(flow, x0)
-                report = grouplike.identify_quotient(ambit, E)
+                report = grouplike.identify_quotient(ambit, E, S)
                 ghat = grouplike.compute_ghat(IG, ambit)
                 assert report.ghat.cosets == ghat.cosets
-                cosets = [[tuple(S.maps[IG.from_group[g]]) for g in coset]
+                cosets = [[tuple(S.maps[IG.members[g]]) for g in coset]
                           for coset in ghat.cosets]
                 assert (report.stabilizer.members, report.coset_to_class) == \
                     oracles.identification(flow, x0, E.class_of, cosets, ghat.group, u)

@@ -29,14 +29,12 @@ from elliskit.ellis import (
     EllisSemigroup,
     MinimalIdeal,
     _validate_minimal_ideal,
-    circ,
     enveloping_semigroup,
     h_subgroup,
     ideal_group,
     ideal_group_isomorphism,
     induced_epimorphism,
     minimal_left_ideals,
-    tau_closure,
 )
 
 
@@ -54,10 +52,9 @@ def brute_closure(maps):
 
 def brute_minimal_left_ideals(S):
     """Minimal sets of the form S·s, by direct comparison of all of them."""
-    reaches = {}
-    for s in range(S.size):
-        reaches[s] = frozenset(S.left_reach(s))
-    candidates = set(reaches.values())
+    table = oracles.composition_table(oracles.elements_of(S))
+    candidates = {frozenset(oracles.left_reach(table, S.generators, s))
+                  for s in range(S.size)}
     return {c for c in candidates if not any(o < c for o in candidates)}
 
 
@@ -418,7 +415,12 @@ def test_isomorphism_through_a_collapsing_row_is_refuted():
     assert refuted == 8
 
 
-# ---- circ and closure ------------------------------------------------------------------
+# ---- a∘B and the τ-closure ----------------------------------------------------------
+
+def circ(S, a, B):
+    """a∘B over the semigroup's products, by the oracle's literal form."""
+    return oracles.circ(S.mul, a, B)
+
 
 def test_circ_identity_element():
     S = enveloping_semigroup(natural_flow(named_group("symmetric", n=3)))
@@ -494,16 +496,21 @@ def test_tau_closure_axioms():
         for M in minimal_left_ideals(S):
             for u in M.idempotents:
                 G = ideal_group(M, u)
-                assert tau_closure(G, frozenset()) == frozenset()
+
+                def tau_closure(A):
+                    closed, failed = oracles.tau_closure(S.mul, G.members, u, A)
+                    assert failed == []
+                    return closed
+                assert tau_closure(frozenset()) == frozenset()
                 full = frozenset(G.members)
-                assert tau_closure(G, full) == full
+                assert tau_closure(full) == full
                 for _ in range(10):
                     A = frozenset(rng.sample(G.members,
                                              k=rng.randint(0, len(G.members))))
                     B = frozenset(rng.sample(G.members,
                                              k=rng.randint(0, len(G.members))))
-                    assert tau_closure(G, A) == A  # discrete
-                    assert tau_closure(G, A | B) == tau_closure(G, A) | tau_closure(G, B)
+                    assert tau_closure(A) == A  # discrete
+                    assert tau_closure(A | B) == tau_closure(A) | tau_closure(B)
 
 
 def test_h_subgroup_trivial_and_normal():
@@ -546,17 +553,23 @@ def test_verify_records_a_moved_identity_row_as_a_failed_check(monkeypatch, caps
 
 # ---- induced epimorphisms ---------------------------------------------------------------
 
+def induced(m):
+    """The epimorphism m induces between its flows' closures, built here."""
+    return induced_epimorphism(m, enveloping_semigroup(m.source.flow),
+                               enveloping_semigroup(m.target.flow))
+
+
 def test_identity_epimorphism():
     amb = make_ambit(natural_flow(named_group("symmetric", n=3)), 0)
     m = FlowMorphism(amb, amb, tuple(range(3)))
-    epi = induced_epimorphism(m)
+    epi = induced(m)
     assert epi.element_map == tuple(range(epi.source.size))
 
 
 def test_induced_epimorphism_rejects_an_invalid_morphism():
     amb = make_ambit(natural_flow(named_group("symmetric", n=3)), 0)
     with pytest.raises(GroupMismatch, match="invalid morphism"):
-        induced_epimorphism(FlowMorphism(amb, amb, (0, 0, 0)))
+        induced(FlowMorphism(amb, amb, (0, 0, 0)))
 
 
 def test_regular_to_natural_epimorphism():
@@ -564,7 +577,7 @@ def test_regular_to_natural_epimorphism():
     reg = make_ambit(regular_flow(G), G.identity)
     nat = make_ambit(natural_flow(G), 0)
     pm = tuple(G.perms[g][0] for g in G.elements())
-    epi = induced_epimorphism(FlowMorphism(reg, nat, pm))
+    epi = induced(FlowMorphism(reg, nat, pm))
     assert sorted(epi.element_map) == list(range(6))
     assert epi.source.size == 6 and epi.target.size == 6
     assert epi.ideal_images == ((0, 0),)
@@ -579,7 +592,8 @@ def test_induced_epimorphism_checks_products_against_the_target_table():
     S = enveloping_semigroup(nat.flow)
     target = with_rows(S, lambda a: S.times({1: 2, 2: 1}.get(a, a)))
     with pytest.raises(TheoremViolation, match="induced map not multiplicative"):
-        induced_epimorphism(FlowMorphism(reg, nat, pm), target_semigroup=target)
+        induced_epimorphism(FlowMorphism(reg, nat, pm),
+                            enveloping_semigroup(reg.flow), target)
 
 
 def test_product_projection_epimorphism():
@@ -593,7 +607,7 @@ def test_product_projection_epimorphism():
     pm = tuple(x // f2.points for x in range(prod.points))
     nb = f2.group.order
     corr = tuple(g // nb for g in prod.generator_elements())
-    epi = induced_epimorphism(FlowMorphism(amb, a1, pm, corr))
+    epi = induced(FlowMorphism(amb, a1, pm, corr))
     assert set(epi.element_map) == set(range(6))
     assert epi.target.size == 6
 
@@ -604,7 +618,7 @@ def test_transformation_flow_epimorphism():
     src = make_ambit(swap_const_flow(), 0)
     tgt = make_ambit(transformation_flow([(0,), (0,)]), 0)
     m = FlowMorphism(src, tgt, (0, 0), generator_correspondence=(0, 1))
-    epi = induced_epimorphism(m)
+    epi = induced(m)
     assert set(epi.element_map) == {0} and epi.target.size == 1
     assert epi.ideal_images == ((0, 0),)
 
@@ -617,16 +631,17 @@ def test_induced_epimorphism_refutes_targets_that_do_not_generate():
     tgt = make_ambit(swap_const_flow(), 0)
     m = FlowMorphism(src, tgt, (0, 1), generator_correspondence=(0,))
     with pytest.raises(TheoremViolation, match="induced map not surjective; witness 2"):
-        induced_epimorphism(m)
+        induced(m)
 
 
 def test_induced_epimorphism_rejects_a_semigroup_of_another_flow():
     amb = make_ambit(natural_flow(named_group("symmetric", n=3)), 0)
     m = FlowMorphism(amb, amb, tuple(range(3)))
+    S = enveloping_semigroup(amb.flow)
     other = enveloping_semigroup(natural_flow(named_group("symmetric", n=3)))
-    for given in ({"source_semigroup": other}, {"target_semigroup": other}):
+    for given in ((other, S), (S, other)):
         with pytest.raises(GroupMismatch, match="semigroup of another flow"):
-            induced_epimorphism(m, **given)
+            induced_epimorphism(m, *given)
 
 
 def test_product_semigroup_isomorphic_to_product_of_semigroups():

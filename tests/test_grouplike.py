@@ -275,7 +275,7 @@ def test_not_left_invariant_refuted_on_a_generator():
 
 def test_identify_equality_on_natural_s3():
     amb = make_ambit(natural_flow(s3()), 0)
-    rep = identify_quotient(amb, equality_relation(3))
+    rep = identify_quotient(amb, equality_relation(3), enveloping_semigroup(amb.flow))
     assert rep.class_count == 3
     assert rep.ghat.group.order == 6
     assert rep.stabilizer.order == 2
@@ -284,7 +284,7 @@ def test_identify_equality_on_natural_s3():
 
 def test_identify_total():
     amb = make_ambit(natural_flow(s3()), 0)
-    rep = identify_quotient(amb, total_relation(3))
+    rep = identify_quotient(amb, total_relation(3), enveloping_semigroup(amb.flow))
     assert rep.class_count == 1
     assert rep.stabilizer.order == rep.ghat.group.order
 
@@ -293,7 +293,7 @@ def test_identify_z6_cosets():
     G = named_group("cyclic", n=6)
     amb = regular_ambit(G)
     E = orbit_relation(amb.flow, subgroup_generated(G, [2]))
-    rep = identify_quotient(amb, E)
+    rep = identify_quotient(amb, E, enveloping_semigroup(amb.flow))
     assert rep.ghat.group.order == 6
     assert rep.stabilizer.order == 3
     assert rep.class_count == 2
@@ -305,21 +305,21 @@ def test_identify_rejects_non_invariant():
     t = next(g for g in G.elements() if G.element_order(g) == 2)
     E = orbit_relation(amb.flow, subgroup_generated(G, [t]))
     with pytest.raises(NotWeaklyGroupLike):
-        identify_quotient(amb, E)
+        identify_quotient(amb, E, enveloping_semigroup(amb.flow))
 
 
 def test_identify_all_invariant_relations_small():
     for f in [natural_flow(s3()), natural_flow(named_group("dihedral", n=4))]:
         amb = make_ambit(f, 0)
         for E in invariant_relations(f):
-            rep = identify_quotient(amb, E)
+            rep = identify_quotient(amb, E, enveloping_semigroup(amb.flow))
             assert rep.class_count * rep.stabilizer.order == rep.ghat.group.order
 
 
 def test_the_grouplike_suite_builds_one_closure_per_instance(monkeypatch):
     """No second closure per instance and no re-proved domination: the one
-    enveloping semigroup of each instance is `identify_quotient`'s
-    (`suites` module docstring)."""
+    enveloping semigroup of each instance is the suite's, which
+    `identify_quotient` reads (`suites` module docstring)."""
     calls = {"enveloping_semigroup": 0, "check_domination": 0,
              "default_domination": 0}
 
@@ -330,7 +330,7 @@ def test_the_grouplike_suite_builds_one_closure_per_instance(monkeypatch):
         return count
 
     build = counted("enveloping_semigroup", ellis.enveloping_semigroup)
-    for module in (ellis, grouplike, suites):
+    for module in (ellis, suites):
         monkeypatch.setattr(module, "enveloping_semigroup", build)
     for name in ("check_domination", "default_domination"):
         monkeypatch.setattr(grouplike, name, counted(name, getattr(grouplike, name)))
@@ -350,7 +350,7 @@ def test_identification_reproduces_stabilizer_index():
         G = f.group
         for E in invariant_relations(f):
             stab = sum(1 for g in G.elements() if E.same(f.act(g, 0), 0))
-            rep = identify_quotient(amb, E)
+            rep = identify_quotient(amb, E, enveloping_semigroup(amb.flow))
             assert rep.class_count == G.order // stab
 
 

@@ -635,6 +635,15 @@ def test_cli_relation_on_wrong_point_set_exit_2(tmp_path, capsys, command, point
      "generator_images entry is '1', not an integer"),
     ({"ground": "X", "size": 2, "sets": [[0]], "auto_complete": "false"},
      "auto_complete is 'false', not a boolean"),
+    ({"flow": {"transformations": [[1, 2, 0]], "points": 3},
+      "relation": {"points": 3, "classes": [[0, 1, 2]]}},
+     "flow must be a group flow"),
+    ({"flow": S3_FLOW, "relation": {"points": 3, "classes": [[0, 1, 2]]},
+      "lattices": {"X": {"sets": [[0]], "size": 5}}},
+     "unknown key 'lattices.X.size'"),
+    ({"flow": S3_FLOW, "relation": {"points": 3, "classes": [[0, 1, 2]]},
+      "lattices": {"X": {"sets": "discrete", "ground": "G"}}},
+     "unknown key 'lattices.X.ground'"),
 ], ids=["basepoint-out-of-range", "basepoint-not-int", "mul-not-square",
         "named-without-n", "transformations-not-maps", "image-not-self-map",
         "group-null", "group-not-object", "transformation-entry-not-int",
@@ -645,7 +654,8 @@ def test_cli_relation_on_wrong_point_set_exit_2(tmp_path, capsys, command, point
         "scenario-lattices-not-object", "transformations-points-disagree",
         "unknown-schema", "degree-string", "points-string", "basepoint-string",
         "relation-points-string", "lattice-size-string", "image-string",
-        "auto-complete-string"])
+        "auto-complete-string", "scenario-transformation-flow",
+        "scenario-lattice-size", "scenario-lattice-ground"])
 def test_cli_malformed_instance_exit_2(tmp_path, capsys, data, message):
     assert main(["ellis", write(tmp_path, "in.json", data)]) == 2
     err = capsys.readouterr().err
@@ -700,6 +710,29 @@ def test_cli_instance_file_of_the_wrong_kind_exits_2(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err == ("error: instances/equality-on-3.json: "
                    "expected flow or ambit, got relation\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "instances/z6-regular-ambit.json", "--relation",
+     "instances/z6-cosets.json"],
+    ["example", "s3-stabilizer"],
+], ids=["analyze-relation", "s3-stabilizer"])
+def test_a_command_builds_each_closure_once(monkeypatch, capsys, argv):
+    """Counted across every module that binds `enveloping_semigroup`: the
+    command builds its flow's closure once, and `identify_quotient` reads
+    that one."""
+    monkeypatch.chdir(ROOT)
+    built = []
+    original = ellis.enveloping_semigroup
+
+    def build(flow, *args, **kwargs):
+        built.append(flow)
+        return original(flow, *args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "elliskit" and hasattr(module, "enveloping_semigroup"):
+            monkeypatch.setattr(module, "enveloping_semigroup", build)
+    assert main(argv) == 0
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("extra", [[], ["--decide-weak"]], ids=["plain", "decide-weak"])
@@ -1157,13 +1190,9 @@ def _swap_ambit():
     return flows.make_ambit(flows.transformation_flow([[1, 0]]), 0)
 
 
-def _ideal_group_and_outsider():
-    """The ideal group of a swap and a constant on two points, and a set
-    holding the swap, which lies outside it."""
-    S = ellis.enveloping_semigroup(flows.transformation_flow([[1, 0], [0, 0]]))
-    M = ellis.minimal_left_ideals(S)[0]
-    G = ellis.ideal_group(M, M.idempotents[0])
-    return G, {next(s for s in range(S.size) if s not in G.to_group)}
+def _identify(ambit, E, flow=None):
+    """`identify_quotient` on the closure of `flow`, by default the ambit's."""
+    return identify_quotient(ambit, E, ellis.enveloping_semigroup(flow or ambit.flow))
 
 
 def _non_orbital_instance():
@@ -1250,12 +1279,12 @@ def _lattices(g_size):
      NotEquivalence, "group-likeness needs a group flow"),
     (lambda: check_group_like(_s3_ambit(2), make_relation(6, [list(range(6))])),
      NotWeaklyGroupLike, "action is not transitive"),
-    (lambda: identify_quotient(_swap_ambit(), make_relation(2, [[0, 1]])),
+    (lambda: _identify(_swap_ambit(), make_relation(2, [[0, 1]])),
      NotWeaklyGroupLike, "needs a group flow"),
-    (lambda: identify_quotient(_s3_ambit(2), make_relation(6, [list(range(6))])),
+    (lambda: _identify(_s3_ambit(2), make_relation(6, [list(range(6))])),
      NotWeaklyGroupLike, "('morphism', ('unreached', 3))"),
-    (lambda: ellis.tau_closure(*_ideal_group_and_outsider()),
-     NotInIdeal, "does not belong to the ideal"),
+    (lambda: _identify(_s3_ambit(), make_relation(3, [[0, 1, 2]]), _s3_ambit().flow),
+     GroupMismatch, "semigroup of another flow than the ambit's"),
     (lambda: RRelationResult(frozenset({(0, 1)}), False, False, False,
                              ("irreflexive", 0)).to_relation(_swap_ambit().flow),
      NotAWitness, "relation is not an equivalence: ('irreflexive', 0)"),
@@ -1272,7 +1301,7 @@ def _lattices(g_size):
         "discrete-members", "section-members", "thm-orb-not-orbital",
         "orbital-not-invariant", "group-like-transformation",
         "group-like-intransitive", "identify-transformation",
-        "identify-intransitive", "tau-outside-ideal", "not-an-equivalence",
+        "identify-intransitive", "identify-other-semigroup", "not-an-equivalence",
         "parse-non-object"])
 def test_input_validation_refutations_fire(call, error, message):
     with pytest.raises(error) as exc:
