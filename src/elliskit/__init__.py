@@ -25,7 +25,6 @@ from .ellis import (
     IdealGroup,
     MinimalIdeal,
     enveloping_semigroup,
-    h_subgroup,
     ideal_group,
     ideal_group_isomorphism,
     induced_epimorphism,
@@ -58,7 +57,6 @@ from .grouplike import (
     check_proper_witness,
     check_uniform_witness,
     compute_D,
-    compute_ghat,
     identify_quotient,
     orbit_map_r,
 )

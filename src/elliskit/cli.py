@@ -20,10 +20,10 @@ import time
 from . import io as instance_io
 from .caps import DEFAULT_CAPS, ENV_ERROR
 from .catalog import EXAMPLES, run_example
-from .ellis import EllisSemigroup, enveloping_semigroup, ideal_group, minimal_left_ideals
+from .ellis import IdealGroup, enveloping_semigroup, ideal_group, minimal_left_ideals
 from .errors import ElliskitError, ParseError, TheoremViolation
-from .flows import Ambit, Flow, make_ambit
-from .grouplike import check_group_like, compute_D, compute_ghat, identify_quotient
+from .flows import Ambit, Flow, make_ambit, orbit_of
+from .grouplike import check_group_like, compute_D, identify_quotient
 from .relations import is_orbital, is_weakly_orbital, maximal_witnesses
 from .report import Report
 from .structured import verify_thm_orb, verify_thm_worb
@@ -51,7 +51,9 @@ def _flow(path) -> tuple[Flow, int]:
     return value, 0
 
 
-def _ellis_structures(flow: Flow, rep: Report) -> EllisSemigroup:
+def _ellis_structures(flow: Flow, rep: Report) -> IdealGroup:
+    """Record the closure, its minimal ideals and the order of the first
+    ideal group; return that group."""
     S = enveloping_semigroup(flow)
     ideals = minimal_left_ideals(S)
     first = ideal_group(ideals[0], ideals[0].idempotents[0])
@@ -61,7 +63,7 @@ def _ellis_structures(flow: Flow, rep: Report) -> EllisSemigroup:
         for M in ideals
     ]
     rep.structures["ideal_group_order"] = first.group_view.order
-    return S
+    return first
 
 
 def cmd_ellis(args) -> Report:
@@ -73,7 +75,7 @@ def cmd_ellis(args) -> Report:
 def cmd_analyze(args) -> Report:
     flow, basepoint = _flow(args.flow)
     rep = Report("analysis", "analyze")
-    S = _ellis_structures(flow, rep)
+    IG = _ellis_structures(flow, rep)
     if args.relation:
         relation = _load(args.relation, ("relation",)).bind(flow)
         rep.structures["class_count"] = len(relation.classes)
@@ -81,12 +83,15 @@ def cmd_analyze(args) -> Report:
         if not relation.invariant:
             rep.record("relation invariant", False, relation.invariance_witness)
         elif flow.is_group_flow:
-            ambit = make_ambit(flow, basepoint)
-            verdict = check_group_like(ambit, relation)
-            rep.structures["group_like"] = bool(verdict)
-            ident = identify_quotient(ambit, relation, S)
-            rep.structures["identified_group_order"] = ident.ghat.group.order
-            rep.structures["stabilizer_order"] = ident.stabilizer.order
+            # a flow file's point 0 need not reach every point: then there
+            # is no ambit to identify the classes on
+            if len(orbit_of(flow, basepoint)) == flow.points:
+                ambit = Ambit(flow, basepoint)
+                verdict = check_group_like(ambit, relation)
+                rep.structures["group_like"] = bool(verdict)
+                ident = identify_quotient(ambit, relation, IG)
+                rep.structures["identified_group_order"] = ident.ghat.order
+                rep.structures["stabilizer_order"] = ident.stabilizer.order
             orb = is_orbital(relation)
             rep.structures["orbital"] = bool(orb)
             weak = is_weakly_orbital(relation)
@@ -110,13 +115,11 @@ def cmd_grouplike(args) -> Report:
         cert = verdict.certificate
         rep.structures["quotient_order"] = cert.quotient_group.order
         rep.structures["kernel"] = list(cert.kernel.sorted_members)
-        S = enveloping_semigroup(ambit.flow)
-        ideals = minimal_left_ideals(S)
+        ideals = minimal_left_ideals(enveloping_semigroup(ambit.flow))
         IG = ideal_group(ideals[0], ideals[0].idempotents[0])
-        D = compute_D(IG, ambit)
-        ghat = compute_ghat(IG, ambit)
-        rep.structures["basepoint_stabilizer_order"] = D.order
-        rep.structures["identified_group_order"] = ghat.group.order
+        rep.structures["basepoint_stabilizer_order"] = compute_D(IG, ambit).order
+        # Ĝ is the ideal group on a transitive group ambit (`grouplike`)
+        rep.structures["identified_group_order"] = IG.group_view.order
     else:
         rep.structures["refutation"] = repr(verdict.refutation)
     return rep

@@ -15,8 +15,9 @@ here by construction, so it is stated once and not re-checked:
   u·M"). So for A ⊆ u·M, u∘A = u·A = A, and the τ-closure u(u∘A) and
   (u·M) ∩ (u∘A) are both A: τ is discrete, and H(u·M), the intersection
   of the closures of the neighbourhoods of u, is {u}.
-`h_subgroup` rests on that certificate and reads no row of the
-semigroup. The literal a∘B, τ-closure and H(u·M) formulas live in
+So nothing here builds τ or H(u·M); the one reader of H(u·M), Ĝ, is the
+ideal group itself where `grouplike` identifies it (`grouplike` module
+docstring). The literal a∘B, τ-closure, H(u·M) and Ĝ formulas live in
 `tests/oracles.py` and run as seeded property tests against the ideal
 groups and ideals built here, and u·s = s, composed by hand, on every ideal
 group the seeded Ellis battery builds.
@@ -77,10 +78,12 @@ any member b, v·((a·b)·w) is the image of a·b, which a's row, read and
 checked by `ideal_group`, gives; so the homomorphism check composes only
 image(a)·image(b), one row of image(a) each.
 
-`induced_epimorphism` pushes the closure of a source flow, built by its
-caller, through an equivariant surjection p of points onto a target flow,
-checked on the generators by `flows.check_morphism`, into the target
-flow's closure, also the caller's. What it builds holds by construction:
+`induced_epimorphism` pushes the closure of a source flow through an
+equivariant surjection p of points onto a target flow, checked on the
+generators by `flows.check_morphism`, into the target flow's closure. It
+reads both closures and their minimal left ideals from the ideal lists its
+caller built, and builds none of them. What it builds holds by
+construction:
 - Each source element f is a word in the source generators, and p·f = f'·p
   for f' the same word in the corresponding target maps, by equivariance
   on each letter. So f' is read off one point z of each fiber, f'(p(z)) =
@@ -98,7 +101,6 @@ from typing import NamedTuple
 
 from .algebra import (
     FiniteGroup,
-    Subgroup,
     _ComposedRow,
     compose_maps,
     _group_by_rows,
@@ -407,14 +409,6 @@ def ideal_group_isomorphism(gu: IdealGroup, gv: IdealGroup) -> tuple[int, ...]:
     return image
 
 
-def h_subgroup(G: IdealGroup) -> Subgroup:
-    """H(u·M), the intersection of the closures of the neighbourhoods of the
-    identity in the ideal-group topology: the trivial subgroup, since τ is
-    discrete, so {u} is a neighbourhood of u and its own closure (module
-    docstring)."""
-    return Subgroup(G.group_view, frozenset({G.group_view.identity}))
-
-
 class EllisEpimorphism(NamedTuple):
     source: EllisSemigroup
     target: EllisSemigroup
@@ -423,18 +417,20 @@ class EllisEpimorphism(NamedTuple):
     idempotent_images: tuple[tuple[int, int], ...]  # (source idem, target idem)
 
 
-def induced_epimorphism(m: FlowMorphism, src: EllisSemigroup,
-                        tgt: EllisSemigroup) -> EllisEpimorphism:
-    """Push the source enveloping semigroup `src` through an ambit morphism
-    into the target's, `tgt`: the image of f sends phi(z) to phi(f(z)). The
-    semigroups must be the closures of the morphism's own flows, built by
-    the caller. Verified surjective and multiplicative; it is well-defined
-    and lands in the target semigroup, and it maps minimal ideals onto
-    minimal ideals and idempotents to idempotents, by construction (module
-    docstring)."""
+def induced_epimorphism(m: FlowMorphism, src_ideals: list[MinimalIdeal],
+                        tgt_ideals: list[MinimalIdeal]) -> EllisEpimorphism:
+    """Push the source enveloping semigroup through an ambit morphism into
+    the target's: the image of f sends phi(z) to phi(f(z)). Each semigroup
+    is read as the parent of its minimal left ideals, `src_ideals` and
+    `tgt_ideals` as `minimal_left_ideals` returned them to the caller, and
+    must be the closure of the morphism's own flow. Verified surjective and
+    multiplicative; it is well-defined and lands in the target semigroup,
+    and it maps minimal ideals onto minimal ideals and idempotents to
+    idempotents, by construction (module docstring)."""
     rep = check_morphism(m)
     if not rep:
         raise GroupMismatch(f"invalid morphism: {rep.witness}")
+    src, tgt = src_ideals[0].parent, tgt_ideals[0].parent
     if src.flow is not m.source.flow or tgt.flow is not m.target.flow:
         raise GroupMismatch("semigroup of another flow than the morphism's")
     pm = m.point_map
@@ -453,10 +449,10 @@ def induced_epimorphism(m: FlowMorphism, src: EllisSemigroup,
             if element_map[src.mul(i, j)] != tgt.mul(element_map[i], element_map[j]):
                 raise TheoremViolation("induced map not multiplicative", (i, j))
 
-    tgt_lookup = {M.member_set: k for k, M in enumerate(minimal_left_ideals(tgt))}
+    tgt_lookup = {M.member_set: k for k, M in enumerate(tgt_ideals)}
     ideal_images = []
     idem_images = []
-    for si, M in enumerate(minimal_left_ideals(src)):
+    for si, M in enumerate(src_ideals):
         ideal_images.append((si, tgt_lookup[frozenset(element_map[s] for s in M.members)]))
         idem_images.extend((u, element_map[u]) for u in M.idempotents)
     return EllisEpimorphism(src, tgt, element_map, tuple(ideal_images),

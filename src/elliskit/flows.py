@@ -421,12 +421,10 @@ def check_tower(levels: list[Ambit], connecting: list[FlowMorphism],
         if not rep:
             raise IncompatibleTower(i, f"invalid morphism: {rep.witness}")
 
-    semis = [ellis.enveloping_semigroup(a.flow, caps=caps) for a in levels]
+    closures = (ellis.enveloping_semigroup(a.flow, caps=caps) for a in levels)
+    ideal_lists = [ellis.minimal_left_ideals(S) for S in closures]
     level_reports = []
-    ideal_lists = []
-    for S in semis:
-        ideals = ellis.minimal_left_ideals(S)
-        ideal_lists.append(ideals)
+    for ideals in ideal_lists:
         gview = ellis.ideal_group(ideals[0], ideals[0].idempotents[0]).group_view
         level_reports.append(TowerLevel(
             ideal_count=len(ideals),
@@ -440,7 +438,7 @@ def check_tower(levels: list[Ambit], connecting: list[FlowMorphism],
     chain = [ideal_lists[-1][0].idempotents[0]]
     for i in range(len(connecting) - 1, -1, -1):
         mor = connecting[i]
-        epi = ellis.induced_epimorphism(mor, semis[i + 1], semis[i])
+        epi = ellis.induced_epimorphism(mor, ideal_lists[i + 1], ideal_lists[i])
         correspondences.append({
             "level": i,
             "ideal_images": epi.ideal_images,

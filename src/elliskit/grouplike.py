@@ -30,10 +30,11 @@ dominated from the regular ambit, so the quotient identification applies to
 all of them.
 
 `identify_quotient` takes an invariant E on a transitive group ambit, the
-two input conditions it checks, and the enveloping semigroup of the ambit's
-flow, which its caller built (checked to be that flow's); it builds no
-closure. There the identification is orbit-stabilizer, so none of its parts
-is re-checked:
+two input conditions it checks, and an ideal group of the ambit's flow's
+enveloping semigroup, which its caller built (checked to be that flow's);
+it builds no closure, ideal, group or quotient. There Ĝ is that ideal group
+and the identification is orbit-stabilizer, so none of its parts is
+re-checked:
 - E is dominated from the regular ambit: the coset relation of the
   basepoint-class stabilizer K when K is normal, else equality. Both are
   group-like; g -> g·x0 is an equivariant surjection; it maps each coset gK
@@ -41,9 +42,12 @@ is re-checked:
   the induced relation is left invariant and onto, since E is invariant
   and the action transitive. So `default_domination` and
   `check_domination` would only re-prove the input conditions.
-- The closure is G's faithful image and u the identity map. core(D) fixes
-  every point g·x0, so it is {u}, every coset of Ĝ is one element, and the
-  class of f(x0), or of f(x), is the same along each coset.
+- Ĝ, the ideal group u·M modulo the normal core of H(u·M)·D, is u·M: the
+  closure is G's faithful image, a group, so u is the identity map; H(u·M)
+  is {u} (`ellis` module docstring), and D, the members fixing x0, has a
+  core that fixes every point g·x0, so core(H·D) = {u} and every coset is
+  one element. So Ĝ is read as the ideal group, and each member f gives
+  the class of f(x0).
 - The classes are reached: the action is transitive. So the reached
   classes counted, `class_count`, are |X/E|.
 - The fibers are the stabilizer's cosets: E is invariant, so f(x0) ~
@@ -69,19 +73,11 @@ from typing import NamedTuple
 
 from .algebra import (
     FiniteGroup,
-    GroupQuotient,
     Subgroup,
     _require_generating,
-    normal_core,
     quotient_group,
 )
-from .ellis import (
-    EllisSemigroup,
-    IdealGroup,
-    h_subgroup,
-    ideal_group,
-    minimal_left_ideals,
-)
+from .ellis import EllisSemigroup, IdealGroup
 from .errors import (
     GroupMismatch,
     NotEquivalence,
@@ -202,18 +198,6 @@ def compute_D(G_ideal: IdealGroup, ambit: Ambit) -> Subgroup:
                     frozenset(i for i, v in enumerate(values) if v == base_value))
 
 
-def compute_ghat(G_ideal: IdealGroup, ambit: Ambit) -> GroupQuotient:
-    """The ideal group modulo the normal core of H·D, where H is the
-    (finitely trivial) intersection of closures of identity neighbourhoods
-    and D the basepoint stabilizer."""
-    gv = G_ideal.group_view
-    H = h_subgroup(G_ideal)
-    D = compute_D(G_ideal, ambit)
-    hd = frozenset(gv.mul[h][d] for h in H.members for d in D.members)
-    core = normal_core(gv, Subgroup(gv, hd))
-    return quotient_group(gv, core)
-
-
 class DominationWitness(NamedTuple):
     source: Ambit                   # the dominating ambit
     source_relation: EquivRelation  # group-like relation on it
@@ -286,26 +270,28 @@ def default_domination(ambit: Ambit, E: EquivRelation) -> DominationWitness:
 
 
 class IdentificationReport(NamedTuple):
-    ghat: GroupQuotient
-    stabilizer: Subgroup            # of ghat.group
+    ghat: FiniteGroup               # the ideal group (module docstring)
+    stabilizer: Subgroup            # of ghat
     class_count: int                # classes the identification reaches
     coset_to_class: tuple[int, ...]
 
 
 def identify_quotient(ambit: Ambit, E: EquivRelation,
-                      S: EllisSemigroup) -> IdentificationReport:
-    """The central identification: build the quotient of the ideal group of
-    S, the enveloping semigroup of the ambit's flow, by the core of H·D, act
-    with it on the classes, and read off the orbit map at the basepoint
-    class, an equivariant bijection between the quotient modulo the
-    basepoint-class stabilizer and the class space whose fibers are the
-    stabilizer's left cosets (orbit-stabilizer, module docstring).
+                      IG: IdealGroup) -> IdentificationReport:
+    """The central identification: Ĝ is IG, an ideal group of the
+    enveloping semigroup of the ambit's flow that the caller built; read
+    the class of each member's basepoint value, an equivariant bijection
+    between Ĝ modulo the basepoint-class stabilizer and the class space
+    whose fibers are the stabilizer's left cosets (orbit-stabilizer,
+    module docstring). It reads IG's members and their maps and builds no
+    ideal, group or quotient.
     E must be invariant and the ambit transitive; either failure raises
-    NotWeaklyGroupLike with its witness. S of another flow raises
-    GroupMismatch."""
+    NotWeaklyGroupLike with its witness. IG of another flow's semigroup
+    raises GroupMismatch."""
     flow = ambit.flow
     if not flow.is_group_flow:
         raise NotWeaklyGroupLike("needs a group flow")
+    S = IG.parent
     if S.flow is not flow:
         raise GroupMismatch("semigroup of another flow than the ambit's")
     bound = E.bind(flow)
@@ -318,17 +304,12 @@ def identify_quotient(ambit: Ambit, E: EquivRelation,
     if unreached:
         raise NotWeaklyGroupLike(("morphism", ("unreached", min(unreached))))
 
-    M = minimal_left_ideals(S)[0]
-    IG = ideal_group(M, M.idempotents[0])
-    ghat = compute_ghat(IG, ambit)
     class_of = bound.class_of
-    # coset -> class of f(x0), f the coset's one member
-    rhat = tuple(class_of[S.maps[IG.members[coset[0]]][x0]]
-                 for coset in ghat.cosets)
-    H = Subgroup(ghat.group,
+    rhat = tuple(class_of[S.maps[s][x0]] for s in IG.members)  # member -> class
+    H = Subgroup(IG.group_view,
                  frozenset(c for c, v in enumerate(rhat) if v == class_of[x0]))
     coset_to_class = tuple(dict.fromkeys(rhat))
-    return IdentificationReport(ghat, H, len(coset_to_class), coset_to_class)
+    return IdentificationReport(IG.group_view, H, len(coset_to_class), coset_to_class)
 
 
 # -- properly and uniformly properly group-like witnesses ---------------------

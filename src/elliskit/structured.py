@@ -589,24 +589,3 @@ def verify_thm_worb(inst: StructuredInstance,
         raise TheoremViolation("weakly-orbital closedness-transfer equivalence",
                                _serialize_instance(inst))
     return ThmWorbReport(weak, w1, classes_closed, w2_witness, w3, w4, equivalent)
-
-
-def stabilizer_and_fixset_closed(inst: StructuredInstance) -> bool:
-    """On agreeable instances: class stabilizers are pseudo-closed whenever
-    the class is, and translate-fix sets are pseudo-closed whenever the
-    relation is."""
-    flow = inst.flow
-    E = inst.relation.bind(flow)
-    lat = inst.lattices
-    G = flow.group
-    for x in range(flow.points):
-        if (lat["X"].contains(frozenset(E.classes[E.class_of[x]]))
-                and not lat["G"].contains(stabilizing_elements(E, (x,)))):
-            return False
-    if lat["X2"].contains_mask(_pair_mask(E)):
-        for h in G.elements():
-            fx = frozenset(x for x in range(flow.points)
-                           if E.same(x, flow.act(h, x)))
-            if not lat["X"].contains(fx):
-                return False
-    return True

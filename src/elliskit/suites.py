@@ -12,8 +12,8 @@ Facts that hold by construction are not recorded as checks:
   (the Galois connection in the `relations` module docstring);
 - the grouplike battery's orbit map onto the class group and its
   domination from the regular ambit hold on every transitive setup
-  (`grouplike` module docstring), so each instance builds one closure,
-  which `identify_quotient` reads."""
+  (`grouplike` module docstring), so each instance builds one closure
+  and one ideal group, which `identify_quotient` reads as Ĝ."""
 
 from __future__ import annotations
 
@@ -133,8 +133,9 @@ def run_grouplike_suite(rep: Report, instances: int, rng: random.Random,
             if not verdict:
                 failures.append(("constructed relation group-like",
                                  verdict.refutation))
-            ident = identify_quotient(amb, E, enveloping_semigroup(flow, caps=caps))
-            count, order = ident.class_count, ident.ghat.group.order
+            M = minimal_left_ideals(enveloping_semigroup(flow, caps=caps))[0]
+            ident = identify_quotient(amb, E, ideal_group(M, M.idempotents[0]))
+            count, order = ident.class_count, ident.ghat.order
             if not (count == len(E.classes)
                     and count * ident.stabilizer.order == order):
                 failures.append(("identification", {

@@ -9,7 +9,9 @@ homomorphism, action-axiom, equivariance, class-table, left-invariance,
 fiber-against-coset and orbitality definitions over every pair of
 elements, the composition-limit identities, τ-closure formulas, H(u·M)
 and minimal-ideal structure that hold by construction in
-``elliskit.ellis``, the quotient identification's scans, the Ellis
+``elliskit.ellis``, Ĝ by its formula and the quotient identification's
+scans, the small actions of the weak-orbitality cross-check, the
+class-stabilizer and fix-set closedness of a structured instance, the Ellis
 battery's random data drawn by `random.Random`'s own `choice`, `randint`
 and `sample`, and the suites' group flows and relations drawn with every
 choice list, flow and coset built afresh on each draw. The production paths compose few
@@ -385,6 +387,25 @@ def h_subgroup(mul, members, u):
         if tau_closure(mul, members, u, rest)[0] == rest:
             H &= tau_closure(mul, members, u, V)[0]
     return H
+
+
+def ghat(table, ideal_members, u, value):
+    """Ĝ by its formula over the full composition table: the ideal group u·M
+    of `ideal_group` modulo the normal core of H(u·M)·D, where D holds the
+    members that agree with u at the basepoint (`value[s]` is member s's
+    value there). Returns u·M's members, the core (group indices), the
+    quotient's cosets, each sorted, in order of least member, and its table:
+    the coset of a·b for the first members a, b of two cosets."""
+    members, mul, inverse, gens = ideal_group(table, ideal_members, u)
+    G = algebra.FiniteGroup(mul, members.index(u), inverse, gens)
+    H = {members.index(s)
+         for s in h_subgroup(lambda a, b: table[a][b], members, u)}
+    D = {i for i, s in enumerate(members) if value[s] == value[u]}
+    core = normal_core(G, {mul[h][d] for h in H for d in D})
+    cosets = sorted({tuple(sorted(mul[a][c] for c in core)) for a in G.elements()})
+    coset_of = {a: k for k, coset in enumerate(cosets) for a in coset}
+    return members, core, cosets, tuple(
+        tuple(coset_of[mul[a[0]][b[0]]] for b in cosets) for a in cosets)
 
 
 def product(elements, index, a, b):
@@ -811,6 +832,52 @@ def is_weakly_orbital(E):
         if fix and r_relation(flow, WitnessPair(H, fix)).pairs == E.pairs():
             return WeakOrbitalityVerdict(True, WitnessPair(H, fix), checked)
     return WeakOrbitalityVerdict(False, None, checked)
+
+
+def orbital_catalog():
+    """Actions with group order at most 8 and at most 6 points, for the
+    complete weak-orbitality cross-check."""
+    named = algebra.named_group
+    z2, z4, d4, s3 = (named("cyclic", n=2), named("cyclic", n=4),
+                      named("dihedral", n=4), named("symmetric", n=3))
+    d3 = named("dihedral", n=3)
+    whole_z4 = algebra.subgroup_generated(z4, list(z4.elements()))
+    actions = [
+        flows.natural_flow(z4),
+        flows.regular_flow(named("cyclic", n=6)),
+        flows.natural_flow(d4),
+        flows.natural_flow(s3),
+        flows.regular_flow(s3),
+        flows.coset_flow(d4, next(s for s in algebra.enumerate_subgroups(d4)
+                                  if s.order == 2)),
+        flows.disjoint_union_flow([flows.natural_flow(z2)] * 2),
+        flows.disjoint_union_flow([flows.natural_flow(z2)] * 3),
+        flows.disjoint_union_flow([flows.natural_flow(s3)] * 2),
+        flows.disjoint_union_flow([flows.natural_flow(z4),
+                                   flows.coset_flow(z4, whole_z4)]),
+        flows.disjoint_union_flow([flows.natural_flow(d3), flows.regular_flow(d3)]),
+        flows.regular_flow(algebra.direct_product(z2, z2)),
+    ]
+    return [f for f in actions if f.points <= 6 and f.group.order <= 8]
+
+
+def stabilizer_and_fixset_closed(inst):
+    """On an instance of `elliskit.structured`: every class stabilizer is
+    pseudo-closed when its class is, and every translate-fix set is
+    pseudo-closed when the relation is, each set scanned over every element
+    and point."""
+    flow, lat = inst.flow, inst.lattices
+    E = inst.relation.bind(flow)
+    n = flow.points
+    for x in range(n):
+        if (lat["X"].contains(frozenset(E.classes[E.class_of[x]]))
+                and not lat["G"].contains(stabilizing_elements(flow, E, (x,)))):
+            return False
+    if lat["X2"].contains(a * n + b for a in range(n) for b in range(n) if E.same(a, b)):
+        return all(lat["X"].contains(frozenset(x for x in range(n)
+                                               if E.same(x, flow.act(h, x))))
+                   for h in flow.group.elements())
+    return True
 
 
 # -- pseudo-closed lattices as frozensets of indices --------------------------

@@ -13,8 +13,9 @@ above `ORACLE_LIMIT`; the unique compatible idempotent and the
 conjugation form of an isomorphism; an induced map as the literal
 pushforward, with minimal ideals onto minimal ideals; idempotents pushed
 to idempotents; a
-tower's idempotent chain stays in the minimal ideals; the quotient
-identification, against its literal scans; the domination from the regular
+tower's idempotent chain stays in the minimal ideals; Ĝ, by its formula,
+is the ideal group; the quotient identification, against its literal
+scans; the domination from the regular
 ambit and the onto orbit map, which the identification and the group-like
 suite no longer re-prove; and the Galois facts of maximal witnesses that
 the orbital suite no longer records. The one-step maximal witnesses and
@@ -228,7 +229,7 @@ def test_every_ideal_group_of_the_ellis_battery_has_u_fixing_its_members(
         monkeypatch):
     """On every ideal group the Ellis battery builds at seeds 1-4, u·s = s
     for each member s, composing the maps by hand: the fact `ideal_group`
-    certifies once, on which the discrete τ-topology, `h_subgroup` and the
+    certifies once, on which the discrete τ-topology, H(u·M) = {u} and the
     battery rest without reading u's row again (`ellis` module docstring)."""
     groups = recorded_draws(monkeypatch, "ideal_group")
     for seed in range(1, 5):
@@ -420,7 +421,8 @@ def test_epimorphisms_send_idempotents_to_idempotents():
             continue
         relation = rng.choice(list(invariant_relations(flow)))
         target, morphism = quotient_ambit(ambit, relation)
-        epi = induced_epimorphism(morphism, S, enveloping_semigroup(target.flow))
+        epi = induced_epimorphism(morphism, minimal_left_ideals(S),
+                                  minimal_left_ideals(enveloping_semigroup(target.flow)))
         for _, pushed in epi.idempotent_images:
             f = tuple(epi.target.maps[pushed])
             assert oracles.compose(f, f) == f
@@ -444,7 +446,8 @@ def test_an_induced_map_is_the_literal_pushforward():
             continue
         relation = rng.choice(list(invariant_relations(flow)))
         target, morphism = quotient_ambit(ambit, relation)
-        epi = induced_epimorphism(morphism, S, enveloping_semigroup(target.flow))
+        epi = induced_epimorphism(morphism, minimal_left_ideals(S),
+                                  minimal_left_ideals(enveloping_semigroup(target.flow)))
         T, pm = epi.target, morphism.point_map
         index = oracles.index_of(T)
         images = []
@@ -479,35 +482,56 @@ def transitive_catalog_flows():
                 yield coset_flow(G, H)
 
 
-def test_identification_matches_the_literal_scans():
-    """Every invariant relation of the catalog's transitive flows, at
-    basepoint 0 and at a seeded other point: `identify_quotient`'s
-    stabilizer and coset-to-class map are those the literal scans give, and
-    every scan passes: each coset of Ĝ acts as one map, the values reach
-    every class, their fibers are the stabilizer's cosets, |X/E|·|H| =
-    |Ĝ|, and the identification is equivariant for every element of G
-    (`grouplike` module docstring)."""
+def identification_cases():
+    """(flow, relations, each with the basepoints it is identified at):
+    every invariant relation of the catalog's transitive flows at basepoint
+    0 and at a seeded other point, then the relation of each of 200 seeded
+    group-like setups at every point."""
     rng = random.Random(137)
-    pairs = moved = 0
     for flow in transitive_catalog_flows():
+        yield flow, [(E, {0, rng.randrange(flow.points)})
+                     for E in invariant_relations(flow)]
+    rng = random.Random(157)
+    for _ in range(200):
+        flow, E = random_group_like_setup(rng, 6, 24)
+        yield flow, [(E, range(flow.points))]
+
+
+def test_identification_matches_the_literal_scans():
+    """At every point of the catalog's transitive flows and of seeded
+    group-like setups, Ĝ by its formula (`oracles.ghat`: H(u·M), D, the
+    normal core of H·D and the quotient) has core {u} and one-element
+    cosets in the ideal group's order, with the ideal group's table: Ĝ is
+    the ideal group `identify_quotient` reads. For each relation of
+    `identification_cases`, its stabilizer and coset-to-class map are those
+    the literal scans give, and every scan passes: each member of Ĝ acts as
+    one map, the values reach every class, their fibers are the
+    stabilizer's cosets, |X/E|·|H| = |Ĝ|, and the identification is
+    equivariant for every element of G (`grouplike` module docstring)."""
+    ambits = pairs = moved = 0
+    for flow, relations in identification_cases():
         S = enveloping_semigroup(flow)
         M = minimal_left_ideals(S)[0]
         IG = ideal_group(M, M.idempotents[0])
-        u = tuple(S.maps[IG.idempotent])
-        for E in invariant_relations(flow):
-            for x0 in {0, rng.randrange(flow.points)}:
-                ambit = make_ambit(flow, x0)
-                report = grouplike.identify_quotient(ambit, E, S)
-                ghat = grouplike.compute_ghat(IG, ambit)
-                assert report.ghat.cosets == ghat.cosets
-                cosets = [[tuple(S.maps[IG.members[g]]) for g in coset]
-                          for coset in ghat.cosets]
+        gv, u = IG.group_view, tuple(S.maps[IG.idempotent])
+        table = oracles.composition_table(oracles.elements_of(S))
+        cosets_as_maps = [[tuple(S.maps[s])] for s in IG.members]
+        for x0 in range(flow.points):
+            members, core, cosets, quotient = oracles.ghat(
+                table, M.members, IG.idempotent, [m[x0] for m in S.maps])
+            assert members == IG.members and core == {gv.identity}
+            assert cosets == [(i,) for i in gv.elements()]
+            assert quotient == tuple(map(tuple, gv.mul))
+            ambits += 1
+            for E in (E for E, basepoints in relations if x0 in basepoints):
+                report = grouplike.identify_quotient(make_ambit(flow, x0), E, IG)
+                assert report.ghat is gv
                 assert (report.stabilizer.members, report.coset_to_class) == \
-                    oracles.identification(flow, x0, E.class_of, cosets, ghat.group, u)
+                    oracles.identification(flow, x0, E.class_of, cosets_as_maps, gv, u)
                 assert report.class_count == len(E.classes)
                 pairs += 1
                 moved += E.class_of[x0] != E.class_of[0]
-    assert pairs >= 600 and moved >= 150
+    assert ambits >= 1100 and pairs >= 1200 and moved >= 300
 
 
 def test_the_regular_ambit_dominates_every_invariant_relation():

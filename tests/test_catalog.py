@@ -1,11 +1,7 @@
 import pytest
 
-from elliskit.catalog import (
-    EXAMPLES,
-    orbital_catalog,
-    run_example,
-    structured_catalog,
-)
+import oracles
+from elliskit.catalog import EXAMPLES, run_example, structured_catalog
 from elliskit.errors import UnknownExample
 
 
@@ -27,7 +23,7 @@ def test_structured_catalog_shape():
 
 
 def test_orbital_catalog_within_bounds():
-    actions = orbital_catalog()
+    actions = oracles.orbital_catalog()
     assert len(actions) >= 6
     for flow in actions:
         assert flow.points <= 6 and flow.group.order <= 8

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -30,7 +31,6 @@ from elliskit.ellis import (
     MinimalIdeal,
     _validate_minimal_ideal,
     enveloping_semigroup,
-    h_subgroup,
     ideal_group,
     ideal_group_isomorphism,
     induced_epimorphism,
@@ -514,14 +514,17 @@ def test_tau_closure_axioms():
 
 
 def test_h_subgroup_trivial_and_normal():
+    """H(u·M) by its formula is {u}, a normal subgroup of the ideal group."""
     for f in [swap_const_flow(), two_ideal_flow(),
               natural_flow(named_group("symmetric", n=3))]:
         S = enveloping_semigroup(f)
         for M in minimal_left_ideals(S):
             G = ideal_group(M, M.idempotents[0])
-            H = h_subgroup(G)
-            assert H.members == {G.group_view.identity}
-            assert H.is_normal()
+            literal = functools.partial(oracles.product, oracles.elements_of(S),
+                                        oracles.index_of(S))
+            H = oracles.h_subgroup(literal, G.members, G.idempotent)
+            assert H == {G.idempotent}
+            assert oracles.is_normal(G.group_view, {G.to_group[h] for h in H})
 
 
 def moved_identity_row(M, u):
@@ -553,10 +556,14 @@ def test_verify_records_a_moved_identity_row_as_a_failed_check(monkeypatch, caps
 
 # ---- induced epimorphisms ---------------------------------------------------------------
 
+def ideals_of(flow):
+    """The minimal left ideals of the flow's closure, built here."""
+    return minimal_left_ideals(enveloping_semigroup(flow))
+
+
 def induced(m):
-    """The epimorphism m induces between its flows' closures, built here."""
-    return induced_epimorphism(m, enveloping_semigroup(m.source.flow),
-                               enveloping_semigroup(m.target.flow))
+    """The epimorphism m induces between its flows' closures."""
+    return induced_epimorphism(m, ideals_of(m.source.flow), ideals_of(m.target.flow))
 
 
 def test_identity_epimorphism():
@@ -592,8 +599,8 @@ def test_induced_epimorphism_checks_products_against_the_target_table():
     S = enveloping_semigroup(nat.flow)
     target = with_rows(S, lambda a: S.times({1: 2, 2: 1}.get(a, a)))
     with pytest.raises(TheoremViolation, match="induced map not multiplicative"):
-        induced_epimorphism(FlowMorphism(reg, nat, pm),
-                            enveloping_semigroup(reg.flow), target)
+        induced_epimorphism(FlowMorphism(reg, nat, pm), ideals_of(reg.flow),
+                            [M._replace(parent=target) for M in minimal_left_ideals(S)])
 
 
 def test_product_projection_epimorphism():
@@ -637,8 +644,8 @@ def test_induced_epimorphism_refutes_targets_that_do_not_generate():
 def test_induced_epimorphism_rejects_a_semigroup_of_another_flow():
     amb = make_ambit(natural_flow(named_group("symmetric", n=3)), 0)
     m = FlowMorphism(amb, amb, tuple(range(3)))
-    S = enveloping_semigroup(amb.flow)
-    other = enveloping_semigroup(natural_flow(named_group("symmetric", n=3)))
+    S = ideals_of(amb.flow)
+    other = ideals_of(natural_flow(named_group("symmetric", n=3)))
     for given in ((other, S), (S, other)):
         with pytest.raises(GroupMismatch, match="semigroup of another flow"):
             induced_epimorphism(m, *given)

@@ -1,5 +1,6 @@
 import pytest
 
+import oracles
 from elliskit import ellis, grouplike, suites
 from elliskit.algebra import (
     FiniteGroup,
@@ -30,7 +31,6 @@ from elliskit.grouplike import (
     check_proper_witness,
     check_uniform_witness,
     compute_D,
-    compute_ghat,
     default_domination,
     identify_quotient,
     orbit_map_r,
@@ -188,36 +188,44 @@ def test_D_on_collapsing_transformation_instance():
         assert D.order == 1
 
 
-def test_ghat_regular_ambit():
-    G = s3()
-    amb = regular_ambit(G)
+def identify(amb, E):
+    """`identify_quotient` on the first ideal group of the ambit's closure,
+    its Ĝ checked against the formula (`oracles.ghat`): the core of H·D is
+    trivial, and the quotient's table, on one-element cosets in the ideal
+    group's order, is the ideal group's."""
     S = enveloping_semigroup(amb.flow)
     M = minimal_left_ideals(S)[0]
     IG = ideal_group(M, M.idempotents[0])
-    ghat = compute_ghat(IG, amb)
-    assert ghat.group.order == 6
+    rep = identify_quotient(amb, E, IG)
+    members, core, cosets, table = oracles.ghat(
+        oracles.composition_table(oracles.elements_of(S)), M.members,
+        IG.idempotent, [m[amb.basepoint] for m in S.maps])
+    assert rep.ghat is IG.group_view and members == IG.members
+    assert core == {IG.group_view.identity}
+    assert cosets == [(i,) for i in range(len(members))]
+    assert table == tuple(map(tuple, IG.group_view.mul))
+    return rep
+
+
+def test_ghat_regular_ambit():
+    G = s3()
+    amb = regular_ambit(G)
+    assert identify(amb, equality_relation(6)).ghat.order == 6
 
 
 def test_ghat_natural_s3():
     amb = make_ambit(natural_flow(s3()), 0)
-    S = enveloping_semigroup(amb.flow)
-    M = minimal_left_ideals(S)[0]
-    IG = ideal_group(M, M.idempotents[0])
-    ghat = compute_ghat(IG, amb)
+    ghat = identify(amb, equality_relation(3)).ghat
     # the core of the point stabilizer is trivial, so nothing is collapsed
-    assert ghat.group.order == 6
-    assert are_isomorphic(ghat.group, s3())
+    assert ghat.order == 6
+    assert are_isomorphic(ghat, s3())
 
 
 def test_ghat_zn_rotation():
     for n in (3, 4, 5):
         G = named_group("cyclic", n=n)
         amb = make_ambit(natural_flow(G), 0)
-        S = enveloping_semigroup(amb.flow)
-        M = minimal_left_ideals(S)[0]
-        IG = ideal_group(M, M.idempotents[0])
-        ghat = compute_ghat(IG, amb)
-        assert are_isomorphic(ghat.group, G)
+        assert are_isomorphic(identify(amb, total_relation(n)).ghat, G)
 
 
 # ---- domination ------------------------------------------------------------------
@@ -275,26 +283,26 @@ def test_not_left_invariant_refuted_on_a_generator():
 
 def test_identify_equality_on_natural_s3():
     amb = make_ambit(natural_flow(s3()), 0)
-    rep = identify_quotient(amb, equality_relation(3), enveloping_semigroup(amb.flow))
+    rep = identify(amb, equality_relation(3))
     assert rep.class_count == 3
-    assert rep.ghat.group.order == 6
+    assert rep.ghat.order == 6
     assert rep.stabilizer.order == 2
     assert sorted(rep.coset_to_class) == [0, 1, 2]
 
 
 def test_identify_total():
     amb = make_ambit(natural_flow(s3()), 0)
-    rep = identify_quotient(amb, total_relation(3), enveloping_semigroup(amb.flow))
+    rep = identify(amb, total_relation(3))
     assert rep.class_count == 1
-    assert rep.stabilizer.order == rep.ghat.group.order
+    assert rep.stabilizer.order == rep.ghat.order
 
 
 def test_identify_z6_cosets():
     G = named_group("cyclic", n=6)
     amb = regular_ambit(G)
     E = orbit_relation(amb.flow, subgroup_generated(G, [2]))
-    rep = identify_quotient(amb, E, enveloping_semigroup(amb.flow))
-    assert rep.ghat.group.order == 6
+    rep = identify(amb, E)
+    assert rep.ghat.order == 6
     assert rep.stabilizer.order == 3
     assert rep.class_count == 2
 
@@ -305,15 +313,15 @@ def test_identify_rejects_non_invariant():
     t = next(g for g in G.elements() if G.element_order(g) == 2)
     E = orbit_relation(amb.flow, subgroup_generated(G, [t]))
     with pytest.raises(NotWeaklyGroupLike):
-        identify_quotient(amb, E, enveloping_semigroup(amb.flow))
+        identify(amb, E)
 
 
 def test_identify_all_invariant_relations_small():
     for f in [natural_flow(s3()), natural_flow(named_group("dihedral", n=4))]:
         amb = make_ambit(f, 0)
         for E in invariant_relations(f):
-            rep = identify_quotient(amb, E, enveloping_semigroup(amb.flow))
-            assert rep.class_count * rep.stabilizer.order == rep.ghat.group.order
+            rep = identify(amb, E)
+            assert rep.class_count * rep.stabilizer.order == rep.ghat.order
 
 
 def test_the_grouplike_suite_builds_one_closure_per_instance(monkeypatch):
@@ -350,7 +358,7 @@ def test_identification_reproduces_stabilizer_index():
         G = f.group
         for E in invariant_relations(f):
             stab = sum(1 for g in G.elements() if E.same(f.act(g, 0), 0))
-            rep = identify_quotient(amb, E, enveloping_semigroup(amb.flow))
+            rep = identify(amb, E)
             assert rep.class_count == G.order // stab
 
 

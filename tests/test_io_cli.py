@@ -407,6 +407,29 @@ def test_cli_verify_exit_codes(capsys):
                  "--seed", "1", "--corrupt"]) == 1
 
 
+def test_cli_analyze_on_an_intransitive_group_flow(tmp_path, capsys):
+    """Point 0 of a flow file need not reach every point: the analysis then
+    leaves out what needs an ambit, keeps the orbitality verdicts and exits
+    0, as for a transformation flow. An ambit file with that basepoint is
+    malformed (exit 2)."""
+    flow = {"group": {"kind": "permutation", "degree": 4,
+                      "generators": [[1, 0, 2, 3]]},
+            "points": 4, "action": "natural"}
+    rel = write(tmp_path, "r.json", {"points": 4, "classes": [[0, 1], [2], [3]]})
+    assert main(["analyze", write(tmp_path, "f.json", flow), "--relation", rel,
+                 "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert err == "" and report["passed"]
+    assert report["structures"].keys() == {
+        "closure_size", "minimal_ideals", "ideal_group_order", "class_count",
+        "invariant", "orbital", "weakly_orbital", "maximal_witness"}
+    ambit = write(tmp_path, "a.json", dict(flow, basepoint=0))
+    assert main(["analyze", ambit, "--relation", rel]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {ambit}: basepoint orbit misses points (2, 3)\n"
+
+
 def test_cli_analyze(tmp_path, capsys):
     flow_path = write(tmp_path, "f.json", dict(S3_FLOW, basepoint=0))
     rel_path = write(tmp_path, "r.json",
@@ -712,27 +735,35 @@ def test_cli_instance_file_of_the_wrong_kind_exits_2(monkeypatch, capsys):
                    "expected flow or ambit, got relation\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ["analyze", "instances/z6-regular-ambit.json", "--relation",
-     "instances/z6-cosets.json"],
-    ["example", "s3-stabilizer"],
-], ids=["analyze-relation", "s3-stabilizer"])
-def test_a_command_builds_each_closure_once(monkeypatch, capsys, argv):
-    """Counted across every module that binds `enveloping_semigroup`: the
-    command builds its flow's closure once, and `identify_quotient` reads
-    that one."""
+@pytest.mark.parametrize("argv, closures, groups", [
+    (["analyze", "instances/z6-regular-ambit.json", "--relation",
+      "instances/z6-cosets.json"], 1, 1),
+    (["example", "s3-stabilizer"], 1, 1),
+    (["example", "tower-demo"], 3, 3),
+    (["example", "product-demo"], 6, 0),
+], ids=["analyze-relation", "s3-stabilizer", "tower-demo", "product-demo"])
+def test_a_command_builds_each_closure_once(monkeypatch, capsys, argv, closures,
+                                            groups):
+    """Counted across every module that binds each name: the command builds
+    each of its flows' closures once and walks its minimal ideals once, and
+    builds the ideal groups it reads, `identify_quotient` and
+    `induced_epimorphism` reading what their callers built."""
     monkeypatch.chdir(ROOT)
-    built = []
-    original = ellis.enveloping_semigroup
+    calls = {"enveloping_semigroup": 0, "minimal_left_ideals": 0, "ideal_group": 0}
 
-    def build(flow, *args, **kwargs):
-        built.append(flow)
-        return original(flow, *args, **kwargs)
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "elliskit" and hasattr(module, "enveloping_semigroup"):
-            monkeypatch.setattr(module, "enveloping_semigroup", build)
+    def counted(name, original):
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return count
+    for fn in calls:
+        wrapper = counted(fn, getattr(ellis, fn))
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "elliskit" and hasattr(module, fn):
+                monkeypatch.setattr(module, fn, wrapper)
     assert main(argv) == 0
-    assert len(built) == 1
+    assert calls == {"enveloping_semigroup": closures, "minimal_left_ideals": closures,
+                     "ideal_group": groups}
 
 
 @pytest.mark.parametrize("extra", [[], ["--decide-weak"]], ids=["plain", "decide-weak"])
@@ -883,7 +914,7 @@ def test_cli_verify_grouplike_records_a_failed_identification(monkeypatch, capsy
     # numbers compared, not the quotient
     def whole_group_as_stabilizer(*args, **kwargs):
         ident = identify_quotient(*args, **kwargs)
-        q = ident.ghat.group
+        q = ident.ghat
         return ident._replace(stabilizer=Subgroup(q, frozenset(q.elements())))
 
     monkeypatch.setattr(suites, "identify_quotient", whole_group_as_stabilizer)
@@ -1191,8 +1222,10 @@ def _swap_ambit():
 
 
 def _identify(ambit, E, flow=None):
-    """`identify_quotient` on the closure of `flow`, by default the ambit's."""
-    return identify_quotient(ambit, E, ellis.enveloping_semigroup(flow or ambit.flow))
+    """`identify_quotient` on the first ideal group of the closure of `flow`,
+    by default the ambit's."""
+    M = ellis.minimal_left_ideals(ellis.enveloping_semigroup(flow or ambit.flow))[0]
+    return identify_quotient(ambit, E, ellis.ideal_group(M, M.idempotents[0]))
 
 
 def _non_orbital_instance():

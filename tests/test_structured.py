@@ -1,5 +1,6 @@
 import pytest
 
+import oracles
 from elliskit.algebra import enumerate_subgroups, named_group, subgroup_generated
 from elliskit.errors import NotALattice, SizeCapExceeded
 from elliskit.flows import disjoint_union_flow, natural_flow, regular_flow
@@ -19,7 +20,6 @@ from elliskit.structured import (
     is_agreeable,
     make_lattice,
     product_lattice,
-    stabilizer_and_fixset_closed,
     verify_thm_orb,
     verify_thm_worb,
 )
@@ -412,7 +412,7 @@ def test_instance_keeps_a_read_only_copy_of_its_lattices():
 def test_psclsd_on_discrete_instances():
     flow = natural_flow(named_group("symmetric", n=3))
     inst = discrete_instance(flow, total_relation(3, flow))
-    assert stabilizer_and_fixset_closed(inst)
+    assert oracles.stabilizer_and_fixset_closed(inst)
 
 
 def test_structured_suite_checks_agreeability_once_per_catalog_instance(
