@@ -73,6 +73,7 @@ from .relations import (
     make_relation,
     maximal_witnesses,
     orbit_relation,
+    r_pairs,
     r_relation,
     total_relation,
 )

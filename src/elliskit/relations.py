@@ -11,7 +11,11 @@ invariant relation E is decided on E's own orbitals, the G-orbits on its
 pairs, numbered by one walk over the generator maps: the seeds (s, h·s)
 must meet every orbital inside E and leave E nowhere. That one test serves
 weak orbitality, maximal witnesses and the weakly-orbital transfer
-verifier; r_relation stays the literal pair closure.
+verifier. The literal pair closure r(H, S) is `r_pairs`, which the
+suites' cross-checks compare with a relation's pairs; `r_relation` adds
+the reflexive, symmetric and transitive verdicts for the callers that read
+them. Orbit partitions that are only compared are kept as labels
+(`_orbit_labels`), not built as relations bound to a flow.
 
 What holds by construction is stated here and not re-checked; the literal
 forms run as seeded property tests against `tests/oracles.py`:
@@ -223,20 +227,30 @@ def kernel_group(E: EquivRelation) -> Subgroup:
     return Subgroup(G, stabilizing_elements(E, range(flow.points)))
 
 
+def _orbit_labels(flow: Flow, H: Subgroup) -> tuple[int, ...]:
+    """Each point's H-orbit, numbered 0, 1, ... in the order of the orbits'
+    least points: the `class_of` of `orbit_relation(flow, H)`. H is a
+    group, so its images of x are the whole H-orbit of x."""
+    rows = [flow.maps[h] for h in H.members]
+    labels, count = [None] * flow.points, 0
+    for x in range(flow.points):
+        if labels[x] is None:
+            for row in rows:
+                labels[row[x]] = count
+            count += 1
+    return tuple(labels)
+
+
 def orbit_relation(flow: Flow, H: Subgroup) -> EquivRelation:
     """Partition of the points into H-orbits, bound to the flow (so the
-    invariance verdict is attached; it holds whenever H is normal)."""
+    invariance verdict is attached; it holds whenever H is normal). Callers
+    that compare the partition with another read `_orbit_labels` instead:
+    `is_orbital` and the fourth condition of `structured.verify_thm_orb`."""
     _require_group(flow, "orbit relations need a group flow", H)
-    seen = [False] * flow.points
-    classes = []
-    for x in range(flow.points):
-        if not seen[x]:
-            # H is a group, so its images of x are the whole H-orbit
-            orbit = sorted({flow.maps[h][x] for h in H.members})
-            for y in orbit:
-                seen[y] = True
-            classes.append(tuple(orbit))
-    return EquivRelation(flow.points, tuple(classes), flow)
+    classes: dict[int, list[int]] = {}
+    for x, label in enumerate(_orbit_labels(flow, H)):
+        classes.setdefault(label, []).append(x)
+    return EquivRelation(flow.points, tuple(map(tuple, classes.values())), flow)
 
 
 class WitnessPair(NamedTuple):
@@ -261,17 +275,15 @@ class RRelationResult(NamedTuple):
         return EquivRelation(flow.points, _classes(flow.points, self.pairs), flow)
 
 
-def r_relation(flow: Flow, w: WitnessPair) -> RRelationResult:
-    """The smallest invariant relation relating each support point to its
-    subgroup orbit: the set of translates (g·s, g·h·s). It is the closure of
-    the seed pairs (s, h·s) under the generator maps acting on both
-    coordinates: in a finite group every element is a product of
-    generators.
-
-    Verdict-valued: the result records whether the relation is reflexive,
-    symmetric, and transitive (transitivity can genuinely fail)."""
+def r_pairs(flow: Flow, w: WitnessPair) -> frozenset[tuple[int, int]]:
+    """The pairs of r(H, S), the smallest invariant relation relating each
+    support point to its subgroup orbit: the set of translates
+    (g·s, g·h·s). It is the closure of the seed pairs (s, h·s) under the
+    generator maps acting on both coordinates: in a finite group every
+    element is a product of generators. The `suites` checks and
+    `catalog.run_worb_union_f2` compare these pairs with a relation's and
+    read no verdict."""
     _require_group(flow, "witnessed relations need a group flow", w.subgroup, w.support)
-    n = flow.points
     pairs = {(s, flow.act(h, s))
              for s in w.support for h in w.subgroup.members}
     frontier = list(pairs)
@@ -282,6 +294,17 @@ def r_relation(flow: Flow, w: WitnessPair) -> RRelationResult:
             if pair not in pairs:
                 pairs.add(pair)
                 frontier.append(pair)
+    return frozenset(pairs)
+
+
+def r_relation(flow: Flow, w: WitnessPair) -> RRelationResult:
+    """The closure `r_pairs` with its verdicts: whether the relation is
+    reflexive, symmetric and transitive (transitivity can genuinely fail),
+    and a witness of the first that fails. Read by
+    `catalog.run_affine_f2`, whose pairs must each produce an equivalence,
+    and by the property tests; callers that compare pairs alone call
+    `r_pairs`."""
+    pairs, n = r_pairs(flow, w), flow.points
     reflexive = all((x, x) in pairs for x in range(n))
     witness = None
     if not reflexive:
@@ -303,7 +326,7 @@ def r_relation(flow: Flow, w: WitnessPair) -> RRelationResult:
                 break
         if not transitive:
             break
-    return RRelationResult(frozenset(pairs), reflexive, symmetric, transitive, witness)
+    return RRelationResult(pairs, reflexive, symmetric, transitive, witness)
 
 
 def fix_set(E: EquivRelation, H: Subgroup) -> frozenset[int]:
@@ -401,12 +424,16 @@ class OrbitalityVerdict(NamedTuple):
 
 
 def is_orbital(E: EquivRelation) -> OrbitalityVerdict:
-    """Orbital means equal to the orbit relation of the kernel subgroup."""
+    """Orbital means equal to the orbit relation of the kernel subgroup,
+    compared on labels: E's `class_of` against the kernel's orbit labels,
+    with no relation built for the orbits. Every caller reads the verdict;
+    `cli.cmd_orbital`, the orbital suite and `structured.verify_thm_orb`
+    also read the kernel, and none reads an orbit relation."""
     flow, _ = _require_group_bound(E)
     if not E.invariant:
         raise NotInvariant(E.invariance_witness)
     kern = kernel_group(E)
-    diff = first_split(E.class_of, orbit_relation(flow, kern).class_of)
+    diff = first_split(E.class_of, _orbit_labels(flow, kern))
     return OrbitalityVerdict(diff is None, kern, diff)
 
 

@@ -43,10 +43,10 @@ from .errors import NotALattice, NotOrbital, SizeCapExceeded, TheoremViolation
 from .flows import Flow
 from .relations import (
     EquivRelation,
+    _orbit_labels,
     _subgroup_witnesses,
     _witnessed,
     is_orbital,
-    orbit_relation,
     stabilizing_elements,
 )
 
@@ -510,7 +510,7 @@ def verify_thm_orb(inst: StructuredInstance,
     c2 = all(lat["X"].contains(frozenset(c)) for c in E.classes)
     c3 = lat["G"].contains(verdict.kernel.members)
     c4 = any(
-        lat["G"].contains(H.members) and orbit_relation(inst.flow, H) == E
+        lat["G"].contains(H.members) and _orbit_labels(inst.flow, H) == E.class_of
         for H in enumerate_subgroups(inst.flow.group, caps=caps)
     )
     equivalent = c1 == c2 == c3 == c4

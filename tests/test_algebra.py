@@ -312,6 +312,12 @@ def test_z4_not_isomorphic_to_klein():
     assert res.refutation["reason"] == "element_orders"
 
 
+def test_groups_of_different_orders_are_refuted_by_order():
+    res = are_isomorphic(named_group("cyclic", n=4), named_group("symmetric", n=3))
+    assert not res and res.mapping is None
+    assert res.refutation == {"reason": "order", "left": 4, "right": 6}
+
+
 def test_equal_element_orders_without_isomorphism():
     # Z4xZ4 and Q8xZ2 have the same element orders, and generator images of
     # those orders extend to homomorphisms that are not bijections

@@ -92,6 +92,7 @@ from elliskit.relations import (
     WitnessPair,
     _classes,
     first_split,
+    _orbit_labels,
     _orbitals,
     _subgroup_witnesses,
     _witnessed,
@@ -102,6 +103,7 @@ from elliskit.relations import (
     is_weakly_orbital,
     make_relation,
     maximal_witnesses,
+    r_pairs,
     r_relation,
     total_relation,
 )
@@ -888,9 +890,11 @@ def test_minimal_ideals_are_the_sink_components():
 
 
 def assert_same_r_relation(flow, w):
-    """Equal pairs and verdicts; a failure witness of the same kind that
-    really fails (the intransitive triple may differ from the oracle's)."""
+    """Equal pairs and verdicts, and the bare closure `r_pairs` equal to the
+    oracle's pairs; a failure witness of the same kind that really fails
+    (the intransitive triple may differ from the oracle's)."""
     got, want = r_relation(flow, w), oracles.r_relation(flow, w)
+    assert r_pairs(flow, w) == want.pairs
     assert (got.pairs, got.reflexive, got.symmetric, got.transitive) == \
         (want.pairs, want.reflexive, want.symmetric, want.transitive)
     if want.failure_witness is None or want.failure_witness[0] != "intransitive":
@@ -1340,7 +1344,9 @@ def test_orbit_relation_matches_the_definition():
             pairs = {(x, flow.act(h, x)) for x in range(n) for h in H.members}
             want = sorted({tuple(y for y in range(n) if (x, y) in pairs)
                            for x in range(n)})
-            assert orbit_relation(flow, H).classes == tuple(want)
+            got = orbit_relation(flow, H)
+            assert got.classes == tuple(want)
+            assert _orbit_labels(flow, H) == got.class_of
             relations += 1
     assert relations >= 1300
 

@@ -480,6 +480,22 @@ def test_cli_grouplike(tmp_path, capsys):
     assert data["structures"]["quotient_order"] == 3
 
 
+def test_cli_grouplike_reports_a_refutation(tmp_path, capsys):
+    """Equality on S3's natural ambit is invariant but not group-like: an
+    element fixing the basepoint moves another point out of its class. A
+    refuted property is an answer, so the command exits 0."""
+    path = write(tmp_path, "a.json", dict(S3_FLOW, basepoint=0))
+    rel = write(tmp_path, "r.json", {"points": 3, "classes": [[0], [1], [2]]})
+    assert main(["grouplike", path, "--relation", rel, "--format", "json"]) == 0
+    structures = json.loads(capsys.readouterr().out)["structures"]
+    assert structures.keys() == {"group_like", "refutation"}
+    assert structures["group_like"] is False
+    k, e, x = (int(v) for v in structures["refutation"].strip("()").split(","))
+    flow = parse_instance(path).value.flow
+    assert e == flow.group.identity
+    assert flow.act(k, 0) == 0 and flow.act(k, x) != x
+
+
 def test_cli_orbital(tmp_path, capsys):
     flow = write(tmp_path, "f.json",
                  {"group": {"kind": "named", "name": "cyclic", "n": 4},
@@ -613,6 +629,8 @@ def test_cli_relation_on_wrong_point_set_exit_2(tmp_path, capsys, command, point
     ({"transformations": "abc"}, "TypeError"),
     ({"group": {"kind": "named", "name": "cyclic", "n": 2}, "points": 2,
       "action": {"generator_images": [[1, 0, 2]]}}, "not a self-map"),
+    ({"group": {"kind": "named", "name": "cyclic", "n": 2}, "action": "left"},
+     "unknown action form 'left'"),
     ({"group": None, "action": "regular"}, "a group must be a JSON object"),
     ({"group": [3], "action": "natural"}, "a group must be a JSON object"),
     ({"transformations": [[1, 0.5, 0], [2, 0, 1]]}, "TypeError"),
@@ -669,6 +687,7 @@ def test_cli_relation_on_wrong_point_set_exit_2(tmp_path, capsys, command, point
      "unknown key 'lattices.X.ground'"),
 ], ids=["basepoint-out-of-range", "basepoint-not-int", "mul-not-square",
         "named-without-n", "transformations-not-maps", "image-not-self-map",
+        "action-unknown-form",
         "group-null", "group-not-object", "transformation-entry-not-int",
         "permutation-entry-float", "degree-float", "points-float", "points-bool",
         "basepoint-float", "basepoint-bool", "image-float", "transformation-bool",

@@ -20,6 +20,7 @@ from elliskit.errors import (
     NotAWitness,
     NotFree,
     NotInvariant,
+    SizeCapExceeded,
 )
 from elliskit.flows import coset_flow, natural_flow, regular_flow
 from elliskit.relations import (
@@ -455,6 +456,15 @@ def test_invariant_relations_are_invariant():
     # equality and total always qualify
     assert equality_relation(4) in rels
     assert total_relation(4) in rels
+
+
+def test_invariant_relations_stop_at_the_lattice_cap():
+    # Z6 on its six points: one invariant relation per divisor of 6
+    f = natural_flow(named_group("cyclic", n=6))
+    assert len(list(invariant_relations(f, caps=Caps(lattice_cap=4)))) == 4
+    with pytest.raises(SizeCapExceeded, match="invariant relation lattice") as exc:
+        list(invariant_relations(f, caps=Caps(lattice_cap=3)))
+    assert (exc.value.size, exc.value.cap) == (4, 3)
 
 
 # ---- property tests --------------------------------------------------------------
